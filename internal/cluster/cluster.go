@@ -163,6 +163,7 @@ type InProc struct {
 	Members []ids.ID
 	Addrs   map[ids.ID]string
 	nodes   map[ids.ID]*transport.TCPNode
+	cores   map[ids.ID]*paxos.Replica // Paxos and PigPaxos members' decision cores
 }
 
 // StartInProc boots an n-node cluster on ephemeral localhost ports. The
@@ -183,6 +184,7 @@ func StartInProc(spec InProcSpec) (*InProc, error) {
 		Members: members,
 		Addrs:   make(map[ids.ID]string),
 		nodes:   make(map[ids.ID]*transport.TCPNode),
+		cores:   make(map[ids.ID]*paxos.Replica),
 	}
 	// Each node gets its OWN address map (TCPNode guards it with the
 	// node's mutex; sharing one map across nodes would race).
@@ -201,6 +203,12 @@ func StartInProc(spec InProcSpec) (*InProc, error) {
 			return nil, err
 		}
 		proxy.h = rep
+		switch r := rep.(type) {
+		case *paxos.Replica:
+			c.cores[id] = r
+		case *pigpaxos.Replica:
+			c.cores[id] = r.Core()
+		}
 		tn.After(0, rep.Start) // Start on the node's event loop
 	}
 	for _, tn := range c.nodes {
@@ -237,6 +245,24 @@ func buildReplica(ctx node.Context, spec InProcSpec, cc config.Cluster, id ids.I
 
 // Node exposes a member's transport (tests drain or kill it directly).
 func (c *InProc) Node(id ids.ID) *transport.TCPNode { return c.nodes[id] }
+
+// Stats reads a live Paxos or PigPaxos member's protocol counters, on the
+// member's own event loop (the counters are the loop's). It reports false
+// for a stopped or EPaxos member.
+func (c *InProc) Stats(id ids.ID) (paxos.Stats, bool) {
+	tn, core := c.nodes[id], c.cores[id]
+	if tn == nil || core == nil {
+		return paxos.Stats{}, false
+	}
+	got := make(chan paxos.Stats, 1)
+	tn.After(0, func() { got <- core.Stats() })
+	select {
+	case s := <-got:
+		return s, true
+	case <-time.After(5 * time.Second):
+		return paxos.Stats{}, false
+	}
+}
 
 // Stop kills one member: its listener and connections close and its event
 // loop halts, exactly what the rest of the cluster observes when a process

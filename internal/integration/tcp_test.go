@@ -66,6 +66,34 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 			if fc.Target() != c.Members[0] {
 				t.Errorf("client should stick to leader, targets %v", fc.Target())
 			}
+
+			// A pipelined burst, long enough on an unloaded host to carry
+			// every member past its first log compactions. Nothing failed
+			// and nobody fell behind, so no member may have shipped a
+			// snapshot: one sent here answers a duplicate, not a laggard.
+			res, err := loadgen.Run(loadgen.Options{
+				Addrs:    c.Addrs,
+				Members:  c.Members,
+				Clients:  4,
+				Rate:     8000,
+				Warmup:   200 * time.Millisecond,
+				Duration: 2 * time.Second,
+				Timeout:  2 * time.Second,
+				Workload: workload.Config{Keys: 64},
+				Seed:     5,
+			})
+			if err != nil || res.Completed == 0 {
+				t.Fatalf("burst: %v %v", err, res)
+			}
+			for _, id := range c.Members {
+				st, ok := c.Stats(id)
+				if !ok {
+					t.Fatalf("%v: no stats", id)
+				}
+				if st.SnapSends != 0 {
+					t.Errorf("%v shipped %d snapshots on a fault-free run (%d executed)", id, st.SnapSends, st.Executions)
+				}
+			}
 		})
 	}
 }

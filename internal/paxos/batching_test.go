@@ -86,7 +86,7 @@ func TestPipelineWindowBoundsInFlightSlots(t *testing.T) {
 			})
 		}
 		// Synchronous check right after admission: only 2 slots proposed.
-		if inflight := len(tc.leader().p2qs); inflight > 2 {
+		if inflight := tc.leader().voting; inflight > 2 {
 			t.Errorf("in-flight slots = %d, want ≤ 2", inflight)
 		}
 	})
@@ -187,8 +187,8 @@ func TestDepositionClearsInFlightWindow(t *testing.T) {
 		tc.client.send(tc.cfg.Nodes[0], kvstore.Command{Op: kvstore.Put, Key: 2, ClientID: 2, Seq: 1})
 	})
 	tc.sim.Run(tc.sim.Now() + 20*time.Millisecond)
-	if len(leader.p2qs) != 2 {
-		t.Fatalf("in-flight slots = %d, want the window full", len(leader.p2qs))
+	if leader.voting != 2 {
+		t.Fatalf("in-flight slots = %d, want the window full", leader.voting)
 	}
 	// A higher ballot deposes the stranded leader.
 	higher := leader.Ballot().Next(tc.cfg.Nodes[2])
@@ -196,10 +196,10 @@ func TestDepositionClearsInFlightWindow(t *testing.T) {
 		leader.OnP2b(wire.P2b{Ballot: higher, From: tc.cfg.Nodes[2], Slot: 1})
 	})
 	tc.sim.Run(tc.sim.Now() + 10*time.Millisecond)
-	if len(leader.p2qs) != 0 {
-		t.Fatalf("stale p2qs entries survive deposition: %d — the window is poisoned", len(leader.p2qs))
+	if leader.voting != 0 {
+		t.Fatalf("stale tallies survive deposition: %d — the window is poisoned", leader.voting)
 	}
-	if len(leader.retries) != 0 {
+	if leader.retx.Armed() != 0 {
 		t.Error("retransmit timers must be stopped on step-down")
 	}
 }
@@ -534,7 +534,7 @@ func TestLostCampaignRedirectsPending(t *testing.T) {
 	if !redirected[1] || !redirected[2] {
 		t.Errorf("clients redirected: %v, want both 1 (in flight) and 2 (pending)", redirected)
 	}
-	if len(leader.pending) != 0 || len(leader.p2qs) != 0 {
+	if len(leader.pending) != 0 || leader.voting != 0 {
 		t.Error("pending batch and in-flight tallies must be cleared on a lost campaign")
 	}
 }

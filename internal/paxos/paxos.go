@@ -19,7 +19,6 @@ package paxos
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"pigpaxos/internal/config"
@@ -28,6 +27,7 @@ import (
 	"pigpaxos/internal/node"
 	"pigpaxos/internal/quorum"
 	"pigpaxos/internal/rlog"
+	"pigpaxos/internal/slots"
 	"pigpaxos/internal/wal"
 	"pigpaxos/internal/wire"
 )
@@ -235,6 +235,18 @@ type route struct {
 	seq      uint64
 }
 
+// proposal is the leader's volatile state for one slot, from the moment the
+// slot is handed a batch until it executes. The tally and its timestamp live
+// while the slot is voting (proposed under the current ballot, not yet
+// committed); the routes outlive a lost ballot, so a re-elected leader still
+// answers the clients whose commands it re-proposes.
+type proposal struct {
+	votes      quorum.Tally  // phase-2 votes, self-vote included
+	voting     bool          // tally open: occupies the pipelining window
+	proposedAt time.Duration // feeds the propose→commit latency EWMA
+	routes     []route       // aligned with the slot's batch
+}
+
 // Stats counts protocol events for experiments and tests.
 type Stats struct {
 	Requests     uint64 // client requests received while leader
@@ -293,12 +305,17 @@ type Replica struct {
 	p1q         *quorum.Threshold
 	p1MaxFloor  uint64 // highest compaction floor reported in phase-1
 	p1FloorFrom ids.ID // promiser that reported p1MaxFloor
-	p2qs        map[uint64]*quorum.Threshold
-	routes      map[uint64][]route // per-slot, aligned with the slot's batch
 	buffered    []pendingRequest
 	announced   uint64 // commit watermark last disseminated
 	sessions    map[uint64]*session
-	retries     map[uint64]node.Timer
+
+	// In-flight slots are dense between the execution cursor and the
+	// proposal cursor, so their state is a ring indexed by slot, and their
+	// retransmit timeouts share one armed timer.
+	inflight slots.Window[proposal]
+	voting   int // cells with an open tally
+	self     int // this replica's index in cfg.Cluster.Nodes
+	retx     *slots.Timers[struct{}]
 
 	// Batch accumulator: commands admitted by the leader but not yet
 	// proposed into a slot.
@@ -306,9 +323,8 @@ type Replica struct {
 	batchTimer node.Timer
 	batchDue   bool // BatchDelay expired; flush even under-full
 
-	// Overload state: when each in-flight slot was proposed, and the
-	// propose→commit latency EWMA fed by those samples (gain 1/8).
-	proposedAt map[uint64]time.Duration
+	// Overload state: the propose→commit latency EWMA (gain 1/8), fed by
+	// each voting slot's proposedAt as it commits.
 	commitEWMA time.Duration
 
 	// Follower state.
@@ -317,6 +333,10 @@ type Replica struct {
 	campaignRetry     node.Timer
 	catchupInFlight   bool
 	execSinceCompact  int
+	// heardBallot's leader has announced every slot below heardCommit
+	// committed (the highest watermark seen under that ballot).
+	heardBallot ids.Ballot
+	heardCommit uint64
 
 	// Durability state (nil/zero when running volatile).
 	st              wal.Storage
@@ -358,13 +378,11 @@ func New(ctx node.Context, cfg Config, diss Disseminator) *Replica {
 		diss:     diss,
 		log:      rlog.New(),
 		store:    kvstore.New(),
-		p2qs:       make(map[uint64]*quorum.Threshold),
-		routes:     make(map[uint64][]route),
-		sessions:   make(map[uint64]*session),
-		retries:    make(map[uint64]node.Timer),
-		ackTimes:   make(map[ids.ID]time.Duration),
-		proposedAt: make(map[uint64]time.Duration),
+		sessions: make(map[uint64]*session),
+		ackTimes: make(map[ids.ID]time.Duration),
 	}
+	r.self = r.memberIndex(cfg.ID)
+	r.retx = slots.NewTimers(ctx, r.retransmit)
 	if r.diss == nil {
 		r.diss = &Direct{
 			Ctx:     ctx,
@@ -462,12 +480,22 @@ func (r *Replica) OnMessage(from ids.ID, m wire.Msg) {
 // entries would otherwise count against the pipelining window forever,
 // shrinking or wedging it after re-election.
 func (r *Replica) abortProposals() {
-	for slot, t := range r.retries {
-		t.Stop()
-		delete(r.retries, slot)
+	r.retx.Clear()
+	for s := r.inflight.Base(); s < r.inflight.End(); s++ {
+		r.inflight.At(s).voting = false
 	}
-	clear(r.p2qs)
-	clear(r.proposedAt)
+	r.voting = 0
+}
+
+// memberIndex returns id's position in the membership list (what a Tally
+// counts by), or -1 for a non-member.
+func (r *Replica) memberIndex(id ids.ID) int {
+	for i, m := range r.cfg.Cluster.Nodes {
+		if m == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // Campaign makes the replica bid for leadership now, regardless of its
@@ -733,7 +761,8 @@ func (r *Replica) OnRequest(from ids.ID, m wire.Request) {
 		// Refresh the reply route in case the client moved — the command
 		// may be in a proposed slot or still in the batch accumulator.
 		found := false
-		for _, rts := range r.routes {
+		for s := r.inflight.Base(); s < r.inflight.End(); s++ {
+			rts := r.inflight.At(s).routes
 			for i, rt := range rts {
 				if rt.clientID == m.Cmd.ClientID && rt.seq == m.Cmd.Seq {
 					rts[i].client = from
@@ -756,12 +785,11 @@ func (r *Replica) OnRequest(from ids.ID, m wire.Request) {
 		// that becomeLeader re-proposed — re-attach the reply route there
 		// (re-admitting would commit the command in two slots).
 		if slot, idx, ok := r.findUncommitted(m.Cmd.ClientID, m.Cmd.Seq); ok {
-			rts := r.routes[slot]
-			for len(rts) <= idx {
-				rts = append(rts, route{})
+			p := r.inflight.Cover(slot)
+			for len(p.routes) <= idx {
+				p.routes = append(p.routes, route{})
 			}
-			rts[idx] = route{client: from, clientID: m.Cmd.ClientID, seq: m.Cmd.Seq}
-			r.routes[slot] = rts
+			p.routes[idx] = route{client: from, clientID: m.Cmd.ClientID, seq: m.Cmd.Seq}
 			r.stats.Duplicates++
 			return
 		}
@@ -856,9 +884,14 @@ func (r *Replica) findUncommitted(clientID, seq uint64) (uint64, int, bool) {
 	return 0, 0, false
 }
 
-// windowOpen reports whether the pipelining window admits another slot.
+// windowOpen reports whether the pipelining window admits another slot. Past
+// MaxInFlight, the log itself stops taking slots rlog.MaxAhead above the
+// execution cursor; proposing into one would leave a hole nothing fills.
 func (r *Replica) windowOpen() bool {
-	return r.cfg.MaxInFlight <= 0 || len(r.p2qs) < r.cfg.MaxInFlight
+	if r.cfg.MaxInFlight > 0 && r.voting >= r.cfg.MaxInFlight {
+		return false
+	}
+	return r.log.PeekNextSlot()-r.log.ExecuteCursor() < rlog.MaxAhead
 }
 
 // flushBatches proposes pending commands into slots, packing up to
@@ -897,7 +930,7 @@ func (r *Replica) flushBatches() {
 			}
 		}
 		slot := r.log.NextSlot()
-		r.routes[slot] = rts
+		r.inflight.Cover(slot).routes = rts
 		r.stats.Batches++
 		r.stats.BatchedCmds += uint64(take)
 		r.ctx.Work(r.cfg.LeaderWork)
@@ -965,14 +998,18 @@ func (r *Replica) propose(slot uint64, cmds []kvstore.Command) {
 	// durable as a follower's — one fsync here covers the slot's whole
 	// command batch (group commit).
 	r.syncStorage()
-	q := quorum.NewThreshold(r.cfg.Cluster.N(), r.cfg.Q2)
-	q.ACK(r.cfg.ID) // self-vote
-	r.p2qs[slot] = q
-	r.proposedAt[slot] = r.ctx.Now()
+	p := r.inflight.Cover(slot)
+	if !p.voting {
+		p.voting = true
+		r.voting++
+	}
+	p.votes = quorum.Tally{}
+	p.votes.Add(r.self) // self-vote
+	p.proposedAt = r.ctx.Now()
 	m := wire.P2a{Ballot: r.ballot, Slot: slot, Cmds: cmds, Commit: r.commitWatermark()}
 	r.announced = m.Commit
 	r.diss.FanOut(m)
-	if q.Satisfied() { // single-node cluster
+	if p.votes.Count() >= r.cfg.Q2 { // single-node cluster
 		r.commit(slot)
 		return
 	}
@@ -981,23 +1018,22 @@ func (r *Replica) propose(slot uint64, cmds []kvstore.Command) {
 
 // armRetransmit re-broadcasts a slot's P2a if it stalls (lossy networks).
 func (r *Replica) armRetransmit(slot uint64) {
-	if r.cfg.RetryTimeout <= 0 {
+	if r.cfg.RetryTimeout > 0 {
+		r.retx.Arm(slot, r.cfg.RetryTimeout, struct{}{})
+	}
+}
+
+// retransmit is the retx expiry: the slot went RetryTimeout without
+// committing.
+func (r *Replica) retransmit(slot uint64, _ struct{}) {
+	e := r.log.Get(slot)
+	if e == nil || e.Committed || !r.active {
 		return
 	}
-	if t, ok := r.retries[slot]; ok {
-		t.Stop()
-	}
-	r.retries[slot] = r.ctx.After(r.cfg.RetryTimeout, func() {
-		delete(r.retries, slot)
-		e := r.log.Get(slot)
-		if e == nil || e.Committed || !r.active {
-			return
-		}
-		r.stats.Retransmits++
-		m := wire.P2a{Ballot: r.ballot, Slot: slot, Cmds: e.Commands, Commit: r.commitWatermark()}
-		r.diss.FanOut(m)
-		r.armRetransmit(slot)
-	})
+	r.stats.Retransmits++
+	m := wire.P2a{Ballot: r.ballot, Slot: slot, Cmds: e.Commands, Commit: r.commitWatermark()}
+	r.diss.FanOut(m)
+	r.armRetransmit(slot)
 }
 
 // commitWatermark is the slot below which everything is committed locally —
@@ -1030,10 +1066,13 @@ func (r *Replica) AcceptP2a(m wire.P2a) (vote wire.P2b, ok bool) {
 			// Teach the proposer the anchored value instead of voting.
 			if e := r.log.Get(m.Slot); e != nil && e.Committed {
 				r.ctx.Send(m.Ballot.ID(), wire.P3{Ballot: r.ballot, Slot: m.Slot, Cmds: e.Commands})
-			} else if m.Slot < r.log.FirstSlot() {
+			} else if m.Slot < r.log.FirstSlot() && !(m.Ballot == r.heardBallot && m.Slot < r.heardCommit) {
 				// The slot was committed, executed and compacted away: the
 				// proposer is behind our checkpoint floor, so the single-slot
-				// teach-back no longer exists — ship the whole snapshot.
+				// teach-back no longer exists — ship the whole snapshot. Not
+				// so when this ballot's leader has itself announced the slot
+				// committed: then the proposer is not behind, the message is
+				// an old duplicate, and it is dropped.
 				r.stats.SnapSends++
 				r.ctx.Send(m.Ballot.ID(), wire.SnapInstall{
 					Ballot: r.ballot, Floor: r.log.ExecuteCursor(), Data: r.encodeSnapshot(),
@@ -1071,32 +1110,39 @@ func (r *Replica) OnP2b(m wire.P2b) {
 		r.armElectionTimer()
 		return
 	}
-	q, ok := r.p2qs[m.Slot]
-	if !ok || m.Ballot < r.ballot {
+	p := r.inflight.At(m.Slot)
+	if p == nil || !p.voting || m.Ballot < r.ballot {
 		return // already committed or stale vote
 	}
-	q.ACK(m.From)
-	if q.Satisfied() {
+	p.votes.Add(r.memberIndex(m.From))
+	if p.votes.Count() >= r.cfg.Q2 {
 		r.commit(m.Slot)
 	}
 }
 
+// closeTally ends slot's vote (it committed, or was taught an anchored
+// batch) and reports whether one was open.
+func (r *Replica) closeTally(slot uint64) (*proposal, bool) {
+	p := r.inflight.At(slot)
+	if p == nil || !p.voting {
+		return p, false
+	}
+	p.voting = false
+	r.voting--
+	r.retx.Cancel(slot)
+	return p, true
+}
+
 func (r *Replica) commit(slot uint64) {
-	delete(r.p2qs, slot)
-	if at, ok := r.proposedAt[slot]; ok {
-		delete(r.proposedAt, slot)
+	if p, open := r.closeTally(slot); open {
 		// TCP-style smoothing (gain 1/8) of the propose→commit latency;
 		// OnRequest sheds with Busy while this exceeds OverloadLatency.
-		sample := r.ctx.Now() - at
+		sample := r.ctx.Now() - p.proposedAt
 		if r.commitEWMA == 0 {
 			r.commitEWMA = sample
 		} else {
 			r.commitEWMA += (sample - r.commitEWMA) / 8
 		}
-	}
-	if t, ok := r.retries[slot]; ok {
-		t.Stop()
-		delete(r.retries, slot)
 	}
 	e := r.log.Get(slot)
 	if e == nil || e.Committed {
@@ -1116,7 +1162,6 @@ func (r *Replica) commit(slot uint64) {
 // commands this node proposed (route lists are position-aligned with each
 // slot's batch).
 func (r *Replica) execute() {
-	start := r.log.ExecuteCursor()
 	r.log.ExecuteReady(r.store, func(slot uint64, idx int, cmd kvstore.Command, res kvstore.Result) {
 		r.stats.Executions++
 		r.execSinceCompact++
@@ -1150,7 +1195,10 @@ func (r *Replica) execute() {
 				}
 			}
 		}
-		rts := r.routes[slot]
+		var rts []route
+		if p := r.inflight.At(slot); p != nil {
+			rts = p.routes
+		}
 		if idx >= len(rts) || rts[idx].client.IsZero() ||
 			rts[idx].clientID != cmd.ClientID || rts[idx].seq != cmd.Seq {
 			// Not proposed here, route dropped, or the committed batch is
@@ -1160,9 +1208,16 @@ func (r *Replica) execute() {
 		}
 		r.ctx.Send(rts[idx].client, rep)
 	})
-	for slot := start; slot < r.log.ExecuteCursor(); slot++ {
-		delete(r.routes, slot)
+	// Executed slots are done with their in-flight state. A tally still open
+	// on one (the slot committed by a path other than its own quorum) stops
+	// counting against the window with it.
+	cur := r.log.ExecuteCursor()
+	for s := r.inflight.Base(); s < min(cur, r.inflight.End()); s++ {
+		if r.inflight.At(s).voting {
+			r.voting--
+		}
 	}
+	r.inflight.Advance(cur)
 	r.maybeCompact()
 	r.maybeSnapshot()
 }
@@ -1174,7 +1229,12 @@ func (r *Replica) execute() {
 // the execution cursor below the watermark, the follower asks the leader to
 // re-announce them (catch-up).
 func (r *Replica) applyWatermark(w uint64, b ids.Ballot) {
-	for slot := r.log.ExecuteCursor(); slot < w; slot++ {
+	if b != r.heardBallot {
+		r.heardBallot, r.heardCommit = b, 0
+	}
+	r.heardCommit = max(r.heardCommit, w)
+	// Nothing exists at or above the proposal cursor, whatever w claims.
+	for slot := r.log.ExecuteCursor(); slot < min(w, r.log.PeekNextSlot()); slot++ {
 		e := r.log.Get(slot)
 		if e == nil || e.Committed || e.Ballot != b {
 			continue
@@ -1283,13 +1343,8 @@ func (r *Replica) OnP3(m wire.P3) {
 		}
 		r.lastLeaderContact = r.ctx.Now()
 	}
-	if _, proposing := r.p2qs[m.Slot]; proposing {
-		delete(r.p2qs, m.Slot)
-		if t, ok := r.retries[m.Slot]; ok {
-			t.Stop()
-			delete(r.retries, m.Slot)
-		}
-		r.reclaimDoomed(m.Slot, m.Cmds)
+	if p, proposing := r.closeTally(m.Slot); proposing {
+		r.reclaimDoomed(p, m.Slot, m.Cmds)
 		if r.active {
 			r.diss.FanOut(wire.P3{Ballot: r.ballot, Slot: m.Slot, Cmds: m.Cmds})
 		}
@@ -1304,10 +1359,10 @@ func (r *Replica) OnP3(m wire.P3) {
 // not in the anchored batch goes back into the batch accumulator for a
 // fresh slot, so those clients are served instead of waiting forever. The
 // slot's routes are dropped — the anchored batch was not proposed by us.
-func (r *Replica) reclaimDoomed(slot uint64, anchored []kvstore.Command) {
+func (r *Replica) reclaimDoomed(p *proposal, slot uint64, anchored []kvstore.Command) {
 	e := r.log.Get(slot)
-	rts := r.routes[slot]
-	delete(r.routes, slot)
+	rts := p.routes
+	p.routes = nil
 	if e == nil || e.Committed {
 		return
 	}
@@ -1356,16 +1411,10 @@ func (r *Replica) redirectPending() {
 	}
 	r.abortProposals()
 	leader := r.ballot.ID()
-	// Redirect in ascending slot order: map iteration order would otherwise
-	// leak into the send sequence (and so into every client's reply timing),
-	// breaking run-to-run determinism.
-	slots := make([]uint64, 0, len(r.routes))
-	for slot := range r.routes {
-		slots = append(slots, slot)
-	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-	for _, slot := range slots {
-		for _, rt := range r.routes[slot] {
+	// Redirect in ascending slot order, then drop every slot's in-flight
+	// state: the tallies closed above, and the routes are now answered.
+	for s := r.inflight.Base(); s < r.inflight.End(); s++ {
+		for _, rt := range r.inflight.At(s).routes {
 			if rt.client.IsZero() {
 				continue // placeholder in a re-attached route list
 			}
@@ -1373,8 +1422,8 @@ func (r *Replica) redirectPending() {
 				ClientID: rt.clientID, Seq: rt.seq, OK: false, Leader: leader,
 			})
 		}
-		delete(r.routes, slot)
 	}
+	r.inflight.Advance(r.inflight.End())
 	for _, p := range r.pending {
 		r.ctx.Send(p.from, wire.Reply{
 			ClientID: p.cmd.ClientID, Seq: p.cmd.Seq, OK: false, Leader: leader,

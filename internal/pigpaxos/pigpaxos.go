@@ -23,6 +23,7 @@ import (
 	"pigpaxos/internal/node"
 	"pigpaxos/internal/paxos"
 	"pigpaxos/internal/quorum"
+	"pigpaxos/internal/slots"
 	"pigpaxos/internal/wire"
 )
 
@@ -113,20 +114,47 @@ type Stats struct {
 	Splits         uint64 // multi-layer sub-group splits performed
 }
 
-type aggKey struct {
-	ballot ids.Ballot
-	slot   uint64 // 0 for phase-1 aggregations
-}
-
-// agg tracks one in-progress aggregation at a relay.
+// agg is a relay's phase-2 aggregation for one slot: the cell of the aggs
+// ring. One slot holds one aggregation — the latest ballot's; an older
+// ballot's leader has been deposed and has no use for its aggregate.
 type agg struct {
+	ballot    ids.Ballot
+	state     aggState
 	leader    ids.ID // where the aggregate goes
 	acks      []ids.ID
 	expected  int // votes to collect including our own
 	threshold int // early-flush threshold (0 = wait for expected)
-	timer     node.Timer
-	p1Replies []wire.P1b // phase-1 payloads
-	isP1      bool
+}
+
+type aggState uint8
+
+const (
+	aggNone       aggState = iota // the relay never aggregated this slot
+	aggCollecting                 // votes still arriving, timeout armed
+	// aggFlushed: the aggregate went out. Remembered so votes arriving after
+	// a threshold flush are dropped (the leader's quorum math is already
+	// satisfied by Σg_i ≥ majority) instead of forwarded — which would
+	// silently rebuild the leader bottleneck §4.2 removes.
+	aggFlushed
+)
+
+// aggMemory is how many slots of aggregation state a relay keeps below the
+// highest slot it has relayed.
+const aggMemory = 4096
+
+// p1agg tracks one in-progress phase-1 aggregation at a relay.
+type p1agg struct {
+	leader   ids.ID
+	expected int // promises to collect including our own
+	replies  []wire.P1b
+	timer    node.Timer
+}
+
+// leaderRetry is what a slot's Figure-5b timeout re-fans-out, and how many
+// times it already has.
+type leaderRetry struct {
+	m       wire.P2a
+	attempt int
 }
 
 // Replica is one PigPaxos node.
@@ -135,7 +163,11 @@ type Replica struct {
 	cfg  Config
 	core *paxos.Replica
 
-	layout     config.GroupLayout
+	layout config.GroupLayout
+	// rest[g][i] is group g without its i-th member: the peer list a round
+	// hands the relay it drew. Rebuilt with the layout, shared by every
+	// message of every round (read-only downstream).
+	rest       [][][]ids.ID
 	thresholds []int
 	// groupZones[g] is the region relay group g covers under GroupByZone
 	// (nil otherwise): the paper's WAN deployment maps groups 1:1 onto
@@ -148,31 +180,24 @@ type Replica struct {
 	// carrying the round.
 	lastRelays []ids.ID
 
-	aggs    map[aggKey]*agg
-	retries map[uint64]node.Timer
+	// Relay side: phase-2 aggregations by slot with their relay timeouts,
+	// phase-1 aggregations by ballot.
+	aggs     slots.Window[agg]
+	relayDue *slots.Timers[ids.Ballot]
+	p1aggs   map[ids.Ballot]*p1agg
 
-	// flushed remembers recently completed aggregations so votes arriving
-	// after a threshold flush are dropped (the leader's quorum math is
-	// already satisfied by Σg_i ≥ majority) instead of forwarded — which
-	// would silently rebuild the leader bottleneck §4.2 removes.
-	flushed    map[aggKey]struct{}
-	flushOrder []aggKey
+	// Leader side: the Figure-5b timeout of every slot still in flight.
+	retries *slots.Timers[leaderRetry]
 
 	stats Stats
 }
 
-const flushedMemory = 4096
-
 // New builds a PigPaxos replica around a fresh Paxos core.
 func New(ctx node.Context, cfg Config) *Replica {
 	cfg.applyDefaults()
-	r := &Replica{
-		ctx:     ctx,
-		cfg:     cfg,
-		aggs:    make(map[aggKey]*agg),
-		retries: make(map[uint64]node.Timer),
-		flushed: make(map[aggKey]struct{}),
-	}
+	r := &Replica{ctx: ctx, cfg: cfg, p1aggs: make(map[ids.Ballot]*p1agg)}
+	r.relayDue = slots.NewTimers(ctx, r.relayTimeout)
+	r.retries = slots.NewTimers(ctx, r.retryFanOut)
 	r.core = paxos.New(ctx, cfg.Paxos, nil)
 	r.core.SetDisseminator(&pigPlane{r})
 	r.core.SetOnCommit(r.onCommit)
@@ -228,6 +253,19 @@ func (r *Replica) computeLayout() {
 		}
 		r.layout = g
 	}
+	r.layoutChanged()
+}
+
+// layoutChanged rebuilds what is derived from the layout.
+func (r *Replica) layoutChanged() {
+	r.rest = make([][][]ids.ID, len(r.layout.Groups))
+	for g, group := range r.layout.Groups {
+		r.rest[g] = make([][]ids.ID, len(group))
+		for i := range group {
+			rest := make([]ids.ID, 0, len(group)-1)
+			r.rest[g][i] = append(append(rest, group[:i]...), group[i+1:]...)
+		}
+	}
 	r.computeThresholds()
 }
 
@@ -281,7 +319,7 @@ func (r *Replica) Reshuffle() {
 	if err == nil {
 		r.layout = g
 		r.groupZones = nil // random groups are no longer zone-aligned
-		r.computeThresholds()
+		r.layoutChanged()
 	}
 }
 
@@ -367,14 +405,18 @@ func (r *Replica) LastRelay(g int) ids.ID {
 	return r.lastRelays[g]
 }
 
-func (r *Replica) fanOutP2a(m wire.P2a, attempt int) {
+// eachRelay draws this round's relay for every group and hands send the
+// relay and the rest of its group.
+func (r *Replica) eachRelay(send func(gi int, relay ids.ID, peers []ids.ID)) {
 	for gi, group := range r.layout.Groups {
 		ri := r.pickRelay(group)
-		relay := group[ri]
-		r.noteRelay(gi, relay)
-		peers := make([]ids.ID, 0, len(group)-1)
-		peers = append(peers, group[:ri]...)
-		peers = append(peers, group[ri+1:]...)
+		r.noteRelay(gi, group[ri])
+		send(gi, group[ri], r.rest[gi][ri])
+	}
+}
+
+func (r *Replica) fanOutP2a(m wire.P2a, attempt int) {
+	r.eachRelay(func(gi int, relay ids.ID, peers []ids.ID) {
 		var th uint16
 		if r.thresholds != nil {
 			th = uint16(r.thresholds[gi])
@@ -385,63 +427,41 @@ func (r *Replica) fanOutP2a(m wire.P2a, attempt int) {
 			Threshold: th,
 			Timeout:   r.cfg.RelayTimeout,
 		})
-	}
-	r.armRetry(m, attempt)
-}
-
-// armRetry schedules the Figure-5b leader timeout: if the slot has not
-// committed when it fires, re-fan-out with freshly drawn relays.
-func (r *Replica) armRetry(m wire.P2a, attempt int) {
-	if t, ok := r.retries[m.Slot]; ok {
-		t.Stop()
-	}
+	})
+	// Figure-5b leader timeout: if the slot has not committed when it
+	// expires, re-fan-out with freshly drawn relays.
 	if attempt >= r.cfg.MaxRetries {
-		delete(r.retries, m.Slot)
+		r.retries.Cancel(m.Slot)
 		return
 	}
-	r.retries[m.Slot] = r.ctx.After(r.cfg.LeaderTimeout, func() {
-		delete(r.retries, m.Slot)
-		e := r.core.Log().Get(m.Slot)
-		if e != nil && e.Committed {
-			return
-		}
-		if !r.core.IsLeader() || r.core.Ballot() != m.Ballot {
-			return
-		}
-		r.stats.LeaderRetries++
-		r.fanOutP2a(m, attempt+1)
+	r.retries.Arm(m.Slot, r.cfg.LeaderTimeout, leaderRetry{m, attempt})
+}
+
+// retryFanOut is the retries expiry: the slot went LeaderTimeout without
+// committing.
+func (r *Replica) retryFanOut(slot uint64, lr leaderRetry) {
+	if e := r.core.Log().Get(slot); e != nil && e.Committed {
+		return
+	}
+	if !r.core.IsLeader() || r.core.Ballot() != lr.m.Ballot {
+		return
+	}
+	r.stats.LeaderRetries++
+	r.fanOutP2a(lr.m, lr.attempt+1)
+}
+
+func (r *Replica) onCommit(slot uint64) { r.retries.Cancel(slot) }
+
+func (r *Replica) fanOutP1a(m wire.P1a) {
+	r.eachRelay(func(_ int, relay ids.ID, peers []ids.ID) {
+		r.ctx.Send(relay, wire.RelayP1a{P1a: m, Peers: peers})
 	})
 }
 
-func (r *Replica) onCommit(slot uint64) {
-	if t, ok := r.retries[slot]; ok {
-		t.Stop()
-		delete(r.retries, slot)
-	}
-}
-
-func (r *Replica) fanOutP1a(m wire.P1a) {
-	for gi, group := range r.layout.Groups {
-		ri := r.pickRelay(group)
-		relay := group[ri]
-		r.noteRelay(gi, relay)
-		peers := make([]ids.ID, 0, len(group)-1)
-		peers = append(peers, group[:ri]...)
-		peers = append(peers, group[ri+1:]...)
-		r.ctx.Send(relay, wire.RelayP1a{P1a: m, Peers: peers})
-	}
-}
-
 func (r *Replica) fanOutP3(m wire.P3) {
-	for gi, group := range r.layout.Groups {
-		ri := r.pickRelay(group)
-		relay := group[ri]
-		r.noteRelay(gi, relay)
-		peers := make([]ids.ID, 0, len(group)-1)
-		peers = append(peers, group[:ri]...)
-		peers = append(peers, group[ri+1:]...)
+	r.eachRelay(func(_ int, relay ids.ID, peers []ids.ID) {
 		r.ctx.Send(relay, wire.RelayP3{P3: m, Peers: peers})
-	}
+	})
 }
 
 // onAggP2b unpacks a relay's aggregate into individual votes for the core.
@@ -479,45 +499,96 @@ func (r *Replica) onRelayP2a(from ids.ID, m wire.RelayP2a) {
 		})
 		return
 	}
-	key := aggKey{ballot: m.P2a.Ballot, slot: m.P2a.Slot}
-	if _, dup := r.aggs[key]; dup {
-		// Duplicate relay assignment (leader retry chose us again);
-		// restart the aggregation cleanly.
-		r.dropAgg(key)
+	slot := m.P2a.Slot
+	a := r.aggCell(slot)
+	if a == nil {
+		// Outside what this relay tracks (see aggCell): no aggregation. The
+		// group still gets the message; its votes come back one by one and
+		// onP2b passes each on to the leader, as ours goes now.
+		r.relay(m)
+		if ok {
+			r.ctx.Send(from, wire.AggP2b{
+				Ballot: m.P2a.Ballot, Relay: r.ctx.ID(), Slot: slot,
+				Acks: []ids.ID{r.ctx.ID()}, Partial: true,
+			})
+		}
+		return
 	}
-	a := &agg{
+	// An aggregation already open here is a duplicate assignment (a leader
+	// retry chose us again) or an older ballot's; either way restart cleanly.
+	*a = agg{
+		ballot:    m.P2a.Ballot,
+		state:     aggCollecting,
 		leader:    from,
+		acks:      make([]ids.ID, 0, len(m.Peers)+1),
 		expected:  len(m.Peers) + 1,
 		threshold: int(m.Threshold),
 	}
 	if ok {
-		a.acks = []ids.ID{r.ctx.ID()}
+		a.acks = append(a.acks, r.ctx.ID())
 	} else {
 		// Our own accept was refused (committed slot, different batch —
 		// the core already sent the teach-back): relay without a self-vote.
 		a.expected = len(m.Peers)
 	}
-	r.aggs[key] = a
-
-	if r.cfg.MultiLayer && len(m.Peers) > 2*r.cfg.SubGroupSize {
-		r.splitToSubRelays(m)
-	} else {
-		// Relay fan-out: one encode for the whole group on live
-		// transports (the relay's own CPU tax is what §3 spreads around).
-		r.ctx.Broadcast(m.Peers, m.P2a)
-	}
-	if r.maybeFlushP2(key, a, false) {
+	r.relay(m)
+	if r.maybeFlushP2(slot, a, false) {
 		return
 	}
 	timeout := m.Timeout
 	if timeout <= 0 {
 		timeout = r.cfg.RelayTimeout
 	}
-	a.timer = r.ctx.After(timeout, func() {
-		if cur, ok := r.aggs[key]; ok && cur == a {
-			r.maybeFlushP2(key, a, true)
+	r.relayDue.Arm(slot, timeout, a.ballot)
+}
+
+// relay passes a round's P2a on to the rest of the group.
+func (r *Replica) relay(m wire.RelayP2a) {
+	if r.cfg.MultiLayer && len(m.Peers) > 2*r.cfg.SubGroupSize {
+		r.splitToSubRelays(m)
+		return
+	}
+	// Relay fan-out: one encode for the whole group on live transports (the
+	// relay's own CPU tax is what §3 spreads around).
+	r.ctx.Broadcast(m.Peers, m.P2a)
+}
+
+// aggCell returns the ring cell for slot, sliding the ring up when slot is
+// its new high-water mark. It returns nil for a slot the relay will not
+// track: aggMemory or more below the high-water mark, or so far above the
+// execution cursor that the log refuses it too (a corrupt slot number must
+// not slide the ring away from the live ones).
+func (r *Replica) aggCell(slot uint64) *agg {
+	if a := r.aggs.At(slot); a != nil {
+		return a
+	}
+	if r.core.Log().Beyond(slot) {
+		return nil
+	}
+	if r.aggs.Len() > 0 {
+		if slot < r.aggs.Base() && r.aggs.End()-slot > aggMemory {
+			return nil
 		}
-	})
+		if slot >= r.aggs.End() && slot-r.aggs.Base() >= aggMemory {
+			floor := slot + 1 - aggMemory
+			// Whatever is still collecting down there goes out as it stands
+			// rather than being forgotten.
+			for s := r.aggs.Base(); s < min(floor, r.aggs.End()); s++ {
+				if old := r.aggs.At(s); old.state == aggCollecting {
+					r.flushP2(s, old, true)
+				}
+			}
+			r.aggs.Advance(floor)
+		}
+	}
+	return r.aggs.Cover(slot)
+}
+
+// relayTimeout is the relayDue expiry: the group did not answer in time.
+func (r *Replica) relayTimeout(slot uint64, b ids.Ballot) {
+	if a := r.aggs.At(slot); a != nil && a.state == aggCollecting && a.ballot == b {
+		r.maybeFlushP2(slot, a, true)
+	}
 }
 
 // splitToSubRelays implements the multi-layer tree (§6.3): partition our
@@ -544,17 +615,24 @@ func (r *Replica) splitToSubRelays(m wire.RelayP2a) {
 	}
 }
 
+// collecting returns the open aggregation a (ballot, slot) vote belongs to.
+func (r *Replica) collecting(b ids.Ballot, slot uint64) *agg {
+	if a := r.aggs.At(slot); a != nil && a.ballot == b && a.state == aggCollecting {
+		return a
+	}
+	return nil
+}
+
 // onP2b is a vote arriving at a relay (or a late vote at the leader).
 func (r *Replica) onP2b(from ids.ID, m wire.P2b) {
 	if r.core.IsLeader() || r.core.Ballot().ID() == r.ctx.ID() {
 		r.core.OnP2b(m)
 		return
 	}
-	key := aggKey{ballot: m.Ballot, slot: m.Slot}
-	a, ok := r.aggs[key]
-	if !ok {
+	a := r.collecting(m.Ballot, m.Slot)
+	if a == nil {
 		r.stats.LateVotes++
-		if _, done := r.flushed[key]; done {
+		if c := r.aggs.At(m.Slot); c != nil && c.ballot == m.Ballot && c.state == aggFlushed {
 			// The aggregate already went out; the thresholds guarantee
 			// the leader's quorum without this vote. Dropping it keeps
 			// the leader's message load at 2r+2.
@@ -565,33 +643,33 @@ func (r *Replica) onP2b(from ids.ID, m wire.P2b) {
 		r.ctx.Send(m.Ballot.ID(), m)
 		return
 	}
-	if m.Ballot > key.ballot {
-		// Should not happen (key derived from m.Ballot) but keep the
-		// rejection path explicit for clarity.
-		r.flushP2(key, a, true)
-		return
-	}
-	for _, id := range a.acks {
-		if id == m.From {
-			return // duplicate
-		}
-	}
-	a.acks = append(a.acks, m.From)
-	r.maybeFlushP2(key, a, false)
+	r.addAck(a, m.From)
+	r.maybeFlushP2(m.Slot, a, false)
 }
 
-func (r *Replica) maybeFlushP2(key aggKey, a *agg, timedOut bool) bool {
+// addAck records a vote once.
+func (r *Replica) addAck(a *agg, from ids.ID) {
+	for _, id := range a.acks {
+		if id == from {
+			return
+		}
+	}
+	a.acks = append(a.acks, from)
+}
+
+func (r *Replica) maybeFlushP2(slot uint64, a *agg, timedOut bool) bool {
 	full := len(a.acks) >= a.expected
 	thresholdMet := a.threshold > 0 && len(a.acks) >= a.threshold
 	if full || thresholdMet || timedOut {
-		r.flushP2(key, a, !full)
+		r.flushP2(slot, a, !full)
 		return true
 	}
 	return false
 }
 
-func (r *Replica) flushP2(key aggKey, a *agg, partial bool) {
-	r.dropAgg(key)
+func (r *Replica) flushP2(slot uint64, a *agg, partial bool) {
+	a.state = aggFlushed
+	r.relayDue.Cancel(slot)
 	if partial {
 		r.stats.PartialFlushes++
 	} else {
@@ -599,59 +677,26 @@ func (r *Replica) flushP2(key aggKey, a *agg, partial bool) {
 	}
 	r.ctx.Work(r.cfg.RelayWork)
 	r.ctx.Send(a.leader, wire.AggP2b{
-		Ballot:  key.ballot,
+		Ballot:  a.ballot,
 		Relay:   r.ctx.ID(),
-		Slot:    key.slot,
+		Slot:    slot,
 		Acks:    a.acks,
 		Partial: partial,
 	})
-}
-
-func (r *Replica) dropAgg(key aggKey) {
-	if a, ok := r.aggs[key]; ok {
-		if a.timer != nil {
-			a.timer.Stop()
-		}
-		delete(r.aggs, key)
-	}
-	r.rememberFlushed(key)
-}
-
-// rememberFlushed records a completed aggregation key, bounded FIFO.
-func (r *Replica) rememberFlushed(key aggKey) {
-	if _, ok := r.flushed[key]; ok {
-		return
-	}
-	r.flushed[key] = struct{}{}
-	r.flushOrder = append(r.flushOrder, key)
-	if len(r.flushOrder) > flushedMemory {
-		old := r.flushOrder[0]
-		r.flushOrder = r.flushOrder[1:]
-		delete(r.flushed, old)
-	}
+	a.acks = nil // the message owns them now
 }
 
 // AggP2b arriving at a relay happens under multi-layer trees: merge the
 // sub-relay's votes into our own aggregation.
 func (r *Replica) mergeSubAggP2b(m wire.AggP2b) bool {
-	key := aggKey{ballot: m.Ballot, slot: m.Slot}
-	a, ok := r.aggs[key]
-	if !ok {
+	a := r.collecting(m.Ballot, m.Slot)
+	if a == nil {
 		return false
 	}
 	for _, ack := range m.Acks {
-		dup := false
-		for _, id := range a.acks {
-			if id == ack {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			a.acks = append(a.acks, ack)
-		}
+		r.addAck(a, ack)
 	}
-	r.maybeFlushP2(key, a, false)
+	r.maybeFlushP2(m.Slot, a, false)
 	return true
 }
 
@@ -662,22 +707,17 @@ func (r *Replica) onRelayP1a(from ids.ID, m wire.RelayP1a) {
 		r.ctx.Send(from, wire.AggP1b{Ballot: own.Ballot, Relay: r.ctx.ID(), Replies: []wire.P1b{own}})
 		return
 	}
-	key := aggKey{ballot: m.P1a.Ballot, slot: 0}
-	a := &agg{
-		leader:    from,
-		expected:  len(m.Peers) + 1,
-		p1Replies: []wire.P1b{own},
-		isP1:      true,
-	}
-	r.aggs[key] = a
+	b := m.P1a.Ballot
+	a := &p1agg{leader: from, expected: len(m.Peers) + 1, replies: []wire.P1b{own}}
+	r.p1aggs[b] = a
 	r.ctx.Broadcast(m.Peers, m.P1a)
-	if len(a.p1Replies) >= a.expected {
-		r.flushP1(key, a)
+	if len(a.replies) >= a.expected {
+		r.flushP1(b, a)
 		return
 	}
 	a.timer = r.ctx.After(r.cfg.RelayTimeout, func() {
-		if cur, ok := r.aggs[key]; ok && cur == a {
-			r.flushP1(key, a)
+		if r.p1aggs[b] == a {
+			r.flushP1(b, a)
 		}
 	})
 }
@@ -688,25 +728,27 @@ func (r *Replica) onP1b(m wire.P1b) {
 		r.core.OnP1b(m)
 		return
 	}
-	key := aggKey{ballot: m.Ballot, slot: 0}
-	a, ok := r.aggs[key]
-	if !ok || !a.isP1 {
+	a := r.p1aggs[m.Ballot]
+	if a == nil {
 		// Flushed already, or a NACK for a different ballot: forward to
 		// whoever owns the ballot the promise names.
 		r.stats.LateVotes++
 		r.ctx.Send(m.Ballot.ID(), m)
 		return
 	}
-	a.p1Replies = append(a.p1Replies, m)
-	if len(a.p1Replies) >= a.expected {
-		r.flushP1(key, a)
+	a.replies = append(a.replies, m)
+	if len(a.replies) >= a.expected {
+		r.flushP1(m.Ballot, a)
 	}
 }
 
-func (r *Replica) flushP1(key aggKey, a *agg) {
-	r.dropAgg(key)
+func (r *Replica) flushP1(b ids.Ballot, a *p1agg) {
+	delete(r.p1aggs, b)
+	if a.timer != nil {
+		a.timer.Stop()
+	}
 	r.ctx.Work(r.cfg.RelayWork)
-	r.ctx.Send(a.leader, wire.AggP1b{Ballot: key.ballot, Relay: r.ctx.ID(), Replies: a.p1Replies})
+	r.ctx.Send(a.leader, wire.AggP1b{Ballot: b, Relay: r.ctx.ID(), Replies: a.replies})
 }
 
 func (r *Replica) onRelayP3(m wire.RelayP3) {

@@ -411,7 +411,7 @@ func TestStaleRelayP2aRejectedFast(t *testing.T) {
 	if follower.Core().Log().Get(50) != nil {
 		t.Error("stale relayed P2a must not be accepted")
 	}
-	if len(follower.aggs) != 0 {
+	if openAggs(follower) != 0 {
 		t.Error("no aggregation may be opened for a rejected relay round")
 	}
 }

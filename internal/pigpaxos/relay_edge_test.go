@@ -24,6 +24,17 @@ func establish(t *testing.T, n int, mut func(*Config)) (*cluster, *Replica) {
 	return tc, tc.replicas[tc.cfg.Nodes[3]] // an arbitrary follower
 }
 
+// openAggs counts the relay's aggregations still collecting votes.
+func openAggs(r *Replica) int {
+	n := 0
+	for s := r.aggs.Base(); s < r.aggs.End(); s++ {
+		if r.aggs.At(s).state == aggCollecting {
+			n++
+		}
+	}
+	return n
+}
+
 func TestLateVoteAfterThresholdFlushDropped(t *testing.T) {
 	tc, relay := establish(t, 9, nil)
 	ballot := tc.leader().Core().Ballot()
@@ -38,7 +49,7 @@ func TestLateVoteAfterThresholdFlushDropped(t *testing.T) {
 		Threshold: 1,
 		Timeout:   50 * time.Millisecond,
 	})
-	if len(relay.aggs) != 0 {
+	if openAggs(relay) != 0 {
 		t.Fatal("threshold-1 aggregation must flush instantly")
 	}
 	if relay.Stats().PartialFlushes == 0 {
@@ -75,18 +86,17 @@ func TestDuplicateRelayAssignmentRestartsCleanly(t *testing.T) {
 		Peers:   peers,
 		Timeout: time.Hour, // no timeout interference
 	}
-	key := aggKey{ballot: ballot, slot: 1000}
 
 	relay.OnMessage(leaderID, m)
 	relay.OnMessage(peers[0], wire.P2b{Ballot: ballot, From: peers[0], Slot: 1000})
-	if a := relay.aggs[key]; a == nil || len(a.acks) != 2 {
-		t.Fatalf("pre-retry aggregation state wrong: %+v", relay.aggs[key])
+	if a := relay.collecting(ballot, 1000); a == nil || len(a.acks) != 2 {
+		t.Fatalf("pre-retry aggregation state wrong: %+v", a)
 	}
 
 	// The leader timed out and drew this relay again: the aggregation must
 	// restart from scratch, not double-count stale acks.
 	relay.OnMessage(leaderID, m)
-	a := relay.aggs[key]
+	a := relay.collecting(ballot, 1000)
 	if a == nil || len(a.acks) != 1 || a.acks[0] != relay.ctx.ID() {
 		t.Fatalf("duplicate assignment must restart the aggregation, got %+v", a)
 	}
@@ -96,7 +106,7 @@ func TestDuplicateRelayAssignmentRestartsCleanly(t *testing.T) {
 	for _, p := range peers {
 		relay.OnMessage(p, wire.P2b{Ballot: ballot, From: p, Slot: 1000})
 	}
-	if _, open := relay.aggs[key]; open {
+	if relay.collecting(ballot, 1000) != nil {
 		t.Error("full group must flush the aggregation")
 	}
 	if tc.net.MessagesSent() != sentBefore+1 {
@@ -118,8 +128,7 @@ func TestMultiLayerSubAggregateMerge(t *testing.T) {
 		Peers:   peers,
 		Timeout: time.Hour,
 	})
-	key := aggKey{ballot: ballot, slot: 1000}
-	if relay.aggs[key] == nil {
+	if relay.collecting(ballot, 1000) == nil {
 		t.Fatal("aggregation not opened")
 	}
 
@@ -128,12 +137,12 @@ func TestMultiLayerSubAggregateMerge(t *testing.T) {
 	sub := wire.AggP2b{Ballot: ballot, Relay: peers[0], Slot: 1000,
 		Acks: []ids.ID{peers[0], peers[1], relay.ctx.ID()}}
 	relay.OnMessage(peers[0], sub)
-	a := relay.aggs[key]
+	a := relay.collecting(ballot, 1000)
 	if a == nil || len(a.acks) != 3 {
 		t.Fatalf("merged acks = %v, want self + 2 sub-relay members", a.acks)
 	}
 	relay.OnMessage(peers[0], sub) // replayed sub-aggregate: no double count
-	if len(relay.aggs[key].acks) != 3 {
+	if len(relay.collecting(ballot, 1000).acks) != 3 {
 		t.Error("replayed sub-aggregate must not double-count acks")
 	}
 
@@ -141,7 +150,7 @@ func TestMultiLayerSubAggregateMerge(t *testing.T) {
 	// flushes upward.
 	relay.OnMessage(peers[2], wire.AggP2b{Ballot: ballot, Relay: peers[2], Slot: 1000,
 		Acks: []ids.ID{peers[2], peers[3]}})
-	if _, open := relay.aggs[key]; open {
+	if relay.collecting(ballot, 1000) != nil {
 		t.Error("complete sub-aggregates must flush the parent aggregation")
 	}
 
@@ -204,5 +213,58 @@ func TestRelaysForwardBatchesTransparently(t *testing.T) {
 		if r.Store().Applied() != cmds || r.Store().Checksum() != want {
 			t.Errorf("%v diverged under batched relay rounds", id)
 		}
+	}
+}
+
+// TestRelayRingEdges covers the three ways a slot can fall outside the
+// relay's aggregation ring. A slot the log itself refuses as too far ahead
+// must not slide the ring off the live slots; a slot aggMemory above a
+// still-open aggregation flushes that one as it stands instead of forgetting
+// it; and a slot aggMemory below the high-water mark is relayed without an
+// aggregation, its votes travelling to the leader one by one.
+func TestRelayRingEdges(t *testing.T) {
+	tc, relay := establish(t, 9, nil)
+	ballot := tc.leader().Core().Ballot()
+	leaderID := tc.cfg.Nodes[0]
+	peers := []ids.ID{tc.cfg.Nodes[4], tc.cfg.Nodes[5]}
+	round := func(slot uint64) {
+		relay.OnMessage(leaderID, wire.RelayP2a{
+			P2a:     wire.P2a{Ballot: ballot, Slot: slot, Cmds: []kvstore.Command{{Op: kvstore.Put, Key: 1}}},
+			Peers:   peers,
+			Timeout: time.Hour,
+		})
+	}
+
+	round(1000)
+	if relay.collecting(ballot, 1000) == nil {
+		t.Fatal("aggregation not opened")
+	}
+	round(1 << 63)
+	if relay.collecting(ballot, 1000) == nil || relay.aggs.End() > 1001 {
+		t.Fatalf("a slot the log refuses slid the ring to [%d,%d)", relay.aggs.Base(), relay.aggs.End())
+	}
+
+	partial := relay.Stats().PartialFlushes
+	round(1000 + aggMemory)
+	if relay.Stats().PartialFlushes != partial+1 || relay.collecting(ballot, 1000) != nil {
+		t.Error("aggregation pushed out of the ring was not flushed as it stood")
+	}
+	if relay.relayDue.Armed() != 1 {
+		t.Errorf("%d relay timeouts armed, want only the new slot's", relay.relayDue.Armed())
+	}
+
+	sent := tc.net.MessagesSent()
+	round(1000) // now aggMemory below the high-water mark
+	if relay.aggs.At(1000) != nil {
+		t.Error("a slot below the ring got a cell")
+	}
+	// Forwarded to both peers, own vote sent up alone.
+	if got := tc.net.MessagesSent() - sent; got != uint64(len(peers))+1 {
+		t.Errorf("untracked round sent %d messages, want %d", got, len(peers)+1)
+	}
+	sent = tc.net.MessagesSent()
+	relay.OnMessage(peers[0], wire.P2b{Ballot: ballot, From: peers[0], Slot: 1000})
+	if tc.net.MessagesSent() != sent+1 {
+		t.Error("vote of an untracked round was not passed on to the leader")
 	}
 }

@@ -116,6 +116,39 @@ func (t *Threshold) Reset() {
 	t.reject = false
 }
 
+// Tally is a vote set over a fixed membership, held by value: a replica that
+// opens one per log slot embeds it in the slot's state instead of allocating
+// a Threshold. Voters are named by their index in the membership list, so a
+// vote from a non-member has no index and cannot be counted. The zero Tally
+// is empty.
+type Tally struct {
+	lo    uint64   // members 0–63
+	hi    []uint64 // members 64 and up, allocated only if one votes
+	count int
+}
+
+// Add records a vote from member i; duplicates are idempotent, and a
+// negative i (no such member) is ignored.
+func (t *Tally) Add(i int) {
+	if i < 0 {
+		return
+	}
+	word, bit := &t.lo, uint64(1)<<(i%64)
+	if i >= 64 {
+		if missing := i/64 - len(t.hi); missing > 0 {
+			t.hi = append(t.hi, make([]uint64, missing)...)
+		}
+		word = &t.hi[i/64-1]
+	}
+	if *word&bit == 0 {
+		*word |= bit
+		t.count++
+	}
+}
+
+// Count returns the number of distinct votes recorded.
+func (t *Tally) Count() int { return t.count }
+
 // Flexible describes a flexible-quorum configuration per Howard et al.:
 // phase-1 quorums of size Q1 and phase-2 quorums of size Q2 with
 // Q1 + Q2 > N. It is a factory for per-phase threshold systems.

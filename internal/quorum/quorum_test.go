@@ -252,3 +252,28 @@ func TestThresholdProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestTally(t *testing.T) {
+	var tl Tally
+	for _, i := range []int{0, 3, 3, 63, 64, 200, 64, -1} {
+		tl.Add(i)
+	}
+	if tl.Count() != 5 {
+		t.Errorf("count = %d, want 5 (duplicates and the non-member ignored)", tl.Count())
+	}
+	small := Tally{}
+	small.Add(1)
+	copyOf := small // by value while every voter is below 64
+	copyOf.Add(2)
+	if small.Count() != 1 || copyOf.Count() != 2 {
+		t.Errorf("value copy shares state: %d, %d", small.Count(), copyOf.Count())
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		var q Tally
+		q.Add(0)
+		q.Add(24)
+		q.Add(63)
+	}); n != 0 {
+		t.Errorf("a tally over the first 64 members allocates %.0f times", n)
+	}
+}

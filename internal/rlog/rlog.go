@@ -1,7 +1,16 @@
 // Package rlog implements the replicated command log shared by Paxos and
-// PigPaxos replicas: a sparse slot → entry map with commit tracking and an
-// in-order execution cursor that tolerates gaps (commands execute only once
-// every lower slot has executed, per Paxos phase-3 semantics).
+// PigPaxos replicas: a dense window of entries indexed by slot − base, with
+// commit tracking and an in-order execution cursor that tolerates gaps
+// (commands execute only once every lower slot has executed, per Paxos
+// phase-3 semantics).
+//
+// Slots are contiguous above the compaction floor, so the window is a ring of
+// Entry values: looking a slot up is an index, accepting into it allocates
+// nothing, and compaction slides the base instead of sweeping. A gap is a
+// cell nobody has written yet. The ring grows to the highest slot it is
+// handed, so slots MaxAhead or more above the execution cursor are refused —
+// a replica that far behind recovers through catch-up or a snapshot, and a
+// corrupt slot number cannot make a node allocate.
 //
 // Each slot holds a command *batch*: the leader may pack several client
 // commands into one consensus instance, amortizing the fan-out round over
@@ -11,12 +20,18 @@ package rlog
 
 import (
 	"fmt"
-	"sort"
 
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
+	"pigpaxos/internal/slots"
 	"pigpaxos/internal/wal"
 )
+
+// MaxAhead is how far above the execution cursor the log holds slots. It
+// bounds the window's memory (and every structure sized by the log's span)
+// against a slot number that is corrupt, hostile, or simply from a leader
+// this replica has fallen hopelessly behind.
+const MaxAhead = 1 << 20
 
 // Entry is one slot of the replicated log.
 type Entry struct {
@@ -24,12 +39,15 @@ type Entry struct {
 	Commands  []kvstore.Command // the accepted command batch (nil = no-op)
 	Committed bool              // leader anchored the batch
 	Executed  bool              // applied to the state machine
+
+	present bool // the cell holds an entry (a zero cell is a gap)
 }
 
 // Log is a single replica's view of the replicated log. It is not safe for
 // concurrent use; each replica's event loop owns its log.
 type Log struct {
-	entries   map[uint64]*Entry
+	win       slots.Window[Entry]
+	live      int    // present cells in win
 	firstSlot uint64 // lowest slot that may still be unexecuted
 	nextSlot  uint64 // next slot a leader would propose into
 	execCur   uint64 // next slot to execute
@@ -42,7 +60,7 @@ type Log struct {
 
 // New creates an empty log whose first slot is 1.
 func New() *Log {
-	return &Log{entries: make(map[uint64]*Entry), firstSlot: 1, nextSlot: 1, execCur: 1}
+	return &Log{firstSlot: 1, nextSlot: 1, execCur: 1}
 }
 
 // Attach turns on journaling: every subsequent Accept and Commit is
@@ -55,11 +73,7 @@ func (l *Log) Attach(st wal.Storage) { l.st = st }
 // cursors advance to at least floor. Handles a snapshot newer than the log
 // tail (floor beyond nextSlot) — the log simply becomes empty at floor.
 func (l *Log) InstallSnapshot(floor uint64) {
-	for s := range l.entries {
-		if s < floor {
-			delete(l.entries, s)
-		}
-	}
+	l.dropBelow(floor)
 	if floor > l.firstSlot {
 		l.firstSlot = floor
 	}
@@ -89,30 +103,43 @@ func (l *Log) BumpNextSlot(slot uint64) {
 	}
 }
 
+// cell returns the window cell to write slot into, or nil when the log must
+// not hold the slot: it is below the compaction floor (compacted ⇒ committed
+// and executed: any new proposal for the slot is necessarily stale, and
+// accepting it as a fresh entry would let a lagging leader quorum a no-op
+// over an anchored batch), or MaxAhead or more above the execution cursor.
+func (l *Log) cell(slot uint64) *Entry {
+	if slot < l.firstSlot || l.Beyond(slot) {
+		return nil
+	}
+	return l.win.Cover(slot)
+}
+
+// Beyond reports whether slot is MaxAhead or more above the execution
+// cursor, where the log refuses it.
+func (l *Log) Beyond(slot uint64) bool {
+	return slot >= l.execCur && slot-l.execCur >= MaxAhead
+}
+
 // Accept records batch cmds as accepted in slot under ballot b, overwriting
 // any previously accepted value with a lower ballot. It returns false when
-// the slot already holds a value under a higher ballot (the accept is stale)
-// or the slot has already committed a different proposal.
+// the slot already holds a value under a higher ballot (the accept is stale),
+// the slot has already committed a different proposal, or the log does not
+// hold the slot (see cell).
 func (l *Log) Accept(slot uint64, b ids.Ballot, cmds []kvstore.Command) bool {
-	if slot < l.firstSlot {
-		// Compacted ⇒ committed and executed: any new proposal for the slot
-		// is necessarily stale. Accepting it as a fresh entry would let a
-		// lagging leader quorum a no-op over an anchored batch.
+	e := l.cell(slot)
+	if e == nil {
 		return false
 	}
-	e, ok := l.entries[slot]
-	if !ok {
-		l.entries[slot] = &Entry{Ballot: b, Commands: cmds}
-		l.BumpNextSlot(slot)
-		l.journal(wal.KindAccept, slot, b, cmds)
-		return true
-	}
-	if e.Committed {
+	switch {
+	case !e.present:
+		e.present = true
+		l.live++
+	case e.Committed:
 		// Same-ballot re-delivery is fine; conflicting commit is a bug
 		// upstream, refuse to overwrite.
 		return e.Ballot == b
-	}
-	if b < e.Ballot {
+	case b < e.Ballot:
 		return false
 	}
 	e.Ballot = b
@@ -138,17 +165,17 @@ func (l *Log) journal(kind wal.Kind, slot uint64, b ids.Ballot, cmds []kvstore.C
 // Commit marks slot committed with batch cmds. Commit is authoritative:
 // phase-3 messages carry the anchored batch, so the entry is overwritten
 // even if a different value was accepted locally under an older ballot.
+// A slot the log does not hold (see cell) is ignored: below the floor it is
+// already committed and executed here; too far above, the catch-up path
+// brings it once the cursor is near.
 func (l *Log) Commit(slot uint64, b ids.Ballot, cmds []kvstore.Command) {
-	if slot < l.firstSlot {
-		return // compacted: already committed and executed here
-	}
-	e, ok := l.entries[slot]
-	if !ok {
-		e = &Entry{}
-		l.entries[slot] = e
-	}
-	if e.Executed {
+	e := l.cell(slot)
+	if e == nil || e.Executed {
 		return
+	}
+	if !e.present {
+		e.present = true
+		l.live++
 	}
 	e.Ballot = b
 	e.Commands = cmds
@@ -157,8 +184,14 @@ func (l *Log) Commit(slot uint64, b ids.Ballot, cmds []kvstore.Command) {
 	l.journal(wal.KindCommit, slot, b, cmds)
 }
 
-// Get returns the entry at slot, or nil.
-func (l *Log) Get(slot uint64) *Entry { return l.entries[slot] }
+// Get returns the entry at slot, or nil. The pointer aliases the window: it
+// is good until the log is next handed a slot above everything it holds.
+func (l *Log) Get(slot uint64) *Entry {
+	if e := l.win.At(slot); e != nil && e.present {
+		return e
+	}
+	return nil
+}
 
 // ExecuteReady applies every contiguous committed-but-unexecuted batch
 // starting at the execution cursor to sm, invoking fn (if non-nil) with the
@@ -168,10 +201,11 @@ func (l *Log) Get(slot uint64) *Entry { return l.entries[slot] }
 func (l *Log) ExecuteReady(sm *kvstore.Store, fn func(slot uint64, idx int, cmd kvstore.Command, res kvstore.Result)) int {
 	n := 0
 	for {
-		e, ok := l.entries[l.execCur]
-		if !ok || !e.Committed {
+		e := l.win.At(l.execCur)
+		if e == nil || !e.Committed {
 			return n
 		}
+		e.Executed = true
 		for i, cmd := range e.Commands {
 			res := sm.Apply(cmd)
 			if fn != nil {
@@ -179,7 +213,6 @@ func (l *Log) ExecuteReady(sm *kvstore.Store, fn func(slot uint64, idx int, cmd 
 			}
 			n++
 		}
-		e.Executed = true
 		l.execCur++
 	}
 }
@@ -187,34 +220,11 @@ func (l *Log) ExecuteReady(sm *kvstore.Store, fn func(slot uint64, idx int, cmd 
 // ExecuteCursor returns the next slot awaiting execution.
 func (l *Log) ExecuteCursor() uint64 { return l.execCur }
 
-// SlotEntry pairs a slot number with its entry for ordered iteration.
-type SlotEntry struct {
-	Slot  uint64
-	Entry Entry
-}
-
-// Uncommitted returns the slots in [from, l.nextSlot) that hold accepted but
-// uncommitted proposals, in ascending slot order. The sorted slice (not a
-// map) keeps map iteration order out of any caller's message or timing
-// sequence — the same determinism bug class the PR 4 redirectPending fix
-// closed. (Phase-1 recovery walks the log directly to include committed
-// entries; this remains as a diagnostic helper.)
-func (l *Log) Uncommitted(from uint64) []SlotEntry {
-	var out []SlotEntry
-	for s, e := range l.entries {
-		if s >= from && !e.Committed {
-			out = append(out, SlotEntry{Slot: s, Entry: *e})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Slot < out[j].Slot })
-	return out
-}
-
 // CommittedCount returns how many slots have committed (for tests/metrics).
 func (l *Log) CommittedCount() int {
 	n := 0
-	for _, e := range l.entries {
-		if e.Committed {
+	for s := l.win.Base(); s < l.win.End(); s++ {
+		if l.win.At(s).Committed {
 			n++
 		}
 	}
@@ -225,21 +235,29 @@ func (l *Log) CommittedCount() int {
 // only discarded if executed; callers typically pass the cluster-wide
 // minimum execution cursor.
 func (l *Log) CompactTo(slot uint64) int {
-	n := 0
-	for s, e := range l.entries {
-		if s < slot && e.Executed {
-			delete(l.entries, s)
-			n++
-		}
-	}
+	n := l.dropBelow(min(slot, l.execCur))
 	if slot > l.firstSlot {
 		l.firstSlot = slot
 	}
 	return n
 }
 
+// dropBelow slides the window's base up to slot and returns how many entries
+// that discarded.
+func (l *Log) dropBelow(slot uint64) int {
+	n := 0
+	for s := l.win.Base(); s < min(slot, l.win.End()); s++ {
+		if l.win.At(s).present {
+			n++
+		}
+	}
+	l.win.Advance(slot)
+	l.live -= n
+	return n
+}
+
 // Len returns the number of live entries.
-func (l *Log) Len() int { return len(l.entries) }
+func (l *Log) Len() int { return l.live }
 
 // FirstSlot returns the compaction floor: the lowest slot the log may still
 // hold. Requests for slots below it need snapshot-based catch-up.
@@ -247,5 +265,5 @@ func (l *Log) FirstSlot() uint64 { return l.firstSlot }
 
 // String summarizes the log state.
 func (l *Log) String() string {
-	return fmt.Sprintf("log{next=%d exec=%d entries=%d}", l.nextSlot, l.execCur, len(l.entries))
+	return fmt.Sprintf("log{next=%d exec=%d entries=%d}", l.nextSlot, l.execCur, l.live)
 }

@@ -138,41 +138,6 @@ func TestCommitAfterExecuteIgnored(t *testing.T) {
 	}
 }
 
-func TestUncommitted(t *testing.T) {
-	l := New()
-	l.Accept(1, bal(1), one(1))
-	l.Commit(2, bal(1), one(2))
-	l.Accept(3, bal(1), one(3))
-	u := l.Uncommitted(1)
-	if len(u) != 2 || u[0].Slot != 1 || u[1].Slot != 3 {
-		t.Fatalf("uncommitted: %v, want slots [1 3] in order", u)
-	}
-	for _, se := range u {
-		if se.Slot == 2 {
-			t.Error("committed slot must not appear")
-		}
-	}
-	u = l.Uncommitted(3)
-	if len(u) != 1 || u[0].Slot != 3 {
-		t.Errorf("from=3 should only see slot 3, got %v", u)
-	}
-}
-
-// TestUncommittedSorted pins the satellite fix: results are in ascending
-// slot order regardless of map insertion order.
-func TestUncommittedSorted(t *testing.T) {
-	l := New()
-	for _, s := range []uint64{9, 2, 7, 4, 1, 8} {
-		l.Accept(s, bal(1), one(s))
-	}
-	u := l.Uncommitted(1)
-	for i := 1; i < len(u); i++ {
-		if u[i-1].Slot >= u[i].Slot {
-			t.Fatalf("uncommitted slots out of order: %v", u)
-		}
-	}
-}
-
 func TestCompactTo(t *testing.T) {
 	l := New()
 	sm := kvstore.New()
@@ -465,5 +430,74 @@ func BenchmarkAcceptCommitExecute(b *testing.B) {
 		if i%4096 == 0 {
 			l.CompactTo(l.ExecuteCursor() - 1)
 		}
+	}
+}
+
+// TestSlotsFarAboveCursorRefused is the bound on the window: a slot MaxAhead
+// or more above the execution cursor is refused without touching the ring,
+// whatever it claims to be — Accept says no, Commit is dropped, and neither
+// allocates.
+func TestSlotsFarAboveCursorRefused(t *testing.T) {
+	l := New()
+	sm := kvstore.New()
+	for s := uint64(1); s <= 5; s++ {
+		l.Commit(s, bal(1), one(s))
+	}
+	l.ExecuteReady(sm, nil) // cursor at 6
+	edge := l.ExecuteCursor() + MaxAhead
+	for _, slot := range []uint64{edge, edge + 1, 1 << 63, ^uint64(0)} {
+		if !l.Beyond(slot) {
+			t.Errorf("Beyond(%d) = false", slot)
+		}
+		if l.Accept(slot, bal(9), one(1)) {
+			t.Errorf("Accept(%d) succeeded", slot)
+		}
+		l.Commit(slot, bal(9), one(1))
+		if l.Get(slot) != nil {
+			t.Errorf("slot %d is in the log", slot)
+		}
+	}
+	if l.Len() != 5 || l.PeekNextSlot() != 6 {
+		t.Errorf("refused slots moved the log: len %d next %d", l.Len(), l.PeekNextSlot())
+	}
+	c := one(1)
+	if n := testing.AllocsPerRun(100, func() {
+		l.Accept(1<<63, bal(9), c)
+		l.Commit(1<<63, bal(9), c)
+	}); n != 0 {
+		t.Errorf("refusing a far slot allocates %.0f times", n)
+	}
+	if l.Beyond(edge-1) || l.Beyond(3) {
+		t.Error("Beyond is true inside the window")
+	}
+	// The bound follows the cursor: a snapshot that moves the cursor up
+	// brings slots above the old bound into range.
+	l.InstallSnapshot(1000)
+	if !l.Accept(edge+10, bal(1), one(1)) {
+		t.Error("slot inside the moved window refused")
+	}
+}
+
+// TestSteadyStateSlotAllocFree: once the ring has grown to the working span,
+// a slot's whole life — accept, commit, execute, compaction behind it —
+// allocates nothing.
+func TestSteadyStateSlotAllocFree(t *testing.T) {
+	l := New()
+	sm := kvstore.New()
+	c := []kvstore.Command{{Op: kvstore.Get, Key: 1}}
+	slot := func() {
+		s := l.NextSlot()
+		l.Accept(s, bal(1), c)
+		l.Commit(s, bal(1), c)
+		l.ExecuteReady(sm, nil)
+		if s%512 == 0 {
+			l.CompactTo(s - 256)
+		}
+	}
+	for i := 0; i < 4096; i++ {
+		slot()
+	}
+	if n := testing.AllocsPerRun(4096, slot); n != 0 {
+		t.Errorf("%.2f allocs per slot in steady state, want 0", n)
 	}
 }

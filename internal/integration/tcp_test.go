@@ -5,11 +5,18 @@
 package integration
 
 import (
+	"bufio"
+	"net"
+	"runtime"
 	"testing"
 	"time"
 
 	"pigpaxos/internal/cluster"
+	"pigpaxos/internal/ids"
+	"pigpaxos/internal/kvstore"
 	"pigpaxos/internal/loadgen"
+	"pigpaxos/internal/transport"
+	"pigpaxos/internal/wire"
 	"pigpaxos/internal/workload"
 )
 
@@ -209,4 +216,80 @@ func TestTCPGracefulLeaderDrain(t *testing.T) {
 	if rep, err = nc.Put(2, []byte("after")); err != nil || !rep.OK {
 		t.Fatalf("put after handoff: %v %+v", err, rep)
 	}
+}
+
+// TestTCPCompactedLogReleasesInboundMemory: decoded messages own the read
+// chunks they alias, and a replica keeps decoded command batches in its log.
+// The log is compacted in slot order (every 4096 executions here), so it
+// must let go of the chunks as it goes: after 200 MB of 1 KiB writes through
+// a 3-node cluster the live heap is a few compaction windows, not the
+// traffic.
+func TestTCPCompactedLogReleasesInboundMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("TCP integration test skipped under -short")
+	}
+	c, err := cluster.StartInProc(cluster.InProcSpec{N: 3, Protocol: "paxos"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := cluster.WaitReady(c.Addrs, c.Members, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", c.Addrs[c.Members[0]])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	// 64 sessions, one write outstanding each, multiplexed over the one
+	// connection: a reply sends its session's next write.
+	const writes, sessions = 200 << 10, 64
+	me := ids.NewID(900, 1)
+	w, r := bufio.NewWriter(conn), bufio.NewReader(conn)
+	value := make([]byte, 1024)
+	next := make([]uint64, sessions) // last sequence number sent, per session
+	sent := 0
+	put := func(s uint64) {
+		next[s]++
+		sent++
+		cmd := kvstore.Command{Op: kvstore.Put, Key: s, Value: value, ClientID: 100 + s, Seq: next[s]}
+		if err := transport.WriteFrame(w, me, wire.Request{Cmd: cmd}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for s := uint64(0); s < sessions; s++ {
+		put(s)
+	}
+	conn.SetDeadline(time.Now().Add(2 * time.Minute))
+	for acked := 0; acked < writes; acked++ {
+		if r.Buffered() == 0 {
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, m, err := transport.ReadFrame(r)
+		if err != nil {
+			t.Fatalf("after %d acks: %v", acked, err)
+		}
+		rep, ok := m.(wire.Reply)
+		if !ok || !rep.OK || rep.Seq != next[rep.ClientID-100] {
+			t.Fatalf("after %d acks: %+v", acked, m)
+		}
+		if sent < writes {
+			put(rep.ClientID - 100)
+		}
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	// Three logs of at most two compaction windows of 1 KiB commands, the
+	// chunks those pin, and the followers' backlog: tens of MB. Retaining
+	// the traffic would be 600 MB.
+	const limit = 160 << 20
+	if ms.HeapAlloc > limit {
+		t.Errorf("live heap %d MB after %d MB of writes, want < %d MB: compacted slots still pin their read chunks",
+			ms.HeapAlloc>>20, writes>>10, limit>>20)
+	}
+	t.Logf("live heap %d MB after %d MB of writes", ms.HeapAlloc>>20, writes>>10)
 }

@@ -1,13 +1,22 @@
 // Package transport provides live (non-simulated) substrates for the
-// protocol replicas: an in-process channel bus for single-binary clusters
-// and tests, and a TCP transport with length-prefixed binary frames for
-// real multi-process deployments. Both implement node.Context, so replicas
-// run on them unchanged.
+// protocol replicas: an in-process bus for single-binary clusters and tests,
+// and a TCP transport with length-prefixed binary frames for real
+// multi-process deployments. Both implement node.Context, so replicas run on
+// them unchanged, and both run the same event loop (mailbox).
+//
+// Ownership of message contents. On the bus a message is handed over by
+// reference: sender and receiver share whatever it points to and neither may
+// modify it afterwards. On TCP a delivered message owns everything it
+// references — its values alias the connection's read chunks and its slices
+// come from the connection's decode arena, neither of which is ever
+// rewritten — so a handler may retain a command batch or a value
+// indefinitely without copying; the memory is collected when the last
+// message decoded from a chunk is dropped. ReadFrame, for clients and tools,
+// returns fresh copies instead.
 package transport
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -16,17 +25,9 @@ import (
 	"pigpaxos/internal/wire"
 )
 
-// envelope is one unit of work for a node's event loop: either a delivered
-// message or a timer/closure to run.
-type envelope struct {
-	from ids.ID
-	msg  wire.Msg
-	fn   func()
-}
-
-// LocalBus connects in-process nodes through buffered channels. Each node
-// owns a goroutine that serializes message handling and timer callbacks,
-// honoring the node.Context single-threading contract.
+// LocalBus connects in-process nodes mailbox to mailbox. Each node owns a
+// goroutine that serializes message handling and timer callbacks, honoring
+// the node.Context single-threading contract.
 type LocalBus struct {
 	mu    sync.RWMutex
 	nodes map[ids.ID]*LocalNode
@@ -41,18 +42,12 @@ func NewLocalBus() *LocalBus {
 
 // LocalNode is one attachment to a LocalBus. It implements node.Context.
 type LocalNode struct {
-	bus     *LocalBus
-	id      ids.ID
-	handler node.Handler
-	inbox   chan envelope
-	done    chan struct{}
-	closed  sync.Once
-	rng     *rand.Rand
-	rngMu   sync.Mutex
+	mailbox
+	bus *LocalBus
 }
 
-// Node registers handler h as id and starts its event loop. The mailbox
-// holds up to 4096 pending envelopes; Send blocks when it is full
+// Node registers handler h as id and starts its event loop. A Send to a
+// node whose mailbox holds more than mailboxBound envelopes blocks
 // (backpressure).
 func (b *LocalBus) Node(id ids.ID, h node.Handler) (*LocalNode, error) {
 	b.mu.Lock()
@@ -60,17 +55,14 @@ func (b *LocalBus) Node(id ids.ID, h node.Handler) (*LocalNode, error) {
 	if _, dup := b.nodes[id]; dup {
 		return nil, fmt.Errorf("transport: duplicate node %v", id)
 	}
-	n := &LocalNode{
-		bus:     b,
-		id:      id,
-		handler: h,
-		inbox:   make(chan envelope, 4096),
-		done:    make(chan struct{}),
-		rng:     rand.New(rand.NewSource(int64(id) + time.Now().UnixNano())),
-	}
+	n := &LocalNode{bus: b}
+	n.init(id, h, b.start)
 	b.nodes[id] = n
 	b.wg.Add(1)
-	go n.loop(&b.wg)
+	go func() {
+		defer b.wg.Done()
+		n.run()
+	}()
 	return n, nil
 }
 
@@ -100,27 +92,6 @@ func (b *LocalBus) Close() {
 	b.wg.Wait()
 }
 
-func (n *LocalNode) loop(wg *sync.WaitGroup) {
-	defer wg.Done()
-	for {
-		select {
-		case <-n.done:
-			return
-		case env := <-n.inbox:
-			if env.fn != nil {
-				env.fn()
-			} else if n.handler != nil {
-				n.handler.OnMessage(env.from, env.msg)
-			}
-		}
-	}
-}
-
-func (n *LocalNode) close() { n.closed.Do(func() { close(n.done) }) }
-
-// ID implements node.Context.
-func (n *LocalNode) ID() ids.ID { return n.id }
-
 // Send implements node.Context: deliver m to the target's mailbox.
 func (n *LocalNode) Send(to ids.ID, m wire.Msg) {
 	n.bus.mu.RLock()
@@ -129,10 +100,7 @@ func (n *LocalNode) Send(to ids.ID, m wire.Msg) {
 	if dst == nil {
 		return // unknown destination: drop, like a dead host
 	}
-	select {
-	case dst.inbox <- envelope{from: n.id, msg: m}:
-	case <-dst.done:
-	}
+	dst.push(dst != n, envelope{from: n.id, msg: m})
 }
 
 // Broadcast implements node.Context. In-process delivery passes m by
@@ -143,61 +111,5 @@ func (n *LocalNode) Broadcast(to []ids.ID, m wire.Msg) {
 		n.Send(id, m)
 	}
 }
-
-// After implements node.Context: the callback is posted to the mailbox so
-// it serializes with message handling.
-func (n *LocalNode) After(d time.Duration, fn func()) node.Timer {
-	t := &localTimer{}
-	t.t = time.AfterFunc(d, func() {
-		select {
-		case n.inbox <- envelope{fn: func() {
-			if !t.stopped() {
-				fn()
-			}
-		}}:
-		case <-n.done:
-		}
-	})
-	return t
-}
-
-type localTimer struct {
-	t    *time.Timer
-	mu   sync.Mutex
-	dead bool
-}
-
-func (t *localTimer) Stop() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.dead {
-		return false
-	}
-	t.dead = true
-	t.t.Stop() // best-effort; the wrapper also checks stopped()
-	return true
-}
-
-func (t *localTimer) stopped() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dead
-}
-
-// Now implements node.Context: wall time since the bus started.
-func (n *LocalNode) Now() time.Duration { return time.Since(n.bus.start) }
-
-// Rand implements node.Context.
-func (n *LocalNode) Rand() *rand.Rand {
-	// The rng is only touched from the node's own loop, but guard anyway:
-	// tests may probe it from the outside.
-	n.rngMu.Lock()
-	defer n.rngMu.Unlock()
-	return n.rng
-}
-
-// Work implements node.Context: live substrates spend real time, so this
-// is a no-op.
-func (n *LocalNode) Work(time.Duration) {}
 
 var _ node.Context = (*LocalNode)(nil)

@@ -1,0 +1,117 @@
+package transport
+
+import (
+	"net"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"pigpaxos/internal/ids"
+	"pigpaxos/internal/kvstore"
+	"pigpaxos/internal/node"
+	"pigpaxos/internal/wire"
+)
+
+// TestCloseReleasesArmedTimers: an armed timer holds its callback, and the
+// callback holds the replica and its log. Closing a node must stop its
+// timers, or every closed replica stays reachable until its longest timer
+// fires (the election timer: seconds to a minute). Ten nodes on each
+// substrate arm a one-hour timer over a 4 MiB buffer and close; the buffers
+// must be collectable at once.
+func TestCloseReleasesArmedTimers(t *testing.T) {
+	const nodes, size = 10, 4 << 20
+	var freed atomic.Int32
+	arm := func(ctx node.Context) {
+		buf := make([]byte, size)
+		runtime.SetFinalizer(&buf[0], func(*byte) { freed.Add(1) })
+		ctx.After(time.Hour, func() { _ = buf[0] })
+	}
+	bus := NewLocalBus()
+	for i := 0; i < nodes; i++ {
+		ln, err := bus.Node(ids.NewID(2, i+1), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arm(ln)
+		tn, err := ListenTCP(ids.NewID(1, i+1), "127.0.0.1:0", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arm(tn)
+		tn.Close()
+	}
+	bus.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for freed.Load() < 2*nodes {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d timer-held buffers collected after close: closed nodes leak their armed timers", freed.Load(), 2*nodes)
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestTimerStopAfterFire: Stop from the loop wins against a callback that
+// has fired and is queued behind the running handler.
+func TestTimerStopAfterFire(t *testing.T) {
+	bus := NewLocalBus()
+	defer bus.Close()
+	n, _ := bus.Node(ids.NewID(1, 1), nil)
+	ran := make(chan bool, 1)
+	n.After(0, func() {
+		late := false
+		tm := n.After(time.Millisecond, func() { late = true })
+		time.Sleep(20 * time.Millisecond) // the timer fires into the mailbox meanwhile
+		stopped := tm.Stop()
+		n.After(0, func() { ran <- stopped && !late })
+	})
+	if !<-ran {
+		t.Error("a timer stopped on the loop after firing still ran its callback")
+	}
+}
+
+// TestSelfSendAtMailboxBound: two connections flood a node whose handler
+// answers every message with a Send to itself, so the mailbox sits at its
+// bound with both readers waiting for room. The loop's own push must not
+// wait with them — it is the only one who can make room.
+func TestSelfSendAtMailboxBound(t *testing.T) {
+	const perConn = 4 * mailboxBound
+	self := ids.NewID(1, 1)
+	var loopback atomic.Pointer[TCPNode]
+	var flood, echoed int // event loop only
+	done := make(chan struct{})
+	srv, err := ListenTCP(self, "127.0.0.1:0", nil, handlerFunc(func(from ids.ID, m wire.Msg) {
+		if from == self {
+			echoed++
+		} else {
+			flood++
+			loopback.Load().Send(self, m)
+		}
+		if flood == 2*perConn && echoed == 2*perConn {
+			close(done)
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	loopback.Store(srv)
+	for c := 0; c < 2; c++ {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		var stream []byte
+		for i := 0; i < perConn; i++ {
+			stream = appendFrame(stream, ids.NewID(9, c+1), wire.Request{Cmd: kvstore.Command{Op: kvstore.Get, Key: uint64(i)}})
+		}
+		go conn.Write(stream) // fails when the test closes conn; the wait below reports it
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("event loop wedged: a self-send waited for room in its own full mailbox")
+	}
+}

@@ -150,7 +150,7 @@ func TestTCPBroadcast(t *testing.T) {
 }
 
 // TestEphemeralPeerReaped: a client known only through its inbound
-// connection must not leave a peer record (queue + writer goroutine)
+// connection must not leave a peer record (outbox + writer goroutine)
 // behind after it disconnects — churning clients would otherwise grow the
 // peer table and goroutine count without bound.
 func TestEphemeralPeerReaped(t *testing.T) {
@@ -182,9 +182,9 @@ func TestEphemeralPeerReaped(t *testing.T) {
 	}
 }
 
-// TestBroadcastWithDeadRecipient: shared-frame refcounting must survive a
-// mix of live and dead recipients over many rounds (no double release, no
-// corruption of the live peer's frames).
+// TestBroadcastWithDeadRecipient: a broadcast's encode-once bytes must
+// reach the live recipient intact over many rounds while a dead
+// co-recipient's outbox fills and drops.
 func TestBroadcastWithDeadRecipient(t *testing.T) {
 	deadAddr, stopDead := blackholeListener(t)
 	defer stopDead()
@@ -211,8 +211,8 @@ func TestBroadcastWithDeadRecipient(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		src.Broadcast([]ids.ID{deadID, liveNode.ID()}, m)
 	}
-	// The live peer must receive most frames; the dead peer's queue may
-	// drop overflow, but that must never corrupt the shared frames.
+	// The live peer must receive most frames; the dead peer's outbox may
+	// drop overflow, but that must never corrupt the live peer's frames.
 	waitFor(t, func() bool { return live.count() >= rounds/2 }, "live recipient starved by dead co-recipient")
 	live.mu.Lock()
 	defer live.mu.Unlock()

@@ -1,12 +1,10 @@
 package transport
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -27,108 +25,142 @@ const (
 	frameHeader  = 4
 	maxFrameSize = 16 << 20 // 16 MiB guards against corrupt streams
 
-	// outboundQueue bounds frames buffered per peer; when full, Send drops
-	// (the network is allowed to lose messages; protocols retry).
-	outboundQueue = 1024
-	dialTimeout   = 2 * time.Second
+	// outboxBound is how many bytes may wait for a peer's writer before
+	// Send drops (the network is allowed to lose messages; protocols
+	// retry). An outbox below the bound takes one more frame whatever its
+	// size, so a single frame of up to maxFrameSize always fits.
+	outboxBound = 4 << 20
+	// outboxKeep is the largest buffer a peer keeps between writes: one
+	// giant frame must not pin megabytes per peer for the node's lifetime.
+	outboxKeep = 1 << 20
+	// chunkSize is the unit in which a connection's inbound bytes are
+	// allocated: the largest the allocator serves from its size classes
+	// (beyond 32 KiB every allocation takes the heap lock).
+	chunkSize   = 32 << 10
+	dialTimeout = 2 * time.Second
 )
 
-// frame is one encoded outbound frame (header included). Frames are pooled
-// and reference-counted so a Broadcast can enqueue the same encoded bytes
-// on every peer's writer without copying; the last writer to finish
-// returns the buffer to the pool.
-type frame struct {
-	buf  []byte
-	refs atomic.Int32
-}
-
-var framePool = sync.Pool{New: func() any { return new(frame) }}
-
-// newFrame encodes m (from sender) into a pooled frame with refs initial
-// references.
-func newFrame(sender ids.ID, m wire.Msg, refs int32) *frame {
-	f := framePool.Get().(*frame)
-	f.refs.Store(refs)
-	b := append(f.buf[:0], 0, 0, 0, 0) // header backpatched below
+// appendFrame appends m, framed as sent by sender, to b.
+func appendFrame(b []byte, sender ids.ID, m wire.Msg) []byte {
+	start := len(b)
+	b = append(b, 0, 0, 0, 0) // length, backpatched below
 	b = binary.LittleEndian.AppendUint32(b, uint32(sender))
 	b = wire.Encode(b, m)
-	binary.LittleEndian.PutUint32(b[:frameHeader], uint32(len(b)-frameHeader))
-	f.buf = b
-	return f
-}
-
-// maxPooledFrame bounds the buffers kept in framePool: the occasional
-// giant frame (up to maxFrameSize) must not pin megabytes for the node's
-// lifetime when steady-state frames are a few hundred bytes.
-const maxPooledFrame = 64 << 10
-
-func (f *frame) release() {
-	if f.refs.Add(-1) == 0 {
-		if cap(f.buf) > maxPooledFrame {
-			f.buf = nil
-		}
-		framePool.Put(f)
-	}
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(b)-start-frameHeader))
+	return b
 }
 
 // WriteFrame writes one framed message from sender to w.
 func WriteFrame(w io.Writer, sender ids.ID, m wire.Msg) error {
-	f := newFrame(sender, m, 1)
-	_, err := w.Write(f.buf)
-	f.release()
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
+	*buf = appendFrame(*buf, sender, m)
+	_, err := w.Write(*buf)
 	return err
 }
 
-// readFrameInto reads one framed message from r, reusing buf as the frame
-// scratch; it returns the (possibly grown) buffer for the next call. The
-// decoded message owns its contents (wire.Decode copies), so the buffer is
-// free for reuse immediately.
-func readFrameInto(r io.Reader, buf []byte) (ids.ID, wire.Msg, []byte, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, buf, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+// frameSize validates a frame's length prefix.
+func frameSize(hdr []byte) (int, error) {
+	n := binary.LittleEndian.Uint32(hdr)
 	if n < 4 || n > maxFrameSize {
-		return 0, nil, buf, fmt.Errorf("transport: bad frame size %d", n)
+		return 0, fmt.Errorf("transport: bad frame size %d", n)
 	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	body := buf[:n]
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, buf, err
-	}
-	sender := ids.ID(binary.LittleEndian.Uint32(body[:4]))
-	m, used, err := wire.Decode(body[4:])
-	if err != nil {
-		return 0, nil, buf, err
-	}
-	if used != len(body)-4 {
-		return 0, nil, buf, fmt.Errorf("transport: frame has %d trailing bytes", len(body)-4-used)
-	}
-	return sender, m, buf, nil
+	return int(n), nil
 }
 
-// ReadFrame reads one framed message from r.
+// parseFrame decodes a frame body. With a nil s the message is a fresh copy;
+// otherwise it aliases body and s and owns what it aliases (wire.DecodeInto).
+func parseFrame(body []byte, s *wire.Scratch) (ids.ID, wire.Msg, error) {
+	sender := ids.ID(binary.LittleEndian.Uint32(body))
+	m, used, err := wire.DecodeInto(s, body[4:])
+	if err != nil {
+		return 0, nil, err
+	}
+	if used != len(body)-4 {
+		return 0, nil, fmt.Errorf("transport: frame has %d trailing bytes", len(body)-4-used)
+	}
+	return sender, m, nil
+}
+
+// ReadFrame reads one framed message from r. The message owns its contents;
+// nothing it references is shared with r or with other messages.
 func ReadFrame(r io.Reader) (ids.ID, wire.Msg, error) {
-	sender, m, _, err := readFrameInto(r, nil)
-	return sender, m, err
+	var hdr [frameHeader]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, nil, err
+	}
+	n, err := frameSize(hdr[:])
+	if err != nil {
+		return 0, nil, err
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return 0, nil, err
+	}
+	return parseFrame(body, nil)
+}
+
+// inbound is the read side of one connection. Bytes are read straight into
+// append-only chunks that are never rewritten, and every frame a read
+// completes is decoded in place: the messages alias the chunk and the arena
+// and own what they alias, so a handler may keep a command batch or a value
+// for as long as it likes. A chunk is collected once the last message decoded
+// from it is dropped — for a replica, when the log is compacted past it.
+type inbound struct {
+	buf   []byte // current chunk; buf[r:w] is read but not yet decoded
+	r, w  int
+	arena wire.Scratch
+}
+
+// read does one Read on src and appends to out every frame it completed.
+// Frames decoded before an error are still returned.
+func (in *inbound) read(src io.Reader, out []envelope) ([]envelope, error) {
+	// Room for a length prefix or, when the prefix of the pending frame is
+	// here (read validated it), for all of that frame.
+	need := frameHeader
+	if in.w-in.r >= frameHeader {
+		need += int(binary.LittleEndian.Uint32(in.buf[in.r:]))
+	}
+	if in.r+need > len(in.buf) {
+		chunk := make([]byte, max(chunkSize, need))
+		in.w = copy(chunk, in.buf[in.r:in.w])
+		in.r, in.buf = 0, chunk
+	}
+	n, err := src.Read(in.buf[in.w:])
+	in.w += n
+	for in.w-in.r >= frameHeader {
+		size, ferr := frameSize(in.buf[in.r:])
+		if ferr != nil {
+			return out, ferr
+		}
+		end := in.r + frameHeader + size
+		if end > in.w {
+			break
+		}
+		from, m, ferr := parseFrame(in.buf[in.r+frameHeader:end], &in.arena)
+		if ferr != nil {
+			return out, ferr
+		}
+		out = append(out, envelope{from: from, msg: m})
+		in.r = end
+	}
+	return out, err
 }
 
 // TCPNode is a live node reachable over TCP. It implements node.Context;
 // a single event-loop goroutine serializes handler calls and timers, and a
-// writer goroutine per peer drains a bounded outbound queue so Send never
-// blocks the event loop — a peer that never answers its dial costs its own
-// writer 2 seconds, not the replica.
+// writer goroutine per peer empties that peer's outbox, so Send never blocks
+// the event loop — a peer that never answers its dial costs its own writer
+// 2 seconds, not the replica.
+//
+// Messages move in batches at every hand-off: a reader pushes all the frames
+// of one read into the mailbox at once, the loop takes the whole mailbox,
+// and a writer takes its peer's whole outbox and issues one Write.
 type TCPNode struct {
-	id      ids.ID
-	handler node.Handler
-	addrs   map[ids.ID]string
+	mailbox
+	addrs map[ids.ID]string
 
 	ln      net.Listener
-	inbox   chan envelope
-	done    chan struct{}
 	ctx     context.Context // canceled at Close; aborts in-flight dials
 	cancel  context.CancelFunc
 	once    sync.Once
@@ -138,28 +170,22 @@ type TCPNode struct {
 	connMu sync.Mutex
 	peers  map[ids.ID]*peer
 	conns  map[net.Conn]struct{} // every live conn (accepted or dialed)
-
-	start time.Time
-	rng   *rand.Rand
-	rngMu sync.Mutex
 }
 
-// peer is the outbound side of one neighbor: a bounded frame queue drained
-// by a dedicated writer goroutine that coalesces queued frames into a
-// single Flush (and therefore typically a single syscall).
+// peer is the outbound side of one neighbor: an outbox of encoded frames,
+// contiguous in one buffer, and a writer goroutine that swaps the buffer for
+// an empty one and writes it out whole.
 type peer struct {
-	n     *TCPNode
-	id    ids.ID
-	queue chan *frame
-	stop  chan struct{} // closed when the peer record is reaped
+	n  *TCPNode
+	id ids.ID
 
-	busy     atomic.Bool  // writer is mid-write/flush (Drain waits on it)
-	inflight atomic.Int32 // frames enqueued but not yet disposed by the writer
-
-	mu     sync.Mutex
-	c      net.Conn
-	w      *bufio.Writer
-	dialed bool // we dialed it (vs a reverse route from an inbound conn)
+	mu      sync.Mutex
+	wake    sync.Cond // the writer waits here for frames or stop
+	out     []byte    // frames no writer has taken yet
+	writing bool      // the writer holds frames it has not finished writing
+	stopped bool      // node closed or peer reaped: the writer exits
+	c       net.Conn
+	dialed  bool // we dialed it (vs a reverse route from an inbound conn)
 }
 
 // ListenTCP starts a node listening on addr. addrs maps every cluster
@@ -172,35 +198,33 @@ func ListenTCP(id ids.ID, addr string, addrs map[ids.ID]string, h node.Handler) 
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	n := &TCPNode{
-		id:      id,
-		handler: h,
-		addrs:   addrs,
-		ln:      ln,
-		inbox:   make(chan envelope, 4096),
-		done:    make(chan struct{}),
-		ctx:     ctx,
-		cancel:  cancel,
-		peers:   make(map[ids.ID]*peer),
-		conns:   make(map[net.Conn]struct{}),
-		start:   time.Now(),
-		rng:     rand.New(rand.NewSource(int64(id) ^ time.Now().UnixNano())),
+		addrs:  addrs,
+		ln:     ln,
+		ctx:    ctx,
+		cancel: cancel,
+		peers:  make(map[ids.ID]*peer),
+		conns:  make(map[net.Conn]struct{}),
 	}
+	n.init(id, h, time.Now())
 	n.wg.Add(2)
 	go n.acceptLoop()
-	go n.eventLoop()
+	go func() {
+		defer n.wg.Done()
+		n.run()
+	}()
 	return n, nil
 }
 
 // Addr returns the listener's bound address (useful with ":0").
 func (n *TCPNode) Addr() string { return n.ln.Addr().String() }
 
-// Close shuts the node down and waits for its goroutines. Queued outbound
-// frames are dropped; call Drain first for a graceful shutdown that flushes
-// them.
+// Close shuts the node down and waits for its goroutines. Frames still in
+// an outbox are dropped; call Drain first for a graceful shutdown that
+// writes them out. Armed timers are stopped and never run.
 func (n *TCPNode) Close() {
 	n.once.Do(func() {
 		n.closing.Store(true)
-		close(n.done)
+		n.close()
 		n.cancel()
 		n.ln.Close()
 		// Sweep every live connection — accepted or dialed — so every
@@ -211,25 +235,31 @@ func (n *TCPNode) Close() {
 		for c := range n.conns {
 			c.Close()
 		}
+		for _, p := range n.peers {
+			p.mu.Lock()
+			p.stop()
+			p.mu.Unlock()
+		}
 		n.connMu.Unlock()
 	})
 	n.wg.Wait()
 }
 
-// Drain waits up to timeout for every peer's outbound queue to empty and
-// its writer to fall idle, so frames already enqueued (replies to clients,
-// final protocol messages) are flushed before Close drops the connections.
-// It reports whether the queues drained within the deadline. New sends
-// during a drain keep it honest: Drain observes live state, it does not
-// freeze it.
+// Drain waits up to timeout for every peer's outbox to empty and its writer
+// to fall idle, so frames already sent (replies to clients, final protocol
+// messages) reach the socket before Close drops the connections. It reports
+// whether that happened within the deadline. New sends during a drain keep
+// it honest: Drain observes live state, it does not freeze it.
 func (n *TCPNode) Drain(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {
 		idle := true
 		n.connMu.Lock()
 		for _, p := range n.peers {
-			if p.inflight.Load() > 0 || p.busy.Load() {
-				idle = false
+			p.mu.Lock()
+			idle = len(p.out) == 0 && !p.writing
+			p.mu.Unlock()
+			if !idle {
 				break
 			}
 		}
@@ -270,12 +300,10 @@ func (n *TCPNode) acceptLoop() {
 	for {
 		c, err := n.ln.Accept()
 		if err != nil {
-			select {
-			case <-n.done:
+			if n.closing.Load() {
 				return
-			default:
-				continue
 			}
+			continue
 		}
 		if !n.trackConn(c) {
 			c.Close()
@@ -286,39 +314,37 @@ func (n *TCPNode) acceptLoop() {
 	}
 }
 
-// readLoop consumes frames from one tracked connection until it dies.
+// readLoop feeds the mailbox from one tracked connection until it dies,
+// one push per read. A full mailbox makes it wait, and TCP flow control
+// passes the wait on to the sender.
 func (n *TCPNode) readLoop(c net.Conn) {
 	defer n.wg.Done()
 	defer func() {
 		c.Close()
 		n.untrackConn(c)
 	}()
-	br := bufio.NewReader(c)
-	var buf []byte // reusable frame scratch; grows to the stream's largest frame
-	var regID ids.ID
+	var in inbound
+	var batch []envelope
 	registered := false
-	defer func() {
-		if registered {
-			n.clearReverse(regID, c)
-		}
-	}()
 	for {
-		from, m, nextBuf, err := readFrameInto(br, buf)
+		var err error
+		batch, err = in.read(c, batch[:0])
+		if len(batch) > 0 {
+			if !registered {
+				// Remember the inbound connection as a reverse route so
+				// replies reach peers we cannot dial (e.g. clients behind
+				// ephemeral ports).
+				from := batch[0].from
+				n.registerReverse(from, c)
+				defer n.clearReverse(from, c)
+				registered = true
+			}
+			if !n.push(true, batch...) {
+				return
+			}
+			clear(batch) // the mailbox has them; do not hold them across the next Read
+		}
 		if err != nil {
-			return
-		}
-		buf = nextBuf
-		if !registered {
-			regID = from
-			// Remember the inbound connection as a reverse route so
-			// replies reach peers we cannot dial (e.g. clients behind
-			// ephemeral ports).
-			n.registerReverse(from, c)
-			registered = true
-		}
-		select {
-		case n.inbox <- envelope{from: from, msg: m}:
-		case <-n.done:
 			return
 		}
 	}
@@ -342,7 +368,8 @@ func (n *TCPNode) peerFor(id ids.ID, create bool) *peer {
 			return nil
 		}
 	}
-	p = &peer{n: n, id: id, queue: make(chan *frame, outboundQueue), stop: make(chan struct{})}
+	p = &peer{n: n, id: id}
+	p.wake.L = &p.mu
 	n.peers[id] = p
 	n.wg.Add(1)
 	go p.writeLoop()
@@ -363,7 +390,6 @@ func (n *TCPNode) registerReverse(id ids.ID, c net.Conn) {
 			p.c.Close()
 		}
 		p.c = c
-		p.w = bufio.NewWriter(c)
 		p.dialed = false
 	}
 	p.mu.Unlock()
@@ -372,7 +398,7 @@ func (n *TCPNode) registerReverse(id ids.ID, c net.Conn) {
 // clearReverse drops a reverse route when its connection dies, so a later
 // reconnect (or dial) can take its place. Peers with no configured address
 // (ephemeral clients known only through their inbound connection) are
-// reaped entirely — record, queue and writer goroutine — so churning
+// reaped entirely — record, outbox and writer goroutine — so churning
 // clients cannot grow the peer table without bound.
 func (n *TCPNode) clearReverse(id ids.ID, c net.Conn) {
 	n.connMu.Lock()
@@ -385,7 +411,7 @@ func (n *TCPNode) clearReverse(id ids.ID, c net.Conn) {
 	p.mu.Lock()
 	mine := p.c == c
 	if mine {
-		p.c, p.w = nil, nil
+		p.c = nil
 		p.dialed = false
 	}
 	p.mu.Unlock()
@@ -398,188 +424,164 @@ func (n *TCPNode) clearReverse(id ids.ID, c net.Conn) {
 	// route while we were deciding.
 	if p.c == nil && n.peers[id] == p {
 		delete(n.peers, id)
-		close(p.stop)
+		p.stop()
 	}
 	p.mu.Unlock()
 	n.connMu.Unlock()
 }
 
-func (n *TCPNode) eventLoop() {
-	defer n.wg.Done()
-	for {
-		select {
-		case <-n.done:
-			return
-		case env := <-n.inbox:
-			if env.fn != nil {
-				env.fn()
-			} else if n.handler != nil {
-				n.handler.OnMessage(env.from, env.msg)
-			}
-		}
-	}
-}
-
-// ID implements node.Context.
-func (n *TCPNode) ID() ids.ID { return n.id }
-
-// Send implements node.Context. It encodes m once, enqueues the frame on
-// the peer's writer, and returns immediately: dial latency, slow peers and
-// write syscalls are paid by the peer's writer goroutine, never by the
-// calling event loop. A full queue drops the frame (the network is allowed
-// to lose messages; protocols retry).
+// Send implements node.Context. It encodes m straight into the peer's
+// outbox and returns: dial latency, slow peers and write syscalls are paid
+// by the peer's writer goroutine, never by the caller, which may be the
+// event loop or any other goroutine. A full outbox drops the frame (the
+// network is allowed to lose messages; protocols retry).
 func (n *TCPNode) Send(to ids.ID, m wire.Msg) {
 	if to == n.id {
-		select {
-		case n.inbox <- envelope{from: n.id, msg: m}:
-		case <-n.done:
-		}
-		return
+		n.push(false, envelope{from: n.id, msg: m})
+	} else if p := n.peerFor(to, false); p != nil {
+		p.enqueue(m, nil)
 	}
-	p := n.peerFor(to, false)
-	if p == nil {
-		return
-	}
-	p.enqueue(newFrame(n.id, m, 1))
 }
 
 // Broadcast implements node.Context: m is encoded exactly once and the
-// same frame bytes are enqueued on every recipient's writer.
+// frame's bytes are appended to every recipient's outbox — for frames of
+// tens of bytes to a kilobyte a copy is cheaper than sharing would be.
 func (n *TCPNode) Broadcast(to []ids.ID, m wire.Msg) {
-	var f *frame
+	var frame *[]byte
 	for _, id := range to {
 		if id == n.id {
-			n.Send(id, m) // self-delivery through the inbox
+			n.Send(id, m) // self-delivery through the mailbox
 			continue
 		}
 		p := n.peerFor(id, false)
 		if p == nil {
 			continue
 		}
-		if f == nil {
-			f = newFrame(n.id, m, 1) // the extra ref is released below
+		if frame == nil {
+			frame = wire.GetBuf()
+			*frame = appendFrame(*frame, n.id, m)
 		}
-		f.refs.Add(1)
-		p.enqueue(f)
+		p.enqueue(nil, *frame)
 	}
-	if f != nil {
-		f.release()
+	wire.PutBuf(frame)
+}
+
+// enqueue appends one frame to the outbox — the given bytes, or m encoded in
+// place when frame is nil — and wakes the writer if the outbox was empty.
+func (p *peer) enqueue(m wire.Msg, frame []byte) {
+	p.mu.Lock()
+	if len(p.out) >= outboxBound || p.stopped {
+		p.mu.Unlock()
+		return // full: drop, like a congested network
+	}
+	wake := len(p.out) == 0
+	if frame != nil {
+		p.out = append(p.out, frame...)
+	} else {
+		p.out = appendFrame(p.out, p.n.id, m)
+	}
+	p.mu.Unlock()
+	if wake {
+		p.wake.Signal()
 	}
 }
 
-func (p *peer) enqueue(f *frame) {
-	p.inflight.Add(1)
-	select {
-	case p.queue <- f:
-	default:
-		p.inflight.Add(-1)
-		f.release() // bounded queue full: drop, like a congested network
+// stop makes the writer exit and the outbox refuse frames. Caller holds
+// p.mu.
+func (p *peer) stop() {
+	p.stopped, p.out = true, nil
+	p.wake.Signal()
+}
+
+// recycle empties an outbox buffer for reuse, unless it grew past what is
+// worth keeping.
+func recycle(b []byte) []byte {
+	if cap(b) > outboxKeep {
+		return nil
 	}
+	return b[:0]
 }
 
-// dispose releases a queue-obtained frame and retires it from the inflight
-// count Drain watches.
-func (p *peer) dispose(f *frame) {
-	f.release()
-	p.inflight.Add(-1)
-}
-
+// writeLoop takes the whole outbox whenever it is non-empty and writes it
+// with one call, so frames sent while a write is in the kernel share the
+// next one. Connection setup happens here, off the event loop.
 func (p *peer) writeLoop() {
 	defer p.n.wg.Done()
+	var buf []byte // the half of the double buffer Send is not filling
 	for {
-		select {
-		case <-p.n.done:
-			p.drainQueue()
-			return
-		case <-p.stop:
-			p.drainQueue()
-			return
-		case f := <-p.queue:
-			p.busy.Store(true)
-			p.write(f)
-			p.busy.Store(false)
+		p.mu.Lock()
+		p.writing = false
+		for len(p.out) == 0 && !p.stopped {
+			p.wake.Wait()
 		}
-	}
-}
+		if p.stopped {
+			p.mu.Unlock()
+			return
+		}
+		buf, p.out = p.out, recycle(buf)
+		p.writing = true
+		p.mu.Unlock()
 
-// write ships one frame plus everything else already queued, then flushes
-// once — many frames, one syscall. Connection setup happens here, off the
-// event loop.
-func (p *peer) write(first *frame) {
-	c, w := p.ensureConn()
-	if w == nil {
-		// Unreachable: drop this frame and everything queued behind it,
-		// so a flood at a dead peer does not serialize dial timeouts.
-		p.dispose(first)
-		p.drainQueue()
-		return
-	}
-	_, err := w.Write(first.buf)
-	p.dispose(first)
-	for err == nil {
-		select {
-		case f := <-p.queue:
-			_, err = w.Write(f.buf)
-			p.dispose(f)
-		default:
-			err = w.Flush()
-			if err == nil {
-				return
-			}
+		c := p.ensureConn()
+		if c == nil {
+			// Unreachable: drop these frames and everything sent while
+			// the dial ran, so a flood at a dead peer does not serialize
+			// dial timeouts.
+			p.mu.Lock()
+			p.out = recycle(p.out)
+			p.mu.Unlock()
+		} else if _, err := c.Write(buf); err != nil {
+			p.dropConn(c)
 		}
 	}
-	p.dropConn(c)
 }
 
 // ensureConn returns the current connection, dialing if none exists. The
 // dial happens without holding p.mu so reverse-route registration is never
 // blocked behind a slow dial.
-func (p *peer) ensureConn() (net.Conn, *bufio.Writer) {
+func (p *peer) ensureConn() net.Conn {
 	p.mu.Lock()
-	if p.c != nil {
-		c, w := p.c, p.w
-		p.mu.Unlock()
-		return c, w
-	}
+	c := p.c
 	p.mu.Unlock()
+	if c != nil {
+		return c
+	}
 
 	p.n.connMu.Lock()
 	addr, ok := p.n.addrs[p.id]
 	p.n.connMu.Unlock()
 	if !ok {
-		return nil, nil
+		return nil
 	}
 	d := net.Dialer{Timeout: dialTimeout}
 	c, err := d.DialContext(p.n.ctx, "tcp", addr)
 	if err != nil {
-		return nil, nil
+		return nil
 	}
 	if !p.n.trackConn(c) {
 		// Close ran while we were dialing; installing now would leak a
 		// conn (and its readLoop) that the sweep never closes, hanging
 		// wg.Wait. Tracking before install guarantees the sweep sees it.
 		c.Close()
-		return nil, nil
+		return nil
 	}
 	p.mu.Lock()
 	if p.c != nil {
 		// A reverse route arrived while we dialed; prefer it.
-		existing, w := p.c, p.w
+		existing := p.c
 		p.mu.Unlock()
 		c.Close()
 		p.n.untrackConn(c)
-		return existing, w
+		return existing
 	}
 	p.c = c
-	p.w = bufio.NewWriter(c)
 	p.dialed = true
-	w := p.w
 	p.mu.Unlock()
 	// Connections are full-duplex: read replies sent back over this
 	// socket (peers prefer an existing route over dialing back).
 	p.n.wg.Add(1)
 	go p.n.readLoop(c)
-	return c, w
+	return c
 }
 
 // dropConn discards a failed connection so the next frame redials.
@@ -587,22 +589,10 @@ func (p *peer) dropConn(c net.Conn) {
 	c.Close()
 	p.mu.Lock()
 	if p.c == c {
-		p.c, p.w = nil, nil
+		p.c = nil
 		p.dialed = false
 	}
 	p.mu.Unlock()
-}
-
-// drainQueue releases everything currently queued.
-func (p *peer) drainQueue() {
-	for {
-		select {
-		case f := <-p.queue:
-			p.dispose(f)
-		default:
-			return
-		}
-	}
 }
 
 // RegisterAddr adds (or updates) a peer address after startup — used for
@@ -615,34 +605,5 @@ func (n *TCPNode) RegisterAddr(id ids.ID, addr string) {
 	}
 	n.addrs[id] = addr
 }
-
-// After implements node.Context.
-func (n *TCPNode) After(d time.Duration, fn func()) node.Timer {
-	t := &localTimer{}
-	t.t = time.AfterFunc(d, func() {
-		select {
-		case n.inbox <- envelope{fn: func() {
-			if !t.stopped() {
-				fn()
-			}
-		}}:
-		case <-n.done:
-		}
-	})
-	return t
-}
-
-// Now implements node.Context.
-func (n *TCPNode) Now() time.Duration { return time.Since(n.start) }
-
-// Rand implements node.Context.
-func (n *TCPNode) Rand() *rand.Rand {
-	n.rngMu.Lock()
-	defer n.rngMu.Unlock()
-	return n.rng
-}
-
-// Work implements node.Context (no-op on live substrates).
-func (n *TCPNode) Work(time.Duration) {}
 
 var _ node.Context = (*TCPNode)(nil)

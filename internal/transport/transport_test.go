@@ -229,8 +229,6 @@ func TestPaxosOverLocalBus(t *testing.T) {
 		r := paxos.New(n, paxos.Config{Cluster: cc, ID: id, InitialLeader: cc.Nodes[0]}, nil)
 		tr.h = r.OnMessage
 		replicas[id] = r
-		n2 := n
-		_ = n2
 	}
 	cl := &collector{}
 	clNode, _ := bus.Node(ids.NewID(999, 1), cl)
@@ -238,7 +236,7 @@ func TestPaxosOverLocalBus(t *testing.T) {
 		id := id
 		r := replicas[id]
 		// Start must run on the node's own loop.
-		bus.nodes[id].inbox <- envelope{fn: r.Start}
+		bus.nodes[id].After(0, r.Start)
 	}
 	time.Sleep(50 * time.Millisecond)
 	clNode.Send(cc.Nodes[0], wire.Request{Cmd: kvstore.Command{Op: kvstore.Put, Key: 1, Value: []byte("live"), ClientID: 1, Seq: 1}})
@@ -292,7 +290,7 @@ func TestPigPaxosOverTCP(t *testing.T) {
 	}
 	for _, id := range cc.Nodes {
 		r := replicas[id]
-		nodes[id].inbox <- envelope{fn: r.Start}
+		nodes[id].After(0, r.Start)
 	}
 	time.Sleep(100 * time.Millisecond)
 	clNode.Send(cc.Nodes[0], wire.Request{Cmd: kvstore.Command{Op: kvstore.Put, Key: 9, Value: []byte("tcp"), ClientID: 1, Seq: 1}})

@@ -31,9 +31,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{byte(TP1b), 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, n, err := Decode(data)
-		s := GetScratch()
-		defer PutScratch(s)
-		m2, n2, err2 := DecodeInto(s, data)
+		m2, n2, err2 := DecodeInto(new(Scratch), data)
 		if (err == nil) != (err2 == nil) {
 			t.Fatalf("Decode err=%v but DecodeInto err=%v", err, err2)
 		}
@@ -43,8 +41,8 @@ func FuzzDecode(f *testing.F) {
 		if n != n2 {
 			t.Fatalf("Decode consumed %d, DecodeInto consumed %d", n, n2)
 		}
-		if !reflect.DeepEqual(m, deref(m2)) {
-			t.Fatalf("decoder mismatch:\n Decode     %+v\n DecodeInto %+v", m, deref(m2))
+		if !reflect.DeepEqual(m, m2) {
+			t.Fatalf("decoder mismatch:\n Decode     %+v\n DecodeInto %+v", m, m2)
 		}
 		if n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))

@@ -1,29 +1,15 @@
 package wire
 
 import (
+	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
 )
-
-// deref unwraps the pointer-boxed messages DecodeInto returns for hot
-// types, so tests can compare against value-decoded messages. Sharded
-// envelopes are normalized recursively: their inner message is pointer-boxed
-// too when decoded into a Scratch.
-func deref(m Msg) Msg {
-	v := reflect.ValueOf(m)
-	if v.Kind() == reflect.Pointer {
-		m = v.Elem().Interface().(Msg)
-	}
-	if sm, ok := m.(Sharded); ok {
-		sm.Inner = deref(sm.Inner)
-		return sm
-	}
-	return m
-}
 
 func sampleMsgs() []Msg {
 	b := ids.NewBallot(3, ids.NewID(1, 2))
@@ -69,78 +55,92 @@ func sampleMsgs() []Msg {
 	}
 }
 
-// TestDecodeIntoMatchesDecode: the arena decoder must produce the same
-// message as the allocating decoder, for every type, including when the
-// same Scratch is reused across a stream of messages.
+// TestDecodeIntoMatchesDecode: the aliasing decoder must produce the same
+// message as the copying decoder, for every type, with one Scratch serving
+// the whole stream as it does on a connection.
 func TestDecodeIntoMatchesDecode(t *testing.T) {
-	s := GetScratch()
-	defer PutScratch(s)
+	var s Scratch
 	for _, m := range sampleMsgs() {
 		enc := Encode(nil, m)
 		want, wn, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("%v: Decode: %v", m.Type(), err)
 		}
-		s.Reset()
-		got, gn, err := DecodeInto(s, enc)
+		got, gn, err := DecodeInto(&s, enc)
 		if err != nil {
 			t.Fatalf("%v: DecodeInto: %v", m.Type(), err)
 		}
 		if gn != wn {
 			t.Errorf("%v: DecodeInto consumed %d, Decode consumed %d", m.Type(), gn, wn)
 		}
-		if !reflect.DeepEqual(deref(got), want) {
-			t.Errorf("%v mismatch:\n got %+v\nwant %+v", m.Type(), deref(got), want)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v mismatch:\n got %+v\nwant %+v", m.Type(), got, want)
 		}
 	}
 }
 
-// TestDecodeIntoStream reuses one Scratch (without Reset) across several
-// slice-carrying messages to exercise arena growth and the sub-slice
-// capping that keeps earlier messages intact.
-func TestDecodeIntoStream(t *testing.T) {
-	s := GetScratch()
-	defer PutScratch(s)
+// TestDecodeIntoOwnership pins who owns what. Every message decoded from a
+// long stream through one Scratch stays intact while thousands more follow
+// (chunks are replaced, never rewritten); byte strings alias the input where
+// Decode copies; and an alias is capped, so appending to it cannot reach the
+// next field of the input.
+func TestDecodeIntoOwnership(t *testing.T) {
 	b := ids.NewBallot(2, ids.NewID(1, 1))
-	stream := []Msg{
+	kinds := []Msg{
 		P3{Ballot: b, Slot: 1, Cmds: sampleBatch(3)},
 		AggP2b{Ballot: b, Relay: ids.NewID(1, 2), Slot: 1, Acks: []ids.ID{ids.NewID(1, 3), ids.NewID(1, 4)}},
 		CatchupReply{Ballot: b, Entries: []SlotEntry{
 			{Slot: 1, Ballot: b, Committed: true, Cmds: sampleBatch(2)},
 			{Slot: 2, Ballot: b, Cmds: sampleBatch(1)},
 		}},
+		AggP1b{Ballot: b, Relay: ids.NewID(1, 2), Replies: []P1b{{Ballot: b, From: ids.NewID(1, 3), Entries: []SlotEntry{{Slot: 4, Ballot: b, Cmds: sampleBatch(2)}}}}},
+		Commit{Inst: InstRef{Replica: ids.NewID(1, 1), Slot: 3}, Cmd: sampleCmd(), Seq: 4, Deps: []InstRef{{Replica: ids.NewID(1, 2), Slot: 9}}},
 	}
+	const rounds = 3 * arenaChunk // every arena rolls over several times
+	var want []Msg
 	var buf []byte
-	for _, m := range stream {
+	for i := 0; i < rounds; i++ {
+		m := kinds[i%len(kinds)]
+		want = append(want, m)
 		buf = Encode(buf, m)
 	}
-	// Messages of distinct kinds decoded into one scratch stay valid
-	// simultaneously (no singleton reuse, arenas only append).
+	var s Scratch
 	var got []Msg
-	for range stream {
-		m, n, err := DecodeInto(s, buf)
+	for rest := buf; len(rest) > 0; {
+		m, n, err := DecodeInto(&s, rest)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, deref(m))
-		buf = buf[n:]
+		got = append(got, m)
+		rest = rest[n:]
 	}
-	for i, want := range stream {
-		if !reflect.DeepEqual(got[i], want) {
-			t.Errorf("stream[%d] mismatch:\n got %+v\nwant %+v", i, got[i], want)
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("stream[%d] no longer intact:\n got %+v\nwant %+v", i, got[i], want[i])
 		}
+	}
+
+	enc := Encode(nil, Reply{ClientID: 1, Seq: 2, OK: true, Value: []byte("abcd"), Leader: ids.NewID(1, 1), Slot: 7})
+	aliased, _, _ := DecodeInto(&s, enc)
+	copied, _, _ := Decode(enc)
+	at := bytes.Index(enc, []byte("abcd"))
+	enc[at] = 'X'
+	if v := aliased.(Reply).Value; string(v) != "Xbcd" {
+		t.Errorf("DecodeInto value %q does not alias its input", v)
+	}
+	if v := copied.(Reply).Value; string(v) != "abcd" {
+		t.Errorf("Decode value %q aliases its input", v)
+	}
+	after := append([]byte(nil), enc[at+4:]...)
+	_ = append(aliased.(Reply).Value, "overrun"...)
+	if !bytes.Equal(enc[at+4:], after) {
+		t.Error("appending to an aliased value wrote into the input behind it")
 	}
 }
 
-// TestHotPathZeroAllocs is the acceptance gate for the pooled codec:
-// steady-state encode+decode round-trips of the phase-2 hot-path messages
-// (P2a, P2b, P3, AggP2b) must not allocate.
-func TestHotPathZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool does not pool under -race; allocation counts are meaningless")
-	}
+func hotMsgs() []Msg {
 	b := ids.NewBallot(7, ids.NewID(1, 1))
-	msgs := []Msg{
+	return []Msg{
 		P2a{Ballot: b, Slot: 123, Cmds: sampleBatch(16), Commit: 120},
 		P2b{Ballot: b, From: ids.NewID(1, 3), Slot: 123},
 		P3{Ballot: b, Slot: 123, Cmds: sampleBatch(16)},
@@ -153,22 +153,65 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		Sharded{Shard: 5, Inner: P2b{Ballot: b, From: ids.NewID(1, 4), Slot: 124}},
 		Busy{ClientID: 9, Seq: 4, Leader: ids.NewID(1, 1), RetryAfter: 5 * time.Millisecond},
 	}
-	s := GetScratch()
-	defer PutScratch(s)
+}
+
+// TestHotPathZeroAllocs is the acceptance gate for the pooled codec:
+// steady-state encoding of the hot-path messages must not allocate.
+func TestHotPathZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool does not pool under -race; allocation counts are meaningless")
+	}
+	msgs := hotMsgs()
 	buf := GetBuf()
 	defer PutBuf(buf)
-	roundTrip := func() {
+	encode := func() {
 		for _, m := range msgs {
 			*buf = Encode((*buf)[:0], m)
-			s.Reset()
-			if _, _, err := DecodeInto(s, *buf); err != nil {
+		}
+	}
+	encode() // warm up: grow the buffer to steady state
+	if allocs := testing.AllocsPerRun(200, encode); allocs != 0 {
+		t.Errorf("steady-state hot-path encode allocates %.2f allocs/op, want 0", allocs)
+	}
+}
+
+// TestDecodeIntoOneAllocPerMessage pins the inbound half: decoding with
+// ownership allocates the interface box of each message (two under a Sharded
+// envelope, which boxes its inner message as well) and nothing else but a
+// fresh arena chunk every arenaChunk elements.
+func TestDecodeIntoOneAllocPerMessage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool does not pool under -race; allocation counts are meaningless")
+	}
+	var encs [][]byte
+	boxes := 0
+	for _, m := range hotMsgs() {
+		encs = append(encs, Encode(nil, m))
+		boxes++
+		if m.Type() == TSharded {
+			boxes++
+		}
+	}
+	var s Scratch
+	decode := func() {
+		for _, enc := range encs {
+			if _, _, err := DecodeInto(&s, enc); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	roundTrip() // warm up: grow arenas and pools to steady state
-	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
-		t.Errorf("steady-state hot-path round-trip allocates %.2f allocs/op, want 0", allocs)
+	decode()
+	const runs = 400
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		decode()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.Mallocs-before.Mallocs) / runs
+	// 48 commands and 5 IDs/refs a run: a command chunk every ~10 runs.
+	if limit := float64(boxes) + 0.25; perRun > limit {
+		t.Errorf("DecodeInto allocates %.2f per %d messages, want <= %.1f", perRun, len(encs), limit)
 	}
 }
 
@@ -206,12 +249,10 @@ func TestTypeStringNoAlloc(t *testing.T) {
 func BenchmarkDecodeIntoP2a(b *testing.B) {
 	m := P2a{Ballot: 77, Slot: 123, Cmds: []kvstore.Command{{Op: kvstore.Put, Key: 42, Value: make([]byte, 128)}}}
 	enc := Encode(nil, m)
-	s := GetScratch()
-	defer PutScratch(s)
+	var s Scratch
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.Reset()
-		if _, _, err := DecodeInto(s, enc); err != nil {
+		if _, _, err := DecodeInto(&s, enc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -220,32 +261,28 @@ func BenchmarkDecodeIntoP2a(b *testing.B) {
 func BenchmarkDecodeIntoP2aBatch16(b *testing.B) {
 	m := P2a{Ballot: 77, Slot: 123, Cmds: sampleBatch(16)}
 	enc := Encode(nil, m)
-	s := GetScratch()
-	defer PutScratch(s)
+	var s Scratch
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.Reset()
-		if _, _, err := DecodeInto(s, enc); err != nil {
+		if _, _, err := DecodeInto(&s, enc); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkRoundTripPooled is the codec-level hot path end to end: encode
-// into pooled scratch, decode from a reusable arena. The message is
+// into pooled scratch, decode with ownership. The message is
 // pre-boxed as Msg, as it is everywhere in the protocols, so the bench
 // measures the codec rather than call-site interface conversion.
 func BenchmarkRoundTripPooled(b *testing.B) {
 	var m Msg = P2a{Ballot: 77, Slot: 123, Cmds: sampleBatch(16), Commit: 120}
-	s := GetScratch()
-	defer PutScratch(s)
+	var s Scratch
 	buf := GetBuf()
 	defer PutBuf(buf)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		*buf = Encode((*buf)[:0], m)
-		s.Reset()
-		if _, _, err := DecodeInto(s, *buf); err != nil {
+		if _, _, err := DecodeInto(&s, *buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -83,15 +83,10 @@ func (m Busy) append(b []byte) []byte {
 
 func init() {
 	decoders[TBusy] = func(r *reader) Msg {
-		m := Busy{
+		return Busy{
 			ClientID: r.u64(), Seq: r.u64(), Leader: r.id(),
 			RetryAfter: time.Duration(r.u64()),
 		}
-		if s := r.scratch; s != nil {
-			s.busy = m
-			return &s.busy
-		}
-		return m
 	}
 }
 
@@ -400,14 +395,7 @@ func (r *reader) instRefs() []InstRef {
 	if n == 0 {
 		return nil
 	}
-	if s := r.scratch; s != nil {
-		start := len(s.refs)
-		for i := 0; i < n; i++ {
-			s.refs = append(s.refs, r.instRef())
-		}
-		return s.refs[start:len(s.refs):len(s.refs)]
-	}
-	v := make([]InstRef, n)
+	v := carve(r, &r.s.refs, n)
 	for i := range v {
 		v[i] = r.instRef()
 	}
@@ -679,56 +667,26 @@ func (m Heartbeat) append(b []byte) []byte {
 
 func init() {
 	decoders[TRequest] = func(r *reader) Msg {
-		m := Request{Cmd: r.cmd()}
-		if s := r.scratch; s != nil {
-			s.request = m
-			return &s.request
-		}
-		return m
+		return Request{Cmd: r.cmd()}
 	}
 	decoders[TReply] = func(r *reader) Msg {
-		m := Reply{
+		return Reply{
 			ClientID: r.u64(), Seq: r.u64(), OK: r.boolean(), Exists: r.boolean(),
 			Value: r.bytes(), Leader: r.id(), Slot: r.u64(),
 		}
-		if s := r.scratch; s != nil {
-			s.reply = m
-			return &s.reply
-		}
-		return m
 	}
 	decoders[TP1a] = func(r *reader) Msg {
-		m := P1a{Ballot: r.ballot(), From: r.u64()}
-		if s := r.scratch; s != nil {
-			s.p1a = m
-			return &s.p1a
-		}
-		return m
+		return P1a{Ballot: r.ballot(), From: r.u64()}
 	}
 	decoders[TP1b] = func(r *reader) Msg { return r.p1b() }
 	decoders[TP2a] = func(r *reader) Msg {
-		m := P2a{Ballot: r.ballot(), Slot: r.u64(), Cmds: r.cmds(), Commit: r.u64()}
-		if s := r.scratch; s != nil {
-			s.p2a = m
-			return &s.p2a
-		}
-		return m
+		return P2a{Ballot: r.ballot(), Slot: r.u64(), Cmds: r.cmds(), Commit: r.u64()}
 	}
 	decoders[TP2b] = func(r *reader) Msg {
-		m := P2b{Ballot: r.ballot(), From: r.id(), Slot: r.u64()}
-		if s := r.scratch; s != nil {
-			s.p2b = m
-			return &s.p2b
-		}
-		return m
+		return P2b{Ballot: r.ballot(), From: r.id(), Slot: r.u64()}
 	}
 	decoders[TP3] = func(r *reader) Msg {
-		m := P3{Ballot: r.ballot(), Slot: r.u64(), Cmds: r.cmds()}
-		if s := r.scratch; s != nil {
-			s.p3 = m
-			return &s.p3
-		}
-		return m
+		return P3{Ballot: r.ballot(), Slot: r.u64(), Cmds: r.cmds()}
 	}
 	decoders[TRelayP1a] = func(r *reader) Msg {
 		return RelayP1a{P1a: P1a{Ballot: r.ballot(), From: r.u64()}, Peers: r.idSlice()}
@@ -745,15 +703,10 @@ func init() {
 		}
 	}
 	decoders[TAggP2b] = func(r *reader) Msg {
-		m := AggP2b{
+		return AggP2b{
 			Ballot: r.ballot(), Relay: r.id(), Slot: r.u64(),
 			Acks: r.idSlice(), Partial: r.boolean(),
 		}
-		if s := r.scratch; s != nil {
-			s.aggP2b = m
-			return &s.aggP2b
-		}
-		return m
 	}
 	decoders[TRelayP3] = func(r *reader) Msg {
 		return RelayP3{
@@ -788,24 +741,14 @@ func init() {
 		return Commit{Inst: r.instRef(), Cmd: r.cmd(), Seq: r.u64(), Deps: r.instRefs()}
 	}
 	decoders[TPrepare] = func(r *reader) Msg {
-		m := Prepare{Ballot: r.ballot(), Inst: r.instRef()}
-		if s := r.scratch; s != nil {
-			s.prepare = m
-			return &s.prepare
-		}
-		return m
+		return Prepare{Ballot: r.ballot(), Inst: r.instRef()}
 	}
 	decoders[TPrepareReply] = func(r *reader) Msg {
-		m := PrepareReply{
+		return PrepareReply{
 			Inst: r.instRef(), From: r.id(), OK: r.boolean(), Ballot: r.ballot(),
 			Status: r.u8(), VBallot: r.ballot(), Cmd: r.cmd(), Seq: r.u64(),
 			Deps: r.instRefs(),
 		}
-		if s := r.scratch; s != nil {
-			s.prepareReply = m
-			return &s.prepareReply
-		}
-		return m
 	}
 	decoders[TQReadReq] = func(r *reader) Msg {
 		return QReadReq{Key: r.u64(), RID: r.u64()}
@@ -817,12 +760,7 @@ func init() {
 		}
 	}
 	decoders[THeartbeat] = func(r *reader) Msg {
-		m := Heartbeat{Ballot: r.ballot(), From: r.id(), Commit: r.u64()}
-		if s := r.scratch; s != nil {
-			s.heartbeat = m
-			return &s.heartbeat
-		}
-		return m
+		return Heartbeat{Ballot: r.ballot(), From: r.id(), Commit: r.u64()}
 	}
 }
 
@@ -904,12 +842,7 @@ func (m HeartbeatAck) append(b []byte) []byte {
 
 func init() {
 	decoders[THeartbeatAck] = func(r *reader) Msg {
-		m := HeartbeatAck{Ballot: r.ballot(), From: r.id()}
-		if s := r.scratch; s != nil {
-			s.heartbeatAck = m
-			return &s.heartbeatAck
-		}
-		return m
+		return HeartbeatAck{Ballot: r.ballot(), From: r.id()}
 	}
 }
 
@@ -983,11 +916,6 @@ func init() {
 			r.err = fmt.Errorf("bad inner type %d in Sharded envelope", uint8(t))
 			return Sharded{}
 		}
-		m := Sharded{Shard: shard, Inner: decoders[t](r)}
-		if s := r.scratch; s != nil {
-			s.sharded = m
-			return &s.sharded
-		}
-		return m
+		return Sharded{Shard: shard, Inner: decoders[t](r)}
 	}
 }

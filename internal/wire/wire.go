@@ -11,9 +11,14 @@
 //
 // The codec is built to be allocation-free on the steady-state hot path:
 // Encode appends into a caller-owned buffer (GetBuf/PutBuf pool reusable
-// scratch), Decode draws its reader from a sync.Pool, and DecodeInto
-// decodes into a reusable Scratch arena so that command batches, ID lists
-// and byte strings reuse grown storage instead of allocating per message.
+// scratch) and Decode draws its reader from a sync.Pool.
+//
+// Who owns decoded bytes depends on the entry point. Decode copies: every
+// byte string and slice in the returned message is freshly allocated and
+// the input may be reused at once (ReadFrame, WAL replay and snapshots rely
+// on that). DecodeInto aliases: byte strings point into the input and
+// slices are carved from the stream's Scratch, and both belong to the
+// message from then on — the caller gives up the right to rewrite them.
 package wire
 
 import (
@@ -142,41 +147,32 @@ var readerPool = sync.Pool{New: func() any { return new(reader) }}
 // Decode parses one message from data (as produced by Encode). It returns
 // the message and the number of bytes consumed. All variable-length
 // contents (command batches, values, ID lists) are freshly allocated and
-// safe to retain.
+// safe to retain; data may be rewritten as soon as Decode returns.
 func Decode(data []byte) (Msg, int, error) {
-	return decode(data, nil)
+	r := readerPool.Get().(*reader)
+	m, n, err := r.decode(data, &noScratch)
+	readerPool.Put(r)
+	return m, n, err
 }
 
-// DecodeInto is Decode with a reusable Scratch arena: command batches, ID
-// lists, slot entries and byte strings in the returned message are carved
-// out of s instead of allocated, and the hottest message kinds (P1a, P2a,
-// P2b, P3, AggP2b, Heartbeat, HeartbeatAck, Request, Reply, Prepare,
-// PrepareReply) are returned as pointers into s rather than freshly boxed
-// values. Steady state it performs zero allocations.
-//
-// Everything reachable from the returned Msg is owned by s: it remains
-// valid only until the next DecodeInto on the same Scratch that reuses the
-// storage (same hot message kind, or a Reset). Callers that retain message
-// contents past that point must copy them. The one-shot Decode has no such
-// caveat.
-//
-// CAUTION — pointer boxing: for the hot kinds the dynamic type of the
-// returned Msg is *P2a, *P2b, etc., not P2a. A type switch written for
-// value types (`case P2a:`), like the ones in every protocol's OnMessage,
-// silently misses pointer-boxed messages. Do not feed DecodeInto output
-// into such a switch; either match both forms or use Decode, which always
-// returns value-boxed messages (and is what the transport read path uses,
-// since handlers retain decoded contents).
-//
-// DecodeInto is therefore for consumers that fully process a message
-// before the next decode — measurement harnesses, replay/inspection
-// tools, and the codec benchmarks that assert the hot-path allocation
-// floor. The live TCP read path deliberately stays on Decode.
+// DecodeInto is Decode without the copies, for a stream whose buffers are
+// written once: byte strings in the returned message alias data, and command
+// batches, ID lists and slot entries are carved from s. Ownership of both
+// passes to the message — the caller must never rewrite the decoded part of
+// data, and s never reuses what it handed out — so a handler may retain
+// anything it is given for as long as it likes, and the memory is collected
+// when the last message referencing a chunk is dropped. Aliases are capped,
+// so appending to one reallocates instead of running into its neighbour.
+// What is left to allocate per message is the interface box. A nil s decodes
+// exactly as Decode does.
 func DecodeInto(s *Scratch, data []byte) (Msg, int, error) {
-	return decode(data, s)
+	if s == nil {
+		return Decode(data)
+	}
+	return s.rd.decode(data, s)
 }
 
-func decode(data []byte, s *Scratch) (Msg, int, error) {
+func (r *reader) decode(data []byte, s *Scratch) (Msg, int, error) {
 	if len(data) == 0 {
 		return nil, 0, errEmpty
 	}
@@ -184,12 +180,10 @@ func decode(data []byte, s *Scratch) (Msg, int, error) {
 	if t == 0 || t >= maxType {
 		return nil, 0, fmt.Errorf("wire: unknown message type %d", data[0])
 	}
-	r := readerPool.Get().(*reader)
-	r.b, r.off, r.err, r.scratch = data, 1, nil, s
+	*r = reader{b: data, off: 1, s: s, alias: s != &noScratch}
 	m := decoders[t](r)
 	off, err := r.off, r.err
-	r.b, r.err, r.scratch = nil, nil, nil
-	readerPool.Put(r)
+	*r = reader{}
 	if err != nil {
 		return nil, 0, fmt.Errorf("wire: decoding %v: %w", t, err)
 	}
@@ -200,61 +194,41 @@ var errEmpty = fmt.Errorf("wire: empty buffer")
 
 var decoders [maxType]func(*reader) Msg
 
-// Scratch is a reusable decode arena for DecodeInto. The zero value is
-// ready to use; GetScratch/PutScratch pool instances across call sites.
+// Scratch is the slice arena of one inbound stream decoded with DecodeInto.
+// Each kind of slice is carved from an append-only chunk that is replaced,
+// never grown or rewritten, when it runs out: what was carved belongs to the
+// message it went into. The zero value is ready to use; a Scratch must not
+// be shared between goroutines.
 type Scratch struct {
-	// Hot-path message singletons: DecodeInto returns pointers to these
-	// for the corresponding types, avoiding an interface-boxing allocation
-	// per decoded message.
-	p1a          P1a
-	p2a          P2a
-	p2b          P2b
-	p3           P3
-	aggP2b       AggP2b
-	heartbeat    Heartbeat
-	heartbeatAck HeartbeatAck
-	request      Request
-	reply        Reply
-	busy         Busy
-	prepare      Prepare
-	prepareReply PrepareReply
-	sharded      Sharded
-
-	// Growable arenas for variable-length message contents.
+	rd      reader // spares DecodeInto the pool round trip
 	cmds    []kvstore.Command
 	ids     []ids.ID
 	refs    []InstRef
 	entries []SlotEntry
 	p1bs    []P1b
-	buf     []byte
 }
 
-// Reset discards all decoded contents, keeping the grown storage for
-// reuse. Messages previously returned by DecodeInto on this Scratch become
-// invalid.
-func (s *Scratch) Reset() {
-	s.cmds = s.cmds[:0]
-	s.ids = s.ids[:0]
-	s.refs = s.refs[:0]
-	s.entries = s.entries[:0]
-	s.p1bs = s.p1bs[:0]
-	s.buf = s.buf[:0]
-}
+// arenaChunk is the element count of a fresh Scratch chunk: 28 KiB of
+// commands (still a size-classed allocation), one per 512 single-command
+// messages.
+const arenaChunk = 512
 
-var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+// noScratch stands in for the arena while Decode runs, so that &r.s.cmds is
+// always addressable; carve returns before touching it.
+var noScratch Scratch
 
-// GetScratch returns a pooled decode arena.
-func GetScratch() *Scratch {
-	return scratchPool.Get().(*Scratch)
-}
-
-// PutScratch resets s and returns it to the pool.
-func PutScratch(s *Scratch) {
-	if s == nil {
-		return
+// carve returns n zeroed elements for a decoded slice: the next n of the
+// arena chunk *a when aliasing, a fresh slice when copying.
+func carve[T any](r *reader, a *[]T, n int) []T {
+	if !r.alias {
+		return make([]T, n)
 	}
-	s.Reset()
-	scratchPool.Put(s)
+	if cap(*a)-len(*a) < n {
+		*a = make([]T, 0, max(arenaChunk, n))
+	}
+	end := len(*a) + n
+	*a = (*a)[:end]
+	return (*a)[end-n : end : end]
 }
 
 // ---- low-level encode/decode helpers ----
@@ -305,10 +279,11 @@ func szBytes(v []byte) int { return szU32 + len(v) }
 func szIDs(v []ids.ID) int { return szU16 + szID*len(v) }
 
 type reader struct {
-	b       []byte
-	off     int
-	err     error
-	scratch *Scratch // nil for one-shot Decode
+	b     []byte
+	off   int
+	err   error
+	s     *Scratch // slice arena; &noScratch while copying
+	alias bool     // DecodeInto: byte strings alias b, slices come from s
 }
 
 func (r *reader) fail() {
@@ -376,16 +351,12 @@ func (r *reader) bytes() []byte {
 	if n == 0 {
 		return nil
 	}
-	src := r.b[r.off : r.off+n]
+	src := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
-	if s := r.scratch; s != nil {
-		start := len(s.buf)
-		s.buf = append(s.buf, src...)
-		return s.buf[start:len(s.buf):len(s.buf)]
+	if r.alias {
+		return src
 	}
-	v := make([]byte, n)
-	copy(v, src)
-	return v
+	return append(make([]byte, 0, n), src...)
 }
 
 func (r *reader) id() ids.ID         { return ids.ID(r.u32()) }
@@ -400,14 +371,7 @@ func (r *reader) idSlice() []ids.ID {
 	if n == 0 {
 		return nil
 	}
-	if s := r.scratch; s != nil {
-		start := len(s.ids)
-		for i := 0; i < n; i++ {
-			s.ids = append(s.ids, r.id())
-		}
-		return s.ids[start:len(s.ids):len(s.ids)]
-	}
-	v := make([]ids.ID, n)
+	v := carve(r, &r.s.ids, n)
 	for i := range v {
 		v[i] = r.id()
 	}
@@ -428,16 +392,9 @@ func (r *reader) slotEntries() []SlotEntry {
 	if n == 0 {
 		return nil
 	}
-	if s := r.scratch; s != nil {
-		start := len(s.entries)
-		for i := 0; i < n && r.err == nil; i++ {
-			s.entries = append(s.entries, r.slotEntry())
-		}
-		return s.entries[start:len(s.entries):len(s.entries)]
-	}
-	v := make([]SlotEntry, 0, n)
+	v := carve(r, &r.s.entries, n)
 	for i := 0; i < n && r.err == nil; i++ {
-		v = append(v, r.slotEntry())
+		v[i] = r.slotEntry()
 	}
 	return v
 }
@@ -455,16 +412,9 @@ func (r *reader) p1bs() []P1b {
 	if n == 0 {
 		return nil
 	}
-	if s := r.scratch; s != nil {
-		start := len(s.p1bs)
-		for i := 0; i < n && r.err == nil; i++ {
-			s.p1bs = append(s.p1bs, r.p1b())
-		}
-		return s.p1bs[start:len(s.p1bs):len(s.p1bs)]
-	}
-	v := make([]P1b, 0, n)
+	v := carve(r, &r.s.p1bs, n)
 	for i := 0; i < n && r.err == nil; i++ {
-		v = append(v, r.p1b())
+		v[i] = r.p1b()
 	}
 	return v
 }
@@ -520,14 +470,7 @@ func (r *reader) cmds() []kvstore.Command {
 	if n == 0 {
 		return nil
 	}
-	if s := r.scratch; s != nil {
-		start := len(s.cmds)
-		for i := 0; i < n; i++ {
-			s.cmds = append(s.cmds, r.cmd())
-		}
-		return s.cmds[start:len(s.cmds):len(s.cmds)]
-	}
-	v := make([]kvstore.Command, n)
+	v := carve(r, &r.s.cmds, n)
 	for i := range v {
 		v[i] = r.cmd()
 	}

@@ -20,7 +20,7 @@
 //
 // The package offers three ways to run:
 //
-//   - NewCluster: an in-process cluster over channels, for embedding and
+//   - NewCluster: an in-process cluster over a message bus, for embedding and
 //     experimentation (see examples/quickstart).
 //   - internal TCP transport via cmd/pigserver for real deployments.
 //   - Bench: deterministic discrete-event simulations reproducing every
@@ -152,7 +152,7 @@ func (o *Options) applyDefaults() {
 	}
 }
 
-// Cluster is an in-process replicated KV cluster over the channel bus.
+// Cluster is an in-process replicated KV cluster over the local bus.
 type Cluster struct {
 	opts     Options
 	bus      *transport.LocalBus

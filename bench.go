@@ -75,14 +75,7 @@ func Bench(opts BenchOptions) BenchResult {
 		BatchDelay:  opts.BatchDelay,
 		MaxInFlight: opts.MaxInFlight,
 	}
-	switch opts.Protocol {
-	case ProtocolPaxos:
-		o.Protocol = harness.Paxos
-	case ProtocolEPaxos:
-		o.Protocol = harness.EPaxos
-	default:
-		o.Protocol = harness.PigPaxos
-	}
+	o.Protocol = opts.Protocol.kind()
 	o.Workload = workload.Config{
 		Keys:        opts.Keys,
 		ReadRatio:   opts.ReadRatio,

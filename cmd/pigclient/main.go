@@ -18,12 +18,11 @@ import (
 	"hash/fnv"
 	"log"
 	"os"
-	"strings"
 	"time"
 
+	"pigpaxos/internal/cluster"
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
-	"pigpaxos/internal/transport"
 	"pigpaxos/internal/wire"
 )
 
@@ -33,83 +32,29 @@ func hashKey(s string) uint64 {
 	return h.Sum64()
 }
 
-type client struct {
-	tn     *transport.TCPNode
-	server ids.ID
-	addrs  map[ids.ID]string
-	// id must be unique per invocation: the cluster's at-most-once
-	// session table is keyed on (ClientID, Seq), so a reused identity
-	// would be answered from the previous invocation's cached replies
-	// instead of executing.
-	id        uint64
-	replies   chan wire.Reply
-	busy      chan wire.Busy
-	seq       uint64
-	redirects int
-	retries   int
-}
+// nominalServer is the address-book entry for -server: the transport routes
+// by connection, so the ID only has to differ from every real member's.
+var nominalServer = ids.NewID(998, 1)
 
-func (c *client) OnMessage(from ids.ID, m wire.Msg) {
-	switch v := m.(type) {
-	case wire.Reply:
-		c.replies <- v
-	case wire.Busy:
-		c.busy <- v
-	}
-}
-
-const maxRedirects = 8
-
-func (c *client) do(cmd kvstore.Command) (wire.Reply, error) {
-	c.seq++
-	cmd.ClientID = c.id
-	cmd.Seq = c.seq
-	target := c.server
-	c.tn.Send(target, wire.Request{Cmd: cmd})
-	deadline := time.After(5 * time.Second)
-	hops := 0
-	for {
-		select {
-		case rep := <-c.replies:
-			if rep.Seq != c.seq {
-				continue // stale reply from an earlier op
-			}
-			if !rep.OK && !rep.Leader.IsZero() && rep.Leader != target {
-				if hops++; hops > maxRedirects {
-					return wire.Reply{}, fmt.Errorf("redirect chain exceeded %d hops", maxRedirects)
-				}
-				if _, known := c.addrs[rep.Leader]; !known {
-					return wire.Reply{}, fmt.Errorf(
-						"redirected to leader %v but its address is unknown; pass -cluster", rep.Leader)
-				}
-				c.redirects++
-				target = rep.Leader
-				c.tn.Send(target, wire.Request{Cmd: cmd})
-				continue
-			}
-			// Stick with whoever answered so later ops skip the redirect.
-			c.server = target
-			return rep, nil
-		case b := <-c.busy:
-			if b.Seq != c.seq {
-				continue // stale rejection from an earlier op
-			}
-			// The leader shed us under overload: wait out its hint and
-			// retry the same seq (the rejection did not consume it).
-			c.retries++
-			time.Sleep(b.RetryAfter)
-			c.tn.Send(target, wire.Request{Cmd: cmd})
-		case <-deadline:
-			return wire.Reply{}, fmt.Errorf("timed out")
+// do runs one command through the cluster's synchronous client — which owns
+// redirect following, Busy backoff and reply matching — and turns a redirect
+// it could not follow into an error that says how to fix it.
+func do(sc *cluster.SyncClient, addrs map[ids.ID]string, cmd kvstore.Command) (wire.Reply, error) {
+	rep, err := sc.Do(cmd)
+	if err == nil && !rep.OK && !rep.Leader.IsZero() {
+		if _, known := addrs[rep.Leader]; !known {
+			return rep, fmt.Errorf(
+				"redirected to leader %v but its address is unknown; pass -cluster", rep.Leader)
 		}
 	}
+	return rep, err
 }
 
 func main() {
 	var (
-		server  = flag.String("server", "127.0.0.1:7001", "any cluster member's address")
-		cluster = flag.String("cluster", "", "optional id=host:port list for redirect following")
-		n       = flag.Int("n", 1000, "operations for the bench subcommand")
+		server     = flag.String("server", "127.0.0.1:7001", "any cluster member's address")
+		clusterStr = flag.String("cluster", "", "optional id=host:port list for redirect following")
+		n          = flag.Int("n", 1000, "operations for the bench subcommand")
 	)
 	flag.Parse()
 	args := flag.Args()
@@ -118,48 +63,35 @@ func main() {
 		os.Exit(2)
 	}
 
-	serverID := ids.NewID(1, 1) // the transport routes by connection, the ID is nominal
-	addrs := map[ids.ID]string{serverID: *server}
-	if *cluster != "" {
-		for _, part := range strings.Split(*cluster, ",") {
-			kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-			if len(kv) != 2 {
-				log.Fatalf("bad cluster entry %q", part)
-			}
-			var zone, node int
-			if _, err := fmt.Sscanf(kv[0], "%d.%d", &zone, &node); err != nil {
-				log.Fatalf("bad id %q", kv[0])
-			}
-			addrs[ids.NewID(zone, node)] = kv[1]
+	addrs := map[ids.ID]string{}
+	if *clusterStr != "" {
+		var err error
+		if addrs, _, err = cluster.ParseAddrs(*clusterStr); err != nil {
+			log.Fatal(err)
 		}
 	}
-	cl := &client{
-		server:  serverID,
-		addrs:   addrs,
-		id:      uint64(time.Now().UnixNano())<<8 | uint64(os.Getpid()&0xff),
-		replies: make(chan wire.Reply, 16),
-		busy:    make(chan wire.Busy, 16),
-	}
-	tn, err := transport.ListenTCP(ids.NewID(999, 1), "127.0.0.1:0", addrs, cl)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer tn.Close()
-	cl.tn = tn
+	addrs[nominalServer] = *server
+	// The client ID must be unique per invocation: the cluster's
+	// at-most-once session table is keyed on (ClientID, Seq), so a reused
+	// identity would be answered from the previous invocation's cached
+	// replies instead of executing.
+	id := uint64(time.Now().UnixNano())<<8 | uint64(os.Getpid()&0xff)
+	sc := cluster.NewSyncClient(addrs, nominalServer, id, 5*time.Second)
+	defer sc.Close()
 
 	switch args[0] {
 	case "put":
 		if len(args) != 3 {
 			log.Fatal("put needs key and value")
 		}
-		rep, err := cl.do(kvstore.Command{Op: kvstore.Put, Key: hashKey(args[1]), Value: []byte(args[2])})
+		rep, err := do(sc, addrs, kvstore.Command{Op: kvstore.Put, Key: hashKey(args[1]), Value: []byte(args[2])})
 		exitOn(err, rep)
 		fmt.Printf("OK (slot %d)\n", rep.Slot)
 	case "get":
 		if len(args) != 2 {
 			log.Fatal("get needs a key")
 		}
-		rep, err := cl.do(kvstore.Command{Op: kvstore.Get, Key: hashKey(args[1])})
+		rep, err := do(sc, addrs, kvstore.Command{Op: kvstore.Get, Key: hashKey(args[1])})
 		exitOn(err, rep)
 		if !rep.Exists {
 			fmt.Println("(not found)")
@@ -170,13 +102,13 @@ func main() {
 		if len(args) != 2 {
 			log.Fatal("del needs a key")
 		}
-		rep, err := cl.do(kvstore.Command{Op: kvstore.Delete, Key: hashKey(args[1])})
+		rep, err := do(sc, addrs, kvstore.Command{Op: kvstore.Delete, Key: hashKey(args[1])})
 		exitOn(err, rep)
 		fmt.Printf("deleted=%v\n", rep.Exists)
 	case "bench":
 		start := time.Now()
 		for i := 0; i < *n; i++ {
-			_, err := cl.do(kvstore.Command{
+			_, err := do(sc, addrs, kvstore.Command{
 				Op: kvstore.Put, Key: uint64(i % 1000), Value: []byte("benchvalue"),
 			})
 			if err != nil {

@@ -1,14 +1,13 @@
 package main
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"pigpaxos/internal/cluster"
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
-	"pigpaxos/internal/transport"
-	"pigpaxos/internal/wire"
 )
 
 // TestDoFollowsRedirectFromFollower aims the client's first request at a
@@ -27,32 +26,27 @@ func TestDoFollowsRedirectFromFollower(t *testing.T) {
 		t.Fatal(err)
 	}
 	follower := c.Members[2]
-	cl := &client{server: follower, addrs: c.Addrs, id: 51, replies: make(chan wire.Reply, 16)}
-	tn, err := transport.ListenTCP(ids.NewID(999, 1), "127.0.0.1:0", c.Addrs, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tn.Close()
-	cl.tn = tn
+	sc := cluster.NewSyncClient(c.Addrs, follower, 51, 5*time.Second)
+	defer sc.Close()
 
-	rep, err := cl.do(kvstore.Command{Op: kvstore.Put, Key: hashKey("k"), Value: []byte("v")})
+	rep, err := do(sc, c.Addrs, kvstore.Command{Op: kvstore.Put, Key: hashKey("k"), Value: []byte("v")})
 	if err != nil || !rep.OK {
 		t.Fatalf("put via follower: %v %+v", err, rep)
 	}
-	if cl.redirects == 0 {
+	if sc.Redirects == 0 {
 		t.Error("put against a follower committed without a redirect")
 	}
-	if cl.server != c.Members[0] {
-		t.Errorf("client should stick to the leader %v, targets %v", c.Members[0], cl.server)
+	if sc.Target() != c.Members[0] {
+		t.Errorf("client should stick to the leader %v, targets %v", c.Members[0], sc.Target())
 	}
 
-	before := cl.redirects
-	rep, err = cl.do(kvstore.Command{Op: kvstore.Get, Key: hashKey("k")})
+	before := sc.Redirects
+	rep, err = do(sc, c.Addrs, kvstore.Command{Op: kvstore.Get, Key: hashKey("k")})
 	if err != nil || !rep.OK || string(rep.Value) != "v" {
 		t.Fatalf("get after redirect: %v %+v", err, rep)
 	}
-	if cl.redirects != before {
-		t.Errorf("sticky leader still redirected (%d → %d)", before, cl.redirects)
+	if sc.Redirects != before {
+		t.Errorf("sticky leader still redirected (%d → %d)", before, sc.Redirects)
 	}
 }
 
@@ -74,18 +68,16 @@ func TestDoErrorsOnUnknownLeaderAddr(t *testing.T) {
 	partial := map[ids.ID]string{} // follower only — no leader route
 	follower := c.Members[2]
 	partial[follower] = c.Addrs[follower]
-	cl := &client{server: follower, addrs: partial, id: 52, replies: make(chan wire.Reply, 16)}
-	tn, err := transport.ListenTCP(ids.NewID(999, 2), "127.0.0.1:0", partial, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tn.Close()
-	cl.tn = tn
+	sc := cluster.NewSyncClient(partial, follower, 52, 5*time.Second)
+	defer sc.Close()
 
 	start := time.Now()
-	_, err = cl.do(kvstore.Command{Op: kvstore.Put, Key: 1, Value: []byte("v")})
+	_, err = do(sc, partial, kvstore.Command{Op: kvstore.Put, Key: 1, Value: []byte("v")})
 	if err == nil {
 		t.Fatal("put with unroutable leader must fail")
+	}
+	if msg := err.Error(); !strings.Contains(msg, c.Members[0].String()) || !strings.Contains(msg, "-cluster") {
+		t.Errorf("error %q should name the leader %v and the -cluster flag", msg, c.Members[0])
 	}
 	if time.Since(start) > 3*time.Second {
 		t.Errorf("unknown-leader error took %v; must fail fast, not time out", time.Since(start))

@@ -28,28 +28,18 @@ import (
 	"pigpaxos/internal/cluster"
 	"pigpaxos/internal/config"
 	"pigpaxos/internal/epaxos"
-	"pigpaxos/internal/ids"
-	"pigpaxos/internal/node"
 	"pigpaxos/internal/paxos"
 	"pigpaxos/internal/pigpaxos"
+	"pigpaxos/internal/protocol"
 	"pigpaxos/internal/transport"
 	"pigpaxos/internal/wal"
-	"pigpaxos/internal/wire"
 )
-
-type handlerProxy struct{ h node.Handler }
-
-func (p *handlerProxy) OnMessage(from ids.ID, m wire.Msg) {
-	if p.h != nil {
-		p.h.OnMessage(from, m)
-	}
-}
 
 func main() {
 	var (
 		idStr      = flag.String("id", "", "this node's ID (zone.node)")
 		clusterStr = flag.String("cluster", "", "comma-separated id=host:port list for every member")
-		protocol   = flag.String("protocol", "pigpaxos", "pigpaxos | paxos | epaxos")
+		protoName  = flag.String("protocol", "pigpaxos", "pigpaxos | paxos | epaxos")
 		groups     = flag.Int("groups", 2, "PigPaxos relay groups")
 		relayTO    = flag.Duration("relay-timeout", 50*time.Millisecond, "relay aggregation timeout")
 		electTO    = flag.Duration("election-timeout", 2*time.Second, "leader failover timeout (0 disables)")
@@ -60,11 +50,11 @@ func main() {
 		snapEvery  = flag.Int("snapshot-every", 4096, "with -wal-dir, checkpoint the state machine every N commits")
 		drainTO    = flag.Duration("drain-timeout", time.Second, "graceful-shutdown budget for flushing outbound frames")
 
-		batch      = flag.Int("batch", 0, "leader batch size (commands per slot, 0 = unbatched)")
-		batchDelay = flag.Duration("batch-delay", 0, "max wait for an under-full batch (0 = flush immediately)")
-		inflight   = flag.Int("inflight", 0, "leader pipelining window in slots (0 = unbounded)")
-		maxPending = flag.Int("max-pending", 0, "leader ingress queue bound; excess requests get Busy (0 derives 4*inflight*batch, negative = unbounded)")
-		queueTTL   = flag.Duration("queue-ttl", 0, "drop queued commands older than this at flush time (0 = never)")
+		batch       = flag.Int("batch", 0, "leader batch size (commands per slot, 0 = unbatched)")
+		batchDelay  = flag.Duration("batch-delay", 0, "max wait for an under-full batch (0 = flush immediately)")
+		inflight    = flag.Int("inflight", 0, "leader pipelining window in slots (0 = unbounded)")
+		maxPending  = flag.Int("max-pending", 0, "leader ingress queue bound; excess requests get Busy (0 derives 4*inflight*batch, negative = unbounded)")
+		queueTTL    = flag.Duration("queue-ttl", 0, "drop queued commands older than this at flush time (0 = never)")
 		overloadLat = flag.Duration("overload-latency", 0, "shed with Busy while the commit-latency EWMA exceeds this (0 disables)")
 	)
 	flag.Parse()
@@ -73,6 +63,10 @@ func main() {
 		os.Exit(2)
 	}
 	self, err := cluster.ParseID(*idStr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	kind, err := protocol.Parse(*protoName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -124,39 +118,26 @@ func main() {
 		OverloadLatency:   *overloadLat,
 	}
 
-	proxy := &handlerProxy{}
-	tn, err := transport.ListenTCP(self, selfAddr, addrs, proxy)
+	// The listener accepts before the replica exists; the shim's atomic
+	// bind orders the handler against the node's event loop.
+	late := &protocol.Late{}
+	tn, err := transport.ListenTCP(self, selfAddr, addrs, late)
 	if err != nil {
 		log.Fatal(err)
 	}
-
 	leader := members[0]
-	var start func()
-	switch *protocol {
-	case "paxos":
-		r := paxos.New(tn, base, nil)
-		proxy.h = r
-		start = r.Start
-	case "epaxos":
-		r := epaxos.New(tn, epaxos.Config{Cluster: cc, ID: self})
-		proxy.h = r
-		start = r.Start
-	case "pigpaxos":
-		r := pigpaxos.New(tn, pigpaxos.Config{
-			Paxos:        base,
-			NumGroups:    *groups,
-			RelayTimeout: *relayTO,
-		})
-		proxy.h = r
-		start = r.Start
-	default:
-		log.Fatalf("unknown protocol %q", *protocol)
-	}
+	m := protocol.Build(tn, protocol.Spec{
+		Kind:   kind,
+		Paxos:  base,
+		Pig:    pigpaxos.Config{Paxos: base, NumGroups: *groups, RelayTimeout: *relayTO},
+		EPaxos: epaxos.Config{Cluster: cc, ID: self},
+	})
+	late.Bind(m.Handler)
 
 	// Run Start on the node's event loop to respect single-threading.
-	tn.After(0, start)
+	tn.After(0, m.Start)
 	log.Printf("%s node %v serving on %s (leader: %v, %d members)",
-		*protocol, self, tn.Addr(), leader, len(members))
+		kind, self, tn.Addr(), leader, len(members))
 
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

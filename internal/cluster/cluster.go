@@ -33,9 +33,9 @@ import (
 	"pigpaxos/internal/epaxos"
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
-	"pigpaxos/internal/node"
 	"pigpaxos/internal/paxos"
 	"pigpaxos/internal/pigpaxos"
+	"pigpaxos/internal/protocol"
 	"pigpaxos/internal/transport"
 	"pigpaxos/internal/wire"
 )
@@ -145,19 +145,6 @@ type InProcSpec struct {
 	RetryTimeout time.Duration
 }
 
-type replica interface {
-	Start()
-	OnMessage(from ids.ID, m wire.Msg)
-}
-
-type handlerProxy struct{ h node.Handler }
-
-func (p *handlerProxy) OnMessage(from ids.ID, m wire.Msg) {
-	if p.h != nil {
-		p.h.OnMessage(from, m)
-	}
-}
-
 // InProc is a running in-process TCP cluster.
 type InProc struct {
 	Members []ids.ID
@@ -178,6 +165,13 @@ func StartInProc(spec InProcSpec) (*InProc, error) {
 	if spec.RelayTimeout == 0 {
 		spec.RelayTimeout = 50 * time.Millisecond
 	}
+	kind := protocol.Paxos
+	if spec.Protocol != "" {
+		var err error
+		if kind, err = protocol.Parse(spec.Protocol); err != nil {
+			return nil, fmt.Errorf("cluster: %w", err)
+		}
+	}
 	members := Members(spec.N)
 	cc := config.Cluster{Nodes: members}
 	c := &InProc{
@@ -189,27 +183,34 @@ func StartInProc(spec InProcSpec) (*InProc, error) {
 	// Each node gets its OWN address map (TCPNode guards it with the
 	// node's mutex; sharing one map across nodes would race).
 	for _, id := range members {
-		proxy := &handlerProxy{}
-		tn, err := transport.ListenTCP(id, "127.0.0.1:0", make(map[ids.ID]string), proxy)
+		// The listener accepts before the replica exists; the shim's atomic
+		// bind is what orders the handler against the node's event loop.
+		late := &protocol.Late{}
+		tn, err := transport.ListenTCP(id, "127.0.0.1:0", make(map[ids.ID]string), late)
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
 		c.nodes[id] = tn
 		c.Addrs[id] = tn.Addr()
-		rep, err := buildReplica(tn, spec, cc, id)
-		if err != nil {
-			c.Close()
-			return nil, err
+		core := paxos.Config{
+			Cluster: cc, ID: id, InitialLeader: cc.Nodes[0],
+			ElectionTimeout:   spec.ElectionTimeout,
+			HeartbeatInterval: spec.HeartbeatInterval,
+			RetryTimeout:      spec.RetryTimeout,
+			CompactEvery:      4096,
 		}
-		proxy.h = rep
-		switch r := rep.(type) {
-		case *paxos.Replica:
-			c.cores[id] = r
-		case *pigpaxos.Replica:
-			c.cores[id] = r.Core()
+		m := protocol.Build(tn, protocol.Spec{
+			Kind:   kind,
+			Paxos:  core,
+			Pig:    pigpaxos.Config{Paxos: core, NumGroups: spec.Groups, RelayTimeout: spec.RelayTimeout},
+			EPaxos: epaxos.Config{Cluster: cc, ID: id},
+		})
+		late.Bind(m.Handler)
+		if m.Core != nil {
+			c.cores[id] = m.Core
 		}
-		tn.After(0, rep.Start) // Start on the node's event loop
+		tn.After(0, m.Start) // Start on the node's event loop
 	}
 	for _, tn := range c.nodes {
 		for id, a := range c.Addrs {
@@ -217,30 +218,6 @@ func StartInProc(spec InProcSpec) (*InProc, error) {
 		}
 	}
 	return c, nil
-}
-
-func buildReplica(ctx node.Context, spec InProcSpec, cc config.Cluster, id ids.ID) (replica, error) {
-	base := paxos.Config{
-		Cluster: cc, ID: id, InitialLeader: cc.Nodes[0],
-		ElectionTimeout:   spec.ElectionTimeout,
-		HeartbeatInterval: spec.HeartbeatInterval,
-		RetryTimeout:      spec.RetryTimeout,
-		CompactEvery:      4096,
-	}
-	switch spec.Protocol {
-	case "", "paxos":
-		return paxos.New(ctx, base, nil), nil
-	case "pigpaxos":
-		return pigpaxos.New(ctx, pigpaxos.Config{
-			Paxos:        base,
-			NumGroups:    spec.Groups,
-			RelayTimeout: spec.RelayTimeout,
-		}), nil
-	case "epaxos":
-		return epaxos.New(ctx, epaxos.Config{Cluster: cc, ID: id}), nil
-	default:
-		return nil, fmt.Errorf("cluster: unknown protocol %q", spec.Protocol)
-	}
 }
 
 // Node exposes a member's transport (tests drain or kill it directly).

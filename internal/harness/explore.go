@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pigpaxos/internal/chaos"
+	"pigpaxos/internal/protocol"
 )
 
 // Failure kinds reported by ScenarioResult.Failure and recorded in corpus
@@ -80,12 +81,11 @@ func ShrinkDeterminismMismatch(opts ScenarioOptions, sched chaos.Schedule, budge
 
 // ParseProtocol inverts Protocol.String for corpus entries.
 func ParseProtocol(s string) (Protocol, error) {
-	for _, p := range []Protocol{Paxos, PigPaxos, EPaxos} {
-		if p.String() == s {
-			return p, nil
-		}
+	p, err := protocol.Parse(s)
+	if err != nil {
+		return 0, fmt.Errorf("harness: %w", err)
 	}
-	return 0, fmt.Errorf("harness: unknown protocol %q", s)
+	return p, nil
 }
 
 // CorpusOptions rebuilds the ScenarioOptions a corpus entry was recorded

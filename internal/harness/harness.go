@@ -10,41 +10,27 @@ import (
 	"time"
 
 	"pigpaxos/internal/config"
-	"pigpaxos/internal/des"
 	"pigpaxos/internal/epaxos"
-	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
 	"pigpaxos/internal/metrics"
 	"pigpaxos/internal/netsim"
 	"pigpaxos/internal/paxos"
 	"pigpaxos/internal/pigpaxos"
+	"pigpaxos/internal/protocol"
+	"pigpaxos/internal/shard"
 	"pigpaxos/internal/wire"
 	"pigpaxos/internal/workload"
 )
 
 // Protocol selects the consensus protocol under test.
-type Protocol int
+type Protocol = protocol.Kind
 
 // Protocols under evaluation.
 const (
-	Paxos Protocol = iota
-	PigPaxos
-	EPaxos
+	Paxos    = protocol.Paxos
+	PigPaxos = protocol.PigPaxos
+	EPaxos   = protocol.EPaxos
 )
-
-// String implements fmt.Stringer.
-func (p Protocol) String() string {
-	switch p {
-	case Paxos:
-		return "Paxos"
-	case PigPaxos:
-		return "PigPaxos"
-	case EPaxos:
-		return "EPaxos"
-	default:
-		return fmt.Sprintf("Protocol(%d)", int(p))
-	}
-}
 
 // Options describes one experiment run.
 type Options struct {
@@ -192,241 +178,105 @@ func (r Result) String() string {
 		r.Protocol, r.N, r.Clients, r.Throughput, r.Latency.Mean, r.Latency.P99)
 }
 
-// replica is the common surface of the three protocol replicas.
-type replica interface {
-	Start()
-	OnMessage(from ids.ID, m wire.Msg)
+// loadRun is what a closed-loop throughput run leaves behind for Run and
+// RunSharded to report from.
+type loadRun struct {
+	d       *deployment
+	clients []*simClient
+	hist    *metrics.Histogram
+	acked   []int // in-window acknowledgements per group
+	series  *metrics.TimeSeries
 }
 
-type trampoline struct{ h func(from ids.ID, m wire.Msg) }
-
-func (t *trampoline) OnMessage(from ids.ID, m wire.Msg) { t.h(from, m) }
-
-// client is a closed-loop benchmark client: it keeps exactly one request in
-// flight, issuing the next upon each reply — the paper's client model.
-type client struct {
-	id      uint64
-	ep      *netsim.Endpoint
-	gen     *workload.Generator
-	targets []ids.ID // servers this client may contact
-	rrIdx   int
-
-	seq       uint64
-	lastCmd   kvstore.Command
-	issuedAt  time.Duration
-	warmupEnd time.Duration
-	windowEnd time.Duration
-
-	hist      *metrics.Histogram
-	series    *metrics.TimeSeries
-	completed *metrics.Counter
-	stop      bool
-}
-
-func (c *client) target() ids.ID {
-	t := c.targets[c.rrIdx%len(c.targets)]
-	c.rrIdx++
-	return t
-}
-
-func (c *client) next() {
-	if c.stop {
-		return
+// runLoad is the throughput runner behind Run and RunSharded: closed-loop
+// generator-driven clients against the deployment the plan selects, measured
+// over [Warmup, Warmup+Measure).
+func runLoad(opts *Options, plan *shard.Map) loadRun {
+	d := deploy(opts, plan, nil)
+	lr := loadRun{d: d, hist: metrics.NewHistogram(), acked: make([]int, len(d.groups))}
+	if opts.SampleWidth > 0 {
+		lr.series = metrics.NewTimeSeries(opts.SampleWidth)
 	}
-	c.seq++
-	c.lastCmd = c.gen.Next(c.id, c.seq)
-	c.issuedAt = c.ep.Now()
-	c.ep.Send(c.target(), wire.Request{Cmd: c.lastCmd})
-}
-
-// OnMessage handles replies (and redirects) for the client.
-func (c *client) OnMessage(from ids.ID, m wire.Msg) {
-	if busy, ok := m.(wire.Busy); ok {
-		// Overloaded leader shed us: back off for the hinted interval, then
-		// retry the same command (the rejected sequence number was not
-		// consumed, so a retry is admitted as new).
-		if busy.Seq != c.seq || c.stop {
-			return
+	warmupEnd := opts.Warmup
+	windowEnd := opts.Warmup + opts.Measure
+	record := func(tag int, _ kvstore.Command, _ wire.Reply, started, now time.Duration) {
+		if now >= warmupEnd && now < windowEnd {
+			lr.hist.Observe(now - started)
+			lr.acked[tag]++
 		}
-		c.ep.After(busy.RetryAfter, func() {
-			if busy.Seq != c.seq || c.stop {
-				return
-			}
-			c.ep.Send(busy.Leader, wire.Request{Cmd: c.lastCmd})
-		})
-		return
-	}
-	rep, ok := m.(wire.Reply)
-	if !ok || rep.Seq != c.seq {
-		return // stale reply from a retried request
-	}
-	if !rep.OK {
-		// Redirected: retry the same command at the hinted leader.
-		if !rep.Leader.IsZero() {
-			c.ep.Send(rep.Leader, wire.Request{Cmd: c.lastCmd})
-			return
+		if lr.series != nil && now >= warmupEnd {
+			lr.series.Record(now - warmupEnd)
 		}
-		c.next()
-		return
 	}
-	now := c.ep.Now()
-	if now >= c.warmupEnd && now < c.windowEnd {
-		c.hist.Observe(now - c.issuedAt)
-		c.completed.Inc()
-		if c.series != nil {
-			c.series.Record(now - c.warmupEnd)
+
+	// Clients live in the leader's zone (the paper ran client VMs in the
+	// same region as the cluster under test). Paxos/PigPaxos clients talk to
+	// their group's leader; EPaxos clients spread over all replicas (§5.4:
+	// "a random node in EPaxos for each operation" — round-robin per client
+	// gives the same aggregate mix deterministically).
+	home := d.cc.ZoneOf(d.cc.Nodes[0])
+	lr.clients = make([]*simClient, opts.Clients)
+	for i := range lr.clients {
+		gen := workload.New(opts.Workload, d.sim.Rand())
+		cl := d.client(uint64(i+1), home, 1000+i)
+		cl.source = func(bool) (kvstore.Command, bool) { return gen.Next(cl.id, 0), true }
+		cl.record = record
+		if opts.Protocol == EPaxos {
+			cl.spread = true
+			cl.sessions[0].cursor = i % len(d.cc.Nodes)
 		}
-	} else if c.series != nil && now >= c.warmupEnd {
-		c.series.Record(now - c.warmupEnd)
+		lr.clients[i] = cl
 	}
-	c.next()
+	d.start()
+	d.launch(lr.clients, 50*time.Microsecond)
+
+	if opts.SluggishNode > 0 && opts.SluggishNode <= len(d.cc.Nodes) && opts.SluggishFactor > 1 {
+		d.net.SetSluggish(d.cc.Nodes[opts.SluggishNode-1], opts.SluggishFactor)
+	}
+	if opts.CrashNode > 0 && opts.CrashNode <= len(d.cc.Nodes) {
+		victim := d.cc.Nodes[opts.CrashNode-1]
+		d.sim.Schedule(opts.CrashAt, func() { d.net.Crash(victim) })
+		if opts.RecoverAt > opts.CrashAt {
+			d.sim.Schedule(opts.RecoverAt, func() { d.net.Recover(victim) })
+		}
+	}
+	d.sim.Run(windowEnd)
+	return lr
 }
 
 // Run executes one experiment and returns its measurements.
 func Run(opts Options) Result {
 	opts.applyDefaults()
-	sim := des.New(opts.Seed)
-	cc := opts.cluster()
-	net := netsim.New(sim, cc, opts.Net)
-
-	leader := cc.Nodes[0]
-	replicas := make(map[ids.ID]replica, opts.N)
-	for _, id := range cc.Nodes {
-		tr := &trampoline{}
-		ep := net.Register(id, tr, false)
-		var rep replica
-		switch opts.Protocol {
-		case Paxos:
-			cfg := paxos.Config{Cluster: cc, ID: id, InitialLeader: leader}
-			opts.paxosBatching(&cfg)
-			if opts.MutPaxos != nil {
-				opts.MutPaxos(&cfg)
-			}
-			rep = paxos.New(ep, cfg, nil)
-		case PigPaxos:
-			cfg := pigpaxos.Config{
-				Paxos:     paxos.Config{Cluster: cc, ID: id, InitialLeader: leader},
-				NumGroups: opts.NumGroups,
-			}
-			opts.paxosBatching(&cfg.Paxos)
-			if opts.ZoneGroups {
-				cfg.Strategy = pigpaxos.GroupByZone
-			}
-			if opts.MutPig != nil {
-				opts.MutPig(&cfg)
-			}
-			rep = pigpaxos.New(ep, cfg)
-		case EPaxos:
-			cfg := epaxos.Config{Cluster: cc, ID: id}
-			if opts.MutEPaxos != nil {
-				opts.MutEPaxos(&cfg)
-			}
-			rep = epaxos.New(ep, cfg)
-		}
-		tr.h = rep.OnMessage
-		replicas[id] = rep
-	}
-
-	// Clients: Paxos/PigPaxos clients talk to the leader; EPaxos clients
-	// spread over all replicas (§5.4: "a random node in EPaxos for each
-	// operation" — round-robin per client gives the same aggregate mix
-	// deterministically).
-	hist := metrics.NewHistogram()
-	var completed metrics.Counter
-	var series *metrics.TimeSeries
-	if opts.SampleWidth > 0 {
-		series = metrics.NewTimeSeries(opts.SampleWidth)
-	}
-	warmupEnd := opts.Warmup
-	windowEnd := opts.Warmup + opts.Measure
-
-	clients := make([]*client, opts.Clients)
-	for i := 0; i < opts.Clients; i++ {
-		cl := &client{
-			id:        uint64(i + 1),
-			gen:       workload.New(opts.Workload, sim.Rand()),
-			hist:      hist,
-			series:    series,
-			completed: &completed,
-			warmupEnd: warmupEnd,
-			windowEnd: windowEnd,
-		}
-		if opts.Protocol == EPaxos {
-			cl.targets = cc.Nodes
-			cl.rrIdx = i % len(cc.Nodes)
-		} else {
-			cl.targets = []ids.ID{leader}
-		}
-		// Clients live in the leader's zone (the paper ran client VMs in
-		// the same region as the cluster under test), with node numbers
-		// far above any replica's.
-		cl.ep = net.Register(ids.NewID(cc.ZoneOf(leader), 1000+i), cl, true)
-		clients[i] = cl
-	}
-
-	sim.Schedule(0, func() {
-		// Start in membership order: replicas is a map, and iteration order
-		// would otherwise leak scheduling nondeterminism into the run.
-		for _, id := range cc.Nodes {
-			replicas[id].Start()
-		}
-	})
-	// Stagger client starts over a few milliseconds to avoid a thundering
-	// herd at t=0 (the real benchmark ramps up the same way).
-	for i, cl := range clients {
-		cl := cl
-		sim.Schedule(time.Duration(i)*50*time.Microsecond+time.Millisecond, cl.next)
-	}
-
-	if opts.SluggishNode > 0 && opts.SluggishNode <= len(cc.Nodes) && opts.SluggishFactor > 1 {
-		net.SetSluggish(cc.Nodes[opts.SluggishNode-1], opts.SluggishFactor)
-	}
-
-	if opts.CrashNode > 0 && opts.CrashNode <= len(cc.Nodes) {
-		victim := cc.Nodes[opts.CrashNode-1]
-		sim.Schedule(opts.CrashAt, func() { net.Crash(victim) })
-		if opts.RecoverAt > opts.CrashAt {
-			sim.Schedule(opts.RecoverAt, func() { net.Recover(victim) })
-		}
-	}
-
-	sim.Run(windowEnd)
-	for _, cl := range clients {
-		cl.stop = true
-	}
-
+	lr := runLoad(&opts, nil)
+	d, leader := lr.d, lr.d.cc.Nodes[0]
 	res := Result{
 		Protocol:   opts.Protocol,
 		N:          opts.N,
 		Clients:    opts.Clients,
-		Throughput: float64(completed.Value()) / opts.Measure.Seconds(),
-		Latency:    hist.Snapshot(),
-		Messages:   net.MessagesSent(),
+		Throughput: float64(lr.acked[0]) / opts.Measure.Seconds(),
+		Latency:    lr.hist.Snapshot(),
+		Messages:   d.net.MessagesSent(),
 	}
 	// Batching metrics come from the leader's decision core; EPaxos has no
 	// leader and reports zeroes.
-	var pstats paxos.Stats
-	switch rep := replicas[leader].(type) {
-	case *paxos.Replica:
-		pstats = rep.Stats()
-	case *pigpaxos.Replica:
-		pstats = rep.Core().Stats()
+	if core := d.groups[0].members[leader].Core; core != nil {
+		pstats := core.Stats()
+		res.MeanBatchSize = pstats.MeanBatchSize()
+		if pstats.Executions > 0 {
+			res.MsgsPerCmd = float64(res.Messages) / float64(pstats.Executions)
+		}
 	}
-	res.MeanBatchSize = pstats.MeanBatchSize()
-	if pstats.Executions > 0 {
-		res.MsgsPerCmd = float64(res.Messages) / float64(pstats.Executions)
-	}
-	wall := windowEnd.Seconds()
-	res.LeaderUtil = net.Endpoint(leader).BusyTotal().Seconds() / wall
+	wall := (opts.Warmup + opts.Measure).Seconds()
+	res.LeaderUtil = d.net.Endpoint(leader).BusyTotal().Seconds() / wall
 	var fsum float64
-	for _, id := range cc.Nodes[1:] {
-		fsum += net.Endpoint(id).BusyTotal().Seconds() / wall
+	for _, id := range d.cc.Nodes[1:] {
+		fsum += d.net.Endpoint(id).BusyTotal().Seconds() / wall
 	}
-	if len(cc.Nodes) > 1 {
-		res.MeanFollowerUtil = fsum / float64(len(cc.Nodes)-1)
+	if len(d.cc.Nodes) > 1 {
+		res.MeanFollowerUtil = fsum / float64(len(d.cc.Nodes)-1)
 	}
-	if series != nil {
-		res.Series = series.Series()
+	if lr.series != nil {
+		res.Series = lr.series.Series()
 	}
 	return res
 }

@@ -12,13 +12,11 @@ import (
 	"fmt"
 	"time"
 
-	"pigpaxos/internal/des"
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
 	"pigpaxos/internal/metrics"
 	"pigpaxos/internal/netsim"
 	"pigpaxos/internal/paxos"
-	"pigpaxos/internal/pigpaxos"
 	"pigpaxos/internal/wire"
 	"pigpaxos/internal/workload"
 )
@@ -231,48 +229,20 @@ func RunOverload(opts OverloadOptions) OverloadResult {
 	if opts.Rate <= 0 {
 		panic(fmt.Sprintf("harness: non-positive overload rate %v", opts.Rate))
 	}
-	sim := des.New(opts.Seed)
-	cc := opts.cluster()
-	net := netsim.New(sim, cc, opts.Net)
-
-	overloadKnobs := func(cfg *paxos.Config) {
+	// EPaxos has no leader ingress queue to bound; the rung runs Paxos, as
+	// it always has.
+	if opts.Protocol == EPaxos {
+		opts.Protocol = Paxos
+	}
+	d := deploy(&opts.Options, nil, func(cfg *paxos.Config) {
 		// paxosBatching lifts the ingress bound for closed-loop capacity
 		// runs; this experiment is the open-loop consumer that wants it.
 		cfg.MaxPending = opts.MaxPending
 		cfg.QueueTTL = opts.QueueTTL
 		cfg.OverloadLatency = opts.OverloadLatency
-	}
-
+	})
+	sim, cc, net := d.sim, d.cc, d.net
 	leader := cc.Nodes[0]
-	replicas := make(map[ids.ID]replica, opts.N)
-	for _, id := range cc.Nodes {
-		tr := &trampoline{}
-		ep := net.Register(id, tr, false)
-		var rep replica
-		switch opts.Protocol {
-		case PigPaxos:
-			cfg := pigpaxos.Config{
-				Paxos:     paxos.Config{Cluster: cc, ID: id, InitialLeader: leader},
-				NumGroups: opts.NumGroups,
-			}
-			opts.paxosBatching(&cfg.Paxos)
-			overloadKnobs(&cfg.Paxos)
-			if opts.MutPig != nil {
-				opts.MutPig(&cfg)
-			}
-			rep = pigpaxos.New(ep, cfg)
-		default: // Paxos; EPaxos has no leader ingress queue to bound
-			cfg := paxos.Config{Cluster: cc, ID: id, InitialLeader: leader}
-			opts.paxosBatching(&cfg)
-			overloadKnobs(&cfg)
-			if opts.MutPaxos != nil {
-				opts.MutPaxos(&cfg)
-			}
-			rep = paxos.New(ep, cfg, nil)
-		}
-		tr.h = rep.OnMessage
-		replicas[id] = rep
-	}
 
 	hist := metrics.NewHistogram()
 	var offered, completed, shed, busy, timeouts metrics.Counter
@@ -303,13 +273,8 @@ func RunOverload(opts OverloadOptions) OverloadResult {
 		clients[i] = cl
 	}
 
-	sim.Schedule(0, func() {
-		for _, id := range cc.Nodes {
-			replicas[id].Start()
-		}
-	})
+	d.start()
 	for i, cl := range clients {
-		cl := cl
 		sim.Schedule(time.Duration(i)*50*time.Microsecond+time.Millisecond, cl.tick)
 	}
 
@@ -334,22 +299,12 @@ func RunOverload(opts OverloadOptions) OverloadResult {
 	sec := opts.Measure.Seconds()
 	res.Goodput = float64(res.Completed) / sec
 	res.OfferedRate = float64(res.Offered) / sec
-	for _, id := range cc.Nodes {
-		var st paxos.Stats
-		switch r := replicas[id].(type) {
-		case *paxos.Replica:
-			st = r.Stats()
-		case *pigpaxos.Replica:
-			st = r.Core().Stats()
-		default:
-			continue
-		}
+	d.coreStats(func(_ *group, _ ids.ID, core *paxos.Replica) {
+		st := core.Stats()
 		res.LeaderBusy += st.Busy
 		res.DroppedExpired += st.DroppedExpired
-		if st.MaxQueueDepth > res.MaxQueueDepth {
-			res.MaxQueueDepth = st.MaxQueueDepth
-		}
-	}
+		res.MaxQueueDepth = max(res.MaxQueueDepth, st.MaxQueueDepth)
+	})
 	return res
 }
 

@@ -14,17 +14,12 @@ import (
 	"time"
 
 	"pigpaxos/internal/chaos"
-	"pigpaxos/internal/config"
-	"pigpaxos/internal/des"
-	"pigpaxos/internal/epaxos"
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
 	"pigpaxos/internal/linearizability"
 	"pigpaxos/internal/metrics"
-	"pigpaxos/internal/netsim"
-	"pigpaxos/internal/node"
 	"pigpaxos/internal/paxos"
-	"pigpaxos/internal/pigpaxos"
+	"pigpaxos/internal/shard"
 	"pigpaxos/internal/wal"
 	"pigpaxos/internal/wire"
 )
@@ -240,168 +235,6 @@ func (r ScenarioResult) String() string {
 		r.Linearizable, r.AllComplete, r.Converged)
 }
 
-// scenClient is a scenario client: a closed-loop client with a fixed script
-// whose every completed operation is recorded into the shared history. On
-// silence it re-sends to the next node round-robin (same ClientID/Seq, so
-// session tables dedup), masking crashed leaders the way a real client
-// library would.
-type scenClient struct {
-	id      uint64
-	ep      *netsim.Endpoint
-	targets []ids.ID
-	rr      int
-	retry   time.Duration // silence timeout before re-sending (0 disables)
-
-	script  []kvstore.Command
-	pos     int
-	seq     uint64
-	started time.Duration
-	timer   node.Timer
-	think   time.Duration
-	// awaiting is true from issue until the op's ack is accepted; replies
-	// arriving outside that window (duplicates of an accepted ack) are
-	// dropped even though c.seq has not advanced yet.
-	awaiting bool
-	done     bool
-
-	hist      *linearizability.History
-	gaps      *metrics.GapTracker
-	lat       *metrics.Histogram
-	inWindow  *metrics.Counter
-	busy      *metrics.Counter
-	warmupEnd time.Duration
-	windowEnd time.Duration
-
-	// rgaps/rlat additionally route this client's acks to its home
-	// region's trackers (nil outside RegionClients runs).
-	rgaps *metrics.GapTracker
-	rlat  *metrics.Histogram
-}
-
-func (c *scenClient) stopTimer() {
-	if c.timer != nil {
-		c.timer.Stop()
-		c.timer = nil
-	}
-}
-
-func (c *scenClient) armRetry() {
-	if c.retry <= 0 {
-		return
-	}
-	seq := c.seq
-	c.timer = c.ep.After(c.retry, func() {
-		if c.done || !c.awaiting || c.seq != seq {
-			return
-		}
-		c.resend()
-		c.armRetry()
-	})
-}
-
-// resend re-issues the current command to the next target round-robin.
-func (c *scenClient) resend() {
-	c.rr++
-	c.ep.Send(c.targets[c.rr%len(c.targets)], wire.Request{Cmd: c.script[c.pos]})
-}
-
-func (c *scenClient) next() {
-	c.stopTimer()
-	if c.pos >= len(c.script) {
-		c.done = true
-		return
-	}
-	cmd := c.script[c.pos]
-	c.seq++
-	cmd.ClientID = c.id
-	cmd.Seq = c.seq
-	c.script[c.pos] = cmd
-	c.started = c.ep.Now()
-	c.awaiting = true
-	c.ep.Send(c.targets[c.rr%len(c.targets)], wire.Request{Cmd: cmd})
-	c.armRetry()
-}
-
-// OnMessage handles replies: acks are recorded, redirects followed, Busy
-// backpressure honored with a paced retry, silence handled by the retry
-// timer.
-func (c *scenClient) OnMessage(from ids.ID, m wire.Msg) {
-	if busy, ok := m.(wire.Busy); ok {
-		if c.done || !c.awaiting || busy.Seq != c.seq {
-			return
-		}
-		c.busy.Inc()
-		// Back off for the hinted interval, then re-issue the same command
-		// at the (still-leading) rejecting node. The retry timer stays armed
-		// as the fallback if the leader changes meanwhile.
-		seq := c.seq
-		c.ep.After(busy.RetryAfter, func() {
-			if c.done || !c.awaiting || c.seq != seq {
-				return
-			}
-			c.ep.Send(busy.Leader, wire.Request{Cmd: c.script[c.pos]})
-		})
-		return
-	}
-	rep, ok := m.(wire.Reply)
-	if !ok || !c.awaiting || rep.Seq != c.seq || c.done {
-		// Stale seq, or a duplicate of an already-accepted ack: faulty
-		// links duplicate replies, and between accepting an ack and the
-		// paced next() call c.seq has not advanced yet — the awaiting flag
-		// is what makes the second copy inert.
-		return
-	}
-	if !rep.OK {
-		if !rep.Leader.IsZero() {
-			// Redirected: aim subsequent sends at the hinted leader.
-			for i, t := range c.targets {
-				if t == rep.Leader {
-					c.rr = i
-					break
-				}
-			}
-			c.ep.Send(rep.Leader, wire.Request{Cmd: c.script[c.pos]})
-		}
-		// No hint: wait for the retry timer rather than hot-loop.
-		return
-	}
-	cmd := c.script[c.pos]
-	now := c.ep.Now()
-	c.awaiting = false
-	op := linearizability.Op{
-		Key:    cmd.Key,
-		Start:  c.started,
-		End:    now,
-		Client: c.id,
-	}
-	if cmd.Op == kvstore.Get {
-		op.Kind = linearizability.Read
-		if rep.Exists {
-			op.Output = string(rep.Value)
-		}
-	} else {
-		op.Kind = linearizability.Write
-		op.Input = string(cmd.Value)
-	}
-	c.hist.Add(op)
-	c.gaps.Record(now)
-	c.lat.Observe(now - c.started)
-	if c.rgaps != nil {
-		c.rgaps.Record(now)
-		c.rlat.Observe(now - c.started)
-	}
-	if now >= c.warmupEnd && now < c.windowEnd {
-		c.inWindow.Inc()
-	}
-	c.pos++
-	c.stopTimer()
-	if c.think > 0 {
-		c.ep.After(c.think, c.next)
-	} else {
-		c.next()
-	}
-}
-
 // scenScript builds client ci's fixed workload: keys assigned round-robin
 // over the probe keyspace by global op index, so each key receives exactly
 // ⌈total/keys⌉ operations (the checker's per-key bound holds by
@@ -423,338 +256,173 @@ func scenScript(ci, ops, keys int) []kvstore.Command {
 	return out
 }
 
-// liveResolver resolves dynamic chaos targets from live protocol state.
-type liveResolver struct {
-	cc       config.Cluster
-	net      *netsim.Network
-	replicas map[ids.ID]replica
+// scenarioRun is what a scenario leaves behind for RunScenario and
+// RunShardedScenario to report from.
+type scenarioRun struct {
+	d        *deployment
+	clients  []*simClient
+	hist     *linearizability.History
+	gaps     *metrics.GapTracker
+	lat      *metrics.Histogram
+	inWindow int
+	// groupGaps tracks each group's availability separately (planned
+	// deployments only): acknowledgements for its keys plus its probe's.
+	groupGaps []*metrics.GapTracker
+	// zones and the region maps break the measurement down by client home
+	// region (RegionClients on a multi-zone cluster only).
+	zones         []int
+	regionGaps    map[int]*metrics.GapTracker
+	regionLat     map[int]*metrics.Histogram
+	regionClients map[int]int
+	storages      map[ids.ID]*wal.MemStorage // durable runs only
+	faultLog      []chaos.Applied
 }
 
-// durableResolver layers reboot and disk-fault capabilities over the live
-// resolver. Only durable deployments get one, so on volatile runs the
-// injector's chaos.Rebooter/DiskFaulter type assertions fail and restart
-// schedules skip deterministically without ever crashing the node.
-type durableResolver struct {
-	*liveResolver
-	env *rebootEnv
-}
-
-// rebootEnv is everything needed to tear a node down and rebuild its
-// protocol stack from persisted state alone.
-type rebootEnv struct {
-	storages map[ids.ID]*wal.MemStorage
-	tramps   map[ids.ID]*trampoline
-	rebuild  func(id ids.ID) replica
-	baseSync time.Duration
-}
-
-// Reboot implements chaos.Rebooter: power-loss semantics (unsynced journal
-// appends dropped, optionally a torn final frame), then a fresh replica
-// recovering from snapshot + WAL tail takes over the node's endpoint.
-func (dr *durableResolver) Reboot(id ids.ID, torn bool) bool {
-	env := dr.env
-	st, tr := env.storages[id], env.tramps[id]
-	if st == nil || tr == nil {
-		return false
+// runScenario is the scenario runner behind RunScenario and
+// RunShardedScenario: paced fixed-script clients recording one shared
+// linearizability history against the deployment the plan selects, under
+// the fault schedule, followed by a drain and a convergence tail.
+func runScenario(opts *ScenarioOptions, plan *shard.Map, sched chaos.Schedule) scenarioRun {
+	sr := scenarioRun{
+		hist: &linearizability.History{}, gaps: &metrics.GapTracker{}, lat: metrics.NewHistogram(),
 	}
-	st.Crash() // whatever was never fsynced is gone
-	if torn {
-		st.TearTail()
-	}
-	// Epoch bump first: timers the old incarnation armed must never fire
-	// into the new one, and the fresh replica's Start() timers must.
-	dr.net.Reboot(id, tr)
-	rep := env.rebuild(id)
-	tr.h = rep.OnMessage
-	dr.replicas[id] = rep
-	rep.Start()
-	return true
-}
-
-// SetDiskSync implements chaos.DiskFaulter. lat <= 0 restores the
-// scenario's baseline fsync cost.
-func (dr *durableResolver) SetDiskSync(id ids.ID, lat time.Duration) {
-	if st := dr.env.storages[id]; st != nil {
-		if lat <= 0 {
-			lat = dr.env.baseSync
-		}
-		st.SetSyncCost(lat)
-	}
-}
-
-// Leader implements chaos.Resolver: the first replica (membership order)
-// that believes it leads. EPaxos is leaderless — every replica is command
-// leader for its own clients — so a leader-targeted fault resolves to the
-// first live replica in membership order: a deterministic "crash a command
-// leader mid-flight", which is exactly what Explicit Prepare recovery must
-// absorb.
-func (lr *liveResolver) Leader() ids.ID {
-	for _, id := range lr.cc.Nodes {
-		switch r := lr.replicas[id].(type) {
-		case *paxos.Replica:
-			if r.IsLeader() {
-				return id
-			}
-		case *pigpaxos.Replica:
-			if r.Core().IsLeader() {
-				return id
-			}
-		case *epaxos.Replica:
-			if !lr.net.Crashed(id) {
-				return id
-			}
-		}
-	}
-	return 0
-}
-
-// Relay implements chaos.Resolver: the relay the current PigPaxos leader
-// last drew for group g, falling back to the group's first member before
-// any fan-out has happened.
-func (lr *liveResolver) Relay(g int) ids.ID {
-	leader := lr.Leader()
-	if leader.IsZero() {
-		return 0
-	}
-	pr, ok := lr.replicas[leader].(*pigpaxos.Replica)
-	if !ok {
-		return 0
-	}
-	if relay := pr.LastRelay(g); !relay.IsZero() {
-		return relay
-	}
-	layout := pr.Layout()
-	if g >= 0 && g < layout.NumGroups() && len(layout.Groups[g]) > 0 {
-		return layout.Groups[g][0]
-	}
-	return 0
-}
-
-// CampaignFrom implements chaos.Placer: the first live replica in the zone
-// (membership order) bids for leadership. EPaxos is leaderless, so placement
-// flips resolve to nobody and are skipped.
-func (lr *liveResolver) CampaignFrom(zone int) ids.ID {
-	for _, id := range lr.cc.Nodes {
-		if lr.cc.ZoneOf(id) != zone || lr.net.Crashed(id) {
-			continue
-		}
-		switch r := lr.replicas[id].(type) {
-		case *paxos.Replica:
-			r.Campaign()
-			return id
-		case *pigpaxos.Replica:
-			r.Core().Campaign()
-			return id
-		}
-	}
-	return 0
-}
-
-// RunScenario executes one protocol run under the fault schedule and returns
-// measurements plus the correctness verdicts. Schedule times are absolute
-// virtual times (the measurement window starts at opts.Warmup).
-func RunScenario(opts ScenarioOptions, sched chaos.Schedule) ScenarioResult {
-	opts.applyDefaults()
-	sim := des.New(opts.Seed)
-	cc := opts.cluster()
-	net := netsim.New(sim, cc, opts.Net)
-
-	leader := cc.Nodes[0]
-	replicas := make(map[ids.ID]replica, opts.N)
-	stores := make(map[ids.ID]*kvstore.Store, opts.N)
-	tramps := make(map[ids.ID]*trampoline, opts.N)
-	endpoints := make(map[ids.ID]*netsim.Endpoint, opts.N)
-	durable := opts.Durable && opts.Protocol != EPaxos
-	var storages map[ids.ID]*wal.MemStorage
+	// Sharded scenarios stay volatile, as they always have: no sharded
+	// schedule restarts nodes from disk.
+	durable := opts.Durable && opts.Protocol != EPaxos && plan == nil
 	if durable {
-		storages = make(map[ids.ID]*wal.MemStorage, opts.N)
-		for _, id := range cc.Nodes {
+		sr.storages = make(map[ids.ID]*wal.MemStorage, opts.N)
+		for _, id := range opts.cluster().Nodes {
 			st := wal.NewMem()
 			st.SetSyncCost(opts.SyncCost)
-			storages[id] = st
+			sr.storages[id] = st
 		}
 	}
-	// build constructs one node's protocol stack. It runs once per node at
-	// boot and again on every chaos Restart — a rebuilt replica gets the
-	// node's surviving storage and nothing else, so recovery is honest. It
-	// refreshes the stores map: convergence checks must read the live
-	// incarnation's state machine, not a dead one's.
-	build := func(id ids.ID) replica {
-		ep := endpoints[id]
-		var rep replica
-		switch opts.Protocol {
-		case Paxos:
-			cfg := paxos.Config{
-				Cluster: cc, ID: id, InitialLeader: leader,
-				ElectionTimeout: opts.ElectionTimeout,
-				RetryTimeout:    100 * time.Millisecond, // mask schedule-injected loss
-			}
-			opts.paxosBatching(&cfg)
-			if durable {
-				cfg.Storage = storages[id]
-				cfg.SnapshotEvery = opts.SnapshotEvery
-			}
-			if opts.MutPaxos != nil {
-				opts.MutPaxos(&cfg)
-			}
-			r := paxos.New(ep, cfg, nil)
-			stores[id] = r.Store()
-			rep = r
-		case PigPaxos:
-			cfg := pigpaxos.Config{
-				Paxos: paxos.Config{
-					Cluster: cc, ID: id, InitialLeader: leader,
-					ElectionTimeout: opts.ElectionTimeout,
-				},
-				NumGroups: opts.NumGroups,
-			}
-			opts.paxosBatching(&cfg.Paxos)
-			if durable {
-				cfg.Paxos.Storage = storages[id]
-				cfg.Paxos.SnapshotEvery = opts.SnapshotEvery
-			}
-			if opts.ZoneGroups {
-				cfg.Strategy = pigpaxos.GroupByZone
-			}
-			if opts.MutPig != nil {
-				opts.MutPig(&cfg)
-			}
-			r := pigpaxos.New(ep, cfg)
-			stores[id] = r.Core().Store()
-			rep = r
-		case EPaxos:
-			cfg := epaxos.Config{Cluster: cc, ID: id}
-			if opts.MutEPaxos != nil {
-				opts.MutEPaxos(&cfg)
-			}
-			r := epaxos.New(ep, cfg)
-			stores[id] = r.Store()
-			rep = r
+	d := deploy(&opts.Options, plan, func(cfg *paxos.Config) {
+		cfg.ElectionTimeout = opts.ElectionTimeout
+		// The core's retransmit timer masks schedule-injected loss. The
+		// unsharded PigPaxos scenario has always left that to the relay
+		// plane's own Figure-5b retry; the sharded one arms both. Kept as
+		// found: every fixed-seed suite replays byte-identically.
+		if plan != nil || opts.Protocol == Paxos {
+			cfg.RetryTimeout = 100 * time.Millisecond
 		}
-		return rep
-	}
-	for _, id := range cc.Nodes {
-		tr := &trampoline{}
-		endpoints[id] = net.Register(id, tr, false)
-		tramps[id] = tr
-		rep := build(id)
-		tr.h = rep.OnMessage
-		replicas[id] = rep
-	}
-
-	hist := &linearizability.History{}
-	gaps := &metrics.GapTracker{}
-	lat := metrics.NewHistogram()
-	var inWindow, busyCount metrics.Counter
+		if durable {
+			cfg.Storage = sr.storages[cfg.ID]
+			cfg.SnapshotEvery = opts.SnapshotEvery
+		}
+	})
+	sr.d = d
 	warmupEnd := opts.Warmup
 	windowEnd := opts.Warmup + opts.Measure
 
+	if plan != nil {
+		for range d.groups {
+			sr.groupGaps = append(sr.groupGaps, &metrics.GapTracker{})
+		}
+	}
 	// Per-region trackers, when clients spread over zones: zones in
 	// ascending order, clients assigned round-robin so every region gets
 	// an equal share (±1).
-	var zones []int
-	regionGaps := map[int]*metrics.GapTracker{}
-	regionLat := map[int]*metrics.Histogram{}
-	regionClients := map[int]int{}
 	if opts.RegionClients {
-		if zs := cc.ZoneList(); len(zs) > 1 {
-			zones = zs
-			for _, z := range zones {
-				regionGaps[z] = &metrics.GapTracker{}
-				regionLat[z] = metrics.NewHistogram()
+		if zs := d.cc.ZoneList(); len(zs) > 1 {
+			sr.zones = zs
+			sr.regionGaps = map[int]*metrics.GapTracker{}
+			sr.regionLat = map[int]*metrics.Histogram{}
+			sr.regionClients = map[int]int{}
+			for _, z := range zs {
+				sr.regionGaps[z] = &metrics.GapTracker{}
+				sr.regionLat[z] = metrics.NewHistogram()
 			}
 		}
 	}
-
-	// EPaxos clients home round-robin over the membership in sorted ID
-	// order, so a dead home replica's pending requests move to the next
-	// live replica deterministically — sorted ID order, never map order.
-	// Leader-based protocols keep membership order, which starts at the
-	// initial leader.
-	targets := cc.Nodes
 	if opts.Protocol == EPaxos {
-		targets = append([]ids.ID(nil), cc.Nodes...)
-		ids.Sort(targets)
+		// EPaxos clients retry over the membership in sorted ID order, so a
+		// dead home replica's pending requests move to the next live replica
+		// deterministically — sorted ID order, never map order.
+		// Leader-based protocols keep membership order, leader first.
+		g := d.groups[0]
+		g.targets = append([]ids.ID(nil), g.Members...)
+		ids.Sort(g.targets)
 	}
 
-	clients := make([]*scenClient, opts.Clients)
-	for i := 0; i < opts.Clients; i++ {
-		cl := &scenClient{
-			id:        uint64(i + 1),
-			script:    scenScript(i, opts.OpsPerClient, opts.ProbeKeys),
-			hist:      hist,
-			gaps:      gaps,
-			lat:       lat,
-			inWindow:  &inWindow,
-			busy:      &busyCount,
-			warmupEnd: warmupEnd,
-			windowEnd: windowEnd,
-			retry:     opts.ClientRetry,
-			think:     opts.ThinkTime,
-			targets:   targets,
+	sr.clients = make([]*simClient, opts.Clients)
+	for i := range sr.clients {
+		home := d.cc.ZoneOf(d.cc.Nodes[0])
+		var rgaps *metrics.GapTracker
+		var rlat *metrics.Histogram
+		if sr.zones != nil {
+			home = sr.zones[i%len(sr.zones)]
+			rgaps, rlat = sr.regionGaps[home], sr.regionLat[home]
+			sr.regionClients[home]++
+		}
+		cl := d.client(uint64(i+1), home, 1000+i)
+		cl.retry, cl.think = opts.ClientRetry, opts.ThinkTime
+		cl.source = scriptSource(scenScript(i, opts.OpsPerClient, opts.ProbeKeys))
+		cl.record = func(tag int, cmd kvstore.Command, rep wire.Reply, started, now time.Duration) {
+			sr.hist.Add(historyOp(cl.id, cmd, rep, started, now))
+			sr.gaps.Record(now)
+			if sr.groupGaps != nil {
+				sr.groupGaps[tag].Record(now)
+			}
+			sr.lat.Observe(now - started)
+			if rgaps != nil {
+				rgaps.Record(now)
+				rlat.Observe(now - started)
+			}
+			if now >= warmupEnd && now < windowEnd {
+				sr.inWindow++
+			}
 		}
 		if opts.Protocol == EPaxos {
-			// Every replica serves in EPaxos: home clients round-robin
-			// over the whole membership (§5.4's client model). Crashed
-			// homes are masked by the retry timer, duplicate admissions by
-			// the replicated session tables.
-			cl.rr = i % len(targets)
+			// Every replica serves in EPaxos: home clients round-robin over
+			// the whole membership (§5.4's client model). Crashed homes are
+			// masked by the retry timer, duplicate admissions by the
+			// replicated session tables.
+			cl.sessions[0].cursor = i % len(cl.sessions[0].targets)
 		}
-		home := cc.ZoneOf(leader)
-		if zones != nil {
-			home = zones[i%len(zones)]
-			cl.rgaps = regionGaps[home]
-			cl.rlat = regionLat[home]
-			regionClients[home]++
-		}
-		cl.ep = net.Register(ids.NewID(home, 1000+i), cl, true)
-		clients[i] = cl
+		sr.clients[i] = cl
 	}
 
-	var resolver chaos.Resolver = &liveResolver{cc: cc, net: net, replicas: replicas}
+	// One availability probe per group of a planned deployment: a closed-loop
+	// client issuing paced reads on keys that group owns, above the scripted
+	// keyspace, at a cadence well under the stall threshold. Scripted clients
+	// are closed-loop ACROSS groups — one stuck on a crashed shard stops
+	// offering load to healthy shards, which would read as a stall there.
+	// Probes decouple the measurement: a group's GapTracker goes silent only
+	// when the group itself cannot serve. Probe reads go through the log like
+	// any command (so they measure commit availability), but stay out of the
+	// latency histogram, throughput counters and linearizability history —
+	// they are measurement, not workload.
+	var probes []*simClient
+	for k := range sr.groupGaps {
+		keys, ki := probeKeys(d.router, k, 8, uint64(opts.ProbeKeys)), 0
+		pr := d.client(uint64(opts.Clients+1+k), d.cc.ZoneOf(d.cc.Nodes[0]), 2000+k)
+		pr.retry, pr.think = opts.ClientRetry, 25*time.Millisecond
+		pr.source = func(bool) (kvstore.Command, bool) {
+			key := keys[ki%len(keys)]
+			ki++
+			return kvstore.Command{Op: kvstore.Get, Key: key}, true
+		}
+		pr.record = func(tag int, _ kvstore.Command, _ wire.Reply, _, now time.Duration) {
+			sr.groupGaps[tag].Record(now)
+		}
+		probes = append(probes, pr)
+	}
+
+	var res chaos.Resolver = resolver{d}
 	if durable {
-		resolver = &durableResolver{
-			liveResolver: resolver.(*liveResolver),
-			env: &rebootEnv{
-				storages: storages,
-				tramps:   tramps,
-				rebuild:  build,
-				baseSync: opts.SyncCost,
-			},
-		}
+		res = durableResolver{resolver{d}, sr.storages, opts.SyncCost}
 	}
-	injector := chaos.Apply(sim, net, sched, resolver)
+	injector := chaos.Apply(d.sim, d.net, sched, res)
+	d.start()
+	d.launch(sr.clients, 50*time.Microsecond)
+	d.launch(probes, 75*time.Microsecond)
 
-	sim.Schedule(0, func() {
-		for _, id := range cc.Nodes {
-			replicas[id].Start()
-		}
-	})
-	for i, cl := range clients {
-		cl := cl
-		sim.Schedule(time.Duration(i)*50*time.Microsecond+time.Millisecond, cl.next)
-	}
-
-	sim.Run(windowEnd)
+	d.sim.Run(windowEnd)
 	// Drain: give scripts and convergence (watermarks, catch-up) time to
 	// finish, in slices so a finished run stops early.
-	drainEnd := windowEnd + opts.Drain
-	for sim.Now() < drainEnd {
-		allDone := true
-		for _, cl := range clients {
-			if !cl.done {
-				allDone = false
-				break
-			}
-		}
-		if allDone {
-			break
-		}
-		next := sim.Now() + 100*time.Millisecond
-		if next > drainEnd {
-			next = drainEnd
-		}
-		sim.Run(next)
+	for drainEnd := windowEnd + opts.Drain; d.sim.Now() < drainEnd && !sr.allDone(); {
+		d.sim.Run(min(d.sim.Now()+100*time.Millisecond, drainEnd))
 	}
 	// Converge tail: heartbeat watermarks, catch-up replies and EPaxos
 	// commit-floor anti-entropy flush. Runs that are already converged
@@ -762,111 +430,96 @@ func RunScenario(opts ScenarioOptions, sched chaos.Schedule) ScenarioResult {
 	// behavior); stragglers get extra slices while the recovery machinery
 	// — whose WAN-scale periods exceed half a second — finishes teaching
 	// them, bounded by an additional budget.
-	converged := func() bool {
-		first := stores[cc.Nodes[0]]
-		for _, id := range cc.Nodes[1:] {
-			st := stores[id]
-			if st.Checksum() != first.Checksum() || st.Applied() != first.Applied() {
-				return false
-			}
-		}
-		for _, id := range cc.Nodes {
-			if er, ok := replicas[id].(*epaxos.Replica); ok && er.Unexecuted() > 0 {
-				return false
-			}
-		}
-		return true
+	d.sim.Run(d.sim.Now() + 500*time.Millisecond)
+	for end := d.sim.Now() + 4*time.Second; d.sim.Now() < end && !sr.converged(); {
+		d.sim.Run(d.sim.Now() + 250*time.Millisecond)
 	}
-	sim.Run(sim.Now() + 500*time.Millisecond)
-	for end := sim.Now() + 4*time.Second; sim.Now() < end && !converged(); {
-		sim.Run(sim.Now() + 250*time.Millisecond)
-	}
+	sr.faultLog = injector.Log()
+	return sr
+}
 
-	res := ScenarioResult{
-		Protocol:   opts.Protocol,
-		N:          opts.N,
-		Clients:    opts.Clients,
-		Acked:      gaps.Count(),
-		Throughput: float64(inWindow.Value()) / opts.Measure.Seconds(),
-		Busy:       int(busyCount.Value()),
-		Latency:    lat.Snapshot(),
-		Messages:   net.MessagesSent(),
-		Delivered:  net.MessagesDelivered(),
-		Dropped:    net.MessagesDropped(),
-		FaultLog:   injector.Log(),
+// allDone reports that every scripted client finished its script.
+func (sr *scenarioRun) allDone() bool {
+	for _, cl := range sr.clients {
+		if !cl.done {
+			return false
+		}
 	}
-	res.GapStart, res.AvailabilityGap = gaps.MaxGap()
-	for _, z := range zones {
+	return true
+}
+
+// converged reports that every group's members ended bit-identical and no
+// EPaxos instance is left unexecuted.
+func (sr *scenarioRun) converged() bool {
+	for _, g := range sr.d.groups {
+		if !g.converged() || g.unexecuted() > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// RunScenario executes one protocol run under the fault schedule and returns
+// measurements plus the correctness verdicts. Schedule times are absolute
+// virtual times (the measurement window starts at opts.Warmup).
+func RunScenario(opts ScenarioOptions, sched chaos.Schedule) ScenarioResult {
+	opts.applyDefaults()
+	sr := runScenario(&opts, nil, sched)
+	d, g := sr.d, sr.d.groups[0]
+	res := ScenarioResult{
+		Protocol:    opts.Protocol,
+		N:           opts.N,
+		Clients:     opts.Clients,
+		Acked:       sr.gaps.Count(),
+		Throughput:  float64(sr.inWindow) / opts.Measure.Seconds(),
+		Latency:     sr.lat.Snapshot(),
+		Messages:    d.net.MessagesSent(),
+		Delivered:   d.net.MessagesDelivered(),
+		Dropped:     d.net.MessagesDropped(),
+		FaultLog:    sr.faultLog,
+		AllComplete: sr.allDone(),
+		Converged:   g.converged(),
+		Unrecovered: g.unexecuted(),
+	}
+	for _, cl := range sr.clients {
+		res.Busy += cl.rejected
+	}
+	res.GapStart, res.AvailabilityGap = sr.gaps.MaxGap()
+	for _, z := range sr.zones {
 		rr := RegionResult{
 			Zone:    z,
-			Clients: regionClients[z],
-			Acked:   regionGaps[z].Count(),
-			Latency: regionLat[z].Snapshot(),
-			Stalls:  regionGaps[z].GapsOver(regionStallThreshold),
+			Clients: sr.regionClients[z],
+			Acked:   sr.regionGaps[z].Count(),
+			Latency: sr.regionLat[z].Snapshot(),
+			Stalls:  sr.regionGaps[z].GapsOver(regionStallThreshold),
 		}
-		rr.GapStart, rr.AvailabilityGap = regionGaps[z].MaxGap()
+		rr.GapStart, rr.AvailabilityGap = sr.regionGaps[z].MaxGap()
 		res.Regions = append(res.Regions, rr)
 	}
 	if len(sched) > 0 {
 		res.FirstFaultAt = sched.FirstFaultAt()
-		if at, ok := gaps.FirstAfter(res.FirstFaultAt); ok {
+		if at, ok := sr.gaps.FirstAfter(res.FirstFaultAt); ok {
 			res.RecoveryLatency = at - res.FirstFaultAt
 		}
 	}
-	res.AllComplete = true
-	for _, cl := range clients {
-		if !cl.done {
-			res.AllComplete = false
-		}
-	}
-	res.Converged = true
-	first := stores[cc.Nodes[0]]
-	for _, id := range cc.Nodes[1:] {
-		st := stores[id]
-		if st.Checksum() != first.Checksum() || st.Applied() != first.Applied() {
-			res.Converged = false
-		}
-	}
-	for _, id := range cc.Nodes {
-		if er, ok := replicas[id].(*epaxos.Replica); ok {
-			res.Unrecovered += er.Unexecuted()
-		}
-	}
-	for _, id := range cc.Nodes {
-		var st paxos.Stats
-		var logLen int
-		switch r := replicas[id].(type) {
-		case *paxos.Replica:
-			st = r.Stats()
-			logLen = r.Log().Len()
-		case *pigpaxos.Replica:
-			st = r.Core().Stats()
-			logLen = r.Core().Log().Len()
-		default:
-			continue
-		}
+	d.coreStats(func(_ *group, id ids.ID, core *paxos.Replica) {
+		st := core.Stats()
 		res.WALSyncs += st.WALSyncs
 		res.Snapshots += st.Snapshots
 		res.SnapRestores += st.SnapRestores
 		res.DroppedExpired += st.DroppedExpired
-		if st.MaxQueueDepth > res.MaxQueueDepth {
-			res.MaxQueueDepth = st.MaxQueueDepth
+		res.MaxQueueDepth = max(res.MaxQueueDepth, st.MaxQueueDepth)
+		res.MaxLogLen = max(res.MaxLogLen, core.Log().Len())
+		if journal := sr.storages[id]; journal != nil {
+			res.MaxWALBytes = max(res.MaxWALBytes, journal.Bytes())
 		}
-		if logLen > res.MaxLogLen {
-			res.MaxLogLen = logLen
-		}
-		if durable {
-			if b := storages[id].Bytes(); b > res.MaxWALBytes {
-				res.MaxWALBytes = b
-			}
-		}
-	}
+	})
 	for _, a := range res.FaultLog {
 		if a.Kind == chaos.Reboot {
 			res.Reboots++
 		}
 	}
-	lin := hist.Check()
+	lin := sr.hist.Check()
 	res.Linearizable = lin.OK
 	res.LinBadKey = lin.BadKey
 	res.LinChecked = lin.Checked

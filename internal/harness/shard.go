@@ -4,11 +4,10 @@
 // itself cannot (§7's scalability discussion: relay fan-out removes the
 // leader's communication bottleneck, sharding removes the sequencing one).
 //
-// Every physical node keeps ONE netsim endpoint and ONE event loop; each
-// shard's replica runs under a shard.Wrap context so its traffic rides
-// Sharded envelopes, and a shard.Dispatcher demultiplexes inbound messages.
-// The shards therefore share the DES clock and each node's virtual CPU:
-// multiplexing is paid for honestly in the cost model.
+// Sharded runs are the planned case of the same deployment, clients and
+// runners the unsharded entry points use (deploy.go, client.go): each
+// shard's replicas run under a shard.Wrap context so their traffic rides
+// Sharded envelopes, demultiplexed by the per-node shard.Dispatcher.
 package harness
 
 import (
@@ -16,18 +15,9 @@ import (
 
 	"pigpaxos/internal/chaos"
 	"pigpaxos/internal/config"
-	"pigpaxos/internal/des"
 	"pigpaxos/internal/ids"
-	"pigpaxos/internal/kvstore"
-	"pigpaxos/internal/linearizability"
 	"pigpaxos/internal/metrics"
-	"pigpaxos/internal/netsim"
-	"pigpaxos/internal/node"
-	"pigpaxos/internal/paxos"
-	"pigpaxos/internal/pigpaxos"
 	"pigpaxos/internal/shard"
-	"pigpaxos/internal/wire"
-	"pigpaxos/internal/workload"
 )
 
 // ShardedOptions parameterize a sharded run. The embedded ScenarioOptions
@@ -71,180 +61,6 @@ func (o *ShardedOptions) plan(cc config.Cluster) shard.Map {
 	return shard.Plan(cc, o.Shards, o.ShardSize)
 }
 
-// subCluster restricts cc to one shard's membership, keeping the topology.
-func subCluster(cc config.Cluster, members []ids.ID) config.Cluster {
-	return config.Cluster{
-		Nodes:   append([]ids.ID(nil), members...),
-		Zones:   cc.Zones,
-		Latency: cc.Latency,
-		Addrs:   cc.Addrs,
-	}
-}
-
-// shardedReplicas builds the full replica matrix: per shard, per member, one
-// protocol instance running under a shard-tagged context, demultiplexed by a
-// per-node Dispatcher installed as the node's single wire handler. Sharded
-// runs support the leader-based protocols (Paxos, PigPaxos); EPaxos'
-// leaderless instance space is orthogonal to key-space sharding.
-func shardedReplicas(
-	opts *ShardedOptions, net *netsim.Network, cc config.Cluster, plan shard.Map,
-	scenario bool,
-) (replicas []map[ids.ID]replica, stores []map[ids.ID]*kvstore.Store) {
-	if opts.Protocol != Paxos && opts.Protocol != PigPaxos {
-		panic("harness: sharded runs support Paxos and PigPaxos")
-	}
-	dispatchers := make(map[ids.ID]*shard.Dispatcher, len(cc.Nodes))
-	endpoints := make(map[ids.ID]*netsim.Endpoint, len(cc.Nodes))
-	for _, id := range cc.Nodes {
-		d := shard.NewDispatcher(plan.NumShards())
-		dispatchers[id] = d
-		endpoints[id] = net.Register(id, d, false)
-	}
-	replicas = make([]map[ids.ID]replica, plan.NumShards())
-	stores = make([]map[ids.ID]*kvstore.Store, plan.NumShards())
-	for k, desc := range plan.Shards {
-		replicas[k] = make(map[ids.ID]replica, len(desc.Members))
-		stores[k] = make(map[ids.ID]*kvstore.Store, len(desc.Members))
-		sub := subCluster(cc, desc.Members)
-		for _, id := range desc.Members {
-			ctx := shard.Wrap(endpoints[id], k)
-			pcfg := paxos.Config{Cluster: sub, ID: id, InitialLeader: desc.Leader}
-			if scenario {
-				pcfg.ElectionTimeout = opts.ElectionTimeout
-				pcfg.RetryTimeout = 100 * time.Millisecond
-			}
-			opts.paxosBatching(&pcfg)
-			var rep replica
-			var st *kvstore.Store
-			switch opts.Protocol {
-			case Paxos:
-				if opts.MutPaxos != nil {
-					opts.MutPaxos(&pcfg)
-				}
-				r := paxos.New(ctx, pcfg, nil)
-				rep, st = r, r.Store()
-			case PigPaxos:
-				// Clamp the relay fan-out to the sub-group: r relay groups
-				// need at least r followers.
-				ng := opts.NumGroups
-				if max := len(desc.Members) - 1; ng > max {
-					ng = max
-				}
-				if ng < 1 {
-					ng = 1
-				}
-				cfg := pigpaxos.Config{Paxos: pcfg, NumGroups: ng}
-				if opts.ZoneGroups {
-					cfg.Strategy = pigpaxos.GroupByZone
-				}
-				if opts.MutPig != nil {
-					opts.MutPig(&cfg)
-				}
-				r := pigpaxos.New(ctx, cfg)
-				rep, st = r, r.Core().Store()
-			}
-			dispatchers[id].Register(k, &trampoline{h: rep.OnMessage})
-			replicas[k][id] = rep
-			stores[k][id] = st
-		}
-	}
-	return replicas, stores
-}
-
-// startSharded schedules every replica's start at t=0 in (shard, membership)
-// order — map iteration would leak scheduling nondeterminism.
-func startSharded(sim *des.Sim, plan shard.Map, replicas []map[ids.ID]replica) {
-	sim.Schedule(0, func() {
-		for k, desc := range plan.Shards {
-			for _, id := range desc.Members {
-				replicas[k][id].Start()
-			}
-		}
-	})
-}
-
-// unwrapReply extracts a Reply from a possibly shard-tagged message,
-// reporting which shard carried it (0 for untagged).
-func unwrapReply(m wire.Msg) (wire.Reply, int, bool) {
-	switch sm := m.(type) {
-	case *wire.Sharded:
-		m = sm.Inner
-		if rep, ok := m.(wire.Reply); ok {
-			return rep, int(sm.Shard), true
-		}
-	case wire.Sharded:
-		m = sm.Inner
-		if rep, ok := m.(wire.Reply); ok {
-			return rep, int(sm.Shard), true
-		}
-	default:
-		if rep, ok := m.(wire.Reply); ok {
-			return rep, 0, true
-		}
-	}
-	return wire.Reply{}, 0, false
-}
-
-// shardClient is the closed-loop benchmark client of a sharded run: one
-// request in flight, each routed by key to its shard's leader, with one
-// at-most-once session (independent sequence counter) per shard.
-type shardClient struct {
-	id      uint64
-	ep      *netsim.Endpoint
-	gen     *workload.Generator
-	plan    shard.Map
-	leaders []ids.ID // believed leader per shard, updated by redirects
-	seqs    []uint64
-
-	cur      kvstore.Command
-	curShard int
-	issuedAt time.Duration
-
-	hist       *metrics.Histogram
-	completed  *metrics.Counter
-	shardAcked []metrics.Counter
-	warmupEnd  time.Duration
-	windowEnd  time.Duration
-	stop       bool
-}
-
-func (c *shardClient) next() {
-	if c.stop {
-		return
-	}
-	cmd := c.gen.Next(c.id, 0)
-	k := c.plan.Router.Shard(cmd.Key)
-	c.seqs[k]++
-	cmd.Seq = c.seqs[k]
-	c.cur, c.curShard = cmd, k
-	c.issuedAt = c.ep.Now()
-	c.ep.Send(c.leaders[k], wire.Sharded{Shard: uint16(k), Inner: wire.Request{Cmd: cmd}})
-}
-
-// OnMessage handles shard-tagged replies and redirects.
-func (c *shardClient) OnMessage(from ids.ID, m wire.Msg) {
-	rep, k, ok := unwrapReply(m)
-	if !ok || k != c.curShard || rep.Seq != c.cur.Seq {
-		return
-	}
-	if !rep.OK {
-		if !rep.Leader.IsZero() {
-			c.leaders[k] = rep.Leader
-			c.ep.Send(rep.Leader, wire.Sharded{Shard: uint16(k), Inner: wire.Request{Cmd: c.cur}})
-			return
-		}
-		c.next()
-		return
-	}
-	now := c.ep.Now()
-	if now >= c.warmupEnd && now < c.windowEnd {
-		c.hist.Observe(now - c.issuedAt)
-		c.completed.Inc()
-		c.shardAcked[k].Inc()
-	}
-	c.next()
-}
-
 // ShardLoad is one shard's slice of a sharded throughput run.
 type ShardLoad struct {
 	Shard int
@@ -278,295 +94,30 @@ type ShardedResult struct {
 // fixed offered load).
 func RunSharded(opts ShardedOptions) ShardedResult {
 	opts.applyDefaults()
-	sim := des.New(opts.Seed)
-	cc := opts.cluster()
-	net := netsim.New(sim, cc, opts.Net)
-	plan := opts.plan(cc)
-
-	replicas, _ := shardedReplicas(&opts, net, cc, plan, false)
-	_ = replicas
-
-	hist := metrics.NewHistogram()
-	var completed metrics.Counter
-	shardAcked := make([]metrics.Counter, plan.NumShards())
-	warmupEnd := opts.Warmup
-	windowEnd := opts.Warmup + opts.Measure
-
-	leaders := plan.Leaders()
-	clients := make([]*shardClient, opts.Clients)
-	for i := 0; i < opts.Clients; i++ {
-		cl := &shardClient{
-			id:         uint64(i + 1),
-			gen:        workload.New(opts.Workload, sim.Rand()),
-			plan:       plan,
-			leaders:    append([]ids.ID(nil), leaders...),
-			seqs:       make([]uint64, plan.NumShards()),
-			hist:       hist,
-			completed:  &completed,
-			shardAcked: shardAcked,
-			warmupEnd:  warmupEnd,
-			windowEnd:  windowEnd,
-		}
-		cl.ep = net.Register(ids.NewID(cc.ZoneOf(cc.Nodes[0]), 1000+i), cl, true)
-		clients[i] = cl
-	}
-
-	startSharded(sim, plan, replicas)
-	for i, cl := range clients {
-		cl := cl
-		sim.Schedule(time.Duration(i)*50*time.Microsecond+time.Millisecond, cl.next)
-	}
-	sim.Run(windowEnd)
-	for _, cl := range clients {
-		cl.stop = true
-	}
-
+	plan := opts.plan(opts.cluster())
+	lr := runLoad(&opts.Options, &plan)
 	res := ShardedResult{
-		Protocol:   opts.Protocol,
-		N:          opts.N,
-		Shards:     plan.NumShards(),
-		Clients:    opts.Clients,
-		Throughput: float64(completed.Value()) / opts.Measure.Seconds(),
-		Latency:    hist.Snapshot(),
-		Messages:   net.MessagesSent(),
+		Protocol: opts.Protocol,
+		N:        opts.N,
+		Shards:   plan.NumShards(),
+		Clients:  opts.Clients,
+		Latency:  lr.hist.Snapshot(),
+		Messages: lr.d.net.MessagesSent(),
 	}
-	wall := windowEnd.Seconds()
+	wall := (opts.Warmup + opts.Measure).Seconds()
+	total := 0
 	for k, desc := range plan.Shards {
-		acked := int(shardAcked[k].Value())
+		total += lr.acked[k]
 		res.PerShard = append(res.PerShard, ShardLoad{
 			Shard:      k,
 			Leader:     desc.Leader,
-			Acked:      acked,
-			Throughput: float64(acked) / opts.Measure.Seconds(),
-			LeaderUtil: net.Endpoint(desc.Leader).BusyTotal().Seconds() / wall,
+			Acked:      lr.acked[k],
+			Throughput: float64(lr.acked[k]) / opts.Measure.Seconds(),
+			LeaderUtil: lr.d.net.Endpoint(desc.Leader).BusyTotal().Seconds() / wall,
 		})
 	}
+	res.Throughput = float64(total) / opts.Measure.Seconds()
 	return res
-}
-
-// shardScenClient is the scenario client of a sharded run: a fixed recorded
-// script whose operations route by key, with per-shard sessions, per-shard
-// retry targets (the shard's members, leader first) and per-shard
-// availability tracking.
-type shardScenClient struct {
-	id      uint64
-	ep      *netsim.Endpoint
-	plan    shard.Map
-	targets [][]ids.ID // per shard, leader first
-	rr      []int      // per-shard target cursor
-	retry   time.Duration
-
-	script   []kvstore.Command
-	opShard  []int // per-op shard, precomputed
-	pos      int
-	seqs     []uint64
-	started  time.Duration
-	timer    node.Timer
-	think    time.Duration
-	awaiting bool
-	done     bool
-
-	hist      *linearizability.History
-	gaps      *metrics.GapTracker
-	shardGaps []*metrics.GapTracker
-	lat       *metrics.Histogram
-	inWindow  *metrics.Counter
-	warmupEnd time.Duration
-	windowEnd time.Duration
-}
-
-func (c *shardScenClient) stopTimer() {
-	if c.timer != nil {
-		c.timer.Stop()
-		c.timer = nil
-	}
-}
-
-func (c *shardScenClient) send(k int) {
-	to := c.targets[k][c.rr[k]%len(c.targets[k])]
-	c.ep.Send(to, wire.Sharded{Shard: uint16(k), Inner: wire.Request{Cmd: c.script[c.pos]}})
-}
-
-func (c *shardScenClient) armRetry() {
-	if c.retry <= 0 {
-		return
-	}
-	pos := c.pos
-	c.timer = c.ep.After(c.retry, func() {
-		if c.done || !c.awaiting || c.pos != pos {
-			return
-		}
-		k := c.opShard[c.pos]
-		c.rr[k]++
-		c.send(k)
-		c.armRetry()
-	})
-}
-
-func (c *shardScenClient) next() {
-	c.stopTimer()
-	if c.pos >= len(c.script) {
-		c.done = true
-		return
-	}
-	k := c.opShard[c.pos]
-	cmd := c.script[c.pos]
-	c.seqs[k]++
-	cmd.ClientID = c.id
-	cmd.Seq = c.seqs[k]
-	c.script[c.pos] = cmd
-	c.started = c.ep.Now()
-	c.awaiting = true
-	c.send(k)
-	c.armRetry()
-}
-
-// OnMessage handles shard-tagged replies: acks recorded into the shared
-// history and the op's shard trackers, redirects re-aimed within the shard,
-// silence left to the retry timer.
-func (c *shardScenClient) OnMessage(from ids.ID, m wire.Msg) {
-	if c.done || !c.awaiting || c.pos >= len(c.script) {
-		return
-	}
-	k := c.opShard[c.pos]
-	rep, repShard, ok := unwrapReply(m)
-	if !ok || repShard != k || rep.Seq != c.seqs[k] {
-		return
-	}
-	if !rep.OK {
-		if !rep.Leader.IsZero() {
-			for i, t := range c.targets[k] {
-				if t == rep.Leader {
-					c.rr[k] = i
-					break
-				}
-			}
-			c.ep.Send(rep.Leader, wire.Sharded{Shard: uint16(k), Inner: wire.Request{Cmd: c.script[c.pos]}})
-		}
-		return
-	}
-	cmd := c.script[c.pos]
-	now := c.ep.Now()
-	c.awaiting = false
-	op := linearizability.Op{
-		Key:    cmd.Key,
-		Start:  c.started,
-		End:    now,
-		Client: c.id,
-	}
-	if cmd.Op == kvstore.Get {
-		op.Kind = linearizability.Read
-		if rep.Exists {
-			op.Output = string(rep.Value)
-		}
-	} else {
-		op.Kind = linearizability.Write
-		op.Input = string(cmd.Value)
-	}
-	c.hist.Add(op)
-	c.gaps.Record(now)
-	c.shardGaps[k].Record(now)
-	c.lat.Observe(now - c.started)
-	if now >= c.warmupEnd && now < c.windowEnd {
-		c.inWindow.Inc()
-	}
-	c.pos++
-	c.stopTimer()
-	if c.think > 0 {
-		c.ep.After(c.think, c.next)
-	} else {
-		c.next()
-	}
-}
-
-// shardProbe is a per-shard availability probe: one closed-loop client per
-// shard issuing paced reads on keys that shard owns. Scripted clients are
-// closed-loop ACROSS shards — one stuck on a crashed shard stops offering
-// load to healthy shards, which would read as a stall there. Probes decouple
-// the measurement: a shard's GapTracker goes silent only when the shard
-// itself cannot serve. Probe reads go through the log like any command (so
-// they measure commit availability), but stay out of the latency histogram,
-// throughput counters and linearizability history — they are measurement,
-// not workload.
-type shardProbe struct {
-	id       uint64
-	ep       *netsim.Endpoint
-	shardIdx int
-	keys     []uint64 // rotation of probe keys this shard owns
-	ki       int
-	seq      uint64
-	targets  []ids.ID
-	rr       int
-	retry    time.Duration
-	interval time.Duration
-	gaps     *metrics.GapTracker
-
-	cur      kvstore.Command
-	awaiting bool
-	timer    node.Timer
-}
-
-func (p *shardProbe) stopTimer() {
-	if p.timer != nil {
-		p.timer.Stop()
-		p.timer = nil
-	}
-}
-
-func (p *shardProbe) send() {
-	to := p.targets[p.rr%len(p.targets)]
-	p.ep.Send(to, wire.Sharded{Shard: uint16(p.shardIdx), Inner: wire.Request{Cmd: p.cur}})
-}
-
-func (p *shardProbe) armRetry() {
-	if p.retry <= 0 {
-		return
-	}
-	seq := p.seq
-	p.timer = p.ep.After(p.retry, func() {
-		if !p.awaiting || p.seq != seq {
-			return
-		}
-		p.rr++
-		p.send()
-		p.armRetry()
-	})
-}
-
-func (p *shardProbe) next() {
-	p.stopTimer()
-	p.seq++
-	p.cur = kvstore.Command{
-		Op: kvstore.Get, Key: p.keys[p.ki%len(p.keys)],
-		ClientID: p.id, Seq: p.seq,
-	}
-	p.ki++
-	p.awaiting = true
-	p.send()
-	p.armRetry()
-}
-
-func (p *shardProbe) OnMessage(from ids.ID, m wire.Msg) {
-	rep, k, ok := unwrapReply(m)
-	if !ok || k != p.shardIdx || rep.Seq != p.seq || !p.awaiting {
-		return
-	}
-	if !rep.OK {
-		if !rep.Leader.IsZero() {
-			for i, t := range p.targets {
-				if t == rep.Leader {
-					p.rr = i
-					break
-				}
-			}
-			p.send()
-		}
-		return
-	}
-	p.awaiting = false
-	p.gaps.Record(p.ep.Now())
-	p.stopTimer()
-	p.ep.After(p.interval, p.next)
 }
 
 // probeKeys picks n keys the router assigns to shard k, scanning upward from
@@ -579,92 +130,6 @@ func probeKeys(r shard.Router, k, n int, from uint64) []uint64 {
 		}
 	}
 	return out
-}
-
-// shardResolver resolves chaos targets against live per-shard state. It
-// implements chaos.Resolver/Placer (shard 0 stands in for "the" leader) plus
-// the ShardResolver/ShardPlacer extensions.
-type shardResolver struct {
-	cc       config.Cluster
-	plan     shard.Map
-	net      *netsim.Network
-	replicas []map[ids.ID]replica
-}
-
-// ShardLeader implements chaos.ShardResolver: the first member (membership
-// order) whose shard-k replica believes it leads.
-func (sr *shardResolver) ShardLeader(k int) ids.ID {
-	if k < 0 || k >= len(sr.plan.Shards) {
-		return 0
-	}
-	for _, id := range sr.plan.Shards[k].Members {
-		switch r := sr.replicas[k][id].(type) {
-		case *paxos.Replica:
-			if r.IsLeader() {
-				return id
-			}
-		case *pigpaxos.Replica:
-			if r.Core().IsLeader() {
-				return id
-			}
-		}
-	}
-	return 0
-}
-
-// Leader implements chaos.Resolver as shard 0's leader.
-func (sr *shardResolver) Leader() ids.ID { return sr.ShardLeader(0) }
-
-// Relay implements chaos.Resolver against shard 0's relay plane.
-func (sr *shardResolver) Relay(g int) ids.ID {
-	leader := sr.ShardLeader(0)
-	if leader.IsZero() {
-		return 0
-	}
-	pr, ok := sr.replicas[0][leader].(*pigpaxos.Replica)
-	if !ok {
-		return 0
-	}
-	if relay := pr.LastRelay(g); !relay.IsZero() {
-		return relay
-	}
-	layout := pr.Layout()
-	if g >= 0 && g < layout.NumGroups() && len(layout.Groups[g]) > 0 {
-		return layout.Groups[g][0]
-	}
-	return 0
-}
-
-// CampaignShardFrom implements chaos.ShardPlacer: the first live non-leader
-// member of shard k in the zone (zone 0 = any) campaigns for that shard's
-// leadership.
-func (sr *shardResolver) CampaignShardFrom(k, zone int) ids.ID {
-	if k < 0 || k >= len(sr.plan.Shards) {
-		return 0
-	}
-	cur := sr.ShardLeader(k)
-	for _, id := range sr.plan.Shards[k].Members {
-		if id == cur || sr.net.Crashed(id) {
-			continue
-		}
-		if zone != 0 && sr.cc.ZoneOf(id) != zone {
-			continue
-		}
-		switch r := sr.replicas[k][id].(type) {
-		case *paxos.Replica:
-			r.Campaign()
-			return id
-		case *pigpaxos.Replica:
-			r.Core().Campaign()
-			return id
-		}
-	}
-	return 0
-}
-
-// CampaignFrom implements chaos.Placer against shard 0.
-func (sr *shardResolver) CampaignFrom(zone int) ids.ID {
-	return sr.CampaignShardFrom(0, zone)
 }
 
 // ShardSlice is one shard's slice of a sharded scenario: what service looked
@@ -724,177 +189,41 @@ type ShardedScenarioResult struct {
 // RunShardedScenario executes a sharded run under a chaos schedule: scripted
 // clients route by key across S groups, every completed operation lands in
 // one shared linearizability history, and each shard's availability is
-// tracked separately so fault blast radius is measurable per shard.
+// tracked separately (its keys' acknowledgements plus a dedicated probe) so
+// fault blast radius is measurable per shard.
 func RunShardedScenario(opts ShardedOptions, sched chaos.Schedule) ShardedScenarioResult {
 	opts.applyDefaults()
-	sim := des.New(opts.Seed)
-	cc := opts.cluster()
-	net := netsim.New(sim, cc, opts.Net)
-	plan := opts.plan(cc)
-
-	replicas, stores := shardedReplicas(&opts, net, cc, plan, true)
-
-	hist := &linearizability.History{}
-	gaps := &metrics.GapTracker{}
-	lat := metrics.NewHistogram()
-	var inWindow metrics.Counter
-	shardGaps := make([]*metrics.GapTracker, plan.NumShards())
-	for k := range shardGaps {
-		shardGaps[k] = &metrics.GapTracker{}
-	}
-	warmupEnd := opts.Warmup
-	windowEnd := opts.Warmup + opts.Measure
-
-	// Per-shard retry targets: members with the planned leader first, the
-	// rest in membership order.
-	targets := make([][]ids.ID, plan.NumShards())
-	for k, desc := range plan.Shards {
-		targets[k] = append(targets[k], desc.Leader)
-		for _, id := range desc.Members {
-			if id != desc.Leader {
-				targets[k] = append(targets[k], id)
-			}
-		}
-	}
-
-	clients := make([]*shardScenClient, opts.Clients)
-	for i := 0; i < opts.Clients; i++ {
-		script := scenScript(i, opts.OpsPerClient, opts.ProbeKeys)
-		opShard := make([]int, len(script))
-		for j, cmd := range script {
-			opShard[j] = plan.Router.Shard(cmd.Key)
-		}
-		cl := &shardScenClient{
-			id:        uint64(i + 1),
-			plan:      plan,
-			targets:   targets,
-			rr:        make([]int, plan.NumShards()),
-			retry:     opts.ClientRetry,
-			script:    script,
-			opShard:   opShard,
-			seqs:      make([]uint64, plan.NumShards()),
-			think:     opts.ThinkTime,
-			hist:      hist,
-			gaps:      gaps,
-			shardGaps: shardGaps,
-			lat:       lat,
-			inWindow:  &inWindow,
-			warmupEnd: warmupEnd,
-			windowEnd: windowEnd,
-		}
-		cl.ep = net.Register(ids.NewID(cc.ZoneOf(cc.Nodes[0]), 1000+i), cl, true)
-		clients[i] = cl
-	}
-
-	// One availability probe per shard, reading dedicated keys above the
-	// scripted keyspace at a cadence well under the stall threshold.
-	probes := make([]*shardProbe, plan.NumShards())
-	for k := range plan.Shards {
-		pr := &shardProbe{
-			id:       uint64(opts.Clients + 1 + k),
-			shardIdx: k,
-			keys:     probeKeys(plan.Router, k, 8, uint64(opts.ProbeKeys)),
-			targets:  targets[k],
-			retry:    opts.ClientRetry,
-			interval: 25 * time.Millisecond,
-			gaps:     shardGaps[k],
-		}
-		pr.ep = net.Register(ids.NewID(cc.ZoneOf(cc.Nodes[0]), 2000+k), pr, true)
-		probes[k] = pr
-	}
-
-	resolver := &shardResolver{cc: cc, plan: plan, net: net, replicas: replicas}
-	injector := chaos.Apply(sim, net, sched, resolver)
-
-	startSharded(sim, plan, replicas)
-	for i, cl := range clients {
-		cl := cl
-		sim.Schedule(time.Duration(i)*50*time.Microsecond+time.Millisecond, cl.next)
-	}
-	for k, pr := range probes {
-		pr := pr
-		sim.Schedule(time.Duration(k)*75*time.Microsecond+time.Millisecond, pr.next)
-	}
-
-	sim.Run(windowEnd)
-	drainEnd := windowEnd + opts.Drain
-	for sim.Now() < drainEnd {
-		allDone := true
-		for _, cl := range clients {
-			if !cl.done {
-				allDone = false
-				break
-			}
-		}
-		if allDone {
-			break
-		}
-		next := sim.Now() + 100*time.Millisecond
-		if next > drainEnd {
-			next = drainEnd
-		}
-		sim.Run(next)
-	}
-	shardConverged := func(k int) bool {
-		members := plan.Shards[k].Members
-		first := stores[k][members[0]]
-		for _, id := range members[1:] {
-			st := stores[k][id]
-			if st.Checksum() != first.Checksum() || st.Applied() != first.Applied() {
-				return false
-			}
-		}
-		return true
-	}
-	converged := func() bool {
-		for k := range plan.Shards {
-			if !shardConverged(k) {
-				return false
-			}
-		}
-		return true
-	}
-	sim.Run(sim.Now() + 500*time.Millisecond)
-	for end := sim.Now() + 4*time.Second; sim.Now() < end && !converged(); {
-		sim.Run(sim.Now() + 250*time.Millisecond)
-	}
-
+	plan := opts.plan(opts.cluster())
+	sr := runScenario(&opts.ScenarioOptions, &plan, sched)
 	res := ShardedScenarioResult{
-		Protocol:   opts.Protocol,
-		N:          opts.N,
-		Shards:     plan.NumShards(),
-		Clients:    opts.Clients,
-		Acked:      gaps.Count(),
-		Throughput: float64(inWindow.Value()) / opts.Measure.Seconds(),
-		Latency:    lat.Snapshot(),
-		Messages:   net.MessagesSent(),
-		Delivered:  net.MessagesDelivered(),
-		Dropped:    net.MessagesDropped(),
-		FaultLog:   injector.Log(),
+		Protocol:    opts.Protocol,
+		N:           opts.N,
+		Shards:      plan.NumShards(),
+		Clients:     opts.Clients,
+		Acked:       sr.gaps.Count(),
+		Throughput:  float64(sr.inWindow) / opts.Measure.Seconds(),
+		Latency:     sr.lat.Snapshot(),
+		Messages:    sr.d.net.MessagesSent(),
+		Delivered:   sr.d.net.MessagesDelivered(),
+		Dropped:     sr.d.net.MessagesDropped(),
+		FaultLog:    sr.faultLog,
+		AllComplete: sr.allDone(),
+		Converged:   true,
 	}
-	res.AllComplete = true
-	for _, cl := range clients {
-		if !cl.done {
-			res.AllComplete = false
-		}
-	}
-	res.Converged = true
-	for k, desc := range plan.Shards {
+	for k, g := range sr.d.groups {
 		sl := ShardSlice{
 			Shard:     k,
-			Members:   desc.Members,
-			Leader:    desc.Leader,
-			Acked:     shardGaps[k].Count(),
-			Stalls:    shardGaps[k].GapsOver(regionStallThreshold),
-			Converged: shardConverged(k),
+			Members:   g.Members,
+			Leader:    g.Leader,
+			Acked:     sr.groupGaps[k].Count(),
+			Stalls:    sr.groupGaps[k].GapsOver(regionStallThreshold),
+			Converged: g.converged(),
 		}
-		sl.GapStart, sl.AvailabilityGap = shardGaps[k].MaxGap()
-		if !sl.Converged {
-			res.Converged = false
-		}
+		sl.GapStart, sl.AvailabilityGap = sr.groupGaps[k].MaxGap()
+		res.Converged = res.Converged && sl.Converged
 		res.PerShard = append(res.PerShard, sl)
 	}
-	lin := hist.Check()
+	lin := sr.hist.Check()
 	res.Linearizable = lin.OK
 	res.LinBadKey = lin.BadKey
 	res.LinChecked = lin.Checked

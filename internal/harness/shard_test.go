@@ -7,6 +7,8 @@ import (
 
 	"pigpaxos/internal/chaos"
 	"pigpaxos/internal/config"
+	"pigpaxos/internal/ids"
+	"pigpaxos/internal/paxos"
 	"pigpaxos/internal/shard"
 	"pigpaxos/internal/workload"
 )
@@ -222,5 +224,70 @@ func TestShardedSingleShardDegenerate(t *testing.T) {
 	}
 	if !r.Linearizable || !r.Converged {
 		t.Fatalf("S=1 run: lin=%v converged=%v", r.Linearizable, r.Converged)
+	}
+}
+
+// busyShardedOpts is the configuration that exposed sharded clients dropping
+// backpressure: a one-slot window of two-command batches and an ingress
+// bound of two at each of two shard leaders, under 24 closed-loop clients.
+func busyShardedOpts() ShardedOptions {
+	opts := ShardedOptions{Shards: 2}
+	opts.Protocol = Paxos
+	opts.N = 6
+	opts.Clients = 24
+	opts.BatchSize = 2
+	opts.MaxInFlight = 1
+	opts.MutPaxos = func(c *paxos.Config) { c.MaxPending = 2 }
+	opts.Warmup = 200 * time.Millisecond
+	opts.Measure = time.Second
+	opts.Seed = 42
+	return opts
+}
+
+// Regression: a Busy rejection reaches a sharded client inside the shard
+// envelope. The sharded clients used to unwrap only Replies, so a shed
+// throughput client (no retry timer) never sent again and throughput fell by
+// more than half. Every client must still be issuing at the window's end.
+func TestShardedClientsHonorBusy(t *testing.T) {
+	opts := busyShardedOpts()
+	opts.applyDefaults()
+	plan := opts.plan(opts.cluster())
+	lr := runLoad(&opts.Options, &plan)
+	var shed uint64
+	lr.d.coreStats(func(_ *group, _ ids.ID, core *paxos.Replica) { shed += core.Stats().Busy })
+	if shed == 0 {
+		t.Fatal("configuration produced no Busy rejections; the test exercises nothing")
+	}
+	windowEnd := opts.Warmup + opts.Measure
+	for _, cl := range lr.clients {
+		if cl.started < windowEnd-100*time.Millisecond {
+			t.Errorf("client %d last issued at %v and never again (window ends %v): shed and stuck",
+				cl.id, cl.started, windowEnd)
+		}
+	}
+}
+
+// The same for scripted scenario clients: a rejection is retried after the
+// leader's hint, not after a full ClientRetry of silence — 120ms of which
+// reads as a false per-shard stall.
+func TestShardedScenarioClientsHonorBusy(t *testing.T) {
+	opts := busyShardedOpts()
+	opts.ThinkTime = -1 // closed loop, so the leaders actually shed
+	opts.OpsPerClient = 40
+	opts.applyDefaults()
+	plan := opts.plan(opts.cluster())
+	sr := runScenario(&opts.ScenarioOptions, &plan, nil)
+	honored := 0
+	for _, cl := range sr.clients {
+		honored += cl.rejected
+	}
+	if honored == 0 {
+		t.Fatal("no scripted client honored a Busy rejection")
+	}
+	if !sr.allDone() {
+		t.Error("scripts did not complete under backpressure")
+	}
+	if over := sr.gaps.GapsOver(100 * time.Millisecond); over > 0 {
+		t.Errorf("%d ack gaps over 100ms on a fault-free run: rejected clients sat out their retry timer", over)
 	}
 }

@@ -69,9 +69,6 @@ type Config struct {
 	// SubGroupSize is the target sub-group size under MultiLayer
 	// (default 3).
 	SubGroupSize int
-	// RelayWork is CPU charged at a relay per aggregation flush
-	// (combining votes into one message).
-	RelayWork time.Duration
 	// FixedRelays pins each group's relay to its first member instead of
 	// rotating randomly — an ablation of §3.2's hotspot-avoidance
 	// argument (expect the fixed relays to become bottlenecks).
@@ -99,10 +96,11 @@ func (c *Config) applyDefaults() {
 	if c.SubGroupSize == 0 {
 		c.SubGroupSize = 3
 	}
-	if c.RelayWork == 0 {
-		c.RelayWork = 5 * time.Microsecond
-	}
 }
+
+// relayWork is the CPU charged at a relay per aggregation flush (combining
+// votes into one message).
+const relayWork = 5 * time.Microsecond
 
 // Stats counts PigPaxos-specific events.
 type Stats struct {
@@ -675,7 +673,7 @@ func (r *Replica) flushP2(slot uint64, a *agg, partial bool) {
 	} else {
 		r.stats.FullFlushes++
 	}
-	r.ctx.Work(r.cfg.RelayWork)
+	r.ctx.Work(relayWork)
 	r.ctx.Send(a.leader, wire.AggP2b{
 		Ballot:  a.ballot,
 		Relay:   r.ctx.ID(),
@@ -747,7 +745,7 @@ func (r *Replica) flushP1(b ids.Ballot, a *p1agg) {
 	if a.timer != nil {
 		a.timer.Stop()
 	}
-	r.ctx.Work(r.cfg.RelayWork)
+	r.ctx.Work(relayWork)
 	r.ctx.Send(a.leader, wire.AggP1b{Ballot: b, Relay: r.ctx.ID(), Replies: a.replies})
 }
 

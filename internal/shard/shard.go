@@ -140,6 +140,17 @@ func (m Map) Leaders() []ids.ID {
 	return out
 }
 
+// Sub restricts cc to shard k's membership, keeping the topology: the
+// cluster config shard k's replicas run under.
+func (m Map) Sub(cc config.Cluster, k int) config.Cluster {
+	return config.Cluster{
+		Nodes:   append([]ids.ID(nil), m.Shards[k].Members...),
+		Zones:   cc.Zones,
+		Latency: cc.Latency,
+		Addrs:   cc.Addrs,
+	}
+}
+
 // Validate checks layout invariants: every shard non-empty, members drawn
 // from the cluster, leader a member.
 func (m Map) Validate(cc config.Cluster) error {

@@ -40,6 +40,7 @@ import (
 	"pigpaxos/internal/paxos"
 	"pigpaxos/internal/pigpaxos"
 	"pigpaxos/internal/pqr"
+	"pigpaxos/internal/protocol"
 	"pigpaxos/internal/shard"
 	"pigpaxos/internal/transport"
 	"pigpaxos/internal/wire"
@@ -72,18 +73,31 @@ func (p Protocol) String() string {
 	}
 }
 
+// kind maps the public numbering (whose zero value is PigPaxos) onto the
+// internal one.
+func (p Protocol) kind() protocol.Kind {
+	switch p {
+	case ProtocolPaxos:
+		return protocol.Paxos
+	case ProtocolEPaxos:
+		return protocol.EPaxos
+	default:
+		return protocol.PigPaxos
+	}
+}
+
 // ParseProtocol converts a protocol name ("pigpaxos", "paxos", "epaxos").
 func ParseProtocol(s string) (Protocol, error) {
-	switch s {
-	case "pigpaxos", "pig":
-		return ProtocolPigPaxos, nil
-	case "paxos", "multipaxos":
-		return ProtocolPaxos, nil
-	case "epaxos":
-		return ProtocolEPaxos, nil
-	default:
-		return 0, fmt.Errorf("pigpaxos: unknown protocol %q", s)
+	k, err := protocol.Parse(s)
+	if err != nil {
+		return 0, fmt.Errorf("pigpaxos: %w", err)
 	}
+	for _, p := range []Protocol{ProtocolPaxos, ProtocolEPaxos} {
+		if p.kind() == k {
+			return p, nil
+		}
+	}
+	return ProtocolPigPaxos, nil
 }
 
 // ReadMode selects the read path for Paxos/PigPaxos clusters (§4.3 of the
@@ -159,9 +173,9 @@ type Cluster struct {
 	cc       config.Cluster
 	nodes    map[ids.ID]*transport.LocalNode
 	plan     shard.Map
-	sharded  bool // Shards > 1: wire traffic rides Sharded envelopes
-	replicas []map[ids.ID]*paxos.Replica  // decision core per (shard, member); nil map entries for EPaxos
-	stores   []map[ids.ID]*kvstore.Store  // state machine per (shard, member)
+	sharded  bool                        // Shards > 1: wire traffic rides Sharded envelopes
+	replicas []map[ids.ID]*paxos.Replica // decision core per (shard, member); nil map entries for EPaxos
+	stores   []map[ids.ID]*kvstore.Store // state machine per (shard, member)
 
 	clientMu sync.Mutex
 	nextCl   int
@@ -197,31 +211,14 @@ func NewCluster(opts Options) (*Cluster, error) {
 		}
 	}
 
-	type starter interface{ Start() }
-	type startEntry struct {
-		id ids.ID
-		s  starter
-	}
-	var starters []startEntry // (shard, member) order
-
-	// One bus node — one event loop — per physical node. In sharded
-	// clusters its handler is a Dispatcher demultiplexing per-shard
-	// replicas; unsharded clusters keep the direct single-handler path
-	// (and the unwrapped wire format).
+	// One bus node — one event loop — per physical node, its handler a
+	// Dispatcher demultiplexing the per-shard replicas. Unsharded clusters
+	// keep the unwrapped wire format: the dispatcher delivers untagged
+	// traffic to shard 0.
 	dispatchers := make(map[ids.ID]*shard.Dispatcher)
-	handlers := make(map[ids.ID]*relay)
 	for _, id := range cc.Nodes {
-		var h node.Handler
-		if c.sharded {
-			d := shard.NewDispatcher(c.plan.NumShards())
-			dispatchers[id] = d
-			h = d
-		} else {
-			r := &relay{}
-			handlers[id] = r
-			h = r
-		}
-		n, err := c.bus.Node(id, h)
+		dispatchers[id] = shard.NewDispatcher(c.plan.NumShards())
+		n, err := c.bus.Node(id, dispatchers[id])
 		if err != nil {
 			c.bus.Close()
 			return nil, err
@@ -229,85 +226,50 @@ func NewCluster(opts Options) (*Cluster, error) {
 		c.nodes[id] = n
 	}
 
+	type startEntry struct {
+		id    ids.ID
+		start func()
+	}
+	var starters []startEntry // (shard, member) order
 	c.replicas = make([]map[ids.ID]*paxos.Replica, c.plan.NumShards())
 	c.stores = make([]map[ids.ID]*kvstore.Store, c.plan.NumShards())
 	for k, desc := range c.plan.Shards {
 		c.replicas[k] = make(map[ids.ID]*paxos.Replica, len(desc.Members))
 		c.stores[k] = make(map[ids.ID]*kvstore.Store, len(desc.Members))
-		sub := c.shardCluster(k)
+		sub := c.plan.Sub(cc, k)
 		for _, id := range desc.Members {
 			var ctx node.Context = c.nodes[id]
 			if c.sharded {
 				ctx = shard.Wrap(ctx, k)
 			}
-			pcfg := paxos.Config{
+			core := paxos.Config{
 				Cluster: sub, ID: id, InitialLeader: desc.Leader,
 				ElectionTimeout: opts.ElectionTimeout,
 				ReadMode:        opts.paxosReadMode(),
 			}
-			var s starter
-			var h func(ids.ID, wire.Msg)
-			switch opts.Protocol {
-			case ProtocolPaxos:
-				r := paxos.New(ctx, pcfg, nil)
-				h = withQuorumReads(ctx, r.Store(), r.OnMessage)
-				c.replicas[k][id] = r
-				c.stores[k][id] = r.Store()
-				s = r
-			case ProtocolEPaxos:
-				r := epaxos.New(ctx, epaxos.Config{Cluster: sub, ID: id})
-				h = withQuorumReads(ctx, r.Store(), r.OnMessage)
-				c.stores[k][id] = r.Store()
-				s = r
-			default:
-				// Clamp the relay fan-out to the shard's group size: r
-				// relay groups need at least r followers.
-				ng := opts.RelayGroups
-				if max := len(desc.Members) - 1; ng > max {
-					ng = max
-				}
-				if ng < 1 {
-					ng = 1
-				}
-				r := pigpaxos.New(ctx, pigpaxos.Config{
-					Paxos:        pcfg,
-					NumGroups:    ng,
-					RelayTimeout: opts.RelayTimeout,
-				})
-				h = withQuorumReads(ctx, r.Core().Store(), r.OnMessage)
-				c.replicas[k][id] = r.Core()
-				c.stores[k][id] = r.Core().Store()
-				s = r
+			m := protocol.Build(ctx, protocol.Spec{
+				Kind:   opts.Protocol.kind(),
+				Paxos:  core,
+				Pig:    pigpaxos.Config{Paxos: core, NumGroups: opts.RelayGroups, RelayTimeout: opts.RelayTimeout},
+				EPaxos: epaxos.Config{Cluster: sub, ID: id},
+			})
+			if m.Core != nil {
+				c.replicas[k][id] = m.Core
 			}
-			if c.sharded {
-				dispatchers[id].Register(k, &relay{h: h})
-			} else {
-				handlers[id].set(h)
-			}
-			starters = append(starters, startEntry{id: id, s: s})
+			c.stores[k][id] = m.Store
+			dispatchers[id].Register(k, &quorumReads{resp: pqr.NewResponder(ctx, m.Store), inner: m.Handler})
+			starters = append(starters, startEntry{id: id, start: m.Start})
 		}
 	}
 
 	// Start each replica on its own event loop.
 	var wg sync.WaitGroup
 	for _, e := range starters {
-		e := e
 		wg.Add(1)
-		c.post(e.id, func() { e.s.Start(); wg.Done() })
+		c.post(e.id, func() { e.start(); wg.Done() })
 	}
 	wg.Wait()
 	return c, nil
-}
-
-// shardCluster restricts the membership to shard k's group, keeping the
-// topology.
-func (c *Cluster) shardCluster(k int) config.Cluster {
-	d := c.plan.Shards[k]
-	return config.Cluster{
-		Nodes:   append([]ids.ID(nil), d.Members...),
-		Zones:   c.cc.Zones,
-		Latency: c.cc.Latency,
-	}
 }
 
 func indexOf(s []ids.ID, id ids.ID) int {
@@ -319,39 +281,20 @@ func indexOf(s []ids.ID, id ids.ID) int {
 	return -1
 }
 
-// withQuorumReads interposes a pqr.Responder on a replica's dispatch so
-// every node answers Paxos-Quorum-Read version probes (§4.3).
-func withQuorumReads(ctx node.Context, store *kvstore.Store, inner func(ids.ID, wire.Msg)) func(ids.ID, wire.Msg) {
-	resp := pqr.NewResponder(ctx, store)
-	return func(from ids.ID, m wire.Msg) {
-		if req, ok := m.(wire.QReadReq); ok {
-			resp.OnRequest(from, req)
-			return
-		}
-		inner(from, m)
-	}
-}
-
-// relay adapts a late-bound handler function to node.Handler.
-type relay struct {
-	mu sync.Mutex
-	h  func(from ids.ID, m wire.Msg)
-}
-
-func (r *relay) set(h func(from ids.ID, m wire.Msg)) {
-	r.mu.Lock()
-	r.h = h
-	r.mu.Unlock()
+// quorumReads interposes a pqr.Responder on a replica's dispatch so every
+// node answers Paxos-Quorum-Read version probes (§4.3).
+type quorumReads struct {
+	resp  *pqr.Responder
+	inner node.Handler
 }
 
 // OnMessage implements node.Handler.
-func (r *relay) OnMessage(from ids.ID, m wire.Msg) {
-	r.mu.Lock()
-	h := r.h
-	r.mu.Unlock()
-	if h != nil {
-		h(from, m)
+func (q *quorumReads) OnMessage(from ids.ID, m wire.Msg) {
+	if req, ok := m.(wire.QReadReq); ok {
+		q.resp.OnRequest(from, req)
+		return
 	}
+	q.inner.OnMessage(from, m)
 }
 
 // post runs fn on a node's event loop (via a zero-delay timer).

@@ -262,7 +262,12 @@ func TestClusterLeaderTracksFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// NewCluster waits for every Start() to run, not for the first election
+	// to finish: poll for the first leader.
 	old := c.Leader()
+	for deadline := time.Now().Add(5 * time.Second); old == 0 && time.Now().Before(deadline); old = c.Leader() {
+		time.Sleep(5 * time.Millisecond)
+	}
 	if old == 0 {
 		t.Fatal("no leader reported on a healthy cluster")
 	}

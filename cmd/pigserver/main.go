@@ -137,7 +137,7 @@ func main() {
 	// Run Start on the node's event loop to respect single-threading.
 	tn.After(0, m.Start)
 	log.Printf("%s node %v serving on %s (leader: %v, %d members)",
-		kind, self, tn.Addr(), leader, len(members))
+		*protoName, self, tn.Addr(), leader, len(members))
 
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

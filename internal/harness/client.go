@@ -122,13 +122,7 @@ func (c *simClient) next() {
 // (the same command again after the leader's hint — the rejected sequence
 // number was not consumed, so the retry is admitted as new).
 func (c *simClient) OnMessage(from ids.ID, m wire.Msg) {
-	tag := 0
-	switch sm := m.(type) {
-	case *wire.Sharded:
-		tag, m = int(sm.Shard), sm.Inner
-	case wire.Sharded:
-		tag, m = int(sm.Shard), sm.Inner
-	}
+	tag, m := shard.Unwrap(m)
 	if !c.awaiting || tag != c.cur.tag {
 		return
 	}

@@ -184,13 +184,13 @@ func (d *deployment) launch(clients []*simClient, stagger time.Duration) {
 	}
 }
 
-// coreStats visits the decision core's counters of every Paxos-family
-// replica, in (group, membership) order.
-func (d *deployment) coreStats(visit func(g *group, id ids.ID, core *paxos.Replica)) {
+// coreStats visits the decision core of every Paxos-family replica, in
+// (group, membership) order.
+func (d *deployment) coreStats(visit func(id ids.ID, core *paxos.Replica)) {
 	for _, g := range d.groups {
 		for _, id := range g.Members {
 			if core := g.members[id].Core; core != nil {
-				visit(g, id, core)
+				visit(id, core)
 			}
 		}
 	}

@@ -299,7 +299,7 @@ func RunOverload(opts OverloadOptions) OverloadResult {
 	sec := opts.Measure.Seconds()
 	res.Goodput = float64(res.Completed) / sec
 	res.OfferedRate = float64(res.Offered) / sec
-	d.coreStats(func(_ *group, _ ids.ID, core *paxos.Replica) {
+	d.coreStats(func(_ ids.ID, core *paxos.Replica) {
 		st := core.Stats()
 		res.LeaderBusy += st.Busy
 		res.DroppedExpired += st.DroppedExpired

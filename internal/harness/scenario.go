@@ -268,14 +268,19 @@ type scenarioRun struct {
 	// groupGaps tracks each group's availability separately (planned
 	// deployments only): acknowledgements for its keys plus its probe's.
 	groupGaps []*metrics.GapTracker
-	// zones and the region maps break the measurement down by client home
-	// region (RegionClients on a multi-zone cluster only).
-	zones         []int
-	regionGaps    map[int]*metrics.GapTracker
-	regionLat     map[int]*metrics.Histogram
-	regionClients map[int]int
-	storages      map[ids.ID]*wal.MemStorage // durable runs only
-	faultLog      []chaos.Applied
+	// zones (ascending) and regions break the measurement down by client
+	// home region (RegionClients on a multi-zone cluster only).
+	zones    []int
+	regions  map[int]*regionTrack
+	storages map[ids.ID]*wal.MemStorage // durable runs only
+	faultLog []chaos.Applied
+}
+
+// regionTrack is what one region's clients saw.
+type regionTrack struct {
+	gaps    metrics.GapTracker
+	lat     *metrics.Histogram
+	clients int
 }
 
 // runScenario is the scenario runner behind RunScenario and
@@ -325,13 +330,9 @@ func runScenario(opts *ScenarioOptions, plan *shard.Map, sched chaos.Schedule) s
 	// an equal share (±1).
 	if opts.RegionClients {
 		if zs := d.cc.ZoneList(); len(zs) > 1 {
-			sr.zones = zs
-			sr.regionGaps = map[int]*metrics.GapTracker{}
-			sr.regionLat = map[int]*metrics.Histogram{}
-			sr.regionClients = map[int]int{}
+			sr.zones, sr.regions = zs, map[int]*regionTrack{}
 			for _, z := range zs {
-				sr.regionGaps[z] = &metrics.GapTracker{}
-				sr.regionLat[z] = metrics.NewHistogram()
+				sr.regions[z] = &regionTrack{lat: metrics.NewHistogram()}
 			}
 		}
 	}
@@ -348,12 +349,11 @@ func runScenario(opts *ScenarioOptions, plan *shard.Map, sched chaos.Schedule) s
 	sr.clients = make([]*simClient, opts.Clients)
 	for i := range sr.clients {
 		home := d.cc.ZoneOf(d.cc.Nodes[0])
-		var rgaps *metrics.GapTracker
-		var rlat *metrics.Histogram
+		var region *regionTrack
 		if sr.zones != nil {
 			home = sr.zones[i%len(sr.zones)]
-			rgaps, rlat = sr.regionGaps[home], sr.regionLat[home]
-			sr.regionClients[home]++
+			region = sr.regions[home]
+			region.clients++
 		}
 		cl := d.client(uint64(i+1), home, 1000+i)
 		cl.retry, cl.think = opts.ClientRetry, opts.ThinkTime
@@ -365,9 +365,9 @@ func runScenario(opts *ScenarioOptions, plan *shard.Map, sched chaos.Schedule) s
 				sr.groupGaps[tag].Record(now)
 			}
 			sr.lat.Observe(now - started)
-			if rgaps != nil {
-				rgaps.Record(now)
-				rlat.Observe(now - started)
+			if region != nil {
+				region.gaps.Record(now)
+				region.lat.Observe(now - started)
 			}
 			if now >= warmupEnd && now < windowEnd {
 				sr.inWindow++
@@ -486,14 +486,15 @@ func RunScenario(opts ScenarioOptions, sched chaos.Schedule) ScenarioResult {
 	}
 	res.GapStart, res.AvailabilityGap = sr.gaps.MaxGap()
 	for _, z := range sr.zones {
+		reg := sr.regions[z]
 		rr := RegionResult{
 			Zone:    z,
-			Clients: sr.regionClients[z],
-			Acked:   sr.regionGaps[z].Count(),
-			Latency: sr.regionLat[z].Snapshot(),
-			Stalls:  sr.regionGaps[z].GapsOver(regionStallThreshold),
+			Clients: reg.clients,
+			Acked:   reg.gaps.Count(),
+			Latency: reg.lat.Snapshot(),
+			Stalls:  reg.gaps.GapsOver(regionStallThreshold),
 		}
-		rr.GapStart, rr.AvailabilityGap = sr.regionGaps[z].MaxGap()
+		rr.GapStart, rr.AvailabilityGap = reg.gaps.MaxGap()
 		res.Regions = append(res.Regions, rr)
 	}
 	if len(sched) > 0 {
@@ -502,7 +503,7 @@ func RunScenario(opts ScenarioOptions, sched chaos.Schedule) ScenarioResult {
 			res.RecoveryLatency = at - res.FirstFaultAt
 		}
 	}
-	d.coreStats(func(_ *group, id ids.ID, core *paxos.Replica) {
+	d.coreStats(func(id ids.ID, core *paxos.Replica) {
 		st := core.Stats()
 		res.WALSyncs += st.WALSyncs
 		res.Snapshots += st.Snapshots

@@ -254,7 +254,7 @@ func TestShardedClientsHonorBusy(t *testing.T) {
 	plan := opts.plan(opts.cluster())
 	lr := runLoad(&opts.Options, &plan)
 	var shed uint64
-	lr.d.coreStats(func(_ *group, _ ids.ID, core *paxos.Replica) { shed += core.Stats().Busy })
+	lr.d.coreStats(func(_ ids.ID, core *paxos.Replica) { shed += core.Stats().Busy })
 	if shed == 0 {
 		t.Fatal("configuration produced no Busy rejections; the test exercises nothing")
 	}

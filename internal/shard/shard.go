@@ -341,18 +341,22 @@ func (d *Dispatcher) Register(k int, h node.Handler) {
 // envelope over as *wire.Sharded (scratch-boxed); the value form shows up
 // from in-process senders. Both unwrap without allocating.
 func (d *Dispatcher) OnMessage(from ids.ID, m wire.Msg) {
-	var k uint16
-	var inner wire.Msg
-	switch sm := m.(type) {
-	case *wire.Sharded:
-		k, inner = sm.Shard, sm.Inner
-	case wire.Sharded:
-		k, inner = sm.Shard, sm.Inner
-	default:
-		k, inner = 0, m
-	}
-	if int(k) >= len(d.handlers) || d.handlers[k] == nil {
+	k, inner := Unwrap(m)
+	if k >= len(d.handlers) || d.handlers[k] == nil {
 		return
 	}
 	d.handlers[k].OnMessage(from, inner)
+}
+
+// Unwrap splits a possibly shard-tagged message into the shard that carried
+// it and the inner message; an untagged message is its own inner message on
+// shard 0. The receiving side of Wrap, for dispatchers and clients alike.
+func Unwrap(m wire.Msg) (int, wire.Msg) {
+	switch sm := m.(type) {
+	case *wire.Sharded:
+		return int(sm.Shard), sm.Inner
+	case wire.Sharded:
+		return int(sm.Shard), sm.Inner
+	}
+	return 0, m
 }

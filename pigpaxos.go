@@ -452,13 +452,7 @@ type Client struct {
 
 // OnMessage implements node.Handler (internal use).
 func (cl *Client) OnMessage(from ids.ID, m wire.Msg) {
-	k := 0
-	switch sm := m.(type) {
-	case *wire.Sharded:
-		k, m = int(sm.Shard), sm.Inner
-	case wire.Sharded:
-		k, m = int(sm.Shard), sm.Inner
-	}
+	k, m := shard.Unwrap(m)
 	switch v := m.(type) {
 	case wire.Reply:
 		select {

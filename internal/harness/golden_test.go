@@ -18,11 +18,6 @@ import (
 	"pigpaxos/internal/workload"
 )
 
-type goldenRun struct {
-	name string
-	run  func() any
-}
-
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_quick.txt from this tree's output")
 
 // goldenRuns is a fixed set of small runs through all five entry points.
@@ -31,7 +26,10 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_quick.txt
 // runners, resolvers) that changes a send, a timer, an RNG draw or an
 // endpoint registration anywhere shows up as a diff — the deterministic
 // simulator makes "same behaviour" checkable to the last digit.
-func goldenRuns() []goldenRun {
+func goldenRuns() []struct {
+	name string
+	run  func() any
+} {
 	base := func(p Protocol) Options {
 		return Options{
 			Protocol: p, N: 5, NumGroups: 2, Clients: 20,
@@ -66,7 +64,11 @@ func goldenRuns() []goldenRun {
 	busyPaxos := func(c *paxos.Config) { c.MaxPending = 2 }
 	busyPig := func(c *pigpaxos.Config) { c.Paxos.MaxPending = 2 }
 
-	runs := []goldenRun{
+	type entry = struct {
+		name string
+		run  func() any
+	}
+	runs := []entry{
 		{"Run/Paxos", func() any { return Run(base(Paxos)) }},
 		{"Run/PigPaxos", func() any { return Run(base(PigPaxos)) }},
 		{"Run/EPaxos", func() any { return Run(base(EPaxos)) }},
@@ -103,28 +105,28 @@ func goldenRuns() []goldenRun {
 	}
 	for _, p := range []Protocol{Paxos, PigPaxos, EPaxos} {
 		p := p
-		runs = append(runs, goldenRun{"RunScenario/leader-crash/" + p.String(), func() any {
+		runs = append(runs, entry{"RunScenario/leader-crash/" + p.String(), func() any {
 			o := scen(p)
 			return RunScenario(o, chaos.LeaderCrash(o.Warmup+200*time.Millisecond, 300*time.Millisecond))
 		}})
 	}
 	runs = append(runs,
-		goldenRun{"RunScenario/relay-crash/PigPaxos", func() any {
+		entry{"RunScenario/relay-crash/PigPaxos", func() any {
 			o := scen(PigPaxos)
 			return RunScenario(o, chaos.RelayCrash(1, o.Warmup+200*time.Millisecond, 300*time.Millisecond))
 		}},
-		goldenRun{"RunScenario/flaky-links/Paxos", func() any {
+		entry{"RunScenario/flaky-links/Paxos", func() any {
 			o := scen(Paxos)
 			f := netsim.LinkFaults{Loss: 0.05, Duplicate: 0.05, Reorder: 0.1}
 			return RunScenario(o, chaos.FlakyLinks(f, o.Warmup+100*time.Millisecond, 500*time.Millisecond))
 		}},
-		goldenRun{"RunScenario/durable-leader-restart/PigPaxos", func() any {
+		entry{"RunScenario/durable-leader-restart/PigPaxos", func() any {
 			o := scen(PigPaxos)
 			o.Durable = true
 			o.SnapshotEvery = 16
 			return RunScenario(o, chaos.LeaderRestart(o.Warmup+200*time.Millisecond, 300*time.Millisecond))
 		}},
-		goldenRun{"RunScenario/busy/PigPaxos", func() any {
+		entry{"RunScenario/busy/PigPaxos", func() any {
 			o := scen(PigPaxos)
 			o.ThinkTime = -1
 			o.OpsPerClient = 200
@@ -133,22 +135,22 @@ func goldenRuns() []goldenRun {
 			o.MutPig = busyPig
 			return RunScenario(o, nil)
 		}},
-		goldenRun{"RunScenario/wan-region-cut/PigPaxos", func() any {
+		entry{"RunScenario/wan-region-cut/PigPaxos", func() any {
 			o := WANScenario(PigPaxos, 9, 2, 8, 17)
 			return RunScenario(o, chaos.RegionCut(config.ZoneOregon, o.Warmup+300*time.Millisecond, 600*time.Millisecond))
 		}},
-		goldenRun{"RunSharded/S=1/Paxos", func() any { return RunSharded(sharded(Paxos, 1)) }},
-		goldenRun{"RunSharded/S=4/PigPaxos", func() any { return RunSharded(sharded(PigPaxos, 4)) }},
-		goldenRun{"RunSharded/S=4/Paxos/zipfian", func() any {
+		entry{"RunSharded/S=1/Paxos", func() any { return RunSharded(sharded(Paxos, 1)) }},
+		entry{"RunSharded/S=4/PigPaxos", func() any { return RunSharded(sharded(PigPaxos, 4)) }},
+		entry{"RunSharded/S=4/Paxos/zipfian", func() any {
 			o := sharded(Paxos, 4)
 			o.Workload = workload.Config{Keys: 1000, Dist: workload.Zipfian, Theta: 0.99, ReadRatio: 0.5}
 			return RunSharded(o)
 		}},
-		goldenRun{"RunShardedScenario/S=4/shard-leader-crash/PigPaxos", func() any {
+		entry{"RunShardedScenario/S=4/shard-leader-crash/PigPaxos", func() any {
 			o := sharded(PigPaxos, 4)
 			return RunShardedScenario(o, chaos.ShardLeaderCrash(1, o.Warmup+100*time.Millisecond, 200*time.Millisecond))
 		}},
-		goldenRun{"RunShardedScenario/S=1/Paxos", func() any {
+		entry{"RunShardedScenario/S=1/Paxos", func() any {
 			o := sharded(Paxos, 1)
 			return RunShardedScenario(o, chaos.LeaderCrash(o.Warmup+100*time.Millisecond, 200*time.Millisecond))
 		}},

@@ -2,7 +2,10 @@ package paxos
 
 import (
 	"fmt"
+	"time"
 
+	"pigpaxos/internal/ids"
+	"pigpaxos/internal/node"
 	"pigpaxos/internal/wal"
 	"pigpaxos/internal/wire"
 )
@@ -14,14 +17,137 @@ import (
 // The sync discipline follows the classical acceptor rule — state must be
 // durable before the message that reveals it leaves:
 //
-//   - a promise (P1b) syncs a KindPromise record first (ensurePromised);
-//   - an accept vote (P2b, and the leader's own self-vote) syncs the
-//     KindAccept record the rlog journaled (syncStorage at the accept site);
-//   - commits are journaled but synced lazily — a lost commit record is
+//   - a promise (P1b, and a campaigner's promise to itself) waits for the
+//     KindPromise record journalPromise appended;
+//   - an accept vote (P2b, a relay's own ack, and the leader's self-vote)
+//     waits for the KindAccept record the rlog journaled;
+//   - commits are journaled but never waited for — a lost commit record is
 //     re-learned from a quorum during phase-1, so it never forges anything.
 //
-// The leader batches commands into slots, so "one fsync per batch" falls out
-// naturally: propose() syncs once per slot, covering the whole batch.
+// Durability is a pipeline stage, not a pause: the vote waits, the event
+// loop does not. A handler changes the replica's memory at once, appends its
+// record, sends whatever reveals nothing (the leader's P2a and P1a fan-out, a
+// relay's forward to its group) and parks the vote with WhenDurable. At most
+// one flush is in flight; votes parked while it runs ride the next one, so
+// group commit widens by itself under load — the leader batches commands
+// into slots, a flush covers every slot appended since the last. When a
+// flush is over its votes are released on the loop, in the order they were
+// parked. Because flushes cover prefixes of the journal, what survives a
+// crash is always a prefix of the replica's state changes that contains
+// everything any released message revealed, which is all Paxos asks of an
+// acceptor's disk. A vote released late is still true: the accept it reports
+// happened before whatever the replica promised since.
+//
+// Only snapshots still stop the loop (SaveSnapshot writes and fsyncs the
+// checkpoint inline; they are rare and the compaction that follows needs the
+// file in place).
+
+// Release is what a parked vote does once the flush covering its record is
+// over: the handler it was parked with, called with the values it was parked
+// with. Handlers are bound once per replica, so parking a vote allocates
+// nothing.
+type Release func(slot uint64, b ids.Ballot, peer ids.ID)
+
+// waiter is one parked vote.
+type waiter struct {
+	fn   Release
+	slot uint64
+	b    ids.Ballot
+	peer ids.ID
+}
+
+// flusher is the replica's end of the durability pipeline.
+type flusher struct {
+	riding   []waiter // parked before the flush in flight began: it covers them
+	next     []waiter // parked since; they ride the next flush
+	flying   bool
+	draining bool // releasing riders; the next flush starts when they are out
+	// A modelled flush (async false from StartFlush) is over at due, when
+	// timer fires; due is negative while a storage runs the flush itself.
+	due   time.Duration
+	timer node.Timer
+	// wake and landed are bound once: wake is what the storage's own
+	// goroutine calls, and all it does is post landed to the event loop.
+	wake, landed func()
+}
+
+func (r *Replica) initFlusher() {
+	r.flush.landed = r.flushLanded
+	r.flush.wake = func() { r.ctx.After(0, r.flush.landed) }
+	r.voteDurable = r.sendP2b
+	r.selfVoteDurable = r.selfVote
+	r.promiseDurable = r.sendP1b
+	r.selfPromiseDurable = r.selfPromise
+}
+
+// WhenDurable runs fn(slot, b, peer) once every record journaled so far is
+// durable: now on a volatile replica or when the journal has nothing
+// unflushed, otherwise when the flush that covers them is over.
+func (r *Replica) WhenDurable(fn Release, slot uint64, b ids.Ballot, peer ids.ID) {
+	if r.st == nil {
+		fn(slot, b, peer)
+		return
+	}
+	f := &r.flush
+	if f.flying && f.due >= 0 && r.ctx.Now() > f.due {
+		// The simulator drops a timer that comes due while its node is
+		// crashed; the modelled flush was over at due all the same.
+		f.timer.Stop()
+		r.flushLanded()
+	}
+	f.next = append(f.next, waiter{fn, slot, b, peer})
+	if !f.draining {
+		r.pump()
+	}
+}
+
+// pump starts a flush for the votes parked so far unless one is in flight.
+func (r *Replica) pump() {
+	f := &r.flush
+	for !f.flying && len(f.next) > 0 {
+		f.riding, f.next = f.next, f.riding
+		started, async := r.st.StartFlush(f.wake)
+		if !started {
+			// Nothing was journaled since the last flush ended: what these
+			// votes reveal is durable already.
+			r.releaseRiders()
+			continue
+		}
+		r.stats.WALSyncs++
+		f.flying, f.due = true, -1
+		if !async {
+			cost := r.st.SyncCost()
+			f.due = r.ctx.Now() + cost
+			f.timer = r.ctx.After(cost, f.landed)
+		}
+	}
+}
+
+// flushLanded runs on the event loop when the flush in flight is over.
+func (r *Replica) flushLanded() {
+	f := &r.flush
+	if !f.flying {
+		return
+	}
+	if err := r.st.FinishFlush(); err != nil {
+		panic(fmt.Sprintf("paxos %v: journal flush: %v", r.cfg.ID, err))
+	}
+	f.flying = false
+	r.releaseRiders()
+	r.pump()
+}
+
+// releaseRiders lets the votes the finished flush covered go, oldest first.
+// What they do may park new votes; those wait in next.
+func (r *Replica) releaseRiders() {
+	f := &r.flush
+	f.draining = true
+	for _, w := range f.riding {
+		w.fn(w.slot, w.b, w.peer)
+	}
+	f.riding = f.riding[:0]
+	f.draining = false
+}
 
 // recoverFromStorage rebuilds replica state from snapshot + journal tail at
 // construction time. Ordering matters: the snapshot positions the log floor,
@@ -55,7 +181,7 @@ func (r *Replica) recoverFromStorage() {
 	if err != nil {
 		panic(fmt.Sprintf("paxos %v: journal replay failed: %v", r.cfg.ID, err))
 	}
-	r.journaledBallot = r.ballot
+	r.journalBallot = r.ballot
 	r.log.Attach(r.st)
 	// Re-apply the committed tail above the snapshot floor. Routes are empty,
 	// so no replies go out; ExecWork is charged as honest recovery CPU.
@@ -69,36 +195,23 @@ func (r *Replica) recoverFromStorage() {
 	}
 }
 
-// ensurePromised makes the current ballot durable before a promise for it is
-// sent. Idempotent per ballot; accept records carry their ballot too, so
-// journaledBallot also advances at accept sync sites.
-func (r *Replica) ensurePromised() {
-	if r.st == nil || r.ballot <= r.journaledBallot {
+// journalPromise appends a promise record for the current ballot unless the
+// journal already holds the ballot (accept records carry theirs too, see
+// noteJournaled). The promise itself must still wait: park it.
+func (r *Replica) journalPromise() {
+	if r.st == nil || r.ballot <= r.journalBallot {
 		return
 	}
 	if err := r.st.Append(wal.Record{Kind: wal.KindPromise, Ballot: r.ballot}); err != nil {
 		panic(fmt.Sprintf("paxos %v: journal promise: %v", r.cfg.ID, err))
 	}
-	r.syncStorage()
+	r.journalBallot = r.ballot
 }
 
-// syncStorage flushes the journal, charging simulated fsync latency only
-// when records were actually pending (group fsync: one call covers every
-// append since the last).
-func (r *Replica) syncStorage() {
-	if r.st == nil {
-		return
-	}
-	synced, err := r.st.Sync()
-	if err != nil {
-		panic(fmt.Sprintf("paxos %v: journal sync: %v", r.cfg.ID, err))
-	}
-	if synced {
-		r.stats.WALSyncs++
-		if r.journaledBallot < r.ballot {
-			r.journaledBallot = r.ballot
-		}
-		r.ctx.Work(r.st.SyncCost())
+// noteJournaled records that an accept under b went into the journal.
+func (r *Replica) noteJournaled(b ids.Ballot) {
+	if r.journalBallot < b {
+		r.journalBallot = b
 	}
 }
 

@@ -153,8 +153,9 @@ type Config struct {
 	// number's slot in the session table, so a retry is re-admitted.
 	QueueTTL time.Duration
 	// Storage, when non-nil, makes the replica durable: promises and
-	// accepts are journaled and fsynced before the corresponding protocol
-	// reply leaves (sync-before-vote), commits are journaled lazily, and a
+	// accepts are journaled and flushed before the corresponding protocol
+	// reply leaves (sync-before-vote: the vote waits for the flush, the event
+	// loop does not — see durability.go), commits are journaled lazily, and a
 	// crash-restart rebuilds the replica from snapshot + WAL tail. Nil (the
 	// default) keeps the volatile seed behaviour bit-for-bit.
 	Storage wal.Storage
@@ -262,7 +263,7 @@ type Stats struct {
 	LocalReads   uint64 // reads served unsafely by ReadAny
 	Batches      uint64 // slots proposed by this node as leader
 	BatchedCmds  uint64 // client commands packed into those slots
-	WALSyncs     uint64 // real fsyncs performed on the journal
+	WALSyncs     uint64 // journal flushes started (one fsync each)
 	Snapshots    uint64 // state-machine checkpoints saved locally
 	SnapSends    uint64 // snapshots shipped to laggards (SnapInstall)
 	SnapRestores uint64 // snapshots installed from a peer or at boot
@@ -303,6 +304,7 @@ type Replica struct {
 
 	// Leader state.
 	p1q         *quorum.Threshold
+	promised    bool   // our promise to our own campaign ballot is durable
 	p1MaxFloor  uint64 // highest compaction floor reported in phase-1
 	p1FloorFrom ids.ID // promiser that reported p1MaxFloor
 	buffered    []pendingRequest
@@ -339,9 +341,12 @@ type Replica struct {
 	heardCommit uint64
 
 	// Durability state (nil/zero when running volatile).
-	st              wal.Storage
-	execSinceSnap   int
-	journaledBallot ids.Ballot // highest ballot already durable in the WAL
+	st            wal.Storage
+	execSinceSnap int
+	journalBallot ids.Ballot // highest ballot a journaled record carries
+	flush         flusher
+	// What parked votes do when their flush is over, bound once.
+	voteDurable, selfVoteDurable, promiseDurable, selfPromiseDurable Release
 
 	// Lease state: followers promise not to campaign until
 	// leasePromiseUntil; the leader holds ack timestamps and serves local
@@ -383,6 +388,7 @@ func New(ctx node.Context, cfg Config, diss Disseminator) *Replica {
 	}
 	r.self = r.memberIndex(cfg.ID)
 	r.retx = slots.NewTimers(ctx, r.retransmit)
+	r.initFlusher()
 	if r.diss == nil {
 		r.diss = &Direct{
 			Ctx:     ctx,
@@ -515,16 +521,31 @@ func (r *Replica) campaign() {
 	r.abortProposals()
 	r.ballot = r.ballot.Next(r.cfg.ID)
 	r.active = false
-	r.ensurePromised() // the self-promise below must survive a crash
+	r.journalPromise()
 	r.p1q = quorum.NewThreshold(r.cfg.Cluster.N(), r.cfg.Q1)
 	r.p1MaxFloor, r.p1FloorFrom = 0, 0
-	r.p1q.ACK(r.cfg.ID) // self-promise
+	r.promised = false
+	// The bid reveals nothing that must survive a crash, so it leaves at
+	// once. The promise to ourselves does: without it this node does not win
+	// (see selfPromise), so no value is ever proposed under a ballot a restart
+	// could forget and hand out again.
 	r.diss.FanOut(wire.P1a{Ballot: r.ballot, From: r.log.ExecuteCursor()})
-	if r.p1q.Satisfied() { // single-node cluster
-		r.becomeLeader(nil)
-		return
+	r.WhenDurable(r.selfPromiseDurable, 0, r.ballot, r.cfg.ID)
+	if !r.active { // a single-node cluster has won already
+		r.armCampaignRetry()
 	}
-	r.armCampaignRetry()
+}
+
+// selfPromise counts a campaigner's own promise once it is durable.
+func (r *Replica) selfPromise(_ uint64, b ids.Ballot, _ ids.ID) {
+	if r.ballot != b || r.active || r.p1q == nil {
+		return // the campaign it belonged to is over
+	}
+	r.promised = true
+	r.p1q.ACK(r.cfg.ID)
+	if r.p1q.Satisfied() {
+		r.becomeLeader(nil)
+	}
 }
 
 // armCampaignRetry re-bids after a delay if phase-1 stalls (lost messages,
@@ -570,23 +591,32 @@ func (r *Replica) armElectionTimer() {
 	})
 }
 
-// HandleP1aLocal applies a phase-1 bid locally and returns the promise (or
-// a NACK carrying the higher ballot). Exposed for relay aggregation.
-func (r *Replica) HandleP1aLocal(m wire.P1a) wire.P1b {
+// PromiseP1a applies a phase-1 bid locally — adopting its ballot if higher
+// and journaling the promise — and reports whether the bid was promised
+// (false: it is below our ballot, and the answer is a NACK). The answer,
+// P1bFor, reveals the ballot either way and may leave only WhenDurable.
+// Exposed for relay aggregation.
+func (r *Replica) PromiseP1a(m wire.P1a) bool {
 	if m.Ballot > r.ballot {
 		r.ballot = m.Ballot
 		r.active = false
 		r.lastLeaderContact = r.ctx.Now()
 		r.redirectPending()
 	}
-	r.ensurePromised() // sync-before-promise: durable before the P1b leaves
+	r.journalPromise()
+	return m.Ballot == r.ballot
+}
+
+// P1bFor builds this replica's phase-1 answer for a campaigner whose
+// execution cursor is low: a promise if the replica's ballot is still the
+// campaigner's, a NACK carrying the higher ballot otherwise.
+func (r *Replica) P1bFor(low uint64) wire.P1b {
 	reply := wire.P1b{Ballot: r.ballot, From: r.cfg.ID, Floor: r.log.FirstSlot()}
 	// Report every known entry from the campaigner's cursor up — committed
 	// ones included, flagged, so a lagging winner installs them as commits
 	// instead of proposing no-op fillers over anchored slots (which would
 	// make one (ballot, slot) pair carry two values, breaking the
 	// same-ballot watermark commit rule).
-	low := m.From
 	if low < 1 {
 		low = 1
 	}
@@ -602,9 +632,15 @@ func (r *Replica) HandleP1aLocal(m wire.P1a) wire.P1b {
 	return reply
 }
 
-// OnP1a handles a direct phase-1 bid: apply locally, answer the bidder.
+// OnP1a handles a direct phase-1 bid: apply locally, answer the bidder once
+// the promise is durable.
 func (r *Replica) OnP1a(from ids.ID, m wire.P1a) {
-	r.ctx.Send(from, r.HandleP1aLocal(m))
+	r.PromiseP1a(m)
+	r.WhenDurable(r.promiseDurable, m.From, m.Ballot, from)
+}
+
+func (r *Replica) sendP1b(low uint64, _ ids.Ballot, to ids.ID) {
+	r.ctx.Send(to, r.P1bFor(low))
 }
 
 // OnP1b tallies phase-1 promises at a campaigning node.
@@ -628,7 +664,7 @@ func (r *Replica) OnP1b(m wire.P1b) {
 		r.p1MaxFloor, r.p1FloorFrom = m.Floor, m.From
 	}
 	r.recoverEntries(m.Entries)
-	if r.p1q.Satisfied() {
+	if r.promised && r.p1q.Satisfied() {
 		r.becomeLeader(nil)
 	}
 }
@@ -994,26 +1030,42 @@ func (r *Replica) OnHeartbeatAck(m wire.HeartbeatAck) {
 // propose runs phase-2 for (slot, cmds) under the current ballot.
 func (r *Replica) propose(slot uint64, cmds []kvstore.Command) {
 	r.log.Accept(slot, r.ballot, cmds)
-	// The leader's self-vote counts toward Q2, so its own accept must be as
-	// durable as a follower's — one fsync here covers the slot's whole
-	// command batch (group commit).
-	r.syncStorage()
+	r.noteJournaled(r.ballot)
 	p := r.inflight.Cover(slot)
 	if !p.voting {
 		p.voting = true
 		r.voting++
 	}
 	p.votes = quorum.Tally{}
-	p.votes.Add(r.self) // self-vote
 	p.proposedAt = r.ctx.Now()
 	m := wire.P2a{Ballot: r.ballot, Slot: slot, Cmds: cmds, Commit: r.commitWatermark()}
 	r.announced = m.Commit
 	r.diss.FanOut(m)
-	if p.votes.Count() >= r.cfg.Q2 { // single-node cluster
-		r.commit(slot)
+	// The leader's self-vote counts toward Q2, so its own accept must be as
+	// durable as a follower's: the vote waits for the flush while the
+	// followers already work on theirs. One flush covers every slot proposed
+	// since the last (group commit).
+	r.WhenDurable(r.selfVoteDurable, slot, r.ballot, r.cfg.ID)
+	if p := r.inflight.At(slot); p != nil && p.voting { // not so on a single-node cluster
+		r.armRetransmit(slot)
+	}
+}
+
+// selfVote counts the leader's own accept of slot under b once it is
+// durable — unless the proposal it belonged to is gone: the leader stepped
+// down or was re-elected under another ballot, or the slot's tally closed.
+func (r *Replica) selfVote(slot uint64, b ids.Ballot, _ ids.ID) {
+	if !r.active || r.ballot != b {
 		return
 	}
-	r.armRetransmit(slot)
+	p := r.inflight.At(slot)
+	if p == nil || !p.voting {
+		return
+	}
+	p.votes.Add(r.self)
+	if p.votes.Count() >= r.cfg.Q2 {
+		r.commit(slot)
+	}
 }
 
 // armRetransmit re-broadcasts a slot's P2a if it stalls (lossy networks).
@@ -1048,7 +1100,9 @@ func (r *Replica) commitWatermark() uint64 { return r.log.ExecuteCursor() }
 // vote means the slot already committed a different batch — the caller must
 // NOT count the vote, and the anchored value has been sent back to the
 // proposer (a lagging re-elected leader anchoring gaps with no-ops would
-// otherwise quorum-commit over an acknowledged batch). Exposed for relays.
+// otherwise quorum-commit over an acknowledged batch). An accepted proposal's
+// vote may leave only WhenDurable; a rejection reveals nothing and may leave
+// at once. Exposed for relays.
 func (r *Replica) AcceptP2a(m wire.P2a) (vote wire.P2b, ok bool) {
 	if m.Ballot >= r.ballot {
 		if m.Ballot > r.ballot {
@@ -1079,13 +1133,10 @@ func (r *Replica) AcceptP2a(m wire.P2a) (vote wire.P2b, ok bool) {
 				})
 			}
 		}
-		r.applyWatermark(m.Commit, m.Ballot)
 		if ok {
-			// Sync-before-vote: the accept (journaled by the log) must be
-			// durable before the P2b leaves. Commits folded in by the
-			// watermark ride along in the same group fsync.
-			r.syncStorage()
+			r.noteJournaled(m.Ballot)
 		}
+		r.applyWatermark(m.Commit, m.Ballot)
 	}
 	return wire.P2b{Ballot: r.ballot, From: r.cfg.ID, Slot: m.Slot}, ok
 }
@@ -1095,9 +1146,20 @@ func (r *Replica) AcceptP2a(m wire.P2a) (vote wire.P2b, ok bool) {
 // higher-ballot NACKs still flow so a stale leader steps down.
 func (r *Replica) OnP2a(from ids.ID, m wire.P2a) {
 	vote, ok := r.AcceptP2a(m)
-	if ok || vote.Ballot > m.Ballot {
+	if ok {
+		// Sync-before-vote: the accept (journaled by the log) must be durable
+		// before the P2b leaves. Commits folded in by the watermark ride along
+		// in the same flush.
+		r.WhenDurable(r.voteDurable, m.Slot, m.Ballot, from)
+	} else if vote.Ballot > m.Ballot {
 		r.ctx.Send(from, vote)
 	}
+}
+
+// sendP2b is an accept vote leaving, its accept durable. The ballot is the
+// accepted proposal's even if the replica has promised a higher one since.
+func (r *Replica) sendP2b(slot uint64, b ids.Ballot, to ids.ID) {
+	r.ctx.Send(to, wire.P2b{Ballot: b, From: r.cfg.ID, Slot: slot})
 }
 
 // OnP2b tallies phase-2 votes at the leader.

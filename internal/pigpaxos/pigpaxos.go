@@ -187,6 +187,9 @@ type Replica struct {
 	// Leader side: the Figure-5b timeout of every slot still in flight.
 	retries *slots.Timers[leaderRetry]
 
+	// What this relay's own parked votes do when durable, bound once.
+	ackDurable, promiseDurable paxos.Release
+
 	stats Stats
 }
 
@@ -196,6 +199,7 @@ func New(ctx node.Context, cfg Config) *Replica {
 	r := &Replica{ctx: ctx, cfg: cfg, p1aggs: make(map[ids.Ballot]*p1agg)}
 	r.relayDue = slots.NewTimers(ctx, r.relayTimeout)
 	r.retries = slots.NewTimers(ctx, r.retryFanOut)
+	r.ackDurable, r.promiseDurable = r.ownAck, r.ownPromise
 	r.core = paxos.New(ctx, cfg.Paxos, nil)
 	r.core.SetDisseminator(&pigPlane{r})
 	r.core.SetOnCommit(r.onCommit)
@@ -502,13 +506,10 @@ func (r *Replica) onRelayP2a(from ids.ID, m wire.RelayP2a) {
 	if a == nil {
 		// Outside what this relay tracks (see aggCell): no aggregation. The
 		// group still gets the message; its votes come back one by one and
-		// onP2b passes each on to the leader, as ours goes now.
+		// onP2b passes each on to the leader, as ours goes once durable.
 		r.relay(m)
 		if ok {
-			r.ctx.Send(from, wire.AggP2b{
-				Ballot: m.P2a.Ballot, Relay: r.ctx.ID(), Slot: slot,
-				Acks: []ids.ID{r.ctx.ID()}, Partial: true,
-			})
+			r.core.WhenDurable(r.ackDurable, slot, m.P2a.Ballot, from)
 		}
 		return
 	}
@@ -522,22 +523,42 @@ func (r *Replica) onRelayP2a(from ids.ID, m wire.RelayP2a) {
 		expected:  len(m.Peers) + 1,
 		threshold: int(m.Threshold),
 	}
-	if ok {
-		a.acks = append(a.acks, r.ctx.ID())
-	} else {
+	if !ok {
 		// Our own accept was refused (committed slot, different batch —
 		// the core already sent the teach-back): relay without a self-vote.
 		a.expected = len(m.Peers)
 	}
+	// The forward reveals nothing of ours, so the group starts on its accepts
+	// while our own waits for its flush.
 	r.relay(m)
-	if r.maybeFlushP2(slot, a, false) {
-		return
+	if ok {
+		r.core.WhenDurable(r.ackDurable, slot, m.P2a.Ballot, from)
+	} else {
+		r.maybeFlushP2(slot, a, false)
+	}
+	if a = r.collecting(m.P2a.Ballot, slot); a == nil {
+		return // flushed already
 	}
 	timeout := m.Timeout
 	if timeout <= 0 {
 		timeout = r.cfg.RelayTimeout
 	}
 	r.relayDue.Arm(slot, timeout, a.ballot)
+}
+
+// ownAck is this relay's own accept of (slot, b), durable: it joins the
+// aggregation it was meant for, or goes to the round's sender on its own if
+// that aggregation has been flushed or was never opened.
+func (r *Replica) ownAck(slot uint64, b ids.Ballot, leader ids.ID) {
+	if a := r.collecting(b, slot); a != nil {
+		r.addAck(a, r.ctx.ID())
+		r.maybeFlushP2(slot, a, false)
+		return
+	}
+	r.ctx.Send(leader, wire.AggP2b{
+		Ballot: b, Relay: r.ctx.ID(), Slot: slot,
+		Acks: []ids.ID{r.ctx.ID()}, Partial: true,
+	})
 }
 
 // relay passes a round's P2a on to the rest of the group.
@@ -700,24 +721,40 @@ func (r *Replica) mergeSubAggP2b(m wire.AggP2b) bool {
 
 func (r *Replica) onRelayP1a(from ids.ID, m wire.RelayP1a) {
 	r.stats.RelayRounds++
-	own := r.core.HandleP1aLocal(m.P1a)
-	if own.Ballot > m.P1a.Ballot {
-		r.ctx.Send(from, wire.AggP1b{Ballot: own.Ballot, Relay: r.ctx.ID(), Replies: []wire.P1b{own}})
+	b := m.P1a.Ballot
+	if !r.core.PromiseP1a(m.P1a) {
+		// A NACK does not wait for the group; ownPromise finds no aggregation
+		// and answers on its own.
+		r.core.WhenDurable(r.promiseDurable, m.P1a.From, b, from)
 		return
 	}
-	b := m.P1a.Ballot
-	a := &p1agg{leader: from, expected: len(m.Peers) + 1, replies: []wire.P1b{own}}
+	a := &p1agg{leader: from, expected: len(m.Peers) + 1, replies: make([]wire.P1b, 0, len(m.Peers)+1)}
 	r.p1aggs[b] = a
 	r.ctx.Broadcast(m.Peers, m.P1a)
-	if len(a.replies) >= a.expected {
-		r.flushP1(b, a)
-		return
+	r.core.WhenDurable(r.promiseDurable, m.P1a.From, b, from)
+	if r.p1aggs[b] != a {
+		return // flushed already
 	}
 	a.timer = r.ctx.After(r.cfg.RelayTimeout, func() {
 		if r.p1aggs[b] == a {
 			r.flushP1(b, a)
 		}
 	})
+}
+
+// ownPromise is this relay's own answer to the phase-1 bid under b, durable:
+// a promise joins the bid's aggregation; a NACK, or a promise whose
+// aggregation has been flushed, goes to the round's sender on its own.
+func (r *Replica) ownPromise(low uint64, b ids.Ballot, leader ids.ID) {
+	own := r.core.P1bFor(low)
+	if a := r.p1aggs[b]; a != nil && own.Ballot == b {
+		a.replies = append(a.replies, own)
+		if len(a.replies) >= a.expected {
+			r.flushP1(b, a)
+		}
+		return
+	}
+	r.ctx.Send(leader, wire.AggP1b{Ballot: own.Ballot, Relay: r.ctx.ID(), Replies: []wire.P1b{own}})
 }
 
 // onP1b is a promise arriving at a relay (or at a campaigning node).

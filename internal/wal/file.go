@@ -1,9 +1,11 @@
 // File-backed Storage: a directory of wal-NNNNNNNN.seg segment files plus
-// snap-*.snap snapshot files. Appends buffer frames in a persistent encode
-// buffer (allocation-free once grown); Sync writes and fsyncs the whole
-// batch at once, so durability costs one fsync per leader batch — aligned
-// with the group-commit accumulator, not per command. Snapshots are written
-// to a temp file, fsynced, then atomically renamed.
+// snap-*.snap snapshot files. Appends buffer frames in one of two persistent
+// encode buffers (allocation-free once grown); a flush writes and fsyncs the
+// whole batch at once, so durability costs one fsync per group of appends,
+// not per record. StartFlush swaps the buffers and hands the full one to the
+// storage's syncer goroutine, so the event loop keeps appending while the
+// disk works; Sync does the same work on the calling goroutine. Snapshots
+// are written to a temp file, fsynced, then atomically renamed.
 package wal
 
 import (
@@ -14,6 +16,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -27,9 +30,14 @@ type fileSeg struct {
 	frames  int
 }
 
-// FileStorage implements Storage on a directory. Not safe for concurrent
-// use. I/O errors surface from Append/Sync/SaveSnapshot; callers must treat
-// a failed sync as fatal (acknowledging unsynced state forges durability).
+// FileStorage implements Storage on a directory. Like every Storage it
+// belongs to one goroutine, the owner's event loop. The segment list, the
+// active file and the roll counter are the owner's too, except while a flush
+// StartFlush began is in flight: then they are the syncer goroutine's, and
+// every owner-side method that needs them lands the flight first (the
+// channel hand-offs order the two). I/O errors surface from Sync,
+// FinishFlush and SaveSnapshot; callers must treat a failed flush as fatal
+// (acknowledging unsynced state forges durability).
 type FileStorage struct {
 	enc      frameEncoder
 	dir      string
@@ -38,14 +46,33 @@ type FileStorage struct {
 	f        *os.File // active segment, opened for append
 	nextIdx  uint64
 
-	buf           []byte // unsynced framed appends
-	pendingFrames int
-	pendingMax    uint64
+	buf   []byte // framed appends no flush has taken yet
+	batch batch  // what buf holds
+	spare []byte // the pair's other buffer: in flight, or empty
+
+	flights chan flight // to the syncer; nil until the first StartFlush
+	landed  chan error  // the syncer's result, one per flight
+	exited  chan struct{}
+	flying  bool
+	err     error // the first failed flush; sticky
 
 	snap     Snapshot
 	hasSnap  bool
 	syncCost time.Duration
-	syncs    uint64
+	syncs    atomic.Uint64 // the syncer counts, anyone may read
+}
+
+// batch describes the frames of one flush.
+type batch struct {
+	frames  int
+	maxSlot uint64
+}
+
+// flight is one flush on its way through the syncer.
+type flight struct {
+	data []byte
+	batch
+	wake func()
 }
 
 // OpenFile opens (creating if needed) a file-backed journal in dir. Leftover
@@ -145,43 +172,106 @@ func (w *FileStorage) SetSyncCost(d time.Duration) { w.syncCost = d }
 // SyncCost implements Storage.
 func (w *FileStorage) SyncCost() time.Duration { return w.syncCost }
 
-// Append implements Storage: frame rec into the pending buffer. The buffer
-// is retained across syncs, so the steady-state append path allocates
+// Append implements Storage: frame rec into the pending buffer. Both buffers
+// are retained across flushes, so the steady-state append path allocates
 // nothing (asserted by TestFileAppendAllocFree).
 func (w *FileStorage) Append(rec Record) error {
 	w.buf = w.enc.appendFrame(w.buf, rec)
-	w.pendingFrames++
-	if rec.Slot > w.pendingMax {
-		w.pendingMax = rec.Slot
+	w.batch.frames++
+	if rec.Slot > w.batch.maxSlot {
+		w.batch.maxSlot = rec.Slot
 	}
 	return nil
 }
 
-// Sync implements Storage: one write + one fsync for every buffered append.
+// take empties the pending buffer into a flight and makes the spare buffer
+// the pending one.
+func (w *FileStorage) take(wake func()) flight {
+	fl := flight{data: w.buf, batch: w.batch, wake: wake}
+	w.buf, w.spare, w.batch = w.spare[:0], nil, batch{}
+	return fl
+}
+
+// StartFlush implements Storage: the syncer goroutine writes and fsyncs the
+// appends buffered so far, rolls the segment if it is full, and calls wake.
+func (w *FileStorage) StartFlush(wake func()) (started, async bool) {
+	if w.land() != nil || len(w.buf) == 0 {
+		return false, false // a failed storage starts nothing; FinishFlush says why
+	}
+	if w.flights == nil {
+		w.flights = make(chan flight)
+		w.landed = make(chan error, 1) // the syncer never waits for the owner
+		w.exited = make(chan struct{})
+		go w.syncer()
+	}
+	w.flying = true
+	w.flights <- w.take(wake)
+	return true, true
+}
+
+// syncer runs the flights, one at a time, until Close.
+func (w *FileStorage) syncer() {
+	defer close(w.exited)
+	for fl := range w.flights {
+		w.landed <- w.write(fl)
+		fl.wake()
+	}
+}
+
+// land waits for the flight in progress, if any, takes the segment state
+// back from the syncer and returns the storage's sticky error.
+func (w *FileStorage) land() error {
+	if w.flying {
+		w.flying = false
+		if err := <-w.landed; err != nil && w.err == nil {
+			w.err = err
+		}
+	}
+	return w.err
+}
+
+// FinishFlush implements Storage.
+func (w *FileStorage) FinishFlush() error { return w.land() }
+
+// Sync implements Storage: one write + one fsync for every buffered append,
+// after the flight in progress has landed.
 func (w *FileStorage) Sync() (bool, error) {
+	if err := w.land(); err != nil {
+		return false, err
+	}
 	if len(w.buf) == 0 {
 		return false, nil
 	}
-	if _, err := w.f.Write(w.buf); err != nil {
+	if err := w.write(w.take(nil)); err != nil {
+		w.err = err
 		return false, err
-	}
-	if err := w.f.Sync(); err != nil {
-		return false, err
-	}
-	cur := w.segs[len(w.segs)-1]
-	cur.size += len(w.buf)
-	cur.frames += w.pendingFrames
-	if w.pendingMax > cur.maxSlot {
-		cur.maxSlot = w.pendingMax
-	}
-	w.buf = w.buf[:0]
-	w.pendingFrames = 0
-	w.pendingMax = 0
-	w.syncs++
-	if cur.size >= w.segBytes {
-		return true, w.roll()
 	}
 	return true, nil
+}
+
+// write makes one flight durable: write, fsync, account it to the active
+// segment, roll the segment once it is full. It runs on the syncer goroutine
+// for StartFlush and on the owner's for Sync, never both at once. The
+// flight's buffer becomes the spare when it is done.
+func (w *FileStorage) write(fl flight) error {
+	defer func() { w.spare = fl.data[:0] }()
+	if _, err := w.f.Write(fl.data); err != nil {
+		return err
+	}
+	if err := w.f.Sync(); err != nil {
+		return err
+	}
+	cur := w.segs[len(w.segs)-1]
+	cur.size += len(fl.data)
+	cur.frames += fl.frames
+	if fl.maxSlot > cur.maxSlot {
+		cur.maxSlot = fl.maxSlot
+	}
+	w.syncs.Add(1)
+	if cur.size >= w.segBytes {
+		return w.roll()
+	}
+	return nil
 }
 
 // SaveSnapshot implements Storage: write-temp, fsync, rename, fsync dir.
@@ -261,8 +351,10 @@ func (w *FileStorage) Snapshot() (Snapshot, bool) { return w.snap, w.hasSnap }
 // CompactTo implements Storage: delete sealed segment files whose every
 // record concerns a slot below floor. Requires Replay (or live appends) to
 // have populated segment metadata; unknown segments are conservatively
-// kept. The active segment is never dropped.
+// kept. The active segment is never dropped. A flush in flight may be rolling
+// the segment list, so it lands first (its error stays for FinishFlush).
 func (w *FileStorage) CompactTo(floor uint64) int {
+	w.land()
 	n := 0
 	for n < len(w.segs)-1 && w.segs[n].maxSlot < floor {
 		n++
@@ -281,9 +373,10 @@ func (w *FileStorage) CompactTo(floor uint64) int {
 // order, truncating a torn tail in the final segment. Pending unsynced
 // appends are discarded — replay reconstructs the disk's contents.
 func (w *FileStorage) Replay(fn func(rec Record) error) error {
-	w.buf = w.buf[:0]
-	w.pendingFrames = 0
-	w.pendingMax = 0
+	if err := w.land(); err != nil {
+		return err
+	}
+	w.buf, w.batch = w.buf[:0], batch{}
 	for i, s := range w.segs {
 		data, err := os.ReadFile(s.path)
 		if err != nil {
@@ -314,22 +407,29 @@ func (w *FileStorage) Replay(fn func(rec Record) error) error {
 	return nil
 }
 
-// Close implements Storage: flush pending appends and close the active file.
+// Close implements Storage: land the flight in progress, flush pending
+// appends, stop the syncer and close the active file.
 func (w *FileStorage) Close() error {
-	if _, err := w.Sync(); err != nil {
-		return err
+	_, err := w.Sync()
+	if w.flights != nil {
+		close(w.flights)
+		<-w.exited
+		w.flights = nil
 	}
 	if w.f != nil {
-		return w.f.Close()
+		if cerr := w.f.Close(); err == nil {
+			err = cerr
+		}
+		w.f = nil
 	}
-	return nil
+	return err
 }
 
 // Segments reports the live segment-file count.
 func (w *FileStorage) Segments() int { return len(w.segs) }
 
 // Syncs reports how many real fsyncs were performed on the journal.
-func (w *FileStorage) Syncs() uint64 { return w.syncs }
+func (w *FileStorage) Syncs() uint64 { return w.syncs.Load() }
 
 // syncDir fsyncs a directory so entry creation/removal/rename is durable.
 func syncDir(dir string) error {

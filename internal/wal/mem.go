@@ -1,9 +1,9 @@
 // In-memory Storage: the deterministic simulator's "disk". It keeps the
 // exact byte framing FileStorage writes, models fsync as a configurable
-// simulated latency (charged by the replica, not here), and exposes the
-// crash surface chaos needs: Crash drops unsynced appends (the strictest
-// reading of a power cut) and TearTail rips the last synced frame in half
-// (a torn sector write).
+// simulated latency (timed by the replica, not here), and exposes the crash
+// surface chaos needs: Crash drops every append no completed flush covers
+// (the strictest reading of a power cut) and TearTail rips the last durable
+// frame in half (a torn sector write).
 package wal
 
 import (
@@ -11,28 +11,42 @@ import (
 )
 
 // memSeg is one sealed-or-active segment: a frame concatenation plus the
-// metadata compaction and tearing need.
+// metadata compaction and tearing need. The metadata describes the durable
+// frames only.
 type memSeg struct {
 	buf       []byte
 	maxSlot   uint64 // highest slot any frame concerns (0 = promises only)
 	frames    int
-	lastFrame int // byte length of the most recently synced frame
+	lastFrame int // byte length of the most recently flushed frame
+}
+
+// span is a run of whole frames at the end of the active segment's buffer.
+type span struct {
+	end     int    // offset the run ends at
+	frames  int    // frames in it
+	last    int    // byte length of its final frame
+	maxSlot uint64 // highest slot its frames concern
 }
 
 // MemStorage implements Storage without a filesystem. Not safe for
 // concurrent use; the owning replica's event loop serializes access. The
 // harness keeps MemStorage instances alive across simulated crashes — they
 // play the role of the machine's disk.
+//
+// Frames are encoded straight into the active segment's buffer, which is
+// allocated once with room for a whole segment. The buffer holds the durable
+// frames, then the frames of the flush in flight, then the appends since:
+//
+//	[0:durable) durable   [durable:flight.end) in flight   [flight.end:tail.end) buffered
 type MemStorage struct {
 	enc      frameEncoder
 	segBytes int
 	segs     []*memSeg
 
-	// Unsynced appends: framed bytes plus enough metadata to fold them
-	// into the active segment on Sync.
-	pending       []byte
-	pendingFrames []int
-	pendingMax    uint64
+	durable int
+	flight  span // empty (end == durable) unless flying
+	tail    span // end == len(active buffer)
+	flying  bool
 
 	snap     Snapshot
 	hasSnap  bool
@@ -60,51 +74,101 @@ func (m *MemStorage) SetSyncCost(d time.Duration) { m.syncCost = d }
 // SyncCost implements Storage.
 func (m *MemStorage) SyncCost() time.Duration { return m.syncCost }
 
-// Append implements Storage: frame rec into the unsynced buffer.
+func (m *MemStorage) active() *memSeg { return m.segs[len(m.segs)-1] }
+
+// Append implements Storage: frame rec onto the active segment's buffer,
+// past everything durable or in flight.
 func (m *MemStorage) Append(rec Record) error {
-	start := len(m.pending)
-	m.pending = m.enc.appendFrame(m.pending, rec)
-	m.pendingFrames = append(m.pendingFrames, len(m.pending)-start)
-	if rec.Slot > m.pendingMax {
-		m.pendingMax = rec.Slot
+	cur := m.active()
+	if cur.buf == nil {
+		// A segment is sealed by the first flush that takes it past segBytes,
+		// so it ends up holding that much plus one flush's worth of frames.
+		cur.buf = make([]byte, 0, m.segBytes+m.segBytes/4)
+	}
+	cur.buf = m.enc.appendFrame(cur.buf, rec)
+	m.tail.frames++
+	m.tail.last = len(cur.buf) - m.tail.end
+	m.tail.end = len(cur.buf)
+	if rec.Slot > m.tail.maxSlot {
+		m.tail.maxSlot = rec.Slot
 	}
 	return nil
 }
 
-// Sync implements Storage: fold unsynced appends into the active segment,
-// sealing it when it crossed the roll threshold.
+// StartFlush implements Storage: the buffered appends become the flight.
+// Nothing runs here — the caller ends the flight SyncCost() later — and the
+// flight's frames stay volatile until it does (see Crash).
+func (m *MemStorage) StartFlush(func()) (started, async bool) {
+	m.FinishFlush()
+	if m.tail.frames == 0 {
+		return false, false
+	}
+	m.flight, m.tail = m.tail, span{end: m.tail.end}
+	m.flying = true
+	m.syncs++
+	return true, false
+}
+
+// FinishFlush implements Storage: the flight's frames are durable.
+func (m *MemStorage) FinishFlush() error {
+	if m.flying {
+		m.flying = false
+		m.harden(m.flight)
+		m.flight = span{end: m.durable}
+	}
+	return nil
+}
+
+// Sync implements Storage: everything appended so far is durable on return,
+// the flight in progress included.
 func (m *MemStorage) Sync() (bool, error) {
-	if len(m.pending) == 0 {
+	m.FinishFlush()
+	if m.tail.frames == 0 {
 		return false, nil
 	}
-	cur := m.segs[len(m.segs)-1]
-	cur.buf = append(cur.buf, m.pending...)
-	cur.frames += len(m.pendingFrames)
-	cur.lastFrame = m.pendingFrames[len(m.pendingFrames)-1]
-	if m.pendingMax > cur.maxSlot {
-		cur.maxSlot = m.pendingMax
-	}
-	m.pending = m.pending[:0]
-	m.pendingFrames = m.pendingFrames[:0]
-	m.pendingMax = 0
-	if len(cur.buf) >= m.segBytes {
-		m.segs = append(m.segs, &memSeg{})
-	}
+	m.harden(m.tail)
+	m.flight, m.tail = span{end: m.durable}, span{end: m.durable}
 	m.syncs++
 	return true, nil
 }
 
-// Crash models power loss: every append since the last Sync is gone. The
-// chaos injector calls it at the instant a node with durable state crashes.
-func (m *MemStorage) Crash() {
-	m.pending = m.pending[:0]
-	m.pendingFrames = m.pendingFrames[:0]
-	m.pendingMax = 0
+// harden extends the durable prefix over s, the run of frames that follows
+// it, and seals the active segment once it crossed the roll threshold; the
+// frames still buffered behind s move to the fresh segment.
+func (m *MemStorage) harden(s span) {
+	cur := m.active()
+	cur.frames += s.frames
+	cur.lastFrame = s.last
+	if s.maxSlot > cur.maxSlot {
+		cur.maxSlot = s.maxSlot
+	}
+	m.durable = s.end
+	if m.durable < m.segBytes {
+		return
+	}
+	next := &memSeg{}
+	if rest := cur.buf[m.durable:]; len(rest) > 0 {
+		next.buf = append(make([]byte, 0, max(m.segBytes+m.segBytes/4, len(rest))), rest...)
+		cur.buf = cur.buf[:m.durable]
+	}
+	m.segs = append(m.segs, next)
+	m.tail.end -= m.durable
+	m.durable = 0
 }
 
-// TearTail rips the last synced frame in half — a torn sector write that
+// Crash models power loss: every append no finished flush covers is gone —
+// the buffered ones and those of a flush still in flight. The chaos injector
+// calls it at the instant a node with durable state crashes.
+func (m *MemStorage) Crash() {
+	cur := m.active()
+	cur.buf = cur.buf[:m.durable]
+	m.flying = false
+	m.flight, m.tail = span{end: m.durable}, span{end: m.durable}
+}
+
+// TearTail rips the last durable frame in half — a torn sector write that
 // the next Replay must detect and truncate. Returns false when there is no
-// synced frame to tear.
+// durable frame to tear.
 func (m *MemStorage) TearTail() bool {
 	for i := len(m.segs) - 1; i >= 0; i-- {
 		s := m.segs[i]
@@ -112,6 +176,13 @@ func (m *MemStorage) TearTail() bool {
 			continue
 		}
 		cut := (s.lastFrame + 1) / 2
+		if i == len(m.segs)-1 {
+			// Whatever is not durable yet sits behind the torn frame.
+			copy(s.buf[m.durable-cut:], s.buf[m.durable:])
+			m.durable -= cut
+			m.flight.end -= cut
+			m.tail.end -= cut
+		}
 		s.buf = s.buf[:len(s.buf)-cut]
 		s.frames--
 		s.lastFrame = 0
@@ -120,14 +191,23 @@ func (m *MemStorage) TearTail() bool {
 	return false
 }
 
-// CorruptFrame flips one byte inside segment seg at offset off (tests use
-// it to plant mid-segment corruption that replay must refuse to skip).
+// CorruptFrame flips one durable byte inside segment seg at offset off
+// (tests use it to plant mid-segment corruption that replay must refuse to
+// skip).
 func (m *MemStorage) CorruptFrame(seg, off int) bool {
-	if seg < 0 || seg >= len(m.segs) || off < 0 || off >= len(m.segs[seg].buf) {
+	if seg < 0 || seg >= len(m.segs) || off < 0 || off >= m.durableLen(seg) {
 		return false
 	}
 	m.segs[seg].buf[off] ^= 0xff
 	return true
+}
+
+// durableLen is how many of segment i's bytes are durable.
+func (m *MemStorage) durableLen(i int) int {
+	if i == len(m.segs)-1 {
+		return m.durable
+	}
+	return len(m.segs[i].buf)
 }
 
 // SaveSnapshot implements Storage. The blob is copied; callers may reuse
@@ -157,10 +237,10 @@ func (m *MemStorage) CompactTo(floor uint64) int {
 	return n
 }
 
-// Replay implements Storage: stream every synced record in order. A torn
+// Replay implements Storage: stream every durable record in order. A torn
 // tail in the final segment is truncated in place; corruption anywhere else
-// aborts with ErrCorrupt. Unsynced appends are discarded first — replay
-// reconstructs what the disk holds, nothing more.
+// aborts with ErrCorrupt. Appends no finished flush covers are discarded
+// first — replay reconstructs what the disk holds, nothing more.
 func (m *MemStorage) Replay(fn func(rec Record) error) error {
 	m.Crash()
 	for i, s := range m.segs {
@@ -182,6 +262,8 @@ func (m *MemStorage) Replay(fn func(rec Record) error) error {
 		s.buf = s.buf[:valid]
 		s.maxSlot, s.frames, s.lastFrame = maxSlot, frames, lastFrame
 	}
+	m.durable = len(m.active().buf)
+	m.flight, m.tail = span{end: m.durable}, span{end: m.durable}
 	return nil
 }
 
@@ -191,14 +273,15 @@ func (m *MemStorage) Close() error { return nil }
 // Segments reports the live segment count (bounded-memory assertions).
 func (m *MemStorage) Segments() int { return len(m.segs) }
 
-// Bytes reports the total synced journal size in bytes.
+// Bytes reports the total durable journal size in bytes.
 func (m *MemStorage) Bytes() int {
 	n := 0
-	for _, s := range m.segs {
-		n += len(s.buf)
+	for i := range m.segs {
+		n += m.durableLen(i)
 	}
 	return n
 }
 
-// Syncs reports how many real fsyncs were performed.
+// Syncs reports how many flushes were performed: the ones StartFlush began
+// and the blocking ones.
 func (m *MemStorage) Syncs() uint64 { return m.syncs }

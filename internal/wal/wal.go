@@ -76,18 +76,40 @@ type Snapshot struct {
 	Data  []byte
 }
 
-// Storage is the durability interface a replica journals through. All
-// methods are single-threaded (the replica's event loop owns its storage).
+// Storage is the durability interface a replica journals through. Every
+// method belongs to the replica's event loop — the one goroutine that owns
+// the storage — and none may be called from anywhere else; what a storage
+// does on a goroutine of its own (FileStorage's write and fsync) it
+// synchronizes itself.
 //
-// Append buffers a record; nothing is durable until Sync. Sync flushes and
-// fsyncs every buffered append, returning whether an actual sync was
-// performed (false when nothing was pending — callers charge simulated
-// fsync latency only for real syncs). CompactTo drops whole segments whose
-// records all concern slots below floor; it must only be called after
-// SaveSnapshot with that snapshot's floor, because the snapshot blob is
-// what carries the promise ballot across the discarded segments.
+// Append buffers a record; nothing is durable until a flush covers it. There
+// are two ways to flush:
+//
+//   - StartFlush/FinishFlush is the pipeline the replica runs on: StartFlush
+//     begins making every record appended so far durable and returns at once
+//     (started is false when nothing was pending). At most one flush is in
+//     flight; records appended meanwhile ride the next one. A storage that
+//     does real I/O flushes on its own goroutine and calls wake from there
+//     when the flush is over (async true); wake must only post to the event
+//     loop, e.g. node.Context.After(0, …). A simulated storage has nothing to
+//     run: async is false and the caller ends the flush SyncCost() later. On
+//     the loop again, FinishFlush ends the flight: it waits for it if it is
+//     somehow still running, makes its records count as durable and returns
+//     the storage's first flush error, which stays set — a failed flush is
+//     fatal, acknowledging its records would forge durability.
+//   - Sync is "flush and wait", for shutdown, Close, snapshots and tests: it
+//     lands the flight in progress, then writes and fsyncs every buffered
+//     append on the calling goroutine, returning whether an actual sync was
+//     performed (false when nothing was pending).
+//
+// CompactTo drops whole segments whose records all concern slots below
+// floor; it must only be called after SaveSnapshot with that snapshot's
+// floor, because the snapshot blob is what carries the promise ballot across
+// the discarded segments.
 type Storage interface {
 	Append(rec Record) error
+	StartFlush(wake func()) (started, async bool)
+	FinishFlush() error
 	Sync() (bool, error)
 	SyncCost() time.Duration
 	SaveSnapshot(snap Snapshot) error

@@ -6,8 +6,9 @@
 // finish in milliseconds and are exactly reproducible.
 //
 // Events live in a slab with free-list reuse: scheduling allocates nothing
-// once the slab has grown to the experiment's working set, and the binary
-// heap orders int32 slab indices instead of pointers. Canceled timers are
+// once the slab has grown to the experiment's working set. The binary heap
+// holds each event's (time, sequence) key next to its int32 slab index, so
+// ordering the heap never leaves the heap's own array. Canceled timers are
 // compacted out of the heap once they outnumber live events, so retransmit
 // and heartbeat churn cannot grow the queue without bound.
 package des
@@ -27,12 +28,24 @@ type Runner interface {
 // event is one scheduled callback, stored in the simulator's slab. Exactly
 // one of fn and runner is set. gen guards Timer handles against slot reuse.
 type event struct {
-	at       time.Duration
-	seq      uint64 // tie-break so same-time events run in schedule order
 	fn       func()
 	runner   Runner
 	gen      uint32
 	canceled bool
+}
+
+// entry is one heap element: when the event at slab index idx runs.
+type entry struct {
+	at  time.Duration
+	seq uint64 // tie-break so same-time events run in schedule order
+	idx int32
+}
+
+func (a entry) before(b entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
 // Timer is a handle to a scheduled event that can be stopped.
@@ -66,7 +79,7 @@ type Sim struct {
 	now      time.Duration
 	slab     []event
 	free     []int32 // free slab slots (stack)
-	queue    []int32 // binary heap of slab indices, ordered by (at, seq)
+	queue    []entry // binary heap ordered by (at, seq)
 	seq      uint64
 	rng      *rand.Rand
 	events   uint64
@@ -112,12 +125,10 @@ func (s *Sim) scheduleEvent(delay time.Duration, fn func(), r Runner) (int32, ui
 	}
 	idx := s.alloc()
 	e := &s.slab[idx]
-	e.at = s.now + delay
-	e.seq = s.seq
-	s.seq++
 	e.fn, e.runner = fn, r
 	gen := e.gen
-	s.queue = append(s.queue, idx)
+	s.queue = append(s.queue, entry{at: s.now + delay, seq: s.seq, idx: idx})
+	s.seq++
 	s.up(len(s.queue) - 1)
 	return idx, gen
 }
@@ -137,58 +148,55 @@ func (s *Sim) ScheduleRunner(delay time.Duration, r Runner) {
 	s.scheduleEvent(delay, nil, r)
 }
 
-// ---- index heap, ordered by (at, seq) ----
+// ---- binary heap, ordered by (at, seq) ----
 
-func (s *Sim) less(a, b int32) bool {
-	ea, eb := &s.slab[a], &s.slab[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
-	}
-	return ea.seq < eb.seq
-}
-
+// up sifts the entry at j towards the root.
 func (s *Sim) up(j int) {
 	q := s.queue
+	x := q[j]
 	for j > 0 {
 		i := (j - 1) / 2
-		if !s.less(q[j], q[i]) {
+		if !x.before(q[i]) {
 			break
 		}
-		q[i], q[j] = q[j], q[i]
+		q[j] = q[i]
 		j = i
 	}
+	q[j] = x
 }
 
+// down sifts the entry at i towards the leaves.
 func (s *Sim) down(i int) {
 	q := s.queue
 	n := len(q)
+	x := q[i]
 	for {
-		l := 2*i + 1
-		if l >= n {
+		j := 2*i + 1
+		if j >= n {
 			break
 		}
-		j := l
-		if r := l + 1; r < n && s.less(q[r], q[l]) {
+		if r := j + 1; r < n && q[r].before(q[j]) {
 			j = r
 		}
-		if !s.less(q[j], q[i]) {
+		if !q[j].before(x) {
 			break
 		}
-		q[i], q[j] = q[j], q[i]
+		q[i] = q[j]
 		i = j
 	}
+	q[i] = x
 }
 
-func (s *Sim) popMin() int32 {
+func (s *Sim) popMin() entry {
 	q := s.queue
-	idx := q[0]
+	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
 	s.queue = q[:n]
 	if n > 0 {
 		s.down(0)
 	}
-	return idx
+	return top
 }
 
 // compactMinCanceled bounds how small a queue bothers compacting; below
@@ -204,12 +212,12 @@ func (s *Sim) maybeCompact() {
 		return
 	}
 	live := s.queue[:0]
-	for _, idx := range s.queue {
-		if s.slab[idx].canceled {
+	for _, q := range s.queue {
+		if s.slab[q.idx].canceled {
 			s.canceled--
-			s.release(idx)
+			s.release(q.idx)
 		} else {
-			live = append(live, idx)
+			live = append(live, q)
 		}
 	}
 	s.queue = live
@@ -222,19 +230,19 @@ func (s *Sim) maybeCompact() {
 // is empty.
 func (s *Sim) step() bool {
 	for len(s.queue) > 0 {
-		idx := s.popMin()
-		e := &s.slab[idx]
+		top := s.popMin()
+		e := &s.slab[top.idx]
 		if e.canceled {
 			s.canceled--
-			s.release(idx)
+			s.release(top.idx)
 			continue
 		}
-		s.now = e.at
+		s.now = top.at
 		s.events++
 		fn, r := e.fn, e.runner
 		// Release before running: the callback may schedule new events,
 		// which can then reuse this slot immediately.
-		s.release(idx)
+		s.release(top.idx)
 		if r != nil {
 			r.Run()
 		} else {
@@ -251,14 +259,13 @@ func (s *Sim) Run(until time.Duration) {
 	for len(s.queue) > 0 {
 		// Peek: stop before executing an event beyond the horizon.
 		root := s.queue[0]
-		e := &s.slab[root]
-		if e.canceled {
+		if s.slab[root.idx].canceled {
 			s.popMin()
 			s.canceled--
-			s.release(root)
+			s.release(root.idx)
 			continue
 		}
-		if e.at > until {
+		if root.at > until {
 			s.now = until
 			return
 		}

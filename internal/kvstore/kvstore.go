@@ -79,22 +79,38 @@ type Result struct {
 	Value  []byte
 }
 
+// cell is everything the store knows about one key. A deleted key keeps its
+// cell: its write-version still matters to quorum reads.
+type cell struct {
+	value   []byte
+	live    bool   // the key holds a value (which may be empty)
+	version uint64 // writes applied to the key, deletes included
+}
+
 // Store is the replicated key-value state machine. It is safe for concurrent
 // use; protocols apply committed commands through Apply and serve local
 // reads through Get.
 type Store struct {
-	mu      sync.RWMutex
-	data    map[uint64][]byte
-	version map[uint64]uint64
+	mu      sync.Mutex
+	cells   map[uint64]*cell
+	live    int    // cells holding a value
 	applied uint64 // total commands applied, for metrics/tests
 }
 
 // New creates an empty store.
 func New() *Store {
-	return &Store{
-		data:    make(map[uint64][]byte),
-		version: make(map[uint64]uint64),
+	return &Store{cells: make(map[uint64]*cell)}
+}
+
+// written returns key's cell for a write, creating it on the key's first.
+func (s *Store) written(key uint64) *cell {
+	c := s.cells[key]
+	if c == nil {
+		c = &cell{}
+		s.cells[key] = c
 	}
+	c.version++
+	return c
 }
 
 // Apply executes cmd against the state machine and returns its result.
@@ -104,20 +120,29 @@ func (s *Store) Apply(cmd Command) Result {
 	s.applied++
 	switch cmd.Op {
 	case Get:
-		v, ok := s.data[cmd.Key]
-		return Result{Exists: ok, Value: v}
+		if c := s.cells[cmd.Key]; c != nil && c.live {
+			return Result{Exists: true, Value: c.value}
+		}
+		return Result{}
 	case Put:
 		// Copy so callers may reuse their buffers.
 		v := make([]byte, len(cmd.Value))
 		copy(v, cmd.Value)
-		s.data[cmd.Key] = v
-		s.version[cmd.Key]++
+		c := s.written(cmd.Key)
+		if !c.live {
+			c.live = true
+			s.live++
+		}
+		c.value = v
 		return Result{Exists: true, Value: nil}
 	case Delete:
-		_, ok := s.data[cmd.Key]
-		delete(s.data, cmd.Key)
-		s.version[cmd.Key]++
-		return Result{Exists: ok}
+		c := s.written(cmd.Key)
+		was := c.live
+		if was {
+			c.live, c.value = false, nil
+			s.live--
+		}
+		return Result{Exists: was}
 	default:
 		return Result{}
 	}
@@ -126,31 +151,36 @@ func (s *Store) Apply(cmd Command) Result {
 // Get reads the current value of key without going through the log. Used by
 // local/leased read paths and tests.
 func (s *Store) Get(key uint64) (value []byte, ok bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	v, ok := s.data[key]
-	return v, ok
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if c := s.cells[key]; c != nil && c.live {
+		return c.value, true
+	}
+	return nil, false
 }
 
 // Version returns the write-version of a key (number of writes applied to
 // it), used by Paxos Quorum Reads to compare replica freshness.
 func (s *Store) Version(key uint64) uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.version[key]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if c := s.cells[key]; c != nil {
+		return c.version
+	}
+	return 0
 }
 
 // Len returns the number of live keys.
 func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.data)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.live
 }
 
 // Applied returns the total number of commands applied.
 func (s *Store) Applied() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.applied
 }
 
@@ -158,18 +188,21 @@ func (s *Store) Applied() uint64 {
 // applied the same command sequence have equal checksums; tests use it to
 // assert state machine convergence.
 func (s *Store) Checksum() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var h uint64 = 14695981039346656037 // FNV offset basis
 	// XOR per-key hashes so iteration order does not matter.
 	var acc uint64
-	for k, v := range s.data {
+	for k, c := range s.cells {
+		if !c.live {
+			continue
+		}
 		kh := h
 		kh = fnvMix(kh, k)
-		for _, b := range v {
+		for _, b := range c.value {
 			kh = (kh ^ uint64(b)) * 1099511628211
 		}
-		kh = fnvMix(kh, s.version[k])
+		kh = fnvMix(kh, c.version)
 		acc ^= kh
 	}
 	return acc
@@ -178,33 +211,32 @@ func (s *Store) Checksum() uint64 {
 // Serialize appends the full store state to b in a deterministic layout
 // (keys sorted ascending), so every replica serializes identical state to
 // identical bytes — snapshots can be compared and shipped between nodes.
-// The version map is serialized in full, including keys whose data was
-// deleted (their write-versions still matter to quorum reads).
+// The layout is a version section covering every key ever written,
+// including keys whose data was deleted (their write-versions still matter
+// to quorum reads), then a data section covering the live ones.
 func (s *Store) Serialize(b []byte) []byte {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	b = binary.LittleEndian.AppendUint64(b, s.applied)
-	verKeys := make([]uint64, 0, len(s.version))
-	for k := range s.version {
-		verKeys = append(verKeys, k)
+	keys := make([]uint64, 0, len(s.cells))
+	for k := range s.cells {
+		keys = append(keys, k)
 	}
-	sort.Slice(verKeys, func(i, j int) bool { return verKeys[i] < verKeys[j] })
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(verKeys)))
-	for _, k := range verKeys {
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(keys)))
+	for _, k := range keys {
 		b = binary.LittleEndian.AppendUint64(b, k)
-		b = binary.LittleEndian.AppendUint64(b, s.version[k])
+		b = binary.LittleEndian.AppendUint64(b, s.cells[k].version)
 	}
-	dataKeys := make([]uint64, 0, len(s.data))
-	for k := range s.data {
-		dataKeys = append(dataKeys, k)
-	}
-	sort.Slice(dataKeys, func(i, j int) bool { return dataKeys[i] < dataKeys[j] })
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(dataKeys)))
-	for _, k := range dataKeys {
-		v := s.data[k]
+	b = binary.LittleEndian.AppendUint32(b, uint32(s.live))
+	for _, k := range keys {
+		c := s.cells[k]
+		if !c.live {
+			continue
+		}
 		b = binary.LittleEndian.AppendUint64(b, k)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(v)))
-		b = append(b, v...)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(c.value)))
+		b = append(b, c.value...)
 	}
 	return b
 }
@@ -242,20 +274,20 @@ func (s *Store) Restore(b []byte) (int, error) {
 	if !ok {
 		return fail()
 	}
-	version := make(map[uint64]uint64, nVer)
+	cells := make(map[uint64]*cell, nVer)
 	for i := uint32(0); i < nVer; i++ {
 		k, ok1 := u64()
 		v, ok2 := u64()
 		if !ok1 || !ok2 {
 			return fail()
 		}
-		version[k] = v
+		cells[k] = &cell{version: v}
 	}
 	nData, ok := u32()
 	if !ok {
 		return fail()
 	}
-	data := make(map[uint64][]byte, nData)
+	live := 0
 	for i := uint32(0); i < nData; i++ {
 		k, ok1 := u64()
 		n, ok2 := u32()
@@ -265,11 +297,19 @@ func (s *Store) Restore(b []byte) (int, error) {
 		v := make([]byte, n)
 		copy(v, b[off:off+int(n)])
 		off += int(n)
-		data[k] = v
+		c := cells[k]
+		if c == nil { // Serialize never writes data without a version
+			c = &cell{}
+			cells[k] = c
+		}
+		if !c.live {
+			c.live = true
+			live++
+		}
+		c.value = v
 	}
 	s.applied = applied
-	s.version = version
-	s.data = data
+	s.cells, s.live = cells, live
 	return off, nil
 }
 

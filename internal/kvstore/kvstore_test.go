@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math/rand"
 	"sync"
 	"testing"
@@ -215,5 +216,76 @@ func BenchmarkApplyGet(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.Apply(cmd)
+	}
+}
+
+// parentSnapshot is Serialize's output for snapshotScript, produced by the
+// two-map store (data + version) this one replaced. Snapshots are journaled
+// and shipped between replicas, so the bytes are a format, not an
+// implementation detail.
+const parentSnapshot = "0a00000000000000" +
+	"07000000" +
+	"01000000000000000100000000000000" + "02000000000000000200000000000000" +
+	"03000000000000000200000000000000" + "04000000000000000100000000000000" +
+	"05000000000000000100000000000000" + "07000000000000000100000000000000" +
+	"09000000000000000100000000000000" +
+	"05000000" +
+	"0100000000000000" + "02000000" + "01ab" +
+	"0300000000000000" + "05000000" + "7468726565" +
+	"0400000000000000" + "02000000" + "04ab" +
+	"0500000000000000" + "02000000" + "05ab" +
+	"0700000000000000" + "00000000"
+
+const parentChecksum uint64 = 0xc2ad62feb68cb0da
+
+// snapshotScript leaves a deleted key (2), a key deleted without ever being
+// written (9: a version and no data), an overwritten key (3) and an empty
+// value (7).
+func snapshotScript(s *Store) {
+	for k := uint64(1); k <= 5; k++ {
+		s.Apply(Command{Op: Put, Key: k, Value: []byte{byte(k), 0xab}})
+	}
+	s.Apply(Command{Op: Delete, Key: 2})
+	s.Apply(Command{Op: Delete, Key: 9})
+	s.Apply(Command{Op: Put, Key: 3, Value: []byte("three")})
+	s.Apply(Command{Op: Get, Key: 4})
+	s.Apply(Command{Op: Put, Key: 7, Value: nil})
+}
+
+func TestSnapshotBytesPinned(t *testing.T) {
+	want, err := hex.DecodeString(parentSnapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New()
+	snapshotScript(s)
+	if got := s.Serialize(nil); !bytes.Equal(got, want) {
+		t.Fatalf("Serialize moved:\n got %x\nwant %x", got, want)
+	}
+	if got := s.Checksum(); got != parentChecksum {
+		t.Fatalf("Checksum %#x, want %#x", got, parentChecksum)
+	}
+	// Round trip: a store restored from the parent's bytes is the same store.
+	r := New()
+	n, err := r.Restore(want)
+	if err != nil || n != len(want) {
+		t.Fatalf("Restore consumed %d of %d: %v", n, len(want), err)
+	}
+	if got := r.Serialize(nil); !bytes.Equal(got, want) {
+		t.Fatalf("round trip moved:\n got %x\nwant %x", got, want)
+	}
+	if r.Checksum() != parentChecksum || r.Len() != 5 || r.Applied() != 10 {
+		t.Fatalf("restored: checksum %#x len %d applied %d", r.Checksum(), r.Len(), r.Applied())
+	}
+	for key, v := range map[uint64]uint64{2: 2, 9: 1, 3: 2, 8: 0} {
+		if got := r.Version(key); got != v {
+			t.Errorf("restored Version(%d) = %d, want %d", key, got, v)
+		}
+	}
+	if _, ok := r.Get(2); ok {
+		t.Error("deleted key 2 came back live")
+	}
+	if v, ok := r.Get(7); !ok || len(v) != 0 {
+		t.Errorf("empty value of key 7 restored as %q, %v", v, ok)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"pigpaxos/internal/config"
 	"pigpaxos/internal/des"
 	"pigpaxos/internal/ids"
-	"pigpaxos/internal/metrics"
 	"pigpaxos/internal/node"
 	"pigpaxos/internal/wire"
 )
@@ -90,10 +89,9 @@ type Network struct {
 	// single-threaded, so a plain stack beats sync.Pool).
 	freeDeliveries []*delivery
 
-	// Counters for the analytical-model cross-checks.
-	sent      metrics.Counter
-	delivered metrics.Counter
-	dropped   metrics.Counter
+	// Counters for the analytical-model cross-checks (plain: the simulator
+	// is single-threaded).
+	sent, delivered, dropped uint64
 }
 
 // New creates a network over sim for cluster cfg.
@@ -134,13 +132,13 @@ func (n *Network) Register(id ids.ID, h Handler, free bool) *Endpoint {
 func (n *Network) Endpoint(id ids.ID) *Endpoint { return n.endpoints[id] }
 
 // MessagesSent returns the number of messages handed to the network.
-func (n *Network) MessagesSent() uint64 { return n.sent.Value() }
+func (n *Network) MessagesSent() uint64 { return n.sent }
 
 // MessagesDelivered returns the number of messages delivered to handlers.
-func (n *Network) MessagesDelivered() uint64 { return n.delivered.Value() }
+func (n *Network) MessagesDelivered() uint64 { return n.delivered }
 
 // MessagesDropped returns messages dropped by crashes or partitions.
-func (n *Network) MessagesDropped() uint64 { return n.dropped.Value() }
+func (n *Network) MessagesDropped() uint64 { return n.dropped }
 
 // Crash makes id drop every message in or out until Recover. In-flight
 // messages addressed to it are dropped on delivery.
@@ -383,7 +381,7 @@ func (d *delivery) Run() {
 		// Network arrival: the receiver pays RecvCost plus per-byte CPU
 		// before its handler may run (same cost model as before).
 		if e.crashed || e.cut[d.from] {
-			n.dropped.Inc()
+			n.dropped++
 			n.releaseDelivery(d)
 			return
 		}
@@ -394,11 +392,11 @@ func (d *delivery) Run() {
 	}
 	// Handling time.
 	if e.crashed {
-		n.dropped.Inc()
+		n.dropped++
 		n.releaseDelivery(d)
 		return
 	}
-	n.delivered.Inc()
+	n.delivered++
 	e.received++
 	from, m := d.from, d.m
 	// Release before invoking the handler: sends from inside OnMessage may
@@ -484,23 +482,23 @@ func (e *Endpoint) Work(d time.Duration) {
 // delivered through the same cost path (loopback latency zero).
 func (e *Endpoint) Send(to ids.ID, m wire.Msg) {
 	n := e.net
-	n.sent.Inc()
+	n.sent++
 	e.sent++
 	if e.crashed {
-		n.dropped.Inc()
+		n.dropped++
 		return
 	}
 	if e.cut[to] {
-		n.dropped.Inc()
+		n.dropped++
 		return
 	}
 	dst := n.endpoints[to]
 	if dst == nil {
-		n.dropped.Inc()
+		n.dropped++
 		return
 	}
 	if n.opts.LossRate > 0 && to != e.id && n.sim.Rand().Float64() < n.opts.LossRate {
-		n.dropped.Inc()
+		n.dropped++
 		return
 	}
 	// Per-link probabilistic faults (chaos schedules). RNG draws happen only
@@ -508,7 +506,7 @@ func (e *Endpoint) Send(to ids.ID, m wire.Msg) {
 	// runs before this feature existed.
 	lf, chaotic := e.links[to]
 	if chaotic && lf.Loss > 0 && n.sim.Rand().Float64() < lf.Loss {
-		n.dropped.Inc()
+		n.dropped++
 		return
 	}
 	// Topology-level link profile (WAN jitter/loss per zone pair). Same
@@ -517,7 +515,7 @@ func (e *Endpoint) Send(to ids.ID, m wire.Msg) {
 	if n.prof != nil && to != e.id {
 		lp = n.prof.Profile(n.cfg.ZoneOf(e.id), n.cfg.ZoneOf(to))
 		if lp.Loss > 0 && n.sim.Rand().Float64() < lp.Loss {
-			n.dropped.Inc()
+			n.dropped++
 			return
 		}
 	}

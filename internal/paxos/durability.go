@@ -170,12 +170,7 @@ func (r *Replica) recoverFromStorage() {
 		if rec.Kind == wal.KindPromise || rec.Slot < r.log.FirstSlot() {
 			return nil // ballot already folded in; slot covered by snapshot
 		}
-		switch rec.Kind {
-		case wal.KindAccept:
-			r.log.Accept(rec.Slot, rec.Ballot, rec.Cmds)
-		case wal.KindCommit:
-			r.log.Commit(rec.Slot, rec.Ballot, rec.Cmds)
-		}
+		r.log.Redo(rec)
 		return nil
 	})
 	if err != nil {

@@ -321,7 +321,7 @@ type Replica struct {
 
 	// Batch accumulator: commands admitted by the leader but not yet
 	// proposed into a slot.
-	pending    []pendingCmd
+	pending    cmdQueue
 	batchTimer node.Timer
 	batchDue   bool // BatchDelay expired; flush even under-full
 
@@ -371,6 +371,38 @@ type pendingCmd struct {
 	from     ids.ID
 	cmd      kvstore.Command
 	enqueued time.Duration // admission time, for the QueueTTL expiry check
+}
+
+// cmdQueue is the batch accumulator's FIFO. Taking from the front moves a
+// head index instead of reslicing the array away from under append, which
+// would then regrow it forever; the live commands slide back to the front
+// when the array is full and mostly dead.
+type cmdQueue struct {
+	buf  []pendingCmd
+	head int
+}
+
+func (q *cmdQueue) len() int { return len(q.buf) - q.head }
+
+// items is the queue's content, oldest first; it is good until the next push.
+func (q *cmdQueue) items() []pendingCmd { return q.buf[q.head:] }
+
+func (q *cmdQueue) push(c pendingCmd) {
+	if len(q.buf) == cap(q.buf) && q.head >= q.len() {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, c)
+}
+
+// drop removes the n oldest commands.
+func (q *cmdQueue) drop(n int) {
+	clear(q.buf[q.head : q.head+n]) // let go of the commands' values
+	q.head += n
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
 }
 
 // New creates a replica. If diss is nil a Direct plane over the cluster's
@@ -444,7 +476,7 @@ func (r *Replica) Stats() Stats { return r.stats }
 
 // QueueDepth is the current leader ingress queue occupancy (batch
 // accumulator plus campaign-time buffer).
-func (r *Replica) QueueDepth() int { return len(r.pending) + len(r.buffered) }
+func (r *Replica) QueueDepth() int { return r.pending.len() + len(r.buffered) }
 
 // CommitLatencyEWMA is the smoothed propose→commit latency driving the
 // overload detector (zero until the first commit).
@@ -806,9 +838,9 @@ func (r *Replica) OnRequest(from ids.ID, m wire.Request) {
 				}
 			}
 		}
-		for i, p := range r.pending {
+		for i, p := range r.pending.items() {
 			if p.cmd.ClientID == m.Cmd.ClientID && p.cmd.Seq == m.Cmd.Seq {
-				r.pending[i].from = from
+				r.pending.items()[i].from = from
 				found = true
 			}
 		}
@@ -856,7 +888,7 @@ func (r *Replica) OnRequest(from ids.ID, m wire.Request) {
 	}
 	sess.pendingSeq = m.Cmd.Seq
 	r.stats.Requests++
-	r.pending = append(r.pending, pendingCmd{from: from, cmd: m.Cmd, enqueued: r.ctx.Now()})
+	r.pending.push(pendingCmd{from: from, cmd: m.Cmd, enqueued: r.ctx.Now()})
 	r.noteQueueDepth()
 	r.flushBatches()
 }
@@ -865,7 +897,7 @@ func (r *Replica) OnRequest(from ids.ID, m wire.Request) {
 // ingress queue is at MaxPending, or the commit-latency EWMA crossed the
 // configured overload threshold.
 func (r *Replica) overloaded() bool {
-	if r.cfg.MaxPending > 0 && len(r.pending) >= r.cfg.MaxPending {
+	if r.cfg.MaxPending > 0 && r.pending.len() >= r.cfg.MaxPending {
 		return true
 	}
 	return r.cfg.OverloadLatency > 0 && r.commitEWMA > r.cfg.OverloadLatency
@@ -898,7 +930,7 @@ func (r *Replica) retryAfterHint() time.Duration {
 
 // noteQueueDepth tracks the ingress-queue high-water mark.
 func (r *Replica) noteQueueDepth() {
-	if d := uint64(len(r.pending) + len(r.buffered)); d > r.stats.MaxQueueDepth {
+	if d := uint64(r.QueueDepth()); d > r.stats.MaxQueueDepth {
 		r.stats.MaxQueueDepth = d
 	}
 }
@@ -938,8 +970,8 @@ func (r *Replica) windowOpen() bool {
 // may have opened), and when the batch timer fires.
 func (r *Replica) flushBatches() {
 	r.dropExpired()
-	for r.active && len(r.pending) > 0 && r.windowOpen() {
-		if len(r.pending) < r.cfg.MaxBatchSize && r.cfg.BatchDelay > 0 && !r.batchDue {
+	for r.active && r.pending.len() > 0 && r.windowOpen() {
+		if r.pending.len() < r.cfg.MaxBatchSize && r.cfg.BatchDelay > 0 && !r.batchDue {
 			if r.batchTimer == nil {
 				r.batchTimer = r.ctx.After(r.cfg.BatchDelay, func() {
 					r.batchTimer = nil
@@ -949,22 +981,14 @@ func (r *Replica) flushBatches() {
 			}
 			return
 		}
-		take := min(len(r.pending), r.cfg.MaxBatchSize)
+		take := min(r.pending.len(), r.cfg.MaxBatchSize)
 		cmds := make([]kvstore.Command, take)
 		rts := make([]route, take)
-		for i, p := range r.pending[:take] {
+		for i, p := range r.pending.items()[:take] {
 			cmds[i] = p.cmd
 			rts[i] = route{client: p.from, clientID: p.cmd.ClientID, seq: p.cmd.Seq}
 		}
-		r.pending = r.pending[take:]
-		if len(r.pending) == 0 {
-			r.pending = nil
-			r.batchDue = false
-			if r.batchTimer != nil {
-				r.batchTimer.Stop()
-				r.batchTimer = nil
-			}
-		}
+		r.dropPending(take)
 		slot := r.log.NextSlot()
 		r.inflight.Cover(slot).routes = rts
 		r.stats.Batches++
@@ -980,26 +1004,35 @@ func (r *Replica) flushBatches() {
 // is sent — the client is gone — and the dropped sequence number stays
 // re-admittable via the session table's truly-gone retry path.
 func (r *Replica) dropExpired() {
-	if r.cfg.QueueTTL <= 0 || len(r.pending) == 0 {
+	if r.cfg.QueueTTL <= 0 {
 		return
 	}
 	cutoff := r.ctx.Now() - r.cfg.QueueTTL
 	n := 0
-	for n < len(r.pending) && r.pending[n].enqueued < cutoff {
+	for _, p := range r.pending.items() {
+		if p.enqueued >= cutoff {
+			break
+		}
 		n++
 	}
 	if n == 0 {
 		return
 	}
 	r.stats.DroppedExpired += uint64(n)
-	r.pending = r.pending[n:]
-	if len(r.pending) == 0 {
-		r.pending = nil
-		r.batchDue = false
-		if r.batchTimer != nil {
-			r.batchTimer.Stop()
-			r.batchTimer = nil
-		}
+	r.dropPending(n)
+}
+
+// dropPending removes the n oldest queued commands; an emptied queue has no
+// under-full batch left to hold open.
+func (r *Replica) dropPending(n int) {
+	r.pending.drop(n)
+	if r.pending.len() > 0 {
+		return
+	}
+	r.batchDue = false
+	if r.batchTimer != nil {
+		r.batchTimer.Stop()
+		r.batchTimer = nil
 	}
 }
 
@@ -1440,7 +1473,7 @@ func (r *Replica) reclaimDoomed(p *proposal, slot uint64, anchored []kvstore.Com
 		if i >= len(rts) || rts[i].client.IsZero() || inAnchored(c) {
 			continue
 		}
-		r.pending = append(r.pending, pendingCmd{from: rts[i].client, cmd: c, enqueued: r.ctx.Now()})
+		r.pending.push(pendingCmd{from: rts[i].client, cmd: c, enqueued: r.ctx.Now()})
 	}
 }
 
@@ -1486,17 +1519,12 @@ func (r *Replica) redirectPending() {
 		}
 	}
 	r.inflight.Advance(r.inflight.End())
-	for _, p := range r.pending {
+	for _, p := range r.pending.items() {
 		r.ctx.Send(p.from, wire.Reply{
 			ClientID: p.cmd.ClientID, Seq: p.cmd.Seq, OK: false, Leader: leader,
 		})
 	}
-	r.pending = nil
-	r.batchDue = false
-	if r.batchTimer != nil {
-		r.batchTimer.Stop()
-		r.batchTimer = nil
-	}
+	r.dropPending(r.pending.len())
 	for _, p := range r.buffered {
 		r.ctx.Send(p.from, wire.Reply{
 			ClientID: p.req.Cmd.ClientID, Seq: p.req.Cmd.Seq, OK: false, Leader: leader,

@@ -173,6 +173,12 @@ func (l *Log) Commit(slot uint64, b ids.Ballot, cmds []kvstore.Command) {
 	if e == nil || e.Executed {
 		return
 	}
+	// The usual commit confirms what this log accepted and journaled under
+	// the same ballot: the record names that accept instead of repeating it.
+	// Same ballot alone is not enough — a proposer taught the anchored batch
+	// of a slot it proposed into commits other commands under its own ballot
+	// — so the batch must be the accepted one itself.
+	ref := e.present && !e.Committed && e.Ballot == b && sameBatch(e.Commands, cmds)
 	if !e.present {
 		e.present = true
 		l.live++
@@ -181,7 +187,33 @@ func (l *Log) Commit(slot uint64, b ids.Ballot, cmds []kvstore.Command) {
 	e.Commands = cmds
 	e.Committed = true
 	l.BumpNextSlot(slot)
-	l.journal(wal.KindCommit, slot, b, cmds)
+	if ref {
+		l.journal(wal.KindCommitRef, slot, b, nil)
+	} else {
+		l.journal(wal.KindCommit, slot, b, cmds)
+	}
+}
+
+// sameBatch reports whether a and b are one slice, not merely equal ones.
+func sameBatch(a, b []kvstore.Command) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// Redo applies one record this log journaled — replay hands them over in
+// journal order, before Attach. A KindCommitRef names the accept replayed
+// before it; should that be missing, so is the commit, which is no loss: a
+// commit is re-learned from the cluster.
+func (l *Log) Redo(rec wal.Record) {
+	switch rec.Kind {
+	case wal.KindAccept:
+		l.Accept(rec.Slot, rec.Ballot, rec.Cmds)
+	case wal.KindCommit:
+		l.Commit(rec.Slot, rec.Ballot, rec.Cmds)
+	case wal.KindCommitRef:
+		if e := l.Get(rec.Slot); e != nil && e.Ballot == rec.Ballot {
+			l.Commit(rec.Slot, rec.Ballot, e.Commands)
+		}
+	}
 }
 
 // Get returns the entry at slot, or nil. The pointer aliases the window: it

@@ -280,12 +280,7 @@ func rebuild(t *testing.T, st *wal.MemStorage, floor uint64) *Log {
 		if r.Slot < floor {
 			return nil
 		}
-		switch r.Kind {
-		case wal.KindAccept:
-			l.Accept(r.Slot, r.Ballot, r.Cmds)
-		case wal.KindCommit:
-			l.Commit(r.Slot, r.Ballot, r.Cmds)
-		}
+		l.Redo(r)
 		return nil
 	})
 	if err != nil {
@@ -304,8 +299,12 @@ func TestJournalRoundTrip(t *testing.T) {
 	l.Attach(st)
 	sm := kvstore.New()
 	for s := uint64(1); s <= 8; s++ {
-		l.Accept(s, bal(1), one(s))
-		l.Commit(s, bal(1), one(s))
+		batch := one(s)
+		l.Accept(s, bal(1), batch)
+		if s%2 == 0 {
+			batch = one(s) // an equal batch from elsewhere: journaled in full
+		}
+		l.Commit(s, bal(1), batch) // the accepted batch itself: by reference
 	}
 	l.Accept(9, bal(1), one(9)) // accepted, never committed
 	l.ExecuteReady(sm, nil)

@@ -6,8 +6,9 @@
 // persists to a directory of segment files with group fsync.
 //
 // Record payloads reuse the wire codec: a promise is framed as a wire.P1a,
-// an accept as a wire.P2a and a commit as a wire.P3, so the journal format
-// is exactly the protocol's own message encoding. Each frame is
+// an accept as a wire.P2a, a commit as a wire.P3 and a commit that only names
+// the accept it confirms as a wire.P2b, so the journal format is exactly the
+// protocol's own message encoding. Each frame is
 //
 //	[u32 payload length][u32 CRC-32C of payload][payload]
 //
@@ -44,6 +45,11 @@ const (
 	// from the cluster (phase-1 re-reads a quorum), so they may be synced
 	// lazily.
 	KindCommit
+	// KindCommitRef records a slot learned committed with the very batch
+	// the journal's latest accept record for (Slot, Ballot) holds — the
+	// common case, so the batch is not written twice. Cmds is unused. Only
+	// the log that journaled the accept can resolve it (rlog.Log.Redo).
+	KindCommitRef
 )
 
 // String implements fmt.Stringer.
@@ -55,12 +61,15 @@ func (k Kind) String() string {
 		return "accept"
 	case KindCommit:
 		return "commit"
+	case KindCommitRef:
+		return "commit-ref"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
 }
 
-// Record is one journal entry. Slot and Cmds are unused for KindPromise.
+// Record is one journal entry. Slot and Cmds are unused for KindPromise,
+// Cmds for KindCommitRef.
 type Record struct {
 	Kind   Kind
 	Ballot ids.Ballot
@@ -143,6 +152,7 @@ type frameEncoder struct {
 	p1a wire.P1a
 	p2a wire.P2a
 	p3  wire.P3
+	p2b wire.P2b
 }
 
 // appendFrame encodes rec as one frame onto dst and returns the extended
@@ -159,6 +169,9 @@ func (f *frameEncoder) appendFrame(dst []byte, rec Record) []byte {
 	case KindCommit:
 		f.p3 = wire.P3{Ballot: rec.Ballot, Slot: rec.Slot, Cmds: rec.Cmds}
 		m = &f.p3
+	case KindCommitRef:
+		f.p2b = wire.P2b{Ballot: rec.Ballot, Slot: rec.Slot}
+		m = &f.p2b
 	default:
 		panic(fmt.Sprintf("wal: cannot journal %v record", rec.Kind))
 	}
@@ -187,6 +200,8 @@ func decodeRecord(payload []byte) (Record, error) {
 		return Record{Kind: KindAccept, Ballot: v.Ballot, Slot: v.Slot, Cmds: v.Cmds}, nil
 	case wire.P3:
 		return Record{Kind: KindCommit, Ballot: v.Ballot, Slot: v.Slot, Cmds: v.Cmds}, nil
+	case wire.P2b:
+		return Record{Kind: KindCommitRef, Ballot: v.Ballot, Slot: v.Slot}, nil
 	default:
 		return Record{}, fmt.Errorf("unexpected %v payload in journal", m.Type())
 	}

@@ -150,11 +150,12 @@ func main() {
 	}()
 
 	// Flush the WAL on the event loop, where the replica appends, so the
-	// final sync serializes after every accepted record.
-	if st != nil {
+	// final sync serializes after every accepted record — and let the votes
+	// parked behind it go, so the drain below carries them out.
+	if st != nil && m.Core != nil {
 		flushed := make(chan struct{})
 		tn.After(0, func() {
-			if _, err := st.Sync(); err != nil {
+			if err := m.Core.FlushJournal(); err != nil {
 				log.Printf("wal flush: %v", err)
 			}
 			close(flushed)

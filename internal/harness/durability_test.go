@@ -7,6 +7,7 @@ import (
 
 	"pigpaxos/internal/chaos"
 	"pigpaxos/internal/ids"
+	"pigpaxos/internal/paxos"
 )
 
 // durShort is scenShort plus durability: every replica journals through a
@@ -112,6 +113,65 @@ func TestScenarioDiskSlowLeader(t *testing.T) {
 	}
 	if !reflect.DeepEqual(kinds, []chaos.Kind{chaos.DiskSlow, chaos.DiskRestore}) {
 		t.Errorf("fault log %v, want disk-slow then disk-restore", r.FaultLog)
+	}
+}
+
+// A leader whose every flush takes twice the election timeout keeps leading:
+// the flush is off its event loop, so it goes on heartbeating and fanning
+// out, followers with healthy disks form the quorum without its self-vote,
+// and nobody campaigns. (When Sync blocked the loop, the first such flush
+// silenced the leader for an election timeout and cost it its ballot.)
+// Snapshots are off for the run: saving one still blocks the loop.
+func TestSlowLeaderDiskCostsNoElection(t *testing.T) {
+	for _, p := range []Protocol{Paxos, PigPaxos} {
+		p := p
+		t.Run(p.String(), func(t *testing.T) {
+			o := durShort(t, p)
+			o.SnapshotEvery = 1 << 20
+			o.applyDefaults()
+			leader := o.cluster().Nodes[0]
+			sched := chaos.DiskSlowWindow(leader, 2*o.ElectionTimeout,
+				o.Warmup+100*time.Millisecond, 600*time.Millisecond)
+			sr := runScenario(&o, nil, sched)
+			if !sr.allDone() || !sr.d.groups[0].converged() {
+				t.Fatalf("scripts done %v, converged %v", sr.allDone(), sr.d.groups[0].converged())
+			}
+			var elections uint64
+			sr.d.coreStats(func(id ids.ID, core *paxos.Replica) {
+				elections += core.Stats().Elections
+				if core.IsLeader() != (id == leader) || core.Ballot() != ids.NewBallot(1, leader) {
+					t.Errorf("node %v: leader=%v ballot %v; want node %v still leading under its first ballot",
+						id, core.IsLeader(), core.Ballot(), leader)
+				}
+			})
+			if elections != 1 {
+				t.Errorf("%d elections, want the initial one only", elections)
+			}
+		})
+	}
+}
+
+// A follower loses power with a flush in flight: the flight's accepts and
+// everything journaled behind them are gone, and none of their votes had
+// left. With 5 ms flushes under steady load the follower's disk is busy
+// nearly all the time, so each of these crash instants falls inside a flight.
+func TestScenarioFollowerCrashMidFlight(t *testing.T) {
+	for _, p := range []Protocol{Paxos, PigPaxos} {
+		p := p
+		t.Run(p.String(), func(t *testing.T) {
+			o := durShort(t, p)
+			o.SyncCost = 5 * time.Millisecond
+			cc := o.cluster()
+			victim := cc.Nodes[len(cc.Nodes)-2]
+			for i := 0; i < 4; i++ {
+				at := o.Warmup + 300*time.Millisecond + time.Duration(i)*1700*time.Microsecond
+				r := RunScenario(o, chaos.RestartFromDisk(victim, at, 200*time.Millisecond))
+				requireHealthy(t, r)
+				if r.Reboots != 1 {
+					t.Fatalf("crash at %v: fault log %v: want exactly 1 reboot", at, r.FaultLog)
+				}
+			}
+		})
 	}
 }
 

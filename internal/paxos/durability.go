@@ -109,8 +109,9 @@ func (r *Replica) pump() {
 		started, async := r.st.StartFlush(f.wake)
 		if !started {
 			// Nothing was journaled since the last flush ended: what these
-			// votes reveal is durable already.
-			r.releaseRiders()
+			// votes reveal is durable already. (A failed storage starts
+			// nothing either; landing says so.)
+			r.land()
 			continue
 		}
 		r.stats.WALSyncs++
@@ -125,23 +126,21 @@ func (r *Replica) pump() {
 
 // flushLanded runs on the event loop when the flush in flight is over.
 func (r *Replica) flushLanded() {
-	f := &r.flush
-	if !f.flying {
-		return
+	if r.flush.flying {
+		r.land()
+		r.pump()
 	}
+}
+
+// land ends the flight, if any, and lets the votes it covered go, oldest
+// first. What they do may park new votes; those wait in next. A flush that
+// failed stops the replica: its votes must never leave.
+func (r *Replica) land() {
+	f := &r.flush
 	if err := r.st.FinishFlush(); err != nil {
 		panic(fmt.Sprintf("paxos %v: journal flush: %v", r.cfg.ID, err))
 	}
-	f.flying = false
-	r.releaseRiders()
-	r.pump()
-}
-
-// releaseRiders lets the votes the finished flush covered go, oldest first.
-// What they do may park new votes; those wait in next.
-func (r *Replica) releaseRiders() {
-	f := &r.flush
-	f.draining = true
+	f.flying, f.draining = false, true
 	for _, w := range f.riding {
 		w.fn(w.slot, w.b, w.peer)
 	}
@@ -265,4 +264,22 @@ func (r *Replica) OnSnapInstall(m wire.SnapInstall) {
 		r.execSinceSnap = 0
 	}
 	r.execute()
+}
+
+// FlushJournal is "flush and wait" for shutdown: it blocks the event loop
+// until everything journaled is durable, then lets every parked vote go.
+func (r *Replica) FlushJournal() error {
+	if r.st == nil {
+		return nil
+	}
+	if _, err := r.st.Sync(); err != nil {
+		return err
+	}
+	if f := &r.flush; f.flying {
+		if f.due >= 0 {
+			f.timer.Stop()
+		}
+		r.flushLanded()
+	}
+	return nil
 }

@@ -1,0 +1,287 @@
+package paxos
+
+import (
+	"errors"
+	"strings"
+	"testing"
+	"time"
+
+	"pigpaxos/internal/config"
+	"pigpaxos/internal/ids"
+	"pigpaxos/internal/kvstore"
+	"pigpaxos/internal/node/nodetest"
+	"pigpaxos/internal/wal"
+	"pigpaxos/internal/wire"
+)
+
+// The ordering tests drive one durable replica on a nodetest.Loop whose Disk
+// holds every flush until the test completes it, so "left before its flush
+// was over" is a position in one ordered record of sends and journal calls.
+
+func durableReplica(id ids.ID, cc config.Cluster) (*Replica, *nodetest.Loop, *nodetest.Disk) {
+	loop := nodetest.NewLoop(id)
+	disk := loop.NewDisk()
+	disk.Held = true
+	r := New(loop, Config{Cluster: cc, ID: id, InitialLeader: cc.Nodes[0], Storage: disk, MaxPending: -1}, nil)
+	return r, loop, disk
+}
+
+func put(client, seq uint64) kvstore.Command {
+	return kvstore.Command{Op: kvstore.Put, Key: client, Value: []byte("v"), ClientID: client, Seq: seq}
+}
+
+// sentOf returns the recorded sends of type T, in order.
+func sentOf[T wire.Msg](loop *nodetest.Loop) []T {
+	var out []T
+	for _, e := range loop.Sent() {
+		if m, ok := e.Msg.(T); ok {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// index returns the position of the first event match accepts, or -1.
+func index(loop *nodetest.Loop, match func(nodetest.Event) bool) int {
+	for i, e := range loop.Events {
+		if match(e) {
+			return i
+		}
+	}
+	return -1
+}
+
+func kind(k string) func(nodetest.Event) bool {
+	return func(e nodetest.Event) bool { return e.Kind == k }
+}
+
+func TestP2bWaitsForItsFlushAndRidesTheNext(t *testing.T) {
+	cc := config.NewLAN(3)
+	leader, b := cc.Nodes[0], ids.NewBallot(1, cc.Nodes[0])
+	r, loop, disk := durableReplica(cc.Nodes[1], cc)
+
+	r.OnMessage(leader, wire.P2a{Ballot: b, Slot: 1, Cmds: []kvstore.Command{put(1, 1)}})
+	if !disk.Flying() {
+		t.Fatal("accepting a proposal started no flush")
+	}
+	// A second accept while the first flush is in flight starts no second
+	// flush: it rides the next one.
+	r.OnMessage(leader, wire.P2a{Ballot: b, Slot: 2, Cmds: []kvstore.Command{put(2, 1)}})
+	if n := len(sentOf[wire.P2b](loop)); n != 0 {
+		t.Fatalf("%d votes left before any flush was over", n)
+	}
+	if got := r.Stats().WALSyncs; got != 1 {
+		t.Fatalf("%d flushes started with one in flight, want 1", got)
+	}
+
+	disk.Complete()
+	votes := sentOf[wire.P2b](loop)
+	if len(votes) != 1 || votes[0].Slot != 1 || votes[0].Ballot != b {
+		t.Fatalf("after the first flush: votes %+v, want slot 1 alone", votes)
+	}
+	if !disk.Flying() || r.Stats().WALSyncs != 2 {
+		t.Fatal("the vote parked during the flight did not get the next flush")
+	}
+	disk.Complete()
+	if votes = sentOf[wire.P2b](loop); len(votes) != 2 || votes[1].Slot != 2 {
+		t.Fatalf("after the second flush: votes %+v", votes)
+	}
+	if disk.Flying() {
+		t.Fatal("a flush started with nothing journaled and nobody waiting")
+	}
+	// Each vote sits behind the finish of a flush that began after its record
+	// was appended.
+	vote1 := index(loop, func(e nodetest.Event) bool { m, ok := e.Msg.(wire.P2b); return ok && m.Slot == 1 })
+	if fin := index(loop, kind("finish-flush")); fin < 0 || fin > vote1 {
+		t.Fatalf("vote for slot 1 at event %d, first finished flush at %d", vote1, fin)
+	}
+}
+
+func TestVoteReleasedAfterNewerPromiseKeepsItsBallot(t *testing.T) {
+	cc := config.NewLAN(3)
+	b1, b2 := ids.NewBallot(1, cc.Nodes[0]), ids.NewBallot(2, cc.Nodes[2])
+	r, loop, disk := durableReplica(cc.Nodes[1], cc)
+	r.OnMessage(cc.Nodes[0], wire.P2a{Ballot: b1, Slot: 1, Cmds: []kvstore.Command{put(1, 1)}})
+	r.OnMessage(cc.Nodes[2], wire.P1a{Ballot: b2, From: 1})
+	disk.Complete() // the accept's flush
+	disk.Complete() // the promise's
+	votes, promises := sentOf[wire.P2b](loop), sentOf[wire.P1b](loop)
+	if len(votes) != 1 || votes[0].Ballot != b1 {
+		t.Fatalf("votes %+v: want the accept under %v reported as such", votes, b1)
+	}
+	// The promise reports the accept: it happened first.
+	if len(promises) != 1 || promises[0].Ballot != b2 || len(promises[0].Entries) != 1 || promises[0].Entries[0].Ballot != b1 {
+		t.Fatalf("promises %+v", promises)
+	}
+}
+
+func TestP1bWaitsForItsFlush(t *testing.T) {
+	cc := config.NewLAN(3)
+	bid := ids.NewBallot(3, cc.Nodes[2])
+	r, loop, disk := durableReplica(cc.Nodes[1], cc)
+	r.OnMessage(cc.Nodes[2], wire.P1a{Ballot: bid, From: 1})
+	if r.Ballot() != bid {
+		t.Fatal("the bid's ballot is adopted at once")
+	}
+	if n := len(sentOf[wire.P1b](loop)); n != 0 || !disk.Flying() {
+		t.Fatalf("%d promises left with the promise record's flush in flight=%v", n, disk.Flying())
+	}
+	disk.Complete()
+	if p := sentOf[wire.P1b](loop); len(p) != 1 || p[0].Ballot != bid {
+		t.Fatalf("promises after the flush: %+v", p)
+	}
+	// The same bid again: the ballot is journaled, nothing to wait for.
+	r.OnMessage(cc.Nodes[2], wire.P1a{Ballot: bid, From: 1})
+	if n := len(sentOf[wire.P1b](loop)); n != 2 || disk.Flying() {
+		t.Fatalf("repeat bid: %d promises, flush in flight=%v", n, disk.Flying())
+	}
+}
+
+// elect makes r, node 1 of cc, the leader: its bid goes out at once, its own
+// promise must be durable before it wins.
+func elect(t *testing.T, r *Replica, loop *nodetest.Loop, disk *nodetest.Disk, cc config.Cluster) {
+	t.Helper()
+	r.Start()
+	if bids := sentOf[wire.P1a](loop); len(bids) != len(cc.Nodes)-1 {
+		t.Fatalf("%d bids left before the self-promise flush, want %d", len(bids), len(cc.Nodes)-1)
+	}
+	for _, id := range cc.Nodes[1:] {
+		r.OnMessage(id, wire.P1b{Ballot: r.Ballot(), From: id, Floor: 1})
+	}
+	if r.IsLeader() {
+		t.Fatal("won on others' promises with its own not durable")
+	}
+	disk.Complete()
+	if !r.IsLeader() {
+		t.Fatal("not elected once the self-promise was durable")
+	}
+}
+
+func TestSelfVoteWaitsForItsFlush(t *testing.T) {
+	cc := config.NewLAN(3)
+	r, loop, disk := durableReplica(cc.Nodes[0], cc)
+	elect(t, r, loop, disk, cc)
+
+	r.OnMessage(ids.NewID(9, 1), wire.Request{Cmd: put(1, 1)})
+	if p2a := sentOf[wire.P2a](loop); len(p2a) != 2 {
+		t.Fatalf("%d P2a left at once, want the fan-out of 2", len(p2a))
+	}
+	if !disk.Flying() {
+		t.Fatal("proposing started no flush")
+	}
+	// One follower's vote plus an undurable self-vote is no quorum of 2.
+	r.OnMessage(cc.Nodes[1], wire.P2b{Ballot: r.Ballot(), From: cc.Nodes[1], Slot: 1})
+	if r.Stats().Commits != 0 {
+		t.Fatal("committed on a self-vote whose accept was not durable")
+	}
+	disk.Complete()
+	if r.Stats().Commits != 1 {
+		t.Fatal("self-vote not counted once durable")
+	}
+	if replies := sentOf[wire.Reply](loop); len(replies) != 1 || !replies[0].OK {
+		t.Fatalf("replies %+v", replies)
+	}
+}
+
+func TestFollowersAloneCommitWhileTheLeadersDiskIsBusy(t *testing.T) {
+	cc := config.NewLAN(3)
+	r, loop, disk := durableReplica(cc.Nodes[0], cc)
+	elect(t, r, loop, disk, cc)
+	r.OnMessage(ids.NewID(9, 1), wire.Request{Cmd: put(1, 1)})
+	for _, id := range cc.Nodes[1:] {
+		r.OnMessage(id, wire.P2b{Ballot: r.Ballot(), From: id, Slot: 1})
+	}
+	if r.Stats().Commits != 1 || len(sentOf[wire.Reply](loop)) != 1 {
+		t.Fatal("a quorum of followers did not commit without the leader's own vote")
+	}
+	disk.Complete() // the late self-vote finds the tally closed
+	if r.Stats().Commits != 1 {
+		t.Fatalf("%d commits", r.Stats().Commits)
+	}
+}
+
+func TestStepDownDiscardsParkedSelfVotes(t *testing.T) {
+	cc := config.NewLAN(3)
+	r, loop, disk := durableReplica(cc.Nodes[0], cc)
+	elect(t, r, loop, disk, cc)
+	r.OnMessage(ids.NewID(9, 1), wire.Request{Cmd: put(1, 1)})
+	r.OnMessage(cc.Nodes[1], wire.P2b{Ballot: r.Ballot(), From: cc.Nodes[1], Slot: 1})
+	// Deposed with the self-vote parked: a higher ballot's heartbeat.
+	r.OnMessage(cc.Nodes[2], wire.Heartbeat{Ballot: ids.NewBallot(5, cc.Nodes[2]), From: cc.Nodes[2]})
+	if r.IsLeader() {
+		t.Fatal("still leading under a higher ballot")
+	}
+	disk.Complete()
+	if r.Stats().Commits != 0 {
+		t.Fatal("a parked self-vote committed a slot after its leader stepped down")
+	}
+}
+
+// A replica whose modelled flush completion was dropped (the simulator drops
+// timers that come due on a crashed node) must not wedge: the next vote that
+// parks finds the flush overdue and lands it.
+func TestLostFlushCompletionIsLandedByTheNextVote(t *testing.T) {
+	cc := config.NewLAN(3)
+	leader, b := cc.Nodes[0], ids.NewBallot(1, cc.Nodes[0])
+	loop := nodetest.NewLoop(cc.Nodes[1])
+	disk := loop.NewDisk() // not held: a modelled flush, timed by the replica
+	disk.SetSyncCost(400 * time.Microsecond)
+	r := New(loop, Config{Cluster: cc, ID: cc.Nodes[1], InitialLeader: leader, Storage: disk}, nil)
+
+	r.OnMessage(leader, wire.P2a{Ballot: b, Slot: 1, Cmds: []kvstore.Command{put(1, 1)}})
+	loop.Advance(399 * time.Microsecond)
+	if n := len(sentOf[wire.P2b](loop)); n != 0 {
+		t.Fatalf("%d votes left 1µs before the flush was over", n)
+	}
+	loop.Advance(time.Microsecond)
+	if n := len(sentOf[wire.P2b](loop)); n != 1 {
+		t.Fatalf("%d votes after the modelled flush, want 1", n)
+	}
+
+	r.OnMessage(leader, wire.P2a{Ballot: b, Slot: 2, Cmds: []kvstore.Command{put(2, 1)}})
+	loop.DropTimers()
+	loop.Advance(10 * time.Millisecond)
+	if n := len(sentOf[wire.P2b](loop)); n != 1 {
+		t.Fatalf("%d votes with the completion lost, want still 1", n)
+	}
+	r.OnMessage(leader, wire.P2a{Ballot: b, Slot: 3, Cmds: []kvstore.Command{put(3, 1)}})
+	if votes := sentOf[wire.P2b](loop); len(votes) != 2 || votes[1].Slot != 2 {
+		t.Fatalf("votes %+v: want slot 2 released by the vote that parked after it", votes)
+	}
+	loop.Advance(400 * time.Microsecond)
+	if votes := sentOf[wire.P2b](loop); len(votes) != 3 || votes[2].Slot != 3 {
+		t.Fatalf("votes %+v", votes)
+	}
+}
+
+func TestFlushErrorIsFatalOnTheLoop(t *testing.T) {
+	cc := config.NewLAN(3)
+	r, _, disk := durableReplica(cc.Nodes[1], cc)
+	r.OnMessage(cc.Nodes[0], wire.P2a{Ballot: ids.NewBallot(1, cc.Nodes[0]), Slot: 1, Cmds: []kvstore.Command{put(1, 1)}})
+	disk.Fail = errors.New("disk on fire")
+	defer func() {
+		if p := recover(); p == nil || !strings.Contains(p.(string), "disk on fire") {
+			t.Fatalf("a failed flush must stop the replica, got %v", p)
+		}
+	}()
+	disk.Complete()
+}
+
+func TestFlushJournalReleasesEveryParkedVote(t *testing.T) {
+	cc := config.NewLAN(3)
+	leader, b := cc.Nodes[0], ids.NewBallot(1, cc.Nodes[0])
+	r, loop, _ := durableReplica(cc.Nodes[1], cc)
+	r.OnMessage(leader, wire.P2a{Ballot: b, Slot: 1, Cmds: []kvstore.Command{put(1, 1)}}) // in flight
+	r.OnMessage(leader, wire.P2a{Ballot: b, Slot: 2, Cmds: []kvstore.Command{put(2, 1)}}) // waiting for the next
+	if err := r.FlushJournal(); err != nil {
+		t.Fatal(err)
+	}
+	if votes := sentOf[wire.P2b](loop); len(votes) != 2 {
+		t.Fatalf("votes after flush-and-wait: %+v", votes)
+	}
+	var recs []wal.Record
+	r.st.Replay(func(rec wal.Record) error { recs = append(recs, rec); return nil })
+	if len(recs) != 2 {
+		t.Fatalf("%d durable records, want both accepts", len(recs))
+	}
+}

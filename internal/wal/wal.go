@@ -17,6 +17,16 @@
 // replay truncates it and recovery proceeds. Any framing or checksum
 // violation in a non-final segment is corruption and fails loudly — skipping
 // acknowledged records would forge durability.
+//
+// Goroutines. A Storage belongs to one goroutine, its replica's event loop:
+// Append, StartFlush, FinishFlush, Sync, SaveSnapshot, CompactTo, Replay and
+// Close are called from there and nowhere else (a benchmark wrapping a
+// Storage to trace Append and Sync relies on it). MemStorage runs nothing of
+// its own. FileStorage runs one goroutine, the syncer, which between
+// StartFlush and the flight's landing owns the active file and the segment
+// list, does the write, the fsync and the segment roll, and then calls the
+// wake function StartFlush was given — from the syncer goroutine, so wake may
+// do one thing only: post to the owner's event loop.
 package wal
 
 import (

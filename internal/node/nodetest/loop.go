@@ -108,12 +108,12 @@ func (l *Loop) Advance(d time.Duration) {
 // timers that come due while their node is crashed.
 func (l *Loop) DropTimers() { l.timers = nil }
 
-// Sent returns the messages sent so far, in order.
-func (l *Loop) Sent() []Event {
-	var out []Event
+// SentOf returns the messages of type T sent so far, in order.
+func SentOf[T wire.Msg](l *Loop) []T {
+	var out []T
 	for _, e := range l.Events {
-		if e.Kind == "send" {
-			out = append(out, e)
+		if m, ok := e.Msg.(T); ok {
+			out = append(out, m)
 		}
 	}
 	return out

@@ -92,8 +92,7 @@ func (r *Replica) WhenDurable(fn Release, slot uint64, b ids.Ballot, peer ids.ID
 	if f.flying && f.due >= 0 && r.ctx.Now() > f.due {
 		// The simulator drops a timer that comes due while its node is
 		// crashed; the modelled flush was over at due all the same.
-		f.timer.Stop()
-		r.flushLanded()
+		r.landEarly()
 	}
 	f.next = append(f.next, waiter{fn, slot, b, peer})
 	if !f.draining {
@@ -129,6 +128,17 @@ func (r *Replica) flushLanded() {
 	if r.flush.flying {
 		r.land()
 		r.pump()
+	}
+}
+
+// landEarly ends the flight ahead of its completion callback, which must not
+// run later and end a newer flight instead.
+func (r *Replica) landEarly() {
+	if f := &r.flush; f.flying {
+		if f.due >= 0 {
+			f.timer.Stop()
+		}
+		r.flushLanded()
 	}
 }
 
@@ -275,11 +285,6 @@ func (r *Replica) FlushJournal() error {
 	if _, err := r.st.Sync(); err != nil {
 		return err
 	}
-	if f := &r.flush; f.flying {
-		if f.due >= 0 {
-			f.timer.Stop()
-		}
-		r.flushLanded()
-	}
+	r.landEarly()
 	return nil
 }

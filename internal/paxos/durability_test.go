@@ -30,17 +30,6 @@ func put(client, seq uint64) kvstore.Command {
 	return kvstore.Command{Op: kvstore.Put, Key: client, Value: []byte("v"), ClientID: client, Seq: seq}
 }
 
-// sentOf returns the recorded sends of type T, in order.
-func sentOf[T wire.Msg](loop *nodetest.Loop) []T {
-	var out []T
-	for _, e := range loop.Sent() {
-		if m, ok := e.Msg.(T); ok {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // index returns the position of the first event match accepts, or -1.
 func index(loop *nodetest.Loop, match func(nodetest.Event) bool) int {
 	for i, e := range loop.Events {
@@ -49,10 +38,6 @@ func index(loop *nodetest.Loop, match func(nodetest.Event) bool) int {
 		}
 	}
 	return -1
-}
-
-func kind(k string) func(nodetest.Event) bool {
-	return func(e nodetest.Event) bool { return e.Kind == k }
 }
 
 func TestP2bWaitsForItsFlushAndRidesTheNext(t *testing.T) {
@@ -67,7 +52,7 @@ func TestP2bWaitsForItsFlushAndRidesTheNext(t *testing.T) {
 	// A second accept while the first flush is in flight starts no second
 	// flush: it rides the next one.
 	r.OnMessage(leader, wire.P2a{Ballot: b, Slot: 2, Cmds: []kvstore.Command{put(2, 1)}})
-	if n := len(sentOf[wire.P2b](loop)); n != 0 {
+	if n := len(nodetest.SentOf[wire.P2b](loop)); n != 0 {
 		t.Fatalf("%d votes left before any flush was over", n)
 	}
 	if got := r.Stats().WALSyncs; got != 1 {
@@ -75,7 +60,7 @@ func TestP2bWaitsForItsFlushAndRidesTheNext(t *testing.T) {
 	}
 
 	disk.Complete()
-	votes := sentOf[wire.P2b](loop)
+	votes := nodetest.SentOf[wire.P2b](loop)
 	if len(votes) != 1 || votes[0].Slot != 1 || votes[0].Ballot != b {
 		t.Fatalf("after the first flush: votes %+v, want slot 1 alone", votes)
 	}
@@ -83,17 +68,29 @@ func TestP2bWaitsForItsFlushAndRidesTheNext(t *testing.T) {
 		t.Fatal("the vote parked during the flight did not get the next flush")
 	}
 	disk.Complete()
-	if votes = sentOf[wire.P2b](loop); len(votes) != 2 || votes[1].Slot != 2 {
+	if votes = nodetest.SentOf[wire.P2b](loop); len(votes) != 2 || votes[1].Slot != 2 {
 		t.Fatalf("after the second flush: votes %+v", votes)
 	}
 	if disk.Flying() {
 		t.Fatal("a flush started with nothing journaled and nobody waiting")
 	}
-	// Each vote sits behind the finish of a flush that began after its record
-	// was appended.
-	vote1 := index(loop, func(e nodetest.Event) bool { m, ok := e.Msg.(wire.P2b); return ok && m.Slot == 1 })
-	if fin := index(loop, kind("finish-flush")); fin < 0 || fin > vote1 {
-		t.Fatalf("vote for slot 1 at event %d, first finished flush at %d", vote1, fin)
+	// The whole order for slot 2: its record is appended during the first
+	// flight, so only the second flush — started after the first finished —
+	// covers it, and the vote leaves after that one finished.
+	appended := index(loop, func(e nodetest.Event) bool { return e.Kind == "append" && e.Rec.Slot == 2 })
+	vote2 := index(loop, func(e nodetest.Event) bool { m, ok := e.Msg.(wire.P2b); return ok && m.Slot == 2 })
+	var starts, finishes []int
+	for i, e := range loop.Events {
+		switch e.Kind {
+		case "start-flush":
+			starts = append(starts, i)
+		case "finish-flush":
+			finishes = append(finishes, i)
+		}
+	}
+	if len(starts) != 2 || len(finishes) < 2 ||
+		!(starts[0] < appended && appended < finishes[0] && finishes[0] < starts[1] && starts[1] < finishes[1] && finishes[1] < vote2) {
+		t.Fatalf("append %d, flush starts %v, finishes %v, vote %d", appended, starts, finishes, vote2)
 	}
 }
 
@@ -105,7 +102,7 @@ func TestVoteReleasedAfterNewerPromiseKeepsItsBallot(t *testing.T) {
 	r.OnMessage(cc.Nodes[2], wire.P1a{Ballot: b2, From: 1})
 	disk.Complete() // the accept's flush
 	disk.Complete() // the promise's
-	votes, promises := sentOf[wire.P2b](loop), sentOf[wire.P1b](loop)
+	votes, promises := nodetest.SentOf[wire.P2b](loop), nodetest.SentOf[wire.P1b](loop)
 	if len(votes) != 1 || votes[0].Ballot != b1 {
 		t.Fatalf("votes %+v: want the accept under %v reported as such", votes, b1)
 	}
@@ -123,16 +120,16 @@ func TestP1bWaitsForItsFlush(t *testing.T) {
 	if r.Ballot() != bid {
 		t.Fatal("the bid's ballot is adopted at once")
 	}
-	if n := len(sentOf[wire.P1b](loop)); n != 0 || !disk.Flying() {
+	if n := len(nodetest.SentOf[wire.P1b](loop)); n != 0 || !disk.Flying() {
 		t.Fatalf("%d promises left with the promise record's flush in flight=%v", n, disk.Flying())
 	}
 	disk.Complete()
-	if p := sentOf[wire.P1b](loop); len(p) != 1 || p[0].Ballot != bid {
+	if p := nodetest.SentOf[wire.P1b](loop); len(p) != 1 || p[0].Ballot != bid {
 		t.Fatalf("promises after the flush: %+v", p)
 	}
 	// The same bid again: the ballot is journaled, nothing to wait for.
 	r.OnMessage(cc.Nodes[2], wire.P1a{Ballot: bid, From: 1})
-	if n := len(sentOf[wire.P1b](loop)); n != 2 || disk.Flying() {
+	if n := len(nodetest.SentOf[wire.P1b](loop)); n != 2 || disk.Flying() {
 		t.Fatalf("repeat bid: %d promises, flush in flight=%v", n, disk.Flying())
 	}
 }
@@ -142,7 +139,7 @@ func TestP1bWaitsForItsFlush(t *testing.T) {
 func elect(t *testing.T, r *Replica, loop *nodetest.Loop, disk *nodetest.Disk, cc config.Cluster) {
 	t.Helper()
 	r.Start()
-	if bids := sentOf[wire.P1a](loop); len(bids) != len(cc.Nodes)-1 {
+	if bids := nodetest.SentOf[wire.P1a](loop); len(bids) != len(cc.Nodes)-1 {
 		t.Fatalf("%d bids left before the self-promise flush, want %d", len(bids), len(cc.Nodes)-1)
 	}
 	for _, id := range cc.Nodes[1:] {
@@ -163,7 +160,7 @@ func TestSelfVoteWaitsForItsFlush(t *testing.T) {
 	elect(t, r, loop, disk, cc)
 
 	r.OnMessage(ids.NewID(9, 1), wire.Request{Cmd: put(1, 1)})
-	if p2a := sentOf[wire.P2a](loop); len(p2a) != 2 {
+	if p2a := nodetest.SentOf[wire.P2a](loop); len(p2a) != 2 {
 		t.Fatalf("%d P2a left at once, want the fan-out of 2", len(p2a))
 	}
 	if !disk.Flying() {
@@ -178,7 +175,7 @@ func TestSelfVoteWaitsForItsFlush(t *testing.T) {
 	if r.Stats().Commits != 1 {
 		t.Fatal("self-vote not counted once durable")
 	}
-	if replies := sentOf[wire.Reply](loop); len(replies) != 1 || !replies[0].OK {
+	if replies := nodetest.SentOf[wire.Reply](loop); len(replies) != 1 || !replies[0].OK {
 		t.Fatalf("replies %+v", replies)
 	}
 }
@@ -191,7 +188,7 @@ func TestFollowersAloneCommitWhileTheLeadersDiskIsBusy(t *testing.T) {
 	for _, id := range cc.Nodes[1:] {
 		r.OnMessage(id, wire.P2b{Ballot: r.Ballot(), From: id, Slot: 1})
 	}
-	if r.Stats().Commits != 1 || len(sentOf[wire.Reply](loop)) != 1 {
+	if r.Stats().Commits != 1 || len(nodetest.SentOf[wire.Reply](loop)) != 1 {
 		t.Fatal("a quorum of followers did not commit without the leader's own vote")
 	}
 	disk.Complete() // the late self-vote finds the tally closed
@@ -230,26 +227,26 @@ func TestLostFlushCompletionIsLandedByTheNextVote(t *testing.T) {
 
 	r.OnMessage(leader, wire.P2a{Ballot: b, Slot: 1, Cmds: []kvstore.Command{put(1, 1)}})
 	loop.Advance(399 * time.Microsecond)
-	if n := len(sentOf[wire.P2b](loop)); n != 0 {
+	if n := len(nodetest.SentOf[wire.P2b](loop)); n != 0 {
 		t.Fatalf("%d votes left 1µs before the flush was over", n)
 	}
 	loop.Advance(time.Microsecond)
-	if n := len(sentOf[wire.P2b](loop)); n != 1 {
+	if n := len(nodetest.SentOf[wire.P2b](loop)); n != 1 {
 		t.Fatalf("%d votes after the modelled flush, want 1", n)
 	}
 
 	r.OnMessage(leader, wire.P2a{Ballot: b, Slot: 2, Cmds: []kvstore.Command{put(2, 1)}})
 	loop.DropTimers()
 	loop.Advance(10 * time.Millisecond)
-	if n := len(sentOf[wire.P2b](loop)); n != 1 {
+	if n := len(nodetest.SentOf[wire.P2b](loop)); n != 1 {
 		t.Fatalf("%d votes with the completion lost, want still 1", n)
 	}
 	r.OnMessage(leader, wire.P2a{Ballot: b, Slot: 3, Cmds: []kvstore.Command{put(3, 1)}})
-	if votes := sentOf[wire.P2b](loop); len(votes) != 2 || votes[1].Slot != 2 {
+	if votes := nodetest.SentOf[wire.P2b](loop); len(votes) != 2 || votes[1].Slot != 2 {
 		t.Fatalf("votes %+v: want slot 2 released by the vote that parked after it", votes)
 	}
 	loop.Advance(400 * time.Microsecond)
-	if votes := sentOf[wire.P2b](loop); len(votes) != 3 || votes[2].Slot != 3 {
+	if votes := nodetest.SentOf[wire.P2b](loop); len(votes) != 3 || votes[2].Slot != 3 {
 		t.Fatalf("votes %+v", votes)
 	}
 }
@@ -276,7 +273,7 @@ func TestFlushJournalReleasesEveryParkedVote(t *testing.T) {
 	if err := r.FlushJournal(); err != nil {
 		t.Fatal(err)
 	}
-	if votes := sentOf[wire.P2b](loop); len(votes) != 2 {
+	if votes := nodetest.SentOf[wire.P2b](loop); len(votes) != 2 {
 		t.Fatalf("votes after flush-and-wait: %+v", votes)
 	}
 	var recs []wal.Record

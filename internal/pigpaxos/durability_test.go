@@ -29,16 +29,6 @@ func durableRelay(t *testing.T) (*Replica, *nodetest.Loop, *nodetest.Disk, confi
 	return r, loop, disk, cc
 }
 
-func relaySent[T wire.Msg](loop *nodetest.Loop) []T {
-	var out []T
-	for _, e := range loop.Sent() {
-		if m, ok := e.Msg.(T); ok {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 func TestRelaySelfAckWaitsForItsFlush(t *testing.T) {
 	r, loop, disk, cc := durableRelay(t)
 	leader, b := cc.Nodes[0], ids.NewBallot(1, cc.Nodes[0])
@@ -48,7 +38,7 @@ func TestRelaySelfAckWaitsForItsFlush(t *testing.T) {
 		Peers:   peers,
 		Timeout: 50 * time.Millisecond,
 	})
-	if fwd := relaySent[wire.P2a](loop); len(fwd) != len(peers) {
+	if fwd := nodetest.SentOf[wire.P2a](loop); len(fwd) != len(peers) {
 		t.Fatalf("%d forwards left at once, want %d: the forward reveals nothing of the relay's", len(fwd), len(peers))
 	}
 	// The whole group answers before the relay's own flush is over: the
@@ -56,11 +46,11 @@ func TestRelaySelfAckWaitsForItsFlush(t *testing.T) {
 	for _, p := range peers {
 		r.OnMessage(p, wire.P2b{Ballot: b, From: p, Slot: 1})
 	}
-	if n := len(relaySent[wire.AggP2b](loop)); n != 0 || !disk.Flying() {
+	if n := len(nodetest.SentOf[wire.AggP2b](loop)); n != 0 || !disk.Flying() {
 		t.Fatalf("%d aggregates left with the relay's own accept in flight=%v", n, disk.Flying())
 	}
 	disk.Complete()
-	aggs := relaySent[wire.AggP2b](loop)
+	aggs := nodetest.SentOf[wire.AggP2b](loop)
 	if len(aggs) != 1 || len(aggs[0].Acks) != 3 || aggs[0].Partial {
 		t.Fatalf("aggregates after the flush: %+v", aggs)
 	}
@@ -77,12 +67,12 @@ func TestRelaySelfAckAfterTimeoutFlushGoesOnItsOwn(t *testing.T) {
 	})
 	r.OnMessage(peers[0], wire.P2b{Ballot: b, From: peers[0], Slot: 1})
 	loop.Advance(60 * time.Millisecond) // relay timeout: a partial aggregate without the relay's ack
-	aggs := relaySent[wire.AggP2b](loop)
+	aggs := nodetest.SentOf[wire.AggP2b](loop)
 	if len(aggs) != 1 || !aggs[0].Partial || len(aggs[0].Acks) != 1 || aggs[0].Acks[0] != peers[0] {
 		t.Fatalf("timeout aggregate: %+v", aggs)
 	}
 	disk.Complete()
-	aggs = relaySent[wire.AggP2b](loop)
+	aggs = nodetest.SentOf[wire.AggP2b](loop)
 	if len(aggs) != 2 || len(aggs[1].Acks) != 1 || aggs[1].Acks[0] != cc.Nodes[3] {
 		t.Fatalf("the relay's late ack must reach the leader on its own: %+v", aggs)
 	}
@@ -93,22 +83,22 @@ func TestRelayPromiseWaitsForItsFlush(t *testing.T) {
 	bidder, bid := cc.Nodes[8], ids.NewBallot(2, cc.Nodes[8])
 	peers := []ids.ID{cc.Nodes[4]}
 	r.OnMessage(bidder, wire.RelayP1a{P1a: wire.P1a{Ballot: bid, From: 1}, Peers: peers})
-	if fwd := relaySent[wire.P1a](loop); len(fwd) != 1 {
+	if fwd := nodetest.SentOf[wire.P1a](loop); len(fwd) != 1 {
 		t.Fatalf("%d bids forwarded at once, want 1", len(fwd))
 	}
 	r.OnMessage(peers[0], wire.P1b{Ballot: bid, From: peers[0], Floor: 1})
-	if n := len(relaySent[wire.AggP1b](loop)); n != 0 {
+	if n := len(nodetest.SentOf[wire.AggP1b](loop)); n != 0 {
 		t.Fatalf("%d aggregates left before the relay's own promise was durable", n)
 	}
 	disk.Complete()
-	aggs := relaySent[wire.AggP1b](loop)
+	aggs := nodetest.SentOf[wire.AggP1b](loop)
 	if len(aggs) != 1 || len(aggs[0].Replies) != 2 {
 		t.Fatalf("aggregates after the flush: %+v", aggs)
 	}
 	// A lower bid afterwards is refused on the spot: the NACK has nothing
 	// left to wait for (the ballot it reveals is journaled).
 	r.OnMessage(cc.Nodes[0], wire.RelayP1a{P1a: wire.P1a{Ballot: ids.NewBallot(1, cc.Nodes[0]), From: 1}, Peers: peers})
-	aggs = relaySent[wire.AggP1b](loop)
+	aggs = nodetest.SentOf[wire.AggP1b](loop)
 	if len(aggs) != 2 || aggs[1].Ballot != bid {
 		t.Fatalf("NACK: %+v", aggs)
 	}

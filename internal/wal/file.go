@@ -195,7 +195,7 @@ func (w *FileStorage) take(wake func()) flight {
 // StartFlush implements Storage: the syncer goroutine writes and fsyncs the
 // appends buffered so far, rolls the segment if it is full, and calls wake.
 func (w *FileStorage) StartFlush(wake func()) (started, async bool) {
-	if w.land() != nil || len(w.buf) == 0 {
+	if w.FinishFlush() != nil || len(w.buf) == 0 {
 		return false, false // a failed storage starts nothing; FinishFlush says why
 	}
 	if w.flights == nil {
@@ -218,9 +218,10 @@ func (w *FileStorage) syncer() {
 	}
 }
 
-// land waits for the flight in progress, if any, takes the segment state
-// back from the syncer and returns the storage's sticky error.
-func (w *FileStorage) land() error {
+// FinishFlush implements Storage: it waits for the flight in progress, if
+// any, takes the segment state back from the syncer and returns the
+// storage's sticky error.
+func (w *FileStorage) FinishFlush() error {
 	if w.flying {
 		w.flying = false
 		if err := <-w.landed; err != nil && w.err == nil {
@@ -230,13 +231,10 @@ func (w *FileStorage) land() error {
 	return w.err
 }
 
-// FinishFlush implements Storage.
-func (w *FileStorage) FinishFlush() error { return w.land() }
-
 // Sync implements Storage: one write + one fsync for every buffered append,
 // after the flight in progress has landed.
 func (w *FileStorage) Sync() (bool, error) {
-	if err := w.land(); err != nil {
+	if err := w.FinishFlush(); err != nil {
 		return false, err
 	}
 	if len(w.buf) == 0 {
@@ -354,7 +352,7 @@ func (w *FileStorage) Snapshot() (Snapshot, bool) { return w.snap, w.hasSnap }
 // kept. The active segment is never dropped. A flush in flight may be rolling
 // the segment list, so it lands first (its error stays for FinishFlush).
 func (w *FileStorage) CompactTo(floor uint64) int {
-	w.land()
+	w.FinishFlush()
 	n := 0
 	for n < len(w.segs)-1 && w.segs[n].maxSlot < floor {
 		n++
@@ -373,7 +371,7 @@ func (w *FileStorage) CompactTo(floor uint64) int {
 // order, truncating a torn tail in the final segment. Pending unsynced
 // appends are discarded — replay reconstructs the disk's contents.
 func (w *FileStorage) Replay(fn func(rec Record) error) error {
-	if err := w.land(); err != nil {
+	if err := w.FinishFlush(); err != nil {
 		return err
 	}
 	w.buf, w.batch = w.buf[:0], batch{}

@@ -91,7 +91,7 @@ type cell struct {
 // use; protocols apply committed commands through Apply and serve local
 // reads through Get.
 type Store struct {
-	mu      sync.Mutex
+	mu      sync.RWMutex
 	cells   map[uint64]*cell
 	live    int    // cells holding a value
 	applied uint64 // total commands applied, for metrics/tests
@@ -151,8 +151,8 @@ func (s *Store) Apply(cmd Command) Result {
 // Get reads the current value of key without going through the log. Used by
 // local/leased read paths and tests.
 func (s *Store) Get(key uint64) (value []byte, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if c := s.cells[key]; c != nil && c.live {
 		return c.value, true
 	}
@@ -162,8 +162,8 @@ func (s *Store) Get(key uint64) (value []byte, ok bool) {
 // Version returns the write-version of a key (number of writes applied to
 // it), used by Paxos Quorum Reads to compare replica freshness.
 func (s *Store) Version(key uint64) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if c := s.cells[key]; c != nil {
 		return c.version
 	}
@@ -172,15 +172,15 @@ func (s *Store) Version(key uint64) uint64 {
 
 // Len returns the number of live keys.
 func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.live
 }
 
 // Applied returns the total number of commands applied.
 func (s *Store) Applied() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.applied
 }
 
@@ -188,8 +188,8 @@ func (s *Store) Applied() uint64 {
 // applied the same command sequence have equal checksums; tests use it to
 // assert state machine convergence.
 func (s *Store) Checksum() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	var h uint64 = 14695981039346656037 // FNV offset basis
 	// XOR per-key hashes so iteration order does not matter.
 	var acc uint64
@@ -215,8 +215,8 @@ func (s *Store) Checksum() uint64 {
 // including keys whose data was deleted (their write-versions still matter
 // to quorum reads), then a data section covering the live ones.
 func (s *Store) Serialize(b []byte) []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	b = binary.LittleEndian.AppendUint64(b, s.applied)
 	keys := make([]uint64, 0, len(s.cells))
 	for k := range s.cells {

@@ -91,7 +91,10 @@ func (r *Replica) WhenDurable(fn Release, slot uint64, b ids.Ballot, peer ids.ID
 	f := &r.flush
 	if f.flying && f.due >= 0 && r.ctx.Now() > f.due {
 		// The simulator drops a timer that comes due while its node is
-		// crashed; the modelled flush was over at due all the same.
+		// crashed; the modelled flush was over at due all the same. A node
+		// that comes back with its memory (chaos.Crash, not Reboot) would
+		// otherwise hold its votes for good: harness
+		// TestScenarioRollingCrashMidFlightKeepsVoting.
 		r.landEarly()
 	}
 	f.next = append(f.next, waiter{fn, slot, b, peer})

@@ -423,8 +423,13 @@ func (w *FileStorage) Close() error {
 	return err
 }
 
-// Segments reports the live segment-file count.
-func (w *FileStorage) Segments() int { return len(w.segs) }
+// Segments reports the live segment-file count. Like every owner-side reader
+// of the segment list it lands the flight in progress first: the syncer may
+// be rolling the segment.
+func (w *FileStorage) Segments() int {
+	w.FinishFlush()
+	return len(w.segs)
+}
 
 // Syncs reports how many real fsyncs were performed on the journal.
 func (w *FileStorage) Syncs() uint64 { return w.syncs.Load() }

@@ -128,6 +128,9 @@ func TestFileAppendWhileFlushing(t *testing.T) {
 			t.Fatalf("StartFlush = %v, %v with records buffered", started, async)
 		}
 		add(perRound - perRound/3) // while the syncer writes, fsyncs and rolls
+		if r%4 == 3 {
+			fs.Segments() // reads the list the syncer may be rolling: lands the flight
+		}
 		<-woken
 		if err := fs.FinishFlush(); err != nil {
 			t.Fatal(err)

@@ -19,9 +19,9 @@
 // acknowledged records would forge durability.
 //
 // Goroutines. A Storage belongs to one goroutine, its replica's event loop:
-// Append, StartFlush, FinishFlush, Sync, SaveSnapshot, CompactTo, Replay and
-// Close are called from there and nowhere else (a benchmark wrapping a
-// Storage to trace Append and Sync relies on it). MemStorage runs nothing of
+// Append, StartFlush, FinishFlush, Sync, SaveSnapshot, CompactTo, Replay,
+// Close and FileStorage.Segments are called from there and nowhere else (a
+// benchmark wrapping a Storage to trace Append and Sync relies on it). MemStorage runs nothing of
 // its own. FileStorage runs one goroutine, the syncer, which between
 // StartFlush and the flight's landing owns the active file and the segment
 // list, does the write, the fsync and the segment roll, and then calls the

@@ -201,9 +201,8 @@ func main() {
 			Duration:     *duration,
 			Timeout:      *timeout,
 			MaxInFlight:  *inflight,
-			Seed:            *seed + int64(step),
-			ClientIDBase:    clientBase,
-			ClientIDBaseSet: true,
+			Seed:         *seed + int64(step),
+			ClientIDBase: clientBase,
 			Workload: workload.Config{
 				Keys:        *keys,
 				ReadRatio:   *readRatio,

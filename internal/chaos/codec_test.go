@@ -20,9 +20,9 @@ func codecSchedule() Schedule {
 		{At: 250 * time.Millisecond, Action: Action{Kind: CrashLeader, Duration: 150 * time.Millisecond}},
 		{At: 300 * time.Millisecond, Action: Action{Kind: CrashRelay, Group: 2, Duration: 100 * time.Millisecond}},
 		{At: 400 * time.Millisecond, Action: Action{
-			Kind:  PartitionCut,
-			SideA: []ids.ID{ids.NewID(1, 4)},
-			SideB: []ids.ID{ids.NewID(1, 0), ids.NewID(1, 1), ids.NewID(1, 2), ids.NewID(1, 3)},
+			Kind:     PartitionCut,
+			SideA:    []ids.ID{ids.NewID(1, 4)},
+			SideB:    []ids.ID{ids.NewID(1, 0), ids.NewID(1, 1), ids.NewID(1, 2), ids.NewID(1, 3)},
 			Duration: 200 * time.Millisecond,
 		}},
 		{At: 500 * time.Millisecond, Action: Action{

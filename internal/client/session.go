@@ -1,0 +1,280 @@
+// Package client is the one client of a consensus group: an at-most-once
+// session that acts on the world only through a node.Context, so — like the
+// replicas — it runs unchanged on the simulator (netsim.Endpoint), the
+// in-process bus (transport.LocalNode) and real sockets (transport.TCPNode).
+// The simulator's open-loop clients, loadgen's workers, cluster.SyncClient
+// and the public Client are each a pacing policy over a Session: when to
+// Issue, and what to record when an operation ends.
+//
+// A transport behind node.Context does not report connection errors, so a
+// dead target is known by its silence alone.
+package client
+
+import (
+	"slices"
+	"time"
+
+	"pigpaxos/internal/ids"
+	"pigpaxos/internal/kvstore"
+	"pigpaxos/internal/node"
+	"pigpaxos/internal/wire"
+)
+
+// maxHops is how many redirects one operation follows before a further one
+// counts as a refusal: two nodes pointing at each other must not bounce it
+// forever.
+const maxHops = 8
+
+// Op is one operation in flight, as the session's callbacks see it.
+type Op struct {
+	Cmd kvstore.Command
+	// At is when the caller says the operation arrived: Timeout counts from
+	// here, and so does the caller's latency.
+	At time.Duration
+	// Busy counts the admission rejections (wire.Busy) it has met so far.
+	Busy int
+
+	hops int
+	sent time.Duration // last transmission, or last Busy: what the sweep measures silence from
+	live bool
+}
+
+// Session is an at-most-once client session against one consensus group.
+// Set the exported fields, then call Issue and OnMessage from the context's
+// callbacks only. Every issued operation ends in exactly one of Done,
+// Abandoned and Refused.
+type Session struct {
+	Ctx      node.Context
+	ClientID uint64
+	// Targets is the group, in rotation order; Target is where requests go
+	// now. The session moves Target on redirects and away from a silent
+	// node; a caller may move it between operations.
+	Targets []ids.ID
+	Target  ids.ID
+	// Window bounds the operations in flight: Issue refuses beyond it.
+	Window int
+	// Timeout abandons an operation this long after its arrival.
+	Timeout time.Duration
+	// Retry is the sweep period: operations silent for that long are sent
+	// again, and a target that answered nothing during a whole period is
+	// left for the next. Zero never sweeps: the simulator's open-loop
+	// clients, whose cluster does not fail.
+	Retry time.Duration
+
+	// Done receives an acknowledged operation and its reply.
+	Done func(Op, wire.Reply)
+	// Abandoned receives an operation that outlived Timeout.
+	Abandoned func(Op)
+	// Refused, when set, receives an operation a node turned down while
+	// naming no leader the session could follow (none, one outside
+	// Targets, or one more after maxHops). Left nil, such an operation
+	// stays pending for the sweep to retry.
+	Refused func(Op, wire.Reply)
+
+	// Redirects counts redirects followed, Resends transmissions after an
+	// operation's first.
+	Redirects, Resends uint64
+
+	seq     uint64 // of the newest operation, which is the last of ops
+	ops     []Op   // consecutive sequence numbers; finished ones are not live
+	pending int
+	heard   bool // Target answered since the last sweep or retarget
+	sweep   node.Timer
+}
+
+// Full reports whether Issue would refuse.
+func (s *Session) Full() bool { return s.pending >= s.Window }
+
+// Issue starts cmd, which arrived at the given time, stamping the session's
+// ID and next sequence number on it. It reports false, and consumes no
+// sequence number, when the window is full.
+func (s *Session) Issue(cmd kvstore.Command, at time.Duration) bool {
+	if s.Full() {
+		return false
+	}
+	s.seq++
+	cmd.ClientID, cmd.Seq = s.ClientID, s.seq
+	// The operation may be sent again long after the caller reused its
+	// buffer (workload.Generator shares one across Next calls).
+	if cmd.Value != nil {
+		cmd.Value = append([]byte(nil), cmd.Value...)
+	}
+	s.ops = append(s.ops, Op{Cmd: cmd, At: at, live: true})
+	s.pending++
+	now := s.Ctx.Now()
+	s.send(&s.ops[len(s.ops)-1], now)
+	seq := s.seq
+	s.Ctx.After(s.Timeout-(now-at), func() {
+		if op := s.find(seq); op != nil {
+			s.Abandoned(s.finish(op))
+		}
+	})
+	if s.sweep == nil {
+		s.listen()
+	}
+	return true
+}
+
+// OnMessage implements node.Handler: acknowledgements, redirects and Busy
+// backpressure for this session's operations. Anything else is ignored.
+func (s *Session) OnMessage(_ ids.ID, m wire.Msg) {
+	switch v := m.(type) {
+	case wire.Busy:
+		op := s.find(v.Seq)
+		if op == nil || v.ClientID != s.ClientID {
+			return // already over, or not ours
+		}
+		s.heard = true
+		op.Busy++
+		op.sent = s.Ctx.Now() // the hinted retry comes before the sweep would
+		seq := v.Seq
+		s.Ctx.After(s.backoff(v.RetryAfter, op.Busy), func() {
+			if op := s.find(seq); op != nil {
+				s.resend(op, s.Ctx.Now())
+			}
+		})
+	case wire.Reply:
+		op := s.find(v.Seq)
+		if op == nil || v.ClientID != s.ClientID {
+			return
+		}
+		switch {
+		case v.OK:
+			s.heard = true
+			s.Done(s.finish(op), v)
+		case v.Leader == s.Target:
+			// A node the session has already left, pointing where it went.
+		case slices.Contains(s.Targets, v.Leader) && op.hops < maxHops:
+			op.hops++
+			s.Redirects++
+			s.retarget(v.Leader)
+		default:
+			s.heard = true
+			if s.Refused != nil {
+				s.Refused(s.finish(op), v)
+			}
+		}
+	}
+}
+
+// Addressee returns the client ID a reply names — how a node that carries
+// several sessions finds the one to hand it to — or 0 for any other message.
+func Addressee(m wire.Msg) uint64 {
+	switch v := m.(type) {
+	case wire.Reply:
+		return v.ClientID
+	case wire.Busy:
+		return v.ClientID
+	}
+	return 0
+}
+
+// find returns the live operation with sequence number seq, or nil.
+func (s *Session) find(seq uint64) *Op {
+	i := seq - (s.seq + 1 - uint64(len(s.ops))) // wraps far out of range below ops[0]
+	if i >= uint64(len(s.ops)) || !s.ops[i].live {
+		return nil
+	}
+	return &s.ops[i]
+}
+
+// finish ends op and returns what it was, for the callback.
+func (s *Session) finish(op *Op) Op {
+	was := *op
+	*op = Op{}
+	if s.pending--; s.pending == 0 && s.sweep != nil {
+		// Silence is measured while something waits: the next Issue starts
+		// a period of its own.
+		s.sweep.Stop()
+		s.sweep = nil
+	}
+	for len(s.ops) > 0 && !s.ops[0].live {
+		s.ops = s.ops[1:]
+	}
+	return was
+}
+
+func (s *Session) send(op *Op, now time.Duration) {
+	op.sent = now
+	s.Ctx.Send(s.Target, wire.Request{Cmd: op.Cmd})
+}
+
+func (s *Session) resend(op *Op, now time.Duration) {
+	s.Resends++
+	s.send(op, now)
+}
+
+// backoff doubles the leader's hint per rejection the operation has met, up
+// to one sweep period (a quarter of Timeout without a sweep): the first
+// retry honours the hint, and a leader that stays overloaded is not
+// livelocked issuing rejections to the retry storm it caused.
+func (s *Session) backoff(hint time.Duration, busy int) time.Duration {
+	limit := s.Retry
+	if limit == 0 {
+		limit = s.Timeout / 4
+	}
+	if hint <= 0 {
+		hint = time.Millisecond
+	}
+	for i := 1; i < busy && hint < limit; i++ {
+		hint *= 2
+	}
+	return min(hint, limit)
+}
+
+// retarget moves the session to another node and sends it everything
+// pending at once, oldest first: a leader drops, without a reply, a
+// sequence number below the newest it has executed for the client, so a
+// backlog trickled over out of order would lose its older part.
+func (s *Session) retarget(to ids.ID) {
+	s.Target = to
+	now := s.Ctx.Now()
+	for i := range s.ops {
+		if s.ops[i].live {
+			s.resend(&s.ops[i], now)
+		}
+	}
+	s.listen()
+}
+
+// listen gives Target a whole period, from now, to be heard from.
+func (s *Session) listen() {
+	if s.Retry > 0 {
+		if s.sweep != nil {
+			s.sweep.Stop()
+		}
+		s.heard = false
+		s.sweep = s.Ctx.After(s.Retry, s.onSweep)
+	}
+}
+
+// onSweep runs every Retry while anything is pending. Health is the
+// session's, not an operation's: one the leader will never answer (see
+// retarget) must not walk a session off a leader that is answering the
+// rest. So the target is left only if operations have waited a whole period
+// and it answered nothing at all in that time — a refusal during an
+// election is an answer. Otherwise the silent operations go again.
+func (s *Session) onSweep() {
+	s.sweep = nil
+	now := s.Ctx.Now()
+	silent := func(op *Op) bool { return op.live && now-op.sent >= s.Retry }
+	if !s.heard {
+		for i := range s.ops {
+			if silent(&s.ops[i]) {
+				s.retarget(s.Next())
+				return
+			}
+		}
+	}
+	for i := range s.ops {
+		if silent(&s.ops[i]) {
+			s.resend(&s.ops[i], now)
+		}
+	}
+	s.listen()
+}
+
+// Next returns the target after the current one in rotation order.
+func (s *Session) Next() ids.ID {
+	return s.Targets[(slices.Index(s.Targets, s.Target)+1)%len(s.Targets)]
+}

@@ -12,13 +12,12 @@
 //
 // Readiness is probed through the client path itself: a node is ready when
 // it answers a Request, and the cluster is ready when a Get completes OK
-// (some leader is committing). SyncClient is the minimal synchronous
-// client both probes and tests share: one command at a time, bounded
-// redirect following, target rotation on connection errors.
+// (some leader is committing). SyncClient (client.go) is the synchronous
+// client probes, tests and cmd/pigclient share: a client.Session with one
+// command in flight, on a dial-only TCPNode of its own.
 package cluster
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"os"
@@ -37,7 +36,6 @@ import (
 	"pigpaxos/internal/pigpaxos"
 	"pigpaxos/internal/protocol"
 	"pigpaxos/internal/transport"
-	"pigpaxos/internal/wire"
 )
 
 // ParseID parses Paxi's "zone.node" notation.
@@ -258,186 +256,6 @@ func (c *InProc) Close() {
 	}
 }
 
-// ------------------------------------------------------------ sync client --
-
-// SyncClient issues one command at a time against a live cluster over raw
-// framed TCP, following leader redirects (bounded) and rotating targets on
-// connection errors. It is the readiness probe, the integration tests'
-// client path, and deliberately NOT the load generator (loadgen pipelines).
-type SyncClient struct {
-	addrs    map[ids.ID]string
-	members  []ids.ID
-	sender   ids.ID
-	clientID uint64
-	target   ids.ID
-	timeout  time.Duration
-	seq      uint64
-	conns    map[ids.ID]*syncConn
-	// Redirects counts redirect hops followed (tests assert the path).
-	Redirects int
-	// Busy counts leader admission rejections waited out (tests assert
-	// the backpressure path).
-	Busy int
-}
-
-type syncConn struct {
-	c  net.Conn
-	br *bufio.Reader
-}
-
-// NewSyncClient builds a client that first contacts target. clientID must
-// be unique per concurrent client (it keys the at-most-once session).
-func NewSyncClient(addrs map[ids.ID]string, target ids.ID, clientID uint64, timeout time.Duration) *SyncClient {
-	members := make([]ids.ID, 0, len(addrs))
-	for id := range addrs {
-		members = append(members, id)
-	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	return &SyncClient{
-		addrs:    addrs,
-		members:  members,
-		sender:   ids.NewID(997, int(clientID%0xffff)+1),
-		clientID: clientID,
-		target:   target,
-		timeout:  timeout,
-		conns:    make(map[ids.ID]*syncConn),
-	}
-}
-
-// Target returns the node the client currently believes leads.
-func (c *SyncClient) Target() ids.ID { return c.target }
-
-// Close drops every connection.
-func (c *SyncClient) Close() {
-	for id, sc := range c.conns {
-		sc.c.Close()
-		delete(c.conns, id)
-	}
-}
-
-// Put writes value under key and reports the committed slot.
-func (c *SyncClient) Put(key uint64, value []byte) (wire.Reply, error) {
-	return c.Do(kvstore.Command{Op: kvstore.Put, Key: key, Value: value})
-}
-
-// Get reads key.
-func (c *SyncClient) Get(key uint64) (wire.Reply, error) {
-	return c.Do(kvstore.Command{Op: kvstore.Get, Key: key})
-}
-
-// Delete removes key.
-func (c *SyncClient) Delete(key uint64) (wire.Reply, error) {
-	return c.Do(kvstore.Command{Op: kvstore.Delete, Key: key})
-}
-
-// Do runs one command to completion: send, await the matching reply,
-// follow redirects up to 8 hops, rotate to the next member on connection
-// errors. A reply with OK=false and no usable leader hint is returned to
-// the caller (the cluster is leaderless right now).
-func (c *SyncClient) Do(cmd kvstore.Command) (wire.Reply, error) {
-	c.seq++
-	cmd.ClientID, cmd.Seq = c.clientID, c.seq
-	target := c.target
-	var lastErr error
-	for hop := 0; hop < 8; hop++ {
-		rep, err := c.roundTrip(target, cmd)
-		if err != nil {
-			lastErr = err
-			target = c.nextMember(target)
-			continue
-		}
-		if !rep.OK && !rep.Leader.IsZero() && rep.Leader != target {
-			if _, known := c.addrs[rep.Leader]; known {
-				c.Redirects++
-				target = rep.Leader
-				continue
-			}
-		}
-		c.target = target // stick with whoever answered
-		return rep, nil
-	}
-	if lastErr != nil {
-		return wire.Reply{}, fmt.Errorf("cluster: command failed after retries: %w", lastErr)
-	}
-	return wire.Reply{}, fmt.Errorf("cluster: redirect chain exceeded 8 hops")
-}
-
-func (c *SyncClient) nextMember(after ids.ID) ids.ID {
-	for i, id := range c.members {
-		if id == after {
-			return c.members[(i+1)%len(c.members)]
-		}
-	}
-	return c.members[0]
-}
-
-func (c *SyncClient) conn(to ids.ID) (*syncConn, error) {
-	if sc, ok := c.conns[to]; ok {
-		return sc, nil
-	}
-	addr, ok := c.addrs[to]
-	if !ok {
-		return nil, fmt.Errorf("cluster: no address for %v", to)
-	}
-	conn, err := net.DialTimeout("tcp", addr, c.timeout)
-	if err != nil {
-		return nil, err
-	}
-	sc := &syncConn{c: conn, br: bufio.NewReader(conn)}
-	c.conns[to] = sc
-	return sc, nil
-}
-
-func (c *SyncClient) drop(to ids.ID) {
-	if sc, ok := c.conns[to]; ok {
-		sc.c.Close()
-		delete(c.conns, to)
-	}
-}
-
-func (c *SyncClient) roundTrip(to ids.ID, cmd kvstore.Command) (wire.Reply, error) {
-	sc, err := c.conn(to)
-	if err != nil {
-		return wire.Reply{}, err
-	}
-	sc.c.SetDeadline(time.Now().Add(c.timeout))
-	if err := transport.WriteFrame(sc.c, c.sender, wire.Request{Cmd: cmd}); err != nil {
-		c.drop(to)
-		return wire.Reply{}, err
-	}
-	for {
-		_, m, err := transport.ReadFrame(sc.br)
-		if err != nil {
-			c.drop(to)
-			return wire.Reply{}, err
-		}
-		if b, ok := m.(wire.Busy); ok && b.Seq == cmd.Seq && b.ClientID == cmd.ClientID {
-			// The leader shed us under overload: wait out its hint and
-			// retry the same seq on the same connection (the rejection
-			// did not consume the seq). The conn deadline still bounds
-			// the whole exchange.
-			c.Busy++
-			if d := b.RetryAfter; d > 0 && d < c.timeout {
-				time.Sleep(d)
-			}
-			if err := transport.WriteFrame(sc.c, c.sender, wire.Request{Cmd: cmd}); err != nil {
-				c.drop(to)
-				return wire.Reply{}, err
-			}
-			continue
-		}
-		rep, ok := m.(wire.Reply)
-		if !ok || rep.Seq != cmd.Seq || rep.ClientID != cmd.ClientID {
-			continue // stale reply from an earlier attempt
-		}
-		sc.c.SetDeadline(time.Time{})
-		return rep, nil
-	}
-}
-
 // -------------------------------------------------------------- readiness --
 
 // WaitReady blocks until every member answers the client path and a Get
@@ -584,16 +402,6 @@ func (p *Procs) Kill(id ids.ID) error {
 	}
 	cmd.Wait()
 	return nil
-}
-
-// Terminate sends SIGTERM to one member (graceful drain path) without
-// waiting.
-func (p *Procs) Terminate(id ids.ID) error {
-	cmd, ok := p.cmds[id]
-	if !ok {
-		return fmt.Errorf("cluster: no process for %v", id)
-	}
-	return cmd.Process.Signal(syscall.SIGTERM)
 }
 
 // StopAll SIGTERMs every child, waits up to grace for clean exits, then

@@ -191,14 +191,6 @@ func NewWAN3Lossy(n int) Cluster {
 // N returns the cluster size.
 func (c Cluster) N() int { return len(c.Nodes) }
 
-// ShardCount normalizes Shards: 0 (unset) and 1 both mean one group.
-func (c Cluster) ShardCount() int {
-	if c.Shards < 1 {
-		return 1
-	}
-	return c.Shards
-}
-
 // ZoneOf returns the zone a node belongs to.
 func (c Cluster) ZoneOf(id ids.ID) int {
 	if c.Zones != nil {

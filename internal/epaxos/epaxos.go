@@ -1688,38 +1688,3 @@ func less(a *instance, ar wire.InstRef, b *instance, br wire.InstRef) bool {
 	}
 	return ar.Slot < br.Slot
 }
-
-// StuckInstance describes one unexecuted instance (post-run diagnostics).
-type StuckInstance struct {
-	Ref       wire.InstRef
-	Status    uint8 // wire.Inst* encoding
-	Ballot    ids.Ballot
-	Driving   bool
-	Preparing bool
-	Blocked   bool
-}
-
-// Stuck lists this replica's unexecuted instances in sorted order — the
-// diagnostic behind Unexecuted.
-func (r *Replica) Stuck() []StuckInstance {
-	var out []StuckInstance
-	for owner, row := range r.rows {
-		for slot, in := range row {
-			if in.status > statusNone && in.status < statusExecuted {
-				ref := wire.InstRef{Replica: owner, Slot: slot}
-				_, blocked := r.blocked[ref]
-				out = append(out, StuckInstance{
-					Ref: ref, Status: wireStatus(in.status), Ballot: in.bal,
-					Driving: !in.drive.IsZero(), Preparing: in.preparing, Blocked: blocked,
-				})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Ref.Replica != out[j].Ref.Replica {
-			return out[i].Ref.Replica < out[j].Ref.Replica
-		}
-		return out[i].Ref.Slot < out[j].Ref.Slot
-	})
-	return out
-}

@@ -6,7 +6,6 @@ package harness
 
 import (
 	"fmt"
-	"reflect"
 	"time"
 
 	"pigpaxos/internal/chaos"
@@ -14,14 +13,12 @@ import (
 )
 
 // Failure kinds reported by ScenarioResult.Failure and recorded in corpus
-// entries. FailDeterminism is only produced by ShrinkDeterminismMismatch —
-// a single run cannot observe its own nondeterminism.
+// entries.
 const (
 	FailLinearizability = "linearizability"
 	FailIncomplete      = "incomplete"
 	FailDiverged        = "diverged"
 	FailUnrecovered     = "unrecovered"
-	FailDeterminism     = "determinism"
 )
 
 // Failure classifies the result: the first failed verdict's kind, or ""
@@ -65,17 +62,6 @@ func shrinkOptionsFor(opts ScenarioOptions, budget int) chaos.ShrinkOptions {
 func ShrinkScenario(opts ScenarioOptions, sched chaos.Schedule, failing func(ScenarioResult) bool, budget int) chaos.ShrinkResult {
 	return chaos.Shrink(sched, func(c chaos.Schedule) bool {
 		return failing(RunScenario(opts, c))
-	}, shrinkOptionsFor(opts, budget))
-}
-
-// ShrinkDeterminismMismatch is ShrinkScenario with the determinism
-// predicate: a candidate fails when two identically-seeded runs disagree
-// on any result field. Each candidate costs two sim runs.
-func ShrinkDeterminismMismatch(opts ScenarioOptions, sched chaos.Schedule, budget int) chaos.ShrinkResult {
-	return chaos.Shrink(sched, func(c chaos.Schedule) bool {
-		a := RunScenario(opts, c)
-		b := RunScenario(opts, c)
-		return !reflect.DeepEqual(a, b)
 	}, shrinkOptionsFor(opts, budget))
 }
 

@@ -12,10 +12,9 @@ import (
 	"fmt"
 	"time"
 
+	"pigpaxos/internal/client"
 	"pigpaxos/internal/ids"
-	"pigpaxos/internal/kvstore"
 	"pigpaxos/internal/metrics"
-	"pigpaxos/internal/netsim"
 	"pigpaxos/internal/paxos"
 	"pigpaxos/internal/wire"
 	"pigpaxos/internal/workload"
@@ -96,130 +95,61 @@ func (r OverloadResult) String() string {
 		r.DroppedExpired, r.MaxQueueDepth, r.Latency)
 }
 
-// olOp is one outstanding open-loop operation.
-type olOp struct {
-	cmd      kvstore.Command
-	at       time.Duration
-	inWindow bool
-	// busyN counts consecutive Busy rejections, driving exponential
-	// backoff: without it every shed op retries each EWMA interval and
-	// the leader livelocks on issuing rejections past ~5× saturation.
-	busyN int
+// olRun is what one rung's open-loop clients share: the window, and the
+// result they count into — only operations that arrived inside the window.
+type olRun struct {
+	warmupEnd, windowEnd time.Duration
+	stopped              bool // arrivals end with the window
+	hist                 *metrics.Histogram
+	res                  OverloadResult
 }
 
-// busyBackoff grows the leader's retry hint exponentially with the op's
-// consecutive rejections, capped so an op still retries a few times
-// before its abandonment timeout.
-func busyBackoff(hint time.Duration, busyN int, cap time.Duration) time.Duration {
-	if hint <= 0 {
-		hint = time.Millisecond
-	}
-	for i := 1; i < busyN && hint < cap; i++ {
-		hint *= 2
-	}
-	if hint > cap {
-		hint = cap
-	}
-	return hint
+func (r *olRun) inWindow(at time.Duration) bool {
+	return at >= r.warmupEnd && at < r.windowEnd
 }
 
 // olClient is an open-loop simulated client: a Poisson arrival clock in
-// virtual time, a bounded pending set, Busy backoff-and-retry, per-op
-// abandonment. It deliberately mirrors loadgen's worker semantics so the
-// sim sweep and the metal sweep measure the same client model.
+// virtual time over a client.Session — the session loadgen's workers run on
+// real sockets, so the sim sweep and the metal sweep measure one client
+// model.
 type olClient struct {
-	id      uint64
-	ep      *netsim.Endpoint
-	target  ids.ID
-	gen     *workload.Generator
-	arr     *workload.Arrivals
-	timeout time.Duration
-	cap     int
-
-	seq     uint64
-	pending map[uint64]olOp
-	stopped bool
-
-	warmupEnd, windowEnd time.Duration
-	hist                 *metrics.Histogram
-	offered, completed   *metrics.Counter
-	shed, busy, timeouts *metrics.Counter
+	*olRun
+	s   client.Session
+	gen *workload.Generator
+	arr *workload.Arrivals
 }
 
-// tick fires one scheduled arrival and arms the next.
+// tick fires one scheduled arrival and arms the next. An arrival that
+// finds the session's window full is shed.
 func (c *olClient) tick() {
 	if c.stopped {
 		return
 	}
-	now := c.ep.Now()
-	inWin := now >= c.warmupEnd && now < c.windowEnd
+	now := c.s.Ctx.Now()
+	inWin := c.inWindow(now)
 	if inWin {
-		c.offered.Inc()
+		c.res.Offered++
 	}
-	if len(c.pending) >= c.cap {
-		if inWin {
-			c.shed.Inc()
-		}
-	} else {
-		c.seq++
-		cmd := c.gen.Next(c.id, c.seq)
-		// The generator's payload buffer is shared across Next calls;
-		// retries re-send the same op, so pin a private copy.
-		if cmd.Value != nil {
-			cmd.Value = append([]byte(nil), cmd.Value...)
-		}
-		c.pending[c.seq] = olOp{cmd: cmd, at: now, inWindow: inWin}
-		c.ep.Send(c.target, wire.Request{Cmd: cmd})
-		seq := c.seq
-		c.ep.After(c.timeout, func() {
-			if o, ok := c.pending[seq]; ok {
-				delete(c.pending, seq)
-				if o.inWindow {
-					c.timeouts.Inc()
-				}
-			}
-		})
+	if !c.s.Full() {
+		c.s.Issue(c.gen.Next(0, 0), now)
+	} else if inWin {
+		c.res.Shed++
 	}
-	c.ep.After(c.arr.Next(), c.tick)
+	c.s.Ctx.After(c.arr.Next(), c.tick)
 }
 
-// OnMessage handles acks, redirects and Busy backpressure.
-func (c *olClient) OnMessage(from ids.ID, m wire.Msg) {
-	switch v := m.(type) {
-	case wire.Busy:
-		o, ok := c.pending[v.Seq]
-		if !ok {
-			return // already abandoned
-		}
-		if o.inWindow {
-			c.busy.Inc()
-		}
-		o.busyN++
-		c.pending[v.Seq] = o
-		seq := v.Seq
-		c.ep.After(busyBackoff(v.RetryAfter, o.busyN, c.timeout/4), func() {
-			if o, ok := c.pending[seq]; ok {
-				c.ep.Send(v.Leader, wire.Request{Cmd: o.cmd})
-			}
-		})
-	case wire.Reply:
-		o, ok := c.pending[v.Seq]
-		if !ok {
-			return
-		}
-		if !v.OK {
-			if !v.Leader.IsZero() && v.Leader != c.target {
-				// Redirected: move this client (and the stuck op) over.
-				c.target = v.Leader
-				c.ep.Send(v.Leader, wire.Request{Cmd: o.cmd})
-			}
-			return
-		}
-		delete(c.pending, v.Seq)
-		if o.inWindow {
-			c.completed.Inc()
-			c.hist.Observe(c.ep.Now() - o.at)
-		}
+func (c *olClient) done(op client.Op, _ wire.Reply) {
+	if c.inWindow(op.At) {
+		c.res.Busy += uint64(op.Busy)
+		c.res.Completed++
+		c.hist.Observe(c.s.Ctx.Now() - op.At)
+	}
+}
+
+func (c *olClient) abandoned(op client.Op) {
+	if c.inWindow(op.At) {
+		c.res.Busy += uint64(op.Busy)
+		c.res.Timeouts++
 	}
 }
 
@@ -244,58 +174,41 @@ func RunOverload(opts OverloadOptions) OverloadResult {
 	sim, cc, net := d.sim, d.cc, d.net
 	leader := cc.Nodes[0]
 
-	hist := metrics.NewHistogram()
-	var offered, completed, shed, busy, timeouts metrics.Counter
-	warmupEnd := opts.Warmup
-	windowEnd := opts.Warmup + opts.Measure
+	run := &olRun{
+		warmupEnd: opts.Warmup,
+		windowEnd: opts.Warmup + opts.Measure,
+		hist:      metrics.NewHistogram(),
+		res:       OverloadResult{Rate: opts.Rate},
+	}
 	perRate := opts.Rate / float64(opts.Clients)
 
-	clients := make([]*olClient, opts.Clients)
+	d.start()
 	for i := 0; i < opts.Clients; i++ {
 		cl := &olClient{
-			id:        uint64(i + 1),
-			target:    leader,
-			gen:       workload.New(opts.Workload, sim.Rand()),
-			arr:       workload.NewArrivals(perRate, sim.Rand()),
-			timeout:   opts.OpTimeout,
-			cap:       opts.ClientInFlight,
-			pending:   make(map[uint64]olOp),
-			warmupEnd: warmupEnd,
-			windowEnd: windowEnd,
-			hist:      hist,
-			offered:   &offered,
-			completed: &completed,
-			shed:      &shed,
-			busy:      &busy,
-			timeouts:  &timeouts,
+			olRun: run,
+			gen:   workload.New(opts.Workload, sim.Rand()),
+			arr:   workload.NewArrivals(perRate, sim.Rand()),
 		}
-		cl.ep = net.Register(ids.NewID(cc.ZoneOf(leader), 1000+i), cl, true)
-		clients[i] = cl
-	}
-
-	d.start()
-	for i, cl := range clients {
+		cl.s = client.Session{
+			Ctx:       net.Register(ids.NewID(cc.ZoneOf(leader), 1000+i), &cl.s, true),
+			ClientID:  uint64(i + 1),
+			Targets:   cc.Nodes,
+			Target:    leader,
+			Window:    opts.ClientInFlight,
+			Timeout:   opts.OpTimeout,
+			Done:      cl.done,
+			Abandoned: cl.abandoned,
+		}
 		sim.Schedule(time.Duration(i)*50*time.Microsecond+time.Millisecond, cl.tick)
 	}
 
 	// Arrivals stop at the window's end; the drain grace lets in-window
 	// stragglers complete or time out before counters are read.
-	sim.Schedule(windowEnd, func() {
-		for _, cl := range clients {
-			cl.stopped = true
-		}
-	})
-	sim.Run(windowEnd + opts.OpTimeout + 50*time.Millisecond)
+	sim.Schedule(run.windowEnd, func() { run.stopped = true })
+	sim.Run(run.windowEnd + opts.OpTimeout + 50*time.Millisecond)
 
-	res := OverloadResult{
-		Rate:      opts.Rate,
-		Offered:   uint64(offered.Value()),
-		Completed: uint64(completed.Value()),
-		Shed:      uint64(shed.Value()),
-		Busy:      uint64(busy.Value()),
-		Timeouts:  uint64(timeouts.Value()),
-		Latency:   hist.Snapshot(),
-	}
+	res := run.res
+	res.Latency = run.hist.Snapshot()
 	sec := opts.Measure.Seconds()
 	res.Goodput = float64(res.Completed) / sec
 	res.OfferedRate = float64(res.Offered) / sec

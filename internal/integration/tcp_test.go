@@ -160,6 +160,14 @@ func TestTCPLeaderKillFailover(t *testing.T) {
 		t.Errorf("only %d/%d ops completed; failover did not restore service",
 			res.Completed, res.Offered)
 	}
+	// The sessions move to the new leader together and in order: almost
+	// nothing is lost on the way, and nothing is sent over and over.
+	if res.Timeouts*100 > res.Offered {
+		t.Errorf("%d of %d ops timed out, want at most 1%%", res.Timeouts, res.Offered)
+	}
+	if res.Resends > 10*res.Offered {
+		t.Errorf("%d re-sends for %d ops, want at most 10 each", res.Resends, res.Offered)
+	}
 	// Bounded gap: election (randomized ×[1,2)) + client retry sweeps.
 	// 6× election timeout + 1s of retry slack is generous but still
 	// catches a cluster that never re-elects (gap would be ≈ 3.5s).

@@ -54,10 +54,6 @@ type History struct {
 // Add appends one completed operation.
 func (h *History) Add(op Op) { h.ops = append(h.ops, op) }
 
-// Ops returns the recorded operations (shared slice; callers must not
-// mutate). Failure diagnosis uses it to dump a failing key's sub-history.
-func (h *History) Ops() []Op { return h.ops }
-
 // Len returns the number of recorded operations.
 func (h *History) Len() int { return len(h.ops) }
 

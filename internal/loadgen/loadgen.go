@@ -7,25 +7,25 @@
 // saturation curves — throughput flattening while latency diverges — are
 // defined.
 //
-// Each worker is one at-most-once client session: its own client ID, its
-// own Poisson clock at rate/W (superposition keeps the aggregate exact),
-// one framed TCP connection at a time. Workers follow leader redirects,
-// rotate targets when connections die, and retransmit stragglers, so a
-// leader crash mid-run costs a bounded completion gap rather than the
-// run. Past the in-flight cap a worker sheds new arrivals — the open
-// loop's stand-in for an overloaded client machine — and the shed count
-// is reported so saturation is visible in the output, not hidden.
+// The engine is one dial-only transport.TCPNode — one event loop, one
+// connection per member — carrying W workers. A worker is a Poisson clock
+// at rate/W (superposition keeps the aggregate exact) over a client.Session
+// of its own: the session follows leader redirects, backs off on Busy,
+// leaves a member that has gone silent and retransmits stragglers, so a
+// leader crash mid-run costs a bounded completion gap rather than the run.
+// The node hides connection errors, so a dead leader is noticed after one
+// RetryInterval of silence, and the gap includes it. Past the in-flight cap
+// a worker sheds new arrivals — the open loop's stand-in for an overloaded
+// client machine — and the shed count is reported so saturation is visible
+// in the output, not hidden.
 package loadgen
 
 import (
-	"bufio"
 	"fmt"
 	"math/rand"
-	"net"
-	"sort"
-	"sync"
 	"time"
 
+	"pigpaxos/internal/client"
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/metrics"
 	"pigpaxos/internal/transport"
@@ -58,19 +58,15 @@ type Options struct {
 	// MaxInFlight caps one worker's outstanding ops; arrivals beyond it
 	// are shed (default 1024).
 	MaxInFlight int
-	// RetryInterval is the straggler sweep period (default 250ms).
-	// Every third attempt for the same op rotates to the next member.
+	// RetryInterval is the straggler sweep period (default 250ms): ops
+	// unanswered that long are sent again, and a member that answered
+	// nothing for a whole interval is left for the next.
 	RetryInterval time.Duration
 	// Seed makes arrival times and key draws reproducible.
 	Seed int64
-	// ClientIDBase offsets worker client IDs (worker i uses base+i) so
-	// repeated runs against one cluster get fresh sessions. Zero means
-	// unset (defaults to 1) unless ClientIDBaseSet is true, which makes an
-	// explicit zero base honored rather than silently rewritten.
+	// ClientIDBase offsets worker client IDs (worker i uses base+1+i) so
+	// repeated runs against one cluster get fresh sessions.
 	ClientIDBase uint64
-	// ClientIDBaseSet marks ClientIDBase as deliberately chosen, lifting
-	// the zero-value "unset vs explicit 0" conflation.
-	ClientIDBaseSet bool
 }
 
 func (o *Options) defaults() error {
@@ -101,9 +97,6 @@ func (o *Options) defaults() error {
 	if o.RetryInterval == 0 {
 		o.RetryInterval = 250 * time.Millisecond
 	}
-	if o.ClientIDBase == 0 && !o.ClientIDBaseSet {
-		o.ClientIDBase = 1
-	}
 	if err := o.Workload.Validate(); err != nil {
 		return err
 	}
@@ -120,9 +113,9 @@ type Result struct {
 	Timeouts  uint64
 	Redirects uint64
 	Resends   uint64
-	// Busy counts leader admission rejections (wire.Busy) received for
-	// in-window ops — distinct from client-side sheds and timeouts, since
-	// a Busy op is retried after the leader's hint and usually completes.
+	// Busy counts leader admission rejections (wire.Busy) met by in-window
+	// ops — distinct from client-side sheds and timeouts, since a Busy op
+	// is retried after the leader's hint and usually completes.
 	Busy uint64
 	// Latency digests scheduled-arrival→completion times (queueing
 	// included — the open-loop latency).
@@ -146,394 +139,153 @@ func (r *Result) String() string {
 		r.Redirects, r.Resends, r.Latency, r.MaxGap)
 }
 
-// Run drives the cluster and blocks until the measurement window plus a
-// drain grace (one Timeout) has passed and every worker has wound down.
+// Run drives the cluster and blocks until the measurement window is over
+// and nothing is pending, or a drain grace (one Timeout) past the window.
 func Run(opts Options) (*Result, error) {
 	if err := opts.defaults(); err != nil {
 		return nil, err
 	}
-	hist := metrics.NewHistogram()
-	// A shared epoch slightly in the future aligns every worker's
-	// Poisson clock and measurement window.
-	start := time.Now().Add(20 * time.Millisecond)
-	measStart := start.Add(opts.Warmup)
-	measEnd := measStart.Add(opts.Duration)
-	workers := make([]*worker, opts.Clients)
+	e := &engine{
+		opts:    &opts,
+		workers: make([]*worker, opts.Clients),
+		hist:    metrics.NewHistogram(),
+		done:    make(chan struct{}),
+	}
+	e.node = transport.DialTCP(ids.NewID(998, int(opts.ClientIDBase%0xffff)+1), opts.Addrs, e)
+	// An epoch slightly ahead aligns every worker's Poisson clock and the
+	// measurement window; all times are on the node's clock.
+	start := e.node.Now() + 20*time.Millisecond
+	e.measStart = start + opts.Warmup
+	e.measEnd = e.measStart + opts.Duration
 	perRate := opts.Rate / float64(opts.Clients)
-	for i := range workers {
+	for i := range e.workers {
 		rng := rand.New(rand.NewSource(opts.Seed + int64(i)*7919))
-		workers[i] = &worker{
-			opts:      &opts,
-			clientID:  opts.ClientIDBase + uint64(i),
-			sender:    ids.NewID(998, i+1),
-			gen:       workload.New(opts.Workload, rng),
-			arrivals:  workload.NewArrivals(perRate, rng),
-			target:    opts.Members[0],
-			pending:   make(map[uint64]*op),
-			rx:        make(chan rxEvent, opts.MaxInFlight+16),
-			done:      make(chan struct{}),
-			hist:      hist,
-			measStart: measStart,
-			measEnd:   measEnd,
+		w := &worker{gen: workload.New(opts.Workload, rng), arrivals: workload.NewArrivals(perRate, rng)}
+		w.next = start + w.arrivals.Next()
+		w.tick = func() { e.arrive(w) }
+		w.s = client.Session{
+			Ctx:       e.node,
+			ClientID:  opts.ClientIDBase + 1 + uint64(i),
+			Targets:   opts.Members,
+			Target:    opts.Members[0],
+			Window:    opts.MaxInFlight,
+			Timeout:   opts.Timeout,
+			Retry:     opts.RetryInterval,
+			Done:      func(op client.Op, _ wire.Reply) { e.ended(op, true) },
+			Abandoned: func(op client.Op) { e.ended(op, false) },
 		}
+		e.workers[i] = w
 	}
-	var wg sync.WaitGroup
-	for _, w := range workers {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			w.run(start, measEnd)
-		}(w)
-	}
-	wg.Wait()
-	res := &Result{Elapsed: opts.Duration}
-	var completions []time.Duration
-	for _, w := range workers {
-		res.Offered += w.offered
-		res.Completed += w.completed
-		res.Shed += w.shed
-		res.Timeouts += w.timeouts
-		res.Redirects += w.redirects
-		res.Resends += w.resends
-		res.Busy += w.busy
-		completions = append(completions, w.completions...)
-	}
-	res.Latency = hist.Snapshot()
-	sec := opts.Duration.Seconds()
-	res.Goodput = float64(res.Completed) / sec
-	res.OfferedRate = float64(res.Offered) / sec
-	sort.Slice(completions, func(i, j int) bool { return completions[i] < completions[j] })
-	for i := 1; i < len(completions); i++ {
-		if d := completions[i] - completions[i-1]; d > res.MaxGap {
-			res.MaxGap = d
+	e.node.After(0, func() {
+		for _, w := range e.workers {
+			w.tick()
 		}
+		now := e.node.Now()
+		e.node.After(e.measEnd-now, func() {
+			if e.pending == 0 {
+				e.finish()
+			}
+		})
+		e.node.After(e.measEnd+opts.Timeout-now, e.finish)
+	})
+	<-e.done
+	e.node.Close() // the loop has stopped: its state is ours to read
+
+	res := &e.res
+	for _, w := range e.workers {
+		res.Redirects += w.s.Redirects
+		res.Resends += w.s.Resends
 	}
+	res.Latency = e.hist.Snapshot()
+	res.Elapsed = opts.Duration
+	res.Goodput = float64(res.Completed) / opts.Duration.Seconds()
+	res.OfferedRate = float64(res.Offered) / opts.Duration.Seconds()
 	return res, nil
 }
 
-type op struct {
-	cmd       wire.Request
-	scheduled time.Time
-	lastSent  time.Time
-	attempts  int
-	inWindow  bool
-	// busyN counts consecutive Busy rejections; the retry-after hint is
-	// doubled per rejection so a persistently overloaded leader is not
-	// livelocked issuing rejections to the same retry storm.
-	busyN int
-}
-
-type rxEvent struct {
-	gen  int
-	rep  wire.Reply
-	busy wire.Busy
-	kind rxKind
-	err  error
-	// retrySeq is the op a Busy retry-after timer just expired for
-	// (kind == rxRetry); connection-independent, so gen is ignored.
-	retrySeq uint64
-}
-
-type rxKind uint8
-
-const (
-	rxReply rxKind = iota
-	rxBusy
-	rxRetry
-	rxErr
-)
-
+// worker is one open-loop arrival process over a session of its own.
 type worker struct {
-	opts     *Options
-	clientID uint64
-	sender   ids.ID
+	s        client.Session
 	gen      *workload.Generator
 	arrivals *workload.Arrivals
+	next     time.Duration // when the next arrival is scheduled
+	tick     func()
+}
 
-	target  ids.ID
-	conn    net.Conn
-	connGen int
-	readers sync.WaitGroup
-	rx      chan rxEvent
-	done    chan struct{}
+// engine is the load generator's node: every field below is its event
+// loop's until Run has closed the node.
+type engine struct {
+	opts    *Options
+	node    *transport.TCPNode
+	workers []*worker
 
-	seq     uint64
-	pending map[uint64]*op
-
+	measStart, measEnd time.Duration
 	hist               *metrics.Histogram
-	measStart, measEnd time.Time
-	completions        []time.Duration // since measStart, unsorted per worker
-	offered, completed uint64
-	shed, timeouts     uint64
-	redirects, resends uint64
-	busy               uint64
+	res                Result
+	lastAck            time.Duration // the in-window completion before this one
+	pending            int
+	done               chan struct{} // closed once, by finish
+	over               bool
 }
 
-func (w *worker) run(start, end time.Time) {
-	defer w.teardown()
-	next := start.Add(w.arrivals.Next())
-	sweep := time.NewTicker(w.opts.RetryInterval)
-	defer sweep.Stop()
-	arrival := time.NewTimer(time.Until(next))
-	defer arrival.Stop()
-	hardStop := end.Add(w.opts.Timeout) // drain grace
-	for {
-		now := time.Now()
-		if now.After(hardStop) || (now.After(end) && len(w.pending) == 0) {
-			return
-		}
-		var arrivalC <-chan time.Time
-		if !now.After(end) {
-			arrival.Reset(time.Until(next))
-			arrivalC = arrival.C
-		} else {
-			arrival.Reset(time.Until(hardStop))
-			arrivalC = nil
-		}
-		select {
-		case <-arrivalC:
-			w.launch(next)
-			next = next.Add(w.arrivals.Next())
-		case ev := <-w.rx:
-			w.onRx(ev)
-		case <-sweep.C:
-			w.sweepPending()
-		}
+// OnMessage implements node.Handler: a reply goes to the session its client
+// ID names.
+func (e *engine) OnMessage(from ids.ID, m wire.Msg) {
+	if i := client.Addressee(m) - e.opts.ClientIDBase - 1; i < uint64(len(e.workers)) {
+		e.workers[i].s.OnMessage(from, m)
 	}
 }
 
-func (w *worker) teardown() {
-	close(w.done)
-	w.dropConn()
-	w.readers.Wait()
-}
+func (e *engine) inWindow(at time.Duration) bool { return at >= e.measStart && at < e.measEnd }
 
-// launch fires the arrival scheduled for t: shed past the cap, otherwise
-// register and send. Latency is measured from t, not from the actual send,
-// so a backed-up worker reports the queueing it caused.
-func (w *worker) launch(t time.Time) {
-	inWin := !t.Before(w.measStart) && t.Before(w.measEnd)
-	if inWin {
-		w.offered++
-	}
-	if len(w.pending) >= w.opts.MaxInFlight {
+// arrive fires every arrival of w that has come due and arms the next. An
+// arrival past the in-flight cap is shed. Latency is measured from the
+// scheduled instant, not from the send, so a backed-up generator reports
+// the queueing it caused.
+func (e *engine) arrive(w *worker) {
+	now := e.node.Now()
+	for ; w.next <= now && w.next < e.measEnd; w.next += w.arrivals.Next() {
+		inWin := e.inWindow(w.next)
 		if inWin {
-			w.shed++
+			e.res.Offered++
 		}
-		return
+		if !w.s.Full() {
+			w.s.Issue(w.gen.Next(0, 0), w.next)
+			e.pending++
+		} else if inWin {
+			e.res.Shed++
+		}
 	}
-	w.seq++
-	o := &op{
-		cmd:       wire.Request{Cmd: w.gen.Next(w.clientID, w.seq)},
-		scheduled: t,
-		inWindow:  inWin,
-	}
-	w.pending[w.seq] = o
-	w.send(o)
-}
-
-func (w *worker) send(o *op) {
-	o.attempts++
-	o.lastSent = time.Now()
-	c := w.ensureConn()
-	if c == nil {
-		return // sweep retries once a connection comes back
-	}
-	if err := transport.WriteFrame(c, w.sender, o.cmd); err != nil {
-		w.dropConn()
-		w.rotate()
+	if w.next < e.measEnd {
+		e.node.After(w.next-now, w.tick)
 	}
 }
 
-// ensureConn dials the current target if needed, spawning a reader that
-// feeds w.rx until the connection dies. On dial failure the worker rotates
-// so the next attempt tries another member.
-func (w *worker) ensureConn() net.Conn {
-	if w.conn != nil {
-		return w.conn
-	}
-	addr, ok := w.opts.Addrs[w.target]
-	if !ok {
-		w.rotate()
-		return nil
-	}
-	c, err := net.DialTimeout("tcp", addr, w.opts.RetryInterval)
-	if err != nil {
-		w.rotate()
-		return nil
-	}
-	w.conn = c
-	w.connGen++
-	gen := w.connGen
-	w.readers.Add(1)
-	go func() {
-		defer w.readers.Done()
-		br := bufio.NewReader(c)
-		for {
-			_, m, err := transport.ReadFrame(br)
-			if err != nil {
-				select {
-				case w.rx <- rxEvent{gen: gen, kind: rxErr, err: err}:
-				case <-w.done:
-				}
-				return
+// ended records how one op ended: acknowledged, or abandoned.
+func (e *engine) ended(op client.Op, acked bool) {
+	e.pending--
+	now := e.node.Now()
+	if e.inWindow(op.At) {
+		e.res.Busy += uint64(op.Busy)
+		if !acked {
+			e.res.Timeouts++
+		} else {
+			if e.res.Completed > 0 {
+				e.res.MaxGap = max(e.res.MaxGap, now-e.lastAck)
 			}
-			switch v := m.(type) {
-			case wire.Reply:
-				select {
-				case w.rx <- rxEvent{gen: gen, kind: rxReply, rep: v}:
-				case <-w.done:
-					return
-				}
-			case wire.Busy:
-				select {
-				case w.rx <- rxEvent{gen: gen, kind: rxBusy, busy: v}:
-				case <-w.done:
-					return
-				}
-			}
+			e.lastAck = now
+			e.res.Completed++
+			e.hist.Observe(now - op.At)
 		}
-	}()
-	return c
-}
-
-func (w *worker) dropConn() {
-	if w.conn != nil {
-		w.conn.Close()
-		w.conn = nil
+	}
+	if e.pending == 0 && now >= e.measEnd {
+		e.finish()
 	}
 }
 
-func (w *worker) rotate() {
-	for i, id := range w.opts.Members {
-		if id == w.target {
-			w.target = w.opts.Members[(i+1)%len(w.opts.Members)]
-			return
-		}
-	}
-	w.target = w.opts.Members[0]
-}
-
-func (w *worker) onRx(ev rxEvent) {
-	if ev.kind == rxRetry {
-		// A Busy retry-after timer expired; the op may have completed or
-		// timed out in the meantime.
-		if o, ok := w.pending[ev.retrySeq]; ok {
-			w.resends++
-			w.send(o)
-		}
-		return
-	}
-	if ev.gen != w.connGen {
-		return // reader of an already-replaced connection
-	}
-	switch ev.kind {
-	case rxErr:
-		w.dropConn()
-		w.rotate()
-		return
-	case rxBusy:
-		w.onBusy(ev.busy)
-		return
-	}
-	rep := ev.rep
-	o, ok := w.pending[rep.Seq]
-	if !ok || rep.ClientID != w.clientID {
-		return // already timed out, or a stale duplicate
-	}
-	if !rep.OK {
-		if !rep.Leader.IsZero() && rep.Leader != w.target {
-			if _, known := w.opts.Addrs[rep.Leader]; known {
-				w.redirects++
-				w.target = rep.Leader
-				w.dropConn()
-				w.resendAll()
-			}
-		}
-		// No usable hint: leaderless right now; the sweep retries.
-		return
-	}
-	delete(w.pending, rep.Seq)
-	now := time.Now()
-	if o.inWindow && !now.After(w.measEnd.Add(w.opts.Timeout)) {
-		w.completed++
-		w.hist.Observe(now.Sub(o.scheduled))
-		w.completions = append(w.completions, now.Sub(w.measStart))
-	}
-}
-
-// onBusy handles a leader admission rejection: the op stays pending and
-// is re-sent after the leader's retry-after hint instead of waiting for
-// the coarse straggler sweep. The hinted re-send is routed back through
-// the rx channel so the pending map stays single-goroutine.
-func (w *worker) onBusy(b wire.Busy) {
-	o, ok := w.pending[b.Seq]
-	if !ok || b.ClientID != w.clientID {
-		return // already timed out, or a stale duplicate
-	}
-	if o.inWindow {
-		w.busy++
-	}
-	o.busyN++
-	after := b.RetryAfter
-	if after <= 0 {
-		after = time.Millisecond
-	}
-	// Exponential backoff over consecutive rejections, capped at the sweep
-	// interval: the first retry honors the leader's hint, a still-busy
-	// leader sees geometrically less retry traffic per shed op.
-	for i := 1; i < o.busyN && after < w.opts.RetryInterval; i++ {
-		after *= 2
-	}
-	if after > w.opts.RetryInterval {
-		after = w.opts.RetryInterval
-	}
-	o.lastSent = time.Now() // hold the sweep off; the hinted retry is sooner
-	seq := b.Seq
-	time.AfterFunc(after, func() {
-		select {
-		case w.rx <- rxEvent{kind: rxRetry, retrySeq: seq}:
-		case <-w.done:
-		}
-	})
-}
-
-// resendAll replays every pending op after a retarget: the old conn is
-// gone, so replies in flight on it are lost and the ops must go again.
-// Safe under at-most-once sessions — duplicates are answered from the
-// session window, not re-executed.
-func (w *worker) resendAll() {
-	for _, o := range w.pending {
-		if o.attempts > 0 {
-			w.resends++
-		}
-		w.send(o)
-	}
-}
-
-// sweepPending expires ops past Timeout and retransmits stragglers. Every
-// third attempt for an op rotates targets first, so a run never wedges on
-// one dead or stale member.
-func (w *worker) sweepPending() {
-	now := time.Now()
-	rotated := false
-	for seq, o := range w.pending {
-		if now.Sub(o.scheduled) > w.opts.Timeout {
-			delete(w.pending, seq)
-			if o.inWindow {
-				w.timeouts++
-			}
-			continue
-		}
-		if now.Sub(o.lastSent) < w.opts.RetryInterval {
-			continue
-		}
-		if o.attempts%3 == 0 && !rotated {
-			rotated = true
-			w.dropConn()
-			w.rotate()
-		}
-		w.resends++
-		w.send(o)
+func (e *engine) finish() {
+	if !e.over {
+		e.over = true
+		close(e.done)
 	}
 }

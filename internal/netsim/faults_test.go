@@ -98,8 +98,8 @@ func TestDroppedAccountingAcrossFaultClasses(t *testing.T) {
 	net.Partition([]ids.ID{eps[0].ID()}, []ids.ID{eps[1].ID()})
 	net.Crash(eps[2].ID())
 	sim.Schedule(0, func() {
-		eps[0].Send(eps[1].ID(), wire.P1a{Ballot: 1}) // cut at send: dropped
-		eps[0].Send(eps[2].ID(), wire.P1a{Ballot: 2}) // crashed receiver: dropped at arrival
+		eps[0].Send(eps[1].ID(), wire.P1a{Ballot: 1})     // cut at send: dropped
+		eps[0].Send(eps[2].ID(), wire.P1a{Ballot: 2})     // crashed receiver: dropped at arrival
 		eps[0].Send(ids.NewID(7, 7), wire.P1a{Ballot: 3}) // unknown: dropped
 	})
 	sim.RunUntilIdle()

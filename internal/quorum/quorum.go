@@ -1,8 +1,8 @@
-// Package quorum implements the quorum systems used by the protocols in this
-// repository: simple majorities for Paxos and PigPaxos, flexible (Q1/Q2)
-// quorums per Howard et al., fast-path super-majorities for EPaxos, and
-// per-group threshold quorums for PigPaxos' partial response collection
-// (§4.2 of the paper).
+// Package quorum holds the vote counting the protocols share: Threshold, a
+// k-of-n accumulator with rejections (the Paxos campaign's phase-1 quorum,
+// any Q1 under flexible quorums); Tally, a by-value vote set a replica
+// embeds in each log slot; the majority size; and the per-group thresholds
+// of PigPaxos' partial response collection (§4.2 of the paper).
 package quorum
 
 import (
@@ -11,64 +11,10 @@ import (
 	"pigpaxos/internal/ids"
 )
 
-// System is a vote accumulator for one phase of one consensus instance.
-// Implementations are not safe for concurrent use; each instance owns one.
-type System interface {
-	// ACK records a positive vote from id. Duplicate ACKs are idempotent.
-	ACK(id ids.ID)
-	// NACK records a negative vote (rejection) from id.
-	NACK(id ids.ID)
-	// Satisfied reports whether enough ACKs have been collected.
-	Satisfied() bool
-	// Rejected reports whether the quorum can no longer be satisfied or a
-	// rejection was observed (protocol-dependent; for majority systems any
-	// NACK rejects, because a rejection proves a higher ballot exists).
-	Rejected() bool
-	// Size returns the number of distinct ACKs recorded.
-	Size() int
-	// Reset clears all recorded votes so the system can be reused.
-	Reset()
-}
-
-// Majority is the classical ⌊N/2⌋+1 quorum over a fixed membership.
-type Majority struct {
-	n      int
-	acks   map[ids.ID]bool
-	nacked bool
-}
-
-// NewMajority creates a majority quorum over a cluster of n nodes.
-func NewMajority(n int) *Majority {
-	if n <= 0 {
-		panic(fmt.Sprintf("quorum: invalid cluster size %d", n))
-	}
-	return &Majority{n: n, acks: make(map[ids.ID]bool, n)}
-}
-
-// ACK implements System.
-func (m *Majority) ACK(id ids.ID) { m.acks[id] = true }
-
-// NACK implements System.
-func (m *Majority) NACK(ids.ID) { m.nacked = true }
-
-// Satisfied implements System.
-func (m *Majority) Satisfied() bool { return len(m.acks) > m.n/2 }
-
-// Rejected implements System.
-func (m *Majority) Rejected() bool { return m.nacked }
-
-// Size implements System.
-func (m *Majority) Size() int { return len(m.acks) }
-
-// Reset implements System.
-func (m *Majority) Reset() {
-	m.acks = make(map[ids.ID]bool, m.n)
-	m.nacked = false
-}
-
-// Threshold requires at least k distinct ACKs out of n possible voters.
-// It generalizes Majority and backs flexible quorums (any Q1/Q2 split with
-// q1+q2 > n intersects) and EPaxos' fast-path quorum.
+// Threshold is a vote accumulator for one phase of one consensus instance:
+// it requires at least k distinct ACKs out of n possible voters. A majority
+// is k = ⌊n/2⌋+1; flexible quorums are any Q1/Q2 split with q1+q2 > n. It
+// is not safe for concurrent use.
 type Threshold struct {
 	n, k   int
 	acks   map[ids.ID]bool
@@ -88,28 +34,29 @@ func NewThreshold(n, k int) *Threshold {
 	}
 }
 
-// ACK implements System.
+// ACK records a positive vote from id. Duplicate ACKs are idempotent.
 func (t *Threshold) ACK(id ids.ID) { t.acks[id] = true }
 
-// NACK implements System.
+// NACK records a rejection from id.
 func (t *Threshold) NACK(id ids.ID) {
 	t.nacks[id] = true
 	t.reject = true
 }
 
-// Satisfied implements System.
+// Satisfied reports whether enough ACKs have been collected.
 func (t *Threshold) Satisfied() bool { return len(t.acks) >= t.k }
 
-// Rejected implements System. A threshold quorum is rejected on any NACK or
-// when so many voters rejected that k ACKs can no longer be reached.
+// Rejected reports whether the quorum is lost: on any NACK (a rejection
+// proves a higher ballot exists), or when so many voters rejected that k
+// ACKs can no longer be reached.
 func (t *Threshold) Rejected() bool {
 	return t.reject || t.n-len(t.nacks) < t.k
 }
 
-// Size implements System.
+// Size returns the number of distinct ACKs recorded.
 func (t *Threshold) Size() int { return len(t.acks) }
 
-// Reset implements System.
+// Reset clears all recorded votes so the accumulator can be reused.
 func (t *Threshold) Reset() {
 	t.acks = make(map[ids.ID]bool, t.k)
 	t.nacks = make(map[ids.ID]bool)
@@ -149,50 +96,8 @@ func (t *Tally) Add(i int) {
 // Count returns the number of distinct votes recorded.
 func (t *Tally) Count() int { return t.count }
 
-// Flexible describes a flexible-quorum configuration per Howard et al.:
-// phase-1 quorums of size Q1 and phase-2 quorums of size Q2 with
-// Q1 + Q2 > N. It is a factory for per-phase threshold systems.
-type Flexible struct {
-	N, Q1, Q2 int
-}
-
-// NewFlexible validates and returns a flexible quorum configuration.
-func NewFlexible(n, q1, q2 int) (Flexible, error) {
-	if q1 <= 0 || q2 <= 0 || q1 > n || q2 > n {
-		return Flexible{}, fmt.Errorf("quorum: Q1=%d Q2=%d out of range for N=%d", q1, q2, n)
-	}
-	if q1+q2 <= n {
-		return Flexible{}, fmt.Errorf("quorum: Q1=%d and Q2=%d do not intersect for N=%d", q1, q2, n)
-	}
-	return Flexible{N: n, Q1: q1, Q2: q2}, nil
-}
-
-// Phase1 returns a fresh phase-1 vote accumulator.
-func (f Flexible) Phase1() *Threshold { return NewThreshold(f.N, f.Q1) }
-
-// Phase2 returns a fresh phase-2 vote accumulator.
-func (f Flexible) Phase2() *Threshold { return NewThreshold(f.N, f.Q2) }
-
-// FaultTolerance returns how many node failures the configuration masks:
-// the system can lose nodes as long as both quorum sizes remain reachable.
-func (f Flexible) FaultTolerance() int {
-	maxQ := f.Q1
-	if f.Q2 > maxQ {
-		maxQ = f.Q2
-	}
-	return f.N - maxQ
-}
-
 // MajoritySize returns the classical majority size for an n-node cluster.
 func MajoritySize(n int) int { return n/2 + 1 }
-
-// FastQuorumSize returns the EPaxos fast-path quorum size for an n-node
-// cluster (n = 2f+1): f + ⌊(f+1)/2⌋ voters in addition to the command
-// leader itself.
-func FastQuorumSize(n int) int {
-	f := (n - 1) / 2
-	return f + (f+1)/2
-}
 
 // GroupThresholds computes per-group ACK thresholds g_i for PigPaxos partial
 // response collection (§4.2): given relay group sizes, choose the smallest

@@ -9,60 +9,6 @@ import (
 
 func id(n int) ids.ID { return ids.NewID(1, n) }
 
-func TestMajoritySatisfied(t *testing.T) {
-	m := NewMajority(5)
-	m.ACK(id(1))
-	m.ACK(id(2))
-	if m.Satisfied() {
-		t.Error("2 of 5 should not satisfy majority")
-	}
-	m.ACK(id(3))
-	if !m.Satisfied() {
-		t.Error("3 of 5 should satisfy majority")
-	}
-}
-
-func TestMajorityDuplicateACKs(t *testing.T) {
-	m := NewMajority(5)
-	for i := 0; i < 10; i++ {
-		m.ACK(id(1))
-	}
-	if m.Size() != 1 {
-		t.Errorf("duplicate ACKs counted: size=%d", m.Size())
-	}
-	if m.Satisfied() {
-		t.Error("one distinct voter cannot satisfy majority of 5")
-	}
-}
-
-func TestMajorityNACKRejects(t *testing.T) {
-	m := NewMajority(3)
-	m.NACK(id(2))
-	if !m.Rejected() {
-		t.Error("any NACK rejects a majority quorum")
-	}
-}
-
-func TestMajorityReset(t *testing.T) {
-	m := NewMajority(3)
-	m.ACK(id(1))
-	m.ACK(id(2))
-	m.NACK(id(3))
-	m.Reset()
-	if m.Size() != 0 || m.Rejected() || m.Satisfied() {
-		t.Error("Reset should clear all state")
-	}
-}
-
-func TestMajorityPanicsOnBadSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewMajority(0) should panic")
-		}
-	}()
-	NewMajority(0)
-}
-
 func TestThreshold(t *testing.T) {
 	q := NewThreshold(7, 3)
 	q.ACK(id(1))
@@ -95,62 +41,11 @@ func TestThresholdRejectedByNACKs(t *testing.T) {
 	}
 }
 
-func TestFlexibleValidation(t *testing.T) {
-	if _, err := NewFlexible(10, 8, 3); err != nil {
-		t.Errorf("valid flexible config rejected: %v", err)
-	}
-	if _, err := NewFlexible(10, 5, 5); err == nil {
-		t.Error("non-intersecting Q1+Q2=N must be rejected")
-	}
-	if _, err := NewFlexible(10, 0, 5); err == nil {
-		t.Error("zero quorum must be rejected")
-	}
-	if _, err := NewFlexible(10, 11, 5); err == nil {
-		t.Error("oversized quorum must be rejected")
-	}
-}
-
-func TestFlexibleFaultTolerance(t *testing.T) {
-	// Paper §2.2: N=10, Q1=8, Q2=3 masks only 2 failures.
-	f, err := NewFlexible(10, 8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.FaultTolerance(); got != 2 {
-		t.Errorf("fault tolerance = %d, want 2", got)
-	}
-}
-
-func TestFlexiblePhases(t *testing.T) {
-	f, _ := NewFlexible(10, 8, 3)
-	p1, p2 := f.Phase1(), f.Phase2()
-	for i := 1; i <= 3; i++ {
-		p1.ACK(id(i))
-		p2.ACK(id(i))
-	}
-	if p1.Satisfied() {
-		t.Error("3 votes cannot satisfy Q1=8")
-	}
-	if !p2.Satisfied() {
-		t.Error("3 votes should satisfy Q2=3")
-	}
-}
-
 func TestMajoritySize(t *testing.T) {
 	cases := map[int]int{1: 1, 3: 2, 5: 3, 9: 5, 25: 13}
 	for n, want := range cases {
 		if got := MajoritySize(n); got != want {
 			t.Errorf("MajoritySize(%d) = %d, want %d", n, got, want)
-		}
-	}
-}
-
-func TestFastQuorumSize(t *testing.T) {
-	// N=5 (f=2): 2+1=3. N=7 (f=3): 3+2=5. N=25 (f=12): 12+6=18.
-	cases := map[int]int{5: 3, 7: 5, 9: 6, 25: 18}
-	for n, want := range cases {
-		if got := FastQuorumSize(n); got != want {
-			t.Errorf("FastQuorumSize(%d) = %d, want %d", n, got, want)
 		}
 	}
 }

@@ -131,15 +131,6 @@ func (m Map) ShardsOn(id ids.ID) []int {
 	return out
 }
 
-// Leaders returns each shard's leader, indexed by shard.
-func (m Map) Leaders() []ids.ID {
-	out := make([]ids.ID, len(m.Shards))
-	for i, d := range m.Shards {
-		out[i] = d.Leader
-	}
-	return out
-}
-
 // Sub restricts cc to shard k's membership, keeping the topology: the
 // cluster config shard k's replicas run under.
 func (m Map) Sub(cc config.Cluster, k int) config.Cluster {

@@ -1,8 +1,12 @@
 // Package transport provides live (non-simulated) substrates for the
 // protocol replicas: an in-process bus for single-binary clusters and tests,
 // and a TCP transport with length-prefixed binary frames for real
-// multi-process deployments. Both implement node.Context, so replicas run on
-// them unchanged, and both run the same event loop (mailbox).
+// multi-process deployments. Both implement node.Context, so replicas — and
+// clients, which are nodes too (internal/client) — run on them unchanged, and
+// both run the same event loop (mailbox). A TCP node may be dial-only
+// (DialTCP): it opens no port and hears its peers over the connections it
+// made, which is what a client is. Neither substrate reports a failed
+// connection to the node: an unreachable peer is a silent one.
 //
 // Ownership of message contents. On the bus a message is handed over by
 // reference: sender and receiver share whatever it points to and neither may
@@ -11,8 +15,8 @@
 // come from the connection's decode arena, neither of which is ever
 // rewritten — so a handler may retain a command batch or a value
 // indefinitely without copying; the memory is collected when the last
-// message decoded from a chunk is dropped. ReadFrame, for clients and tools,
-// returns fresh copies instead.
+// message decoded from a chunk is dropped. ReadFrame, for tools and tests
+// that speak frames over a raw connection, returns fresh copies instead.
 package transport
 
 import (

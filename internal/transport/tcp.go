@@ -160,7 +160,7 @@ type TCPNode struct {
 	mailbox
 	addrs map[ids.ID]string
 
-	ln      net.Listener
+	ln      net.Listener    // nil on a dial-only node
 	ctx     context.Context // canceled at Close; aborts in-flight dials
 	cancel  context.CancelFunc
 	once    sync.Once
@@ -188,34 +188,46 @@ type peer struct {
 	dialed  bool // we dialed it (vs a reverse route from an inbound conn)
 }
 
-// ListenTCP starts a node listening on addr. addrs maps every cluster
-// member (and optionally clients) to its host:port; outbound connections
-// are dialed lazily by the peer's writer and redialed after failures.
-func ListenTCP(id ids.ID, addr string, addrs map[ids.ID]string, h node.Handler) (*TCPNode, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
-	}
+// DialTCP starts a node that only dials: no listener, no accept loop, no
+// port. Its peers answer over the connections it opened (connections are
+// full-duplex), which is all a client needs. addrs maps every node it may
+// send to to its host:port; connections are dialed lazily by the peer's
+// writer and redialed after failures.
+func DialTCP(id ids.ID, addrs map[ids.ID]string, h node.Handler) *TCPNode {
 	ctx, cancel := context.WithCancel(context.Background())
 	n := &TCPNode{
 		addrs:  addrs,
-		ln:     ln,
 		ctx:    ctx,
 		cancel: cancel,
 		peers:  make(map[ids.ID]*peer),
 		conns:  make(map[net.Conn]struct{}),
 	}
 	n.init(id, h, time.Now())
-	n.wg.Add(2)
-	go n.acceptLoop()
+	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
 		n.run()
 	}()
+	return n
+}
+
+// ListenTCP starts a node that also listens on addr: peers that cannot be
+// dialed (clients behind ephemeral ports) reach it, and are answered over
+// the connections they opened.
+func ListenTCP(id ids.ID, addr string, addrs map[ids.ID]string, h node.Handler) (*TCPNode, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
+	}
+	n := DialTCP(id, addrs, h)
+	n.ln = ln
+	n.wg.Add(1)
+	go n.acceptLoop()
 	return n, nil
 }
 
-// Addr returns the listener's bound address (useful with ":0").
+// Addr returns the listener's bound address (useful with ":0"). Only a
+// listening node has one.
 func (n *TCPNode) Addr() string { return n.ln.Addr().String() }
 
 // Close shuts the node down and waits for its goroutines. Frames still in
@@ -226,7 +238,9 @@ func (n *TCPNode) Close() {
 		n.closing.Store(true)
 		n.close()
 		n.cancel()
-		n.ln.Close()
+		if n.ln != nil {
+			n.ln.Close()
+		}
 		// Sweep every live connection — accepted or dialed — so every
 		// readLoop unblocks. Peers' installed conns are a subset of this
 		// set; a freshly accepted conn that never sent a frame is not in

@@ -29,9 +29,11 @@ package pigpaxos
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
+	"pigpaxos/internal/client"
 	"pigpaxos/internal/config"
 	"pigpaxos/internal/epaxos"
 	"pigpaxos/internal/ids"
@@ -272,15 +274,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 	return c, nil
 }
 
-func indexOf(s []ids.ID, id ids.ID) int {
-	for i, v := range s {
-		if v == id {
-			return i
-		}
-	}
-	return -1
-}
-
 // quorumReads interposes a pqr.Responder on a replica's dispatch so every
 // node answers Paxos-Quorum-Read version probes (§4.3).
 type quorumReads struct {
@@ -327,7 +320,7 @@ func (c *Cluster) ShardLeader(k int) int {
 	}
 	members := c.plan.Shards[k].Members
 	if c.opts.Protocol == ProtocolEPaxos {
-		return indexOf(c.cc.Nodes, members[0]) + 1
+		return slices.Index(c.cc.Nodes, members[0]) + 1
 	}
 	type answer struct {
 		id     ids.ID
@@ -360,7 +353,7 @@ func (c *Cluster) ShardLeader(k int) int {
 	if best.id.IsZero() {
 		return 0
 	}
-	return indexOf(c.cc.Nodes, best.id) + 1
+	return slices.Index(c.cc.Nodes, best.id) + 1
 }
 
 // Leader returns the 1-based node index of the current leader (shard 0's
@@ -373,47 +366,68 @@ func (c *Cluster) Client() (*Client, error) {
 	c.nextCl++
 	idx := c.nextCl
 	c.clientMu.Unlock()
-	id := ids.NewID(999, idx)
 	cl := &Client{
-		cluster: c,
-		id:      uint64(idx),
-		seqs:    make([]uint64, c.plan.NumShards()),
-		replies: make(chan taggedReply, 16),
-		timeout: 5 * time.Second,
+		cluster:  c,
+		sessions: make([]client.Session, c.plan.NumShards()),
+		out:      make(chan outcome, 1),
+		timeout:  5 * time.Second,
 	}
-	n, err := c.bus.Node(id, cl)
+	n, err := c.bus.Node(ids.NewID(999, idx), cl)
 	if err != nil {
 		return nil, err
 	}
 	cl.node = n
-	// Per-shard target lists: the planned leader first, then the rest of
-	// the shard's group — leader-based clients start at the leader and
-	// rotate only on timeouts (crash failover). In the unsharded cluster
-	// shard 0 spans the whole membership, so this reduces to the
-	// historical behavior; EPaxos clients round-robin across it.
-	cl.targets = make([][]ids.ID, c.plan.NumShards())
-	cl.rr = make([]int, c.plan.NumShards())
+	// One session per shard, aimed at the planned leader first, then the
+	// rest of the shard's group: a leader-based client starts at the leader
+	// and moves on silence (crash failover) or a redirect. In the unsharded
+	// cluster shard 0 spans the whole membership; EPaxos clients round-robin
+	// across it.
 	for k, desc := range c.plan.Shards {
-		cl.targets[k] = append(cl.targets[k], desc.Leader)
+		targets := []ids.ID{desc.Leader}
 		for _, m := range desc.Members {
 			if m != desc.Leader {
-				cl.targets[k] = append(cl.targets[k], m)
+				targets = append(targets, m)
 			}
 		}
-	}
-	if c.opts.Protocol == ProtocolEPaxos {
-		cl.rr[0] = idx % len(cl.targets[0])
+		s := &cl.sessions[k]
+		*s = client.Session{
+			Ctx:      cl.shardCtx(k),
+			ClientID: uint64(idx),
+			Targets:  targets,
+			Target:   targets[0],
+			Window:   1,
+			Done: func(_ client.Op, rep wire.Reply) {
+				if c.opts.Protocol == ProtocolEPaxos {
+					s.Target = s.Next() // leaderless: spread the load
+				}
+				cl.out <- outcome{rep: rep}
+			},
+			Refused: func(_ client.Op, rep wire.Reply) {
+				cl.out <- outcome{rep: rep, err: fmt.Errorf("pigpaxos: request rejected")}
+			},
+			Abandoned: func(client.Op) {
+				cl.out <- outcome{err: fmt.Errorf("pigpaxos: operation timed out after %v", s.Timeout)}
+			},
+		}
+		if c.opts.Protocol == ProtocolEPaxos {
+			s.Target = targets[idx%len(targets)]
+		}
 	}
 	cl.qresults = make(chan pqr.Result, 1)
 	cl.qreaders = make([]*pqr.Reader, c.plan.NumShards())
 	for k, desc := range c.plan.Shards {
-		var ctx node.Context = n
-		if c.sharded {
-			ctx = shard.Wrap(ctx, k)
-		}
-		cl.qreaders[k] = pqr.New(ctx, pqr.Config{Members: desc.Members}, nil)
+		cl.qreaders[k] = pqr.New(cl.shardCtx(k), pqr.Config{Members: desc.Members}, nil)
 	}
 	return cl, nil
+}
+
+// shardCtx is the client's node as shard k's replicas expect to hear from
+// it: tagging what it sends when the cluster is sharded.
+func (cl *Client) shardCtx(k int) node.Context {
+	if cl.cluster.sharded {
+		return shard.Wrap(cl.node, k)
+	}
+	return cl.node
 }
 
 // StopNode crashes the 1-based node i: it stops processing and all traffic
@@ -427,24 +441,21 @@ func (c *Cluster) StopNode(i int) error {
 	return nil
 }
 
-// taggedReply is a Reply with the shard that served it.
-type taggedReply struct {
-	shard int
-	rep   wire.Reply
+// outcome is how an operation ended.
+type outcome struct {
+	rep wire.Reply
+	err error
 }
 
 // Client is a synchronous KV client. It is safe for use from one goroutine;
 // open one client per goroutine. Operations route by key to the shard
 // owning it, with an independent at-most-once session per shard.
 type Client struct {
-	cluster *Cluster
-	node    *transport.LocalNode
-	id      uint64
-	seqs    []uint64   // per-shard session sequence numbers
-	targets [][]ids.ID // per-shard servers, preferred first
-	rr      []int      // per-shard rotation cursor
-	replies chan taggedReply
-	timeout time.Duration
+	cluster  *Cluster
+	node     *transport.LocalNode
+	sessions []client.Session // per shard; the node's event loop owns them
+	out      chan outcome     // the operation in flight ends in exactly one
+	timeout  time.Duration
 
 	qreaders []*pqr.Reader // per-shard quorum readers
 	qresults chan pqr.Result
@@ -453,85 +464,33 @@ type Client struct {
 // OnMessage implements node.Handler (internal use).
 func (cl *Client) OnMessage(from ids.ID, m wire.Msg) {
 	k, m := shard.Unwrap(m)
-	switch v := m.(type) {
-	case wire.Reply:
-		select {
-		case cl.replies <- taggedReply{shard: k, rep: v}:
-		default:
-		}
-	case wire.QReadReply:
-		if k < len(cl.qreaders) {
-			cl.qreaders[k].OnReply(v)
-		}
+	if k >= len(cl.sessions) {
+		return
 	}
+	if v, ok := m.(wire.QReadReply); ok {
+		cl.qreaders[k].OnReply(v)
+		return
+	}
+	cl.sessions[k].OnMessage(from, m)
 }
 
 // SetTimeout adjusts the per-operation timeout (default 5s).
 func (cl *Client) SetTimeout(d time.Duration) { cl.timeout = d }
 
-// send transmits cmd to a shard-k server, tagging it when the cluster is
-// sharded.
-func (cl *Client) send(k int, to ids.ID, cmd kvstore.Command) {
-	if cl.cluster.sharded {
-		cl.node.Send(to, wire.Sharded{Shard: uint16(k), Inner: wire.Request{Cmd: cmd}})
-		return
-	}
-	cl.node.Send(to, wire.Request{Cmd: cmd})
-}
-
+// do runs cmd on the session of the shard that owns its key and waits for
+// how it ends. The timeout is split over the shard's servers: one that
+// stays silent for its share is left for the next, so a crashed leader does
+// not strand the client, and whoever answers stays the shard's target, so
+// later operations go straight to the new leader.
 func (cl *Client) do(cmd kvstore.Command) (wire.Reply, error) {
-	k := cl.cluster.plan.Router.Shard(cmd.Key)
-	cl.seqs[k]++
-	cmd.ClientID = cl.id
-	cmd.Seq = cl.seqs[k]
-	// Try each of the shard's servers in turn: the preferred target first,
-	// rotating on per-attempt timeouts so a crashed leader does not strand
-	// the client (redirect replies re-route immediately). The server that
-	// answers becomes the shard's preferred target, so after a failover
-	// later operations go straight to the new leader instead of re-paying
-	// a timeout at the dead one.
-	attempts := len(cl.targets[k])
-	if attempts < 1 {
-		attempts = 1
-	}
-	perAttempt := cl.timeout / time.Duration(attempts)
-	if perAttempt <= 0 {
-		perAttempt = cl.timeout
-	}
-	for a := 0; a < attempts; a++ {
-		ti := (cl.rr[k] + a) % len(cl.targets[k])
-		cl.send(k, cl.targets[k][ti], cmd)
-		deadline := time.After(perAttempt)
-	waiting:
-		for {
-			select {
-			case tr := <-cl.replies:
-				rep := tr.rep
-				if tr.shard != k || rep.Seq != cl.seqs[k] {
-					continue // stale reply from an earlier attempt or shard
-				}
-				if !rep.OK {
-					if rep.Leader.IsZero() {
-						return rep, fmt.Errorf("pigpaxos: request rejected")
-					}
-					if li := indexOf(cl.targets[k], rep.Leader); li >= 0 {
-						ti = li
-					}
-					cl.send(k, rep.Leader, cmd)
-					continue
-				}
-				if cl.cluster.opts.Protocol == ProtocolEPaxos {
-					cl.rr[k]++
-				} else {
-					cl.rr[k] = ti
-				}
-				return rep, nil
-			case <-deadline:
-				break waiting
-			}
-		}
-	}
-	return wire.Reply{}, fmt.Errorf("pigpaxos: operation timed out after %v", cl.timeout)
+	s := &cl.sessions[cl.cluster.plan.Router.Shard(cmd.Key)]
+	timeout := cl.timeout
+	cl.node.After(0, func() {
+		s.Timeout, s.Retry = timeout, timeout/time.Duration(len(s.Targets))
+		s.Issue(cmd, cl.node.Now())
+	})
+	o := <-cl.out
+	return o.rep, o.err
 }
 
 // Put stores value under key.

@@ -139,7 +139,8 @@ type InProcSpec struct {
 	// cluster; required with ElectionTimeout.
 	HeartbeatInterval time.Duration
 	// RetryTimeout is the leader's P2a retransmit timeout (liveness after
-	// follower reconnects; default off).
+	// follower reconnects; zero is off on Paxos and derived from RelayTimeout
+	// on PigPaxos, where it is the Figure-5b retry).
 	RetryTimeout time.Duration
 }
 

@@ -64,31 +64,6 @@ type Config struct {
 	ID ids.ID
 	// Thrifty sends PreAccepts only to a fast quorum instead of all peers.
 	Thrifty bool
-	// AttrWork is CPU charged for computing/merging attributes per
-	// pre-accept (instance bookkeeping is heavier than Paxos's).
-	AttrWork time.Duration
-	// ScanWork is CPU charged per live (unexecuted) instance scanned when
-	// computing attributes for a new command: the interference scan over
-	// the live working set. Under load the working set grows with the
-	// number of in-flight commands, so this cost rises with concurrency —
-	// the self-reinforcing "conflict resolution draining the resources of
-	// every node" collapse the paper measures (§5.4).
-	ScanWork time.Duration
-	// DepWork is CPU charged per dependency entry scanned or merged when
-	// processing attribute-carrying messages. Dependency sets grow toward
-	// one entry per instance-space row (N entries) on a hot key space, so
-	// this is the conflict-resolution cost the paper blames for EPaxos'
-	// collapse ("conflict resolution phase draining the resources of
-	// every node", §5.4).
-	DepWork time.Duration
-	// ExecVisitWork is CPU charged per dependency-graph node visited
-	// during execution attempts — the "conflict resolution" cost that
-	// grows with the number of in-flight interfering commands.
-	ExecVisitWork time.Duration
-	// ExecWork is CPU charged per command applied to the state machine.
-	ExecWork time.Duration
-	// ExecRetryInterval is how often blocked executions are retried.
-	ExecRetryInterval time.Duration
 	// GCEvery triggers instance-space garbage collection after this many
 	// local executions (default 4096; 0 keeps the default — use a
 	// negative value to disable GC).
@@ -109,25 +84,36 @@ type Config struct {
 	SweepInterval time.Duration
 }
 
+// The simulator's CPU charges, and the pace of blocked-execution retries.
+const (
+	// attrWork is CPU charged for computing/merging attributes per
+	// pre-accept (instance bookkeeping is heavier than Paxos's).
+	attrWork = 40 * time.Microsecond
+	// scanWork is CPU charged per live (unexecuted) instance scanned when
+	// computing attributes for a new command: the interference scan over
+	// the live working set. Under load the working set grows with the
+	// number of in-flight commands, so this cost rises with concurrency —
+	// the self-reinforcing "conflict resolution draining the resources of
+	// every node" collapse the paper measures (§5.4).
+	scanWork = 5 * time.Microsecond
+	// depWork is CPU charged per dependency entry scanned or merged when
+	// processing attribute-carrying messages. Dependency sets grow toward
+	// one entry per instance-space row (N entries) on a hot key space, so
+	// this is the conflict-resolution cost the paper blames for EPaxos'
+	// collapse ("conflict resolution phase draining the resources of
+	// every node", §5.4).
+	depWork = 6 * time.Microsecond
+	// execVisitWork is CPU charged per dependency-graph node visited
+	// during execution attempts — the "conflict resolution" cost that
+	// grows with the number of in-flight interfering commands.
+	execVisitWork = 2 * time.Microsecond
+	// execWork is CPU charged per command applied to the state machine.
+	execWork = 5 * time.Microsecond
+	// execRetryInterval is how often blocked executions are retried.
+	execRetryInterval = time.Millisecond
+)
+
 func (c *Config) applyDefaults() {
-	if c.AttrWork == 0 {
-		c.AttrWork = 40 * time.Microsecond
-	}
-	if c.DepWork == 0 {
-		c.DepWork = 6 * time.Microsecond
-	}
-	if c.ScanWork == 0 {
-		c.ScanWork = 5 * time.Microsecond
-	}
-	if c.ExecVisitWork == 0 {
-		c.ExecVisitWork = 2 * time.Microsecond
-	}
-	if c.ExecWork == 0 {
-		c.ExecWork = 5 * time.Microsecond
-	}
-	if c.ExecRetryInterval == 0 {
-		c.ExecRetryInterval = time.Millisecond
-	}
 	if c.GCEvery == 0 {
 		c.GCEvery = 4096
 	}
@@ -433,7 +419,7 @@ func (r *Replica) scanCost() time.Duration {
 	if n > 2000 {
 		n = 2000
 	}
-	return time.Duration(n) * r.cfg.ScanWork
+	return time.Duration(n) * scanWork
 }
 
 func (r *Replica) lookup(ref wire.InstRef) *instance {
@@ -722,7 +708,7 @@ func (r *Replica) onRequest(from ids.ID, m wire.Request) {
 		}
 	}
 	r.stats.Requests++
-	r.ctx.Work(r.cfg.AttrWork + r.scanCost())
+	r.ctx.Work(attrWork + r.scanCost())
 	ref := wire.InstRef{Replica: r.cfg.ID, Slot: r.nextOwn}
 	r.nextOwn++
 	seq, deps := r.attributes(m.Cmd, ref)
@@ -776,7 +762,7 @@ func (r *Replica) onPreAccept(from ids.ID, m wire.PreAccept) {
 		})
 		return
 	}
-	r.ctx.Work(r.cfg.AttrWork + r.scanCost() + time.Duration(len(m.Deps))*r.cfg.DepWork)
+	r.ctx.Work(attrWork + r.scanCost() + time.Duration(len(m.Deps))*depWork)
 	if m.Ballot > in.bal {
 		in.bal = m.Ballot
 		r.stopDriving(m.Inst, in)
@@ -825,7 +811,7 @@ func (r *Replica) onPreAcceptReply(m wire.PreAcceptReply) {
 	if m.Ballot != in.drive || !in.vote(m.From) {
 		return // stale round or duplicate reply
 	}
-	r.ctx.Work(r.cfg.AttrWork + time.Duration(len(m.Deps))*r.cfg.DepWork)
+	r.ctx.Work(attrWork + time.Duration(len(m.Deps))*depWork)
 	if m.Changed {
 		in.changed = true
 	}
@@ -956,7 +942,7 @@ func (r *Replica) commitInstance(ref wire.InstRef, in *instance, seq uint64, dep
 }
 
 func (r *Replica) onCommit(m wire.Commit) {
-	r.ctx.Work(time.Duration(len(m.Deps)) * r.cfg.DepWork)
+	r.ctx.Work(time.Duration(len(m.Deps)) * depWork)
 	in := r.inst(m.Inst)
 	if in.status >= statusCommitted {
 		return
@@ -1173,7 +1159,7 @@ func (r *Replica) decideRecovery(ref wire.InstRef, in *instance) {
 // ballot: fresh attributes merged with what the Prepare quorum reported,
 // slow path only.
 func (r *Replica) restartPreAccept(ref wire.InstRef, in *instance, cmd kvstore.Command, seq0 uint64, deps0 []wire.InstRef) {
-	r.ctx.Work(r.cfg.AttrWork + r.scanCost())
+	r.ctx.Work(attrWork + r.scanCost())
 	in.cmd = cmd
 	seq, deps := r.attributes(cmd, ref)
 	if seq0 > seq {
@@ -1445,11 +1431,11 @@ func (r *Replica) armRetry() {
 		return
 	}
 	r.retryArmed = true
-	if r.retryWait < r.cfg.ExecRetryInterval {
-		r.retryWait = r.cfg.ExecRetryInterval
+	if r.retryWait < execRetryInterval {
+		r.retryWait = execRetryInterval
 	}
 	wait := r.retryWait
-	if r.retryWait < 128*r.cfg.ExecRetryInterval {
+	if r.retryWait < 128*execRetryInterval {
 		r.retryWait *= 2
 	}
 	r.ctx.After(wait, func() {
@@ -1491,7 +1477,7 @@ func (r *Replica) execute(ref wire.InstRef, in *instance) {
 	in.status = statusExecuted
 	r.live--
 	r.stats.Executions++
-	r.ctx.Work(r.cfg.ExecWork)
+	r.ctx.Work(execWork)
 	delete(r.pendingExec, ref)
 	delete(r.blocked, ref)
 	r.execSinceGC++
@@ -1601,7 +1587,7 @@ func (t *tarjan) strongConnect(v wire.InstRef) {
 		return
 	}
 	t.r.stats.ExecVisits++
-	t.r.ctx.Work(t.r.cfg.ExecVisitWork)
+	t.r.ctx.Work(execVisitWork)
 	if in.status == statusExecuted {
 		return // executed nodes are sinks; no edges out matter
 	}

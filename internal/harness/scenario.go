@@ -305,9 +305,8 @@ func runScenario(opts *ScenarioOptions, plan *shard.Map, sched chaos.Schedule) s
 	d := deploy(&opts.Options, plan, func(cfg *paxos.Config) {
 		cfg.ElectionTimeout = opts.ElectionTimeout
 		// The core's retransmit timer masks schedule-injected loss. The
-		// unsharded PigPaxos scenario has always left that to the relay
-		// plane's own Figure-5b retry; the sharded one arms both. Kept as
-		// found: every fixed-seed suite replays byte-identically.
+		// unsharded PigPaxos scenario leaves the timeout to pigpaxos.New,
+		// which derives it from the relay timeout (110 ms at the default).
 		if plan != nil || opts.Protocol == Paxos {
 			cfg.RetryTimeout = 100 * time.Millisecond
 		}

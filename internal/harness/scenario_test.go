@@ -110,11 +110,35 @@ func TestScenarioRelayCrashMidAggregation(t *testing.T) {
 	}
 }
 
+// The leader cut off with a minority for 1.5 s while nobody may depose it
+// (elections held off): the slots it opened stay open for the whole cut, and
+// only its own retransmit can close them once the cut heals. Thirteen
+// timeouts is past where the relay plane's old retry gave up, which left
+// those slots — and every client behind them — waiting for good.
+func TestScenarioLeaderMinorityOutageHeals(t *testing.T) {
+	o := ScenarioOptions{}
+	o.Protocol = PigPaxos
+	o.N = 5
+	o.NumGroups = 2
+	o.Clients = 8
+	o.OpsPerClient = 24
+	o.Warmup = 200 * time.Millisecond
+	o.Measure = time.Second
+	o.ElectionTimeout = time.Hour
+	nodes := o.cluster().Nodes
+	sched := chaos.MinorityPartition(nodes[:2], nodes[2:], o.Warmup+300*time.Millisecond, 1500*time.Millisecond)
+	r := RunScenario(o, sched)
+	requireHealthy(t, r)
+	if r.AvailabilityGap < 1500*time.Millisecond {
+		t.Errorf("availability gap %v: the cut should have stopped service for its 1.5 s", r.AvailabilityGap)
+	}
+}
+
 // Every protocol runs bit-identically at equal seeds under the full fault
 // mix — crashes, probabilistic loss, duplication and reordering. EPaxos
 // takes the same schedule as the Paxos family now that Explicit Prepare
 // recovery, the retransmit sweep, and the session tables absorb every
-// family (the regression style of the PR 4 redirectPending fix: any map
+// family (the regression style of the PR 4 step-down redirect fix: any map
 // order leaking into message timing shows up here as a seed divergence).
 func TestScenarioDeterminismAllProtocols(t *testing.T) {
 	for _, p := range []Protocol{Paxos, PigPaxos, EPaxos} {

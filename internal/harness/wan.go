@@ -56,7 +56,7 @@ func WANScenario(p Protocol, n, clientsPerRegion, opsPerClient int, seed int64) 
 		// Relays wait on intra-region peers only (sub-millisecond), but
 		// the leader's re-fan-out deadline spans two WAN hops.
 		c.RelayTimeout = 50 * time.Millisecond
-		c.LeaderTimeout = 400 * time.Millisecond
+		c.Paxos.RetryTimeout = 400 * time.Millisecond
 	}
 	o.MutEPaxos = func(c *epaxos.Config) {
 		// Retransmits and Explicit Prepare takeovers must sit above a

@@ -242,7 +242,9 @@ func (s *Store) Serialize(b []byte) []byte {
 }
 
 // Restore replaces the store's contents with a state previously produced by
-// Serialize, returning the number of bytes consumed.
+// Serialize, returning the number of bytes consumed. b may come from a peer:
+// on any error the store is left as it was, and no count read from b sizes
+// an allocation before it is checked against the bytes that remain.
 func (s *Store) Restore(b []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -271,7 +273,7 @@ func (s *Store) Restore(b []byte) (int, error) {
 		return fail()
 	}
 	nVer, ok := u32()
-	if !ok {
+	if !ok || int(nVer) > (len(b)-off)/16 {
 		return fail()
 	}
 	cells := make(map[uint64]*cell, nVer)
@@ -284,7 +286,7 @@ func (s *Store) Restore(b []byte) (int, error) {
 		cells[k] = &cell{version: v}
 	}
 	nData, ok := u32()
-	if !ok {
+	if !ok || int(nData) > (len(b)-off)/12 {
 		return fail()
 	}
 	live := 0
@@ -311,6 +313,16 @@ func (s *Store) Restore(b []byte) (int, error) {
 	s.applied = applied
 	s.cells, s.live = cells, live
 	return off, nil
+}
+
+// Adopt replaces the store's contents with o's; o must not be used again.
+// It is how a snapshot that had more to validate than the store's own
+// section lands in a store whose pointer is already handed out: Restore
+// into a scratch store, check the rest, then Adopt.
+func (s *Store) Adopt(o *Store) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.cells, s.live, s.applied = o.cells, o.live, o.applied
 }
 
 func fnvMix(h, x uint64) uint64 {

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"math/rand"
 	"sync"
@@ -288,4 +289,46 @@ func TestSnapshotBytesPinned(t *testing.T) {
 	if v, ok := r.Get(7); !ok || len(v) != 0 {
 		t.Errorf("empty value of key 7 restored as %q, %v", v, ok)
 	}
+}
+
+// FuzzRestore: bytes from a peer never panic Restore, never size an
+// allocation by a count the bytes left cannot back (the four-billion seeds
+// would otherwise ask for a map of that many cells), and either restore the
+// store or leave it as it was. Adopt then moves a restored state, whole,
+// into a store that is already handed out.
+func FuzzRestore(f *testing.F) {
+	src := New()
+	snapshotScript(src)
+	good := src.Serialize(nil)
+	f.Add(good)
+	for n := 0; n < len(good); n++ {
+		f.Add(good[:n])
+	}
+	cells := int(binary.LittleEndian.Uint32(good[8:]))
+	for _, off := range []int{8, 8 + 4 + 16*cells} { // the cell count, the value count
+		huge := bytes.Clone(good)
+		copy(huge[off:], []byte{0xff, 0xff, 0xff, 0xff})
+		f.Add(huge)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := New()
+		s.Apply(Command{Op: Put, Key: 77, Value: []byte("mine")})
+		before := s.Serialize(nil)
+		n, err := s.Restore(data)
+		if err != nil {
+			if !bytes.Equal(s.Serialize(nil), before) {
+				t.Fatalf("rejected (%v) yet the store changed", err)
+			}
+			return
+		}
+		if n > len(data) {
+			t.Fatalf("consumed %d of %d bytes", n, len(data))
+		}
+		restored := s.Serialize(nil)
+		held := New()
+		held.Adopt(s)
+		if !bytes.Equal(held.Serialize(nil), restored) {
+			t.Fatal("Adopt did not carry the restored state over")
+		}
+	})
 }

@@ -191,14 +191,14 @@ func (r *Replica) recoverFromStorage() {
 	r.journalBallot = r.ballot
 	r.log.Attach(r.st)
 	// Re-apply the committed tail above the snapshot floor. Routes are empty,
-	// so no replies go out; ExecWork is charged as honest recovery CPU.
+	// so no replies go out; execWork is charged as honest recovery CPU.
 	r.execute()
 	if r.cfg.ReadMode == ReadLease {
 		// The pre-crash replica may have promised the leader a lease; the
 		// promise window is not journaled, so re-arm it conservatively. A
 		// restarted follower must not elect itself inside a window the old
 		// incarnation promised away.
-		r.leasePromiseUntil = r.ctx.Now() + r.cfg.LeaseDuration
+		r.leasePromiseUntil = r.ctx.Now() + r.cfg.leaseDuration()
 	}
 }
 
@@ -242,23 +242,29 @@ func (r *Replica) maybeSnapshot() {
 }
 
 // OnSnapInstall installs a snapshot shipped by the leader to a replica whose
-// catch-up request fell below the leader's compaction floor.
+// catch-up request fell below the leader's compaction floor. A blob that does
+// not parse is dropped and counted before anything else in the message is
+// believed: the replica is as it was.
 func (r *Replica) OnSnapInstall(m wire.SnapInstall) {
 	r.catchupInFlight = false
+	// Already caught up past the snapshot: nothing to gain, nothing to parse.
+	stale := m.Floor <= r.log.ExecuteCursor()
+	var ballot ids.Ballot
+	if !stale {
+		var err error
+		if ballot, err = r.restoreSnapshot(m.Data); err != nil {
+			r.stats.SnapRejects++
+			return
+		}
+	}
 	if m.Ballot > r.ballot {
-		r.ballot = m.Ballot
-		r.active = false
-		r.redirectPending()
+		r.stepDown(m.Ballot)
 	}
 	if m.Ballot >= r.ballot {
 		r.lastLeaderContact = r.ctx.Now()
 	}
-	if m.Floor <= r.log.ExecuteCursor() {
-		return // already caught up past the snapshot; nothing to gain
-	}
-	ballot, err := r.restoreSnapshot(m.Data)
-	if err != nil {
-		panic(fmt.Sprintf("paxos %v: peer snapshot rejected: %v", r.cfg.ID, err))
+	if stale {
+		return
 	}
 	if ballot > r.ballot {
 		r.ballot = ballot

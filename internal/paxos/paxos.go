@@ -43,13 +43,12 @@ type Disseminator interface {
 
 // Direct is the classical Paxos communication plane: unicast to every peer.
 // With Thrifty set it unicasts phase-2 messages only to enough followers to
-// form Q2 (the thrifty optimization discussed in §2.2, at the cost of
+// form a majority (the thrifty optimization discussed in §2.2, at the cost of
 // stalling when a contacted node is slow or crashed).
 type Direct struct {
 	Ctx     node.Context
 	Peers   []ids.ID
 	Thrifty bool
-	Q2      int
 }
 
 // FanOut implements Disseminator. The broadcast lets live transports
@@ -57,11 +56,9 @@ type Direct struct {
 // paper's per-recipient CPU cost.
 func (d *Direct) FanOut(m wire.Msg) {
 	peers := d.Peers
-	if d.Thrifty && d.Q2 > 0 {
-		if _, ok := m.(wire.P2a); ok && d.Q2-1 < len(peers) {
-			// Contact only Q2−1 followers (self-vote completes Q2).
-			peers = peers[:d.Q2-1]
-		}
+	if _, ok := m.(wire.P2a); ok && d.Thrifty {
+		// Contact a majority less one: the self-vote completes it.
+		peers = peers[:quorum.MajoritySize(len(peers)+1)-1]
 	}
 	d.Ctx.Broadcast(peers, m)
 }
@@ -76,18 +73,9 @@ type Config struct {
 	// leadership immediately at Start (the experiments run with a
 	// pre-established stable leader, as in the paper).
 	InitialLeader ids.ID
-	// Q1, Q2 are flexible quorum sizes; zero means classical majorities.
-	Q1, Q2 int
 	// Thrifty enables the thrifty phase-2 optimization on the direct
 	// plane (ablation).
 	Thrifty bool
-	// LeaderWork is CPU charged per proposed slot at the leader (decision
-	// making, tallying, reply preparation). Batching amortizes it over the
-	// slot's whole command batch; with MaxBatchSize 1 it is charged per
-	// command, as in the paper's model.
-	LeaderWork time.Duration
-	// ExecWork is CPU charged per command executed at any replica.
-	ExecWork time.Duration
 	// HeartbeatInterval is how often an idle leader announces liveness
 	// and its commit watermark. Zero disables heartbeats.
 	HeartbeatInterval time.Duration
@@ -95,13 +83,13 @@ type Config struct {
 	// leadership (randomized ×[1,2)). Zero disables elections, leaving
 	// leadership wherever InitialLeader put it.
 	ElectionTimeout time.Duration
-	// RetryTimeout, when positive, makes the leader re-broadcast a slot's
-	// P2a if it has not committed in time — needed for liveness on lossy
-	// networks. PigPaxos leaves this off and supplies its own relay-aware
-	// retry (Figure 5b).
+	// RetryTimeout, when positive, makes the leader fan a slot's P2a out
+	// again, for as long as it leads, every time the slot goes this long
+	// without committing — needed for liveness on lossy networks. Under
+	// PigPaxos the fan-out draws fresh relays, which makes this the paper's
+	// Figure 5b; pigpaxos.New derives a value from its relay timeout when
+	// this is zero.
 	RetryTimeout time.Duration
-	// CatchupBatch caps the entries in one CatchupReply (default 128).
-	CatchupBatch int
 	// CompactEvery triggers log compaction after this many local
 	// executions, discarding executed entries older than CompactRetain
 	// slots below the execution cursor (0 disables compaction).
@@ -111,16 +99,10 @@ type Config struct {
 	CompactRetain int
 	// ReadMode selects how GET commands are served (§4.3's three options).
 	ReadMode ReadMode
-	// LeaseDuration is how long a majority of heartbeat acks entitles the
-	// leader to serve local reads under ReadLease (default
-	// 4×HeartbeatInterval). Followers refuse to campaign within their
-	// promise window, so a partitioned old leader's lease always expires
-	// before a new leader can commit writes.
-	LeaseDuration time.Duration
 	// MaxBatchSize caps how many client commands the leader packs into one
 	// log slot (default 1 — the paper's unbatched behaviour). Larger
 	// batches amortize the 2(N−1)+2 (or 2r+2) message round and the
-	// per-slot LeaderWork over MaxBatchSize commands.
+	// per-slot leaderWork over MaxBatchSize commands.
 	MaxBatchSize int
 	// BatchDelay holds an under-full batch open this long waiting for more
 	// commands before proposing it. Zero never waits: under-full batches
@@ -184,30 +166,31 @@ const (
 	ReadAny
 )
 
+// The simulator's CPU charges and the catch-up page size.
+const (
+	// leaderWork is CPU charged per proposed slot at the leader (decision
+	// making, tallying, reply preparation). Batching amortizes it over the
+	// slot's whole command batch; with MaxBatchSize 1 it is charged per
+	// command, as in the paper's model.
+	leaderWork = 20 * time.Microsecond
+	// execWork is CPU charged per command executed at any replica.
+	execWork = 5 * time.Microsecond
+	// catchupBatch caps the entries in one CatchupReply.
+	catchupBatch = 128
+)
+
+// leaseDuration is how long a majority of heartbeat acks entitles the leader
+// to serve local reads under ReadLease. Followers refuse to campaign within
+// their promise window, so a partitioned old leader's lease always expires
+// before a new leader can commit writes.
+func (c *Config) leaseDuration() time.Duration { return 4 * c.HeartbeatInterval }
+
 func (c *Config) applyDefaults() {
-	if c.Q1 == 0 {
-		c.Q1 = quorum.MajoritySize(c.Cluster.N())
-	}
-	if c.Q2 == 0 {
-		c.Q2 = quorum.MajoritySize(c.Cluster.N())
-	}
-	if c.LeaderWork == 0 {
-		c.LeaderWork = 20 * time.Microsecond
-	}
-	if c.ExecWork == 0 {
-		c.ExecWork = 5 * time.Microsecond
-	}
 	if c.HeartbeatInterval == 0 {
 		c.HeartbeatInterval = 20 * time.Millisecond
 	}
-	if c.CatchupBatch == 0 {
-		c.CatchupBatch = 128
-	}
 	if c.CompactRetain == 0 {
 		c.CompactRetain = 8192
-	}
-	if c.LeaseDuration == 0 {
-		c.LeaseDuration = 4 * c.HeartbeatInterval
 	}
 	if c.MaxBatchSize <= 0 {
 		c.MaxBatchSize = 1
@@ -222,10 +205,10 @@ func (c *Config) applyDefaults() {
 	if c.MaxPending < 0 {
 		c.MaxPending = 0
 	}
-	if c.ReadMode == ReadLease && c.ElectionTimeout > 0 && c.ElectionTimeout < 2*c.LeaseDuration {
+	if c.ReadMode == ReadLease && c.ElectionTimeout > 0 && c.ElectionTimeout < 2*c.leaseDuration() {
 		// A follower must never campaign inside a window it promised to
 		// the leader.
-		c.ElectionTimeout = 2 * c.LeaseDuration
+		c.ElectionTimeout = 2 * c.leaseDuration()
 	}
 }
 
@@ -267,6 +250,7 @@ type Stats struct {
 	Snapshots    uint64 // state-machine checkpoints saved locally
 	SnapSends    uint64 // snapshots shipped to laggards (SnapInstall)
 	SnapRestores uint64 // snapshots installed from a peer or at boot
+	SnapRejects  uint64 // peer snapshots dropped because the blob did not parse
 
 	Busy           uint64 // client requests shed with wire.Busy (overload)
 	DroppedExpired uint64 // queued commands dropped at flush after QueueTTL
@@ -296,8 +280,9 @@ type Replica struct {
 	cfg  Config
 	diss Disseminator
 
-	ballot ids.Ballot // highest ballot seen
-	active bool       // leader with completed phase-1
+	ballot   ids.Ballot // highest ballot seen
+	active   bool       // leader with completed phase-1
+	majority int        // the quorum size of both phases
 
 	log   *rlog.Log
 	store *kvstore.Store
@@ -350,15 +335,11 @@ type Replica struct {
 
 	// Lease state: followers promise not to campaign until
 	// leasePromiseUntil; the leader holds ack timestamps and serves local
-	// reads while a majority acked within LeaseDuration.
+	// reads while a majority acked within leaseDuration.
 	leasePromiseUntil time.Duration
 	ackTimes          map[ids.ID]time.Duration
 
 	stats Stats
-
-	// onCommit, when set, runs after a slot commits locally (PigPaxos
-	// uses it to cancel relay retries; tests use it to observe commits).
-	onCommit func(slot uint64)
 }
 
 type pendingRequest struct {
@@ -413,6 +394,7 @@ func New(ctx node.Context, cfg Config, diss Disseminator) *Replica {
 		ctx:      ctx,
 		cfg:      cfg,
 		diss:     diss,
+		majority: quorum.MajoritySize(cfg.Cluster.N()),
 		log:      rlog.New(),
 		store:    kvstore.New(),
 		sessions: make(map[uint64]*session),
@@ -422,12 +404,7 @@ func New(ctx node.Context, cfg Config, diss Disseminator) *Replica {
 	r.retx = slots.NewTimers(ctx, r.retransmit)
 	r.initFlusher()
 	if r.diss == nil {
-		r.diss = &Direct{
-			Ctx:     ctx,
-			Peers:   cfg.Cluster.Peers(cfg.ID),
-			Thrifty: cfg.Thrifty,
-			Q2:      cfg.Q2,
-		}
+		r.diss = &Direct{Ctx: ctx, Peers: cfg.Cluster.Peers(cfg.ID), Thrifty: cfg.Thrifty}
 	}
 	if cfg.Storage != nil {
 		r.st = cfg.Storage
@@ -435,13 +412,6 @@ func New(ctx node.Context, cfg Config, diss Disseminator) *Replica {
 	}
 	return r
 }
-
-// SetDisseminator replaces the communication plane (used by PigPaxos, which
-// must construct the replica before the plane that wraps it).
-func (r *Replica) SetDisseminator(d Disseminator) { r.diss = d }
-
-// SetOnCommit installs a commit observer.
-func (r *Replica) SetOnCommit(fn func(slot uint64)) { r.onCommit = fn }
 
 // Start launches the replica: the designated initial leader bids
 // immediately; everyone else arms its election timer (when enabled).
@@ -468,7 +438,8 @@ func (r *Replica) Leader() ids.ID { return r.ballot.ID() }
 // Store exposes the replicated state machine.
 func (r *Replica) Store() *kvstore.Store { return r.store }
 
-// Log exposes the replicated log (tests and PigPaxos retries).
+// Log exposes the replicated log (tests, and the relay's bound on the slots
+// it tracks).
 func (r *Replica) Log() *rlog.Log { return r.log }
 
 // Stats returns a copy of the event counters.
@@ -554,7 +525,7 @@ func (r *Replica) campaign() {
 	r.ballot = r.ballot.Next(r.cfg.ID)
 	r.active = false
 	r.journalPromise()
-	r.p1q = quorum.NewThreshold(r.cfg.Cluster.N(), r.cfg.Q1)
+	r.p1q = quorum.NewThreshold(r.cfg.Cluster.N(), r.majority)
 	r.p1MaxFloor, r.p1FloorFrom = 0, 0
 	r.promised = false
 	// The bid reveals nothing that must survive a crash, so it leaves at
@@ -630,10 +601,8 @@ func (r *Replica) armElectionTimer() {
 // Exposed for relay aggregation.
 func (r *Replica) PromiseP1a(m wire.P1a) bool {
 	if m.Ballot > r.ballot {
-		r.ballot = m.Ballot
-		r.active = false
+		r.stepDown(m.Ballot)
 		r.lastLeaderContact = r.ctx.Now()
-		r.redirectPending()
 	}
 	r.journalPromise()
 	return m.Ballot == r.ballot
@@ -678,13 +647,8 @@ func (r *Replica) sendP1b(low uint64, _ ids.Ballot, to ids.ID) {
 // OnP1b tallies phase-1 promises at a campaigning node.
 func (r *Replica) OnP1b(m wire.P1b) {
 	if m.Ballot > r.ballot {
-		// Someone promised a higher ballot: our campaign lost. Step down
-		// fully — like every other step-down path — so queued and
-		// in-flight commands bounce to the new leader instead of being
-		// resurrected stale on a later re-election.
-		r.ballot = m.Ballot
-		r.active = false
-		r.redirectPending()
+		// Someone promised a higher ballot: our campaign lost.
+		r.stepDown(m.Ballot)
 		r.armElectionTimer()
 		return
 	}
@@ -781,7 +745,7 @@ func (r *Replica) OnRequest(from ids.ID, m wire.Request) {
 		// Serve locally, consistency be damned (§4.3's "reading from any
 		// replica... compromises the consistency guarantee").
 		r.stats.LocalReads++
-		r.ctx.Work(r.cfg.ExecWork)
+		r.ctx.Work(execWork)
 		v, ok := r.store.Get(m.Cmd.Key)
 		r.ctx.Send(from, wire.Reply{
 			ClientID: m.Cmd.ClientID, Seq: m.Cmd.Seq, OK: true,
@@ -869,7 +833,7 @@ func (r *Replica) OnRequest(from ids.ID, m wire.Request) {
 		// leader's store reflects every committed write, and the lease
 		// guarantees no other leader can have committed newer ones.
 		r.stats.LeaseReads++
-		r.ctx.Work(r.cfg.ExecWork)
+		r.ctx.Work(execWork)
 		v, ok := r.store.Get(m.Cmd.Key)
 		sessReply := wire.Reply{
 			ClientID: m.Cmd.ClientID, Seq: m.Cmd.Seq, OK: true,
@@ -993,7 +957,7 @@ func (r *Replica) flushBatches() {
 		r.inflight.Cover(slot).routes = rts
 		r.stats.Batches++
 		r.stats.BatchedCmds += uint64(take)
-		r.ctx.Work(r.cfg.LeaderWork)
+		r.ctx.Work(leaderWork)
 		r.propose(slot, cmds)
 	}
 }
@@ -1045,7 +1009,7 @@ func (r *Replica) leaseValid() bool {
 	now := r.ctx.Now()
 	fresh := 1 // self
 	for _, at := range r.ackTimes {
-		if now-at < r.cfg.LeaseDuration {
+		if now-at < r.cfg.leaseDuration() {
 			fresh++
 		}
 	}
@@ -1074,8 +1038,8 @@ func (r *Replica) propose(slot uint64, cmds []kvstore.Command) {
 	m := wire.P2a{Ballot: r.ballot, Slot: slot, Cmds: cmds, Commit: r.commitWatermark()}
 	r.announced = m.Commit
 	r.diss.FanOut(m)
-	// The leader's self-vote counts toward Q2, so its own accept must be as
-	// durable as a follower's: the vote waits for the flush while the
+	// The leader's self-vote counts toward the quorum, so its own accept must
+	// be as durable as a follower's: the vote waits for the flush while the
 	// followers already work on theirs. One flush covers every slot proposed
 	// since the last (group commit).
 	r.WhenDurable(r.selfVoteDurable, slot, r.ballot, r.cfg.ID)
@@ -1096,7 +1060,7 @@ func (r *Replica) selfVote(slot uint64, b ids.Ballot, _ ids.ID) {
 		return
 	}
 	p.votes.Add(r.self)
-	if p.votes.Count() >= r.cfg.Q2 {
+	if p.votes.Count() >= r.majority {
 		r.commit(slot)
 	}
 }
@@ -1139,11 +1103,7 @@ func (r *Replica) commitWatermark() uint64 { return r.log.ExecuteCursor() }
 func (r *Replica) AcceptP2a(m wire.P2a) (vote wire.P2b, ok bool) {
 	if m.Ballot >= r.ballot {
 		if m.Ballot > r.ballot {
-			// Ballot must be adopted before redirectPending so redirects
-			// name the new leader.
-			r.active = false
-			r.ballot = m.Ballot
-			r.redirectPending()
+			r.stepDown(m.Ballot)
 		}
 		r.lastLeaderContact = r.ctx.Now()
 		ok = r.log.Accept(m.Slot, m.Ballot, m.Cmds)
@@ -1199,9 +1159,7 @@ func (r *Replica) sendP2b(slot uint64, b ids.Ballot, to ids.ID) {
 func (r *Replica) OnP2b(m wire.P2b) {
 	if m.Ballot > r.ballot {
 		// Rejection: a higher ballot exists, stop leading.
-		r.ballot = m.Ballot
-		r.active = false
-		r.redirectPending()
+		r.stepDown(m.Ballot)
 		r.armElectionTimer()
 		return
 	}
@@ -1210,7 +1168,7 @@ func (r *Replica) OnP2b(m wire.P2b) {
 		return // already committed or stale vote
 	}
 	p.votes.Add(r.memberIndex(m.From))
-	if p.votes.Count() >= r.cfg.Q2 {
+	if p.votes.Count() >= r.majority {
 		r.commit(m.Slot)
 	}
 }
@@ -1245,9 +1203,6 @@ func (r *Replica) commit(slot uint64) {
 	}
 	r.log.Commit(slot, r.ballot, e.Commands)
 	r.stats.Commits++
-	if r.onCommit != nil {
-		r.onCommit(slot)
-	}
 	r.execute()
 	// A committed slot frees pipeline window capacity: flush what queued.
 	r.flushBatches()
@@ -1261,7 +1216,7 @@ func (r *Replica) execute() {
 		r.stats.Executions++
 		r.execSinceCompact++
 		r.execSinceSnap++
-		r.ctx.Work(r.cfg.ExecWork)
+		r.ctx.Work(execWork)
 		rep := wire.Reply{
 			ClientID: cmd.ClientID,
 			Seq:      cmd.Seq,
@@ -1366,7 +1321,7 @@ func (r *Replica) OnCatchupReq(from ids.ID, m wire.CatchupReq) {
 		to = hi
 	}
 	reply := wire.CatchupReply{Ballot: r.ballot}
-	for slot := m.From; slot < to && len(reply.Entries) < r.cfg.CatchupBatch; slot++ {
+	for slot := m.From; slot < to && len(reply.Entries) < catchupBatch; slot++ {
 		e := r.log.Get(slot)
 		if e == nil || !e.Committed {
 			continue // compacted or unknown; the follower will re-ask
@@ -1430,11 +1385,9 @@ func (r *Replica) maybeCompact() {
 func (r *Replica) OnP3(m wire.P3) {
 	if m.Ballot >= r.ballot {
 		if m.Ballot > r.ballot {
-			// A newer leader exists: step down fully before anything else,
-			// or the flushBatches below would propose under its ballot.
-			r.active = false
-			r.ballot = m.Ballot
-			r.redirectPending()
+			// A newer leader exists: step down before anything else, or the
+			// flushBatches below would propose under its ballot.
+			r.stepDown(m.Ballot)
 		}
 		r.lastLeaderContact = r.ctx.Now()
 	}
@@ -1484,28 +1437,31 @@ func (r *Replica) OnHeartbeat(m wire.Heartbeat) {
 		return
 	}
 	if m.Ballot > r.ballot {
-		r.ballot = m.Ballot
-		r.active = false
-		r.redirectPending()
+		r.stepDown(m.Ballot)
 	}
 	r.lastLeaderContact = r.ctx.Now()
 	if r.cfg.ReadMode == ReadLease && m.Ballot.ID() != r.cfg.ID {
 		// Promise the leader its lease window and confirm.
-		r.leasePromiseUntil = r.ctx.Now() + r.cfg.LeaseDuration
+		r.leasePromiseUntil = r.ctx.Now() + r.cfg.leaseDuration()
 		r.ctx.Send(m.Ballot.ID(), wire.HeartbeatAck{Ballot: m.Ballot, From: r.cfg.ID})
 	}
 	r.applyWatermark(m.Commit, m.Ballot)
 }
 
-// redirectPending answers buffered and in-flight client requests with a
-// redirect after losing leadership. No-op when nothing is pending or when
-// this node still owns the ballot.
-func (r *Replica) redirectPending() {
-	if r.ballot.ID() == r.cfg.ID {
+// stepDown adopts b, a higher ballot than ours seen in a peer's message: this
+// replica stops leading (or campaigning), and every buffered and in-flight
+// client request is answered with a redirect to b's owner instead of being
+// resurrected stale on a later re-election. The ballot is adopted first so
+// the redirects name that owner; there is nobody to name when the ballot is
+// one this node issued in an earlier life.
+func (r *Replica) stepDown(b ids.Ballot) {
+	r.ballot = b
+	r.active = false
+	if b.ID() == r.cfg.ID {
 		return
 	}
 	r.abortProposals()
-	leader := r.ballot.ID()
+	leader := b.ID()
 	// Redirect in ascending slot order, then drop every slot's in-flight
 	// state: the tallies closed above, and the routes are now answered.
 	for s := r.inflight.Base(); s < r.inflight.End(); s++ {

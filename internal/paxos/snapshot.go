@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"pigpaxos/internal/ids"
+	"pigpaxos/internal/kvstore"
 	"pigpaxos/internal/wire"
 )
 
@@ -39,10 +40,14 @@ func (r *Replica) encodeSnapshot() []byte {
 	return b
 }
 
-// restoreSnapshot replaces the store and session table with a blob produced
-// by encodeSnapshot and returns the ballot recorded in it. pendingSeq is
-// deliberately not persisted: it marks an in-flight proposal, and nothing
-// is in flight on a freshly restored replica.
+// restoreSnapshot replaces the store's contents and the session table with
+// a blob produced by encodeSnapshot and returns the ballot recorded in it. The
+// blob may come from a peer: nothing is installed until all of it has parsed
+// (the store section parses into a scratch store — Store() has handed the
+// real one out — and the blob parsing that far is no licence to keep it), and
+// no count in it sizes an allocation before it is checked against the bytes
+// that remain. pendingSeq is deliberately not persisted: it marks an in-flight
+// proposal, and nothing is in flight on a freshly restored replica.
 func (r *Replica) restoreSnapshot(data []byte) (ids.Ballot, error) {
 	off := 0
 	fail := func(what string) (ids.Ballot, error) {
@@ -57,7 +62,8 @@ func (r *Replica) restoreSnapshot(data []byte) (ids.Ballot, error) {
 	off = 1
 	ballot := ids.Ballot(binary.LittleEndian.Uint64(data[off:]))
 	off += 8
-	n, err := r.store.Restore(data[off:])
+	store := kvstore.New()
+	n, err := store.Restore(data[off:])
 	if err != nil {
 		return 0, err
 	}
@@ -67,7 +73,10 @@ func (r *Replica) restoreSnapshot(data []byte) (ids.Ballot, error) {
 	}
 	nSess := int(binary.LittleEndian.Uint32(data[off:]))
 	off += 4
-	clear(r.sessions)
+	if nSess > (len(data)-off)/20 {
+		return fail("session count beyond the blob")
+	}
+	sessions := make(map[uint64]*session, nSess)
 	for i := 0; i < nSess; i++ {
 		if off+20 > len(data) {
 			return fail("truncated session")
@@ -76,7 +85,7 @@ func (r *Replica) restoreSnapshot(data []byte) (ids.Ballot, error) {
 		lastSeq := binary.LittleEndian.Uint64(data[off+8:])
 		replyLen := int(binary.LittleEndian.Uint32(data[off+16:]))
 		off += 20
-		if off+replyLen > len(data) {
+		if replyLen > len(data)-off {
 			return fail("truncated session reply")
 		}
 		m, consumed, err := wire.Decode(data[off : off+replyLen])
@@ -88,10 +97,12 @@ func (r *Replica) restoreSnapshot(data []byte) (ids.Ballot, error) {
 			return fail("malformed session reply")
 		}
 		off += replyLen
-		r.sessions[id] = &session{lastSeq: lastSeq, lastReply: reply}
+		sessions[id] = &session{lastSeq: lastSeq, lastReply: reply}
 	}
 	if off != len(data) {
 		return fail("trailing bytes")
 	}
+	r.store.Adopt(store)
+	r.sessions = sessions
 	return ballot, nil
 }

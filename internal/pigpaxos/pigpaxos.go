@@ -6,9 +6,10 @@
 // to the rest of its group, collects the group's votes, and returns them to
 // the leader as a single aggregated message. Random relay rotation spreads
 // the extra relay load across rounds (§3.2), relay timeouts bound the damage
-// of slow or crashed followers (§3.4, Figure 5a), and leader-side retries
-// with freshly drawn relays restore liveness after relay failures (Figure
-// 5b).
+// of slow or crashed followers (§3.4, Figure 5a). Figure 5b — the leader times
+// out and retries the slot with different relays — is the decision core's own
+// retransmit (paxos.Config.RetryTimeout) sent through this plane: every
+// fan-out draws fresh relays, so a retransmit is a retry with different ones.
 //
 // The decision core is an unmodified paxos.Replica: this package only
 // substitutes the communication plane, exactly as the paper describes its
@@ -41,7 +42,9 @@ const (
 
 // Config parameterizes a PigPaxos replica.
 type Config struct {
-	// Paxos is the decision-core configuration.
+	// Paxos is the decision-core configuration. A zero Paxos.RetryTimeout
+	// becomes 2×RelayTimeout + 10ms: a round through a relay that waited out
+	// its whole timeout is still answered before the leader retries it.
 	Paxos paxos.Config
 	// NumGroups is r, the number of relay groups (GroupEven only).
 	NumGroups int
@@ -50,18 +53,9 @@ type Config struct {
 	// RelayTimeout bounds how long a relay waits for its group before
 	// flushing a partial aggregate (default 50ms, the Figure 13 setting).
 	RelayTimeout time.Duration
-	// LeaderTimeout bounds how long the leader waits for a slot's quorum
-	// before re-fanning-out with freshly drawn relays (default 2×relay
-	// timeout + 10ms).
-	LeaderTimeout time.Duration
-	// MaxRetries caps leader re-fan-outs per slot (default 10).
-	MaxRetries int
 	// UseThresholds enables partial response collection (§4.2): relays
 	// reply after g_i votes, chosen so Σg_i still covers a majority.
 	UseThresholds bool
-	// ReshuffleEvery, when positive, makes the leader recompute a random
-	// group layout periodically (dynamic relay groups, §4.1).
-	ReshuffleEvery time.Duration
 	// MultiLayer enables nested relay trees (§6.3): a relay whose peer
 	// list exceeds 2×SubGroupSize splits it into sub-groups served by
 	// sub-relays.
@@ -73,11 +67,6 @@ type Config struct {
 	// rotating randomly — an ablation of §3.2's hotspot-avoidance
 	// argument (expect the fixed relays to become bottlenecks).
 	FixedRelays bool
-	// Overlap extends every relay group with this many members borrowed
-	// from the next group (§4.1: overlapping groups trade extra messages
-	// for redundant delivery paths under link volatility). Votes are
-	// deduplicated at the leader, so safety is unaffected.
-	Overlap int
 }
 
 func (c *Config) applyDefaults() {
@@ -87,11 +76,8 @@ func (c *Config) applyDefaults() {
 	if c.RelayTimeout == 0 {
 		c.RelayTimeout = 50 * time.Millisecond
 	}
-	if c.LeaderTimeout == 0 {
-		c.LeaderTimeout = 2*c.RelayTimeout + 10*time.Millisecond
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 10
+	if c.Paxos.RetryTimeout == 0 {
+		c.Paxos.RetryTimeout = 2*c.RelayTimeout + 10*time.Millisecond
 	}
 	if c.SubGroupSize == 0 {
 		c.SubGroupSize = 3
@@ -108,7 +94,6 @@ type Stats struct {
 	FullFlushes    uint64 // aggregates sent with the whole group's votes
 	PartialFlushes uint64 // aggregates flushed by timeout or threshold
 	LateVotes      uint64 // votes forwarded individually after a flush
-	LeaderRetries  uint64 // slot re-fan-outs with new relays
 	Splits         uint64 // multi-layer sub-group splits performed
 }
 
@@ -148,13 +133,6 @@ type p1agg struct {
 	timer    node.Timer
 }
 
-// leaderRetry is what a slot's Figure-5b timeout re-fans-out, and how many
-// times it already has.
-type leaderRetry struct {
-	m       wire.P2a
-	attempt int
-}
-
 // Replica is one PigPaxos node.
 type Replica struct {
 	ctx  node.Context
@@ -163,8 +141,8 @@ type Replica struct {
 
 	layout config.GroupLayout
 	// rest[g][i] is group g without its i-th member: the peer list a round
-	// hands the relay it drew. Rebuilt with the layout, shared by every
-	// message of every round (read-only downstream).
+	// hands the relay it drew, shared by every message of every round
+	// (read-only downstream).
 	rest       [][][]ids.ID
 	thresholds []int
 	// groupZones[g] is the region relay group g covers under GroupByZone
@@ -184,9 +162,6 @@ type Replica struct {
 	relayDue *slots.Timers[ids.Ballot]
 	p1aggs   map[ids.Ballot]*p1agg
 
-	// Leader side: the Figure-5b timeout of every slot still in flight.
-	retries *slots.Timers[leaderRetry]
-
 	// What this relay's own parked votes do when durable, bound once.
 	ackDurable, promiseDurable paxos.Release
 
@@ -198,22 +173,14 @@ func New(ctx node.Context, cfg Config) *Replica {
 	cfg.applyDefaults()
 	r := &Replica{ctx: ctx, cfg: cfg, p1aggs: make(map[ids.Ballot]*p1agg)}
 	r.relayDue = slots.NewTimers(ctx, r.relayTimeout)
-	r.retries = slots.NewTimers(ctx, r.retryFanOut)
 	r.ackDurable, r.promiseDurable = r.ownAck, r.ownPromise
-	r.core = paxos.New(ctx, cfg.Paxos, nil)
-	r.core.SetDisseminator(&pigPlane{r})
-	r.core.SetOnCommit(r.onCommit)
+	r.core = paxos.New(ctx, cfg.Paxos, &pigPlane{r})
 	r.computeLayout()
 	return r
 }
 
 // Start launches the replica (see paxos.Replica.Start).
-func (r *Replica) Start() {
-	r.core.Start()
-	if r.cfg.ReshuffleEvery > 0 {
-		r.scheduleReshuffle()
-	}
-}
+func (r *Replica) Start() { r.core.Start() }
 
 // Core exposes the decision core (stores, log, leadership state).
 func (r *Replica) Core() *paxos.Replica { return r.core }
@@ -239,6 +206,8 @@ func (r *Replica) GroupForZone(z int) int {
 	return -1
 }
 
+// computeLayout partitions the followers into relay groups and builds what
+// is derived from the partition.
 func (r *Replica) computeLayout() {
 	peers := r.cfg.Paxos.Cluster.Peers(r.cfg.Paxos.ID)
 	switch r.cfg.Strategy {
@@ -250,16 +219,9 @@ func (r *Replica) computeLayout() {
 			// Degenerate clusters (r > followers): one group per node.
 			g, _ = config.EvenGroups(peers, len(peers))
 		}
-		if r.cfg.Overlap > 0 && g.NumGroups() > 1 {
-			g = overlapGroups(g, r.cfg.Overlap)
-		}
 		r.layout = g
 	}
-	r.layoutChanged()
-}
-
-// layoutChanged rebuilds what is derived from the layout.
-func (r *Replica) layoutChanged() {
+	r.lastRelays = make([]ids.ID, r.layout.NumGroups())
 	r.rest = make([][][]ids.ID, len(r.layout.Groups))
 	for g, group := range r.layout.Groups {
 		r.rest[g] = make([][]ids.ID, len(group))
@@ -271,24 +233,6 @@ func (r *Replica) layoutChanged() {
 	r.computeThresholds()
 }
 
-// overlapGroups extends each group with the first `overlap` members of the
-// next group (cyclically), creating redundant delivery paths.
-func overlapGroups(g config.GroupLayout, overlap int) config.GroupLayout {
-	n := g.NumGroups()
-	out := make([][]ids.ID, n)
-	for i, grp := range g.Groups {
-		ext := append([]ids.ID(nil), grp...)
-		next := g.Groups[(i+1)%n]
-		take := overlap
-		if take > len(next) {
-			take = len(next)
-		}
-		ext = append(ext, next[:take]...)
-		out[i] = ext
-	}
-	return config.GroupLayout{Groups: out}
-}
-
 func (r *Replica) computeThresholds() {
 	r.thresholds = nil
 	if !r.cfg.UseThresholds {
@@ -298,30 +242,6 @@ func (r *Replica) computeThresholds() {
 	th, err := quorum.GroupThresholds(r.layout.Sizes(), needed)
 	if err == nil {
 		r.thresholds = th
-	}
-}
-
-func (r *Replica) scheduleReshuffle() {
-	r.ctx.After(r.cfg.ReshuffleEvery, func() {
-		if r.core.IsLeader() {
-			r.Reshuffle()
-		}
-		r.scheduleReshuffle()
-	})
-}
-
-// Reshuffle randomly re-partitions the followers into NumGroups groups
-// (dynamic relay groups, §4.1). Relays need no notification: every relay
-// message carries its group membership.
-func (r *Replica) Reshuffle() {
-	peers := append([]ids.ID(nil), r.cfg.Paxos.Cluster.Peers(r.cfg.Paxos.ID)...)
-	rng := r.ctx.Rand()
-	rng.Shuffle(len(peers), func(i, j int) { peers[i], peers[j] = peers[j], peers[i] })
-	g, err := config.EvenGroups(peers, min(r.cfg.NumGroups, len(peers)))
-	if err == nil {
-		r.layout = g
-		r.groupZones = nil // random groups are no longer zone-aligned
-		r.layoutChanged()
 	}
 }
 
@@ -360,22 +280,37 @@ func (r *Replica) OnMessage(from ids.ID, m wire.Msg) {
 // groups.
 type pigPlane struct{ r *Replica }
 
-// FanOut implements paxos.Disseminator.
+// FanOut implements paxos.Disseminator. Every call draws its relays afresh,
+// so the core's retransmit of a stalled slot is Figure 5b's retry with
+// different relays.
 func (p *pigPlane) FanOut(m wire.Msg) {
 	r := p.r
 	switch v := m.(type) {
 	case wire.P2a:
-		r.fanOutP2a(v, 0)
+		r.eachRelay(func(gi int, relay ids.ID, peers []ids.ID) {
+			var th uint16
+			if r.thresholds != nil {
+				th = uint16(r.thresholds[gi])
+			}
+			r.ctx.Send(relay, wire.RelayP2a{
+				P2a:       v,
+				Peers:     peers,
+				Threshold: th,
+				Timeout:   r.cfg.RelayTimeout,
+			})
+		})
 	case wire.P1a:
-		r.fanOutP1a(v)
+		r.eachRelay(func(_ int, relay ids.ID, peers []ids.ID) {
+			r.ctx.Send(relay, wire.RelayP1a{P1a: v, Peers: peers})
+		})
 	case wire.P3:
-		r.fanOutP3(v)
-	case wire.Heartbeat:
-		// Heartbeats are rare control traffic; send direct so the
-		// failure detector does not depend on relay liveness. Broadcast
-		// encodes the heartbeat once for all N−1 followers.
-		r.ctx.Broadcast(r.cfg.Paxos.Cluster.Peers(r.cfg.Paxos.ID), v)
+		r.eachRelay(func(_ int, relay ids.ID, peers []ids.ID) {
+			r.ctx.Send(relay, wire.RelayP3{P3: v, Peers: peers})
+		})
 	default:
+		// Heartbeats (and anything else) are rare control traffic; send
+		// direct so the failure detector does not depend on relay liveness.
+		// Broadcast encodes the message once for all N−1 followers.
 		r.ctx.Broadcast(r.cfg.Paxos.Cluster.Peers(r.cfg.Paxos.ID), v)
 	}
 }
@@ -388,14 +323,6 @@ func (r *Replica) pickRelay(group []ids.ID) int {
 		return 0
 	}
 	return r.ctx.Rand().Intn(len(group))
-}
-
-// noteRelay records the relay drawn for group gi (see LastRelay).
-func (r *Replica) noteRelay(gi int, relay ids.ID) {
-	if len(r.lastRelays) != r.layout.NumGroups() {
-		r.lastRelays = make([]ids.ID, r.layout.NumGroups())
-	}
-	r.lastRelays[gi] = relay
 }
 
 // LastRelay returns the relay most recently drawn for group g, or the zero
@@ -412,58 +339,9 @@ func (r *Replica) LastRelay(g int) ids.ID {
 func (r *Replica) eachRelay(send func(gi int, relay ids.ID, peers []ids.ID)) {
 	for gi, group := range r.layout.Groups {
 		ri := r.pickRelay(group)
-		r.noteRelay(gi, group[ri])
+		r.lastRelays[gi] = group[ri]
 		send(gi, group[ri], r.rest[gi][ri])
 	}
-}
-
-func (r *Replica) fanOutP2a(m wire.P2a, attempt int) {
-	r.eachRelay(func(gi int, relay ids.ID, peers []ids.ID) {
-		var th uint16
-		if r.thresholds != nil {
-			th = uint16(r.thresholds[gi])
-		}
-		r.ctx.Send(relay, wire.RelayP2a{
-			P2a:       m,
-			Peers:     peers,
-			Threshold: th,
-			Timeout:   r.cfg.RelayTimeout,
-		})
-	})
-	// Figure-5b leader timeout: if the slot has not committed when it
-	// expires, re-fan-out with freshly drawn relays.
-	if attempt >= r.cfg.MaxRetries {
-		r.retries.Cancel(m.Slot)
-		return
-	}
-	r.retries.Arm(m.Slot, r.cfg.LeaderTimeout, leaderRetry{m, attempt})
-}
-
-// retryFanOut is the retries expiry: the slot went LeaderTimeout without
-// committing.
-func (r *Replica) retryFanOut(slot uint64, lr leaderRetry) {
-	if e := r.core.Log().Get(slot); e != nil && e.Committed {
-		return
-	}
-	if !r.core.IsLeader() || r.core.Ballot() != lr.m.Ballot {
-		return
-	}
-	r.stats.LeaderRetries++
-	r.fanOutP2a(lr.m, lr.attempt+1)
-}
-
-func (r *Replica) onCommit(slot uint64) { r.retries.Cancel(slot) }
-
-func (r *Replica) fanOutP1a(m wire.P1a) {
-	r.eachRelay(func(_ int, relay ids.ID, peers []ids.ID) {
-		r.ctx.Send(relay, wire.RelayP1a{P1a: m, Peers: peers})
-	})
-}
-
-func (r *Replica) fanOutP3(m wire.P3) {
-	r.eachRelay(func(_ int, relay ids.ID, peers []ids.ID) {
-		r.ctx.Send(relay, wire.RelayP3{P3: m, Peers: peers})
-	})
 }
 
 // onAggP2b unpacks a relay's aggregate into individual votes for the core.

@@ -1,6 +1,7 @@
 package pigpaxos
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -227,7 +228,7 @@ func TestRelayFailureLeaderRetries(t *testing.T) {
 	tc := newCluster(t, 9, false, func(c *Config) {
 		c.NumGroups = 2
 		c.RelayTimeout = 5 * time.Millisecond
-		c.LeaderTimeout = 12 * time.Millisecond
+		c.Paxos.RetryTimeout = 12 * time.Millisecond
 	})
 	tc.sim.Run(5 * time.Millisecond)
 	// Group 0 of the leader's layout: crash every member. All relay picks
@@ -248,7 +249,7 @@ func TestMinorityCrashStillCommits(t *testing.T) {
 	tc := newCluster(t, 5, false, func(c *Config) {
 		c.NumGroups = 2
 		c.RelayTimeout = 5 * time.Millisecond
-		c.LeaderTimeout = 12 * time.Millisecond
+		c.Paxos.RetryTimeout = 12 * time.Millisecond
 	})
 	tc.sim.Run(5 * time.Millisecond)
 	tc.net.Crash(tc.cfg.Nodes[3])
@@ -264,8 +265,7 @@ func TestMajorityCrashBlocks(t *testing.T) {
 	tc := newCluster(t, 5, false, func(c *Config) {
 		c.NumGroups = 2
 		c.RelayTimeout = 5 * time.Millisecond
-		c.LeaderTimeout = 12 * time.Millisecond
-		c.MaxRetries = 3
+		c.Paxos.RetryTimeout = 12 * time.Millisecond
 	})
 	tc.sim.Run(5 * time.Millisecond)
 	for _, id := range tc.cfg.Nodes[2:] {
@@ -276,6 +276,84 @@ func TestMajorityCrashBlocks(t *testing.T) {
 	for _, rep := range tc.client.replies {
 		if rep.OK {
 			t.Fatal("commit without a majority violates safety")
+		}
+	}
+}
+
+// An outage heals however long it lasted. The leader keeps retransmitting an
+// open slot for as long as it leads, so a quorum that comes back after any
+// number of timeouts commits it and its client is answered — with no new
+// proposal and no election to help. (The relay plane's own retry used to give
+// up after 10 attempts, and since execution is contiguous that wedged every
+// later slot behind this one.)
+func TestOutageBeyondOldRetryCapHeals(t *testing.T) {
+	const retry = 12 * time.Millisecond
+	tc := newCluster(t, 5, false, func(c *Config) {
+		c.NumGroups = 2
+		c.RelayTimeout = 5 * time.Millisecond
+		c.Paxos.RetryTimeout = retry
+	})
+	tc.sim.Run(5 * time.Millisecond)
+	for _, id := range tc.cfg.Nodes[2:] {
+		tc.net.Crash(id)
+	}
+	tc.send(0, tc.cfg.Nodes[0], kvstore.Command{Op: kvstore.Put, Key: 1, Value: []byte("x"), ClientID: 1, Seq: 1})
+	tc.sim.Run(tc.sim.Now() + 25*retry) // the old budget was 11 timeouts
+	if len(tc.client.replies) != 0 {
+		t.Fatal("commit without a majority violates safety")
+	}
+	for _, id := range tc.cfg.Nodes[2:] {
+		tc.net.Recover(id)
+	}
+	tc.sim.Run(tc.sim.Now() + 2*time.Second)
+	if len(tc.client.replies) != 1 || !tc.client.replies[0].OK {
+		t.Fatalf("replies after the majority came back: %+v", tc.client.replies)
+	}
+	core := tc.leader().Core()
+	if e := core.Log().Get(tc.client.replies[0].Slot); e == nil || !e.Committed {
+		t.Fatal("the open slot did not commit")
+	}
+	if got := core.Stats().Retransmits; got < 25 {
+		t.Errorf("Retransmits = %d, want one per timeout of the outage (≥ 25)", got)
+	}
+	if core.Stats().Elections != 1 {
+		t.Errorf("Elections = %d: the slot must heal without one", core.Stats().Elections)
+	}
+}
+
+// Figure 5b: the core's retransmit goes out through the relay plane, which
+// draws relays afresh for every fan-out. With a relay group dead (here both:
+// the slot must stay open) no draw in it answers; the retransmits keep
+// coming, the core counts them, and they reach the group through different
+// relays.
+func TestRetransmitDrawsFreshRelays(t *testing.T) {
+	const retry = 12 * time.Millisecond
+	tc := newCluster(t, 9, false, func(c *Config) {
+		c.NumGroups = 2
+		c.RelayTimeout = 5 * time.Millisecond
+		c.Paxos.RetryTimeout = retry
+		c.Paxos.HeartbeatInterval = time.Hour
+	})
+	tc.sim.Run(5 * time.Millisecond)
+	lead := tc.leader()
+	for _, id := range tc.cfg.Nodes[1:] {
+		tc.net.Crash(id)
+	}
+	tc.send(0, tc.cfg.Nodes[0], kvstore.Command{Op: kvstore.Put, Key: 1, Value: []byte("x"), ClientID: 1, Seq: 1})
+	relays := map[ids.ID]bool{}
+	for i := 0; i < 40; i++ {
+		tc.sim.Run(tc.sim.Now() + retry)
+		relays[lead.LastRelay(0)] = true
+	}
+	if got := lead.Core().Stats().Retransmits; got < 39 || got > 40 {
+		t.Errorf("Retransmits = %d after 40 timeouts", got)
+	}
+	if len(relays) < 2 {
+		t.Errorf("every fan-out drew the same relay for group 0: %v", relays)
+	}
+	for id := range relays {
+		if !slices.Contains(lead.Layout().Groups[0], id) {
+			t.Errorf("LastRelay(0) = %v is not in group 0", id)
 		}
 	}
 }
@@ -348,21 +426,6 @@ func TestZoneGroupingWAN(t *testing.T) {
 	tc.sim.Run(tc.sim.Now() + 500*time.Millisecond)
 	if len(tc.client.replies) != 1 || !tc.client.replies[0].OK {
 		t.Fatal("WAN commit failed")
-	}
-}
-
-func TestReshuffleKeepsCommitting(t *testing.T) {
-	tc := newCluster(t, 9, false, func(c *Config) {
-		c.NumGroups = 3
-		c.ReshuffleEvery = 3 * time.Millisecond
-	})
-	for i := 0; i < 40; i++ {
-		tc.send(time.Duration(5+i)*time.Millisecond, tc.cfg.Nodes[0],
-			kvstore.Command{Op: kvstore.Put, Key: uint64(i), ClientID: 1, Seq: uint64(i + 1)})
-	}
-	tc.sim.Run(500 * time.Millisecond)
-	if len(tc.client.replies) != 40 {
-		t.Fatalf("replies=%d, want 40 despite continuous reshuffling", len(tc.client.replies))
 	}
 }
 
@@ -446,60 +509,8 @@ func TestLeaderFailoverPig(t *testing.T) {
 	}
 }
 
-func TestOverlappingGroups(t *testing.T) {
-	tc := newCluster(t, 9, false, func(c *Config) {
-		c.NumGroups = 2
-		c.Overlap = 2
-	})
-	tc.sim.Run(5 * time.Millisecond)
-	layout := tc.leader().Layout()
-	// 8 followers in 2 groups of 4, each extended by 2 → sizes 6 and 6.
-	for i, sz := range layout.Sizes() {
-		if sz != 6 {
-			t.Errorf("group %d size %d, want 6 (4+2 overlap)", i, sz)
-		}
-	}
-	// Overlapping delivery must not break exactly-once commits.
-	for i := 0; i < 10; i++ {
-		tc.send(time.Duration(i)*time.Millisecond, tc.cfg.Nodes[0],
-			kvstore.Command{Op: kvstore.Put, Key: uint64(i), Value: []byte("o"), ClientID: 1, Seq: uint64(i + 1)})
-	}
-	tc.sim.Run(300 * time.Millisecond)
-	if len(tc.client.replies) != 10 {
-		t.Fatalf("replies = %d", len(tc.client.replies))
-	}
-	if got := tc.leader().Core().Store().Applied(); got != 10 {
-		t.Fatalf("leader applied %d, want exactly 10 (no double-apply from overlap)", got)
-	}
-}
-
-func TestOverlapAddsRedundantPaths(t *testing.T) {
-	// With overlap, more cluster messages flow per request (the §4.1
-	// trade-off: decreased efficiency, increased reliability).
-	count := func(overlap int) uint64 {
-		tc := newCluster(t, 9, false, func(c *Config) {
-			c.NumGroups = 2
-			c.Overlap = overlap
-			c.Paxos.HeartbeatInterval = time.Hour
-		})
-		for i := 0; i < 10; i++ {
-			tc.send(time.Duration(5+i)*time.Millisecond, tc.cfg.Nodes[0],
-				kvstore.Command{Op: kvstore.Put, Key: 1, ClientID: 1, Seq: uint64(i + 1)})
-		}
-		tc.sim.Run(200 * time.Millisecond)
-		if len(tc.client.replies) != 10 {
-			t.Fatalf("overlap=%d: replies=%d", overlap, len(tc.client.replies))
-		}
-		return tc.net.MessagesSent()
-	}
-	if plain, redundant := count(0), count(2); redundant <= plain {
-		t.Errorf("overlap should add messages: %d vs %d", redundant, plain)
-	}
-}
-
 // Zone-aligned layout: under GroupByZone the groups map 1:1 onto regions in
-// ascending zone order, GroupZones/GroupForZone expose the correspondence,
-// and a reshuffle (random regrouping) drops the zone alignment.
+// ascending zone order, and GroupZones/GroupForZone expose the correspondence.
 func TestZoneAlignedLayoutAccessors(t *testing.T) {
 	tc := newCluster(t, 9, true, func(c *Config) {
 		c.Strategy = GroupByZone
@@ -527,13 +538,6 @@ func TestZoneAlignedLayoutAccessors(t *testing.T) {
 	// The leader's own zone group holds only its two co-residents.
 	if own := layout.Groups[lead.GroupForZone(1)]; len(own) != 2 {
 		t.Errorf("leader-zone group = %v, want 2 members", own)
-	}
-	lead.Reshuffle()
-	if zs := lead.GroupZones(); zs != nil {
-		t.Errorf("reshuffled layout still claims zone alignment: %v", zs)
-	}
-	if g := lead.GroupForZone(1); g != -1 {
-		t.Errorf("reshuffled GroupForZone = %d, want -1", g)
 	}
 }
 

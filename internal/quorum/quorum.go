@@ -1,8 +1,8 @@
 // Package quorum holds the vote counting the protocols share: Threshold, a
-// k-of-n accumulator with rejections (the Paxos campaign's phase-1 quorum,
-// any Q1 under flexible quorums); Tally, a by-value vote set a replica
-// embeds in each log slot; the majority size; and the per-group thresholds
-// of PigPaxos' partial response collection (§4.2 of the paper).
+// k-of-n accumulator with rejections (the Paxos campaign's phase-1 quorum);
+// Tally, a by-value vote set a replica embeds in each log slot; the majority
+// size; and the per-group thresholds of PigPaxos' partial response
+// collection (§4.2 of the paper).
 package quorum
 
 import (
@@ -13,8 +13,7 @@ import (
 
 // Threshold is a vote accumulator for one phase of one consensus instance:
 // it requires at least k distinct ACKs out of n possible voters. A majority
-// is k = ⌊n/2⌋+1; flexible quorums are any Q1/Q2 split with q1+q2 > n. It
-// is not safe for concurrent use.
+// is k = ⌊n/2⌋+1. It is not safe for concurrent use.
 type Threshold struct {
 	n, k   int
 	acks   map[ids.ID]bool

@@ -17,8 +17,8 @@ import (
 	"pigpaxos/internal/wal"
 )
 
-// printRestart renders one durable restart result. The benchfmt line feeds
-// cmd/benchjson into BENCH_durable.json.
+// printRestart renders one durable restart result. The benchfmt line is
+// what CI keeps as bench_durable.txt.
 func printRestart(name string, r harness.ScenarioResult, deterministic, benchfmt bool) {
 	if benchfmt {
 		fmt.Printf("BenchmarkRestart/%s/%s 1 %.3f avail-gap-ms %.3f recovery-ms %.0f req/s %d acked %d linearizable %d recovered %d reboots %d snap-restores %d wal-syncs %d deterministic\n",

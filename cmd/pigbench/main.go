@@ -10,7 +10,7 @@
 //	pigbench -table 1             # one table
 //	pigbench -batch               # leader-batching sweep (batch size × protocol)
 //	pigbench -scenario leader     # leader-crash scenario (also: relay, explore, faultcurve)
-//	pigbench -scenario explore -benchfmt   # benchmark-formatted lines for cmd/benchjson
+//	pigbench -scenario explore -benchfmt   # results as go-bench lines
 //	pigbench -quick               # reduced sweeps, faster and less precise
 //
 // All experiments run on the deterministic discrete-event simulator; equal
@@ -49,7 +49,7 @@ func main() {
 		util     = flag.Bool("util", false, "regenerate the §6.1 CPU utilization study")
 		batch    = flag.Bool("batch", false, "run the leader-batching sweep (batch size × protocol)")
 		scenario = flag.String("scenario", "", "chaos scenario: "+strings.Join(scenarioNames, " | "))
-		benchfmt = flag.Bool("benchfmt", false, "emit scenario results as go-bench lines (pipe into cmd/benchjson)")
+		benchfmt = flag.Bool("benchfmt", false, "emit scenario results as go-bench lines (CI keeps them as bench_*.txt artifacts)")
 		all      = flag.Bool("all", false, "run every figure and table")
 		quick    = flag.Bool("quick", false, "reduced sweeps (faster, coarser)")
 		seed     = flag.Int64("seed", 42, "simulation seed")
@@ -135,7 +135,7 @@ func scenarioBase(p harness.Protocol, suite harness.Suite) harness.ScenarioOptio
 }
 
 // printScenario renders one result as a table row or a benchmark line
-// (benchfmt is what CI pipes through cmd/benchjson into BENCH_chaos.json).
+// (benchfmt is what CI keeps as bench_chaos.txt).
 func printScenario(name string, r harness.ScenarioResult, benchfmt bool) {
 	if benchfmt {
 		fmt.Printf("BenchmarkScenario/%s/%s 1 %.3f avail-gap-ms %.3f recovery-ms %.0f req/s %.3f p99-ms %d acked %d linearizable %d recovered\n",
@@ -192,7 +192,7 @@ func wanBase(p harness.Protocol, suite harness.Suite) harness.ScenarioOptions {
 
 // printRegions renders one WAN scenario result with its per-region
 // breakdown, as a table block or as benchmark lines (one per region plus a
-// cluster-wide summary line) for cmd/benchjson.
+// cluster-wide summary line).
 func printRegions(name string, r harness.ScenarioResult, benchfmt bool) {
 	if benchfmt {
 		fmt.Printf("BenchmarkWAN/%s/%s/cluster 1 %.3f mean-ms %.3f p99-ms %.3f avail-gap-ms %.0f req/s %d acked %d linearizable %d recovered\n",
@@ -243,7 +243,7 @@ func overloadBase(p harness.Protocol, suite harness.Suite) harness.OverloadOptio
 }
 
 // printOverload renders one overload rung, as a table row or as a benchmark
-// line for cmd/benchjson.
+// line.
 func printOverload(p harness.Protocol, r harness.OverloadResult, bound int, deterministic, benchfmt bool) {
 	if benchfmt {
 		fmt.Printf("BenchmarkOverload/%s/rate%.0f 1 %.1f goodput-ops/sec %.1f offered-ops/sec %.3f p50-ms %.3f p99-ms %d busy-ops %d shed-ops %d timeout-ops %d dropped-expired %d max-queue-depth %d queue-bound %d deterministic\n",

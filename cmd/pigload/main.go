@@ -1,8 +1,8 @@
 // Command pigload is the open-loop TCP load tester: the sim-to-metal
 // bridge that drives a real pigserver cluster with Poisson arrivals at a
 // fixed aggregate rate and reports goodput plus latency percentiles
-// (p50/p99/p99.9) in Go benchfmt, so cmd/benchjson turns runs into the
-// same JSON artifacts CI publishes for the simulator benchmarks.
+// (p50/p99/p99.9) as Go benchfmt lines, the format the simulator's
+// scenario benchmarks print too (CI keeps both as bench_*.txt artifacts).
 //
 // Two ways to get a cluster:
 //
@@ -266,7 +266,7 @@ func parseSweep(s string, fallback float64) ([]float64, error) {
 	return out, nil
 }
 
-// benchLine renders one result in Go benchfmt so cmd/benchjson parses it:
+// benchLine renders one result as a Go benchfmt line:
 // iterations = completed ops, ns/op = mean open-loop latency, extra
 // metrics as (value, unit) pairs.
 func benchLine(proto string, n, clients int, rate float64, res *loadgen.Result) string {

@@ -63,7 +63,9 @@ func TestMemCrashMidFlight(t *testing.T) {
 }
 
 // TestMemFlightAcrossSegmentRoll: the flush that fills a segment seals it
-// and carries the frames buffered behind it over to the next one.
+// and carries the frames buffered behind it over to the next one. The sync
+// that follows fills and seals the second segment too, so the final one
+// holds no frame and there is nothing to tear.
 func TestMemFlightAcrossSegmentRoll(t *testing.T) {
 	m := NewMem()
 	m.SetSegBytes(1)
@@ -79,9 +81,35 @@ func TestMemFlightAcrossSegmentRoll(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantSlots(t, m, 1, 2, 3)
+	if m.TearTail() {
+		t.Fatal("tore a frame of a sealed segment")
+	}
+	wantSlots(t, m, 1, 2, 3)
+}
+
+// TestTearTailAfterRollLeavesJournalReadable: a crash right after the flush
+// that sealed a segment leaves the final segment empty. Tearing must not
+// reach into the sealed one — it was written whole — or replay refuses the
+// journal and the rebooted replica panics.
+func TestTearTailAfterRollLeavesJournalReadable(t *testing.T) {
+	m := NewMem()
+	m.SetSegBytes(1)
+	mustAppend(t, m, rec(KindAccept, 1, 1, cmd(1, 1)))
+	if m.Segments() != 2 {
+		t.Fatalf("%d segments, want the sealed one and the empty active", m.Segments())
+	}
+	m.Crash()
+	if m.TearTail() {
+		t.Fatal("tore a frame of a sealed segment")
+	}
+	wantSlots(t, m, 1)
+	// Once the final segment holds a frame again, that is the one torn.
+	m.SetSegBytes(DefaultSegBytes)
+	mustAppend(t, m, rec(KindAccept, 1, 2, cmd(2, 2)))
 	if !m.TearTail() {
 		t.Fatal("nothing to tear")
 	}
+	wantSlots(t, m, 1)
 }
 
 // TestMemTearTailKeepsBufferedFrames: tearing the last durable frame leaves
@@ -194,7 +222,7 @@ func TestFileFlushErrorSticks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs.f.Close() // the next write fails
+	fs.dir.f.Close() // the next write fails
 	woken := make(chan struct{})
 	fs.Append(rec(KindAccept, 1, 1, cmd(1, 1)))
 	if started, _ := fs.StartFlush(func() { close(woken) }); !started {
@@ -215,7 +243,7 @@ func TestFileFlushErrorSticks(t *testing.T) {
 	if fs.FinishFlush() == nil {
 		t.Fatal("the error did not stick")
 	}
-	fs.f = nil
+	fs.dir.f = nil
 	fs.Close()
 }
 

@@ -1,9 +1,10 @@
 // Package wal implements the durable write-ahead log behind crash-restart:
 // a segmented, CRC-framed journal of ballot promises, slot accepts and slot
-// commits, plus a state-machine snapshot slot. Two implementations share one
-// byte format — MemStorage is the deterministic-sim default (no disk, same
-// framing, so recovery and fuzz tests exercise the real parser), FileStorage
-// persists to a directory of segment files with group fsync.
+// commits, plus a state-machine snapshot slot. There is one journal and two
+// disks it can keep its bytes on: FileStorage persists to a directory of
+// segment files with group fsync, MemStorage — the deterministic simulator's
+// default — keeps the same segments in memory, so every chaos run exercises
+// the journal a real server runs.
 //
 // Record payloads reuse the wire codec: a promise is framed as a wire.P1a,
 // an accept as a wire.P2a, a commit as a wire.P3 and a commit that only names
@@ -20,13 +21,13 @@
 //
 // Goroutines. A Storage belongs to one goroutine, its replica's event loop:
 // Append, StartFlush, FinishFlush, Sync, SaveSnapshot, CompactTo, Replay,
-// Close and FileStorage.Segments are called from there and nowhere else (a
-// benchmark wrapping a Storage to trace Append and Sync relies on it). MemStorage runs nothing of
-// its own. FileStorage runs one goroutine, the syncer, which between
-// StartFlush and the flight's landing owns the active file and the segment
-// list, does the write, the fsync and the segment roll, and then calls the
-// wake function StartFlush was given — from the syncer goroutine, so wake may
-// do one thing only: post to the owner's event loop.
+// Close and Segments are called from there and nowhere else (a benchmark
+// wrapping a Storage to trace Append and Sync relies on it). MemStorage runs
+// nothing of its own. FileStorage runs one goroutine, the syncer, which
+// between StartFlush and the flight's landing owns the active file and the
+// segment list, does the write, the fsync and the segment roll, and then
+// calls the wake function StartFlush was given — from the syncer goroutine,
+// so wake may do one thing only: post to the owner's event loop.
 package wal
 
 import (

@@ -88,33 +88,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFramingIdentical pins the promise that both implementations share one
-// byte format: a FileStorage journal's bytes equal the MemStorage journal's
-// for the same record sequence.
-func TestFramingIdentical(t *testing.T) {
-	recs := []Record{
-		rec(KindPromise, 42, 0),
-		rec(KindAccept, 42, 9, cmd(1, 1)),
-		rec(KindCommit, 42, 9, cmd(1, 1)),
-	}
-	mem := NewMem()
-	dir := t.TempDir()
-	fs, err := OpenFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustAppend(t, mem, recs...)
-	mustAppend(t, fs, recs...)
-	fs.Close()
-	fileBytes, err := os.ReadFile(filepath.Join(dir, "wal-00000001.seg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(mem.segs[0].buf, fileBytes) {
-		t.Fatalf("framing differs: mem %d bytes, file %d bytes", len(mem.segs[0].buf), len(fileBytes))
-	}
-}
-
 func TestUnsyncedAppendsLostOnCrash(t *testing.T) {
 	m := NewMem()
 	mustAppend(t, m, rec(KindAccept, 1, 1, cmd(1, 1)))
@@ -212,12 +185,7 @@ func TestEmptySegmentReplays(t *testing.T) {
 
 func TestCompactToReclaimsSegments(t *testing.T) {
 	for name, st := range openStorages(t) {
-		switch s := st.(type) {
-		case *MemStorage:
-			s.SetSegBytes(1)
-		case *FileStorage:
-			s.SetSegBytes(1)
-		}
+		st.(interface{ SetSegBytes(int) }).SetSegBytes(1)
 		for slot := uint64(1); slot <= 5; slot++ {
 			mustAppend(t, st, rec(KindAccept, 1, slot, cmd(slot, slot)))
 		}

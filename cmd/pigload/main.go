@@ -58,7 +58,6 @@ func main() {
 		warmup   = flag.Duration("warmup", time.Second, "unrecorded warmup per step")
 		duration = flag.Duration("duration", 5*time.Second, "measurement window per step")
 		timeout  = flag.Duration("timeout", 2*time.Second, "per-op abandonment timeout")
-		inflight = flag.Int("max-inflight", 1024, "per-worker outstanding-op cap (arrivals beyond it are shed)")
 		seed     = flag.Int64("seed", 1, "workload/arrival RNG seed")
 
 		keys      = flag.Int("keys", 1000, "distinct keys")
@@ -200,7 +199,6 @@ func main() {
 			Warmup:       *warmup,
 			Duration:     *duration,
 			Timeout:      *timeout,
-			MaxInFlight:  *inflight,
 			Seed:         *seed + int64(step),
 			ClientIDBase: clientBase,
 			Workload: workload.Config{

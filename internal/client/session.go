@@ -34,9 +34,10 @@ type Op struct {
 	// Busy counts the admission rejections (wire.Busy) it has met so far.
 	Busy int
 
-	hops int
-	sent time.Duration // last transmission, or last Busy: what the sweep measures silence from
-	live bool
+	hops   int
+	sent   time.Duration // last transmission: what the sweep measures silence from
+	live   bool
+	parked bool // sent back by a Busy: waiting out its backoff, then for room at the leader
 }
 
 // Session is an at-most-once client session against one consensus group.
@@ -51,7 +52,8 @@ type Session struct {
 	// node; a caller may move it between operations.
 	Targets []ids.ID
 	Target  ids.ID
-	// Window bounds the operations in flight: Issue refuses beyond it.
+	// Window bounds the operations in flight: Issue refuses beyond it, or
+	// beyond the smaller window a Busy leaves at the leader (see cwnd).
 	Window int
 	// Timeout abandons an operation this long after its arrival.
 	Timeout time.Duration
@@ -78,12 +80,35 @@ type Session struct {
 	seq     uint64 // of the newest operation, which is the last of ops
 	ops     []Op   // consecutive sequence numbers; finished ones are not live
 	pending int
-	heard   bool // Target answered since the last sweep or retarget
-	sweep   node.Timer
+	// parked counts the pending operations a Busy sent back; the rest are at
+	// the leader or on their way. cwnd bounds those, as TCP's congestion
+	// window bounds the segments in flight (0: Window): a Busy sets it to
+	// what the leader still holds of the session — all the room it has —
+	// though never below a sixteenth of Window, so rejections of operations
+	// alone at the leader cannot stall a session; each window's worth of
+	// acknowledgements adds one back. Issue, and a parked operation's retry
+	// once its backoff is over, wait for room in that window. Past the
+	// saturation knee a session so keeps about its share at the leader and
+	// refuses the rest at Issue, where an open-loop caller counts it shed,
+	// instead of keeping its whole Window circling the leader as retries
+	// whose rejection costs the leader the time it would commit with.
+	parked, cwnd, acks int
+	heard              bool // Target answered since the last sweep or retarget
+	sweep              node.Timer
 }
 
 // Full reports whether Issue would refuse.
-func (s *Session) Full() bool { return s.pending >= s.Window }
+func (s *Session) Full() bool {
+	return s.pending >= s.Window || s.pending-s.parked >= s.window()
+}
+
+// window bounds the operations at the leader.
+func (s *Session) window() int {
+	if s.cwnd > 0 {
+		return s.cwnd
+	}
+	return s.Window
+}
 
 // Issue starts cmd, which arrived at the given time, stamping the session's
 // ID and next sequence number on it. It reports false, and consumes no
@@ -126,13 +151,24 @@ func (s *Session) OnMessage(_ ids.ID, m wire.Msg) {
 		}
 		s.heard = true
 		op.Busy++
-		op.sent = s.Ctx.Now() // the hinted retry comes before the sweep would
-		seq := v.Seq
-		s.Ctx.After(s.backoff(v.RetryAfter, op.Busy), func() {
-			if op := s.find(seq); op != nil {
+		if !op.parked {
+			op.parked = true
+			s.parked++
+		}
+		s.cwnd, s.acks = max(1, s.Window/16, s.pending-s.parked), 0
+		seq, wait := v.Seq, s.backoff(v.RetryAfter, op.Busy)
+		var retry func()
+		retry = func() {
+			switch op := s.find(seq); {
+			case op == nil || !op.parked:
+				// Over, or a retarget sent it already.
+			case s.pending-s.parked >= s.window():
+				s.Ctx.After(wait, retry) // no room at the leader yet
+			default:
 				s.resend(op, s.Ctx.Now())
 			}
-		})
+		}
+		s.Ctx.After(wait, retry)
 	case wire.Reply:
 		op := s.find(v.Seq)
 		if op == nil || v.ClientID != s.ClientID {
@@ -141,6 +177,12 @@ func (s *Session) OnMessage(_ ids.ID, m wire.Msg) {
 		switch {
 		case v.OK:
 			s.heard = true
+			if s.acks++; s.cwnd > 0 && s.acks >= s.cwnd {
+				s.cwnd, s.acks = s.cwnd+1, 0
+				if s.cwnd >= s.Window {
+					s.cwnd = 0
+				}
+			}
 			s.Done(s.finish(op), v)
 		case v.Leader == s.Target:
 			// A node the session has already left, pointing where it went.
@@ -181,6 +223,9 @@ func (s *Session) find(seq uint64) *Op {
 // finish ends op and returns what it was, for the callback.
 func (s *Session) finish(op *Op) Op {
 	was := *op
+	if op.parked {
+		s.parked--
+	}
 	*op = Op{}
 	if s.pending--; s.pending == 0 && s.sweep != nil {
 		// Silence is measured while something waits: the next Issue starts
@@ -195,6 +240,10 @@ func (s *Session) finish(op *Op) Op {
 }
 
 func (s *Session) send(op *Op, now time.Duration) {
+	if op.parked {
+		op.parked = false
+		s.parked--
+	}
 	op.sent = now
 	s.Ctx.Send(s.Target, wire.Request{Cmd: op.Cmd})
 }
@@ -223,9 +272,9 @@ func (s *Session) backoff(hint time.Duration, busy int) time.Duration {
 }
 
 // retarget moves the session to another node and sends it everything
-// pending at once, oldest first: a leader drops, without a reply, a
-// sequence number below the newest it has executed for the client, so a
-// backlog trickled over out of order would lose its older part.
+// pending at once, oldest first. The leader's session table would take the
+// backlog in any order and over any time, but a redirect or a silent target
+// is the moment the whole backlog is stuck, and one burst moves it fastest.
 func (s *Session) retarget(to ids.ID) {
 	s.Target = to
 	now := s.Ctx.Now()
@@ -249,15 +298,17 @@ func (s *Session) listen() {
 }
 
 // onSweep runs every Retry while anything is pending. Health is the
-// session's, not an operation's: one the leader will never answer (see
-// retarget) must not walk a session off a leader that is answering the
-// rest. So the target is left only if operations have waited a whole period
-// and it answered nothing at all in that time — a refusal during an
-// election is an answer. Otherwise the silent operations go again.
+// session's, not an operation's: one the leader will never answer — it fell
+// sessions.Window behind the newest it executed, or it executed and its
+// reply is no longer the cached one — must not walk a session off a leader
+// that is answering the rest. So the target is left only if operations
+// have waited a whole period and it answered nothing at all in that time —
+// a refusal during an election is an answer. Otherwise the silent
+// operations go again; a parked one is not silent, it waits for room.
 func (s *Session) onSweep() {
 	s.sweep = nil
 	now := s.Ctx.Now()
-	silent := func(op *Op) bool { return op.live && now-op.sent >= s.Retry }
+	silent := func(op *Op) bool { return op.live && !op.parked && now-op.sent >= s.Retry }
 	if !s.heard {
 		for i := range s.ops {
 			if silent(&s.ops[i]) {

@@ -125,6 +125,27 @@ func TestSession(t *testing.T) {
 			r.reply(1, true, n1)
 			want(t, "ended", r.ended, []string{"done 1"})
 		}},
+		{"a Busy leaves room for what the leader still holds, and a parked operation waits for it", func(t *testing.T, r *rig) {
+			r.s.Window = 32 // never narrowed below 2
+			r.issue(6)
+			r.sent()
+			r.busy(1, time.Millisecond)
+			r.busy(2, time.Millisecond)
+			want(t, "the leader holds 4 of 4", r.s.Full(), true)
+			r.Advance(time.Millisecond)
+			want(t, "backoff over, no room yet", r.sent(), []string(nil))
+			r.reply(3, true, n1)
+			want(t, "room for one", r.s.Full(), false)
+			r.Advance(time.Millisecond)
+			want(t, "the room goes to a parked operation", r.sent(), []string{"1.1:1"})
+			for _, seq := range []uint64{4, 5, 6} {
+				r.reply(seq, true, n1) // with 3's, a window's worth of acks: it grows to 5
+			}
+			r.issue(3) // 1 and these three at the leader
+			want(t, "4 at the leader of 5", r.s.Full(), false)
+			r.issue(1)
+			want(t, "5 at the leader of 5", r.s.Full(), true)
+		}},
 		{"Timeout abandons once, counted from the arrival", func(t *testing.T, r *rig) {
 			r.Advance(time.Second)
 			r.s.Retry = 0 // no sweep: only the abandonment is armed

@@ -32,12 +32,14 @@
 //     loss) and downgrades a stalled fast-path attempt to the slow path
 //     once a majority has replied, so crashes of fast-quorum members
 //     cannot wedge an instance.
-//   - Replicated at-most-once sessions. Every replica executes every
-//     command in the same order, so a per-client table of executed
-//     sequence numbers replicates deterministically; client retries that
-//     reach a different command leader commit a second instance whose
-//     execution is suppressed exactly once everywhere, and the cached
-//     reply is re-sent instead.
+//   - Replicated at-most-once sessions, in the session table the Paxos
+//     family shares (internal/sessions). It keeps each client's exact set
+//     of executed sequence numbers, not a high-water mark: commands from
+//     one client on disjoint keys may execute in either order, and a
+//     ≤-rule would skip different commands on different replicas. Client
+//     retries that reach a different command leader commit a second
+//     instance whose execution is suppressed exactly once everywhere, and
+//     the cached reply is re-sent instead.
 //   - Commit teach-back. A replica that already committed an instance
 //     answers stale PreAccepts/Accepts (a driver that missed the commit)
 //     with the Commit itself, and Prepare finds commits that probabilistic
@@ -53,6 +55,7 @@ import (
 	"pigpaxos/internal/kvstore"
 	"pigpaxos/internal/node"
 	"pigpaxos/internal/quorum"
+	"pigpaxos/internal/sessions"
 	"pigpaxos/internal/wire"
 )
 
@@ -202,28 +205,6 @@ type prepInfo struct {
 	deps   []wire.InstRef
 }
 
-// session provides at-most-once semantics per client. Every replica
-// executes every command in the same deterministic order, so the table
-// replicates without extra messages. Because EPaxos has no total order,
-// deduplication is per exact sequence number (a set), not a high-water
-// mark: commands from one client on disjoint keys may execute in either
-// order, and a ≤-rule would skip different commands on different replicas.
-type session struct {
-	maxSeq     uint64
-	maxReply   wire.Reply
-	pendingSeq uint64
-	pendingRef wire.InstRef
-	executed   map[uint64]bool
-}
-
-// sessionWindow bounds the per-client executed-seq set: inserting seq S
-// retires S−sessionWindow, so only the most recent window of a client's
-// dense sequence numbers is remembered (duplicates only ever duplicate
-// recent sequence numbers — a closed-loop client has one outstanding op).
-// Retirement is a pure function of the inserted seq, never of map size or
-// local execution order, so every replica prunes the identical set.
-const sessionWindow = 256
-
 // Stats counts protocol events.
 type Stats struct {
 	Requests   uint64
@@ -238,7 +219,7 @@ type Stats struct {
 	Recoveries  uint64 // Explicit Prepare takeovers started
 	Prepares    uint64 // Prepare messages handled
 	Retransmits uint64 // phase re-broadcasts on stalled instances
-	Duplicates  uint64 // at-most-once hits (admission and execution)
+	Duplicates  uint64 // retries the session table caught, at admission or execution
 	Noops       uint64 // no-op instances executed
 	Teachbacks  uint64 // commits taught back to stale senders
 }
@@ -267,7 +248,10 @@ type Replica struct {
 	maxSeqAny   map[uint64]uint64
 
 	store    *kvstore.Store
-	sessions map[uint64]*session
+	sessions *sessions.Table
+	// pendingRef is, per client, the instance this replica opened for the
+	// client's latest request: where a retry of it refreshes the route.
+	pendingRef map[uint64]wire.InstRef
 
 	// Committed-but-unexecuted instances awaiting their dependencies.
 	pendingExec map[wire.InstRef]bool
@@ -335,7 +319,8 @@ func New(ctx node.Context, cfg Config) *Replica {
 		maxSeqWrite: make(map[uint64]uint64),
 		maxSeqAny:   make(map[uint64]uint64),
 		store:       kvstore.New(),
-		sessions:    make(map[uint64]*session),
+		sessions:    sessions.New(),
+		pendingRef:  make(map[uint64]wire.InstRef),
 		pendingExec: make(map[wire.InstRef]bool),
 		driving:     make(map[wire.InstRef]bool),
 		blocked:     make(map[wire.InstRef]blockState),
@@ -427,15 +412,6 @@ func (r *Replica) lookup(ref wire.InstRef) *instance {
 		return row[ref.Slot]
 	}
 	return nil
-}
-
-func (r *Replica) session(clientID uint64) *session {
-	s := r.sessions[clientID]
-	if s == nil {
-		s = &session{executed: make(map[uint64]bool)}
-		r.sessions[clientID] = s
-	}
-	return s
 }
 
 // OnMessage dispatches a delivered message. It implements node.Handler.
@@ -684,27 +660,23 @@ func (r *Replica) stopDriving(ref wire.InstRef, in *instance) {
 // ---------------------------------------------------------- fast path --
 
 func (r *Replica) onRequest(from ids.ID, m wire.Request) {
-	if m.Cmd.ClientID != 0 {
-		sess := r.session(m.Cmd.ClientID)
-		if sess.executed[m.Cmd.Seq] {
-			// Already executed here: answer from the session cache.
-			r.stats.Duplicates++
-			if m.Cmd.Seq == sess.maxSeq {
-				r.ctx.Send(from, sess.maxReply)
-			}
-			return
+	switch v, cached := r.sessions.Admit(m.Cmd.ClientID, m.Cmd.Seq); v {
+	case sessions.Executed, sessions.Stale:
+		// Already executed here: answer from the session cache.
+		r.stats.Duplicates++
+		if cached != nil {
+			r.ctx.Send(from, *cached)
 		}
-		if sess.pendingSeq == m.Cmd.Seq {
-			// A retry of a command this replica is already leading:
-			// refresh the reply route instead of opening a second
-			// instance.
-			if in := r.lookup(sess.pendingRef); in != nil && in.status < statusExecuted &&
-				in.cmd.ClientID == m.Cmd.ClientID && in.cmd.Seq == m.Cmd.Seq {
-				in.client = from
-				in.hasClient = true
-				r.stats.Duplicates++
-				return
-			}
+		return
+	case sessions.Pending:
+		// A retry of the command this replica is leading for the client:
+		// refresh the reply route instead of opening a second instance.
+		if in := r.lookup(r.pendingRef[m.Cmd.ClientID]); in != nil && in.status < statusExecuted &&
+			in.cmd.ClientID == m.Cmd.ClientID && in.cmd.Seq == m.Cmd.Seq {
+			in.client = from
+			in.hasClient = true
+			r.stats.Duplicates++
+			return
 		}
 	}
 	r.stats.Requests++
@@ -727,9 +699,8 @@ func (r *Replica) onRequest(from ids.ID, m wire.Request) {
 	in.lastSend = in.opened
 	r.recordInterference(ref, m.Cmd, seq)
 	if m.Cmd.ClientID != 0 {
-		sess := r.session(m.Cmd.ClientID)
-		sess.pendingSeq = m.Cmd.Seq
-		sess.pendingRef = ref
+		r.sessions.MarkAdmitted(m.Cmd.ClientID, m.Cmd.Seq)
+		r.pendingRef[m.Cmd.ClientID] = ref
 	}
 	r.driving[ref] = true
 
@@ -1491,20 +1462,8 @@ func (r *Replica) execute(ref wire.InstRef, in *instance) {
 		in.hasClient = false
 		return
 	}
-	if in.cmd.ClientID == 0 {
-		// No at-most-once identity (tests, synthetic traffic).
-		res := r.store.Apply(in.cmd)
-		if in.hasClient {
-			in.hasClient = false
-			r.ctx.Send(in.client, wire.Reply{
-				Seq: in.cmd.Seq, OK: true, Exists: res.Exists, Value: res.Value,
-				Leader: r.cfg.ID, Slot: ref.Slot,
-			})
-		}
-		return
-	}
-	sess := r.session(in.cmd.ClientID)
-	if sess.executed[in.cmd.Seq] {
+	cached, fresh := r.sessions.Execute(in.cmd.ClientID, in.cmd.Seq)
+	if !fresh {
 		// A duplicate instance of an already-executed command (client
 		// retry through another command leader): at-most-once suppresses
 		// the second apply — identically on every replica, since the
@@ -1513,17 +1472,13 @@ func (r *Replica) execute(ref wire.InstRef, in *instance) {
 		r.stats.Duplicates++
 		if in.hasClient {
 			in.hasClient = false
-			if in.cmd.Seq == sess.maxSeq {
-				r.ctx.Send(in.client, sess.maxReply)
+			if cached != nil {
+				r.ctx.Send(in.client, *cached)
 			}
 		}
 		return
 	}
 	res := r.store.Apply(in.cmd)
-	sess.executed[in.cmd.Seq] = true
-	if in.cmd.Seq > sessionWindow {
-		delete(sess.executed, in.cmd.Seq-sessionWindow)
-	}
 	rep := wire.Reply{
 		ClientID: in.cmd.ClientID,
 		Seq:      in.cmd.Seq,
@@ -1533,12 +1488,8 @@ func (r *Replica) execute(ref wire.InstRef, in *instance) {
 		Leader:   r.cfg.ID,
 		Slot:     ref.Slot,
 	}
-	if in.cmd.Seq > sess.maxSeq {
-		sess.maxSeq = in.cmd.Seq
-		sess.maxReply = rep
-		if sess.pendingSeq == in.cmd.Seq {
-			sess.pendingSeq = 0
-		}
+	if cached != nil {
+		*cached = rep
 	}
 	if in.hasClient {
 		in.hasClient = false

@@ -11,7 +11,7 @@ import (
 // TestRunScenariosParallelBitIdentical is the tentpole's acceptance
 // check: the parallel runner must produce results positionally
 // bit-identical to the serial path — every run is an isolated sim, and
-// results are collected by index.
+// results are collected by index. Every run must also come out clean.
 func TestRunScenariosParallelBitIdentical(t *testing.T) {
 	for _, p := range []Protocol{Paxos, PigPaxos, EPaxos} {
 		opts := scenShort(t, p)
@@ -28,6 +28,17 @@ func TestRunScenariosParallelBitIdentical(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("%v: jobs=1 and jobs=4 results differ", p)
 		}
+		requireClean(t, a)
+	}
+}
+
+// requireClean fails the test for every result with a failure verdict.
+func requireClean(t *testing.T, results []ScenarioResult) {
+	t.Helper()
+	for i, r := range results {
+		if f := r.Failure(); f != "" {
+			t.Errorf("%v schedule %d: %s (faults %v)", r.Protocol, i, f, r.FaultLog)
+		}
 	}
 }
 
@@ -43,11 +54,13 @@ func TestExploreScenariosMatchesSchedulePath(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("ExploreScenarios diverged from ExploreSchedules+RunScenarios")
 	}
+	requireClean(t, a)
 }
 
 // TestShrinkScenarioMinimizesDeterministically shrinks a real explored
 // failure (an injected availability-gap predicate over live sim re-runs)
-// twice and requires identical minimal schedules.
+// twice and requires identical minimal schedules. Every re-run the shrinker
+// makes must otherwise come out clean.
 func TestShrinkScenarioMinimizesDeterministically(t *testing.T) {
 	opts := scenShort(t, PigPaxos)
 	opts.Seed = 42
@@ -65,7 +78,10 @@ func TestShrinkScenarioMinimizesDeterministically(t *testing.T) {
 	if pick < 0 {
 		t.Fatal("no explored schedule opened a gap > 150ms at seed 42 — pick a different seed")
 	}
-	failing := func(r ScenarioResult) bool { return r.AvailabilityGap > gap }
+	failing := func(r ScenarioResult) bool {
+		requireClean(t, []ScenarioResult{r})
+		return r.AvailabilityGap > gap
+	}
 
 	a := ShrinkScenario(opts, scheds[pick], failing, 40)
 	b := ShrinkScenario(opts, scheds[pick], failing, 40)

@@ -32,10 +32,6 @@ type OverloadOptions struct {
 	// OpTimeout abandons an op this long after its arrival (default 1s of
 	// virtual time). Abandoned ops count as timeouts.
 	OpTimeout time.Duration
-	// ClientInFlight caps one client's outstanding ops; arrivals beyond
-	// it are shed client-side (default 64) — the open loop's stand-in for
-	// an overloaded client machine, same as loadgen's MaxInFlight.
-	ClientInFlight int
 
 	// MaxPending, QueueTTL and OverloadLatency are forwarded to every
 	// replica's decision core. MaxPending 0 re-enables the window-derived
@@ -51,10 +47,13 @@ func (o *OverloadOptions) applyDefaults() {
 	if o.OpTimeout == 0 {
 		o.OpTimeout = time.Second
 	}
-	if o.ClientInFlight == 0 {
-		o.ClientInFlight = 64
-	}
 }
+
+// clientWindow caps one open-loop client's outstanding ops; arrivals beyond
+// it (or beyond the smaller window a Busy leaves the session) are shed
+// client-side — the open loop's stand-in for an overloaded client machine,
+// as loadgen's workers shed beyond sessions.Window.
+const clientWindow = 64
 
 // OverloadResult is one rung's measurement. Offered/Completed/Shed/Busy/
 // Timeouts count ops whose scheduled arrival fell inside the measurement
@@ -194,7 +193,7 @@ func RunOverload(opts OverloadOptions) OverloadResult {
 			ClientID:  uint64(i + 1),
 			Targets:   cc.Nodes,
 			Target:    leader,
-			Window:    opts.ClientInFlight,
+			Window:    clientWindow,
 			Timeout:   opts.OpTimeout,
 			Done:      cl.done,
 			Abandoned: cl.abandoned,

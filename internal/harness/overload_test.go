@@ -77,3 +77,23 @@ func TestOverloadSweepDeterministic(t *testing.T) {
 		t.Errorf("rerun diverged:\n  %v\n  %v", a, b)
 	}
 }
+
+// TestOverloadPastKneeLosesNothing: past the knee the leader sheds with
+// Busy, and every shed command's retry must still be served — a command
+// shed while a newer one of its client went through used to be dropped on
+// retry, and its client timed out.
+func TestOverloadPastKneeLosesNothing(t *testing.T) {
+	for _, p := range []Protocol{Paxos, PigPaxos} {
+		r := RunOverload(OverloadOptions{Options: Options{
+			Protocol: p, N: 5, NumGroups: 2, Clients: 16, BatchSize: 8, MaxInFlight: 4,
+			Seed: 42, Warmup: 200 * time.Millisecond, Measure: 500 * time.Millisecond,
+		}, Rate: 120000})
+		t.Logf("%v %v", p, r)
+		if r.LeaderBusy == 0 {
+			t.Errorf("%v: nothing was shed; the rung is not past the knee", p)
+		}
+		if r.Timeouts != 0 {
+			t.Errorf("%v: %d operations timed out", p, r.Timeouts)
+		}
+	}
+}

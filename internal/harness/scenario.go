@@ -10,6 +10,7 @@ package harness
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -159,7 +160,9 @@ type ScenarioResult struct {
 	// everywhere" criterion.
 	AllComplete bool
 	// Converged reports that every replica's state machine ended
-	// bit-identical (same checksum, same applied count).
+	// bit-identical (same checksum, same applied count) and that none
+	// applied more commands than the clients issued distinct operations: a
+	// retry executed twice on every replica is convergent, and still wrong.
 	Converged bool
 	// Unrecovered counts EPaxos instances left unexecuted across all
 	// replicas after the drain — zero when Explicit Prepare recovery
@@ -261,6 +264,7 @@ func scenScript(ci, ops, keys int) []kvstore.Command {
 type scenarioRun struct {
 	d        *deployment
 	clients  []*simClient
+	probes   []*simClient // planned deployments only: one per group
 	hist     *linearizability.History
 	gaps     *metrics.GapTracker
 	lat      *metrics.Histogram
@@ -392,7 +396,6 @@ func runScenario(opts *ScenarioOptions, plan *shard.Map, sched chaos.Schedule) s
 	// any command (so they measure commit availability), but stay out of the
 	// latency histogram, throughput counters and linearizability history —
 	// they are measurement, not workload.
-	var probes []*simClient
 	for k := range sr.groupGaps {
 		keys, ki := probeKeys(d.router, k, 8, uint64(opts.ProbeKeys)), 0
 		pr := d.client(uint64(opts.Clients+1+k), d.cc.ZoneOf(d.cc.Nodes[0]), 2000+k)
@@ -405,7 +408,7 @@ func runScenario(opts *ScenarioOptions, plan *shard.Map, sched chaos.Schedule) s
 		pr.record = func(tag int, _ kvstore.Command, _ wire.Reply, _, now time.Duration) {
 			sr.groupGaps[tag].Record(now)
 		}
-		probes = append(probes, pr)
+		sr.probes = append(sr.probes, pr)
 	}
 
 	var res chaos.Resolver = resolver{d}
@@ -415,7 +418,7 @@ func runScenario(opts *ScenarioOptions, plan *shard.Map, sched chaos.Schedule) s
 	injector := chaos.Apply(d.sim, d.net, sched, res)
 	d.start()
 	d.launch(sr.clients, 50*time.Microsecond)
-	d.launch(probes, 75*time.Microsecond)
+	d.launch(sr.probes, 75*time.Microsecond)
 
 	d.sim.Run(windowEnd)
 	// Drain: give scripts and convergence (watermarks, catch-up) time to
@@ -458,6 +461,21 @@ func (sr *scenarioRun) converged() bool {
 	return true
 }
 
+// atMostOnce reports that no member of group k applied more commands than
+// the group's clients issued distinct operations.
+func (sr *scenarioRun) atMostOnce(k int) bool {
+	issued := uint64(0)
+	for _, cl := range slices.Concat(sr.clients, sr.probes) {
+		issued += cl.sessions[k].seq
+	}
+	for _, m := range sr.d.groups[k].members {
+		if m.Store.Applied() > issued {
+			return false
+		}
+	}
+	return true
+}
+
 // RunScenario executes one protocol run under the fault schedule and returns
 // measurements plus the correctness verdicts. Schedule times are absolute
 // virtual times (the measurement window starts at opts.Warmup).
@@ -477,7 +495,7 @@ func RunScenario(opts ScenarioOptions, sched chaos.Schedule) ScenarioResult {
 		Dropped:     d.net.MessagesDropped(),
 		FaultLog:    sr.faultLog,
 		AllComplete: sr.allDone(),
-		Converged:   g.converged(),
+		Converged:   g.converged() && sr.atMostOnce(0),
 		Unrecovered: g.unexecuted(),
 	}
 	for _, cl := range sr.clients {

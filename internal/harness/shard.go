@@ -150,7 +150,8 @@ type ShardSlice struct {
 	AvailabilityGap time.Duration
 	GapStart        time.Duration
 	Stalls          int
-	// Converged reports the shard's members ended bit-identical.
+	// Converged reports the shard's members ended bit-identical, none
+	// having applied a command twice.
 	Converged bool
 }
 
@@ -217,7 +218,7 @@ func RunShardedScenario(opts ShardedOptions, sched chaos.Schedule) ShardedScenar
 			Leader:    g.Leader,
 			Acked:     sr.groupGaps[k].Count(),
 			Stalls:    sr.groupGaps[k].GapsOver(regionStallThreshold),
-			Converged: g.converged(),
+			Converged: g.converged() && sr.atMostOnce(k),
 		}
 		sl.GapStart, sl.AvailabilityGap = sr.groupGaps[k].MaxGap()
 		res.Converged = res.Converged && sl.Converged

@@ -239,9 +239,7 @@ func TestWANScenarioSeedDeterminismAllProtocols(t *testing.T) {
 			if r.Acked == 0 {
 				t.Error("no operations acknowledged")
 			}
-			if !r.Linearizable {
-				t.Errorf("%v: WAN chaos run not linearizable", p)
-			}
+			requireClean(t, []ScenarioResult{r})
 		})
 	}
 }

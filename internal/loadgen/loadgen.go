@@ -15,9 +15,11 @@
 // leader crash mid-run costs a bounded completion gap rather than the run.
 // The node hides connection errors, so a dead leader is noticed after one
 // RetryInterval of silence, and the gap includes it. Past the in-flight cap
-// a worker sheds new arrivals — the open loop's stand-in for an overloaded
-// client machine — and the shed count is reported so saturation is visible
-// in the output, not hidden.
+// — sessions.Window, what the leader's session table remembers, or the
+// smaller window the leader's Busy leaves the session — a worker sheds new
+// arrivals, the open loop's stand-in for an overloaded client machine, and
+// the shed count is reported so saturation is visible in the output, not
+// hidden.
 package loadgen
 
 import (
@@ -28,6 +30,7 @@ import (
 	"pigpaxos/internal/client"
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/metrics"
+	"pigpaxos/internal/sessions"
 	"pigpaxos/internal/transport"
 	"pigpaxos/internal/wire"
 	"pigpaxos/internal/workload"
@@ -51,13 +54,11 @@ type Options struct {
 	// Workload shapes keys, read ratio, and payloads.
 	Workload workload.Config
 	// Timeout abandons an op this long after its scheduled arrival
-	// (default 2s). Abandoned ops count as timeouts, including retried
-	// ops whose first execution was swallowed by the at-most-once
-	// session window — bounded noise under failover.
+	// (default 2s). Abandoned ops count as timeouts: a leader that never
+	// commits them, or — a worker's window being sessions.Window — an op
+	// that fell Window behind its worker's newest executed one, which the
+	// leader drops as stale.
 	Timeout time.Duration
-	// MaxInFlight caps one worker's outstanding ops; arrivals beyond it
-	// are shed (default 1024).
-	MaxInFlight int
 	// RetryInterval is the straggler sweep period (default 250ms): ops
 	// unanswered that long are sent again, and a member that answered
 	// nothing for a whole interval is left for the next.
@@ -90,9 +91,6 @@ func (o *Options) defaults() error {
 	}
 	if o.Timeout == 0 {
 		o.Timeout = 2 * time.Second
-	}
-	if o.MaxInFlight == 0 {
-		o.MaxInFlight = 1024
 	}
 	if o.RetryInterval == 0 {
 		o.RetryInterval = 250 * time.Millisecond
@@ -168,7 +166,7 @@ func Run(opts Options) (*Result, error) {
 			ClientID:  opts.ClientIDBase + 1 + uint64(i),
 			Targets:   opts.Members,
 			Target:    opts.Members[0],
-			Window:    opts.MaxInFlight,
+			Window:    sessions.Window,
 			Timeout:   opts.Timeout,
 			Retry:     opts.RetryInterval,
 			Done:      func(op client.Op, _ wire.Reply) { e.ended(op, true) },

@@ -73,62 +73,18 @@ func TestOpenLoopAgainstRealCluster(t *testing.T) {
 	}
 }
 
-// TestOpenLoopShedsAtInFlightCap pins MaxInFlight low against an offered
-// rate the cap cannot carry, and checks the engine sheds instead of
-// blocking the arrival clock (the open-loop property).
-func TestOpenLoopShedsAtInFlightCap(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real TCP cluster")
-	}
-	c, err := cluster.StartInProc(cluster.InProcSpec{N: 3, Protocol: "paxos"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := cluster.WaitReady(c.Addrs, c.Members, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	res, err := loadgen.Run(loadgen.Options{
-		Addrs:       c.Addrs,
-		Members:     c.Members,
-		Clients:     2,
-		Rate:        4000,
-		Warmup:      200 * time.Millisecond,
-		Duration:    time.Second,
-		MaxInFlight: 8,
-		Timeout:     time.Second,
-		Workload:    workload.Config{Keys: 64},
-		Seed:        2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("result: %v", res)
-	if res.Shed == 0 {
-		t.Errorf("rate 4000 against in-flight cap 16 must shed, got %+v", res)
-	}
-	// The run must still have made real progress under overload.
-	if res.Completed == 0 {
-		t.Errorf("no completions under overload: %+v", res)
-	}
-}
+// member is the one member of a fakeMember "cluster".
+var member = ids.NewID(1, 1)
 
-// TestBusyRetryAfterHonored runs the engine against a fake single-member
-// "cluster": a frame-speaking TCP server that rejects the first delivery of
-// every command with wire.Busy (retry-after 20ms) and serves the second.
-// Every op must complete exactly one hinted retry later — Busy counted per
-// in-window op, nothing shed, nothing timed out, and the 20ms pause visible
-// in the open-loop latency.
-func TestBusyRetryAfterHonored(t *testing.T) {
-	const hint = 20 * time.Millisecond
+// fakeMember serves the loadgen's node as a one-member cluster would: a
+// frame-speaking TCP server that hands every request to answer and writes
+// the reply it returns after the delay it returns.
+func fakeMember(t *testing.T, answer func(wire.Request) (wire.Msg, time.Duration)) map[ids.ID]string {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	member := ids.NewID(1, 1)
-	var mu sync.Mutex
-	seen := make(map[[2]uint64]bool)
+	t.Cleanup(func() { ln.Close() })
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -137,6 +93,7 @@ func TestBusyRetryAfterHonored(t *testing.T) {
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
+				var mu sync.Mutex // replies leave from timer goroutines
 				br := bufio.NewReader(conn)
 				for {
 					_, m, err := transport.ReadFrame(br)
@@ -147,33 +104,78 @@ func TestBusyRetryAfterHonored(t *testing.T) {
 					if !ok {
 						continue
 					}
-					key := [2]uint64{req.Cmd.ClientID, req.Cmd.Seq}
-					mu.Lock()
-					first := !seen[key]
-					seen[key] = true
-					mu.Unlock()
-					var reply wire.Msg
-					if first {
-						reply = wire.Busy{
-							ClientID: req.Cmd.ClientID, Seq: req.Cmd.Seq,
-							Leader: member, RetryAfter: hint,
-						}
-					} else {
-						reply = wire.Reply{
-							ClientID: req.Cmd.ClientID, Seq: req.Cmd.Seq,
-							OK: true, Leader: member,
-						}
-					}
-					if err := transport.WriteFrame(conn, member, reply); err != nil {
-						return
-					}
+					reply, after := answer(req)
+					time.AfterFunc(after, func() {
+						mu.Lock()
+						defer mu.Unlock()
+						transport.WriteFrame(conn, member, reply) // a closed connection ends the run anyway
+					})
 				}
 			}(conn)
 		}
 	}()
+	return map[ids.ID]string{member: ln.Addr().String()}
+}
+
+// TestOpenLoopShedsAtInFlightCap offers one worker more than its in-flight
+// cap, sessions.Window, can carry against a member that answers every
+// request 100ms late — at most Window per 100ms, 2,560 ops/s — and checks
+// the engine sheds instead of blocking the arrival clock (the open-loop
+// property).
+func TestOpenLoopShedsAtInFlightCap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real TCP")
+	}
+	addrs := fakeMember(t, func(req wire.Request) (wire.Msg, time.Duration) {
+		return wire.Reply{ClientID: req.Cmd.ClientID, Seq: req.Cmd.Seq, OK: true, Leader: member}, 100 * time.Millisecond
+	})
+	res, err := loadgen.Run(loadgen.Options{
+		Addrs:    addrs,
+		Members:  []ids.ID{member},
+		Clients:  1,
+		Rate:     4000,
+		Warmup:   200 * time.Millisecond,
+		Duration: time.Second,
+		Timeout:  time.Second,
+		Workload: workload.Config{Keys: 64},
+		Seed:     2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("result: %v", res)
+	if res.Shed == 0 {
+		t.Errorf("rate 4000 against a cap carrying 2,560 ops/s must shed, got %+v", res)
+	}
+	// The run must still have made real progress under overload.
+	if res.Completed == 0 {
+		t.Errorf("no completions under overload: %+v", res)
+	}
+}
+
+// TestBusyRetryAfterHonored runs the engine against a fake member that
+// rejects the first delivery of every command with wire.Busy (retry-after
+// 20ms) and serves the second. Every op must complete exactly one hinted
+// retry later — Busy counted per in-window op, nothing shed, nothing timed
+// out, and the 20ms pause visible in the open-loop latency.
+func TestBusyRetryAfterHonored(t *testing.T) {
+	const hint = 20 * time.Millisecond
+	var mu sync.Mutex
+	seen := make(map[[2]uint64]bool)
+	addrs := fakeMember(t, func(req wire.Request) (wire.Msg, time.Duration) {
+		key := [2]uint64{req.Cmd.ClientID, req.Cmd.Seq}
+		mu.Lock()
+		first := !seen[key]
+		seen[key] = true
+		mu.Unlock()
+		if first {
+			return wire.Busy{ClientID: req.Cmd.ClientID, Seq: req.Cmd.Seq, Leader: member, RetryAfter: hint}, 0
+		}
+		return wire.Reply{ClientID: req.Cmd.ClientID, Seq: req.Cmd.Seq, OK: true, Leader: member}, 0
+	})
 
 	res, err := loadgen.Run(loadgen.Options{
-		Addrs:    map[ids.ID]string{member: ln.Addr().String()},
+		Addrs:    addrs,
 		Members:  []ids.ID{member},
 		Clients:  2,
 		Rate:     200,

@@ -27,6 +27,7 @@ import (
 	"pigpaxos/internal/node"
 	"pigpaxos/internal/quorum"
 	"pigpaxos/internal/rlog"
+	"pigpaxos/internal/sessions"
 	"pigpaxos/internal/slots"
 	"pigpaxos/internal/wal"
 	"pigpaxos/internal/wire"
@@ -131,8 +132,8 @@ type Config struct {
 	OverloadLatency time.Duration
 	// QueueTTL, when positive, drops queued commands that waited longer
 	// than this at flush time instead of replicating work whose client has
-	// already timed out. A dropped command never consumed its sequence
-	// number's slot in the session table, so a retry is re-admitted.
+	// already timed out. A retry of a dropped command finds it nowhere and
+	// is re-admitted.
 	QueueTTL time.Duration
 	// Storage, when non-nil, makes the replica durable: promises and
 	// accepts are journaled and flushed before the corresponding protocol
@@ -238,7 +239,7 @@ type Stats struct {
 	Commits      uint64 // slots committed locally
 	Executions   uint64 // commands applied to the state machine
 	Elections    uint64 // phase-1 rounds started by this node
-	Duplicates   uint64 // client requests answered from the session cache
+	Duplicates   uint64 // retries the session table caught, at admission or execution
 	Catchups     uint64 // catch-up requests sent
 	Retransmits  uint64 // P2a re-broadcasts on lossy networks
 	Compactions  uint64 // log compaction sweeps
@@ -265,14 +266,6 @@ func (s Stats) MeanBatchSize() float64 {
 	return float64(s.BatchedCmds) / float64(s.Batches)
 }
 
-// session provides at-most-once semantics per client: remember the last
-// sequence number served (with its reply) and the one being served.
-type session struct {
-	lastSeq    uint64
-	lastReply  wire.Reply
-	pendingSeq uint64
-}
-
 // Replica is one Multi-Paxos node. It is single-threaded: the substrate
 // serializes all OnMessage and timer callbacks.
 type Replica struct {
@@ -294,7 +287,7 @@ type Replica struct {
 	p1FloorFrom ids.ID // promiser that reported p1MaxFloor
 	buffered    []pendingRequest
 	announced   uint64 // commit watermark last disseminated
-	sessions    map[uint64]*session
+	sessions    *sessions.Table
 
 	// In-flight slots are dense between the execution cursor and the
 	// proposal cursor, so their state is a ring indexed by slot, and their
@@ -397,7 +390,7 @@ func New(ctx node.Context, cfg Config, diss Disseminator) *Replica {
 		majority: quorum.MajoritySize(cfg.Cluster.N()),
 		log:      rlog.New(),
 		store:    kvstore.New(),
-		sessions: make(map[uint64]*session),
+		sessions: sessions.New(),
 		ackTimes: make(map[ids.ID]time.Duration),
 	}
 	r.self = r.memberIndex(cfg.ID)
@@ -690,7 +683,8 @@ func (r *Replica) becomeLeader(_ []wire.SlotEntry) {
 	r.execute()
 	// Re-propose every accepted-but-uncommitted slot under our ballot,
 	// filling log gaps with no-ops, so earlier instances anchor before new
-	// commands enter.
+	// commands enter. Their commands count as admitted here: a retry of one
+	// re-attaches to its slot instead of opening a second.
 	low := r.log.ExecuteCursor()
 	if r.p1MaxFloor > low {
 		// A promiser's compaction floor is above our cursor: every slot
@@ -710,6 +704,9 @@ func (r *Replica) becomeLeader(_ []wire.SlotEntry) {
 		var cmds []kvstore.Command
 		if e != nil {
 			cmds = e.Commands
+		}
+		for _, c := range cmds {
+			r.sessions.MarkAdmitted(c.ClientID, c.Seq)
 		}
 		r.propose(slot, cmds)
 	}
@@ -775,82 +772,41 @@ func (r *Replica) OnRequest(from ids.ID, m wire.Request) {
 		return
 	}
 	// At-most-once: a retried command that already executed is answered
-	// from the session cache; one still in flight is ignored (its reply
-	// will go out when it executes).
-	sess := r.sessions[m.Cmd.ClientID]
-	if sess == nil {
-		sess = &session{}
-		r.sessions[m.Cmd.ClientID] = sess
-	}
-	if m.Cmd.Seq <= sess.lastSeq {
+	// from the session cache; one still in flight gets its reply route
+	// refreshed (its reply goes out when it executes).
+	switch v, cached := r.sessions.Admit(m.Cmd.ClientID, m.Cmd.Seq); {
+	case v == sessions.Executed || v == sessions.Stale:
 		r.stats.Duplicates++
-		if m.Cmd.Seq == sess.lastSeq {
-			r.ctx.Send(from, sess.lastReply)
+		if cached != nil {
+			r.ctx.Send(from, *cached)
 		}
 		return
-	}
-	if m.Cmd.Seq == sess.pendingSeq {
-		// Refresh the reply route in case the client moved — the command
-		// may be in a proposed slot or still in the batch accumulator.
-		found := false
-		for s := r.inflight.Base(); s < r.inflight.End(); s++ {
-			rts := r.inflight.At(s).routes
-			for i, rt := range rts {
-				if rt.clientID == m.Cmd.ClientID && rt.seq == m.Cmd.Seq {
-					rts[i].client = from
-					found = true
-				}
-			}
-		}
-		for i, p := range r.pending.items() {
-			if p.cmd.ClientID == m.Cmd.ClientID && p.cmd.Seq == m.Cmd.Seq {
-				r.pending.items()[i].from = from
-				found = true
-			}
-		}
-		if found {
-			r.stats.Duplicates++
-			return
-		}
-		// No live route: the route was dropped on an earlier step-down.
-		// The command may still sit in an accepted-but-uncommitted slot
-		// that becomeLeader re-proposed — re-attach the reply route there
-		// (re-admitting would commit the command in two slots).
-		if slot, idx, ok := r.findUncommitted(m.Cmd.ClientID, m.Cmd.Seq); ok {
-			p := r.inflight.Cover(slot)
-			for len(p.routes) <= idx {
-				p.routes = append(p.routes, route{})
-			}
-			p.routes[idx] = route{client: from, clientID: m.Cmd.ClientID, seq: m.Cmd.Seq}
-			r.stats.Duplicates++
-			return
-		}
-		// Truly gone — discarded before reaching a slot. Fall through and
-		// re-admit instead of swallowing the retry forever.
+	case v == sessions.Pending && r.reroute(from, m.Cmd):
+		r.stats.Duplicates++
+		return
 	}
 	if m.Cmd.IsRead() && r.cfg.ReadMode == ReadLease && r.leaseValid() {
-		// Lease read: serve locally, cache the reply for retries. The
-		// leader's store reflects every committed write, and the lease
-		// guarantees no other leader can have committed newer ones.
+		// Lease read: serve locally. The leader's store reflects every
+		// committed write, and the lease guarantees no other leader can have
+		// committed newer ones. It bypasses the log, so the session table —
+		// which every replica rebuilds from the log — does not record it; a
+		// retry is served afresh.
 		r.stats.LeaseReads++
 		r.ctx.Work(execWork)
 		v, ok := r.store.Get(m.Cmd.Key)
-		sessReply := wire.Reply{
+		r.ctx.Send(from, wire.Reply{
 			ClientID: m.Cmd.ClientID, Seq: m.Cmd.Seq, OK: true,
 			Exists: ok, Value: v, Leader: r.cfg.ID,
-		}
-		sess.lastSeq = m.Cmd.Seq
-		sess.lastReply = sessReply
-		r.ctx.Send(from, sessReply)
+		})
 		return
 	}
-	// Admission control: shed before the sequence number is consumed, so
-	// the session table still treats a retry of this command as new.
+	// Admission control: shed before the session table records the command,
+	// so a retry of it is Fresh.
 	if r.overloaded() {
 		r.rejectBusy(from, m.Cmd)
 		return
 	}
-	sess.pendingSeq = m.Cmd.Seq
+	r.sessions.MarkAdmitted(m.Cmd.ClientID, m.Cmd.Seq)
 	r.stats.Requests++
 	r.pending.push(pendingCmd{from: from, cmd: m.Cmd, enqueued: r.ctx.Now()})
 	r.noteQueueDepth()
@@ -899,21 +855,37 @@ func (r *Replica) noteQueueDepth() {
 	}
 }
 
-// findUncommitted scans the unexecuted log suffix for a command with the
-// given at-most-once identity, returning its slot and batch index.
-func (r *Replica) findUncommitted(clientID, seq uint64) (uint64, int, bool) {
+// reroute points the reply of a command admitted here and not yet executed
+// at from, in case the client moved, and reports whether it found the
+// command: in the batch accumulator, or in an unexecuted slot — one this
+// leader proposed, or one becomeLeader re-proposed after the route was
+// dropped on a step-down, where the route is re-attached (re-admitting would
+// commit the command in two slots). A command found nowhere was discarded
+// before reaching a slot, and the caller re-admits it.
+func (r *Replica) reroute(from ids.ID, cmd kvstore.Command) bool {
+	for i, p := range r.pending.items() {
+		if p.cmd.ClientID == cmd.ClientID && p.cmd.Seq == cmd.Seq {
+			r.pending.items()[i].from = from
+			return true
+		}
+	}
 	for slot := r.log.ExecuteCursor(); slot < r.log.PeekNextSlot(); slot++ {
 		e := r.log.Get(slot)
 		if e == nil || e.Executed {
 			continue
 		}
-		for i, c := range e.Commands {
-			if c.ClientID == clientID && c.Seq == seq {
-				return slot, i, true
+		for idx, c := range e.Commands {
+			if c.ClientID == cmd.ClientID && c.Seq == cmd.Seq {
+				p := r.inflight.Cover(slot)
+				for len(p.routes) <= idx {
+					p.routes = append(p.routes, route{})
+				}
+				p.routes[idx] = route{client: from, clientID: cmd.ClientID, seq: cmd.Seq}
+				return true
 			}
 		}
 	}
-	return 0, 0, false
+	return false
 }
 
 // windowOpen reports whether the pipelining window admits another slot. Past
@@ -1212,52 +1184,7 @@ func (r *Replica) commit(slot uint64) {
 // commands this node proposed (route lists are position-aligned with each
 // slot's batch).
 func (r *Replica) execute() {
-	r.log.ExecuteReady(r.store, func(slot uint64, idx int, cmd kvstore.Command, res kvstore.Result) {
-		r.stats.Executions++
-		r.execSinceCompact++
-		r.execSinceSnap++
-		r.ctx.Work(execWork)
-		rep := wire.Reply{
-			ClientID: cmd.ClientID,
-			Seq:      cmd.Seq,
-			OK:       true,
-			Exists:   res.Exists,
-			Value:    res.Value,
-			Leader:   r.cfg.ID,
-			Slot:     slot,
-		}
-		// Update at-most-once state from the command itself — creating the
-		// session if this replica never saw the original request. Every
-		// replica executes every command, so the at-most-once table
-		// replicates deterministically: a retry reaching a newly elected
-		// leader is answered from the cache, never re-admitted.
-		if cmd.ClientID != 0 {
-			sess := r.sessions[cmd.ClientID]
-			if sess == nil {
-				sess = &session{}
-				r.sessions[cmd.ClientID] = sess
-			}
-			if cmd.Seq > sess.lastSeq {
-				sess.lastSeq = cmd.Seq
-				sess.lastReply = rep
-				if sess.pendingSeq == cmd.Seq {
-					sess.pendingSeq = 0
-				}
-			}
-		}
-		var rts []route
-		if p := r.inflight.At(slot); p != nil {
-			rts = p.routes
-		}
-		if idx >= len(rts) || rts[idx].client.IsZero() ||
-			rts[idx].clientID != cmd.ClientID || rts[idx].seq != cmd.Seq {
-			// Not proposed here, route dropped, or the committed batch is
-			// not the one the routes were recorded for (abandoned
-			// proposal): never deliver another command's reply.
-			return
-		}
-		r.ctx.Send(rts[idx].client, rep)
-	})
+	r.log.ExecuteReady(r.store, r.apply)
 	// Executed slots are done with their in-flight state. A tally still open
 	// on one (the slot committed by a path other than its own quorum) stops
 	// counting against the window with it.
@@ -1270,6 +1197,50 @@ func (r *Replica) execute() {
 	r.inflight.Advance(cur)
 	r.maybeCompact()
 	r.maybeSnapshot()
+}
+
+// apply executes the command at idx in slot's batch unless the session table
+// says it executed already — every replica decides that identically, so a
+// retry that reached the log twice is skipped everywhere — and answers its
+// client if this node proposed it; a skipped one from the cache.
+func (r *Replica) apply(slot uint64, idx int, cmd kvstore.Command) bool {
+	var to ids.ID
+	if p := r.inflight.At(slot); p != nil && idx < len(p.routes) {
+		// A route recorded for another batch (an abandoned proposal) must
+		// never carry this command's reply.
+		if rt := p.routes[idx]; rt.clientID == cmd.ClientID && rt.seq == cmd.Seq {
+			to = rt.client
+		}
+	}
+	cached, fresh := r.sessions.Execute(cmd.ClientID, cmd.Seq)
+	if !fresh {
+		r.stats.Duplicates++
+		if cached != nil && !to.IsZero() {
+			r.ctx.Send(to, *cached)
+		}
+		return false
+	}
+	res := r.store.Apply(cmd)
+	r.stats.Executions++
+	r.execSinceCompact++
+	r.execSinceSnap++
+	r.ctx.Work(execWork)
+	rep := wire.Reply{
+		ClientID: cmd.ClientID,
+		Seq:      cmd.Seq,
+		OK:       true,
+		Exists:   res.Exists,
+		Value:    res.Value,
+		Leader:   r.cfg.ID,
+		Slot:     slot,
+	}
+	if cached != nil {
+		*cached = rep
+	}
+	if !to.IsZero() {
+		r.ctx.Send(to, rep)
+	}
+	return true
 }
 
 // applyWatermark commits every slot below w that this replica accepted

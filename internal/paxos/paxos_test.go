@@ -803,3 +803,107 @@ func TestOverloadLatencySheds(t *testing.T) {
 		t.Errorf("command shed by the latency detector was served %d times", okBy[2])
 	}
 }
+
+// TestRetriesExecuteOnce pins the session table's three jobs on the shared
+// core: a retry of a pipelined command still in flight re-attaches instead of
+// executing twice; a command shed with Busy is served when its retry comes
+// after a newer one executed; and a retry buffered while a new leader
+// campaigns re-attaches to the slot the campaign re-proposes.
+func TestRetriesExecuteOnce(t *testing.T) {
+	put := func(client, seq uint64, v string) kvstore.Command {
+		return kvstore.Command{Op: kvstore.Put, Key: 1, Value: []byte(v), ClientID: client, Seq: seq}
+	}
+	// raw sends without the test client's Busy retry: the case decides when.
+	raw := func(tc *testCluster, to ids.ID, cmd kvstore.Command) { tc.client.ep.Send(to, wire.Request{Cmd: cmd}) }
+	acked := func(tc *testCluster, client, seq uint64) bool {
+		for _, rep := range tc.client.replies {
+			if rep.OK && rep.ClientID == client && rep.Seq == seq {
+				return true
+			}
+		}
+		return false
+	}
+	for _, tc := range []struct {
+		name  string
+		n     int
+		mut   func(*Config)
+		run   func(tc *testCluster)
+		check func(t *testing.T, tc *testCluster)
+	}{{
+		name: "pipelined retry",
+		n:    3,
+		run: func(tc *testCluster) {
+			leader := tc.cfg.Nodes[0]
+			tc.sim.Schedule(5*time.Millisecond, func() {
+				raw(tc, leader, put(7, 1, "a"))
+				raw(tc, leader, put(7, 2, "b"))
+				raw(tc, leader, put(7, 1, "a")) // the sweep re-sends what is pending
+			})
+			tc.sim.Run(100 * time.Millisecond)
+		},
+		check: func(t *testing.T, tc *testCluster) {
+			for _, r := range tc.replicas {
+				if v, _ := r.Store().Get(1); r.Store().Applied() != 2 || string(v) != "b" {
+					t.Errorf("%v applied %d commands, key = %q; want 2 and \"b\"", r.ID(), r.Store().Applied(), v)
+				}
+			}
+		},
+	}, {
+		name: "shed then newer",
+		n:    3,
+		mut:  func(c *Config) { c.MaxInFlight, c.MaxPending = 1, 1 },
+		run: func(tc *testCluster) {
+			leader := tc.cfg.Nodes[0]
+			tc.sim.Schedule(5*time.Millisecond, func() {
+				raw(tc, leader, put(8, 1, "x")) // fills the one-slot window
+				raw(tc, leader, put(8, 2, "x")) // fills the queue
+				raw(tc, leader, put(7, 1, "a")) // shed with Busy
+			})
+			tc.sim.Schedule(20*time.Millisecond, func() { raw(tc, leader, put(7, 2, "b")) })
+			tc.sim.Schedule(40*time.Millisecond, func() { raw(tc, leader, put(7, 1, "a")) })
+			tc.sim.Run(100 * time.Millisecond)
+		},
+		check: func(t *testing.T, tc *testCluster) {
+			if tc.client.busy != 1 {
+				t.Fatalf("%d Busy replies, want 1", tc.client.busy)
+			}
+			if !acked(tc, 7, 1) || !acked(tc, 7, 2) {
+				t.Errorf("client 7: seq 1 acked %v, seq 2 acked %v; want both", acked(tc, 7, 1), acked(tc, 7, 2))
+			}
+		},
+	}, {
+		name: "retry buffered during a campaign",
+		n:    5,
+		run: func(tc *testCluster) {
+			old, next := tc.cfg.Nodes[0], tc.cfg.Nodes[1]
+			tc.sim.Run(10 * time.Millisecond)
+			// The P2a reaches node 2 alone: accepted by a minority.
+			tc.net.Partition([]ids.ID{old}, tc.cfg.Nodes[2:])
+			tc.sim.Schedule(0, func() { raw(tc, old, put(3, 1, "a")) })
+			tc.sim.Run(tc.sim.Now() + 50*time.Millisecond)
+			tc.net.Crash(old)
+			tc.net.HealPartition()
+			tc.sim.Schedule(0, func() {
+				tc.replicas[next].Campaign()
+				raw(tc, next, put(3, 1, "a")) // lands in the campaign buffer
+			})
+			tc.sim.Run(tc.sim.Now() + time.Second)
+		},
+		check: func(t *testing.T, tc *testCluster) {
+			for _, id := range tc.cfg.Nodes[1:] {
+				if got := tc.replicas[id].Store().Applied(); got != 1 {
+					t.Errorf("%v applied %d commands, want 1", id, got)
+				}
+			}
+			if !acked(tc, 3, 1) {
+				t.Error("the retried command was never acknowledged")
+			}
+		},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCluster(t, tc.n, tc.mut)
+			tc.run(c)
+			tc.check(t, c)
+		})
+	}
+}

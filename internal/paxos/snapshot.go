@@ -3,15 +3,16 @@ package paxos
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
-	"pigpaxos/internal/wire"
+	"pigpaxos/internal/sessions"
 )
 
 // snapVersion tags the snapshot blob layout. Bump on incompatible change.
-const snapVersion = 1
+// Version 1 kept a high-water mark per client where version 2 keeps the
+// session table's section; both are read.
+const snapVersion = 2
 
 // encodeSnapshot serializes everything a replica must recover besides the
 // log itself: the promise ballot (compaction may discard journaled promise
@@ -23,21 +24,7 @@ func (r *Replica) encodeSnapshot() []byte {
 	b = append(b, snapVersion)
 	b = binary.LittleEndian.AppendUint64(b, uint64(r.ballot))
 	b = r.store.Serialize(b)
-	cids := make([]uint64, 0, len(r.sessions))
-	for id := range r.sessions {
-		cids = append(cids, id)
-	}
-	sort.Slice(cids, func(i, j int) bool { return cids[i] < cids[j] })
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(cids)))
-	for _, id := range cids {
-		s := r.sessions[id]
-		b = binary.LittleEndian.AppendUint64(b, id)
-		b = binary.LittleEndian.AppendUint64(b, s.lastSeq)
-		reply := wire.Encode(nil, s.lastReply)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(reply)))
-		b = append(b, reply...)
-	}
-	return b
+	return r.sessions.Encode(b)
 }
 
 // restoreSnapshot replaces the store's contents and the session table with
@@ -46,63 +33,32 @@ func (r *Replica) encodeSnapshot() []byte {
 // (the store section parses into a scratch store — Store() has handed the
 // real one out — and the blob parsing that far is no licence to keep it), and
 // no count in it sizes an allocation before it is checked against the bytes
-// that remain. pendingSeq is deliberately not persisted: it marks an in-flight
-// proposal, and nothing is in flight on a freshly restored replica.
+// that remain. What the old table held as admitted but not executed goes with
+// it: a retry of such a command that is re-admitted into a second slot is
+// skipped when that slot executes.
 func (r *Replica) restoreSnapshot(data []byte) (ids.Ballot, error) {
-	off := 0
-	fail := func(what string) (ids.Ballot, error) {
-		return 0, fmt.Errorf("paxos: snapshot %s at offset %d", what, off)
-	}
 	if len(data) < 1+8 {
-		return fail("truncated header")
+		return 0, fmt.Errorf("paxos: snapshot truncated header")
 	}
-	if data[0] != snapVersion {
-		return 0, fmt.Errorf("paxos: snapshot version %d, want %d", data[0], snapVersion)
+	if data[0] != 1 && data[0] != snapVersion {
+		return 0, fmt.Errorf("paxos: snapshot version %d, want 1 or %d", data[0], snapVersion)
 	}
-	off = 1
-	ballot := ids.Ballot(binary.LittleEndian.Uint64(data[off:]))
-	off += 8
+	ballot := ids.Ballot(binary.LittleEndian.Uint64(data[1:]))
+	off := 1 + 8
 	store := kvstore.New()
 	n, err := store.Restore(data[off:])
 	if err != nil {
 		return 0, err
 	}
 	off += n
-	if off+4 > len(data) {
-		return fail("truncated session count")
+	table, n, err := sessions.Decode(data[off:], data[0] == 1)
+	if err != nil {
+		return 0, fmt.Errorf("paxos: snapshot at offset %d: %w", off, err)
 	}
-	nSess := int(binary.LittleEndian.Uint32(data[off:]))
-	off += 4
-	if nSess > (len(data)-off)/20 {
-		return fail("session count beyond the blob")
-	}
-	sessions := make(map[uint64]*session, nSess)
-	for i := 0; i < nSess; i++ {
-		if off+20 > len(data) {
-			return fail("truncated session")
-		}
-		id := binary.LittleEndian.Uint64(data[off:])
-		lastSeq := binary.LittleEndian.Uint64(data[off+8:])
-		replyLen := int(binary.LittleEndian.Uint32(data[off+16:]))
-		off += 20
-		if replyLen > len(data)-off {
-			return fail("truncated session reply")
-		}
-		m, consumed, err := wire.Decode(data[off : off+replyLen])
-		if err != nil {
-			return 0, err
-		}
-		reply, ok := m.(wire.Reply)
-		if !ok || consumed != replyLen {
-			return fail("malformed session reply")
-		}
-		off += replyLen
-		sessions[id] = &session{lastSeq: lastSeq, lastReply: reply}
-	}
-	if off != len(data) {
-		return fail("trailing bytes")
+	if off += n; off != len(data) {
+		return 0, fmt.Errorf("paxos: snapshot trailing bytes at offset %d", off)
 	}
 	r.store.Adopt(store)
-	r.sessions = sessions
+	r.sessions = table
 	return ballot, nil
 }

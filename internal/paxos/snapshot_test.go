@@ -10,6 +10,7 @@ import (
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
 	"pigpaxos/internal/node/nodetest"
+	"pigpaxos/internal/sessions"
 	"pigpaxos/internal/wire"
 )
 
@@ -106,8 +107,46 @@ func TestMalformedSnapInstallDropped(t *testing.T) {
 	if store != victim.Store() || store.Checksum() != source.Store().Checksum() {
 		t.Fatal("good snapshot did not land in the replica's store")
 	}
-	if s := victim.sessions[21]; s == nil || s.lastSeq != 9 || victim.sessions[42] != nil {
-		t.Fatalf("session table after install: %+v", victim.sessions)
+	v, cached := victim.sessions.Admit(21, 9)
+	if v != sessions.Executed || cached == nil || cached.Seq != 9 {
+		t.Fatalf("source's client 21 seq 9 after install: %v %+v", v, cached)
+	}
+	if v, _ := victim.sessions.Admit(42, 1); v != sessions.Fresh {
+		t.Fatalf("victim's own client 42 seq 1 after install: %v, want Fresh", v)
+	}
+}
+
+// v1Snapshot is r's snapshot in the version-1 layout, which kept each
+// client's newest executed seq and its reply and nothing else.
+func v1Snapshot(r *Replica, client, newest uint64) []byte {
+	b := binary.LittleEndian.AppendUint64([]byte{1}, uint64(r.ballot))
+	b = r.store.Serialize(b)
+	b = binary.LittleEndian.AppendUint32(b, 1)
+	b = binary.LittleEndian.AppendUint64(b, client)
+	b = binary.LittleEndian.AppendUint64(b, newest)
+	_, cached := r.sessions.Admit(client, newest)
+	reply := wire.Encode(nil, *cached)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(reply)))
+	return append(b, reply...)
+}
+
+// TestRestoreV1Snapshot: a version-1 blob — a journal's checkpoint, or a
+// peer's SnapInstall — still restores, every seq at or below a client's
+// newest counting as executed, and it re-encodes as the version-2 blob of
+// the replica that wrote it.
+func TestRestoreV1Snapshot(t *testing.T) {
+	source, _ := snapFollower(9, 21)
+	victim, _ := snapFollower(3, 42)
+	if _, err := victim.restoreSnapshot(v1Snapshot(source, 21, 9)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(victim.encodeSnapshot(), source.encodeSnapshot()) {
+		t.Fatal("the restored version-1 snapshot re-encodes differently from its source")
+	}
+	for seq, want := range map[uint64]sessions.Verdict{1: sessions.Executed, 9: sessions.Executed, 10: sessions.Fresh} {
+		if v, _ := victim.sessions.Admit(21, seq); v != want {
+			t.Errorf("client 21 seq %d: %v, want %v", seq, v, want)
+		}
 	}
 }
 
@@ -118,6 +157,7 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	source, _ := snapFollower(9, 21)
 	good := source.encodeSnapshot()
 	f.Add(good)
+	f.Add(v1Snapshot(source, 21, 9))
 	for _, h := range hostileSnapshots(good) {
 		f.Add(h.data)
 	}

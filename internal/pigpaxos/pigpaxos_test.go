@@ -551,3 +551,35 @@ func TestEvenLayoutHasNoZoneAlignment(t *testing.T) {
 		t.Errorf("GroupForZone = %d, want -1", g)
 	}
 }
+
+// TestCampaignRetryExecutesOnce: the leader's P2a reaches one follower and
+// the leader crashes; the client's retry lands in the new leader's campaign
+// buffer. The campaign re-proposes the accepted slot, and the retry must
+// re-attach to it rather than commit the command a second time — through
+// the relay plane as through the direct one.
+func TestCampaignRetryExecutesOnce(t *testing.T) {
+	tc := newCluster(t, 5, false, nil)
+	old, next := tc.cfg.Nodes[0], tc.cfg.Nodes[1]
+	tc.sim.Run(10 * time.Millisecond)
+	cmd := kvstore.Command{Op: kvstore.Put, Key: 1, Value: []byte("a"), ClientID: 3, Seq: 1}
+	lead := tc.leader().Core()
+	if _, ok := tc.replicas[next].Core().AcceptP2a(wire.P2a{
+		Ballot: lead.Ballot(), Slot: lead.Log().PeekNextSlot(), Cmds: []kvstore.Command{cmd},
+	}); !ok {
+		t.Fatal("follower refused the leader's P2a")
+	}
+	tc.net.Crash(old)
+	tc.sim.Schedule(0, func() {
+		tc.replicas[next].Core().Campaign()
+		tc.client.ep.Send(next, wire.Request{Cmd: cmd})
+	})
+	tc.sim.Run(tc.sim.Now() + time.Second)
+	for _, id := range tc.cfg.Nodes[1:] {
+		if got := tc.replicas[id].Core().Store().Applied(); got != 1 {
+			t.Errorf("%v applied %d commands, want 1", id, got)
+		}
+	}
+	if !slices.ContainsFunc(tc.client.replies, func(r wire.Reply) bool { return r.OK && r.ClientID == 3 && r.Seq == 1 }) {
+		t.Error("the retried command was never acknowledged")
+	}
+}

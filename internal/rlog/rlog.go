@@ -225,12 +225,14 @@ func (l *Log) Get(slot uint64) *Entry {
 	return nil
 }
 
-// ExecuteReady applies every contiguous committed-but-unexecuted batch
-// starting at the execution cursor to sm, invoking fn (if non-nil) with the
-// slot, the command's index within its batch, and the result. It stops at
-// the first gap or uncommitted slot and returns the number of commands
-// executed (no-op slots advance the cursor without executing anything).
-func (l *Log) ExecuteReady(sm *kvstore.Store, fn func(slot uint64, idx int, cmd kvstore.Command, res kvstore.Result)) int {
+// ExecuteReady executes every contiguous committed-but-unexecuted batch
+// starting at the execution cursor, command by command: with fn nil each
+// command is applied to sm; otherwise fn, handed the slot and the command's
+// index within its batch, applies it to sm or skips it, and reports whether
+// it applied it. It stops at the first gap or uncommitted slot and returns
+// the number of commands applied (no-op slots advance the cursor without
+// executing anything).
+func (l *Log) ExecuteReady(sm *kvstore.Store, fn func(slot uint64, idx int, cmd kvstore.Command) bool) int {
 	n := 0
 	for {
 		e := l.win.At(l.execCur)
@@ -239,9 +241,10 @@ func (l *Log) ExecuteReady(sm *kvstore.Store, fn func(slot uint64, idx int, cmd 
 		}
 		e.Executed = true
 		for i, cmd := range e.Commands {
-			res := sm.Apply(cmd)
-			if fn != nil {
-				fn(l.execCur, i, cmd, res)
+			if fn == nil {
+				sm.Apply(cmd)
+			} else if !fn(l.execCur, i, cmd) {
+				continue
 			}
 			n++
 		}

@@ -96,15 +96,17 @@ func TestExecuteInOrderWithGap(t *testing.T) {
 	l.Commit(1, bal(1), one(1))
 	l.Commit(3, bal(1), one(3)) // gap at 2
 	var got []uint64
-	n := l.ExecuteReady(sm, func(s uint64, _ int, _ kvstore.Command, _ kvstore.Result) {
+	n := l.ExecuteReady(sm, func(s uint64, _ int, _ kvstore.Command) bool {
 		got = append(got, s)
+		return true
 	})
 	if n != 1 || len(got) != 1 || got[0] != 1 {
 		t.Fatalf("executed %v, want [1] only (gap at 2)", got)
 	}
 	l.Commit(2, bal(1), one(2))
-	n = l.ExecuteReady(sm, func(s uint64, _ int, _ kvstore.Command, _ kvstore.Result) {
+	n = l.ExecuteReady(sm, func(s uint64, _ int, _ kvstore.Command) bool {
 		got = append(got, s)
+		return true
 	})
 	if n != 2 || len(got) != 3 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("after gap fill executed %v, want [1 2 3]", got)
@@ -184,8 +186,9 @@ func TestExecutionOrderProperty(t *testing.T) {
 		var execd []uint64
 		for _, i := range order {
 			l.Commit(uint64(i+1), bal(1), one(uint64(i)))
-			l.ExecuteReady(sm, func(s uint64, _ int, _ kvstore.Command, _ kvstore.Result) {
+			l.ExecuteReady(sm, func(s uint64, _ int, _ kvstore.Command) bool {
 				execd = append(execd, s)
+				return true
 			})
 		}
 		if len(execd) != n {
@@ -235,25 +238,32 @@ func TestReplicaConvergenceProperty(t *testing.T) {
 	}
 }
 
+// TestExecuteBatchInOrder: the callback sees every command of a batch in
+// order, applies what it chooses, and only what it applied is counted.
 func TestExecuteBatchInOrder(t *testing.T) {
 	l := New()
 	sm := kvstore.New()
 	l.Commit(1, bal(1), []kvstore.Command{cmd(1), cmd(2), cmd(3)})
 	var idxs []int
-	n := l.ExecuteReady(sm, func(s uint64, i int, c kvstore.Command, _ kvstore.Result) {
+	n := l.ExecuteReady(sm, func(s uint64, i int, c kvstore.Command) bool {
 		if s != 1 || c.Key != uint64(i+1) {
 			t.Errorf("slot %d idx %d got key %d", s, i, c.Key)
 		}
 		idxs = append(idxs, i)
+		if i == 1 {
+			return false // skipped: a duplicate, say
+		}
+		sm.Apply(c)
+		return true
 	})
-	if n != 3 || len(idxs) != 3 || idxs[0] != 0 || idxs[2] != 2 {
-		t.Fatalf("executed %d commands, idxs %v", n, idxs)
+	if n != 2 || len(idxs) != 3 || idxs[0] != 0 || idxs[2] != 2 {
+		t.Fatalf("applied %d commands, idxs %v", n, idxs)
 	}
 	if l.ExecuteCursor() != 2 {
 		t.Errorf("cursor = %d, want 2 (one slot, three commands)", l.ExecuteCursor())
 	}
-	if sm.Applied() != 3 {
-		t.Errorf("applied %d, want 3", sm.Applied())
+	if _, ok := sm.Get(2); sm.Applied() != 2 || ok {
+		t.Errorf("applied %d, key 2 present %v; want 2 and the skipped command absent", sm.Applied(), ok)
 	}
 }
 

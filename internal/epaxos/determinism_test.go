@@ -75,9 +75,10 @@ func determinismRun(seed int64) (map[ids.ID]Stats, map[ids.ID]uint64, uint64, ui
 }
 
 // Regression for the fig8 map-order nondeterminism: EPaxos dependency sets
-// and execution sweeps came from Go map iteration, so equal seeds produced
-// different CPU charges and different numbers. With sorted deps and a sorted
-// pending-execution sweep, two runs at one seed must agree on every counter.
+// and execution sweeps once came from Go map iteration, so equal seeds
+// produced different CPU charges and different numbers. Every pass now walks
+// the instance rows in (replica, slot) order, so two runs at one seed must
+// agree on every counter.
 func TestSeedDeterminismUnderContention(t *testing.T) {
 	stats1, sums1, sent1, del1 := determinismRun(17)
 	for run := 0; run < 3; run++ {
@@ -94,8 +95,8 @@ func TestSeedDeterminismUnderContention(t *testing.T) {
 	}
 }
 
-// Dependency sets on the wire are sorted by (replica, slot) — the property
-// the determinism fix relies on.
+// Dependency sets on the wire are sorted by (replica, slot): attributes walks
+// the rows in ID order.
 func TestAttributesSortedDeps(t *testing.T) {
 	sim := des.New(1)
 	cc := config.NewLAN(5)

@@ -11,6 +11,14 @@
 // which is exactly the failure mode the paper measures with its 1000-key
 // uniform workload.
 //
+// The instance space is one row per member, each a slots.Window of instances
+// over the slots above the row's GC floor — the ring rlog and the Paxos
+// proposal table use. Per-instance bookkeeping (driving, committed-pending,
+// the recovery clock, execution-graph marks) lives in the cell, and every
+// pass walks the rows in ascending member ID and each row in slot order: the
+// (replica, slot) order every replica agrees on, so no pass sorts and no
+// iteration order leaks into message timing or CPU charges.
+//
 // The implementation is fault tolerant end to end, so the chaos suite can
 // throw the same crash/partition/loss palette at it as at the Paxos family:
 //
@@ -44,10 +52,15 @@
 //     answers stale PreAccepts/Accepts (a driver that missed the commit)
 //     with the Commit itself, and Prepare finds commits that probabilistic
 //     loss ate.
+//   - Collected instances stay collected. A message about a slot at or
+//     below its row's GC floor is dropped: the instance executed here and
+//     is gone, so re-opening it would execute the command a second time,
+//     and answering a Prepare with "none" would invite a no-op over it.
 package epaxos
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"pigpaxos/internal/config"
@@ -56,6 +69,7 @@ import (
 	"pigpaxos/internal/node"
 	"pigpaxos/internal/quorum"
 	"pigpaxos/internal/sessions"
+	"pigpaxos/internal/slots"
 	"pigpaxos/internal/wire"
 )
 
@@ -65,12 +79,6 @@ type Config struct {
 	Cluster config.Cluster
 	// ID is this replica's identity.
 	ID ids.ID
-	// Thrifty sends PreAccepts only to a fast quorum instead of all peers.
-	Thrifty bool
-	// GCEvery triggers instance-space garbage collection after this many
-	// local executions (default 4096; 0 keeps the default — use a
-	// negative value to disable GC).
-	GCEvery int
 
 	// RetryTimeout re-broadcasts a driven instance's current phase message
 	// when it stalls (lost pre-accepts or accepts), and downgrades a
@@ -85,6 +93,10 @@ type Config struct {
 	// 40ms; negative disables the sweep — and with it retransmits and
 	// recovery).
 	SweepInterval time.Duration
+
+	// gcEvery triggers instance-space garbage collection after this many
+	// local executions (default 4096; tests set it lower).
+	gcEvery int
 }
 
 // The simulator's CPU charges, and the pace of blocked-execution retries.
@@ -117,8 +129,8 @@ const (
 )
 
 func (c *Config) applyDefaults() {
-	if c.GCEvery == 0 {
-		c.GCEvery = 4096
+	if c.gcEvery <= 0 {
+		c.gcEvery = 4096
 	}
 	if c.RetryTimeout == 0 {
 		c.RetryTimeout = 80 * time.Millisecond
@@ -143,25 +155,21 @@ const (
 
 // wireStatus maps the internal state to the PrepareReply encoding (executed
 // is local bookkeeping; on the wire it is committed).
-func wireStatus(s status) uint8 {
-	switch s {
-	case statusPreAccepted:
-		return wire.InstPreAccepted
-	case statusAccepted:
-		return wire.InstAccepted
-	case statusCommitted, statusExecuted:
-		return wire.InstCommitted
-	default:
-		return wire.InstNone
-	}
+var wireStatus = [...]uint8{
+	statusNone: wire.InstNone, statusPreAccepted: wire.InstPreAccepted, statusAccepted: wire.InstAccepted,
+	statusCommitted: wire.InstCommitted, statusExecuted: wire.InstCommitted,
 }
 
-// instance is one cell of the two-dimensional EPaxos instance space.
+// instance is one cell of the two-dimensional EPaxos instance space. A cell
+// that is not present holds no instance: at most the recovery clock of a
+// dependency this replica has not heard of yet.
 type instance struct {
+	present bool
+
 	cmd    kvstore.Command
 	seq    uint64
 	deps   []wire.InstRef
-	status status
+	status status // statusCommitted: committed here, awaiting its dependencies
 
 	// bal is the highest ballot this replica has seen for the instance;
 	// vbal the ballot its current (cmd, seq, deps) was (pre-)accepted at.
@@ -170,9 +178,9 @@ type instance struct {
 
 	// Driver state: drive is nonzero while this replica runs the
 	// instance's phases — the original command leader at the instance's
-	// default ballot, or a recovery leader at a Prepare ballot. voters
-	// dedups phase replies by sender (retransmits and link duplication
-	// must not double-count).
+	// default ballot, or a recovery leader at a Prepare ballot — and the
+	// sweep retransmits it. voters dedups phase replies by sender
+	// (retransmits and link duplication must not double-count).
 	drive      ids.Ballot
 	voters     []ids.ID
 	changed    bool
@@ -193,6 +201,17 @@ type instance struct {
 	// Explicit Prepare quorum (the driver's own snapshot included).
 	preparing bool
 	prep      []prepInfo
+
+	// block is the recovery clock, running while execution is blocked on
+	// this (uncommitted or unknown) instance.
+	block blockState
+
+	// Tarjan marks, valid while pass equals the replica's current
+	// execution pass: the node's DFS index, its low-link, and whether it
+	// is on the component stack.
+	pass       uint64
+	index, low int
+	onStack    bool
 }
 
 // prepInfo is one PrepareReply's knowledge of an instance.
@@ -203,6 +222,47 @@ type prepInfo struct {
 	cmd    kvstore.Command
 	seq    uint64
 	deps   []wire.InstRef
+}
+
+// row is one member's row of the instance space. The window covers the slots
+// above the row's GC floor, Base()−1: every slot at or below it executed here
+// and was collected, so a dependency on one is satisfied.
+type row struct {
+	id  ids.ID
+	win slots.Window[instance]
+	// exec is the lowest slot that may be unexecuted here; every cell in
+	// [Base, exec) is executed. Passes start at it, so they cost the
+	// unexecuted range rather than the whole window.
+	exec uint64
+	// synced is the prefix of the row a watermark already verified
+	// committed here, and heard when the owner was last heard from
+	// (recovery of a chatty owner's instances waits longer than failover —
+	// see sweep).
+	synced uint64
+	heard  time.Duration
+}
+
+func (rw *row) floor() uint64 { return rw.win.Base() - 1 }
+
+// cursor returns the row's lowest slot not executed here, advancing exec
+// past the executed ones.
+func (rw *row) cursor() uint64 {
+	rw.exec = max(rw.exec, rw.win.Base())
+	for {
+		if in := rw.win.At(rw.exec); in == nil || in.status != statusExecuted {
+			return rw.exec
+		}
+		rw.exec++
+	}
+}
+
+// keyState is one key's interference index: per row (by index) the newest
+// slot that wrote the key and the newest that touched it at all, and the
+// highest sequence numbers of each. Reads order after writes only, writes
+// after everything — matching the interference relation.
+type keyState struct {
+	lastWrite, lastOp      []uint64
+	maxSeqWrite, maxSeqAny uint64
 }
 
 // Stats counts protocol events.
@@ -234,18 +294,9 @@ type Replica struct {
 	fastQ int // fast-quorum acks needed beyond self
 	slowQ int // majority acks needed beyond self
 
-	rows    map[ids.ID]map[uint64]*instance
+	rows    []row // one per member, in ascending ID order
 	nextOwn uint64
-
-	// Interference tracking: for each key, the latest write and latest
-	// operation per instance-space row, for dependency computation.
-	lastWrite map[uint64]map[ids.ID]uint64
-	lastOp    map[uint64]map[ids.ID]uint64
-	// maxSeqWrite tracks the highest write seq per key; maxSeqAny the
-	// highest seq of any op. Reads order after writes only, writes after
-	// everything — matching the interference relation.
-	maxSeqWrite map[uint64]uint64
-	maxSeqAny   map[uint64]uint64
+	keys    map[uint64]*keyState
 
 	store    *kvstore.Store
 	sessions *sessions.Table
@@ -253,9 +304,7 @@ type Replica struct {
 	// client's latest request: where a retry of it refreshes the route.
 	pendingRef map[uint64]wire.InstRef
 
-	// Committed-but-unexecuted instances awaiting their dependencies.
-	pendingExec map[wire.InstRef]bool
-	retryArmed  bool
+	retryArmed bool
 	// retryWait is the current execution-retry delay: it doubles on every
 	// fruitless blocked retry (up to 128× the base) and resets on
 	// progress, so a long-blocked dependency graph is not re-walked every
@@ -264,12 +313,9 @@ type Replica struct {
 	// live counts instances created but not yet executed locally — the
 	// working set the interference scan walks.
 	live int
+	// scc is the execution pass's Tarjan scratch, reused across passes.
+	scc tarjan
 
-	// driving holds the instances this replica currently drives (sweep
-	// targets for retransmission); blocked maps an uncommitted instance to
-	// its recovery clock (sweep targets for recovery).
-	driving   map[wire.InstRef]bool
-	blocked   map[wire.InstRef]blockState
 	lastSweep time.Duration
 
 	// Row-watermark gossip (anti-entropy): ownFloor is the own-row commit
@@ -280,10 +326,7 @@ type Replica struct {
 	// without which a replica partitioned away during a commit whose key
 	// never interferes again would stay behind forever. Advertising the
 	// commit floor (not the row height) means marks never point at
-	// in-flight instances, so clean runs recover nothing. rowSynced
-	// remembers, per peer row, the prefix already verified committed, and
-	// heard when each peer was last heard from (recovery of a chatty
-	// peer's instances waits longer than failover — see sweep).
+	// in-flight instances, so clean runs recover nothing.
 	ownFloor      uint64
 	lastAdvertise time.Duration
 	// commitEwma tracks the observed open-to-commit latency of own
@@ -292,13 +335,7 @@ type Replica struct {
 	// past any fixed timeout, and retransmitting into that queueing would
 	// amplify it — the adaptive timeout is the same cure TCP applies.
 	commitEwma time.Duration
-	rowSynced  map[ids.ID]uint64
-	heard      map[ids.ID]time.Duration
 
-	// gcFloor[row] is the highest slot such that every instance of the
-	// row at or below it has been executed and garbage-collected; a
-	// dependency at or below the floor is known-executed.
-	gcFloor     map[ids.ID]uint64
 	execSinceGC int
 
 	stats Stats
@@ -308,25 +345,21 @@ type Replica struct {
 func New(ctx node.Context, cfg Config) *Replica {
 	cfg.applyDefaults()
 	r := &Replica{
-		ctx:         ctx,
-		cfg:         cfg,
-		peers:       cfg.Cluster.Peers(cfg.ID),
-		n:           cfg.Cluster.N(),
-		rows:        make(map[ids.ID]map[uint64]*instance),
-		nextOwn:     1,
-		lastWrite:   make(map[uint64]map[ids.ID]uint64),
-		lastOp:      make(map[uint64]map[ids.ID]uint64),
-		maxSeqWrite: make(map[uint64]uint64),
-		maxSeqAny:   make(map[uint64]uint64),
-		store:       kvstore.New(),
-		sessions:    sessions.New(),
-		pendingRef:  make(map[uint64]wire.InstRef),
-		pendingExec: make(map[wire.InstRef]bool),
-		driving:     make(map[wire.InstRef]bool),
-		blocked:     make(map[wire.InstRef]blockState),
-		rowSynced:   make(map[ids.ID]uint64),
-		heard:       make(map[ids.ID]time.Duration),
-		gcFloor:     make(map[ids.ID]uint64),
+		ctx:        ctx,
+		cfg:        cfg,
+		peers:      cfg.Cluster.Peers(cfg.ID),
+		n:          cfg.Cluster.N(),
+		nextOwn:    1,
+		keys:       make(map[uint64]*keyState),
+		store:      kvstore.New(),
+		sessions:   sessions.New(),
+		pendingRef: make(map[uint64]wire.InstRef),
+	}
+	members := slices.Sorted(slices.Values(cfg.Cluster.Nodes))
+	r.rows = make([]row, len(members))
+	for i, id := range members {
+		r.rows[i].id = id
+		r.rows[i].win.Advance(1) // slots start at 1: the floor is 0
 	}
 	// Simple EPaxos quorums: the slow path needs a majority, the fast path
 	// every replica but one. The larger fast quorum is what makes Explicit
@@ -342,9 +375,7 @@ func New(ctx node.Context, cfg Config) *Replica {
 	if r.n == 3 {
 		r.fastQ = 2
 	}
-	if r.fastQ < r.slowQ {
-		r.fastQ = r.slowQ
-	}
+	r.fastQ = max(r.fastQ, r.slowQ)
 	return r
 }
 
@@ -368,9 +399,10 @@ func (r *Replica) Stats() Stats { return r.stats }
 // carried its command to execution or was anchored as a no-op).
 func (r *Replica) Unexecuted() int {
 	n := 0
-	for _, row := range r.rows {
-		for _, in := range row {
-			if in.status > statusNone && in.status < statusExecuted {
+	for i := range r.rows {
+		rw := &r.rows[i]
+		for s := rw.cursor(); s < rw.win.End(); s++ {
+			if in := rw.win.At(s); in.status > statusNone && in.status < statusExecuted {
 				n++
 			}
 		}
@@ -382,37 +414,87 @@ func (r *Replica) Unexecuted() int {
 // instance's row owner.
 func defaultBallot(ref wire.InstRef) ids.Ballot { return ids.NewBallot(0, ref.Replica) }
 
-func (r *Replica) inst(ref wire.InstRef) *instance {
-	row, ok := r.rows[ref.Replica]
-	if !ok {
-		row = make(map[uint64]*instance)
-		r.rows[ref.Replica] = row
+// rowIndex returns the index of id's row, or -1 for a non-member.
+func (r *Replica) rowIndex(id ids.ID) int {
+	for i := range r.rows {
+		if r.rows[i].id == id {
+			return i
+		}
 	}
-	in, ok := row[ref.Slot]
-	if !ok {
-		in = &instance{bal: defaultBallot(ref), vbal: defaultBallot(ref)}
-		row[ref.Slot] = in
+	return -1
+}
+
+func (r *Replica) row(id ids.ID) *row {
+	if i := r.rowIndex(id); i >= 0 {
+		return &r.rows[i]
+	}
+	return nil
+}
+
+// bounded reports whether a message naming ref and deps stays inside the
+// instance space this replica can hold: member rows, slots under
+// slots.MaxAhead above the row's floor, and in its own row only the slots it
+// has opened. Anything else is corrupt or hostile, and is dropped before a
+// ring is sized by it or an own slot is taken from under onRequest.
+func (r *Replica) bounded(ref wire.InstRef, deps []wire.InstRef) bool {
+	return r.holds(ref) && !slices.ContainsFunc(deps, func(d wire.InstRef) bool { return !r.holds(d) })
+}
+
+func (r *Replica) holds(ref wire.InstRef) bool {
+	switch rw := r.row(ref.Replica); {
+	case rw == nil:
+		return false
+	case rw.id == r.cfg.ID:
+		return ref.Slot < r.nextOwn
+	default:
+		return ref.Slot <= rw.floor() || ref.Slot-rw.floor() < slots.MaxAhead
+	}
+}
+
+// cell returns ref's cell, covering its slot, or nil when the row does not
+// hold the slot: a non-member row, or a slot at or below the floor (collected
+// ⇒ executed here; re-opening it would execute the command twice). cell is
+// the only caller of Cover, which may move the ring, so no *instance is held
+// across a call to it.
+func (r *Replica) cell(ref wire.InstRef) *instance {
+	rw := r.row(ref.Replica)
+	if rw == nil || ref.Slot <= rw.floor() {
+		return nil
+	}
+	if rw.win.Len() == 0 {
+		rw.win.Cover(rw.win.Base()) // an empty window would rebase at ref.Slot
+	}
+	return rw.win.Cover(ref.Slot)
+}
+
+// inst returns ref's instance for a message naming it and deps, opening it
+// if this replica has not seen it, or nil when the message is out of bounds
+// or the slot collected (see bounded and cell).
+func (r *Replica) inst(ref wire.InstRef, deps []wire.InstRef) *instance {
+	if !r.bounded(ref, deps) {
+		return nil
+	}
+	in := r.cell(ref)
+	if in != nil && !in.present {
+		in.present = true
+		in.bal, in.vbal = defaultBallot(ref), defaultBallot(ref)
 		r.live++
 	}
 	return in
 }
 
-// scanCost is the interference-scan charge over the live working set,
-// capped so a pathological backlog cannot stall virtual time entirely.
-func (r *Replica) scanCost() time.Duration {
-	n := r.live
-	if n > 2000 {
-		n = 2000
-	}
-	return time.Duration(n) * scanWork
-}
-
 func (r *Replica) lookup(ref wire.InstRef) *instance {
-	if row, ok := r.rows[ref.Replica]; ok {
-		return row[ref.Slot]
+	if rw := r.row(ref.Replica); rw != nil {
+		if in := rw.win.At(ref.Slot); in != nil && in.present {
+			return in
+		}
 	}
 	return nil
 }
+
+// scanCost is the interference-scan charge over the live working set,
+// capped so a pathological backlog cannot stall virtual time entirely.
+func (r *Replica) scanCost() time.Duration { return time.Duration(min(r.live, 2000)) * scanWork }
 
 // OnMessage dispatches a delivered message. It implements node.Handler.
 func (r *Replica) OnMessage(from ids.ID, m wire.Msg) {
@@ -422,7 +504,9 @@ func (r *Replica) OnMessage(from ids.ID, m wire.Msg) {
 	if iv := r.cfg.SweepInterval; iv > 0 && r.ctx.Now()-r.lastSweep > 2*iv {
 		r.sweepTick()
 	}
-	r.heard[from] = r.ctx.Now()
+	if rw := r.row(from); rw != nil {
+		rw.heard = r.ctx.Now()
+	}
 	switch v := m.(type) {
 	case wire.Request:
 		r.onRequest(from, v)
@@ -441,7 +525,7 @@ func (r *Replica) OnMessage(from ids.ID, m wire.Msg) {
 	case wire.PrepareReply:
 		r.onPrepareReply(v)
 	case wire.Heartbeat:
-		r.onRowMark(from, v)
+		r.onRowMark(v)
 	}
 }
 
@@ -449,97 +533,76 @@ func (r *Replica) OnMessage(from ids.ID, m wire.Msg) {
 // is the row owner, Commit its own-row commit floor — every advertised
 // slot is committed at the owner). Slots at or below the watermark that
 // this replica has not committed start the recovery clock: Explicit
-// Prepare will fetch them from the quorum. rowSynced caps the rescan at
-// the already-verified prefix, so steady-state marks cost nothing.
-func (r *Replica) onRowMark(from ids.ID, m wire.Heartbeat) {
-	if m.From == r.cfg.ID || m.From.IsZero() {
+// Prepare will fetch them from the quorum. The row's synced prefix caps the
+// rescan, so steady-state marks cost nothing.
+func (r *Replica) onRowMark(m wire.Heartbeat) {
+	if m.From == r.cfg.ID || !r.holds(wire.InstRef{Replica: m.From, Slot: m.Commit}) {
 		return
 	}
-	base := r.rowSynced[m.From]
-	if fl := r.gcFloor[m.From]; fl > base {
-		base = fl
-	}
+	rw := r.row(m.From)
+	base := max(rw.synced, rw.floor())
 	if m.Commit <= base {
 		return
 	}
-	row := r.rows[m.From]
 	synced := base
 	contig := true
 	for slot := base + 1; slot <= m.Commit; slot++ {
-		if in := row[slot]; in != nil && in.status >= statusCommitted {
+		if in := rw.win.At(slot); in != nil && in.status >= statusCommitted {
 			if contig {
 				synced = slot
 			}
 			continue
 		}
 		contig = false
-		r.noteCommittedElsewhere(wire.InstRef{Replica: m.From, Slot: slot})
+		// The watermark proves the instance committed at its owner: its
+		// recovery is a plain fetch (see sweep).
+		if c := r.cell(wire.InstRef{Replica: m.From, Slot: slot}); c != nil {
+			c.noteBlocked(r.ctx.Now())
+			c.block.committedElsewhere = true
+		}
 	}
-	r.rowSynced[m.From] = synced
+	rw.synced = synced
 }
 
 // ----------------------------------------------------------- attributes --
 
 // attributes computes (seq, deps) for cmd as seen by this replica: deps are
 // the latest interfering instances per row, seq exceeds every interfering
-// sequence number. Deps are sorted by (replica, slot): the interference
-// indexes are Go maps, and leaking their iteration order into messages (and
-// from there into dependency-graph traversal order and per-dep CPU charges)
-// made equal seeds produce different numbers.
+// sequence number. Deps come out sorted by (replica, slot), one per row, as
+// the rows are walked in ID order.
 func (r *Replica) attributes(cmd kvstore.Command, except wire.InstRef) (uint64, []wire.InstRef) {
-	var deps []wire.InstRef
-	source := r.lastWrite[cmd.Key]
-	if !cmd.IsRead() {
-		source = r.lastOp[cmd.Key] // writes order after reads too
+	ks := r.keys[cmd.Key]
+	if ks == nil {
+		return 1, nil
 	}
-	for rep, slot := range source {
-		if rep == except.Replica && slot == except.Slot {
-			continue
-		}
-		deps = append(deps, wire.InstRef{Replica: rep, Slot: slot})
-	}
-	sortRefs(deps)
+	last, seq := ks.lastOp, ks.maxSeqAny // writes order after reads too
 	if cmd.IsRead() {
-		return r.maxSeqWrite[cmd.Key] + 1, deps
+		last, seq = ks.lastWrite, ks.maxSeqWrite
 	}
-	return r.maxSeqAny[cmd.Key] + 1, deps
-}
-
-// sortRefs orders instance references by (replica, slot), in place.
-func sortRefs(refs []wire.InstRef) {
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].Replica != refs[j].Replica {
-			return refs[i].Replica < refs[j].Replica
+	var deps []wire.InstRef
+	for i, slot := range last {
+		if id := r.rows[i].id; slot != 0 && (id != except.Replica || slot != except.Slot) {
+			deps = append(deps, wire.InstRef{Replica: id, Slot: slot})
 		}
-		return refs[i].Slot < refs[j].Slot
-	})
+	}
+	return seq + 1, deps
 }
 
 // recordInterference registers (ref, cmd, seq) in the conflict indexes.
 func (r *Replica) recordInterference(ref wire.InstRef, cmd kvstore.Command, seq uint64) {
-	ops := r.lastOp[cmd.Key]
-	if ops == nil {
-		ops = make(map[ids.ID]uint64)
-		r.lastOp[cmd.Key] = ops
+	ks := r.keys[cmd.Key]
+	if ks == nil {
+		n := len(r.rows)
+		both := make([]uint64, 2*n)
+		ks = &keyState{lastOp: both[:n], lastWrite: both[n:]}
+		r.keys[cmd.Key] = ks
 	}
-	if ref.Slot > ops[ref.Replica] {
-		ops[ref.Replica] = ref.Slot
-	}
+	i := r.rowIndex(ref.Replica)
+	ks.lastOp[i] = max(ks.lastOp[i], ref.Slot)
+	ks.maxSeqAny = max(ks.maxSeqAny, seq)
 	if !cmd.IsRead() {
-		w := r.lastWrite[cmd.Key]
-		if w == nil {
-			w = make(map[ids.ID]uint64)
-			r.lastWrite[cmd.Key] = w
-		}
-		if ref.Slot > w[ref.Replica] {
-			w[ref.Replica] = ref.Slot
-		}
-	}
-	if seq > r.maxSeqAny[cmd.Key] {
-		r.maxSeqAny[cmd.Key] = seq
-	}
-	if !cmd.IsRead() && seq > r.maxSeqWrite[cmd.Key] {
-		r.maxSeqWrite[cmd.Key] = seq
+		ks.lastWrite[i] = max(ks.lastWrite[i], ref.Slot)
+		ks.maxSeqWrite = max(ks.maxSeqWrite, seq)
 	}
 }
 
@@ -571,10 +634,10 @@ func (r *Replica) capSelfRow(deps []wire.InstRef, ref wire.InstRef, cmd kvstore.
 // collected, the GC floor itself stands in (it is executed here, and a
 // lagging replica treats the edge as a commit to chase).
 func (r *Replica) latestBelow(ref wire.InstRef, cmd kvstore.Command) (uint64, bool) {
-	row := r.rows[ref.Replica]
-	floor := r.gcFloor[ref.Replica]
-	for s := ref.Slot - 1; s > floor; s-- {
-		if in, ok := row[s]; ok && in.status > statusNone && in.cmd.ConflictsWith(cmd) {
+	rw := r.row(ref.Replica)
+	floor := rw.floor()
+	for s := min(ref.Slot, rw.win.End()) - 1; s > floor; s-- {
+		if in := rw.win.At(s); in.status > statusNone && in.cmd.ConflictsWith(cmd) {
 			return s, true
 		}
 	}
@@ -584,53 +647,34 @@ func (r *Replica) latestBelow(ref wire.InstRef, cmd kvstore.Command) (uint64, bo
 	return 0, false
 }
 
-// mergeDeps unions b into a.
+// compareRefs orders instance references by (replica, slot).
+func compareRefs(a, b wire.InstRef) int {
+	return cmp.Or(cmp.Compare(a.Replica, b.Replica), cmp.Compare(a.Slot, b.Slot))
+}
+
+// mergeDeps unions b into a, keeping the newer slot of a row both name.
 func mergeDeps(a, b []wire.InstRef) []wire.InstRef {
 	for _, d := range b {
-		found := false
-		for i, e := range a {
-			if e.Replica == d.Replica {
-				found = true
-				if d.Slot > e.Slot {
-					a[i].Slot = d.Slot
-				}
-				break
-			}
-		}
-		if !found {
+		if i := slices.IndexFunc(a, func(e wire.InstRef) bool { return e.Replica == d.Replica }); i < 0 {
 			a = append(a, d)
+		} else {
+			a[i].Slot = max(a[i].Slot, d.Slot)
 		}
 	}
 	return a
 }
 
+// depsEqual reports whether a and b hold the same references, in any order.
 func depsEqual(a, b []wire.InstRef) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for _, d := range a {
-		ok := false
-		for _, e := range b {
-			if e == d {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
+	return len(a) == len(b) && !slices.ContainsFunc(a, func(d wire.InstRef) bool { return !slices.Contains(b, d) })
 }
 
 // vote records a distinct phase reply from id; it reports false for a
 // duplicate (retransmitted or link-duplicated replies must not be counted
 // twice toward a quorum).
 func (in *instance) vote(id ids.ID) bool {
-	for _, v := range in.voters {
-		if v == id {
-			return false
-		}
+	if slices.Contains(in.voters, id) {
+		return false
 	}
 	in.voters = append(in.voters, id)
 	return true
@@ -643,7 +687,7 @@ func (in *instance) vote(id ids.ID) bool {
 // goes onto the recovery clock — the superseder normally finishes it, but
 // if that recovery dies too (ballot races), this replica takes the
 // instance back instead of orphaning it.
-func (r *Replica) stopDriving(ref wire.InstRef, in *instance) {
+func (r *Replica) stopDriving(in *instance) {
 	if in.drive.IsZero() {
 		return
 	}
@@ -651,9 +695,19 @@ func (r *Replica) stopDriving(ref wire.InstRef, in *instance) {
 	in.preparing = false
 	in.prep = nil
 	in.voters = in.voters[:0]
-	delete(r.driving, ref)
 	if in.status < statusCommitted {
-		r.noteBlocked(ref)
+		in.noteBlocked(r.ctx.Now())
+	}
+}
+
+// refused handles a phase refusal carrying ballot b. At or below the
+// round this replica drives it is late or duplicated; above, a higher ballot
+// owns the instance now, and its driver will finish it (or the recovery
+// sweep retakes it later).
+func (r *Replica) refused(in *instance, b ids.Ballot) {
+	if b > in.drive {
+		in.bal = max(in.bal, b)
+		r.stopDriving(in)
 	}
 }
 
@@ -679,12 +733,15 @@ func (r *Replica) onRequest(from ids.ID, m wire.Request) {
 			return
 		}
 	}
+	ref := wire.InstRef{Replica: r.cfg.ID, Slot: r.nextOwn}
+	if ref.Slot-r.row(r.cfg.ID).floor() >= slots.MaxAhead {
+		return // the own row is MaxAhead deep in unexecuted instances: the client retries
+	}
 	r.stats.Requests++
 	r.ctx.Work(attrWork + r.scanCost())
-	ref := wire.InstRef{Replica: r.cfg.ID, Slot: r.nextOwn}
 	r.nextOwn++
 	seq, deps := r.attributes(m.Cmd, ref)
-	in := r.inst(ref)
+	in := r.inst(ref, nil)
 	in.cmd = m.Cmd
 	in.seq = seq
 	in.deps = deps
@@ -702,21 +759,18 @@ func (r *Replica) onRequest(from ids.ID, m wire.Request) {
 		r.sessions.MarkAdmitted(m.Cmd.ClientID, m.Cmd.Seq)
 		r.pendingRef[m.Cmd.ClientID] = ref
 	}
-	r.driving[ref] = true
 
-	targets := r.peers
-	if r.cfg.Thrifty && r.fastQ < len(targets) {
-		targets = targets[:r.fastQ]
-	}
-	pa := wire.PreAccept{Ballot: in.drive, Inst: ref, Cmd: m.Cmd, Seq: seq, Deps: deps}
-	r.ctx.Broadcast(targets, pa)
+	r.ctx.Broadcast(r.peers, wire.PreAccept{Ballot: in.drive, Inst: ref, Cmd: m.Cmd, Seq: seq, Deps: deps})
 	if r.fastQ == 0 { // single-node cluster
 		r.commitInstance(ref, in, in.seq, in.deps)
 	}
 }
 
 func (r *Replica) onPreAccept(from ids.ID, m wire.PreAccept) {
-	in := r.inst(m.Inst)
+	in := r.inst(m.Inst, m.Deps)
+	if in == nil {
+		return
+	}
 	if in.status >= statusCommitted {
 		// The sender missed our commit (lost message or a stale
 		// retransmit): teach it back instead of voting.
@@ -736,20 +790,13 @@ func (r *Replica) onPreAccept(from ids.ID, m wire.PreAccept) {
 	r.ctx.Work(attrWork + r.scanCost() + time.Duration(len(m.Deps))*depWork)
 	if m.Ballot > in.bal {
 		in.bal = m.Ballot
-		r.stopDriving(m.Inst, in)
+		r.stopDriving(in)
 	}
 	seq, deps := r.attributes(m.Cmd, m.Inst)
-	changed := false
-	if seq > m.Seq {
-		changed = true
-	} else {
-		seq = m.Seq
-	}
 	merged := mergeDeps(append([]wire.InstRef(nil), m.Deps...), deps)
 	merged = r.capSelfRow(merged, m.Inst, m.Cmd)
-	if !depsEqual(merged, m.Deps) {
-		changed = true
-	}
+	changed := seq > m.Seq || !depsEqual(merged, m.Deps)
+	seq = max(seq, m.Seq)
 	in.cmd = m.Cmd
 	in.seq = seq
 	in.deps = merged
@@ -764,31 +811,19 @@ func (r *Replica) onPreAccept(from ids.ID, m wire.PreAccept) {
 
 func (r *Replica) onPreAcceptReply(m wire.PreAcceptReply) {
 	in := r.lookup(m.Inst)
-	if in == nil || in.drive.IsZero() || in.preparing || in.status != statusPreAccepted {
+	if in == nil || in.drive.IsZero() || in.preparing || in.status != statusPreAccepted || !r.bounded(m.Inst, m.Deps) {
 		return
 	}
 	if !m.OK {
-		if m.Ballot <= in.drive {
-			return // a late or duplicated refusal of a superseded round
-		}
-		// A higher ballot owns this instance now; its driver will finish
-		// it (or our recovery sweep will retake it later).
-		if m.Ballot > in.bal {
-			in.bal = m.Ballot
-		}
-		r.stopDriving(m.Inst, in)
+		r.refused(in, m.Ballot)
 		return
 	}
 	if m.Ballot != in.drive || !in.vote(m.From) {
 		return // stale round or duplicate reply
 	}
 	r.ctx.Work(attrWork + time.Duration(len(m.Deps))*depWork)
-	if m.Changed {
-		in.changed = true
-	}
-	if m.Seq > in.mergedSeq {
-		in.mergedSeq = m.Seq
-	}
+	in.changed = in.changed || m.Changed
+	in.mergedSeq = max(in.mergedSeq, m.Seq)
 	in.mergedDeps = mergeDeps(in.mergedDeps, m.Deps)
 	if m.Inst.Replica == r.cfg.ID && in.drive == defaultBallot(m.Inst) {
 		// Original command leader: the fast path needs the full fast
@@ -826,18 +861,17 @@ func (r *Replica) startAccept(ref wire.InstRef, in *instance, seq uint64, deps [
 	in.voters = in.voters[:0]
 	in.votesAtSend = 0
 	in.lastSend = r.ctx.Now()
-	acc := wire.Accept{
-		Ballot: in.drive, Inst: ref,
-		Cmd: in.cmd, Seq: seq, Deps: deps,
-	}
-	r.ctx.Broadcast(r.peers, acc)
+	r.ctx.Broadcast(r.peers, wire.Accept{Ballot: in.drive, Inst: ref, Cmd: in.cmd, Seq: seq, Deps: deps})
 	if r.slowQ == 0 { // single-node cluster
 		r.commitInstance(ref, in, seq, deps)
 	}
 }
 
 func (r *Replica) onAccept(from ids.ID, m wire.Accept) {
-	in := r.inst(m.Inst)
+	in := r.inst(m.Inst, m.Deps)
+	if in == nil {
+		return
+	}
 	if in.status >= statusCommitted {
 		r.stats.Teachbacks++
 		r.ctx.Send(from, wire.Commit{Inst: m.Inst, Cmd: in.cmd, Seq: in.seq, Deps: in.deps})
@@ -851,7 +885,7 @@ func (r *Replica) onAccept(from ids.ID, m wire.Accept) {
 	}
 	if m.Ballot > in.bal {
 		in.bal = m.Ballot
-		r.stopDriving(m.Inst, in)
+		r.stopDriving(in)
 	}
 	in.cmd = m.Cmd
 	in.seq = m.Seq
@@ -870,13 +904,7 @@ func (r *Replica) onAcceptReply(m wire.AcceptReply) {
 		return
 	}
 	if !m.OK {
-		if m.Ballot <= in.drive {
-			return // a late or duplicated refusal of a superseded round
-		}
-		if m.Ballot > in.bal {
-			in.bal = m.Ballot
-		}
-		r.stopDriving(m.Inst, in)
+		r.refused(in, m.Ballot)
 		return
 	}
 	if m.Ballot != in.drive || !in.vote(m.From) {
@@ -889,6 +917,9 @@ func (r *Replica) onAcceptReply(m wire.AcceptReply) {
 
 // ------------------------------------------------------------- commit --
 
+// commitInstance commits the instance this replica drives with the given
+// attributes, teaches the cluster, and runs execution; in is not valid
+// afterwards.
 func (r *Replica) commitInstance(ref wire.InstRef, in *instance, seq uint64, deps []wire.InstRef) {
 	if in.status >= statusCommitted {
 		return
@@ -897,38 +928,30 @@ func (r *Replica) commitInstance(ref wire.InstRef, in *instance, seq uint64, dep
 		sample := r.ctx.Now() - in.opened
 		r.commitEwma += (sample - r.commitEwma) / 8
 	}
-	in.seq = seq
-	in.deps = deps
-	in.status = statusCommitted
-	r.stopDriving(ref, in)
-	delete(r.blocked, ref)
-	if !in.cmd.Empty() {
-		r.recordInterference(ref, in.cmd, seq)
-	}
-	r.stats.Commits++
-	cm := wire.Commit{Inst: ref, Cmd: in.cmd, Seq: seq, Deps: deps}
-	r.ctx.Broadcast(r.peers, cm)
-	r.pendingExec[ref] = true
-	r.tryExecuteAll()
+	r.ctx.Broadcast(r.peers, wire.Commit{Inst: ref, Cmd: in.cmd, Seq: seq, Deps: deps})
+	r.commit(ref, in, in.cmd, seq, deps)
 }
 
 func (r *Replica) onCommit(m wire.Commit) {
 	r.ctx.Work(time.Duration(len(m.Deps)) * depWork)
-	in := r.inst(m.Inst)
-	if in.status >= statusCommitted {
-		return
+	if in := r.inst(m.Inst, m.Deps); in != nil && in.status < statusCommitted {
+		r.commit(m.Inst, in, m.Cmd, m.Seq, m.Deps)
 	}
-	in.cmd = m.Cmd
-	in.seq = m.Seq
-	in.deps = m.Deps
+}
+
+// commit records in (ref's instance) committed and runs execution; in is not
+// valid afterwards.
+func (r *Replica) commit(ref wire.InstRef, in *instance, cmd kvstore.Command, seq uint64, deps []wire.InstRef) {
+	in.cmd = cmd
+	in.seq = seq
+	in.deps = deps
 	in.status = statusCommitted
-	r.stopDriving(m.Inst, in)
-	delete(r.blocked, m.Inst)
+	r.stopDriving(in)
+	in.block = blockState{}
 	r.stats.Commits++
-	if !m.Cmd.Empty() {
-		r.recordInterference(m.Inst, m.Cmd, m.Seq)
+	if !cmd.Empty() {
+		r.recordInterference(ref, cmd, seq)
 	}
-	r.pendingExec[m.Inst] = true
 	r.tryExecuteAll()
 }
 
@@ -937,8 +960,8 @@ func (r *Replica) onCommit(m wire.Commit) {
 // startRecovery takes over an instance whose driver is suspected dead: bid
 // a ballot above everything seen and gather a majority's knowledge.
 func (r *Replica) startRecovery(ref wire.InstRef) {
-	in := r.inst(ref)
-	if in.status >= statusCommitted || in.preparing {
+	in := r.inst(ref, nil)
+	if in == nil || in.status >= statusCommitted || in.preparing {
 		return
 	}
 	r.stats.Recoveries++
@@ -950,11 +973,10 @@ func (r *Replica) startRecovery(ref wire.InstRef) {
 	in.votesAtSend = 0
 	// This replica's own knowledge is the first reply.
 	in.prep = append(in.prep[:0], prepInfo{
-		from: r.cfg.ID, status: wireStatus(in.status), vbal: in.vbal,
+		from: r.cfg.ID, status: wireStatus[in.status], vbal: in.vbal,
 		cmd: in.cmd, seq: in.seq,
 		deps: append([]wire.InstRef(nil), in.deps...),
 	})
-	r.driving[ref] = true
 	in.lastSend = r.ctx.Now()
 	r.ctx.Broadcast(r.peers, wire.Prepare{Ballot: b, Inst: ref})
 	if r.slowQ == 0 { // single-node cluster
@@ -964,7 +986,12 @@ func (r *Replica) startRecovery(ref wire.InstRef) {
 
 func (r *Replica) onPrepare(from ids.ID, m wire.Prepare) {
 	r.stats.Prepares++
-	in := r.inst(m.Inst)
+	in := r.inst(m.Inst, nil)
+	if in == nil {
+		// Out of bounds, or collected: the command executed here and is
+		// gone. Saying "none" would invite a no-op over it.
+		return
+	}
 	if m.Ballot < in.bal {
 		r.ctx.Send(from, wire.PrepareReply{
 			Inst: m.Inst, From: r.cfg.ID, OK: false, Ballot: in.bal,
@@ -976,28 +1003,22 @@ func (r *Replica) onPrepare(from ids.ID, m wire.Prepare) {
 		// instance, it stops — late replies to its old phases no longer
 		// count, so it cannot commit behind the recovery's back.
 		in.bal = m.Ballot
-		r.stopDriving(m.Inst, in)
+		r.stopDriving(in)
 	}
 	r.ctx.Send(from, wire.PrepareReply{
 		Inst: m.Inst, From: r.cfg.ID, OK: true, Ballot: m.Ballot,
-		Status: wireStatus(in.status), VBallot: in.vbal,
+		Status: wireStatus[in.status], VBallot: in.vbal,
 		Cmd: in.cmd, Seq: in.seq, Deps: in.deps,
 	})
 }
 
 func (r *Replica) onPrepareReply(m wire.PrepareReply) {
 	in := r.lookup(m.Inst)
-	if in == nil || !in.preparing {
+	if in == nil || !in.preparing || !r.bounded(m.Inst, m.Deps) {
 		return
 	}
 	if !m.OK {
-		if m.Ballot <= in.drive {
-			return // a late or duplicated refusal of a superseded round
-		}
-		if m.Ballot > in.bal {
-			in.bal = m.Ballot
-		}
-		r.stopDriving(m.Inst, in)
+		r.refused(in, m.Ballot)
 		return
 	}
 	if m.Ballot != in.drive || !in.vote(m.From) {
@@ -1133,12 +1154,10 @@ func (r *Replica) restartPreAccept(ref wire.InstRef, in *instance, cmd kvstore.C
 	r.ctx.Work(attrWork + r.scanCost())
 	in.cmd = cmd
 	seq, deps := r.attributes(cmd, ref)
-	if seq0 > seq {
-		seq = seq0
-	}
+	seq = max(seq, seq0)
 	deps = mergeDeps(deps, deps0)
 	deps = r.capSelfRow(deps, ref, cmd)
-	sortRefs(deps)
+	slices.SortFunc(deps, compareRefs)
 	in.seq = seq
 	in.deps = deps
 	in.status = statusPreAccepted
@@ -1186,11 +1205,13 @@ func (r *Replica) sweepTick() {
 // messages), downgrades stalled fast-path attempts to the slow path once a
 // majority has replied (masking crashed fast-quorum members), and starts
 // Explicit Prepare on instances execution has been blocked on for too long
-// (masking crashed command leaders and lost commits). Both scans iterate in
-// sorted order — map order must not leak into message timing.
+// (masking crashed command leaders and lost commits). Both scans walk the
+// rows' unexecuted ranges in (replica, slot) order, the same on every run,
+// and look each cell up afresh: a commit or recovery inside the scan may
+// move the ring.
 func (r *Replica) sweep() {
 	now := r.ctx.Now()
-	if r.cfg.RetryTimeout > 0 && len(r.driving) > 0 {
+	if r.cfg.RetryTimeout > 0 {
 		// Adaptive stall threshold: at least RetryTimeout, but well above
 		// the commit latency the cluster is currently delivering, so a
 		// loaded-but-healthy quorum is never mistaken for loss.
@@ -1198,99 +1219,58 @@ func (r *Replica) sweep() {
 		if adaptive := 3 * r.commitEwma; adaptive > retryAfter {
 			retryAfter = adaptive
 		}
-		refs := make([]wire.InstRef, 0, len(r.driving))
-		for ref := range r.driving {
-			refs = append(refs, ref)
-		}
-		sortRefs(refs)
-		for _, ref := range refs {
-			in := r.lookup(ref)
-			if in == nil || in.drive.IsZero() || in.status >= statusCommitted {
-				delete(r.driving, ref)
-				continue
-			}
-			if now-in.lastSend < retryAfter {
-				continue
-			}
-			if len(in.voters) > in.votesAtSend {
-				// Votes arrived since the last send: the quorum is slow,
-				// not lossy. Push the clock instead of retransmitting —
-				// blind retransmission under overload amplifies the very
-				// queueing that slowed the votes.
-				in.votesAtSend = len(in.voters)
-				in.lastSend = now
-				continue
-			}
-			r.stats.Retransmits++
-			in.lastSend = now
-			in.votesAtSend = len(in.voters)
-			switch {
-			case in.preparing:
-				r.ctx.Broadcast(r.peers, wire.Prepare{Ballot: in.drive, Inst: ref})
-			case in.status == statusPreAccepted:
-				if ref.Replica == r.cfg.ID && in.drive == defaultBallot(ref) &&
-					len(in.voters) >= r.slowQ {
-					// A majority replied but the fast quorum is not
-					// forming (crashed peers): downgrade to the slow
-					// path instead of stalling.
-					r.stats.SlowPath++
-					r.startAccept(ref, in, in.mergedSeq, in.mergedDeps)
+		for i := range r.rows {
+			rw := &r.rows[i]
+			for slot := rw.cursor(); slot < rw.win.End(); slot++ {
+				in := rw.win.At(slot)
+				if in == nil || in.drive.IsZero() || in.status >= statusCommitted {
 					continue
 				}
-				// Retransmit to every peer, thrifty or not: the original
-				// targets may be the crashed ones.
-				r.ctx.Broadcast(r.peers, wire.PreAccept{
-					Ballot: in.drive, Inst: ref, Cmd: in.cmd, Seq: in.seq, Deps: in.deps,
-				})
-			case in.status == statusAccepted:
-				r.ctx.Broadcast(r.peers, wire.Accept{
-					Ballot: in.drive, Inst: ref, Cmd: in.cmd, Seq: in.seq, Deps: in.deps,
-				})
+				r.retransmit(wire.InstRef{Replica: rw.id, Slot: slot}, in, now, retryAfter)
 			}
 		}
 	}
-	if r.cfg.RecoverTimeout > 0 && len(r.blocked) > 0 {
-		refs := make([]wire.InstRef, 0, len(r.blocked))
-		for ref := range r.blocked {
-			refs = append(refs, ref)
-		}
-		sortRefs(refs)
-		for _, ref := range refs {
-			in := r.lookup(ref)
-			if (in != nil && in.status >= statusCommitted) || ref.Slot <= r.gcFloor[ref.Replica] {
-				delete(r.blocked, ref)
-				continue
+	if r.cfg.RecoverTimeout > 0 {
+		for i := range r.rows {
+			rw := &r.rows[i]
+			for slot := rw.cursor(); slot < rw.win.End(); slot++ {
+				in := rw.win.At(slot)
+				if in == nil || !in.block.on {
+					continue
+				}
+				if in.status >= statusCommitted {
+					in.block = blockState{}
+					continue
+				}
+				// Recovery deadlines are tiered so a cluster that is blocked on
+				// one instance does not recover it nine times over (every
+				// concurrent Prepare supersedes every other — a ballot war
+				// that commits nothing):
+				//   - the owner itself, and anyone a row watermark proved the
+				//     instance committed at its owner for (a plain fetch,
+				//     nothing to steal), fire after one timeout;
+				//   - otherwise, a chatty owner is alive and will finish the
+				//     instance itself — everyone defers four timeouts;
+				//   - for a silent owner, the lowest-ID replica this replica
+				//     has recently heard from (itself included) is the
+				//     designated recoverer at one timeout; the rest hang back
+				//     four as its fallback.
+				wait := r.cfg.RecoverTimeout
+				switch {
+				case in.block.committedElsewhere || rw.id == r.cfg.ID:
+				case now-rw.heard < r.cfg.RecoverTimeout:
+					wait = 4 * r.cfg.RecoverTimeout
+				case r.recoveryDelegate(rw.id, now) != r.cfg.ID:
+					wait = 4 * r.cfg.RecoverTimeout
+				}
+				if now-in.block.since < wait {
+					continue
+				}
+				// Re-stamp so a superseded or stalled recovery retries with a
+				// fresh (higher) ballot after another full timeout.
+				in.block.since = now
+				r.startRecovery(wire.InstRef{Replica: rw.id, Slot: slot})
 			}
-			// Recovery deadlines are tiered so a cluster that is blocked on
-			// one instance does not recover it nine times over (every
-			// concurrent Prepare supersedes every other — a ballot war
-			// that commits nothing):
-			//   - the owner itself, and anyone a row watermark proved the
-			//     instance committed at its owner for (a plain fetch,
-			//     nothing to steal), fire after one timeout;
-			//   - otherwise, a chatty owner is alive and will finish the
-			//     instance itself — everyone defers four timeouts;
-			//   - for a silent owner, the lowest-ID replica this replica
-			//     has recently heard from (itself included) is the
-			//     designated recoverer at one timeout; the rest hang back
-			//     four as its fallback.
-			bs := r.blocked[ref]
-			wait := r.cfg.RecoverTimeout
-			switch {
-			case bs.committedElsewhere || ref.Replica == r.cfg.ID:
-			case now-r.heard[ref.Replica] < r.cfg.RecoverTimeout:
-				wait = 4 * r.cfg.RecoverTimeout
-			case r.recoveryDelegate(ref.Replica, now) != r.cfg.ID:
-				wait = 4 * r.cfg.RecoverTimeout
-			}
-			if now-bs.since < wait {
-				continue
-			}
-			// Re-stamp so a superseded or stalled recovery retries with a
-			// fresh (higher) ballot after another full timeout.
-			bs.since = now
-			r.blocked[ref] = bs
-			r.startRecovery(ref)
 		}
 	}
 	// Row-watermark gossip: periodically advertise the own-row commit
@@ -1300,13 +1280,10 @@ func (r *Replica) sweep() {
 	// liveness heartbeats: the first one delivered to a freshly recovered
 	// replica resurrects its sweep chain (see OnMessage).
 	if r.cfg.RecoverTimeout > 0 && now-r.lastAdvertise >= r.cfg.RecoverTimeout {
-		row := r.rows[r.cfg.ID]
-		if fl := r.gcFloor[r.cfg.ID]; fl > r.ownFloor {
-			r.ownFloor = fl
-		}
+		own := r.row(r.cfg.ID)
+		r.ownFloor = max(r.ownFloor, own.floor())
 		for {
-			in, ok := row[r.ownFloor+1]
-			if !ok || in.status < statusCommitted {
+			if in := own.win.At(r.ownFloor + 1); in == nil || in.status < statusCommitted {
 				break
 			}
 			r.ownFloor++
@@ -1316,23 +1293,61 @@ func (r *Replica) sweep() {
 	}
 }
 
-// blockState is one entry of the recovery clock: when the instance first
-// blocked, and whether a row watermark proved it committed at its owner
-// (in which case recovery is a plain fetch with no takeover race, and the
-// chatty-owner grace period does not apply).
+// retransmit re-sends a driven instance's current phase message if it has
+// stalled for retryAfter.
+func (r *Replica) retransmit(ref wire.InstRef, in *instance, now, retryAfter time.Duration) {
+	if now-in.lastSend < retryAfter {
+		return
+	}
+	if len(in.voters) > in.votesAtSend {
+		// Votes arrived since the last send: the quorum is slow, not
+		// lossy. Push the clock instead of retransmitting — blind
+		// retransmission under overload amplifies the very queueing that
+		// slowed the votes.
+		in.votesAtSend = len(in.voters)
+		in.lastSend = now
+		return
+	}
+	r.stats.Retransmits++
+	in.lastSend = now
+	in.votesAtSend = len(in.voters)
+	switch {
+	case in.preparing:
+		r.ctx.Broadcast(r.peers, wire.Prepare{Ballot: in.drive, Inst: ref})
+	case in.status == statusPreAccepted:
+		if ref.Replica == r.cfg.ID && in.drive == defaultBallot(ref) &&
+			len(in.voters) >= r.slowQ {
+			// A majority replied but the fast quorum is not forming
+			// (crashed peers): downgrade to the slow path instead of
+			// stalling.
+			r.stats.SlowPath++
+			r.startAccept(ref, in, in.mergedSeq, in.mergedDeps)
+			return
+		}
+		r.ctx.Broadcast(r.peers, wire.PreAccept{
+			Ballot: in.drive, Inst: ref, Cmd: in.cmd, Seq: in.seq, Deps: in.deps,
+		})
+	case in.status == statusAccepted:
+		r.ctx.Broadcast(r.peers, wire.Accept{
+			Ballot: in.drive, Inst: ref, Cmd: in.cmd, Seq: in.seq, Deps: in.deps,
+		})
+	}
+}
+
+// blockState is an instance's recovery clock: whether it runs, when the
+// instance first blocked execution, and whether a row watermark proved it
+// committed at its owner (in which case recovery is a plain fetch with no
+// takeover race, and the chatty-owner grace period does not apply).
 type blockState struct {
+	on                 bool
 	since              time.Duration
 	committedElsewhere bool
 }
 
-// noteBlocked records that execution is blocked on ref, starting the
-// recovery clock if it was not already running.
-func (r *Replica) noteBlocked(ref wire.InstRef) {
-	if ref == (wire.InstRef{}) {
-		return
-	}
-	if _, ok := r.blocked[ref]; !ok {
-		r.blocked[ref] = blockState{since: r.ctx.Now()}
+// noteBlocked starts the instance's recovery clock if it is not running.
+func (in *instance) noteBlocked(now time.Duration) {
+	if !in.block.on {
+		in.block = blockState{on: true, since: now}
 	}
 }
 
@@ -1343,56 +1358,38 @@ func (r *Replica) noteBlocked(ref wire.InstRef) {
 // elect themselves, instead of the whole cluster superseding one another.
 func (r *Replica) recoveryDelegate(owner ids.ID, now time.Duration) ids.ID {
 	best := r.cfg.ID
-	for _, id := range r.peers {
-		if id == owner || id >= best {
+	for i := range r.rows {
+		rw := &r.rows[i]
+		if rw.id == owner || rw.id >= best {
 			continue
 		}
-		if now-r.heard[id] < 2*r.cfg.RecoverTimeout {
-			best = id
+		if now-rw.heard < 2*r.cfg.RecoverTimeout {
+			best = rw.id
 		}
 	}
 	return best
 }
 
-// noteCommittedElsewhere starts (or upgrades) the recovery clock for an
-// instance a row watermark proved committed at its owner.
-func (r *Replica) noteCommittedElsewhere(ref wire.InstRef) {
-	bs, ok := r.blocked[ref]
-	if !ok {
-		bs = blockState{since: r.ctx.Now()}
-	}
-	bs.committedElsewhere = true
-	r.blocked[ref] = bs
-}
-
 // ---------------------------------------------------------- execution --
 
-// tryExecuteAll attempts to execute every pending committed instance. An
-// instance executes once its dependency closure is committed; the closure's
-// strongly connected components execute in topological order, components
-// internally ordered by (seq, instance id) — the EPaxos execution algorithm.
-// Instances whose closure contains uncommitted dependencies stay pending and
-// are retried on the next commit or retry tick.
+// tryExecuteAll attempts to execute every committed instance awaiting its
+// dependencies, walking the rows' unexecuted ranges in (replica, slot)
+// order. An instance executes once its dependency closure is committed; the
+// closure's strongly connected components execute in topological order,
+// components internally ordered by (seq, instance id) — the EPaxos
+// execution algorithm. Instances whose closure contains uncommitted
+// dependencies stay committed-pending and are retried on the next commit or
+// retry tick.
 func (r *Replica) tryExecuteAll() {
-	// Snapshot and sort the pending set: map iteration order would vary the
-	// execution attempt order (and with it ExecVisit CPU charges) between
-	// equal-seed runs.
-	refs := make([]wire.InstRef, 0, len(r.pendingExec))
-	for ref := range r.pendingExec {
-		refs = append(refs, ref)
-	}
-	sortRefs(refs)
-	for _, ref := range refs {
-		if !r.pendingExec[ref] {
-			continue // executed as part of an earlier closure this sweep
-		}
-		in := r.lookup(ref)
-		if in == nil || in.status != statusCommitted {
-			delete(r.pendingExec, ref)
-			continue
-		}
-		if !r.executeClosure(ref) {
-			r.armRetry()
+	for i := range r.rows {
+		rw := &r.rows[i]
+		for slot := rw.cursor(); slot < rw.win.End(); slot++ {
+			if in := rw.win.At(slot); in == nil || in.status != statusCommitted {
+				continue // executed by an earlier closure this pass, or not committed
+			}
+			if !r.executeClosure(wire.InstRef{Replica: rw.id, Slot: slot}) {
+				r.armRetry()
+			}
 		}
 	}
 }
@@ -1415,47 +1412,79 @@ func (r *Replica) armRetry() {
 	})
 }
 
+// tarjan is the scratch of one Tarjan SCC pass restricted to committed
+// instances; the per-node marks live in the instances. Uncommitted
+// instances do not abort the traversal: they are collected as blockers (and
+// treated as sinks) so one failed execution attempt surfaces every missing
+// dependency at once; the components are only executed when no blocker was
+// found.
+type tarjan struct {
+	pass     uint64 // stamps the instances this pass indexed
+	next     int
+	stack    []wire.InstRef
+	comps    []wire.InstRef // the components, back to back, in completion order
+	ends     []int          // comps[ends[i-1]:ends[i]] is component i
+	blockers []wire.InstRef // may repeat: noteBlocked is idempotent
+}
+
 // executeClosure runs Tarjan's SCC over the committed dependency graph
 // reachable from root and executes finished components. It returns false
 // if uncommitted dependencies block the closure — noting every blocker it
 // can reach for the recovery sweep, so a deep chain of missing instances
 // is recovered in parallel rather than one discovery per timeout.
 func (r *Replica) executeClosure(root wire.InstRef) bool {
-	t := &tarjan{r: r, index: make(map[wire.InstRef]int), low: make(map[wire.InstRef]int), onStack: make(map[wire.InstRef]bool)}
-	t.strongConnect(root)
+	t := &r.scc
+	t.pass++
+	t.next = 0
+	t.stack, t.comps, t.ends, t.blockers = t.stack[:0], t.comps[:0], t.ends[:0], t.blockers[:0]
+	r.strongConnect(root)
 	if len(t.blockers) > 0 {
 		r.stats.Blocked++
 		for _, b := range t.blockers {
-			r.noteBlocked(b)
+			// The blocker may be unknown here: its cell carries the clock
+			// either way.
+			if c := r.cell(b); c != nil {
+				c.noteBlocked(r.ctx.Now())
+			}
 		}
 		return false
 	}
-	for _, comp := range t.components {
-		sortComponent(comp, r)
+	start := 0
+	for _, end := range t.ends {
+		comp := t.comps[start:end]
+		start = end
+		// Within a component, (seq, replica, slot) order: the deterministic
+		// tie-break every replica applies identically.
+		slices.SortFunc(comp, func(a, b wire.InstRef) int {
+			return cmp.Or(cmp.Compare(r.lookup(a).seq, r.lookup(b).seq), compareRefs(a, b))
+		})
 		for _, ref := range comp {
-			in := r.lookup(ref)
-			if in.status == statusExecuted {
-				continue
+			if in := r.lookup(ref); in.status != statusExecuted {
+				r.execute(ref, in)
 			}
-			r.execute(ref, in)
 		}
 	}
 	return true
 }
 
+// execute applies in (ref's instance) and answers its client; GC may then
+// collect it, so in is not valid afterwards.
 func (r *Replica) execute(ref wire.InstRef, in *instance) {
 	r.retryWait = 0
 	in.status = statusExecuted
+	in.block = blockState{}
 	r.live--
 	r.stats.Executions++
 	r.ctx.Work(execWork)
-	delete(r.pendingExec, ref)
-	delete(r.blocked, ref)
+	r.apply(ref, in)
 	r.execSinceGC++
-	if r.cfg.GCEvery > 0 && r.execSinceGC >= r.cfg.GCEvery {
+	if r.execSinceGC >= r.cfg.gcEvery {
 		r.execSinceGC = 0
 		r.gc()
 	}
+}
+
+func (r *Replica) apply(ref wire.InstRef, in *instance) {
 	if in.cmd.Empty() {
 		// No-op anchored by recovery: nothing to apply, nobody to answer.
 		r.stats.Noops++
@@ -1497,131 +1526,71 @@ func (r *Replica) execute(ref wire.InstRef, in *instance) {
 	}
 }
 
-// tarjan is an iterative-enough Tarjan SCC restricted to committed
-// instances. Uncommitted instances do not abort the traversal: they are
-// collected as blockers (and treated as sinks) so one failed execution
-// attempt surfaces every missing dependency at once; the components are
-// only executed when no blocker was found.
-type tarjan struct {
-	r          *Replica
-	index      map[wire.InstRef]int
-	low        map[wire.InstRef]int
-	stack      []wire.InstRef
-	onStack    map[wire.InstRef]bool
-	next       int
-	components [][]wire.InstRef
-	blockers   []wire.InstRef
-	blockedSet map[wire.InstRef]bool
-}
-
-func (t *tarjan) addBlocker(v wire.InstRef) {
-	if t.blockedSet == nil {
-		t.blockedSet = make(map[wire.InstRef]bool)
-	}
-	if !t.blockedSet[v] {
-		t.blockedSet[v] = true
-		t.blockers = append(t.blockers, v)
-	}
-}
-
-func (t *tarjan) strongConnect(v wire.InstRef) {
-	in := t.r.lookup(v)
+func (r *Replica) strongConnect(v wire.InstRef) {
+	t := &r.scc
+	in := r.lookup(v)
 	if in == nil {
-		if v.Slot <= t.r.gcFloor[v.Replica] {
+		if rw := r.row(v.Replica); rw != nil && v.Slot <= rw.floor() {
 			return // collected ⇒ executed long ago: a sink
 		}
-		t.addBlocker(v) // unknown dependency blocks execution
+		t.blockers = append(t.blockers, v) // unknown dependency blocks execution
 		return
 	}
 	if in.status < statusCommitted {
-		t.addBlocker(v) // uncommitted dependency blocks execution
+		t.blockers = append(t.blockers, v) // uncommitted dependency blocks execution
 		return
 	}
-	t.r.stats.ExecVisits++
-	t.r.ctx.Work(execVisitWork)
+	r.stats.ExecVisits++
+	r.ctx.Work(execVisitWork)
 	if in.status == statusExecuted {
 		return // executed nodes are sinks; no edges out matter
 	}
-	t.index[v] = t.next
-	t.low[v] = t.next
+	in.pass = t.pass
+	in.index = t.next
+	in.low = t.next
 	t.next++
 	t.stack = append(t.stack, v)
-	t.onStack[v] = true
+	in.onStack = true
 
+	// in stays valid through the recursion: the traversal only looks
+	// cells up, so the rings do not move.
 	for _, w := range in.deps {
-		win := t.r.lookup(w)
-		if win != nil && win.status == statusExecuted {
-			continue
-		}
-		if _, seen := t.index[w]; !seen {
-			t.strongConnect(w)
-			if lw, ok := t.low[w]; ok && lw < t.low[v] {
-				t.low[v] = lw
+		win := r.lookup(w)
+		switch {
+		case win != nil && win.status == statusExecuted:
+		case win == nil || win.pass != t.pass:
+			r.strongConnect(w)
+			if win != nil && win.pass == t.pass && win.low < in.low {
+				in.low = win.low
 			}
-		} else if t.onStack[w] {
-			if t.index[w] < t.low[v] {
-				t.low[v] = t.index[w]
-			}
+		case win.onStack && win.index < in.low:
+			in.low = win.index
 		}
 	}
 
-	if t.low[v] == t.index[v] {
-		var comp []wire.InstRef
+	if in.low == in.index {
 		for {
 			n := len(t.stack) - 1
 			w := t.stack[n]
 			t.stack = t.stack[:n]
-			t.onStack[w] = false
-			comp = append(comp, w)
+			r.lookup(w).onStack = false
+			t.comps = append(t.comps, w)
 			if w == v {
 				break
 			}
 		}
-		t.components = append(t.components, comp)
+		t.ends = append(t.ends, len(t.comps))
 	}
 }
 
-// gc removes executed prefixes of every instance row, advancing the row's
-// floor so later dependency checks treat collected slots as executed. Only
-// contiguous executed prefixes are collected (a hole means some older
-// instance is still live).
+// gc collects every row's executed prefix: the window slides up to the
+// row's lowest unexecuted slot, raising the floor below which dependency
+// checks treat slots as executed. A hole stops it (some older instance is
+// still live).
 func (r *Replica) gc() {
-	for rep, row := range r.rows {
-		floor := r.gcFloor[rep]
-		for {
-			in, ok := row[floor+1]
-			if !ok || in.status != statusExecuted {
-				break
-			}
-			delete(row, floor+1)
-			floor++
-		}
-		r.gcFloor[rep] = floor
+	for i := range r.rows {
+		rw := &r.rows[i]
+		rw.win.Advance(rw.cursor())
 	}
 	r.stats.GCs++
-}
-
-// sortComponent orders an SCC by (seq, replica, slot) — the deterministic
-// tie-break every replica applies identically.
-func sortComponent(comp []wire.InstRef, r *Replica) {
-	for i := 1; i < len(comp); i++ {
-		for j := i; j > 0; j-- {
-			a, b := r.lookup(comp[j-1]), r.lookup(comp[j])
-			if less(b, comp[j], a, comp[j-1]) {
-				comp[j-1], comp[j] = comp[j], comp[j-1]
-			} else {
-				break
-			}
-		}
-	}
-}
-
-func less(a *instance, ar wire.InstRef, b *instance, br wire.InstRef) bool {
-	if a.seq != b.seq {
-		return a.seq < b.seq
-	}
-	if ar.Replica != br.Replica {
-		return ar.Replica < br.Replica
-	}
-	return ar.Slot < br.Slot
 }

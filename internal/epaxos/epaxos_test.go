@@ -263,24 +263,6 @@ func TestCyclicDependenciesExecuteBySeq(t *testing.T) {
 	}
 }
 
-func TestThriftyUsesFewerMessages(t *testing.T) {
-	count := func(thrifty bool) uint64 {
-		tc := newCluster(t, 7, func(c *Config) { c.Thrifty = thrifty })
-		for i := 0; i < 10; i++ {
-			tc.send(time.Duration(i)*time.Millisecond, tc.cfg.Nodes[0],
-				kvstore.Command{Op: kvstore.Put, Key: uint64(i), ClientID: 1, Seq: uint64(i + 1)})
-		}
-		tc.sim.Run(300 * time.Millisecond)
-		if len(tc.client.replies) != 10 {
-			t.Fatalf("thrifty=%v replies=%d", thrifty, len(tc.client.replies))
-		}
-		return tc.net.MessagesSent()
-	}
-	if th, full := count(true), count(false); th >= full {
-		t.Errorf("thrifty=%d should be < full=%d", th, full)
-	}
-}
-
 func TestHighConflictStillLinearizesPerKey(t *testing.T) {
 	// Hammer one key from all replicas; every replica must converge to
 	// the same final value even through SCC execution.
@@ -314,7 +296,7 @@ func TestStatsCounters(t *testing.T) {
 }
 
 func TestInstanceGC(t *testing.T) {
-	tc := newCluster(t, 3, func(c *Config) { c.GCEvery = 10 })
+	tc := newCluster(t, 3, func(c *Config) { c.gcEvery = 10 })
 	const n = 60
 	for i := 0; i < n; i++ {
 		tc.send(time.Duration(i)*time.Millisecond, tc.cfg.Nodes[i%3],
@@ -330,8 +312,8 @@ func TestInstanceGC(t *testing.T) {
 	}
 	// The instance space must be bounded well below the executed total.
 	remaining := 0
-	for _, row := range r.rows {
-		remaining += len(row)
+	for i := range r.rows {
+		remaining += r.rows[i].win.Len()
 	}
 	if remaining >= n {
 		t.Errorf("instance space holds %d entries after GC, want < %d", remaining, n)
@@ -348,7 +330,7 @@ func TestInstanceGC(t *testing.T) {
 func TestGCFloorSatisfiesDependencies(t *testing.T) {
 	// A new command depending on a GC'd instance must execute (collected
 	// implies executed), not block forever.
-	tc := newCluster(t, 3, func(c *Config) { c.GCEvery = 1 })
+	tc := newCluster(t, 3, func(c *Config) { c.gcEvery = 1 })
 	r := tc.replicas[tc.cfg.Nodes[0]]
 	a := wire.InstRef{Replica: tc.cfg.Nodes[1], Slot: 1}
 	tc.sim.Schedule(0, func() {
@@ -360,7 +342,7 @@ func TestGCFloorSatisfiesDependencies(t *testing.T) {
 	if r.Stats().Executions != 1 {
 		t.Fatal("seed instance did not execute")
 	}
-	// After GCEvery=1, instance a is collected. A dependent commit must
+	// After gcEvery=1, instance a is collected. A dependent commit must
 	// still execute.
 	tc.sim.Schedule(0, func() {
 		r.OnMessage(tc.cfg.Nodes[2], wire.Commit{

@@ -889,13 +889,13 @@ func (r *Replica) reroute(from ids.ID, cmd kvstore.Command) bool {
 }
 
 // windowOpen reports whether the pipelining window admits another slot. Past
-// MaxInFlight, the log itself stops taking slots rlog.MaxAhead above the
+// MaxInFlight, the log itself stops taking slots slots.MaxAhead above the
 // execution cursor; proposing into one would leave a hole nothing fills.
 func (r *Replica) windowOpen() bool {
 	if r.cfg.MaxInFlight > 0 && r.voting >= r.cfg.MaxInFlight {
 		return false
 	}
-	return r.log.PeekNextSlot()-r.log.ExecuteCursor() < rlog.MaxAhead
+	return r.log.PeekNextSlot()-r.log.ExecuteCursor() < slots.MaxAhead
 }
 
 // flushBatches proposes pending commands into slots, packing up to

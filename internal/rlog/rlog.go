@@ -8,9 +8,9 @@
 // Entry values: looking a slot up is an index, accepting into it allocates
 // nothing, and compaction slides the base instead of sweeping. A gap is a
 // cell nobody has written yet. The ring grows to the highest slot it is
-// handed, so slots MaxAhead or more above the execution cursor are refused —
-// a replica that far behind recovers through catch-up or a snapshot, and a
-// corrupt slot number cannot make a node allocate.
+// handed, so a slot slots.MaxAhead or more above the execution cursor is
+// refused — a replica that far behind recovers through catch-up or a
+// snapshot, and a corrupt slot number cannot make a node allocate.
 //
 // Each slot holds a command *batch*: the leader may pack several client
 // commands into one consensus instance, amortizing the fan-out round over
@@ -26,12 +26,6 @@ import (
 	"pigpaxos/internal/slots"
 	"pigpaxos/internal/wal"
 )
-
-// MaxAhead is how far above the execution cursor the log holds slots. It
-// bounds the window's memory (and every structure sized by the log's span)
-// against a slot number that is corrupt, hostile, or simply from a leader
-// this replica has fallen hopelessly behind.
-const MaxAhead = 1 << 20
 
 // Entry is one slot of the replicated log.
 type Entry struct {
@@ -107,7 +101,8 @@ func (l *Log) BumpNextSlot(slot uint64) {
 // not hold the slot: it is below the compaction floor (compacted ⇒ committed
 // and executed: any new proposal for the slot is necessarily stale, and
 // accepting it as a fresh entry would let a lagging leader quorum a no-op
-// over an anchored batch), or MaxAhead or more above the execution cursor.
+// over an anchored batch), or slots.MaxAhead or more above the execution
+// cursor.
 func (l *Log) cell(slot uint64) *Entry {
 	if slot < l.firstSlot || l.Beyond(slot) {
 		return nil
@@ -115,10 +110,10 @@ func (l *Log) cell(slot uint64) *Entry {
 	return l.win.Cover(slot)
 }
 
-// Beyond reports whether slot is MaxAhead or more above the execution
+// Beyond reports whether slot is slots.MaxAhead or more above the execution
 // cursor, where the log refuses it.
 func (l *Log) Beyond(slot uint64) bool {
-	return slot >= l.execCur && slot-l.execCur >= MaxAhead
+	return slot >= l.execCur && slot-l.execCur >= slots.MaxAhead
 }
 
 // Accept records batch cmds as accepted in slot under ballot b, overwriting

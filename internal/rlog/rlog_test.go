@@ -7,6 +7,7 @@ import (
 
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
+	"pigpaxos/internal/slots"
 	"pigpaxos/internal/wal"
 )
 
@@ -453,7 +454,7 @@ func TestSlotsFarAboveCursorRefused(t *testing.T) {
 		l.Commit(s, bal(1), one(s))
 	}
 	l.ExecuteReady(sm, nil) // cursor at 6
-	edge := l.ExecuteCursor() + MaxAhead
+	edge := l.ExecuteCursor() + slots.MaxAhead
 	for _, slot := range []uint64{edge, edge + 1, 1 << 63, ^uint64(0)} {
 		if !l.Beyond(slot) {
 			t.Errorf("Beyond(%d) = false", slot)

@@ -8,6 +8,13 @@
 // aggregations are all Windows over different cell types.
 package slots
 
+// MaxAhead is how far above its floor a replica holds slots: the replicated
+// log refuses slots this far above its execution cursor, and EPaxos drops
+// messages naming instances this far above a row's GC floor. It bounds every
+// window's memory against a slot number that is corrupt, hostile, or simply
+// from a peer this replica has fallen hopelessly behind.
+const MaxAhead = 1 << 20
+
 // Window is a dense array of cells for the contiguous slot range
 // [Base, End), stored as a ring so the range can slide upward without
 // copying. Cells outside the range are always the zero T.

@@ -5,9 +5,10 @@
 package kvstore
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -87,14 +88,28 @@ type cell struct {
 	version uint64 // writes applied to the key, deletes included
 }
 
+// keyed is a cell with its key, an element of the store's sorted order.
+type keyed struct {
+	key uint64
+	c   *cell
+}
+
 // Store is the replicated key-value state machine. It is safe for concurrent
 // use; protocols apply committed commands through Apply and serve local
 // reads through Get.
 type Store struct {
-	mu      sync.RWMutex
-	cells   map[uint64]*cell
-	live    int    // cells holding a value
-	applied uint64 // total commands applied, for metrics/tests
+	mu        sync.RWMutex
+	cells     map[uint64]*cell
+	live      int    // cells holding a value
+	liveBytes int    // the values' lengths, summed
+	applied   uint64 // total commands applied, for metrics/tests
+
+	// The cells in ascending key order, kept for Serialize: sorted as of the
+	// last one, plus the cells first written since in added. Until ordered
+	// (a fresh, restored or adopted store) there is no order yet and the
+	// first Serialize sorts the map.
+	sorted, added []keyed
+	ordered       bool
 }
 
 // New creates an empty store.
@@ -108,6 +123,9 @@ func (s *Store) written(key uint64) *cell {
 	if c == nil {
 		c = &cell{}
 		s.cells[key] = c
+		if s.ordered {
+			s.added = append(s.added, keyed{key, c})
+		}
 	}
 	c.version++
 	return c
@@ -133,12 +151,14 @@ func (s *Store) Apply(cmd Command) Result {
 			c.live = true
 			s.live++
 		}
+		s.liveBytes += len(v) - len(c.value)
 		c.value = v
 		return Result{Exists: true, Value: nil}
 	case Delete:
 		c := s.written(cmd.Key)
 		was := c.live
 		if was {
+			s.liveBytes -= len(c.value)
 			c.live, c.value = false, nil
 			s.live--
 		}
@@ -208,37 +228,80 @@ func (s *Store) Checksum() uint64 {
 	return acc
 }
 
+// SerializedSize is the number of bytes Serialize appends.
+func (s *Store) SerializedSize() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.serializedSize()
+}
+
+func (s *Store) serializedSize() int {
+	return 8 + 4 + 16*len(s.cells) + 4 + 12*s.live + s.liveBytes
+}
+
 // Serialize appends the full store state to b in a deterministic layout
 // (keys sorted ascending), so every replica serializes identical state to
 // identical bytes — snapshots can be compared and shipped between nodes.
 // The layout is a version section covering every key ever written,
 // including keys whose data was deleted (their write-versions still matter
-// to quorum reads), then a data section covering the live ones.
+// to quorum reads), then a data section covering the live ones. b grows at
+// most once, to the exact size; the walk is over the kept key order, so a
+// capture costs one pass over the keys plus sorting the ones that are new.
 func (s *Store) Serialize(b []byte) []byte {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock() // the key order is merged in place
+	defer s.mu.Unlock()
+	order := s.order()
+	b = slices.Grow(b, s.serializedSize())
 	b = binary.LittleEndian.AppendUint64(b, s.applied)
-	keys := make([]uint64, 0, len(s.cells))
-	for k := range s.cells {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(keys)))
-	for _, k := range keys {
-		b = binary.LittleEndian.AppendUint64(b, k)
-		b = binary.LittleEndian.AppendUint64(b, s.cells[k].version)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(order)))
+	for _, e := range order {
+		b = binary.LittleEndian.AppendUint64(b, e.key)
+		b = binary.LittleEndian.AppendUint64(b, e.c.version)
 	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(s.live))
-	for _, k := range keys {
-		c := s.cells[k]
-		if !c.live {
+	for _, e := range order {
+		if !e.c.live {
 			continue
 		}
-		b = binary.LittleEndian.AppendUint64(b, k)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(c.value)))
-		b = append(b, c.value...)
+		b = binary.LittleEndian.AppendUint64(b, e.key)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(e.c.value)))
+		b = append(b, e.c.value...)
 	}
 	return b
+}
+
+// order brings the kept key order up to date and returns it. The cells
+// written first since the last call are sorted alone and merged in from the
+// back, in place: O(n + k log k) for k new keys among n, where sorting the
+// map afresh would cost O(n log n) every time.
+func (s *Store) order() []keyed {
+	byKey := func(a, b keyed) int { return cmp.Compare(a.key, b.key) }
+	if !s.ordered {
+		s.sorted = s.sorted[:0]
+		for k, c := range s.cells {
+			s.sorted = append(s.sorted, keyed{k, c})
+		}
+		slices.SortFunc(s.sorted, byKey)
+		s.ordered = true
+		return s.sorted
+	}
+	if len(s.added) == 0 {
+		return s.sorted
+	}
+	slices.SortFunc(s.added, byKey)
+	n, k := len(s.sorted), len(s.added)
+	s.sorted = slices.Grow(s.sorted, k)[:n+k]
+	i, j := n-1, k-1
+	for w := n + k - 1; j >= 0; w-- {
+		if i >= 0 && s.sorted[i].key > s.added[j].key {
+			s.sorted[w], i = s.sorted[i], i-1
+		} else {
+			s.sorted[w], j = s.added[j], j-1
+		}
+	}
+	clear(s.added) // drop the cell pointers the merge copied
+	s.added = s.added[:0]
+	return s.sorted
 }
 
 // Restore replaces the store's contents with a state previously produced by
@@ -289,7 +352,7 @@ func (s *Store) Restore(b []byte) (int, error) {
 	if !ok || int(nData) > (len(b)-off)/12 {
 		return fail()
 	}
-	live := 0
+	live, liveBytes := 0, 0
 	for i := uint32(0); i < nData; i++ {
 		k, ok1 := u64()
 		n, ok2 := u32()
@@ -308,10 +371,12 @@ func (s *Store) Restore(b []byte) (int, error) {
 			c.live = true
 			live++
 		}
+		liveBytes += len(v) - len(c.value)
 		c.value = v
 	}
 	s.applied = applied
-	s.cells, s.live = cells, live
+	s.cells, s.live, s.liveBytes = cells, live, liveBytes
+	s.dropOrder()
 	return off, nil
 }
 
@@ -322,7 +387,13 @@ func (s *Store) Restore(b []byte) (int, error) {
 func (s *Store) Adopt(o *Store) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cells, s.live, s.applied = o.cells, o.live, o.applied
+	s.cells, s.live, s.liveBytes, s.applied = o.cells, o.live, o.liveBytes, o.applied
+	s.dropOrder()
+}
+
+// dropOrder forgets the kept key order of cells that were replaced.
+func (s *Store) dropOrder() {
+	s.sorted, s.added, s.ordered = nil, nil, false
 }
 
 func fnvMix(h, x uint64) uint64 {

@@ -291,6 +291,38 @@ func TestSnapshotBytesPinned(t *testing.T) {
 	}
 }
 
+// TestSerializeMergesNewKeys: a store captured again and again, with keys
+// first written, overwritten and deleted in between and a restore midway,
+// serializes each time to the bytes a store sorting its keys afresh does,
+// and to exactly SerializedSize of them.
+func TestSerializeMergesNewKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	s := New()
+	for round := 0; round < 200; round++ {
+		for i := rng.Intn(5); i > 0; i-- {
+			cmd := Command{Op: Put, Key: uint64(rng.Intn(500)), Value: make([]byte, rng.Intn(4))}
+			if rng.Intn(4) == 0 {
+				cmd.Op = Delete
+			}
+			s.Apply(cmd)
+		}
+		got := s.Serialize(nil)
+		if len(got) != s.SerializedSize() {
+			t.Fatalf("round %d: %d bytes, SerializedSize %d", round, len(got), s.SerializedSize())
+		}
+		fresh := New()
+		if _, err := fresh.Restore(got); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if want := fresh.Serialize(nil); !bytes.Equal(got, want) {
+			t.Fatalf("round %d: the kept order serialized\n%x\nsorting afresh\n%x", round, got, want)
+		}
+		if round == 100 {
+			s.Restore(got)
+		}
+	}
+}
+
 // FuzzRestore: bytes from a peer never panic Restore, never size an
 // allocation by a count the bytes left cannot back (the four-billion seeds
 // would otherwise ask for a map of that many cells), and either restore the

@@ -38,9 +38,14 @@ import (
 // acceptor's disk. A vote released late is still true: the accept it reports
 // happened before whatever the replica promised since.
 //
-// Only snapshots still stop the loop (SaveSnapshot writes and fsyncs the
-// checkpoint inline; they are rare and the compaction that follows needs the
-// file in place).
+// A snapshot is a stage of the same pipeline. The loop captures it — one
+// pass over the store's kept key order into a buffer of the exact size — and
+// hands it to the journal, which saves it as a disk job of the next flush,
+// after that flush's records; with no flush in flight one starts for it at
+// once. Nothing waits for it but compaction: the log and the journal are cut
+// to its floor when the flush carrying it lands, never before, so a crash in
+// between reboots from the previous snapshot and a journal that still holds
+// every record above that one's floor.
 
 // Release is what a parked vote does once the flush covering its record is
 // over: the handler it was parked with, called with the values it was parked
@@ -62,6 +67,9 @@ type flusher struct {
 	next     []waiter // parked since; they ride the next flush
 	flying   bool
 	draining bool // releasing riders; the next flush starts when they are out
+	// snapshot: a captured snapshot waits for the next flush;
+	// snapFlying: the flush in flight carries one.
+	snapshot, snapFlying bool
 	// A modelled flush (async false from StartFlush) is over at due, when
 	// timer fires; due is negative while a storage runs the flush itself.
 	due   time.Duration
@@ -89,30 +97,36 @@ func (r *Replica) WhenDurable(fn Release, slot uint64, b ids.Ballot, peer ids.ID
 		return
 	}
 	f := &r.flush
-	if f.flying && f.due >= 0 && r.ctx.Now() > f.due {
-		// The simulator drops a timer that comes due while its node is
-		// crashed; the modelled flush was over at due all the same. A node
-		// that comes back with its memory (chaos.Crash, not Reboot) would
-		// otherwise hold its votes for good: harness
-		// TestScenarioRollingCrashMidFlightKeepsVoting.
-		r.landEarly()
-	}
+	r.landOverdue()
 	f.next = append(f.next, waiter{fn, slot, b, peer})
 	if !f.draining {
 		r.pump()
 	}
 }
 
-// pump starts a flush for the votes parked so far unless one is in flight.
+// landOverdue ends a modelled flush whose completion came due while the
+// node was crashed: the simulator drops such a timer, but the flush was over
+// at due all the same. A node that comes back with its memory (chaos.Crash,
+// not Reboot) would otherwise hold its votes for good: harness
+// TestScenarioRollingCrashMidFlightKeepsVoting.
+func (r *Replica) landOverdue() {
+	if f := &r.flush; f.flying && f.due >= 0 && r.ctx.Now() > f.due {
+		r.landEarly()
+	}
+}
+
+// pump starts a flush for the votes parked so far and the snapshot captured
+// since the last one, unless a flush is in flight.
 func (r *Replica) pump() {
 	f := &r.flush
-	for !f.flying && len(f.next) > 0 {
+	for !f.flying && (len(f.next) > 0 || f.snapshot) {
 		f.riding, f.next = f.next, f.riding
+		f.snapFlying, f.snapshot = f.snapshot, false
 		started, async := r.st.StartFlush(f.wake)
 		if !started {
-			// Nothing was journaled since the last flush ended: what these
-			// votes reveal is durable already. (A failed storage starts
-			// nothing either; landing says so.)
+			// Nothing was journaled or saved since the last flush ended:
+			// what these votes reveal is durable already. (A failed storage
+			// starts nothing either; landing says so.)
 			r.land()
 			continue
 		}
@@ -145,15 +159,23 @@ func (r *Replica) landEarly() {
 	}
 }
 
-// land ends the flight, if any, and lets the votes it covered go, oldest
-// first. What they do may park new votes; those wait in next. A flush that
-// failed stops the replica: its votes must never leave.
+// land ends the flight, if any, compacts to the snapshot it saved and lets
+// the votes it covered go, oldest first. What they do may park new votes;
+// those wait in next. A flush that failed stops the replica: its votes must
+// never leave.
 func (r *Replica) land() {
 	f := &r.flush
 	if err := r.st.FinishFlush(); err != nil {
 		panic(fmt.Sprintf("paxos %v: journal flush: %v", r.cfg.ID, err))
 	}
 	f.flying, f.draining = false, true
+	if f.snapFlying {
+		f.snapFlying = false
+		if snap, ok := r.st.Snapshot(); ok {
+			r.log.CompactTo(snap.Floor)
+			r.st.CompactTo(snap.Floor)
+		}
+	}
 	for _, w := range f.riding {
 		w.fn(w.slot, w.b, w.peer)
 	}
@@ -223,22 +245,30 @@ func (r *Replica) noteJournaled(b ids.Ballot) {
 }
 
 // maybeSnapshot checkpoints the state machine every SnapshotEvery local
-// executions and compacts both the in-memory log and the journal to the
-// snapshot floor — this is what bounds memory and disk over a long run, and
+// executions; the in-memory log and the journal are compacted to its floor
+// once it lands — this is what bounds memory and disk over a long run, and
 // what lets restart replay snapshot + tail instead of the full history.
 func (r *Replica) maybeSnapshot() {
 	if r.st == nil || r.cfg.SnapshotEvery <= 0 || r.execSinceSnap < r.cfg.SnapshotEvery {
 		return
 	}
 	r.execSinceSnap = 0
-	floor := r.log.ExecuteCursor()
-	if err := r.st.SaveSnapshot(wal.Snapshot{Floor: floor, Data: r.encodeSnapshot()}); err != nil {
+	r.saveSnapshot(wal.Snapshot{Floor: r.log.ExecuteCursor(), Data: r.encodeSnapshot()})
+	r.stats.Snapshots++
+}
+
+// saveSnapshot hands snap to the journal to ride the next flush, starting
+// one if none is in flight.
+func (r *Replica) saveSnapshot(snap wal.Snapshot) {
+	if err := r.st.SaveSnapshot(snap); err != nil {
 		panic(fmt.Sprintf("paxos %v: save snapshot: %v", r.cfg.ID, err))
 	}
-	r.stats.Snapshots++
-	r.ctx.Work(r.st.SyncCost())
-	r.log.CompactTo(floor)
-	r.st.CompactTo(floor)
+	f := &r.flush
+	r.landOverdue()
+	f.snapshot = true
+	if !f.draining {
+		r.pump()
+	}
 }
 
 // OnSnapInstall installs a snapshot shipped by the leader to a replica whose
@@ -272,14 +302,10 @@ func (r *Replica) OnSnapInstall(m wire.SnapInstall) {
 	r.log.InstallSnapshot(m.Floor)
 	r.stats.SnapRestores++
 	if r.st != nil {
-		// Persist the installed snapshot as our own checkpoint so a crash
-		// right now restarts from here, then drop the journal prefix it
-		// covers.
-		if err := r.st.SaveSnapshot(wal.Snapshot{Floor: m.Floor, Data: m.Data}); err != nil {
-			panic(fmt.Sprintf("paxos %v: persist installed snapshot: %v", r.cfg.ID, err))
-		}
-		r.ctx.Work(r.st.SyncCost())
-		r.st.CompactTo(m.Floor)
+		// Persist the installed snapshot as our own checkpoint, so a crash
+		// once it has landed restarts from here; the journal prefix it
+		// covers goes then. The message's blob is the journal's from now.
+		r.saveSnapshot(wal.Snapshot{Floor: m.Floor, Data: m.Data})
 		r.execSinceSnap = 0
 	}
 	r.execute()

@@ -2,6 +2,7 @@ package paxos
 
 import (
 	"errors"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -280,5 +281,128 @@ func TestFlushJournalReleasesEveryParkedVote(t *testing.T) {
 	r.st.Replay(func(rec wal.Record) error { recs = append(recs, rec); return nil })
 	if len(recs) != 2 {
 		t.Fatalf("%d durable records, want both accepts", len(recs))
+	}
+}
+
+// heldStorage hands each flush to the storage it wraps but tells the replica
+// the flush is over only when the test calls complete, so a test decides
+// what is in flight when the replica crashes.
+type heldStorage struct {
+	wal.Storage
+	loop *nodetest.Loop
+	wake func()
+}
+
+func (h *heldStorage) StartFlush(wake func()) (started, async bool) {
+	if started, _ = h.Storage.StartFlush(func() {}); started {
+		h.wake = wake
+	}
+	return started, true
+}
+
+func (h *heldStorage) complete() {
+	wake := h.wake
+	h.wake = nil
+	wake()
+	h.loop.Run()
+}
+
+// A follower crashes with a snapshot captured but not landed: it was taken
+// while a flush was in flight and waits for the next one. Nothing below its
+// floor may be compacted yet, so the reboot rebuilds from the snapshot
+// before it plus the journal tail, on either disk.
+func TestCrashMidSnapshot(t *testing.T) {
+	disks := []struct {
+		name string
+		// open returns a fresh storage and what a power cut leaves of it.
+		open func(t *testing.T) (wal.Storage, func() wal.Storage)
+	}{
+		{"memory", func(t *testing.T) (wal.Storage, func() wal.Storage) {
+			m := wal.NewMem()
+			return m, func() wal.Storage { m.Crash(); return m }
+		}},
+		{"directory", func(t *testing.T) (wal.Storage, func() wal.Storage) {
+			dir := t.TempDir()
+			fs, err := wal.OpenFile(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { fs.Close() })
+			return fs, func() wal.Storage {
+				// The flight in progress reaches the disk (the syncer has it);
+				// what the journal holds beyond it does not.
+				if err := fs.FinishFlush(); err != nil {
+					t.Fatal(err)
+				}
+				image := t.TempDir()
+				if err := os.CopyFS(image, os.DirFS(dir)); err != nil {
+					t.Fatal(err)
+				}
+				st, err := wal.OpenFile(image)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { st.Close() })
+				return st
+			}
+		}},
+	}
+	for _, d := range disks {
+		t.Run(d.name, func(t *testing.T) {
+			cc := config.NewLAN(3)
+			leader, b := cc.Nodes[0], ids.NewBallot(1, cc.Nodes[0])
+			st, crash := d.open(t)
+			st.(interface{ SetSegBytes(int) }).SetSegBytes(1) // every flush seals a segment
+			loop := nodetest.NewLoop(cc.Nodes[1])
+			h := &heldStorage{Storage: st, loop: loop}
+			cfg := Config{Cluster: cc, ID: cc.Nodes[1], InitialLeader: leader, Storage: h, SnapshotEvery: 4, MaxPending: -1}
+			r := New(loop, cfg, nil)
+			p2a := func(slot, commit uint64) {
+				r.OnMessage(leader, wire.P2a{Ballot: b, Slot: slot, Cmds: []kvstore.Command{put(slot, 1)}, Commit: commit})
+			}
+			// Slots 1..8, each committed by the next: executing 1..4 takes
+			// the snapshot at floor 5, which lands and compacts.
+			for s := uint64(1); s <= 8; s++ {
+				p2a(s, s)
+				h.complete()
+			}
+			if snap, ok := st.Snapshot(); !ok || snap.Floor != 5 {
+				t.Fatalf("snapshot at floor %d, %v; want the one at floor 5 landed", snap.Floor, ok)
+			}
+			// Slot 9's accept is in flight when the heartbeat commits slot 8:
+			// the snapshot at floor 9 is captured and waits behind it.
+			p2a(9, 8)
+			r.OnMessage(leader, wire.Heartbeat{Ballot: b, From: leader, Commit: 9})
+			if got := r.Stats().Snapshots; got != 2 || r.Log().ExecuteCursor() != 9 {
+				t.Fatalf("%d snapshots captured, cursor %d; want 2 and 9", got, r.Log().ExecuteCursor())
+			}
+
+			st = crash()
+			if snap, ok := st.Snapshot(); !ok || snap.Floor != 5 {
+				t.Fatalf("after the crash: snapshot at floor %d, %v; want the one at floor 5", snap.Floor, ok)
+			}
+			accepted := map[uint64]bool{}
+			st.Replay(func(rec wal.Record) error {
+				accepted[rec.Slot] = accepted[rec.Slot] || rec.Kind == wal.KindAccept
+				return nil
+			})
+			for s := uint64(5); s <= 8; s++ {
+				if !accepted[s] {
+					t.Errorf("slot %d's accept was compacted away below a snapshot that never landed", s)
+				}
+			}
+			// Slot 8's commit went down with the buffer: the reboot executes
+			// 5..7 above the snapshot and learns 8 again from the leader.
+			again := New(nodetest.NewLoop(cc.Nodes[1]), Config{Cluster: cc, ID: cc.Nodes[1], InitialLeader: leader, Storage: st}, nil)
+			if again.Stats().SnapRestores != 1 || again.Log().ExecuteCursor() != 8 {
+				t.Fatalf("reboot: %d snapshot restores, cursor %d; want 1 and 8",
+					again.Stats().SnapRestores, again.Log().ExecuteCursor())
+			}
+			for k := uint64(1); k <= 8; k++ {
+				if _, ok := again.Store().Get(k); ok != (k <= 7) {
+					t.Errorf("reboot: key %d present %v", k, ok)
+				}
+			}
+		})
 	}
 }

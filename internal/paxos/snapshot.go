@@ -18,9 +18,10 @@ const snapVersion = 2
 // log itself: the promise ballot (compaction may discard journaled promise
 // records once a snapshot holds the ballot), the state machine, and the
 // at-most-once session table. The layout is deterministic (sorted keys), so
-// replicas with equal state produce equal blobs.
+// replicas with equal state produce equal blobs. The buffer is allocated
+// once, at its exact size.
 func (r *Replica) encodeSnapshot() []byte {
-	b := make([]byte, 0, 512)
+	b := make([]byte, 0, 1+8+r.store.SerializedSize()+r.sessions.EncodedSize())
 	b = append(b, snapVersion)
 	b = binary.LittleEndian.AppendUint64(b, uint64(r.ballot))
 	b = r.store.Serialize(b)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"pigpaxos/internal/config"
@@ -168,4 +169,73 @@ func FuzzRestoreSnapshot(f *testing.F) {
 			t.Fatalf("rejected (%v) yet the replica changed", err)
 		}
 	})
+}
+
+// loadedFollower is a volatile follower that has executed one Put per key
+// for keys 1..keys, spread over clients sessions.
+func loadedFollower(keys, clients int) *Replica {
+	cc := config.NewLAN(3)
+	leader := cc.Nodes[0]
+	b := ids.NewBallot(1, leader)
+	r := New(nodetest.New(cc.Nodes[1]), Config{Cluster: cc, ID: cc.Nodes[1], InitialLeader: leader}, nil)
+	r.Start()
+	for s := uint64(1); s <= uint64(keys); s++ {
+		client := 1 + s%uint64(clients)
+		cmds := []kvstore.Command{{Op: kvstore.Put, Key: s, Value: []byte("value-01"), ClientID: client, Seq: 1 + s/uint64(clients)}}
+		r.OnMessage(leader, wire.P2a{Ballot: b, Slot: s, Cmds: cmds, Commit: s})
+	}
+	r.OnMessage(leader, wire.Heartbeat{Ballot: b, From: leader, Commit: uint64(keys) + 1})
+	return r
+}
+
+// BenchmarkEncodeSnapshot is the capture a snapshot costs the event loop:
+// 1,000 keys and 16 sessions, with a key first written before each capture
+// (merged into the kept order; the Put is timed too, a sliver of the
+// capture, and the store grows by a key a round) and with none.
+func BenchmarkEncodeSnapshot(b *testing.B) {
+	for _, newKeys := range []int{0, 1} {
+		b.Run(fmt.Sprintf("new=%d", newKeys), func(b *testing.B) {
+			r := loadedFollower(1000, 16)
+			r.encodeSnapshot()
+			key := uint64(1 << 20)
+			b.ReportAllocs()
+			for b.Loop() {
+				for range newKeys {
+					key++
+					r.store.Apply(kvstore.Command{Op: kvstore.Put, Key: key, Value: []byte("v")})
+				}
+				r.encodeSnapshot()
+			}
+		})
+	}
+}
+
+// TestSnapshotEncodeAllocs pins the capture at two allocations in the
+// steady state — the blob and the session table's sorted IDs — whether or
+// not a key was first written since the last one.
+func TestSnapshotEncodeAllocs(t *testing.T) {
+	r := loadedFollower(1000, 16)
+	if b := r.encodeSnapshot(); len(b) != cap(b) {
+		t.Fatalf("a %d-byte snapshot in a buffer of %d: the size was not exact", len(b), cap(b))
+	}
+	// Counted as testing.AllocsPerRun counts, which cannot leave the write
+	// of a new key out of the count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const rounds = 100
+	var before, after runtime.MemStats
+	for _, newKeys := range []int{0, 1} {
+		var allocs uint64
+		for i := range rounds {
+			for range newKeys {
+				r.store.Apply(kvstore.Command{Op: kvstore.Put, Key: uint64(1<<20 + i), Value: []byte("v")})
+			}
+			runtime.ReadMemStats(&before)
+			r.encodeSnapshot()
+			runtime.ReadMemStats(&after)
+			allocs += after.Mallocs - before.Mallocs
+		}
+		if got := allocs / rounds; got > 2 {
+			t.Errorf("%d new keys per capture: %d allocations per capture, want at most 2", newKeys, got)
+		}
+	}
 }

@@ -394,6 +394,7 @@ func TestCompactionConsistency(t *testing.T) {
 
 	floor := cur // snapshot covers everything executed
 	st.SaveSnapshot(wal.Snapshot{Floor: floor, Data: sm.Serialize(nil)})
+	st.Sync() // the snapshot lands; only then may the journal compact
 	l.CompactTo(floor)
 	st.CompactTo(floor)
 

@@ -145,6 +145,17 @@ func (t *Table) Execute(clientID, seq uint64) (reply *wire.Reply, fresh bool) {
 	return c.cached(seq), fresh
 }
 
+// EncodedSize is the number of bytes Encode appends.
+func (t *Table) EncodedSize() int {
+	n := 4
+	for _, c := range t.clients {
+		if c.newest > 0 {
+			n += 8 + 8 + 8*len(c.done) + 4 + 1 + c.reply.Size()
+		}
+	}
+	return n
+}
+
 // Encode appends the table's snapshot section: every client that executed
 // something, sorted by ID, with its newest seq, executed set and cached
 // reply. What is admitted but not executed is this replica's own and stays
@@ -165,9 +176,9 @@ func (t *Table) Encode(b []byte) []byte {
 		for _, w := range c.done {
 			b = binary.LittleEndian.AppendUint64(b, w)
 		}
-		reply := wire.Encode(nil, c.reply)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(reply)))
-		b = append(b, reply...)
+		at := len(b) // the reply's length, backpatched
+		b = wire.Encode(append(b, 0, 0, 0, 0), &c.reply)
+		binary.LittleEndian.PutUint32(b[at:], uint32(len(b)-at-4))
 	}
 	return b
 }

@@ -201,6 +201,9 @@ func sample() *Table {
 func TestSnapshotRoundTrip(t *testing.T) {
 	src := sample()
 	blob := src.Encode([]byte("prefix"))[len("prefix"):]
+	if len(blob) != src.EncodedSize() {
+		t.Fatalf("Encode appended %d bytes, EncodedSize says %d", len(blob), src.EncodedSize())
+	}
 	got, n, err := Decode(append(blob, 0xEE), false)
 	if err != nil || n != len(blob) {
 		t.Fatalf("Decode = %d, %v; want %d, nil", n, err, len(blob))

@@ -34,11 +34,19 @@ const (
 	// giant frame must not pin megabytes per peer for the node's lifetime.
 	outboxKeep = 1 << 20
 	// chunkSize is the unit in which a connection's inbound bytes are
-	// allocated: the largest the allocator serves from its size classes
-	// (beyond 32 KiB every allocation takes the heap lock).
-	chunkSize   = 32 << 10
+	// allocated. The allocator serves a size class only up to 32 KiB less
+	// its 8-byte malloc header, maxSmallAlloc; anything larger is a large
+	// object that takes the heap lock and a span of its own. 28 KiB is the
+	// 28,672-byte size class, two to a span with nothing left over.
+	chunkSize   = 28 << 10
 	dialTimeout = 2 * time.Second
+
+	// maxSmallAlloc is the runtime's maxSmallSize − mallocHeaderSize.
+	maxSmallAlloc = 32<<10 - 8
 )
+
+// A chunk must stay a small allocation: this fails to compile otherwise.
+const _ uint = maxSmallAlloc - chunkSize
 
 // appendFrame appends m, framed as sent by sender, to b.
 func appendFrame(b []byte, sender ids.ID, m wire.Msg) []byte {

@@ -2,8 +2,9 @@
 // segment files plus snap-*.snap snapshot files. A flush writes and fsyncs
 // its whole batch of frames at once, so durability costs one fsync per group
 // of appends, not per record, and it runs on the journal's syncer goroutine,
-// so the event loop keeps appending while the disk works. Snapshots are
-// written to a temp file, fsynced, then atomically renamed.
+// so the event loop keeps appending while the disk works. A snapshot is
+// written there too, after the flush it rides: to a temp file, fsynced, then
+// atomically renamed.
 package wal
 
 import (
@@ -17,8 +18,8 @@ import (
 )
 
 // FileStorage implements Storage on a directory. I/O errors surface from
-// Sync, FinishFlush and SaveSnapshot; callers must treat a failed flush as
-// fatal (acknowledging unsynced state forges durability).
+// Sync and FinishFlush, snapshot saves included; callers must treat a failed
+// flush as fatal (acknowledging unsynced state forges durability).
 type FileStorage struct {
 	journal
 	dir dirDisk
@@ -99,6 +100,10 @@ func (d *dirDisk) segPath(idx uint64) string {
 	return filepath.Join(d.path, fmt.Sprintf("wal-%08d.seg", idx))
 }
 
+func (d *dirDisk) snapPath(floor uint64) string {
+	return filepath.Join(d.path, fmt.Sprintf("snap-%016d.snap", floor))
+}
+
 func (d *dirDisk) write(p []byte, _ int) error {
 	if _, err := d.f.Write(p); err != nil {
 		return err
@@ -135,10 +140,11 @@ func (d *dirDisk) drop(n int) {
 	syncDir(d.path)
 }
 
-// saveSnapshot writes temp, fsyncs, renames and fsyncs the directory. Older
-// snapshot files are removed after the new one is durable.
+// saveSnapshot writes temp, fsyncs, renames and fsyncs the directory, on the
+// syncer goroutine. Older snapshot files are removed after the new one is
+// durable.
 func (d *dirDisk) saveSnapshot(snap Snapshot) error {
-	final := filepath.Join(d.path, fmt.Sprintf("snap-%016d.snap", snap.Floor))
+	final := d.snapPath(snap.Floor)
 	tmp := final + ".tmp"
 	var hdr [16]byte
 	binary.LittleEndian.PutUint64(hdr[0:], snap.Floor)

@@ -2,7 +2,10 @@
 // write-ahead log but the place its bytes live — the append buffer, the
 // single flush in flight, segment rolling, compaction, replay with torn-tail
 // truncation and the snapshot slot — and keeps the bytes on a disk: a
-// directory of files (FileStorage) or memory (MemStorage).
+// directory of files (FileStorage) or memory (MemStorage). A snapshot is a
+// disk job like a flush's write: it rides the next flight, behind the
+// frames that flight carries, and is the journal's snapshot once the flight
+// has landed.
 package wal
 
 import (
@@ -27,7 +30,7 @@ type disk interface {
 	// drop deletes the n oldest segments (best effort: a segment that
 	// outlives its drop is only wasted space).
 	drop(n int)
-	// saveSnapshot makes snap durable.
+	// saveSnapshot makes snap durable. It runs where write does.
 	saveSnapshot(snap Snapshot) error
 	close() error
 }
@@ -38,11 +41,13 @@ type segment struct {
 	maxSlot uint64 // highest slot a record in it concerns (0 = promises only)
 }
 
-// flight is one flush: the frames it makes durable and the wake function
-// StartFlush was given.
+// flight is one flush: the frames it makes durable, the snapshot it saves
+// after them if hasSnap, and the wake function StartFlush was given.
 type flight struct {
 	data    []byte
 	maxSlot uint64
+	snap    Snapshot
+	hasSnap bool
 	wake    func()
 }
 
@@ -53,7 +58,8 @@ type flight struct {
 // method that needs them lands the flight first (the channel hand-offs order
 // the two). A disk that is not async (memory) has nothing to run: StartFlush
 // holds the flight and FinishFlush, SyncCost() later, writes it — so until
-// then the flight is as volatile as the appends behind it.
+// then the flight, snapshot included, is as volatile as the appends behind
+// it.
 type journal struct {
 	d        disk
 	async    bool
@@ -66,13 +72,15 @@ type journal struct {
 	spare   []byte // the pair's other buffer: in flight, or empty
 
 	flying  bool
-	flight  flight      // the held flight of a disk that is not async
+	flight  flight      // the flight in progress (held, for a disk that is not async)
 	flights chan flight // to the syncer; nil until the first async flush
 	landed  chan error  // the syncer's result, one per flight
 	exited  chan struct{}
 	err     error // the first failed flush; sticky
 
-	snap     Snapshot
+	next     Snapshot // saved, not taken by a flight yet
+	hasNext  bool
+	snap     Snapshot // the newest snapshot that landed
 	hasSnap  bool
 	syncCost time.Duration
 	syncs    atomic.Uint64 // the owner counts, anyone may read
@@ -103,25 +111,29 @@ func (j *journal) Append(rec Record) error {
 	return nil
 }
 
-// take empties the pending buffer into a flight and makes the spare buffer
-// the pending one.
-func (j *journal) take(wake func()) flight {
-	fl := flight{data: j.buf, maxSlot: j.pending, wake: wake}
+// take empties the pending buffer and the saved snapshot into the flight
+// and makes the spare buffer the pending one.
+func (j *journal) take(wake func()) {
+	j.flight = flight{data: j.buf, maxSlot: j.pending, snap: j.next, hasSnap: j.hasNext, wake: wake}
 	j.buf, j.spare, j.pending = j.spare[:0], nil, 0
-	return fl
+	j.next, j.hasNext = Snapshot{}, false
 }
 
-// StartFlush implements Storage: the appends buffered so far become the
-// flight. An async disk's syncer writes it, rolls the segment if it is full
-// and calls wake; otherwise the flight is held until FinishFlush.
+// idle reports whether there is nothing for a flush to do.
+func (j *journal) idle() bool { return len(j.buf) == 0 && !j.hasNext }
+
+// StartFlush implements Storage: the appends buffered so far and the saved
+// snapshot become the flight. An async disk's syncer writes it, rolls the
+// segment if it is full, saves the snapshot and calls wake; otherwise the
+// flight is held until FinishFlush.
 func (j *journal) StartFlush(wake func()) (started, async bool) {
-	if j.FinishFlush() != nil || len(j.buf) == 0 {
+	if j.FinishFlush() != nil || j.idle() {
 		return false, false // a failed storage starts nothing; FinishFlush says why
 	}
 	j.syncs.Add(1)
 	j.flying = true
+	j.take(wake)
 	if !j.async {
-		j.flight = j.take(wake)
 		return true, false
 	}
 	if j.flights == nil {
@@ -130,7 +142,7 @@ func (j *journal) StartFlush(wake func()) (started, async bool) {
 		j.exited = make(chan struct{})
 		go j.syncer()
 	}
-	j.flights <- j.take(wake)
+	j.flights <- j.flight
 	return true, true
 }
 
@@ -149,17 +161,25 @@ func (j *journal) syncer() {
 func (j *journal) FinishFlush() error {
 	if j.flying {
 		j.flying = false
-		var err error
 		if j.async {
-			err = <-j.landed
+			j.over(<-j.landed)
 		} else {
-			err = j.write(j.flight)
-		}
-		if err != nil && j.err == nil {
-			j.err = err
+			j.over(j.write(j.flight))
 		}
 	}
 	return j.err
+}
+
+// over records the end of the flight: the first error sticks, and a
+// snapshot the flight saved is now the journal's.
+func (j *journal) over(err error) {
+	switch {
+	case err != nil && j.err == nil:
+		j.err = err
+	case err == nil && j.flight.hasSnap:
+		j.snap, j.hasSnap = j.flight.snap, true
+	}
+	j.flight = flight{}
 }
 
 // settle lands an async disk's running write before the owner touches the
@@ -172,79 +192,91 @@ func (j *journal) settle() error {
 	return j.err
 }
 
-// Sync implements Storage: one write for every buffered append, after the
-// flight in progress has landed.
+// Sync implements Storage: one write for every buffered append and the
+// saved snapshot, after the flight in progress has landed.
 func (j *journal) Sync() (bool, error) {
 	if err := j.FinishFlush(); err != nil {
 		return false, err
 	}
-	if len(j.buf) == 0 {
+	if j.idle() {
 		return false, nil
 	}
 	j.syncs.Add(1)
-	if err := j.write(j.take(nil)); err != nil {
-		j.err = err
-		return false, err
-	}
-	return true, nil
+	j.take(nil)
+	j.over(j.write(j.flight))
+	return j.err == nil, j.err
 }
 
-// write makes one flight durable, accounts it to the active segment and
-// rolls the segment once it is full. It runs on the syncer goroutine for an
-// async disk's StartFlush and on the owner's otherwise, never both at once.
-// The flight's buffer becomes the spare when it is done.
+// write makes one flight durable: its frames are accounted to the active
+// segment, which rolls once it is full, and then its snapshot is saved. It
+// runs on the syncer goroutine for an async disk's StartFlush and on the
+// owner's otherwise, never both at once. The flight's buffer becomes the
+// spare when it is done.
 func (j *journal) write(fl flight) error {
 	defer func() { j.spare = fl.data[:0] }()
-	if err := j.d.write(fl.data, j.segBytes); err != nil {
-		return err
+	if len(fl.data) > 0 {
+		if err := j.d.write(fl.data, j.segBytes); err != nil {
+			return err
+		}
+		cur := &j.segs[len(j.segs)-1]
+		cur.size += len(fl.data)
+		cur.maxSlot = max(cur.maxSlot, fl.maxSlot)
+		if cur.size >= j.segBytes {
+			if err := j.d.roll(); err != nil {
+				return err
+			}
+			j.segs = append(j.segs, segment{})
+		}
 	}
-	cur := &j.segs[len(j.segs)-1]
-	cur.size += len(fl.data)
-	cur.maxSlot = max(cur.maxSlot, fl.maxSlot)
-	if cur.size < j.segBytes {
-		return nil
+	if fl.hasSnap {
+		return j.d.saveSnapshot(fl.snap)
 	}
-	if err := j.d.roll(); err != nil {
-		return err
-	}
-	j.segs = append(j.segs, segment{})
 	return nil
 }
 
-// discard drops every append no finished flush covers: the buffered ones and
-// a held flight's. An async disk's running write must have landed.
+// discard drops everything no finished flush covers: the buffered appends,
+// the saved snapshot and a held flight. An async disk's running write must
+// have landed.
 func (j *journal) discard() {
 	if j.flying {
 		j.flying = false
 		j.spare = j.flight.data[:0]
+		j.flight = flight{}
 	}
 	j.buf, j.pending = j.buf[:0], 0
+	j.next, j.hasNext = Snapshot{}, false
 }
 
-// SaveSnapshot implements Storage. The blob is copied; callers may reuse
-// their buffer.
+// SaveSnapshot implements Storage: snap rides the next flush, replacing a
+// snapshot no flush has taken yet, and is the journal's once that flush is
+// over. The journal keeps snap.Data.
 func (j *journal) SaveSnapshot(snap Snapshot) error {
-	if err := j.d.saveSnapshot(snap); err != nil {
-		return err
+	if j.err != nil {
+		return j.err
 	}
-	data := make([]byte, len(snap.Data))
-	copy(data, snap.Data)
-	j.snap, j.hasSnap = Snapshot{Floor: snap.Floor, Data: data}, true
+	j.next, j.hasNext = snap, true
 	return nil
 }
 
-// Snapshot implements Storage. The returned blob is owned by the storage;
-// callers must not modify it.
+// Snapshot implements Storage: the newest snapshot a finished flush saved,
+// or the one a reopened directory holds. The returned blob is owned by the
+// storage; callers must not modify it.
 func (j *journal) Snapshot() (Snapshot, bool) { return j.snap, j.hasSnap }
 
 // CompactTo implements Storage: drop sealed segments whose every record
-// concerns a slot below floor. The active segment is never dropped. A
-// segment's slots are known once Replay read it or a flush wrote it, so the
-// owner must Replay a journal it reopened before compacting it
+// concerns a slot below floor, or below the landed snapshot's floor if that
+// is lower — a segment no durable snapshot covers is never dropped, so
+// before the first snapshot lands nothing is. The active segment is never
+// dropped. A segment's slots are known once Replay read it or a flush wrote
+// it, so the owner must Replay a journal it reopened before compacting it
 // (paxos.recoverFromStorage always does); a segment nothing has read counts
 // as holding no slot and is dropped.
 func (j *journal) CompactTo(floor uint64) int {
 	j.settle() // its error stays for FinishFlush
+	if !j.hasSnap {
+		return 0
+	}
+	floor = min(floor, j.snap.Floor)
 	n := 0
 	for n < len(j.segs)-1 && j.segs[n].maxSlot < floor {
 		n++
@@ -292,7 +324,7 @@ func (j *journal) Replay(fn func(rec Record) error) error {
 }
 
 // Close implements Storage: land the flight in progress, flush pending
-// appends, stop the syncer and close the disk.
+// appends and the saved snapshot, stop the syncer and close the disk.
 func (j *journal) Close() error {
 	_, err := j.Sync()
 	if j.flights != nil {

@@ -1,9 +1,9 @@
 // In-memory Storage: the deterministic simulator's "disk". It is the journal
 // FileStorage runs, over segments kept in memory; fsync is a configurable
 // simulated latency (timed by the replica, not here). It adds the crash
-// surface chaos needs: Crash drops every append no finished flush covers
-// (the strictest reading of a power cut) and TearTail rips the last durable
-// frame in half (a torn sector write).
+// surface chaos needs: Crash drops every append and snapshot no finished
+// flush covers (the strictest reading of a power cut) and TearTail rips the
+// last durable frame in half (a torn sector write).
 package wal
 
 // MemStorage implements Storage without a filesystem. Not safe for
@@ -57,8 +57,9 @@ func (d *memDisk) saveSnapshot(Snapshot) error { return nil }
 
 func (d *memDisk) close() error { return nil }
 
-// Crash models power loss: every append no finished flush covers is gone —
-// the buffered ones and those of a flush still in flight. The chaos injector
+// Crash models power loss: every append and snapshot no finished flush
+// covers is gone — the buffered ones and those of a flush still in flight;
+// Snapshot keeps returning the last one that landed. The chaos injector
 // calls it at the instant a node with durable state crashes.
 func (m *MemStorage) Crash() { m.discard() }
 

@@ -25,9 +25,10 @@
 // wrapping a Storage to trace Append and Sync relies on it). MemStorage runs
 // nothing of its own. FileStorage runs one goroutine, the syncer, which
 // between StartFlush and the flight's landing owns the active file and the
-// segment list, does the write, the fsync and the segment roll, and then
-// calls the wake function StartFlush was given — from the syncer goroutine,
-// so wake may do one thing only: post to the owner's event loop.
+// segment list, does the write, the fsync, the segment roll and the snapshot
+// save, and then calls the wake function StartFlush was given — from the
+// syncer goroutine, so wake may do one thing only: post to the owner's event
+// loop.
 package wal
 
 import (
@@ -117,15 +118,23 @@ type Snapshot struct {
 //     somehow still running, makes its records count as durable and returns
 //     the storage's first flush error, which stays set — a failed flush is
 //     fatal, acknowledging its records would forge durability.
-//   - Sync is "flush and wait", for shutdown, Close, snapshots and tests: it
-//     lands the flight in progress, then writes and fsyncs every buffered
-//     append on the calling goroutine, returning whether an actual sync was
-//     performed (false when nothing was pending).
+//   - Sync is "flush and wait", for shutdown, Close and tests: it lands the
+//     flight in progress, then writes and fsyncs every buffered append and
+//     the saved snapshot on the calling goroutine, returning whether an
+//     actual sync was performed (false when nothing was pending).
+//
+// SaveSnapshot hands a snapshot to the pipeline and takes ownership of
+// snap.Data: the caller must not modify it afterwards. It is a disk job of
+// the next flush, which saves it after that flush's records (a flush with
+// nothing else to do is started for it all the same), and it replaces a
+// snapshot no flush has taken yet. Snapshot returns the newest one a
+// finished flush saved; until then a crash keeps the one before.
 //
 // CompactTo drops whole segments whose records all concern slots below
-// floor; it must only be called after SaveSnapshot with that snapshot's
-// floor, because the snapshot blob is what carries the promise ballot across
-// the discarded segments.
+// floor. The snapshot blob is what carries the promise ballot across the
+// discarded segments, so the storage never drops a segment below the floor
+// of the snapshot Snapshot returns: the owner compacts once its snapshot has
+// landed, and a floor above that one is capped.
 type Storage interface {
 	Append(rec Record) error
 	StartFlush(wake func()) (started, async bool)

@@ -2,9 +2,9 @@
 // session that acts on the world only through a node.Context, so — like the
 // replicas — it runs unchanged on the simulator (netsim.Endpoint), the
 // in-process bus (transport.LocalNode) and real sockets (transport.TCPNode).
-// The simulator's open-loop clients, loadgen's workers, cluster.SyncClient
-// and the public Client are each a pacing policy over a Session: when to
-// Issue, and what to record when an operation ends.
+// The simulator's closed-loop and open-loop clients, loadgen's workers,
+// cluster.SyncClient and the public Client are each a pacing policy over a
+// Session: when to Issue, and what to record when an operation ends.
 //
 // A transport behind node.Context does not report connection errors, so a
 // dead target is known by its silence alone.
@@ -20,9 +20,9 @@ import (
 	"pigpaxos/internal/wire"
 )
 
-// maxHops is how many redirects one operation follows before a further one
-// counts as a refusal: two nodes pointing at each other must not bounce it
-// forever.
+// maxHops is how many redirects one operation follows in a sweep period
+// before a further one counts as a refusal: two nodes pointing at each other
+// must not bounce it forever, and the next period starts a new chain.
 const maxHops = 8
 
 // Op is one operation in flight, as the session's callbacks see it.
@@ -34,7 +34,7 @@ type Op struct {
 	// Busy counts the admission rejections (wire.Busy) it has met so far.
 	Busy int
 
-	hops   int
+	hops   int           // redirects followed since the last sweep
 	sent   time.Duration // last transmission: what the sweep measures silence from
 	live   bool
 	parked bool // sent back by a Busy: waiting out its backoff, then for room at the leader
@@ -55,12 +55,13 @@ type Session struct {
 	// Window bounds the operations in flight: Issue refuses beyond it, or
 	// beyond the smaller window a Busy leaves at the leader (see cwnd).
 	Window int
-	// Timeout abandons an operation this long after its arrival.
+	// Timeout abandons an operation this long after its arrival. Zero never
+	// abandons: the simulator's closed-loop clients retry until the run ends.
 	Timeout time.Duration
 	// Retry is the sweep period: operations silent for that long are sent
 	// again, and a target that answered nothing during a whole period is
-	// left for the next. Zero never sweeps: the simulator's open-loop
-	// clients, whose cluster does not fail.
+	// left for the next. Zero never sweeps: the simulator's clients whose
+	// cluster does not fail.
 	Retry time.Duration
 
 	// Done receives an acknowledged operation and its reply.
@@ -69,8 +70,8 @@ type Session struct {
 	Abandoned func(Op)
 	// Refused, when set, receives an operation a node turned down while
 	// naming no leader the session could follow (none, one outside
-	// Targets, or one more after maxHops). Left nil, such an operation
-	// stays pending for the sweep to retry.
+	// Targets, or one past maxHops). Left nil, such an operation stays
+	// pending for the sweep to retry.
 	Refused func(Op, wire.Reply)
 
 	// Redirects counts redirects followed, Resends transmissions after an
@@ -112,33 +113,36 @@ func (s *Session) window() int {
 
 // Issue starts cmd, which arrived at the given time, stamping the session's
 // ID and next sequence number on it. It reports false, and consumes no
-// sequence number, when the window is full.
+// sequence number, when the window is full. The session keeps cmd.Value and
+// may send it again until the operation ends, and a transport that passes
+// messages by reference hands it to the replicas as it is: the caller must
+// not modify it afterwards.
 func (s *Session) Issue(cmd kvstore.Command, at time.Duration) bool {
 	if s.Full() {
 		return false
 	}
 	s.seq++
 	cmd.ClientID, cmd.Seq = s.ClientID, s.seq
-	// The operation may be sent again long after the caller reused its
-	// buffer (workload.Generator shares one across Next calls).
-	if cmd.Value != nil {
-		cmd.Value = append([]byte(nil), cmd.Value...)
-	}
 	s.ops = append(s.ops, Op{Cmd: cmd, At: at, live: true})
 	s.pending++
 	now := s.Ctx.Now()
 	s.send(&s.ops[len(s.ops)-1], now)
-	seq := s.seq
-	s.Ctx.After(s.Timeout-(now-at), func() {
-		if op := s.find(seq); op != nil {
-			s.Abandoned(s.finish(op))
-		}
-	})
+	if s.Timeout > 0 {
+		seq := s.seq
+		s.Ctx.After(s.Timeout-(now-at), func() {
+			if op := s.find(seq); op != nil {
+				s.Abandoned(s.finish(op))
+			}
+		})
+	}
 	if s.sweep == nil {
 		s.listen()
 	}
 	return true
 }
+
+// Issued returns how many operations the session has issued.
+func (s *Session) Issued() uint64 { return s.seq }
 
 // OnMessage implements node.Handler: acknowledgements, redirects and Busy
 // backpressure for this session's operations. Anything else is ignored.
@@ -184,10 +188,14 @@ func (s *Session) OnMessage(_ ids.ID, m wire.Msg) {
 				}
 			}
 			s.Done(s.finish(op), v)
-		case v.Leader == s.Target:
-			// A node the session has already left, pointing where it went.
 		case slices.Contains(s.Targets, v.Leader) && op.hops < maxHops:
 			op.hops++
+			if v.Leader == s.Target {
+				// A node the session has already left, pointing where it
+				// went: this operation's send there may have been lost.
+				s.resend(op, s.Ctx.Now())
+				return
+			}
 			s.Redirects++
 			s.retarget(v.Leader)
 		default:
@@ -227,13 +235,17 @@ func (s *Session) finish(op *Op) Op {
 		s.parked--
 	}
 	*op = Op{}
-	if s.pending--; s.pending == 0 && s.sweep != nil {
-		// Silence is measured while something waits: the next Issue starts
-		// a period of its own.
-		s.sweep.Stop()
-		s.sweep = nil
+	if s.pending--; s.pending == 0 {
+		if s.sweep != nil {
+			// Silence is measured while something waits: the next Issue
+			// starts a period of its own.
+			s.sweep.Stop()
+			s.sweep = nil
+		}
+		s.ops = s.ops[:0] // drained: the next Issue reuses the array
+		return was
 	}
-	for len(s.ops) > 0 && !s.ops[0].live {
+	for !s.ops[0].live {
 		s.ops = s.ops[1:]
 	}
 	return was
@@ -256,7 +268,8 @@ func (s *Session) resend(op *Op, now time.Duration) {
 // backoff doubles the leader's hint per rejection the operation has met, up
 // to one sweep period (a quarter of Timeout without a sweep): the first
 // retry honours the hint, and a leader that stays overloaded is not
-// livelocked issuing rejections to the retry storm it caused.
+// livelocked issuing rejections to the retry storm it caused. With neither
+// set there is no cap to grow toward, and every retry honours the hint.
 func (s *Session) backoff(hint time.Duration, busy int) time.Duration {
 	limit := s.Retry
 	if limit == 0 {
@@ -264,6 +277,9 @@ func (s *Session) backoff(hint time.Duration, busy int) time.Duration {
 	}
 	if hint <= 0 {
 		hint = time.Millisecond
+	}
+	if limit == 0 {
+		return hint
 	}
 	for i := 1; i < busy && hint < limit; i++ {
 		hint *= 2
@@ -304,10 +320,14 @@ func (s *Session) listen() {
 // that is answering the rest. So the target is left only if operations
 // have waited a whole period and it answered nothing at all in that time —
 // a refusal during an election is an answer. Otherwise the silent
-// operations go again; a parked one is not silent, it waits for room.
+// operations go again; a parked one is not silent, it waits for room. Either
+// way every operation starts a new redirect chain.
 func (s *Session) onSweep() {
 	s.sweep = nil
 	now := s.Ctx.Now()
+	for i := range s.ops {
+		s.ops[i].hops = 0
+	}
 	silent := func(op *Op) bool { return op.live && !op.parked && now-op.sent >= s.Retry }
 	if !s.heard {
 		for i := range s.ops {

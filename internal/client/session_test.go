@@ -103,12 +103,36 @@ func TestSession(t *testing.T) {
 			want(t, "target", r.s.Target, n1)
 			want(t, "redirects", r.s.Redirects, uint64(maxHops))
 		}},
-		{"a hint naming the current target is a stale one", func(t *testing.T, r *rig) {
+		{"after the sweep starts a new chain, a redirect is followed again", func(t *testing.T, r *rig) {
+			r.issue(1)
+			r.sent()
+			for hop := 1; hop <= maxHops; hop++ {
+				r.reply(1, false, []ids.ID{n1, n2}[hop%2])
+			}
+			r.sent()
+			r.reply(1, false, n3) // past the cap: a refusal, so an answer
+			r.Advance(testRetry)
+			want(t, "the sweep keeps the answering target", r.sent(), []string{"1.1:1"})
+			r.reply(1, false, n3)
+			want(t, "a new chain", r.sent(), []string{"1.3:1"})
+			want(t, "target", r.s.Target, n3)
+		}},
+		{"a hint naming the current target re-sends that one operation", func(t *testing.T, r *rig) {
 			r.issue(2)
 			r.reply(1, false, n2)
 			r.sent()
 			r.reply(2, false, n2) // the old target's answer to the second
-			want(t, "sent", r.sent(), []string(nil))
+			want(t, "sent", r.sent(), []string{"1.2:2"})
+			want(t, "redirects", r.s.Redirects, uint64(1))
+		}},
+		{"a retarget's lost send goes again when another node names the target", func(t *testing.T, r *rig) {
+			r.issue(1)
+			r.sent()
+			r.reply(1, false, n2)
+			want(t, "the retarget (lost)", r.sent(), []string{"1.2:1"})
+			r.Advance(time.Millisecond)
+			r.reply(1, false, n2) // n1 steps down, naming n2
+			want(t, "at once, not a sweep later", r.sent(), []string{"1.2:1"})
 			want(t, "redirects", r.s.Redirects, uint64(1))
 		}},
 		{"Busy backoff doubles to the cap and re-sends the same sequence number", func(t *testing.T, r *rig) {
@@ -221,5 +245,28 @@ func TestSession(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { c.run(t, newRig()) })
+	}
+}
+
+// A closed-loop session — window of one, nothing to abandon, no sweep —
+// allocates only the boxed request per operation: the simulator's clients
+// issue millions of them.
+func TestSessionSteadyStateAllocs(t *testing.T) {
+	const runs = 1000
+	ctx := nodetest.New(ids.NewID(9, 1))
+	s := Session{Ctx: ctx, ClientID: 7, Targets: []ids.ID{n1, n2, n3}, Target: n1, Window: 1,
+		Done: func(Op, wire.Reply) {}}
+	replies := make([]wire.Msg, runs+2) // boxed ahead: the leader's allocation, not the client's
+	for i := range replies {
+		replies[i] = wire.Reply{ClientID: 7, Seq: uint64(i + 1), OK: true}
+	}
+	cmd := kvstore.Command{Op: kvstore.Put, Key: 1, Value: []byte("v")}
+	op := func() {
+		s.Issue(cmd, ctx.Now())
+		s.OnMessage(n1, replies[s.Issued()-1])
+	}
+	op() // the first sizes the operations array
+	if got := testing.AllocsPerRun(runs, op); got > 1 {
+		t.Errorf("%v allocations per operation, want at most 1 (the boxed request)", got)
 	}
 }

@@ -3,41 +3,27 @@ package harness
 import (
 	"time"
 
+	"pigpaxos/internal/client"
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
 	"pigpaxos/internal/linearizability"
-	"pigpaxos/internal/netsim"
-	"pigpaxos/internal/node"
 	"pigpaxos/internal/shard"
 	"pigpaxos/internal/wire"
 )
 
-// session is a client's view of one consensus group: where to send, and
-// the at-most-once sequence counter the group's replicas dedup on.
-type session struct {
-	tag     int      // shard index carried on the envelope and reported to record
-	targets []ids.ID // servers to try, preferred first
-	cursor  int      // current target; silence advances it, a redirect re-aims it
-	seq     uint64
-}
-
-// simClient is the simulated closed-loop client: exactly one request in
+// closedLoop is the simulated closed-loop client: exactly one request in
 // flight, the next issued upon each acknowledgement (the paper's client
-// model, §5.2). It owns the request/redirect/Busy/silence state machine
-// once for every closed-loop role in the harness; a role supplies only what
-// to send next (source) and what to do with an acknowledgement (record).
-type simClient struct {
-	id       uint64
-	ep       *netsim.Endpoint
-	sessions []session
-	router   shard.Router // command key → session; the zero value routes all to sessions[0]
-	tagged   bool         // wrap requests in a wire.Sharded envelope
-	// spread moves to the next target on every issue rather than only on
-	// silence: Run's EPaxos clients pick "a random node for each operation"
-	// (§5.4), scenario EPaxos clients keep a home replica. Kept as found so
-	// every fixed-seed run stays byte-identical.
+// model, §5.2). It is a pacing policy over one client.Session per group —
+// the session pigload runs on real sockets — so redirects, Busy backoff and
+// silence are the session's; a role supplies only what to send next
+// (source) and what to do with an acknowledgement (record).
+type closedLoop struct {
+	simClient              // each session with a window of one
+	router    shard.Router // command key → session; the zero value routes all to sessions[0]
+	// spread moves a session to its next target after every operation: Run's
+	// EPaxos clients pick "a random node for each operation" (§5.4), scenario
+	// EPaxos clients keep a home replica.
 	spread bool
-	retry  time.Duration // silence before re-sending to the next target (0 = never)
 	think  time.Duration // pause between an acknowledgement and the next issue
 
 	// source yields the next command; acked reports whether the previous
@@ -46,127 +32,62 @@ type simClient struct {
 	source func(acked bool) (cmd kvstore.Command, ok bool)
 	record func(tag int, cmd kvstore.Command, rep wire.Reply, started, now time.Duration)
 
-	cur     *session
-	cmd     kvstore.Command
-	started time.Duration
-	ops     uint64 // operations issued; pending timers of an older one are inert
 	acked   bool
-	// rejected counts Busy rejections honored (each retried after the hint).
-	rejected int
-	// awaiting is true from issue until the op's ack is accepted: faulty
-	// links duplicate replies, and during think time the session's seq has
-	// not advanced yet — the flag is what makes the second copy inert.
-	awaiting bool
-	done     bool
-	timer    node.Timer
+	started time.Duration // when the newest operation was issued
+	busy    int           // Busy rejections met by the operations that ended
+	done    bool
 }
 
-func (c *simClient) send(to ids.ID) {
-	if c.tagged {
-		c.ep.Send(to, wire.Sharded{Shard: uint16(c.cur.tag), Inner: wire.Request{Cmd: c.cmd}})
-		return
-	}
-	c.ep.Send(to, wire.Request{Cmd: c.cmd})
-}
-
-func (c *simClient) stopTimer() {
-	if c.timer != nil {
-		c.timer.Stop()
-		c.timer = nil
-	}
-}
-
-// armRetry masks crashed servers and lost messages: after retry of silence
-// the same command (same ClientID/Seq, so session tables dedup) goes to the
-// next target in order.
-func (c *simClient) armRetry() {
-	if c.retry <= 0 {
-		return
-	}
-	op := c.ops
-	c.timer = c.ep.After(c.retry, func() {
-		if !c.awaiting || c.ops != op {
-			return
+// closedLoop registers a closed-loop client (see deployment.client) whose
+// sessions sweep every retry (0: never). The caller fills in the role.
+func (d *deployment) closedLoop(id uint64, zone, n int, retry time.Duration) *closedLoop {
+	cl := &closedLoop{router: d.router}
+	d.client(&cl.simClient, id, zone, n)
+	ended := cl.ended
+	for k := range cl.sessions {
+		s := &cl.sessions[k]
+		s.Window, s.Retry, s.Done = 1, retry, ended
+		if retry <= 0 {
+			// No sweep will retry a refusal that names no leader to go to:
+			// move on rather than stall forever.
+			s.Refused = ended
 		}
-		c.cur.cursor++
-		c.send(c.cur.targets[c.cur.cursor%len(c.cur.targets)])
-		c.armRetry()
-	})
+	}
+	return cl
 }
 
 // next issues the source's next command on the session its key routes to.
-func (c *simClient) next() {
-	c.stopTimer()
+func (c *closedLoop) next() {
 	cmd, ok := c.source(c.acked)
 	if !ok {
 		c.done = true
 		return
 	}
 	s := &c.sessions[c.router.Shard(cmd.Key)]
-	s.seq++
-	cmd.ClientID, cmd.Seq = c.id, s.seq
-	c.cur, c.cmd = s, cmd
-	c.ops++
-	c.started = c.ep.Now()
-	c.awaiting, c.acked = true, false
-	c.send(s.targets[s.cursor%len(s.targets)])
-	if c.spread {
-		s.cursor++
-	}
-	c.armRetry()
+	c.started = s.Ctx.Now()
+	s.Issue(cmd, c.started)
 }
 
-// OnMessage handles the three answers a server gives: an acknowledgement
-// (recorded, then the next command after the think time), a redirect
-// (followed, and remembered for later commands), and Busy backpressure
-// (the same command again after the leader's hint — the rejected sequence
-// number was not consumed, so the retry is admitted as new).
-func (c *simClient) OnMessage(from ids.ID, m wire.Msg) {
-	tag, m := shard.Unwrap(m)
-	if !c.awaiting || tag != c.cur.tag {
+// ended is every session's Done, and its Refused when it does not sweep: an
+// acknowledgement is recorded and the next command follows after the think
+// time; a refusal is followed by the next command at once.
+func (c *closedLoop) ended(op client.Op, rep wire.Reply) {
+	k := c.router.Shard(op.Cmd.Key)
+	s := &c.sessions[k]
+	c.busy += op.Busy
+	c.acked = rep.OK
+	if c.spread {
+		s.Target = s.Next()
+	}
+	if !rep.OK {
+		c.next()
 		return
 	}
-	switch v := m.(type) {
-	case wire.Busy:
-		if v.Seq != c.cur.seq {
-			return
-		}
-		c.rejected++
-		// The silence timer, when there is one, stays armed as the fallback
-		// should the leader change during the backoff.
-		op := c.ops
-		c.ep.After(v.RetryAfter, func() {
-			if c.awaiting && c.ops == op {
-				c.send(v.Leader)
-			}
-		})
-	case wire.Reply:
-		if v.Seq != c.cur.seq {
-			return // stale reply from a retried request
-		}
-		switch {
-		case v.OK:
-			c.awaiting, c.acked = false, true
-			c.record(tag, c.cmd, v, c.started, c.ep.Now())
-			c.stopTimer()
-			if c.think > 0 {
-				c.ep.After(c.think, c.next)
-			} else {
-				c.next()
-			}
-		case !v.Leader.IsZero():
-			for i, t := range c.cur.targets {
-				if t == v.Leader {
-					c.cur.cursor = i
-					break
-				}
-			}
-			c.send(v.Leader)
-		case c.retry <= 0:
-			// Rejected with no leader to go to and no silence timer to wait
-			// for: move on rather than stall forever.
-			c.next()
-		}
+	c.record(k, op.Cmd, rep, op.At, s.Ctx.Now())
+	if c.think > 0 {
+		s.Ctx.After(c.think, c.next)
+	} else {
+		c.next()
 	}
 }
 
@@ -198,8 +119,8 @@ func scriptSource(script []kvstore.Command) func(bool) (kvstore.Command, bool) {
 
 // historyOp renders an acknowledged command as a linearizability-checker
 // operation.
-func historyOp(client uint64, cmd kvstore.Command, rep wire.Reply, started, now time.Duration) linearizability.Op {
-	op := linearizability.Op{Key: cmd.Key, Start: started, End: now, Client: client}
+func historyOp(cmd kvstore.Command, rep wire.Reply, started, now time.Duration) linearizability.Op {
+	op := linearizability.Op{Key: cmd.Key, Start: started, End: now, Client: cmd.ClientID}
 	if cmd.Op == kvstore.Get {
 		op.Kind = linearizability.Read
 		if rep.Exists {

@@ -3,6 +3,7 @@ package harness
 import (
 	"time"
 
+	"pigpaxos/internal/client"
 	"pigpaxos/internal/config"
 	"pigpaxos/internal/des"
 	"pigpaxos/internal/epaxos"
@@ -14,6 +15,7 @@ import (
 	"pigpaxos/internal/protocol"
 	"pigpaxos/internal/shard"
 	"pigpaxos/internal/wal"
+	"pigpaxos/internal/wire"
 )
 
 // group is one consensus group of a deployment: its descriptor, the cluster
@@ -163,22 +165,40 @@ func (d *deployment) start() {
 	})
 }
 
-// client registers a closed-loop client on the network, homed in zone, with
-// a fresh session per group (leader first). Client node numbers n sit far
-// above any replica's. The caller fills in the role: source, record, pacing.
-func (d *deployment) client(id uint64, zone, n int) *simClient {
-	cl := &simClient{id: id, router: d.router, tagged: d.tagged, sessions: make([]session, len(d.groups))}
+// simClient is a simulated client's node: one client.Session per group
+// behind one endpoint, whose traffic goes to the session of the group that
+// carried it. A pacing policy embeds it and drives the sessions.
+type simClient struct {
+	sessions []client.Session
+}
+
+// OnMessage implements node.Handler.
+func (c *simClient) OnMessage(from ids.ID, m wire.Msg) {
+	k, m := shard.Unwrap(m)
+	c.sessions[k].OnMessage(from, m)
+}
+
+// client registers c on the network as client id, homed in zone, with one
+// session per group aimed at the group's targets (planned leader first),
+// tagged with its group when the deployment's traffic is. Client node
+// numbers n sit far above any replica's. Every simulated client is built
+// here; the caller sets the pacing: each session's Window, Timeout, Retry
+// and callbacks.
+func (d *deployment) client(c *simClient, id uint64, zone, n int) {
+	ep := d.net.Register(ids.NewID(zone, n), c, true)
+	c.sessions = make([]client.Session, len(d.groups))
 	for k, g := range d.groups {
-		cl.sessions[k] = session{tag: k, targets: g.targets}
+		c.sessions[k] = client.Session{Ctx: ep, ClientID: id, Targets: g.targets, Target: g.targets[0]}
+		if d.tagged {
+			c.sessions[k].Ctx = shard.Wrap(ep, k)
+		}
 	}
-	cl.ep = d.net.Register(ids.NewID(zone, n), cl, true)
-	return cl
 }
 
 // launch staggers first sends a few tens of microseconds apart from 1ms on,
 // to avoid a thundering herd at t=0 (the real benchmark ramps up the same
 // way).
-func (d *deployment) launch(clients []*simClient, stagger time.Duration) {
+func (d *deployment) launch(clients []*closedLoop, stagger time.Duration) {
 	for i, cl := range clients {
 		d.sim.Schedule(time.Duration(i)*stagger+time.Millisecond, cl.next)
 	}

@@ -182,7 +182,7 @@ func (r Result) String() string {
 // RunSharded to report from.
 type loadRun struct {
 	d       *deployment
-	clients []*simClient
+	clients []*closedLoop
 	hist    *metrics.Histogram
 	acked   []int // in-window acknowledgements per group
 	series  *metrics.TimeSeries
@@ -215,15 +215,15 @@ func runLoad(opts *Options, plan *shard.Map) loadRun {
 	// "a random node in EPaxos for each operation" — round-robin per client
 	// gives the same aggregate mix deterministically).
 	home := d.cc.ZoneOf(d.cc.Nodes[0])
-	lr.clients = make([]*simClient, opts.Clients)
+	lr.clients = make([]*closedLoop, opts.Clients)
 	for i := range lr.clients {
 		gen := workload.New(opts.Workload, d.sim.Rand())
-		cl := d.client(uint64(i+1), home, 1000+i)
-		cl.source = func(bool) (kvstore.Command, bool) { return gen.Next(cl.id, 0), true }
+		cl := d.closedLoop(uint64(i+1), home, 1000+i, 0)
+		cl.source = func(bool) (kvstore.Command, bool) { return gen.Next(0, 0), true }
 		cl.record = record
 		if opts.Protocol == EPaxos {
-			cl.spread = true
-			cl.sessions[0].cursor = i % len(d.cc.Nodes)
+			s := &cl.sessions[0]
+			cl.spread, s.Target = true, s.Targets[i%len(s.Targets)]
 		}
 		lr.clients[i] = cl
 	}

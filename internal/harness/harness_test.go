@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"pigpaxos/internal/kvstore"
+	"pigpaxos/internal/wire"
 	"pigpaxos/internal/workload"
 )
 
@@ -194,5 +196,33 @@ func TestMaxThroughputPicksBest(t *testing.T) {
 	single := Run(func() Options { o2 := o; o2.Clients = 5; return o2 }())
 	if best < single.Throughput {
 		t.Error("MaxThroughput must dominate any single sweep point")
+	}
+}
+
+// A closed-loop client with no sweep, refused by a node that names no
+// leader, moves on to its next command rather than wait forever; one that
+// sweeps keeps the command for the sweep to retry.
+func TestClosedLoopRefusedWithoutSweepMovesOn(t *testing.T) {
+	for _, retry := range []time.Duration{0, 50 * time.Millisecond} {
+		o := short(t)
+		o.Protocol = Paxos
+		o.N = 3
+		o.applyDefaults()
+		d := deploy(&o, nil, nil) // never started: a follower knows no leader
+		cl := d.closedLoop(1, d.cc.ZoneOf(d.cc.Nodes[0]), 1000, retry)
+		cl.sessions[0].Target = d.cc.Nodes[1]
+		issued := 0
+		cl.source = func(bool) (kvstore.Command, bool) {
+			issued++
+			return kvstore.Command{Op: kvstore.Get, Key: uint64(issued)}, issued <= 3
+		}
+		cl.record = func(int, kvstore.Command, wire.Reply, time.Duration, time.Duration) {
+			t.Error("a refused command was recorded as acknowledged")
+		}
+		d.launch([]*closedLoop{cl}, 0)
+		d.sim.Run(time.Second)
+		if moved := retry == 0; cl.done != moved || (issued == 4) != moved {
+			t.Errorf("retry %v: done=%v after %d source calls, want done=%v", retry, cl.done, issued, moved)
+		}
 	}
 }

@@ -113,9 +113,10 @@ func (r *olRun) inWindow(at time.Duration) bool {
 // model.
 type olClient struct {
 	*olRun
-	s   client.Session
-	gen *workload.Generator
-	arr *workload.Arrivals
+	simClient                 // one group: the run is unsharded
+	s         *client.Session // sessions[0]
+	gen       *workload.Generator
+	arr       *workload.Arrivals
 }
 
 // tick fires one scheduled arrival and arms the next. An arrival that
@@ -170,7 +171,7 @@ func RunOverload(opts OverloadOptions) OverloadResult {
 		cfg.QueueTTL = opts.QueueTTL
 		cfg.OverloadLatency = opts.OverloadLatency
 	})
-	sim, cc, net := d.sim, d.cc, d.net
+	sim, cc := d.sim, d.cc
 	leader := cc.Nodes[0]
 
 	run := &olRun{
@@ -188,16 +189,10 @@ func RunOverload(opts OverloadOptions) OverloadResult {
 			gen:   workload.New(opts.Workload, sim.Rand()),
 			arr:   workload.NewArrivals(perRate, sim.Rand()),
 		}
-		cl.s = client.Session{
-			Ctx:       net.Register(ids.NewID(cc.ZoneOf(leader), 1000+i), &cl.s, true),
-			ClientID:  uint64(i + 1),
-			Targets:   cc.Nodes,
-			Target:    leader,
-			Window:    clientWindow,
-			Timeout:   opts.OpTimeout,
-			Done:      cl.done,
-			Abandoned: cl.abandoned,
-		}
+		d.client(&cl.simClient, uint64(i+1), cc.ZoneOf(leader), 1000+i)
+		cl.s = &cl.sessions[0]
+		cl.s.Window, cl.s.Timeout = clientWindow, opts.OpTimeout
+		cl.s.Done, cl.s.Abandoned = cl.done, cl.abandoned
 		sim.Schedule(time.Duration(i)*50*time.Microsecond+time.Millisecond, cl.tick)
 	}
 

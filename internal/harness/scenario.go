@@ -48,11 +48,13 @@ type ScenarioOptions struct {
 	// more than maxOpsPerKey operations; explicit values are raised back
 	// to that floor.
 	ProbeKeys int
-	// ClientRetry is how long a client waits for a reply before re-sending
-	// its command to the next live node in sorted ID order (masking
+	// ClientRetry is the clients' sweep period (client.Session.Retry): a
+	// command unanswered that long is sent again, to the next node in
+	// target order if its target said nothing at all in that time (masking
 	// crashed leaders — or crashed EPaxos command leaders — and lost
 	// messages; every protocol's replicated at-most-once session table
-	// absorbs the duplicates). Defaults to 120ms.
+	// absorbs the duplicates). It also caps the Busy backoff. Defaults to
+	// 120ms.
 	ClientRetry time.Duration
 	// ElectionTimeout arms follower elections so leader crashes actually
 	// fail over (default 150ms; ignored by EPaxos).
@@ -185,8 +187,9 @@ type ScenarioResult struct {
 	MaxLogLen   int
 	MaxWALBytes int
 
-	// Overload telemetry. Busy counts wire.Busy rejections clients received
-	// (each retried after the hinted backoff); DroppedExpired sums commands
+	// Overload telemetry. Busy counts the wire.Busy rejections the scripted
+	// clients' finished operations met (each retried after a backoff from
+	// the leader's hint, up to ClientRetry); DroppedExpired sums commands
 	// the leaders dropped from their queues after QueueTTL; MaxQueueDepth is
 	// the largest leader ingress queue observed across replicas — bounded by
 	// paxos.Config.MaxPending when admission control is on.
@@ -263,8 +266,8 @@ func scenScript(ci, ops, keys int) []kvstore.Command {
 // RunShardedScenario to report from.
 type scenarioRun struct {
 	d        *deployment
-	clients  []*simClient
-	probes   []*simClient // planned deployments only: one per group
+	clients  []*closedLoop
+	probes   []*closedLoop // planned deployments only: one per group
 	hist     *linearizability.History
 	gaps     *metrics.GapTracker
 	lat      *metrics.Histogram
@@ -349,7 +352,7 @@ func runScenario(opts *ScenarioOptions, plan *shard.Map, sched chaos.Schedule) s
 		ids.Sort(g.targets)
 	}
 
-	sr.clients = make([]*simClient, opts.Clients)
+	sr.clients = make([]*closedLoop, opts.Clients)
 	for i := range sr.clients {
 		home := d.cc.ZoneOf(d.cc.Nodes[0])
 		var region *regionTrack
@@ -358,11 +361,11 @@ func runScenario(opts *ScenarioOptions, plan *shard.Map, sched chaos.Schedule) s
 			region = sr.regions[home]
 			region.clients++
 		}
-		cl := d.client(uint64(i+1), home, 1000+i)
-		cl.retry, cl.think = opts.ClientRetry, opts.ThinkTime
+		cl := d.closedLoop(uint64(i+1), home, 1000+i, opts.ClientRetry)
+		cl.think = opts.ThinkTime
 		cl.source = scriptSource(scenScript(i, opts.OpsPerClient, opts.ProbeKeys))
 		cl.record = func(tag int, cmd kvstore.Command, rep wire.Reply, started, now time.Duration) {
-			sr.hist.Add(historyOp(cl.id, cmd, rep, started, now))
+			sr.hist.Add(historyOp(cmd, rep, started, now))
 			sr.gaps.Record(now)
 			if sr.groupGaps != nil {
 				sr.groupGaps[tag].Record(now)
@@ -379,9 +382,10 @@ func runScenario(opts *ScenarioOptions, plan *shard.Map, sched chaos.Schedule) s
 		if opts.Protocol == EPaxos {
 			// Every replica serves in EPaxos: home clients round-robin over
 			// the whole membership (§5.4's client model). Crashed homes are
-			// masked by the retry timer, duplicate admissions by the
+			// masked by the session's sweep, duplicate admissions by the
 			// replicated session tables.
-			cl.sessions[0].cursor = i % len(cl.sessions[0].targets)
+			s := &cl.sessions[0]
+			s.Target = s.Targets[i%len(s.Targets)]
 		}
 		sr.clients[i] = cl
 	}
@@ -398,8 +402,8 @@ func runScenario(opts *ScenarioOptions, plan *shard.Map, sched chaos.Schedule) s
 	// they are measurement, not workload.
 	for k := range sr.groupGaps {
 		keys, ki := probeKeys(d.router, k, 8, uint64(opts.ProbeKeys)), 0
-		pr := d.client(uint64(opts.Clients+1+k), d.cc.ZoneOf(d.cc.Nodes[0]), 2000+k)
-		pr.retry, pr.think = opts.ClientRetry, 25*time.Millisecond
+		pr := d.closedLoop(uint64(opts.Clients+1+k), d.cc.ZoneOf(d.cc.Nodes[0]), 2000+k, opts.ClientRetry)
+		pr.think = 25 * time.Millisecond
 		pr.source = func(bool) (kvstore.Command, bool) {
 			key := keys[ki%len(keys)]
 			ki++
@@ -466,7 +470,7 @@ func (sr *scenarioRun) converged() bool {
 func (sr *scenarioRun) atMostOnce(k int) bool {
 	issued := uint64(0)
 	for _, cl := range slices.Concat(sr.clients, sr.probes) {
-		issued += cl.sessions[k].seq
+		issued += cl.sessions[k].Issued()
 	}
 	for _, m := range sr.d.groups[k].members {
 		if m.Store.Applied() > issued {
@@ -499,7 +503,7 @@ func RunScenario(opts ScenarioOptions, sched chaos.Schedule) ScenarioResult {
 		Unrecovered: g.unexecuted(),
 	}
 	for _, cl := range sr.clients {
-		res.Busy += cl.rejected
+		res.Busy += cl.busy
 	}
 	res.GapStart, res.AvailabilityGap = sr.gaps.MaxGap()
 	for _, z := range sr.zones {

@@ -246,7 +246,7 @@ func busyShardedOpts() ShardedOptions {
 
 // Regression: a Busy rejection reaches a sharded client inside the shard
 // envelope. The sharded clients used to unwrap only Replies, so a shed
-// throughput client (no retry timer) never sent again and throughput fell by
+// throughput client (no sweep) never sent again and throughput fell by
 // more than half. Every client must still be issuing at the window's end.
 func TestShardedClientsHonorBusy(t *testing.T) {
 	opts := busyShardedOpts()
@@ -259,17 +259,17 @@ func TestShardedClientsHonorBusy(t *testing.T) {
 		t.Fatal("configuration produced no Busy rejections; the test exercises nothing")
 	}
 	windowEnd := opts.Warmup + opts.Measure
-	for _, cl := range lr.clients {
+	for i, cl := range lr.clients {
 		if cl.started < windowEnd-100*time.Millisecond {
 			t.Errorf("client %d last issued at %v and never again (window ends %v): shed and stuck",
-				cl.id, cl.started, windowEnd)
+				i+1, cl.started, windowEnd)
 		}
 	}
 }
 
-// The same for scripted scenario clients: a rejection is retried after the
-// leader's hint, not after a full ClientRetry of silence — 120ms of which
-// reads as a false per-shard stall.
+// The same for scripted scenario clients: a rejection is retried after a
+// backoff from the leader's hint, not after a sweep period of silence —
+// 120ms of which reads as a false per-shard stall.
 func TestShardedScenarioClientsHonorBusy(t *testing.T) {
 	opts := busyShardedOpts()
 	opts.ThinkTime = -1 // closed loop, so the leaders actually shed
@@ -279,7 +279,7 @@ func TestShardedScenarioClientsHonorBusy(t *testing.T) {
 	sr := runScenario(&opts.ScenarioOptions, &plan, nil)
 	honored := 0
 	for _, cl := range sr.clients {
-		honored += cl.rejected
+		honored += cl.busy
 	}
 	if honored == 0 {
 		t.Fatal("no scripted client honored a Busy rejection")
@@ -288,6 +288,6 @@ func TestShardedScenarioClientsHonorBusy(t *testing.T) {
 		t.Error("scripts did not complete under backpressure")
 	}
 	if over := sr.gaps.GapsOver(100 * time.Millisecond); over > 0 {
-		t.Errorf("%d ack gaps over 100ms on a fault-free run: rejected clients sat out their retry timer", over)
+		t.Errorf("%d ack gaps over 100ms on a fault-free run: rejected clients sat out a sweep period", over)
 	}
 }

@@ -493,8 +493,11 @@ func (cl *Client) do(cmd kvstore.Command) (wire.Reply, error) {
 	return o.rep, o.err
 }
 
-// Put stores value under key.
+// Put stores value under key. The caller may reuse value once Put returns.
 func (cl *Client) Put(key uint64, value []byte) error {
+	// The bus hands messages over by reference: without the copy, a write to
+	// value after Put returns would reach the replicas' stores.
+	value = append([]byte(nil), value...)
 	_, err := cl.do(kvstore.Command{Op: kvstore.Put, Key: key, Value: value})
 	return err
 }

@@ -69,6 +69,31 @@ func TestScenarioLeaderCrash(t *testing.T) {
 	}
 }
 
+// Three leader crashes in a row on three nodes, the last for good: each
+// leader that came back was deposed while it led, and the live pair must
+// still elect one of themselves the third time.
+func TestRepeatedLeaderCrashKeepsElecting(t *testing.T) {
+	for _, p := range []Protocol{Paxos, PigPaxos} {
+		t.Run(p.String(), func(t *testing.T) {
+			o := ScenarioOptions{OpsPerClient: 60}
+			o.Protocol, o.N, o.Clients = p, 3, 4
+			o.Measure = 8 * time.Second // scripts span every crash
+			sched := chaos.Merge(
+				chaos.LeaderCrash(500*time.Millisecond, 300*time.Millisecond),
+				chaos.LeaderCrash(1700*time.Millisecond, 300*time.Millisecond),
+				chaos.LeaderCrash(2900*time.Millisecond, time.Hour),
+			)
+			r := RunScenario(o, sched)
+			if !r.AllComplete || r.Acked != 4*60 {
+				t.Fatalf("acked %d of %d ops, every script complete: %v", r.Acked, 4*60, r.AllComplete)
+			}
+			if !r.Linearizable {
+				t.Error("history not linearizable")
+			}
+		})
+	}
+}
+
 // Leader crash while batches are in flight (MaxBatchSize > 1 with a small
 // pipeline window): reclaimed and re-proposed batches must not double-apply
 // or drop acked commands.

@@ -140,7 +140,7 @@ func TestPendingBatchRedirectedOnStepDown(t *testing.T) {
 	if redirected != 2 {
 		t.Errorf("redirected %d of 2 (proposed + pending must both bounce)", redirected)
 	}
-	if leader.pending.len() != 0 {
+	if leader.ingress.Len() != 0 {
 		t.Error("pending batch must be cleared on step-down")
 	}
 }
@@ -495,7 +495,7 @@ func TestHigherBallotP3Dethrones(t *testing.T) {
 	if leader.IsLeader() {
 		t.Fatal("higher-ballot P3 must dethrone the stale leader")
 	}
-	if leader.pending.len() != 0 {
+	if leader.ingress.Len() != 0 {
 		t.Error("pending batch must be redirected, not proposed under the new ballot")
 	}
 	redirected := 0
@@ -534,7 +534,7 @@ func TestLostCampaignRedirectsPending(t *testing.T) {
 	if !redirected[1] || !redirected[2] {
 		t.Errorf("clients redirected: %v, want both 1 (in flight) and 2 (pending)", redirected)
 	}
-	if leader.pending.len() != 0 || leader.voting != 0 {
+	if leader.ingress.Len() != 0 || leader.voting != 0 {
 		t.Error("pending batch and in-flight tallies must be cleared on a lost campaign")
 	}
 }

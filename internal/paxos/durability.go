@@ -7,7 +7,6 @@ import (
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/node"
 	"pigpaxos/internal/wal"
-	"pigpaxos/internal/wire"
 )
 
 // This file wires the replica to its wal.Storage. Every entry point is a
@@ -198,9 +197,7 @@ func (r *Replica) recoverFromStorage() {
 		r.stats.SnapRestores++
 	}
 	err := r.st.Replay(func(rec wal.Record) error {
-		if rec.Ballot > r.ballot {
-			r.ballot = rec.Ballot
-		}
+		r.ballot = max(r.ballot, rec.Ballot)
 		if rec.Kind == wal.KindPromise || rec.Slot < r.log.FirstSlot() {
 			return nil // ballot already folded in; slot covered by snapshot
 		}
@@ -238,11 +235,7 @@ func (r *Replica) journalPromise() {
 }
 
 // noteJournaled records that an accept under b went into the journal.
-func (r *Replica) noteJournaled(b ids.Ballot) {
-	if r.journalBallot < b {
-		r.journalBallot = b
-	}
-}
+func (r *Replica) noteJournaled(b ids.Ballot) { r.journalBallot = max(r.journalBallot, b) }
 
 // maybeSnapshot checkpoints the state machine every SnapshotEvery local
 // executions; the in-memory log and the journal are compacted to its floor
@@ -269,46 +262,6 @@ func (r *Replica) saveSnapshot(snap wal.Snapshot) {
 	if !f.draining {
 		r.pump()
 	}
-}
-
-// OnSnapInstall installs a snapshot shipped by the leader to a replica whose
-// catch-up request fell below the leader's compaction floor. A blob that does
-// not parse is dropped and counted before anything else in the message is
-// believed: the replica is as it was.
-func (r *Replica) OnSnapInstall(m wire.SnapInstall) {
-	r.catchupInFlight = false
-	// Already caught up past the snapshot: nothing to gain, nothing to parse.
-	stale := m.Floor <= r.log.ExecuteCursor()
-	var ballot ids.Ballot
-	if !stale {
-		var err error
-		if ballot, err = r.restoreSnapshot(m.Data); err != nil {
-			r.stats.SnapRejects++
-			return
-		}
-	}
-	if m.Ballot > r.ballot {
-		r.stepDown(m.Ballot)
-	}
-	if m.Ballot >= r.ballot {
-		r.lastLeaderContact = r.ctx.Now()
-	}
-	if stale {
-		return
-	}
-	if ballot > r.ballot {
-		r.ballot = ballot
-	}
-	r.log.InstallSnapshot(m.Floor)
-	r.stats.SnapRestores++
-	if r.st != nil {
-		// Persist the installed snapshot as our own checkpoint, so a crash
-		// once it has landed restarts from here; the journal prefix it
-		// covers goes then. The message's blob is the journal's from now.
-		r.saveSnapshot(wal.Snapshot{Floor: m.Floor, Data: m.Data})
-		r.execSinceSnap = 0
-	}
-	r.execute()
 }
 
 // FlushJournal is "flush and wait" for shutdown: it blocks the event loop

@@ -24,7 +24,9 @@ import (
 // way loses one slot's timeout; the shared timer lost that way would lose
 // every later one, so the next Arm notices it is overdue and fires what the
 // outage held back, late. (A node that arms nothing after it recovers fires
-// nothing — which is also what becomes of its heartbeat and election timers.)
+// nothing. A Paxos leader that comes back deposed re-arms its election timer
+// when it steps down, but a recovered follower's election chain, and a
+// leader's heartbeat chain, still die with the dropped timer.)
 //
 // Each armed slot carries a value of type T, handed back to the fire
 // callback — what the per-timer closure used to capture.

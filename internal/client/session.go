@@ -1,10 +1,10 @@
 // Package client is the one client of a consensus group: an at-most-once
 // session that acts on the world only through a node.Context, so — like the
-// replicas — it runs unchanged on the simulator (netsim.Endpoint), the
-// in-process bus (transport.LocalNode) and real sockets (transport.TCPNode).
-// The simulator's closed-loop and open-loop clients, loadgen's workers,
-// cluster.SyncClient and the public Client are each a pacing policy over a
-// Session: when to Issue, and what to record when an operation ends.
+// replicas — it runs unchanged on the simulator (netsim.Endpoint) and on
+// real sockets (transport.TCPNode). The simulator's closed-loop and
+// open-loop clients, loadgen's workers, cluster.SyncClient and the public
+// Client are each a pacing policy over a Session: when to Issue, and what to
+// record when an operation ends.
 //
 // A transport behind node.Context does not report connection errors, so a
 // dead target is known by its silence alone.

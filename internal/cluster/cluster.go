@@ -2,10 +2,12 @@
 // sim-to-metal bridge. It offers two substrates behind one addressing
 // scheme:
 //
-//   - InProc starts N replicas inside the current process, each on its own
-//     transport.TCPNode bound to an ephemeral 127.0.0.1 port. Integration
-//     tests use it to exercise the real socket path (framing, reverse
-//     routes, writer goroutines) without process management.
+//   - InProc starts N members inside the current process, each on its own
+//     transport.TCPNode bound to an ephemeral 127.0.0.1 port and hosting
+//     its replica of every shard it belongs to. The public pigpaxos.Cluster
+//     and the integration tests run on it: the real socket path (framing,
+//     shard envelopes, reverse routes, writer goroutines) without process
+//     management.
 //   - Procs forks N pigserver processes, one per replica, in the style of
 //     the go-paxos deploy/tester scripts — the substrate cmd/pigload's
 //     -spawn mode benchmarks.
@@ -24,6 +26,7 @@ import (
 	"os/exec"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -32,10 +35,14 @@ import (
 	"pigpaxos/internal/epaxos"
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
+	"pigpaxos/internal/node"
 	"pigpaxos/internal/paxos"
 	"pigpaxos/internal/pigpaxos"
+	"pigpaxos/internal/pqr"
 	"pigpaxos/internal/protocol"
+	"pigpaxos/internal/shard"
 	"pigpaxos/internal/transport"
+	"pigpaxos/internal/wire"
 )
 
 // ParseID parses Paxi's "zone.node" notation.
@@ -135,25 +142,32 @@ type InProcSpec struct {
 	RelayTimeout time.Duration
 	// ElectionTimeout enables leader failover when positive.
 	ElectionTimeout time.Duration
-	// HeartbeatInterval keeps followers from campaigning on an idle
-	// cluster; required with ElectionTimeout.
-	HeartbeatInterval time.Duration
-	// RetryTimeout is the leader's P2a retransmit timeout (liveness after
-	// follower reconnects; zero is off on Paxos and derived from RelayTimeout
-	// on PigPaxos, where it is the Figure-5b retry).
-	RetryTimeout time.Duration
+	// Shards partitions the key space across this many consensus groups
+	// laid out by shard.Plan. One or less is a single group over every
+	// member, led by the lowest ID.
+	Shards int
+	// ReadMode selects the Paxos/PigPaxos read path.
+	ReadMode paxos.ReadMode
 }
 
-// InProc is a running in-process TCP cluster.
+// InProc is a running in-process TCP cluster: one listening TCPNode per
+// member, whose handler is a shard.Dispatcher over the member's replicas.
 type InProc struct {
 	Members []ids.ID
 	Addrs   map[ids.ID]string
-	nodes   map[ids.ID]*transport.TCPNode
-	cores   map[ids.ID]*paxos.Replica // Paxos and PigPaxos members' decision cores
+	// Plan is the shard layout: which members replicate which shard.
+	Plan shard.Map
+
+	replicas []map[ids.ID]protocol.Member // per shard, by member
+
+	mu    sync.Mutex
+	nodes map[ids.ID]*transport.TCPNode // live members
 }
 
-// StartInProc boots an n-node cluster on ephemeral localhost ports. The
-// lowest ID campaigns immediately; replicas start on their event loops.
+// StartInProc boots an n-node cluster on ephemeral localhost ports and
+// returns once every replica has started on its event loop. Replicas start
+// only after every member knows every address, so each shard's initial
+// leader wins its first election.
 func StartInProc(spec InProcSpec) (*InProc, error) {
 	if spec.N < 1 {
 		return nil, fmt.Errorf("cluster: need at least one node, got %d", spec.N)
@@ -164,95 +178,190 @@ func StartInProc(spec InProcSpec) (*InProc, error) {
 	if spec.RelayTimeout == 0 {
 		spec.RelayTimeout = 50 * time.Millisecond
 	}
-	kind := protocol.Paxos
-	if spec.Protocol != "" {
-		var err error
-		if kind, err = protocol.Parse(spec.Protocol); err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
+	kind, err := protocol.Parse(orDefault(spec.Protocol, "paxos"))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	members := Members(spec.N)
 	cc := config.Cluster{Nodes: members}
+	plan := shard.Plan(cc, spec.Shards, 0)
 	c := &InProc{
-		Members: members,
-		Addrs:   make(map[ids.ID]string),
-		nodes:   make(map[ids.ID]*transport.TCPNode),
-		cores:   make(map[ids.ID]*paxos.Replica),
+		Members:  members,
+		Addrs:    make(map[ids.ID]string),
+		Plan:     plan,
+		replicas: make([]map[ids.ID]protocol.Member, plan.NumShards()),
+		nodes:    make(map[ids.ID]*transport.TCPNode),
 	}
-	// Each node gets its OWN address map (TCPNode guards it with the
-	// node's mutex; sharing one map across nodes would race).
+	for k := range plan.Shards {
+		c.replicas[k] = make(map[ids.ID]protocol.Member)
+	}
 	for _, id := range members {
-		// The listener accepts before the replica exists; the shim's atomic
-		// bind is what orders the handler against the node's event loop.
-		late := &protocol.Late{}
-		tn, err := transport.ListenTCP(id, "127.0.0.1:0", make(map[ids.ID]string), late)
+		d := shard.NewDispatcher(plan.NumShards())
+		// Each node gets its OWN address map (TCPNode guards it with the
+		// node's mutex; sharing one map across nodes would race).
+		tn, err := transport.ListenTCP(id, "127.0.0.1:0", make(map[ids.ID]string), d)
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
 		c.nodes[id] = tn
 		c.Addrs[id] = tn.Addr()
-		core := paxos.Config{
-			Cluster: cc, ID: id, InitialLeader: cc.Nodes[0],
-			ElectionTimeout:   spec.ElectionTimeout,
-			HeartbeatInterval: spec.HeartbeatInterval,
-			RetryTimeout:      spec.RetryTimeout,
-			CompactEvery:      4096,
+		for _, k := range plan.ShardsOn(id) {
+			var ctx node.Context = tn
+			if plan.NumShards() > 1 {
+				ctx = shard.Wrap(tn, k)
+			}
+			sub := plan.Sub(cc, k)
+			core := paxos.Config{
+				Cluster: sub, ID: id, InitialLeader: plan.Shards[k].Leader,
+				ElectionTimeout: spec.ElectionTimeout,
+				ReadMode:        spec.ReadMode,
+				CompactEvery:    4096,
+			}
+			m := protocol.Build(ctx, protocol.Spec{
+				Kind:   kind,
+				Paxos:  core,
+				Pig:    pigpaxos.Config{Paxos: core, NumGroups: spec.Groups, RelayTimeout: spec.RelayTimeout},
+				EPaxos: epaxos.Config{Cluster: sub, ID: id},
+			})
+			c.replicas[k][id] = m
+			d.Register(k, &quorumReads{resp: pqr.NewResponder(ctx, m.Store), inner: m.Handler})
 		}
-		m := protocol.Build(tn, protocol.Spec{
-			Kind:   kind,
-			Paxos:  core,
-			Pig:    pigpaxos.Config{Paxos: core, NumGroups: spec.Groups, RelayTimeout: spec.RelayTimeout},
-			EPaxos: epaxos.Config{Cluster: cc, ID: id},
-		})
-		late.Bind(m.Handler)
-		if m.Core != nil {
-			c.cores[id] = m.Core
-		}
-		tn.After(0, m.Start) // Start on the node's event loop
 	}
 	for _, tn := range c.nodes {
 		for id, a := range c.Addrs {
 			tn.RegisterAddr(id, a)
 		}
 	}
+	var wg sync.WaitGroup
+	for _, shardReplicas := range c.replicas {
+		for id, m := range shardReplicas {
+			wg.Add(1)
+			c.nodes[id].After(0, func() { m.Start(); wg.Done() })
+		}
+	}
+	wg.Wait()
 	return c, nil
 }
 
-// Node exposes a member's transport (tests drain or kill it directly).
-func (c *InProc) Node(id ids.ID) *transport.TCPNode { return c.nodes[id] }
+// quorumReads interposes a pqr.Responder on a replica's dispatch so every
+// member answers Paxos-Quorum-Read version probes (§4.3).
+type quorumReads struct {
+	resp  *pqr.Responder
+	inner node.Handler
+}
 
-// Stats reads a live Paxos or PigPaxos member's protocol counters, on the
-// member's own event loop (the counters are the loop's). It reports false
-// for a stopped or EPaxos member.
+// OnMessage implements node.Handler.
+func (q *quorumReads) OnMessage(from ids.ID, m wire.Msg) {
+	if req, ok := m.(wire.QReadReq); ok {
+		q.resp.OnRequest(from, req)
+		return
+	}
+	q.inner.OnMessage(from, m)
+}
+
+// Node exposes a live member's transport (tests drain it directly); nil
+// once the member is stopped.
+func (c *InProc) Node(id ids.ID) *transport.TCPNode {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.nodes[id]
+}
+
+// Store returns member id's state machine for shard k, or nil when id does
+// not replicate k. A Store is safe to read from any goroutine.
+func (c *InProc) Store(k int, id ids.ID) *kvstore.Store { return c.replicas[k][id].Store }
+
+// onLoops runs fn(id) on the event loop of each live member among members
+// and returns the answers that arrive within a second: a member stopped
+// after the query was posted never answers.
+func onLoops[T any](c *InProc, members []ids.ID, fn func(id ids.ID) T) map[ids.ID]T {
+	type answer struct {
+		id ids.ID
+		v  T
+	}
+	ch := make(chan answer, len(members))
+	pending := 0
+	for _, id := range members {
+		if tn := c.Node(id); tn != nil {
+			pending++
+			tn.After(0, func() { ch <- answer{id, fn(id)} })
+		}
+	}
+	out := make(map[ids.ID]T, pending)
+	deadline := time.After(time.Second)
+	for ; pending > 0; pending-- {
+		select {
+		case a := <-ch:
+			out[a.id] = a.v
+		case <-deadline:
+			return out
+		}
+	}
+	return out
+}
+
+// Leader returns shard k's leader, or zero when no live member believes it
+// leads (mid-election). Each member is asked on its own event loop; when
+// views disagree transiently, the highest ballot wins. EPaxos is
+// leaderless: every member accepts commands, and the first live one stands
+// in.
+func (c *InProc) Leader(k int) ids.ID {
+	if k < 0 || k >= c.Plan.NumShards() {
+		return 0
+	}
+	members := c.Plan.Shards[k].Members
+	if c.replicas[k][members[0]].Core == nil { // EPaxos
+		for _, id := range members {
+			if c.Node(id) != nil {
+				return id
+			}
+		}
+		return 0
+	}
+	ballots := onLoops(c, members, func(id ids.ID) ids.Ballot {
+		if core := c.replicas[k][id].Core; core.IsLeader() {
+			return core.Ballot()
+		}
+		return 0
+	})
+	var best ids.ID
+	for _, id := range members {
+		if ballots[id] > ballots[best] {
+			best = id
+		}
+	}
+	return best
+}
+
+// Stats reads a live Paxos or PigPaxos member's shard-0 protocol counters,
+// on the member's own event loop (the counters are the loop's). It reports
+// false for a stopped or EPaxos member and for one outside shard 0.
 func (c *InProc) Stats(id ids.ID) (paxos.Stats, bool) {
-	tn, core := c.nodes[id], c.cores[id]
-	if tn == nil || core == nil {
+	core := c.replicas[0][id].Core
+	if core == nil {
 		return paxos.Stats{}, false
 	}
-	got := make(chan paxos.Stats, 1)
-	tn.After(0, func() { got <- core.Stats() })
-	select {
-	case s := <-got:
-		return s, true
-	case <-time.After(5 * time.Second):
-		return paxos.Stats{}, false
-	}
+	s, ok := onLoops(c, []ids.ID{id}, func(ids.ID) paxos.Stats { return core.Stats() })[id]
+	return s, ok
 }
 
 // Stop kills one member: its listener and connections close and its event
 // loop halts, exactly what the rest of the cluster observes when a process
 // dies. The member cannot be restarted.
 func (c *InProc) Stop(id ids.ID) {
-	if tn := c.nodes[id]; tn != nil {
+	c.mu.Lock()
+	tn := c.nodes[id]
+	delete(c.nodes, id)
+	c.mu.Unlock()
+	if tn != nil {
 		tn.Close()
-		delete(c.nodes, id)
 	}
 }
 
 // Close stops every member.
 func (c *InProc) Close() {
-	for id := range c.nodes {
+	for _, id := range c.Members {
 		c.Stop(id)
 	}
 }

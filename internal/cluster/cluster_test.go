@@ -84,3 +84,30 @@ func TestInProcPutGetRedirect(t *testing.T) {
 		t.Fatalf("get after delete: %v %+v", err, rep)
 	}
 }
+
+// TestInProcFirstElectionWins: every member knows every address before any
+// replica starts, so the initial leader's first phase 1 reaches its peers
+// and no re-bid is needed.
+func TestInProcFirstElectionWins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real TCP cluster")
+	}
+	for i := 0; i < 5; i++ {
+		c, err := StartInProc(InProcSpec{N: 5, Protocol: "paxos"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WaitReady(c.Addrs, c.Members, 10*time.Second); err != nil {
+			c.Close()
+			t.Fatal(err)
+		}
+		st, ok := c.Stats(c.Members[0])
+		c.Close()
+		if !ok {
+			t.Fatal("no stats from the leader")
+		}
+		if st.Elections != 1 {
+			t.Fatalf("cluster %d: the initial leader ran %d elections, want 1", i, st.Elections)
+		}
+	}
+}

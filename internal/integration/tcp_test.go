@@ -115,10 +115,9 @@ func TestTCPLeaderKillFailover(t *testing.T) {
 	}
 	const electTO = 400 * time.Millisecond
 	c, err := cluster.StartInProc(cluster.InProcSpec{
-		N:                 3,
-		Protocol:          "paxos",
-		ElectionTimeout:   electTO,
-		HeartbeatInterval: 100 * time.Millisecond,
+		N:               3,
+		Protocol:        "paxos",
+		ElectionTimeout: electTO,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -184,10 +183,9 @@ func TestTCPGracefulLeaderDrain(t *testing.T) {
 		t.Skip("real TCP cluster")
 	}
 	c, err := cluster.StartInProc(cluster.InProcSpec{
-		N:                 3,
-		Protocol:          "paxos",
-		ElectionTimeout:   400 * time.Millisecond,
-		HeartbeatInterval: 100 * time.Millisecond,
+		N:               3,
+		Protocol:        "paxos",
+		ElectionTimeout: 400 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -24,10 +24,10 @@ type Timer interface {
 // Context is the interface between a replica and its substrate. All methods
 // must be called from within message/timer callbacks; the substrate
 // guarantees those never run concurrently for one replica. The one exception
-// is After(0, fn) on the live substrates (transport.TCPNode and LocalNode):
-// their mailboxes take it from any goroutine, which is how work done
-// elsewhere — a journal flush on the storage's own goroutine, an operator's
-// command — gets back onto the event loop.
+// is After(0, fn) on the live substrate (transport.TCPNode): its mailbox
+// takes it from any goroutine, which is how work done elsewhere — a journal
+// flush on the storage's own goroutine, an operator's command — gets back
+// onto the event loop.
 type Context interface {
 	// ID returns this replica's node ID.
 	ID() ids.ID

@@ -1,8 +1,8 @@
 // Package protocol is the one place a replica of any of the three protocols
 // is constructed. The paper's implementation note (§5.1) is that PigPaxos is
 // Paxos with the communication plane swapped; every deployment in this
-// repository — simulated harness, in-process TCP cluster, pigserver, the
-// public in-process Cluster — fills in the per-protocol Config where it
+// repository — simulated harness, the in-process TCP cluster the public
+// Cluster runs on, pigserver — fills in the per-protocol Config where it
 // genuinely differs and hands it to Build, which returns the uniform surface
 // (handler, start, decision core, state machine) the callers used to
 // re-derive with a type switch each.

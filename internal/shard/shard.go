@@ -328,9 +328,8 @@ func (d *Dispatcher) Register(k int, h node.Handler) {
 	d.handlers[k] = h
 }
 
-// OnMessage implements node.Handler. The pooled decode path hands the
-// envelope over as *wire.Sharded (scratch-boxed); the value form shows up
-// from in-process senders. Both unwrap without allocating.
+// OnMessage implements node.Handler. Unwrapping the envelope allocates
+// nothing.
 func (d *Dispatcher) OnMessage(from ids.ID, m wire.Msg) {
 	k, inner := Unwrap(m)
 	if k >= len(d.handlers) || d.handlers[k] == nil {
@@ -343,10 +342,7 @@ func (d *Dispatcher) OnMessage(from ids.ID, m wire.Msg) {
 // it and the inner message; an untagged message is its own inner message on
 // shard 0. The receiving side of Wrap, for dispatchers and clients alike.
 func Unwrap(m wire.Msg) (int, wire.Msg) {
-	switch sm := m.(type) {
-	case *wire.Sharded:
-		return int(sm.Shard), sm.Inner
-	case wire.Sharded:
+	if sm, ok := m.(wire.Sharded); ok {
 		return int(sm.Shard), sm.Inner
 	}
 	return 0, m

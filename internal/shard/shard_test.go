@@ -216,10 +216,10 @@ func TestDispatcherRouting(t *testing.T) {
 	src := ids.NewID(1, 7)
 	inner := wire.Request{Cmd: kvstore.Command{Op: kvstore.Put, Key: 9, ClientID: 7, Seq: 1}}
 
-	d.OnMessage(src, wire.Sharded{Shard: 2, Inner: inner})  // value form
-	d.OnMessage(src, &wire.Sharded{Shard: 3, Inner: inner}) // pointer (scratch) form
-	d.OnMessage(src, inner)                                 // untagged → shard 0
-	d.OnMessage(src, wire.Sharded{Shard: 9, Inner: inner})  // out of range → dropped
+	d.OnMessage(src, wire.Sharded{Shard: 2, Inner: inner})
+	d.OnMessage(src, wire.Sharded{Shard: 3, Inner: inner})
+	d.OnMessage(src, inner)                                // untagged → shard 0
+	d.OnMessage(src, wire.Sharded{Shard: 9, Inner: inner}) // out of range → dropped
 	for k, want := range []int{1, 0, 1, 1} {
 		if len(recs[k].msgs) != want {
 			t.Fatalf("shard %d saw %d msgs, want %d", k, len(recs[k].msgs), want)
@@ -250,7 +250,8 @@ func TestDispatcherZeroAllocs(t *testing.T) {
 		d.Register(k, rec)
 	}
 	src := ids.NewID(1, 1)
-	env := &wire.Sharded{Shard: 2, Inner: wire.Heartbeat{Ballot: 7}}
+	// Boxed once, as the decoder hands it over: the pin is on unwrapping.
+	var env wire.Msg = wire.Sharded{Shard: 2, Inner: wire.Heartbeat{Ballot: 7}}
 	allocs := testing.AllocsPerRun(1000, func() {
 		d.OnMessage(src, env)
 	})

@@ -23,7 +23,7 @@ type envelope struct {
 	timer *timer
 }
 
-// mailbox is the event loop both substrates embed: the node.Context methods
+// mailbox is the event loop a TCPNode embeds: the node.Context methods
 // that do not touch a network, and a queue the loop swaps out whole — a
 // burst of pushes costs the loop one lock and one wake-up, not a channel
 // operation per message.
@@ -41,8 +41,8 @@ type mailbox struct {
 	closed atomic.Bool         // written under mu
 }
 
-func (mb *mailbox) init(id ids.ID, h node.Handler, start time.Time) {
-	mb.id, mb.handler, mb.start = id, h, start
+func (mb *mailbox) init(id ids.ID, h node.Handler) {
+	mb.id, mb.handler, mb.start = id, h, time.Now()
 	mb.rng = rand.New(rand.NewSource(int64(id) ^ time.Now().UnixNano()))
 	mb.ready.L, mb.space.L = &mb.mu, &mb.mu
 	mb.timers = make(map[*timer]struct{})
@@ -176,7 +176,7 @@ func (t *timer) Stop() bool {
 // ID implements node.Context.
 func (mb *mailbox) ID() ids.ID { return mb.id }
 
-// Now implements node.Context: wall time since the substrate started.
+// Now implements node.Context: wall time since the node started.
 func (mb *mailbox) Now() time.Duration { return time.Since(mb.start) }
 
 // Rand implements node.Context.

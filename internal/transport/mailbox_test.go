@@ -16,9 +16,9 @@ import (
 // TestCloseReleasesArmedTimers: an armed timer holds its callback, and the
 // callback holds the replica and its log. Closing a node must stop its
 // timers, or every closed replica stays reachable until its longest timer
-// fires (the election timer: seconds to a minute). Ten nodes on each
-// substrate arm a one-hour timer over a 4 MiB buffer and close; the buffers
-// must be collectable at once.
+// fires (the election timer: seconds to a minute). Ten listening and ten
+// dial-only nodes arm a one-hour timer over a 4 MiB buffer and close; the
+// buffers must be collectable at once.
 func TestCloseReleasesArmedTimers(t *testing.T) {
 	const nodes, size = 10, 4 << 20
 	var freed atomic.Int32
@@ -27,13 +27,10 @@ func TestCloseReleasesArmedTimers(t *testing.T) {
 		runtime.SetFinalizer(&buf[0], func(*byte) { freed.Add(1) })
 		ctx.After(time.Hour, func() { _ = buf[0] })
 	}
-	bus := NewLocalBus()
 	for i := 0; i < nodes; i++ {
-		ln, err := bus.Node(ids.NewID(2, i+1), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		arm(ln)
+		dn := DialTCP(ids.NewID(2, i+1), nil, nil)
+		arm(dn)
+		dn.Close()
 		tn, err := ListenTCP(ids.NewID(1, i+1), "127.0.0.1:0", nil, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -41,7 +38,6 @@ func TestCloseReleasesArmedTimers(t *testing.T) {
 		arm(tn)
 		tn.Close()
 	}
-	bus.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for freed.Load() < 2*nodes {
 		if time.Now().After(deadline) {
@@ -55,9 +51,8 @@ func TestCloseReleasesArmedTimers(t *testing.T) {
 // TestTimerStopAfterFire: Stop from the loop wins against a callback that
 // has fired and is queued behind the running handler.
 func TestTimerStopAfterFire(t *testing.T) {
-	bus := NewLocalBus()
-	defer bus.Close()
-	n, _ := bus.Node(ids.NewID(1, 1), nil)
+	n := DialTCP(ids.NewID(1, 1), nil, nil)
+	defer n.Close()
 	ran := make(chan bool, 1)
 	n.After(0, func() {
 		late := false

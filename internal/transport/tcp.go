@@ -1,3 +1,17 @@
+// Package transport runs replicas and clients (internal/client) on real
+// sockets: TCPNode implements node.Context over length-prefixed frames, one
+// event loop (mailbox) per node. A dial-only node (DialTCP) opens no port and
+// hears its peers over the connections it made, which is what a client is.
+// A failed connection is not reported: an unreachable peer is a silent one.
+//
+// Ownership of message contents. A message to a peer is encoded at Send, so
+// the sender may reuse what it references once Send returns; a self-send is
+// handed over by reference. A message from a peer owns everything it
+// references — its values alias the connection's read chunks and its slices
+// the connection's decode arena, neither ever rewritten — so a handler may
+// keep a command batch or a value without copying; a chunk is collected when
+// the last message decoded from it is dropped. ReadFrame, for tools and
+// tests that speak frames over a raw connection, returns fresh copies.
 package transport
 
 import (
@@ -210,7 +224,7 @@ func DialTCP(id ids.ID, addrs map[ids.ID]string, h node.Handler) *TCPNode {
 		peers:  make(map[ids.ID]*peer),
 		conns:  make(map[net.Conn]struct{}),
 	}
-	n.init(id, h, time.Now())
+	n.init(id, h)
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()

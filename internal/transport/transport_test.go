@@ -43,50 +43,9 @@ func waitFor(t *testing.T, cond func() bool, msg string) {
 	t.Fatal("timeout: " + msg)
 }
 
-func TestLocalBusDelivery(t *testing.T) {
-	bus := NewLocalBus()
-	defer bus.Close()
-	c1 := &collector{}
-	n1, err := bus.Node(ids.NewID(1, 1), c1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := &collector{}
-	n2, err := bus.Node(ids.NewID(1, 2), c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n1.Send(n2.ID(), wire.P1a{Ballot: 7})
-	waitFor(t, func() bool { return c2.count() == 1 }, "message not delivered")
-	c2.mu.Lock()
-	if p, ok := c2.got[0].(wire.P1a); !ok || p.Ballot != 7 {
-		t.Errorf("got %+v", c2.got[0])
-	}
-	c2.mu.Unlock()
-}
-
-func TestLocalBusDuplicateID(t *testing.T) {
-	bus := NewLocalBus()
-	defer bus.Close()
-	if _, err := bus.Node(ids.NewID(1, 1), &collector{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bus.Node(ids.NewID(1, 1), &collector{}); err == nil {
-		t.Error("duplicate ID must be rejected")
-	}
-}
-
-func TestLocalBusUnknownDestinationDropped(t *testing.T) {
-	bus := NewLocalBus()
-	defer bus.Close()
-	n1, _ := bus.Node(ids.NewID(1, 1), &collector{})
-	n1.Send(ids.NewID(9, 9), wire.P1a{Ballot: 1}) // must not panic or block
-}
-
 func TestLocalTimerFiresAndStops(t *testing.T) {
-	bus := NewLocalBus()
-	defer bus.Close()
-	n1, _ := bus.Node(ids.NewID(1, 1), &collector{})
+	n1 := DialTCP(ids.NewID(1, 1), nil, &collector{})
+	defer n1.Close()
 	var mu sync.Mutex
 	fired := 0
 	n1.After(10*time.Millisecond, func() { mu.Lock(); fired++; mu.Unlock() })
@@ -212,41 +171,6 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 		n1.Send(id2, wire.P1a{Ballot: 2})
 		return c2b.count() > 0
 	}, "no delivery after peer restart")
-}
-
-// End-to-end: a 3-node Paxos cluster over the local bus commits a command.
-func TestPaxosOverLocalBus(t *testing.T) {
-	bus := NewLocalBus()
-	defer bus.Close()
-	cc := config.NewLAN(3)
-	replicas := make(map[ids.ID]*paxos.Replica)
-	for _, id := range cc.Nodes {
-		tr := &trampolineT{}
-		n, err := bus.Node(id, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := paxos.New(n, paxos.Config{Cluster: cc, ID: id, InitialLeader: cc.Nodes[0]}, nil)
-		tr.h = r.OnMessage
-		replicas[id] = r
-	}
-	cl := &collector{}
-	clNode, _ := bus.Node(ids.NewID(999, 1), cl)
-	for _, id := range cc.Nodes {
-		id := id
-		r := replicas[id]
-		// Start must run on the node's own loop.
-		bus.nodes[id].After(0, r.Start)
-	}
-	time.Sleep(50 * time.Millisecond)
-	clNode.Send(cc.Nodes[0], wire.Request{Cmd: kvstore.Command{Op: kvstore.Put, Key: 1, Value: []byte("live"), ClientID: 1, Seq: 1}})
-	waitFor(t, func() bool { return cl.count() >= 1 }, "no reply over local bus")
-	cl.mu.Lock()
-	rep := cl.got[0].(wire.Reply)
-	cl.mu.Unlock()
-	if !rep.OK {
-		t.Errorf("reply: %+v", rep)
-	}
 }
 
 // End-to-end: a 3-node PigPaxos cluster over real TCP commits a command.

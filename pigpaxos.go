@@ -20,8 +20,8 @@
 //
 // The package offers three ways to run:
 //
-//   - NewCluster: an in-process cluster over a message bus, for embedding and
-//     experimentation (see examples/quickstart).
+//   - NewCluster: an in-process cluster whose replicas talk over loopback
+//     TCP, for embedding and experimentation (see examples/quickstart).
 //   - internal TCP transport via cmd/pigserver for real deployments.
 //   - Bench: deterministic discrete-event simulations reproducing every
 //     figure and table of the paper (see cmd/pigbench and bench_test.go).
@@ -34,13 +34,11 @@ import (
 	"time"
 
 	"pigpaxos/internal/client"
-	"pigpaxos/internal/config"
-	"pigpaxos/internal/epaxos"
+	"pigpaxos/internal/cluster"
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
 	"pigpaxos/internal/node"
 	"pigpaxos/internal/paxos"
-	"pigpaxos/internal/pigpaxos"
 	"pigpaxos/internal/pqr"
 	"pigpaxos/internal/protocol"
 	"pigpaxos/internal/shard"
@@ -109,13 +107,13 @@ type ReadMode int
 const (
 	// ReadLog serializes reads through the replicated log: a consensus
 	// round per read, always linearizable (the paper's default).
-	ReadLog ReadMode = iota
+	ReadLog = ReadMode(paxos.ReadLog)
 	// ReadLease serves reads locally at the leader under a heartbeat
 	// lease: linearizable and much cheaper.
-	ReadLease
+	ReadLease = ReadMode(paxos.ReadLease)
 	// ReadAny answers from whichever replica is asked. Fast but stale
 	// reads are possible — provided for comparison and testing.
-	ReadAny
+	ReadAny = ReadMode(paxos.ReadAny)
 )
 
 // Options configures an in-process cluster.
@@ -142,45 +140,24 @@ type Options struct {
 	ReadMode ReadMode
 }
 
-func (o Options) paxosReadMode() paxos.ReadMode {
-	switch o.ReadMode {
-	case ReadLease:
-		return paxos.ReadLease
-	case ReadAny:
-		return paxos.ReadAny
-	default:
-		return paxos.ReadLog
-	}
-}
-
 func (o *Options) applyDefaults() {
 	if o.N == 0 {
 		o.N = 3
 	}
-	if o.Shards < 1 {
-		o.Shards = 1
-	}
 	if o.RelayGroups == 0 {
 		o.RelayGroups = 2
 	}
-	if o.RelayTimeout == 0 {
-		o.RelayTimeout = 50 * time.Millisecond
-	}
 }
 
-// Cluster is an in-process replicated KV cluster over the local bus.
+// Cluster is an in-process replicated KV cluster: one loopback TCP node per
+// member (cluster.InProc), the same socket path cmd/pigserver ships.
 type Cluster struct {
-	opts     Options
-	bus      *transport.LocalBus
-	cc       config.Cluster
-	nodes    map[ids.ID]*transport.LocalNode
-	plan     shard.Map
-	sharded  bool                        // Shards > 1: wire traffic rides Sharded envelopes
-	replicas []map[ids.ID]*paxos.Replica // decision core per (shard, member); nil map entries for EPaxos
-	stores   []map[ids.ID]*kvstore.Store // state machine per (shard, member)
+	opts Options
+	in   *cluster.InProc
 
 	clientMu sync.Mutex
 	nextCl   int
+	clients  []*transport.TCPNode // closed by Close
 }
 
 // NewCluster starts an N-node cluster in the current process. Call Close
@@ -190,170 +167,49 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if opts.Shards > 1 && opts.Protocol == ProtocolEPaxos {
 		return nil, fmt.Errorf("pigpaxos: sharding requires a leader-based protocol (PigPaxos or Paxos)")
 	}
-	if opts.Protocol == ProtocolPigPaxos && opts.Shards == 1 && opts.RelayGroups >= opts.N {
+	if opts.Protocol == ProtocolPigPaxos && opts.Shards <= 1 && opts.RelayGroups >= opts.N {
 		return nil, fmt.Errorf("pigpaxos: %d relay groups need a cluster larger than %d", opts.RelayGroups, opts.N)
 	}
-	cc := config.NewLAN(opts.N)
-	cc.Shards = opts.Shards
-	c := &Cluster{
-		opts:    opts,
-		bus:     transport.NewLocalBus(),
-		cc:      cc,
-		nodes:   make(map[ids.ID]*transport.LocalNode),
-		sharded: opts.Shards > 1,
+	in, err := cluster.StartInProc(cluster.InProcSpec{
+		N:               opts.N,
+		Protocol:        opts.Protocol.kind().String(),
+		Groups:          opts.RelayGroups,
+		RelayTimeout:    opts.RelayTimeout,
+		ElectionTimeout: opts.ElectionTimeout,
+		Shards:          opts.Shards,
+		ReadMode:        paxos.ReadMode(opts.ReadMode),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("pigpaxos: %w", err)
 	}
-	if c.sharded {
-		c.plan = shard.Plan(cc, opts.Shards, 0)
-	} else {
-		// A single group spanning the whole membership, led by node 1 —
-		// identical to the historical unsharded layout.
-		c.plan = shard.Map{
-			Router: shard.NewRouter(1),
-			Shards: []shard.Descriptor{{Index: 0, Members: cc.Nodes, Leader: cc.Nodes[0]}},
-		}
-	}
-
-	// One bus node — one event loop — per physical node, its handler a
-	// Dispatcher demultiplexing the per-shard replicas. Unsharded clusters
-	// keep the unwrapped wire format: the dispatcher delivers untagged
-	// traffic to shard 0.
-	dispatchers := make(map[ids.ID]*shard.Dispatcher)
-	for _, id := range cc.Nodes {
-		dispatchers[id] = shard.NewDispatcher(c.plan.NumShards())
-		n, err := c.bus.Node(id, dispatchers[id])
-		if err != nil {
-			c.bus.Close()
-			return nil, err
-		}
-		c.nodes[id] = n
-	}
-
-	type startEntry struct {
-		id    ids.ID
-		start func()
-	}
-	var starters []startEntry // (shard, member) order
-	c.replicas = make([]map[ids.ID]*paxos.Replica, c.plan.NumShards())
-	c.stores = make([]map[ids.ID]*kvstore.Store, c.plan.NumShards())
-	for k, desc := range c.plan.Shards {
-		c.replicas[k] = make(map[ids.ID]*paxos.Replica, len(desc.Members))
-		c.stores[k] = make(map[ids.ID]*kvstore.Store, len(desc.Members))
-		sub := c.plan.Sub(cc, k)
-		for _, id := range desc.Members {
-			var ctx node.Context = c.nodes[id]
-			if c.sharded {
-				ctx = shard.Wrap(ctx, k)
-			}
-			core := paxos.Config{
-				Cluster: sub, ID: id, InitialLeader: desc.Leader,
-				ElectionTimeout: opts.ElectionTimeout,
-				ReadMode:        opts.paxosReadMode(),
-			}
-			m := protocol.Build(ctx, protocol.Spec{
-				Kind:   opts.Protocol.kind(),
-				Paxos:  core,
-				Pig:    pigpaxos.Config{Paxos: core, NumGroups: opts.RelayGroups, RelayTimeout: opts.RelayTimeout},
-				EPaxos: epaxos.Config{Cluster: sub, ID: id},
-			})
-			if m.Core != nil {
-				c.replicas[k][id] = m.Core
-			}
-			c.stores[k][id] = m.Store
-			dispatchers[id].Register(k, &quorumReads{resp: pqr.NewResponder(ctx, m.Store), inner: m.Handler})
-			starters = append(starters, startEntry{id: id, start: m.Start})
-		}
-	}
-
-	// Start each replica on its own event loop.
-	var wg sync.WaitGroup
-	for _, e := range starters {
-		wg.Add(1)
-		c.post(e.id, func() { e.start(); wg.Done() })
-	}
-	wg.Wait()
-	return c, nil
+	return &Cluster{opts: opts, in: in}, nil
 }
 
-// quorumReads interposes a pqr.Responder on a replica's dispatch so every
-// node answers Paxos-Quorum-Read version probes (§4.3).
-type quorumReads struct {
-	resp  *pqr.Responder
-	inner node.Handler
-}
-
-// OnMessage implements node.Handler.
-func (q *quorumReads) OnMessage(from ids.ID, m wire.Msg) {
-	if req, ok := m.(wire.QReadReq); ok {
-		q.resp.OnRequest(from, req)
-		return
+// Close shuts the cluster and its clients down.
+func (c *Cluster) Close() {
+	c.clientMu.Lock()
+	clients := c.clients
+	c.clients = nil
+	c.clientMu.Unlock()
+	for _, n := range clients {
+		n.Close()
 	}
-	q.inner.OnMessage(from, m)
+	c.in.Close()
 }
-
-// post runs fn on a node's event loop (via a zero-delay timer).
-func (c *Cluster) post(id ids.ID, fn func()) {
-	c.nodes[id].After(0, fn)
-}
-
-// Close shuts the cluster down.
-func (c *Cluster) Close() { c.bus.Close() }
 
 // N returns the cluster size.
 func (c *Cluster) N() int { return c.opts.N }
 
 // Shards returns the shard count (1 for an unsharded cluster).
-func (c *Cluster) Shards() int { return c.plan.NumShards() }
-
-// leaderQueryTimeout bounds how long Leader/ShardLeader wait for event-loop
-// replies: stopped nodes never run posted callbacks, so a crashed member
-// simply does not answer.
-const leaderQueryTimeout = 200 * time.Millisecond
+func (c *Cluster) Shards() int { return c.in.Plan.NumShards() }
 
 // ShardLeader returns the 1-based node index of shard k's current leader,
 // or 0 when no live member currently believes it leads (mid-election).
 // Each member is asked on its own event loop; when views disagree
 // transiently, the highest ballot wins. EPaxos is leaderless; every node
-// accepts commands, and the first member stands in.
+// accepts commands, and the first live member stands in.
 func (c *Cluster) ShardLeader(k int) int {
-	if k < 0 || k >= len(c.plan.Shards) {
-		return 0
-	}
-	members := c.plan.Shards[k].Members
-	if c.opts.Protocol == ProtocolEPaxos {
-		return slices.Index(c.cc.Nodes, members[0]) + 1
-	}
-	type answer struct {
-		id     ids.ID
-		ballot ids.Ballot
-	}
-	ch := make(chan answer, len(members))
-	for _, id := range members {
-		id := id
-		core := c.replicas[k][id]
-		c.post(id, func() {
-			if core.IsLeader() {
-				ch <- answer{id: id, ballot: core.Ballot()}
-			} else {
-				ch <- answer{}
-			}
-		})
-	}
-	deadline := time.After(leaderQueryTimeout)
-	var best answer
-	for pending := len(members); pending > 0; pending-- {
-		select {
-		case a := <-ch:
-			if !a.id.IsZero() && (best.id.IsZero() || a.ballot > best.ballot) {
-				best = a
-			}
-		case <-deadline:
-			pending = 0
-		}
-	}
-	if best.id.IsZero() {
-		return 0
-	}
-	return slices.Index(c.cc.Nodes, best.id) + 1
+	return slices.Index(c.in.Members, c.in.Leader(k)) + 1
 }
 
 // Leader returns the 1-based node index of the current leader (shard 0's
@@ -362,27 +218,25 @@ func (c *Cluster) Leader() int { return c.ShardLeader(0) }
 
 // Client opens a synchronous client session against the cluster.
 func (c *Cluster) Client() (*Client, error) {
-	c.clientMu.Lock()
-	c.nextCl++
-	idx := c.nextCl
-	c.clientMu.Unlock()
+	plan := c.in.Plan
 	cl := &Client{
 		cluster:  c,
-		sessions: make([]client.Session, c.plan.NumShards()),
+		sessions: make([]client.Session, plan.NumShards()),
 		out:      make(chan outcome, 1),
 		timeout:  5 * time.Second,
 	}
-	n, err := c.bus.Node(ids.NewID(999, idx), cl)
-	if err != nil {
-		return nil, err
-	}
-	cl.node = n
+	c.clientMu.Lock()
+	c.nextCl++
+	idx := c.nextCl
+	cl.node = transport.DialTCP(ids.NewID(999, idx), c.in.Addrs, cl)
+	c.clients = append(c.clients, cl.node)
+	c.clientMu.Unlock()
 	// One session per shard, aimed at the planned leader first, then the
 	// rest of the shard's group: a leader-based client starts at the leader
 	// and moves on silence (crash failover) or a redirect. In the unsharded
 	// cluster shard 0 spans the whole membership; EPaxos clients round-robin
 	// across it.
-	for k, desc := range c.plan.Shards {
+	for k, desc := range plan.Shards {
 		targets := []ids.ID{desc.Leader}
 		for _, m := range desc.Members {
 			if m != desc.Leader {
@@ -413,9 +267,8 @@ func (c *Cluster) Client() (*Client, error) {
 			s.Target = targets[idx%len(targets)]
 		}
 	}
-	cl.qresults = make(chan pqr.Result, 1)
-	cl.qreaders = make([]*pqr.Reader, c.plan.NumShards())
-	for k, desc := range c.plan.Shards {
+	cl.qreaders = make([]*pqr.Reader, plan.NumShards())
+	for k, desc := range plan.Shards {
 		cl.qreaders[k] = pqr.New(cl.shardCtx(k), pqr.Config{Members: desc.Members}, nil)
 	}
 	return cl, nil
@@ -424,7 +277,7 @@ func (c *Cluster) Client() (*Client, error) {
 // shardCtx is the client's node as shard k's replicas expect to hear from
 // it: tagging what it sends when the cluster is sharded.
 func (cl *Client) shardCtx(k int) node.Context {
-	if cl.cluster.sharded {
+	if cl.cluster.Shards() > 1 {
 		return shard.Wrap(cl.node, k)
 	}
 	return cl.node
@@ -434,10 +287,11 @@ func (cl *Client) shardCtx(k int) node.Context {
 // to it is dropped. With ElectionTimeout configured the survivors elect a
 // new leader and clients fail over transparently.
 func (c *Cluster) StopNode(i int) error {
-	if i < 1 || i > len(c.cc.Nodes) {
-		return fmt.Errorf("pigpaxos: node %d out of range 1..%d", i, len(c.cc.Nodes))
+	members := c.in.Members
+	if i < 1 || i > len(members) {
+		return fmt.Errorf("pigpaxos: node %d out of range 1..%d", i, len(members))
 	}
-	c.bus.Stop(c.cc.Nodes[i-1])
+	c.in.Stop(members[i-1])
 	return nil
 }
 
@@ -452,13 +306,12 @@ type outcome struct {
 // owning it, with an independent at-most-once session per shard.
 type Client struct {
 	cluster  *Cluster
-	node     *transport.LocalNode
+	node     *transport.TCPNode
 	sessions []client.Session // per shard; the node's event loop owns them
 	out      chan outcome     // the operation in flight ends in exactly one
 	timeout  time.Duration
 
 	qreaders []*pqr.Reader // per-shard quorum readers
-	qresults chan pqr.Result
 }
 
 // OnMessage implements node.Handler (internal use).
@@ -483,7 +336,7 @@ func (cl *Client) SetTimeout(d time.Duration) { cl.timeout = d }
 // not strand the client, and whoever answers stays the shard's target, so
 // later operations go straight to the new leader.
 func (cl *Client) do(cmd kvstore.Command) (wire.Reply, error) {
-	s := &cl.sessions[cl.cluster.plan.Router.Shard(cmd.Key)]
+	s := &cl.sessions[cl.cluster.in.Plan.Router.Shard(cmd.Key)]
 	timeout := cl.timeout
 	cl.node.After(0, func() {
 		s.Timeout, s.Retry = timeout, timeout/time.Duration(len(s.Targets))
@@ -495,9 +348,6 @@ func (cl *Client) do(cmd kvstore.Command) (wire.Reply, error) {
 
 // Put stores value under key. The caller may reuse value once Put returns.
 func (cl *Client) Put(key uint64, value []byte) error {
-	// The bus hands messages over by reference: without the copy, a write to
-	// value after Put returns would reach the replicas' stores.
-	value = append([]byte(nil), value...)
 	_, err := cl.do(kvstore.Command{Op: kvstore.Put, Key: key, Value: value})
 	return err
 }
@@ -525,18 +375,15 @@ func (cl *Client) Delete(key uint64) (found bool, err error) {
 // stable newest value, without involving the leader or the log. The read is
 // linearizable with respect to completed writes.
 func (cl *Client) QuorumRead(key uint64) (value []byte, found bool, err error) {
-	k := cl.cluster.plan.Router.Shard(key)
-	// The reader must run on the client's event loop.
+	k := cl.cluster.in.Plan.Router.Shard(key)
+	// The reader must run on the client's event loop. The channel is this
+	// call's own: the result of a read that timed out lands in it unread.
+	res := make(chan pqr.Result, 1)
 	cl.node.After(0, func() {
-		cl.qreaders[k].Read(key, func(r pqr.Result) {
-			select {
-			case cl.qresults <- r:
-			default:
-			}
-		})
+		cl.qreaders[k].Read(key, func(r pqr.Result) { res <- r })
 	})
 	select {
-	case r := <-cl.qresults:
+	case r := <-res:
 		if r.Failed {
 			return nil, false, fmt.Errorf("pigpaxos: quorum read did not stabilize")
 		}
@@ -551,11 +398,11 @@ func (cl *Client) QuorumRead(key uint64) (value []byte, found bool, err error) {
 // shard it replicates; unsharded clusters report the single store directly.
 // Equal checksums across one shard's members mean converged replicas.
 func (c *Cluster) StoreChecksums() []uint64 {
-	out := make([]uint64, 0, len(c.cc.Nodes))
-	for _, id := range c.cc.Nodes {
+	out := make([]uint64, 0, len(c.in.Members))
+	for _, id := range c.in.Members {
 		var sum uint64
-		for k := range c.plan.Shards {
-			if st, ok := c.stores[k][id]; ok {
+		for k := range c.in.Plan.Shards {
+			if st := c.in.Store(k, id); st != nil {
 				sum ^= st.Checksum()
 			}
 		}
@@ -567,11 +414,11 @@ func (c *Cluster) StoreChecksums() []uint64 {
 // StoreApplied returns each node's applied-command count, in node order
 // (summed across the shards a node replicates).
 func (c *Cluster) StoreApplied() []uint64 {
-	out := make([]uint64, 0, len(c.cc.Nodes))
-	for _, id := range c.cc.Nodes {
+	out := make([]uint64, 0, len(c.in.Members))
+	for _, id := range c.in.Members {
 		var sum uint64
-		for k := range c.plan.Shards {
-			if st, ok := c.stores[k][id]; ok {
+		for k := range c.in.Plan.Shards {
+			if st := c.in.Store(k, id); st != nil {
 				sum += st.Applied()
 			}
 		}
@@ -583,12 +430,13 @@ func (c *Cluster) StoreApplied() []uint64 {
 // ShardStoreChecksums returns shard k's members' state-machine checksums in
 // the shard's membership order — the per-shard convergence view.
 func (c *Cluster) ShardStoreChecksums(k int) []uint64 {
-	if k < 0 || k >= len(c.plan.Shards) {
+	if k < 0 || k >= c.Shards() {
 		return nil
 	}
-	out := make([]uint64, 0, len(c.plan.Shards[k].Members))
-	for _, id := range c.plan.Shards[k].Members {
-		out = append(out, c.stores[k][id].Checksum())
+	members := c.in.Plan.Shards[k].Members
+	out := make([]uint64, 0, len(members))
+	for _, id := range members {
+		out = append(out, c.in.Store(k, id).Checksum())
 	}
 	return out
 }

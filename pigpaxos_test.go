@@ -2,6 +2,7 @@ package pigpaxos
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -61,13 +62,14 @@ func TestClusterConcurrentClients(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
-		cl, err := c.Client()
-		if err != nil {
-			t.Fatal(err)
-		}
 		wg.Add(1)
-		go func(g int, cl *Client) {
+		go func(g int) {
 			defer wg.Done()
+			cl, err := c.Client()
+			if err != nil {
+				errs <- err
+				return
+			}
 			for i := 0; i < 25; i++ {
 				key := uint64(g*1000 + i)
 				if err := cl.Put(key, []byte(fmt.Sprintf("v%d", i))); err != nil {
@@ -79,7 +81,7 @@ func TestClusterConcurrentClients(t *testing.T) {
 					return
 				}
 			}
-		}(g, cl)
+		}(g)
 	}
 	wg.Wait()
 	close(errs)
@@ -231,6 +233,34 @@ func TestClusterQuorumRead(t *testing.T) {
 	}
 }
 
+// A quorum read that timed out must not hand its late result to the next
+// one: each read waits on its own result.
+func TestClusterQuorumReadAfterTimeout(t *testing.T) {
+	c, err := NewCluster(Options{N: 5, RelayGroups: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cl, _ := c.Client()
+	if err := cl.Put(1, []byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Put(2, []byte("two")); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(200 * time.Millisecond) // commit watermarks reach the followers
+	cl.SetTimeout(time.Nanosecond)
+	if _, _, err := cl.QuorumRead(1); err == nil {
+		t.Fatal("a quorum read under a 1 ns timeout succeeded")
+	}
+	time.Sleep(200 * time.Millisecond) // the timed-out read completes meanwhile
+	cl.SetTimeout(5 * time.Second)
+	v, ok, err := cl.QuorumRead(2)
+	if err != nil || !ok || string(v) != "two" {
+		t.Fatalf("quorum read of key 2: %q %v %v", v, ok, err)
+	}
+}
+
 func TestClusterLeaseReads(t *testing.T) {
 	c, err := NewCluster(Options{N: 5, RelayGroups: 2, ReadMode: ReadLease})
 	if err != nil {
@@ -283,6 +313,69 @@ func TestClusterLeaderTracksFailover(t *testing.T) {
 			t.Fatalf("Leader() still reports %d after crashing it", c.Leader())
 		}
 		time.Sleep(25 * time.Millisecond)
+	}
+}
+
+// EPaxos has no leader: Leader names a live member that accepts commands,
+// never a stopped one.
+func TestClusterEPaxosLeaderIsLive(t *testing.T) {
+	c, err := NewCluster(Options{N: 5, Protocol: ProtocolEPaxos})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	first := c.Leader()
+	if first == 0 {
+		t.Fatal("no stand-in leader on a healthy EPaxos cluster")
+	}
+	stop, polled := make(chan struct{}), make(chan struct{})
+	go func() { // Leader may be asked while a node stops
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				c.Leader()
+			}
+		}
+	}()
+	err = c.StopNode(first)
+	close(stop)
+	<-polled
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l := c.Leader(); l == 0 || l == first {
+		t.Fatalf("Leader() = %d after stopping node %d", l, first)
+	}
+}
+
+// Close must stop every goroutine the cluster and its clients started.
+func TestClusterCloseLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	c, err := NewCluster(Options{N: 5, RelayGroups: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		cl, err := c.Client()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			if err := cl.Put(1, []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	c.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before NewCluster", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -16,7 +16,9 @@ import (
 	"testing"
 	"time"
 
+	"pigpaxos/internal/chaos"
 	"pigpaxos/internal/harness"
+	"pigpaxos/internal/ids"
 	"pigpaxos/internal/model"
 	ipaxos "pigpaxos/internal/paxos"
 	ipig "pigpaxos/internal/pigpaxos"
@@ -207,8 +209,7 @@ func BenchmarkAblationThriftyPaxos(b *testing.B) {
 		// running 20x slower.
 		slow := func(o *harness.Options) {
 			o.Protocol = harness.Paxos
-			o.SluggishNode = 2
-			o.SluggishFactor = 20
+			o.Faults = chaos.Schedule{{Action: chaos.Action{Kind: chaos.Sluggish, Node: ids.NewID(1, 2), Factor: 20}}}
 		}
 		fullSlow := ablationRun(b, slow)
 		thriftySlow := ablationRun(b, func(o *harness.Options) {
@@ -248,8 +249,8 @@ func BenchmarkAblationZipfianWorkload(b *testing.B) {
 // amortizes the per-slot fan-out round — the per-message leader tax the
 // paper identifies — over the whole batch.
 func BenchmarkBatchingSweep(b *testing.B) {
-	run := func(p Protocol, batch int) BenchResult {
-		return Bench(BenchOptions{
+	run := func(p harness.Protocol, batch int) harness.Result {
+		return harness.Run(harness.Options{
 			Protocol:  p,
 			N:         25,
 			Clients:   200,
@@ -259,10 +260,10 @@ func BenchmarkBatchingSweep(b *testing.B) {
 		})
 	}
 	for i := 0; i < b.N; i++ {
-		pax1 := run(ProtocolPaxos, 1)
-		pax16 := run(ProtocolPaxos, 16)
-		pig1 := run(ProtocolPigPaxos, 1)
-		pig16 := run(ProtocolPigPaxos, 16)
+		pax1 := run(harness.Paxos, 1)
+		pax16 := run(harness.Paxos, 16)
+		pig1 := run(harness.PigPaxos, 1)
+		pig16 := run(harness.PigPaxos, 16)
 		b.ReportMetric(pax1.Throughput, "req/s(paxos,b1)")
 		b.ReportMetric(pax16.Throughput, "req/s(paxos,b16)")
 		b.ReportMetric(pig1.Throughput, "req/s(pig,b1)")

@@ -7,11 +7,13 @@
 // Two ways to get a cluster:
 //
 //	pigload -cluster 1.1=h1:7001,1.2=h2:7001,1.3=h3:7001 -rate 2000
-//	pigload -spawn 3 -server-bin ./pigserver -rate 2000
+//	pigload -spawn 3 -server-bin ./pigserver -rate 2000 -- -batch 16 -inflight 4
 //
 // -spawn forks one pigserver per member on free localhost ports, waits
 // for readiness through the client path, runs the load, and tears the
 // processes down (SIGTERM, then SIGKILL after the grace period).
+// Everything after -- goes to each pigserver unchanged (see pigserver -h
+// for its flags); with -cluster there is no server to pass it to.
 //
 // -sweep runs a rate ladder over one cluster bring-up — the §5.4
 // saturation experiment: push past the knee and watch goodput flatten
@@ -48,8 +50,6 @@ func main() {
 		protocol   = flag.String("protocol", "pigpaxos", "protocol for -spawn: pigpaxos | paxos | epaxos")
 		groups     = flag.Int("groups", 2, "PigPaxos relay groups for -spawn")
 		walDir     = flag.String("wal-dir", "", "give each spawned server a durable WAL under this directory")
-		electTO    = flag.Duration("election-timeout", 2*time.Second, "election timeout forwarded to spawned servers")
-		hb         = flag.Duration("hb", 0, "heartbeat interval forwarded to spawned servers (0 = server default)")
 		readyTO    = flag.Duration("ready-timeout", 20*time.Second, "cluster readiness budget")
 
 		clients  = flag.Int("clients", 8, "open-loop worker count")
@@ -70,16 +70,10 @@ func main() {
 
 		clientBaseF = flag.Uint64("client-base", 0, "first worker client ID (0 = derive a per-invocation base so warm-cluster reruns get fresh at-most-once sessions)")
 
-		batch       = flag.Int("batch", 0, "forward to spawned servers: leader batch size (0 = unbatched)")
-		batchDelay  = flag.Duration("batch-delay", 0, "forward to spawned servers: max under-full batch wait")
-		srvInflight = flag.Int("server-inflight", 0, "forward to spawned servers: leader pipelining window")
-		maxPending  = flag.Int("max-pending", 0, "forward to spawned servers: leader ingress bound (0 derives, negative = unbounded)")
-		queueTTL    = flag.Duration("queue-ttl", 0, "forward to spawned servers: drop queued commands older than this")
-		overloadLat = flag.Duration("overload-latency", 0, "forward to spawned servers: Busy-shed when commit EWMA exceeds this")
-
 		gateFrac = flag.Float64("gate-goodput-frac", 0, "with -sweep: exit 1 unless the final rung's goodput is at least this fraction of the peak rung's (0 disables)")
 	)
 	flag.Parse()
+	serverArgs := flag.Args() // after --: each spawned pigserver's own flags
 
 	dist, err := workload.ParseDistribution(*distStr)
 	if err != nil {
@@ -100,6 +94,9 @@ func main() {
 			log.Fatal("-kill-leader-after cannot combine with -sweep (the leader only dies once)")
 		}
 	}
+	if len(serverArgs) > 0 && *spawn == 0 {
+		log.Fatalf("pigserver flags after -- need -spawn: %q", serverArgs)
+	}
 	if *gateFrac < 0 || *gateFrac > 1 {
 		log.Fatalf("-gate-goodput-frac %v outside [0,1]", *gateFrac)
 	}
@@ -113,35 +110,13 @@ func main() {
 	case *spawn > 0 && *clusterStr != "":
 		log.Fatal("-spawn and -cluster are mutually exclusive")
 	case *spawn > 0:
-		extra := []string{"-election-timeout", electTO.String()}
-		if *hb > 0 {
-			extra = append(extra, "-hb", hb.String())
-		}
-		if *batch > 0 {
-			extra = append(extra, "-batch", strconv.Itoa(*batch))
-		}
-		if *batchDelay > 0 {
-			extra = append(extra, "-batch-delay", batchDelay.String())
-		}
-		if *srvInflight > 0 {
-			extra = append(extra, "-inflight", strconv.Itoa(*srvInflight))
-		}
-		if *maxPending != 0 {
-			extra = append(extra, "-max-pending", strconv.Itoa(*maxPending))
-		}
-		if *queueTTL > 0 {
-			extra = append(extra, "-queue-ttl", queueTTL.String())
-		}
-		if *overloadLat > 0 {
-			extra = append(extra, "-overload-latency", overloadLat.String())
-		}
 		procs, err = cluster.Launch(cluster.ProcSpec{
 			N:         *spawn,
 			Protocol:  *protocol,
 			Groups:    *groups,
 			ServerBin: *serverBin,
 			WALDir:    *walDir,
-			ExtraArgs: extra,
+			ExtraArgs: serverArgs,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -155,7 +130,7 @@ func main() {
 			log.Fatal(err)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "usage: pigload (-cluster 1.1=h:p,... | -spawn 3) [-rate R | -sweep R1,R2,...]")
+		fmt.Fprintln(os.Stderr, "usage: pigload (-cluster 1.1=h:p,... | -spawn 3) [-rate R | -sweep R1,R2,...] [-- pigserver flags]")
 		os.Exit(2)
 	}
 

@@ -35,23 +35,6 @@ func ExampleNewCluster() {
 	// Output: hello true
 }
 
-// ExampleBench runs one deterministic simulated benchmark: a 9-node
-// PigPaxos cluster under 20 closed-loop clients.
-func ExampleBench() {
-	r := pigpaxos.Bench(pigpaxos.BenchOptions{
-		Protocol:    pigpaxos.ProtocolPigPaxos,
-		N:           9,
-		RelayGroups: 3,
-		Clients:     20,
-		Warmup:      100 * time.Millisecond,
-		Measure:     500 * time.Millisecond,
-		Seed:        1,
-	})
-	// Deterministic: the same seed always yields the same measurement.
-	fmt.Println(r.Throughput > 1000, r.MeanLatency > 0)
-	// Output: true true
-}
-
 // ExampleClient_QuorumRead reads through the Paxos-Quorum-Read path, which
 // probes a majority of replicas and never touches the leader.
 func ExampleClient_QuorumRead() {

@@ -2,9 +2,9 @@
 // session that acts on the world only through a node.Context, so — like the
 // replicas — it runs unchanged on the simulator (netsim.Endpoint) and on
 // real sockets (transport.TCPNode). The simulator's closed-loop and
-// open-loop clients, loadgen's workers, cluster.SyncClient and the public
-// Client are each a pacing policy over a Session: when to Issue, and what to
-// record when an operation ends.
+// open-loop clients, loadgen's workers and cluster.SyncClient — which the
+// public pigpaxos.Client wraps — are each a pacing policy over a Session:
+// when to Issue, and what to record when an operation ends.
 //
 // A transport behind node.Context does not report connection errors, so a
 // dead target is known by its silence alone.

@@ -5,18 +5,19 @@
 //   - InProc starts N members inside the current process, each on its own
 //     transport.TCPNode bound to an ephemeral 127.0.0.1 port and hosting
 //     its replica of every shard it belongs to. The public pigpaxos.Cluster
-//     and the integration tests run on it: the real socket path (framing,
-//     shard envelopes, reverse routes, writer goroutines) without process
-//     management.
+//     and its clients and the integration tests run on it: the real socket
+//     path (framing, shard envelopes, reverse routes, writer goroutines)
+//     without process management.
 //   - Procs forks N pigserver processes, one per replica, in the style of
 //     the go-paxos deploy/tester scripts — the substrate cmd/pigload's
 //     -spawn mode benchmarks.
 //
 // Readiness is probed through the client path itself: a node is ready when
 // it answers a Request, and the cluster is ready when a Get completes OK
-// (some leader is committing). SyncClient (client.go) is the synchronous
-// client probes, tests and cmd/pigclient share: a client.Session with one
-// command in flight, on a dial-only TCPNode of its own.
+// (some leader is committing). SyncClient (client.go) is the one
+// synchronous client: the public pigpaxos.Client, probes, tests and
+// cmd/pigclient all run a client.Session per shard with one command in
+// flight, on a dial-only TCPNode of its own.
 package cluster
 
 import (
@@ -158,10 +159,13 @@ type InProc struct {
 	// Plan is the shard layout: which members replicate which shard.
 	Plan shard.Map
 
+	kind     protocol.Kind
 	replicas []map[ids.ID]protocol.Member // per shard, by member
 
-	mu    sync.Mutex
-	nodes map[ids.ID]*transport.TCPNode // live members
+	mu      sync.Mutex
+	nodes   map[ids.ID]*transport.TCPNode // live members
+	clients []*SyncClient                 // opened by Client; Close closes them
+	closed  bool
 }
 
 // StartInProc boots an n-node cluster on ephemeral localhost ports and
@@ -189,6 +193,7 @@ func StartInProc(spec InProcSpec) (*InProc, error) {
 		Members:  members,
 		Addrs:    make(map[ids.ID]string),
 		Plan:     plan,
+		kind:     kind,
 		replicas: make([]map[ids.ID]protocol.Member, plan.NumShards()),
 		nodes:    make(map[ids.ID]*transport.TCPNode),
 	}
@@ -311,7 +316,7 @@ func (c *InProc) Leader(k int) ids.ID {
 		return 0
 	}
 	members := c.Plan.Shards[k].Members
-	if c.replicas[k][members[0]].Core == nil { // EPaxos
+	if c.kind == protocol.EPaxos {
 		for _, id := range members {
 			if c.Node(id) != nil {
 				return id
@@ -359,8 +364,35 @@ func (c *InProc) Stop(id ids.ID) {
 	}
 }
 
-// Close stops every member.
+// Client opens a SyncClient on the cluster's shard layout. Each shard's
+// session starts at the shard's planned leader; on leaderless EPaxos client
+// i starts on member i mod N instead, so concurrent clients spread over the
+// members. Close closes the client; after Close, Client fails.
+func (c *InProc) Client(clientID uint64, timeout time.Duration) (*SyncClient, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return nil, fmt.Errorf("cluster: closed")
+	}
+	start := 0
+	if c.kind == protocol.EPaxos {
+		start = int(clientID % uint64(len(c.Members)))
+	}
+	sc := dial(c.Addrs, c.Plan, clientID, timeout, start)
+	c.clients = append(c.clients, sc)
+	return sc, nil
+}
+
+// Close stops the clients Client opened and every member.
 func (c *InProc) Close() {
+	c.mu.Lock()
+	c.closed = true
+	clients := c.clients
+	c.clients = nil
+	c.mu.Unlock()
+	for _, sc := range clients {
+		sc.Close()
+	}
 	for _, id := range c.Members {
 		c.Stop(id)
 	}

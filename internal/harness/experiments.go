@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"pigpaxos/internal/chaos"
 	"pigpaxos/internal/metrics"
 	"pigpaxos/internal/model"
 	"pigpaxos/internal/workload"
@@ -296,9 +297,11 @@ func (s Suite) Fig13FaultTolerance() Report {
 	o.Clients = 200
 	o.Measure = measure
 	o.SampleWidth = time.Second
-	o.CrashNode = 25 // a follower
-	o.CrashAt = o.Warmup + crashAt
-	o.RecoverAt = o.Warmup + recoverAt
+	victim := o.cluster().Nodes[o.N-1] // a follower
+	o.Faults = chaos.Schedule{
+		{At: o.Warmup + crashAt, Action: chaos.Action{Kind: chaos.Crash, Node: victim}},
+		{At: o.Warmup + recoverAt, Action: chaos.Action{Kind: chaos.Recover, Node: victim}},
+	}
 	o.MutPig = nil // default 50ms relay timeout, as in the paper
 	r := Run(o)
 

@@ -76,9 +76,11 @@ func goldenRuns() []struct {
 			o := base(PigPaxos)
 			o.BatchSize = 4
 			o.SampleWidth = 100 * time.Millisecond
-			o.CrashNode = 5
-			o.CrashAt = 150 * time.Millisecond
-			o.RecoverAt = 300 * time.Millisecond
+			victim := config.NewLAN(5).Nodes[4]
+			o.Faults = chaos.Schedule{
+				{At: 150 * time.Millisecond, Action: chaos.Action{Kind: chaos.Crash, Node: victim}},
+				{At: 300 * time.Millisecond, Action: chaos.Action{Kind: chaos.Recover, Node: victim}},
+			}
 			return Run(o)
 		}},
 		{"Run/Paxos/busy", func() any {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"time"
 
+	"pigpaxos/internal/chaos"
 	"pigpaxos/internal/config"
 	"pigpaxos/internal/epaxos"
 	"pigpaxos/internal/kvstore"
@@ -77,17 +78,9 @@ type Options struct {
 	MutPaxos  func(*paxos.Config)
 	MutEPaxos func(*epaxos.Config)
 
-	// CrashNode (1-based node index), CrashAt and RecoverAt inject a
-	// fault window (Figure 13). Zero CrashNode disables.
-	CrashNode int
-	CrashAt   time.Duration
-	RecoverAt time.Duration
-
-	// SluggishNode (1-based) runs one node with its CPU costs multiplied
-	// by SluggishFactor for the whole run (§3.4's slow-node scenario and
-	// the thrifty-Paxos fragility ablation).
-	SluggishNode   int
-	SluggishFactor float64
+	// Faults is armed on the run's clock: Figure 13's crash window, or the
+	// thrifty-Paxos fragility ablation's sluggish node (§3.4).
+	Faults chaos.Schedule
 
 	// SampleWidth enables a throughput time series with that bucket
 	// width (Figure 13 samples over 1-second intervals).
@@ -230,16 +223,7 @@ func runLoad(opts *Options, plan *shard.Map) loadRun {
 	d.start()
 	d.launch(lr.clients, 50*time.Microsecond)
 
-	if opts.SluggishNode > 0 && opts.SluggishNode <= len(d.cc.Nodes) && opts.SluggishFactor > 1 {
-		d.net.SetSluggish(d.cc.Nodes[opts.SluggishNode-1], opts.SluggishFactor)
-	}
-	if opts.CrashNode > 0 && opts.CrashNode <= len(d.cc.Nodes) {
-		victim := d.cc.Nodes[opts.CrashNode-1]
-		d.sim.Schedule(opts.CrashAt, func() { d.net.Crash(victim) })
-		if opts.RecoverAt > opts.CrashAt {
-			d.sim.Schedule(opts.RecoverAt, func() { d.net.Recover(victim) })
-		}
-	}
+	chaos.Apply(d.sim, d.net, opts.Faults, resolver{d})
 	d.sim.Run(windowEnd)
 	return lr
 }

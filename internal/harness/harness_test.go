@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"pigpaxos/internal/chaos"
+	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
 	"pigpaxos/internal/wire"
 	"pigpaxos/internal/workload"
@@ -142,9 +144,10 @@ func TestFaultWindowSeries(t *testing.T) {
 		Warmup:      200 * time.Millisecond,
 		Measure:     3 * time.Second,
 		SampleWidth: 500 * time.Millisecond,
-		CrashNode:   5,
-		CrashAt:     1200 * time.Millisecond,
-		RecoverAt:   2200 * time.Millisecond,
+		Faults: chaos.Schedule{
+			{At: 1200 * time.Millisecond, Action: chaos.Action{Kind: chaos.Crash, Node: ids.NewID(1, 5)}},
+			{At: 2200 * time.Millisecond, Action: chaos.Action{Kind: chaos.Recover, Node: ids.NewID(1, 5)}},
+		},
 	}
 	r := Run(o)
 	if len(r.Series) < 4 {

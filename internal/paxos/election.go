@@ -303,6 +303,9 @@ func (r *Replica) stepDown(b ids.Ballot) {
 	if b.ID() == r.cfg.ID {
 		return
 	}
+	// The campaign is lost: b's owner's NACK of our bid carries b and must
+	// not count as a promise, or this node leads under b's owner's ballot.
+	r.p1q = nil
 	r.abortProposals()
 	// Redirect in ascending slot order, then drop every slot's in-flight
 	// state: the tallies closed above, and the routes are now answered.

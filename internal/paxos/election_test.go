@@ -134,3 +134,19 @@ func TestRejectionDethronesLeader(t *testing.T) {
 		t.Error("leader must adopt the higher ballot")
 	}
 }
+
+// A campaigner that adopts a rival's higher ballot has lost its campaign:
+// the rival's NACK of its bid carries that same ballot and must not count as
+// a promise, or the loser leads too, under the rival's ballot.
+func TestLostCampaignIgnoresNackAtAdoptedBallot(t *testing.T) {
+	tc := newCluster(t, 3, nil)
+	tc.sim.Run(10 * time.Millisecond)
+	bidder, rival := tc.replicas[tc.cfg.Nodes[1]], tc.cfg.Nodes[2]
+	bidder.Campaign()
+	higher := bidder.Ballot().Next(rival)
+	bidder.OnP1a(rival, wire.P1a{Ballot: higher})
+	bidder.OnP1b(wire.P1b{Ballot: higher, From: rival})
+	if bidder.IsLeader() {
+		t.Fatalf("%v leads under %v, a ballot it adopted from %v", tc.cfg.Nodes[1], bidder.Ballot(), rival)
+	}
+}

@@ -18,31 +18,26 @@
 // at-most-once session per shard; aggregate throughput scales near-linearly
 // with S.
 //
-// The package offers three ways to run:
+// The package offers two ways to run:
 //
 //   - NewCluster: an in-process cluster whose replicas talk over loopback
 //     TCP, for embedding and experimentation (see examples/quickstart).
 //   - internal TCP transport via cmd/pigserver for real deployments.
-//   - Bench: deterministic discrete-event simulations reproducing every
-//     figure and table of the paper (see cmd/pigbench and bench_test.go).
+//
+// The deterministic discrete-event simulations reproducing every figure and
+// table of the paper live behind cmd/pigbench and bench_test.go.
 package pigpaxos
 
 import (
 	"fmt"
 	"slices"
-	"sync"
+	"sync/atomic"
 	"time"
 
-	"pigpaxos/internal/client"
 	"pigpaxos/internal/cluster"
-	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
-	"pigpaxos/internal/node"
 	"pigpaxos/internal/paxos"
-	"pigpaxos/internal/pqr"
 	"pigpaxos/internal/protocol"
-	"pigpaxos/internal/shard"
-	"pigpaxos/internal/transport"
 	"pigpaxos/internal/wire"
 )
 
@@ -152,12 +147,8 @@ func (o *Options) applyDefaults() {
 // Cluster is an in-process replicated KV cluster: one loopback TCP node per
 // member (cluster.InProc), the same socket path cmd/pigserver ships.
 type Cluster struct {
-	opts Options
-	in   *cluster.InProc
-
-	clientMu sync.Mutex
-	nextCl   int
-	clients  []*transport.TCPNode // closed by Close
+	in     *cluster.InProc
+	nextCl atomic.Uint64
 }
 
 // NewCluster starts an N-node cluster in the current process. Call Close
@@ -182,23 +173,14 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pigpaxos: %w", err)
 	}
-	return &Cluster{opts: opts, in: in}, nil
+	return &Cluster{in: in}, nil
 }
 
 // Close shuts the cluster and its clients down.
-func (c *Cluster) Close() {
-	c.clientMu.Lock()
-	clients := c.clients
-	c.clients = nil
-	c.clientMu.Unlock()
-	for _, n := range clients {
-		n.Close()
-	}
-	c.in.Close()
-}
+func (c *Cluster) Close() { c.in.Close() }
 
 // N returns the cluster size.
-func (c *Cluster) N() int { return c.opts.N }
+func (c *Cluster) N() int { return len(c.in.Members) }
 
 // Shards returns the shard count (1 for an unsharded cluster).
 func (c *Cluster) Shards() int { return c.in.Plan.NumShards() }
@@ -216,71 +198,14 @@ func (c *Cluster) ShardLeader(k int) int {
 // leader in a sharded cluster), or 0 when no live replica currently leads.
 func (c *Cluster) Leader() int { return c.ShardLeader(0) }
 
-// Client opens a synchronous client session against the cluster.
+// Client opens a synchronous client session against the cluster. It fails
+// once the cluster is closed.
 func (c *Cluster) Client() (*Client, error) {
-	plan := c.in.Plan
-	cl := &Client{
-		cluster:  c,
-		sessions: make([]client.Session, plan.NumShards()),
-		out:      make(chan outcome, 1),
-		timeout:  5 * time.Second,
+	sc, err := c.in.Client(c.nextCl.Add(1), 5*time.Second)
+	if err != nil {
+		return nil, fmt.Errorf("pigpaxos: %w", err)
 	}
-	c.clientMu.Lock()
-	c.nextCl++
-	idx := c.nextCl
-	cl.node = transport.DialTCP(ids.NewID(999, idx), c.in.Addrs, cl)
-	c.clients = append(c.clients, cl.node)
-	c.clientMu.Unlock()
-	// One session per shard, aimed at the planned leader first, then the
-	// rest of the shard's group: a leader-based client starts at the leader
-	// and moves on silence (crash failover) or a redirect. In the unsharded
-	// cluster shard 0 spans the whole membership; EPaxos clients round-robin
-	// across it.
-	for k, desc := range plan.Shards {
-		targets := []ids.ID{desc.Leader}
-		for _, m := range desc.Members {
-			if m != desc.Leader {
-				targets = append(targets, m)
-			}
-		}
-		s := &cl.sessions[k]
-		*s = client.Session{
-			Ctx:      cl.shardCtx(k),
-			ClientID: uint64(idx),
-			Targets:  targets,
-			Target:   targets[0],
-			Window:   1,
-			Done: func(_ client.Op, rep wire.Reply) {
-				if c.opts.Protocol == ProtocolEPaxos {
-					s.Target = s.Next() // leaderless: spread the load
-				}
-				cl.out <- outcome{rep: rep}
-			},
-			Refused: func(_ client.Op, rep wire.Reply) {
-				cl.out <- outcome{rep: rep, err: fmt.Errorf("pigpaxos: request rejected")}
-			},
-			Abandoned: func(client.Op) {
-				cl.out <- outcome{err: fmt.Errorf("pigpaxos: operation timed out after %v", s.Timeout)}
-			},
-		}
-		if c.opts.Protocol == ProtocolEPaxos {
-			s.Target = targets[idx%len(targets)]
-		}
-	}
-	cl.qreaders = make([]*pqr.Reader, plan.NumShards())
-	for k, desc := range plan.Shards {
-		cl.qreaders[k] = pqr.New(cl.shardCtx(k), pqr.Config{Members: desc.Members}, nil)
-	}
-	return cl, nil
-}
-
-// shardCtx is the client's node as shard k's replicas expect to hear from
-// it: tagging what it sends when the cluster is sharded.
-func (cl *Client) shardCtx(k int) node.Context {
-	if cl.cluster.Shards() > 1 {
-		return shard.Wrap(cl.node, k)
-	}
-	return cl.node
+	return &Client{sc}, nil
 }
 
 // StopNode crashes the 1-based node i: it stops processing and all traffic
@@ -295,55 +220,28 @@ func (c *Cluster) StopNode(i int) error {
 	return nil
 }
 
-// outcome is how an operation ended.
-type outcome struct {
-	rep wire.Reply
-	err error
-}
-
 // Client is a synchronous KV client. It is safe for use from one goroutine;
 // open one client per goroutine. Operations route by key to the shard
-// owning it, with an independent at-most-once session per shard.
-type Client struct {
-	cluster  *Cluster
-	node     *transport.TCPNode
-	sessions []client.Session // per shard; the node's event loop owns them
-	out      chan outcome     // the operation in flight ends in exactly one
-	timeout  time.Duration
+// owning it, with an independent at-most-once session per shard. A member
+// that stays silent for an eighth of the timeout is left for the next, so a
+// crashed leader does not strand the client, and whoever answers stays the
+// shard's target.
+type Client struct{ sc *cluster.SyncClient }
 
-	qreaders []*pqr.Reader // per-shard quorum readers
-}
+// SetTimeout adjusts the per-operation timeout (default 5s; d ≤ 0 restores
+// the default).
+func (cl *Client) SetTimeout(d time.Duration) { cl.sc.SetTimeout(d) }
 
-// OnMessage implements node.Handler (internal use).
-func (cl *Client) OnMessage(from ids.ID, m wire.Msg) {
-	k, m := shard.Unwrap(m)
-	if k >= len(cl.sessions) {
-		return
-	}
-	if v, ok := m.(wire.QReadReply); ok {
-		cl.qreaders[k].OnReply(v)
-		return
-	}
-	cl.sessions[k].OnMessage(from, m)
-}
-
-// SetTimeout adjusts the per-operation timeout (default 5s).
-func (cl *Client) SetTimeout(d time.Duration) { cl.timeout = d }
-
-// do runs cmd on the session of the shard that owns its key and waits for
-// how it ends. The timeout is split over the shard's servers: one that
-// stays silent for its share is left for the next, so a crashed leader does
-// not strand the client, and whoever answers stays the shard's target, so
-// later operations go straight to the new leader.
+// do runs cmd on the shard that owns its key and waits for how it ends.
 func (cl *Client) do(cmd kvstore.Command) (wire.Reply, error) {
-	s := &cl.sessions[cl.cluster.in.Plan.Router.Shard(cmd.Key)]
-	timeout := cl.timeout
-	cl.node.After(0, func() {
-		s.Timeout, s.Retry = timeout, timeout/time.Duration(len(s.Targets))
-		s.Issue(cmd, cl.node.Now())
-	})
-	o := <-cl.out
-	return o.rep, o.err
+	rep, err := cl.sc.Do(cmd)
+	switch {
+	case err != nil:
+		return rep, fmt.Errorf("pigpaxos: %w", err)
+	case !rep.OK:
+		return rep, fmt.Errorf("pigpaxos: request rejected")
+	}
+	return rep, nil
 }
 
 // Put stores value under key. The caller may reuse value once Put returns.
@@ -375,22 +273,11 @@ func (cl *Client) Delete(key uint64) (found bool, err error) {
 // stable newest value, without involving the leader or the log. The read is
 // linearizable with respect to completed writes.
 func (cl *Client) QuorumRead(key uint64) (value []byte, found bool, err error) {
-	k := cl.cluster.in.Plan.Router.Shard(key)
-	// The reader must run on the client's event loop. The channel is this
-	// call's own: the result of a read that timed out lands in it unread.
-	res := make(chan pqr.Result, 1)
-	cl.node.After(0, func() {
-		cl.qreaders[k].Read(key, func(r pqr.Result) { res <- r })
-	})
-	select {
-	case r := <-res:
-		if r.Failed {
-			return nil, false, fmt.Errorf("pigpaxos: quorum read did not stabilize")
-		}
-		return r.Value, r.Exists, nil
-	case <-time.After(cl.timeout):
-		return nil, false, fmt.Errorf("pigpaxos: quorum read timed out")
+	r, err := cl.sc.QuorumRead(key)
+	if err != nil {
+		return nil, false, fmt.Errorf("pigpaxos: %w", err)
 	}
+	return r.Value, r.Exists, nil
 }
 
 // StoreChecksums returns each node's state-machine checksum, in node order.

@@ -156,26 +156,6 @@ func TestProtocolString(t *testing.T) {
 	}
 }
 
-func TestBenchFacade(t *testing.T) {
-	r := Bench(BenchOptions{
-		Protocol: ProtocolPigPaxos,
-		N:        9, RelayGroups: 3, Clients: 20,
-		Warmup: 100 * time.Millisecond, Measure: 500 * time.Millisecond,
-	})
-	if r.Throughput < 100 || r.MeanLatency <= 0 {
-		t.Fatalf("bench: %+v", r)
-	}
-	// Determinism through the facade.
-	r2 := Bench(BenchOptions{
-		Protocol: ProtocolPigPaxos,
-		N:        9, RelayGroups: 3, Clients: 20,
-		Warmup: 100 * time.Millisecond, Measure: 500 * time.Millisecond,
-	})
-	if r.Throughput != r2.Throughput {
-		t.Error("facade bench must be deterministic")
-	}
-}
-
 func TestClusterLeaderFailover(t *testing.T) {
 	c, err := NewCluster(Options{
 		N: 5, RelayGroups: 2,
@@ -376,6 +356,55 @@ func TestClusterCloseLeavesNoGoroutines(t *testing.T) {
 			t.Fatalf("%d goroutines after Close, %d before NewCluster", runtime.NumGoroutine(), before)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// Client after Close must fail rather than hand out a client whose node
+// nobody closes: it would leak its goroutines and wait out every timeout.
+func TestClusterClientAfterCloseFails(t *testing.T) {
+	before := runtime.NumGoroutine()
+	c, err := NewCluster(Options{N: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if _, err := c.Client(); err == nil {
+		t.Fatal("Client() after Close returned no error")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close and Client, %d before NewCluster", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// SetTimeout(0) restores the default timeout: a client whose leader dies
+// must leave it for the new leader instead of waiting on it forever.
+func TestClientZeroTimeoutFailsOver(t *testing.T) {
+	c, err := NewCluster(Options{N: 3, ElectionTimeout: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cl, _ := c.Client()
+	if err := cl.Put(1, []byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	cl.SetTimeout(0)
+	if err := c.StopNode(c.Leader()); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cl.Put(2, []byte("after")) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("put after leader crash: %v", err)
+		}
+	case <-time.After(8 * time.Second):
+		t.Fatal("put after leader crash under SetTimeout(0) has not returned after 8s")
 	}
 }
 

@@ -44,7 +44,7 @@ func main() {
 		relayTO    = flag.Duration("relay-timeout", 50*time.Millisecond, "relay aggregation timeout")
 		electTO    = flag.Duration("election-timeout", 2*time.Second, "leader failover timeout (0 disables)")
 		hb         = flag.Duration("hb", 0, "leader heartbeat interval (0 = library default)")
-		readMode   = flag.String("reads", "log", "read path: log | lease | any (paxos/pigpaxos)")
+		readMode   = flag.String("reads", "log", "read path: log | lease (paxos/pigpaxos)")
 		retryTO    = flag.Duration("retry-timeout", 250*time.Millisecond, "leader P2a retransmit; on pigpaxos this is the Figure-5b timeout, the retransmit going out through freshly drawn relays (0: off on paxos, 2×relay-timeout+10ms on pigpaxos)")
 		walDir     = flag.String("wal-dir", "", "directory for a durable write-ahead log (empty = in-memory only)")
 		snapEvery  = flag.Int("snapshot-every", 4096, "with -wal-dir, checkpoint the state machine every N commits")
@@ -88,10 +88,8 @@ func main() {
 		rm = paxos.ReadLog
 	case "lease":
 		rm = paxos.ReadLease
-	case "any":
-		rm = paxos.ReadAny
 	default:
-		log.Fatalf("unknown read mode %q (log|lease|any)", *readMode)
+		log.Fatalf("unknown read mode %q (log|lease)", *readMode)
 	}
 	var st wal.Storage
 	if *walDir != "" {

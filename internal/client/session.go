@@ -115,8 +115,9 @@ func (s *Session) window() int {
 // ID and next sequence number on it. It reports false, and consumes no
 // sequence number, when the window is full. The session keeps cmd.Value and
 // may send it again until the operation ends, and a transport that passes
-// messages by reference hands it to the replicas as it is: the caller must
-// not modify it afterwards.
+// messages by reference hands it to the replicas as it is, whose logs hold it
+// and whose state machines borrow it until the log drops it (see kvstore):
+// the caller must not modify it afterwards.
 func (s *Session) Issue(cmd kvstore.Command, at time.Duration) bool {
 	if s.Full() {
 		return false

@@ -1586,11 +1586,20 @@ func (r *Replica) strongConnect(v wire.InstRef) {
 // gc collects every row's executed prefix: the window slides up to the
 // row's lowest unexecuted slot, raising the floor below which dependency
 // checks treat slots as executed. A hole stops it (some older instance is
-// still live).
+// still live). The store borrowed the collected commands' values; they are
+// returned to it here (see kvstore).
 func (r *Replica) gc() {
 	for i := range r.rows {
 		rw := &r.rows[i]
-		rw.win.Advance(rw.cursor())
+		cur := rw.cursor()
+		r.store.Return(func(yield func(kvstore.Command) bool) {
+			for s := rw.win.Base(); s < cur; s++ {
+				if !yield(rw.win.At(s).cmd) { // every cell below cur executed
+					return
+				}
+			}
+		})
+		rw.win.Advance(cur)
 	}
 	r.stats.GCs++
 }

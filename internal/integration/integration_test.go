@@ -353,8 +353,8 @@ func TestEPaxosMultiLeaderHistories(t *testing.T) {
 }
 
 // buildWithReadMode is build() with a paxos read-mode and heartbeat
-// override.
-func buildWithReadMode(t *testing.T, mode paxos.ReadMode, hb time.Duration, n int, seed int64) *fixture {
+// override. With stale set, every replica runs behind staleReads.
+func buildWithReadMode(t *testing.T, mode paxos.ReadMode, stale bool, hb time.Duration, n int, seed int64) *fixture {
 	t.Helper()
 	sim := des.New(seed)
 	cc := config.NewLAN(n)
@@ -375,6 +375,9 @@ func buildWithReadMode(t *testing.T, mode paxos.ReadMode, hb time.Duration, n in
 		}, nil)
 		f.stores[id] = r.Store()
 		tr.h = r.OnMessage
+		if stale {
+			tr.h = staleReads(id, ep, r)
+		}
 		f.replicas[id] = r
 	}
 	sim.Schedule(0, func() {
@@ -385,8 +388,27 @@ func buildWithReadMode(t *testing.T, mode paxos.ReadMode, hb time.Duration, n in
 	return f
 }
 
-// addSpreadClient issues a script round-robin over ALL replicas (so ReadAny
-// actually reads from followers).
+// staleReads answers every read from r's own store before Paxos sees it, as
+// reading from any replica would (§4.3: fast, and stale on a follower that
+// has not learned a completed write). No read mode does this; it is the
+// negative control that shows the checker has teeth.
+func staleReads(id ids.ID, ep *netsim.Endpoint, r *paxos.Replica) func(ids.ID, wire.Msg) {
+	return func(from ids.ID, m wire.Msg) {
+		req, ok := m.(wire.Request)
+		if !ok || !req.Cmd.IsRead() {
+			r.OnMessage(from, m)
+			return
+		}
+		v, exists := r.Store().Get(req.Cmd.Key)
+		ep.Send(from, wire.Reply{
+			ClientID: req.Cmd.ClientID, Seq: req.Cmd.Seq, OK: true,
+			Exists: exists, Value: v, Leader: id,
+		})
+	}
+}
+
+// addSpreadClient issues a script round-robin over ALL replicas (so stale
+// reads actually come from followers).
 func (f *fixture) addSpreadClient(id uint64, script []kvstore.Command, startAt time.Duration) {
 	cl := &histClient{id: id, hist: f.hist, script: script, targets: f.cc.Nodes, rr: int(id)}
 	cl.ep = f.net.Register(ids.NewID(998, int(id)), cl, true)
@@ -395,7 +417,7 @@ func (f *fixture) addSpreadClient(id uint64, script []kvstore.Command, startAt t
 }
 
 func TestLeaseReadsAreLinearizable(t *testing.T) {
-	f := buildWithReadMode(t, paxos.ReadLease, 2*time.Millisecond, 5, 21)
+	f := buildWithReadMode(t, paxos.ReadLease, false, 2*time.Millisecond, 5, 21)
 	for c := uint64(1); c <= 4; c++ {
 		f.addClient(kindPaxos, c, script(c, 6, 2), time.Duration(c)*200*time.Microsecond)
 	}
@@ -405,14 +427,14 @@ func TestLeaseReadsAreLinearizable(t *testing.T) {
 	}
 }
 
-// The checker must catch ReadAny's staleness: a read served by a follower
-// that has not yet learned a completed write returns the old value after
-// the write finished — a real-time violation. This is both a §4.3
-// demonstration and a self-test that the checker has teeth.
+// The checker must catch a stale read: a read served by a follower that has
+// not yet learned a completed write returns the old value after the write
+// finished — a real-time violation. This is both a §4.3 demonstration and a
+// self-test that the checker has teeth.
 func TestReadAnyViolatesLinearizability(t *testing.T) {
 	// Slow heartbeats: followers accept writes but learn commits late, so
 	// their local state lags well behind completed writes.
-	f := buildWithReadMode(t, paxos.ReadAny, time.Hour, 5, 3)
+	f := buildWithReadMode(t, paxos.ReadLog, true, time.Hour, 5, 3)
 	// Writer completes its writes through the leader first...
 	f.addClient(kindPaxos, 1, []kvstore.Command{
 		{Op: kvstore.Put, Key: 9, Value: []byte("w1")},
@@ -425,6 +447,6 @@ func TestReadAnyViolatesLinearizability(t *testing.T) {
 	}, 100*time.Millisecond)
 	f.run(t, 5*time.Second)
 	if res := f.hist.Check(); res.OK {
-		t.Fatal("ReadAny after completed writes should have produced a stale, non-linearizable read")
+		t.Fatal("reads from any replica after completed writes should have produced a stale, non-linearizable read")
 	}
 }

@@ -2,12 +2,25 @@
 // protocols replicate, equivalent to Paxi's StateMachine: a map of byte-
 // string keys to versioned byte-string values, mutated by applying committed
 // commands in log order.
+//
+// Ownership of values. A value is written once, by whoever builds the
+// command, and never rewritten: the transport decodes a peer's bytes into
+// chunks it never reuses, the log holds the command, and the store borrows
+// its value until the log drops it. Apply(Put) keeps cmd.Value as it is and
+// marks the key's cell borrowed. A borrowed value never leaves the store:
+// Apply(Get) and Get first give the cell a private copy, at most once per
+// write. And when the log drops an executed command it hands it to Return,
+// which copies the value of a cell still holding exactly those bytes, so the
+// store pins only what the log pins. Values the store hands out are shared
+// and read-only.
 package kvstore
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"iter"
 	"slices"
 	"sync"
 )
@@ -83,9 +96,18 @@ type Result struct {
 // cell is everything the store knows about one key. A deleted key keeps its
 // cell: its write-version still matters to quorum reads.
 type cell struct {
-	value   []byte
-	live    bool   // the key holds a value (which may be empty)
-	version uint64 // writes applied to the key, deletes included
+	value    []byte
+	live     bool   // the key holds a value (which may be empty)
+	borrowed bool   // value is a Put's own bytes, on loan from the log
+	version  uint64 // writes applied to the key, deletes included
+}
+
+// own gives c a private copy of a borrowed value and returns the value.
+func (c *cell) own() []byte {
+	if c.borrowed {
+		c.value, c.borrowed = bytes.Clone(c.value), false
+	}
+	return c.value
 }
 
 // keyed is a cell with its key, an element of the store's sorted order.
@@ -131,7 +153,9 @@ func (s *Store) written(key uint64) *cell {
 	return c
 }
 
-// Apply executes cmd against the state machine and returns its result.
+// Apply executes cmd against the state machine and returns its result. A
+// Put borrows cmd.Value (see the package comment): nobody may rewrite it,
+// and the log that holds cmd hands it to Return when it drops it.
 func (s *Store) Apply(cmd Command) Result {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -139,27 +163,28 @@ func (s *Store) Apply(cmd Command) Result {
 	switch cmd.Op {
 	case Get:
 		if c := s.cells[cmd.Key]; c != nil && c.live {
-			return Result{Exists: true, Value: c.value}
+			return Result{Exists: true, Value: c.own()}
 		}
 		return Result{}
 	case Put:
-		// Copy so callers may reuse their buffers.
-		v := make([]byte, len(cmd.Value))
-		copy(v, cmd.Value)
 		c := s.written(cmd.Key)
 		if !c.live {
 			c.live = true
 			s.live++
 		}
-		s.liveBytes += len(v) - len(c.value)
-		c.value = v
+		s.liveBytes += len(cmd.Value) - len(c.value)
+		if len(cmd.Value) == 0 {
+			c.value, c.borrowed = []byte{}, false // an empty value pins nothing
+		} else {
+			c.value, c.borrowed = cmd.Value, true
+		}
 		return Result{Exists: true, Value: nil}
 	case Delete:
 		c := s.written(cmd.Key)
 		was := c.live
 		if was {
 			s.liveBytes -= len(c.value)
-			c.live, c.value = false, nil
+			c.live, c.value, c.borrowed = false, nil, false
 			s.live--
 		}
 		return Result{Exists: was}
@@ -168,13 +193,30 @@ func (s *Store) Apply(cmd Command) Result {
 	}
 }
 
+// Return ends the loans of the commands cmds yields, which the log is
+// dropping: a key whose cell still holds exactly a dropped Put's bytes gets
+// a private copy of them. Every other command costs a map lookup at most,
+// and one call takes the lock once, however many commands it returns.
+func (s *Store) Return(cmds iter.Seq[Command]) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for cmd := range cmds {
+		if cmd.Op != Put || len(cmd.Value) == 0 {
+			continue
+		}
+		if c := s.cells[cmd.Key]; c != nil && c.borrowed && len(c.value) == len(cmd.Value) && &c.value[0] == &cmd.Value[0] {
+			c.own()
+		}
+	}
+}
+
 // Get reads the current value of key without going through the log. Used by
 // local/leased read paths and tests.
 func (s *Store) Get(key uint64) (value []byte, ok bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock() // a borrowed value is copied before it leaves
+	defer s.mu.Unlock()
 	if c := s.cells[key]; c != nil && c.live {
-		return c.value, true
+		return c.own(), true
 	}
 	return nil, false
 }

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestPutGet(t *testing.T) {
@@ -43,15 +46,95 @@ func TestDelete(t *testing.T) {
 	}
 }
 
-func TestPutCopiesValue(t *testing.T) {
+// TestPutBorrowsWithoutAllocating: a Put keeps the command's bytes as they
+// are — once the key has a cell, applying one allocates nothing.
+func TestPutBorrowsWithoutAllocating(t *testing.T) {
 	s := New()
-	buf := []byte("abc")
-	s.Apply(Command{Op: Put, Key: 1, Value: buf})
-	buf[0] = 'z'
-	v, _ := s.Get(1)
-	if string(v) != "abc" {
-		t.Error("store must copy values, caller mutation leaked in")
+	cmds := make([]Command, 64)
+	for i := range cmds {
+		cmds[i] = Command{Op: Put, Key: uint64(i % 8), Value: make([]byte, 1024)}
+		s.Apply(cmds[i])
 	}
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		s.Apply(cmds[i%len(cmds)])
+		i++
+	}); n != 0 {
+		t.Errorf("%.1f allocs per Put on an existing key, want 0", n)
+	}
+}
+
+// TestReadsNeverShareCommandBytes: whichever read path a value leaves by,
+// it is the store's own copy, never the bytes of the command it came from —
+// and the copy is made once per write, not once per read.
+func TestReadsNeverShareCommandBytes(t *testing.T) {
+	for _, read := range []struct {
+		name string
+		get  func(s *Store, key uint64) []byte
+	}{
+		{"Apply(Get)", func(s *Store, key uint64) []byte { return s.Apply(Command{Op: Get, Key: key}).Value }},
+		{"Get", func(s *Store, key uint64) []byte { v, _ := s.Get(key); return v }},
+	} {
+		s := New()
+		cmd := Command{Op: Put, Key: 1, Value: []byte("abc")}
+		s.Apply(cmd)
+		v := read.get(s, 1)
+		if overlaps(v, cmd.Value) {
+			t.Fatalf("%s handed out the command's own bytes", read.name)
+		}
+		if again := read.get(s, 1); &again[0] != &v[0] {
+			t.Errorf("%s copied the value a second time for the same write", read.name)
+		}
+		cmd.Value[0] = 'z' // the log dropped the Put, and its bytes were reused
+		if got, _ := s.Get(1); string(got) != "abc" || string(v) != "abc" {
+			t.Errorf("%s: rewriting the command's bytes reached the store (%q) or the reader (%q)", read.name, got, v)
+		}
+	}
+}
+
+// TestReturnCopiesOnlyTheExactLoan: Return gives a cell a private copy only
+// while the cell still holds exactly the returned command's bytes. A value
+// overwritten since, one carved from the same buffer, one with equal
+// contents elsewhere, or one already read is left as it is.
+func TestReturnCopiesOnlyTheExactLoan(t *testing.T) {
+	buf := []byte("aaaabbbb")
+	a, b := buf[:4:4], buf[4:]
+	old := []byte("dddd")
+	s := New()
+	s.Apply(Command{Op: Put, Key: 1, Value: a})
+	s.Apply(Command{Op: Put, Key: 2, Value: b})
+	s.Apply(Command{Op: Put, Key: 3, Value: []byte("cccc")})
+	s.Apply(Command{Op: Get, Key: 3}) // key 3 holds its own copy already
+	s.Apply(Command{Op: Put, Key: 4, Value: old})
+	s.Apply(Command{Op: Put, Key: 4, Value: []byte("eeee")})
+	noCopy := []Command{
+		{Op: Put, Key: 1, Value: b},              // another loan from the same buffer
+		{Op: Put, Key: 1, Value: []byte("aaaa")}, // equal bytes, elsewhere
+		{Op: Put, Key: 1, Value: buf[:3]},        // a prefix of the loan
+		{Op: Put, Key: 3, Value: []byte("cccc")}, // a cell that owns its value
+		{Op: Put, Key: 4, Value: old},            // overwritten since
+		{Op: Put, Key: 9, Value: a},              // a key never written
+		{Op: Delete, Key: 2},                     // not a Put
+	}
+	three := s.cells[3].value
+	s.Return(slices.Values(noCopy))
+	if !s.cells[1].borrowed || !s.cells[2].borrowed || !s.cells[4].borrowed || &s.cells[3].value[0] != &three[0] {
+		t.Fatal("Return copied a value that was not exactly the one returned")
+	}
+	s.Return(slices.Values([]Command{{Op: Put, Key: 1, Value: a}}))
+	copy(buf, "xxxx") // the Put was dropped: its bytes are reused
+	if v, _ := s.Get(1); string(v) != "aaaa" || !s.cells[2].borrowed {
+		t.Errorf("key 1 = %q after its loan was returned, want aaaa; key 2 must still borrow", v)
+	}
+}
+
+// overlaps reports whether a and b share any byte.
+func overlaps(a, b []byte) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	pa, pb := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&b[0]))
+	return pa < pb+uintptr(len(b)) && pb < pa+uintptr(len(a))
 }
 
 func TestVersionTracking(t *testing.T) {
@@ -163,9 +246,11 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				s.Apply(Command{Op: Put, Key: uint64(g*1000 + i), Value: []byte{1}})
+				put := Command{Op: Put, Key: uint64(g*1000 + i), Value: []byte{1}}
+				s.Apply(put)
 				s.Get(uint64(g*1000 + i))
 				s.Version(uint64(i))
+				s.Return(slices.Values([]Command{put}))
 			}
 		}(g)
 	}
@@ -363,4 +448,168 @@ func FuzzRestore(f *testing.F) {
 			t.Fatal("Adopt did not carry the restored state over")
 		}
 	})
+}
+
+// FuzzStoreOwnership runs a random sequence of Put, Get (both paths),
+// Delete, Return and Serialize→Restore against a map model that copies
+// every value. Put values are carved from shared chunks, as the transport
+// carves them from its read chunks, and a Put may reuse a value still on
+// loan, as a generator's shared payload does. After every step the fuzzer
+// scribbles over every buffer whose ownership has passed back to it: each
+// blob Serialize handed out, and each returned command's value once no loan
+// shares its bytes. The store must still agree with the model, byte for
+// byte; every value a read handed out must still read as it did (the store
+// never rewrites one in place) and share no byte with a value on loan.
+func FuzzStoreOwnership(f *testing.F) {
+	f.Add([]byte{0, 1, 3, 4, 0, 0, 6, 0})
+	f.Add([]byte{0, 1, 3, 0, 1, 5, 4, 0, 2, 1, 0, 3, 4, 1, 6, 0})
+	f.Add([]byte{0, 2, 8, 0, 2, 0, 7, 0, 4, 0, 0, 1, 2, 1, 1, 5, 5, 0, 4, 1, 3, 1})
+	f.Add([]byte{0, 0, 9, 0, 0, 9, 0, 0, 9, 4, 0, 4, 0, 4, 0, 2, 0, 5, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		ops = ops[:min(len(ops), 300)] // the checks after each step are quadratic
+		model := map[uint64]*mcell{}
+		var applied uint64
+		s := New()
+		var chunk []byte
+		var loans, returned []Command // values on loan to s; values given back
+		var blobs [][]byte
+		type read struct{ got, want []byte }
+		var reads []read
+		next := func() byte {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return b
+		}
+		write := func(key uint64) *mcell {
+			c := model[key]
+			if c == nil {
+				c = &mcell{}
+				model[key] = c
+			}
+			c.version++
+			applied++
+			return c
+		}
+		for step := 0; len(ops) > 0; step++ {
+			op, key := next()%7, uint64(next()%4)
+			switch op {
+			case 0: // Put a fresh value carved from the chunk, or reuse a loaned one
+				n := int(next() % 12)
+				var v []byte
+				if n == 11 && len(loans) > 0 {
+					v = loans[len(loans)-1].Value
+				} else {
+					if len(chunk) < n {
+						chunk = make([]byte, 64)
+					}
+					v, chunk = chunk[:n:n], chunk[n:]
+					for i := range v {
+						v[i] = byte(step + i)
+					}
+				}
+				cmd := Command{Op: Put, Key: key, Value: v}
+				s.Apply(cmd)
+				loans = append(loans, cmd)
+				c := write(key)
+				c.value, c.live = bytes.Clone(v), true
+			case 1, 2: // read through Apply(Get) or Get
+				var got []byte
+				var ok bool
+				if op == 1 {
+					r := s.Apply(Command{Op: Get, Key: key})
+					got, ok = r.Value, r.Exists
+					applied++
+				} else {
+					got, ok = s.Get(key)
+				}
+				c := model[key]
+				if want := c != nil && c.live; ok != want || ok && !bytes.Equal(got, c.value) {
+					t.Fatalf("step %d: read %d = %q, %v; model %+v", step, key, got, ok, c)
+				}
+				reads = append(reads, read{got, bytes.Clone(got)})
+			case 3:
+				s.Apply(Command{Op: Delete, Key: key})
+				c := write(key)
+				c.value, c.live = nil, false
+			case 4: // the log drops up to three commands: their loans come back
+				if len(loans) == 0 {
+					continue
+				}
+				i := int(next()) % len(loans)
+				j := min(len(loans), i+1+int(next()%3))
+				s.Return(slices.Values(loans[i:j]))
+				returned = append(returned, loans[i:j]...)
+				loans = slices.Delete(loans, i, j)
+			case 5:
+				blob := s.Serialize(nil)
+				if _, err := s.Restore(blob); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				blobs = append(blobs, blob)
+			case 6:
+				blobs = append(blobs, s.Serialize(nil))
+			}
+			for _, b := range blobs {
+				scribble(b, step)
+			}
+			for _, cmd := range returned {
+				if !slices.ContainsFunc(loans, func(l Command) bool { return overlaps(l.Value, cmd.Value) }) {
+					scribble(cmd.Value, step)
+				}
+			}
+			for _, r := range reads {
+				if !bytes.Equal(r.got, r.want) {
+					t.Fatalf("step %d: a value read as %q now reads %q", step, r.want, r.got)
+				}
+				for _, l := range loans {
+					if overlaps(r.got, l.Value) {
+						t.Fatalf("step %d: a value read as %q shares bytes with a loan", step, r.want)
+					}
+				}
+			}
+			if got, want := s.Serialize(nil), modelBytes(applied, model); !bytes.Equal(got, want) {
+				t.Fatalf("step %d: store serializes as\n%x\nmodel\n%x", step, got, want)
+			}
+		}
+	})
+}
+
+// modelBytes is Serialize's layout written from the fuzz model.
+func modelBytes(applied uint64, model map[uint64]*mcell) []byte {
+	keys := slices.Sorted(maps.Keys(model))
+	b := binary.LittleEndian.AppendUint64(nil, applied)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(keys)))
+	live := 0
+	for _, k := range keys {
+		b = binary.LittleEndian.AppendUint64(b, k)
+		b = binary.LittleEndian.AppendUint64(b, model[k].version)
+		if model[k].live {
+			live++
+		}
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(live))
+	for _, k := range keys {
+		if c := model[k]; c.live {
+			b = binary.LittleEndian.AppendUint64(b, k)
+			b = binary.LittleEndian.AppendUint32(b, uint32(len(c.value)))
+			b = append(b, c.value...)
+		}
+	}
+	return b
+}
+
+// mcell is one key of FuzzStoreOwnership's model.
+type mcell struct {
+	value   []byte
+	live    bool
+	version uint64
+}
+
+func scribble(b []byte, step int) {
+	for i := range b {
+		b[i] = ^byte(step + i)
+	}
 }

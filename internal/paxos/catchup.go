@@ -121,6 +121,6 @@ func (r *Replica) maybeCompact() {
 	if cur <= uint64(r.cfg.CompactRetain) {
 		return
 	}
-	r.log.CompactTo(cur - uint64(r.cfg.CompactRetain))
+	r.log.CompactTo(cur-uint64(r.cfg.CompactRetain), r.store)
 	r.stats.Compactions++
 }

@@ -152,8 +152,8 @@ func BenchmarkFollowerAccept(b *testing.B) {
 // core, the way TestHotPathZeroAllocs pins the codec. The leader's count is
 // the batch and route slices it builds, the messages it boxes for Send and
 // the ingress queue it regrows; the follower's is the batch the test itself
-// builds, the vote it boxes and the state machine's copy of each value.
-// Per-slot state — log entry, vote tally, retransmit timer, in-flight record
+// builds and the vote it boxes. The state machine borrows each value and
+// copies none (see kvstore). Per-slot state — log entry, vote tally, retransmit timer, in-flight record
 // — allocates nothing: it lives in rings. A rise here is a new allocation on
 // the commit path; find it before raising the pin.
 func TestCoreSteadyStateAllocs(t *testing.T) {
@@ -163,10 +163,10 @@ func TestCoreSteadyStateAllocs(t *testing.T) {
 		step func()
 		max  float64
 	}{
-		{"leader/B=1", newStepLeader(t, 1).step, 6},
-		{"leader/B=16", newStepLeader(t, 16).step, 35},
-		{"follower/B=1", newStepFollower(1).step, 3},
-		{"follower/B=16", newStepFollower(16).step, 18},
+		{"leader/B=1", newStepLeader(t, 1).step, 4},
+		{"leader/B=16", newStepLeader(t, 16).step, 19},
+		{"follower/B=1", newStepFollower(1).step, 2},
+		{"follower/B=16", newStepFollower(16).step, 2},
 	} {
 		step := tc.step
 		for i := 0; i < warm; i++ {

@@ -171,7 +171,7 @@ func (r *Replica) land() {
 	if f.snapFlying {
 		f.snapFlying = false
 		if snap, ok := r.st.Snapshot(); ok {
-			r.log.CompactTo(snap.Floor)
+			r.log.CompactTo(snap.Floor, r.store)
 			r.st.CompactTo(snap.Floor)
 		}
 	}

@@ -172,11 +172,6 @@ const (
 	// a majority-acknowledged heartbeat lease: linearizable, one round
 	// trip, no log traffic.
 	ReadLease
-	// ReadAny serves reads from whichever replica receives them. Fast but
-	// only eventually consistent — provided for comparison; the
-	// linearizability checker rejects histories produced this way under
-	// contention.
-	ReadAny
 )
 
 // The simulator's CPU charges.
@@ -241,7 +236,6 @@ type Stats struct {
 	Retransmits  uint64 // P2a re-broadcasts on lossy networks
 	Compactions  uint64 // log compaction sweeps
 	LeaseReads   uint64 // reads served from the leader's lease
-	LocalReads   uint64 // reads served unsafely by ReadAny
 	Batches      uint64 // slots proposed by this node as leader
 	BatchedCmds  uint64 // client commands packed into those slots
 	WALSyncs     uint64 // journal flushes started (one fsync each)
@@ -411,13 +405,6 @@ func (r *Replica) OnMessage(from ids.ID, m wire.Msg) {
 // OnRequest handles a client command: the leader proposes it, everyone else
 // redirects the client to the leader it knows.
 func (r *Replica) OnRequest(from ids.ID, m wire.Request) {
-	if m.Cmd.IsRead() && r.cfg.ReadMode == ReadAny {
-		// Serve locally, consistency be damned (§4.3's "reading from any
-		// replica... compromises the consistency guarantee").
-		r.stats.LocalReads++
-		r.readLocal(from, m.Cmd)
-		return
-	}
 	if !r.active {
 		if r.cfg.InitialLeader == r.cfg.ID || r.contending() {
 			// Mid-campaign: hold until elected.
@@ -451,7 +438,12 @@ func (r *Replica) OnRequest(from ids.ID, m wire.Request) {
 		// which every replica rebuilds from the log — does not record it; a
 		// retry is served afresh.
 		r.stats.LeaseReads++
-		r.readLocal(from, m.Cmd)
+		r.ctx.Work(execWork)
+		v, ok := r.store.Get(m.Cmd.Key)
+		r.ctx.Send(from, wire.Reply{
+			ClientID: m.Cmd.ClientID, Seq: m.Cmd.Seq, OK: true,
+			Exists: ok, Value: v, Leader: r.cfg.ID,
+		})
 		return
 	}
 	// Admission control: shed before the session table records the command,
@@ -464,16 +456,6 @@ func (r *Replica) OnRequest(from ids.ID, m wire.Request) {
 	r.stats.Requests++
 	r.ingress.Push(admission.Cmd{From: from, Cmd: m.Cmd, At: r.ctx.Now()})
 	r.flushBatches()
-}
-
-// readLocal answers a read from this replica's state machine, not the log.
-func (r *Replica) readLocal(from ids.ID, cmd kvstore.Command) {
-	r.ctx.Work(execWork)
-	v, ok := r.store.Get(cmd.Key)
-	r.ctx.Send(from, wire.Reply{
-		ClientID: cmd.ClientID, Seq: cmd.Seq, OK: true,
-		Exists: ok, Value: v, Leader: r.cfg.ID,
-	})
 }
 
 // redirect refuses a command, naming the leader this replica knows.

@@ -284,36 +284,6 @@ func TestLossyNetworkEndToEnd(t *testing.T) {
 	}
 }
 
-func TestReadAnyServesStaleFromFollower(t *testing.T) {
-	tc := newCluster(t, 3, func(c *Config) {
-		c.ReadMode = ReadAny
-		c.HeartbeatInterval = time.Hour // followers never learn commits
-	})
-	leader := tc.cfg.Nodes[0]
-	follower := tc.cfg.Nodes[2]
-	tc.sim.Schedule(5*time.Millisecond, func() {
-		tc.client.send(leader, kvstore.Command{Op: kvstore.Put, Key: 1, Value: []byte("fresh"), ClientID: 1, Seq: 1})
-	})
-	tc.sim.Run(50 * time.Millisecond)
-	// The follower accepted but without heartbeats its watermark never
-	// advanced for the LAST slot; a local read may be stale — exactly the
-	// §4.3 warning. (It must still answer.)
-	tc.sim.Schedule(0, func() {
-		tc.client.send(follower, kvstore.Command{Op: kvstore.Get, Key: 1, ClientID: 1, Seq: 2})
-	})
-	tc.sim.Run(tc.sim.Now() + 50*time.Millisecond)
-	if len(tc.client.replies) != 2 {
-		t.Fatalf("replies = %d", len(tc.client.replies))
-	}
-	if tc.replicas[follower].Stats().LocalReads != 1 {
-		t.Error("follower should have served the read locally")
-	}
-	get := tc.client.replies[1]
-	if get.Exists {
-		t.Errorf("follower served %q — expected a stale miss in this construction", get.Value)
-	}
-}
-
 // TestIngressBoundShedsWithBusy fires eight simultaneous commands at a
 // leader whose window holds one slot and whose ingress queue holds two
 // commands. The overflow must be shed with wire.Busy — never queued past

@@ -241,7 +241,7 @@ func (d *differ) step(op, a, b byte) {
 		}
 	case 5:
 		d.lastDesc = fmt.Sprintf("CompactTo(%d)", slot)
-		if got, want := d.ring.CompactTo(slot), d.model.CompactTo(slot); got != want {
+		if got, want := d.ring.CompactTo(slot, d.ringSM), d.model.CompactTo(slot); got != want {
 			d.t.Fatalf("op %d %s = %d, model %d", d.ops, d.lastDesc, got, want)
 		}
 	case 6:

@@ -66,8 +66,10 @@ func (l *Log) Attach(st wal.Storage) { l.st = st }
 // covering every slot below floor: entries below floor are dropped and all
 // cursors advance to at least floor. Handles a snapshot newer than the log
 // tail (floor beyond nextSlot) — the log simply becomes empty at floor.
+// The snapshot replaced the state machine, so nothing in it is on loan from
+// the entries dropped.
 func (l *Log) InstallSnapshot(floor uint64) {
-	l.dropBelow(floor)
+	l.dropBelow(floor, nil)
 	if floor > l.firstSlot {
 		l.firstSlot = floor
 	}
@@ -261,25 +263,41 @@ func (l *Log) CommittedCount() int {
 	return n
 }
 
-// CompactTo discards executed entries below slot to bound memory. Slots are
-// only discarded if executed; callers typically pass the cluster-wide
-// minimum execution cursor.
-func (l *Log) CompactTo(slot uint64) int {
-	n := l.dropBelow(min(slot, l.execCur))
+// CompactTo discards executed entries below slot to bound memory, returning
+// their commands' loans to sm, the store they were executed into (see
+// kvstore). Slots are only discarded if executed; callers typically pass
+// the cluster-wide minimum execution cursor.
+func (l *Log) CompactTo(slot uint64, sm *kvstore.Store) int {
+	n := l.dropBelow(min(slot, l.execCur), sm)
 	if slot > l.firstSlot {
 		l.firstSlot = slot
 	}
 	return n
 }
 
-// dropBelow slides the window's base up to slot and returns how many entries
-// that discarded.
-func (l *Log) dropBelow(slot uint64) int {
+// dropBelow slides the window's base up to slot, returns what executed
+// entries lent to sm unless sm is nil, and returns how many entries that
+// discarded.
+func (l *Log) dropBelow(slot uint64, sm *kvstore.Store) int {
+	end := min(slot, l.win.End())
 	n := 0
-	for s := l.win.Base(); s < min(slot, l.win.End()); s++ {
+	for s := l.win.Base(); s < end; s++ {
 		if l.win.At(s).present {
 			n++
 		}
+	}
+	if sm != nil {
+		sm.Return(func(yield func(kvstore.Command) bool) {
+			for s := l.win.Base(); s < end; s++ {
+				if e := l.win.At(s); e.Executed {
+					for _, cmd := range e.Commands {
+						if !yield(cmd) {
+							return
+						}
+					}
+				}
+			}
+		})
 	}
 	l.win.Advance(slot)
 	l.live -= n

@@ -148,7 +148,7 @@ func TestCompactTo(t *testing.T) {
 		l.Commit(s, bal(1), one(s))
 	}
 	l.ExecuteReady(sm, nil)
-	n := l.CompactTo(4)
+	n := l.CompactTo(4, sm)
 	if n != 3 {
 		t.Errorf("compacted %d, want 3", n)
 	}
@@ -160,7 +160,7 @@ func TestCompactTo(t *testing.T) {
 func TestCompactSkipsUnexecuted(t *testing.T) {
 	l := New()
 	l.Accept(1, bal(1), one(1)) // never committed/executed
-	if n := l.CompactTo(10); n != 0 {
+	if n := l.CompactTo(10, nil); n != 0 {
 		t.Error("unexecuted entries must survive compaction")
 	}
 }
@@ -395,7 +395,7 @@ func TestCompactionConsistency(t *testing.T) {
 	floor := cur // snapshot covers everything executed
 	st.SaveSnapshot(wal.Snapshot{Floor: floor, Data: sm.Serialize(nil)})
 	st.Sync() // the snapshot lands; only then may the journal compact
-	l.CompactTo(floor)
+	l.CompactTo(floor, sm)
 	st.CompactTo(floor)
 
 	if l.ExecuteCursor() != cur {
@@ -439,7 +439,7 @@ func BenchmarkAcceptCommitExecute(b *testing.B) {
 		l.Commit(slot, ball, c)
 		l.ExecuteReady(sm, nil)
 		if i%4096 == 0 {
-			l.CompactTo(l.ExecuteCursor() - 1)
+			l.CompactTo(l.ExecuteCursor()-1, sm)
 		}
 	}
 }
@@ -502,7 +502,7 @@ func TestSteadyStateSlotAllocFree(t *testing.T) {
 		l.Commit(s, bal(1), c)
 		l.ExecuteReady(sm, nil)
 		if s%512 == 0 {
-			l.CompactTo(s - 256)
+			l.CompactTo(s-256, sm)
 		}
 	}
 	for i := 0; i < 4096; i++ {

@@ -10,8 +10,11 @@
 // references — its values alias the connection's read chunks and its slices
 // the connection's decode arena, neither ever rewritten — so a handler may
 // keep a command batch or a value without copying; a chunk is collected when
-// the last message decoded from it is dropped. ReadFrame, for tools and
-// tests that speak frames over a raw connection, returns fresh copies.
+// the last message decoded from it is dropped. That is the first link of one
+// ownership chain: the transport decodes bytes that are never rewritten, the
+// log holds them, and the state machine borrows a Put's value until the log
+// drops its entry (see kvstore). ReadFrame, for tools and tests that speak
+// frames over a raw connection, returns fresh copies.
 package transport
 
 import (

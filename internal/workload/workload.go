@@ -142,8 +142,8 @@ func New(cfg Config, rng *rand.Rand) *Generator {
 }
 
 // Next produces the next command for the given client identity and sequence
-// number. The returned command shares the generator's payload buffer; the
-// state machine copies on apply.
+// number. The returned command shares the generator's payload buffer, which
+// is never rewritten: the state machine borrows it (see kvstore).
 func (g *Generator) Next(clientID, seq uint64) kvstore.Command {
 	key := g.key()
 	if g.rng.Float64() < g.cfg.ReadRatio {

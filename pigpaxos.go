@@ -106,9 +106,6 @@ const (
 	// ReadLease serves reads locally at the leader under a heartbeat
 	// lease: linearizable and much cheaper.
 	ReadLease = ReadMode(paxos.ReadLease)
-	// ReadAny answers from whichever replica is asked. Fast but stale
-	// reads are possible — provided for comparison and testing.
-	ReadAny = ReadMode(paxos.ReadAny)
 )
 
 // Options configures an in-process cluster.

@@ -54,6 +54,19 @@ type Context interface {
 	Work(d time.Duration)
 }
 
+// Turns is implemented by a substrate that hands its event loop work in
+// batches (transport.TCPNode): Turn numbers the batch being handled, so every
+// message and timer of one batch sees the same value and a later batch a
+// larger one. What a replica sends within one turn leaves together — the
+// live transport writes each peer's frames of a turn with one call — so a
+// choice that need not vary per message, like the relays of a PigPaxos
+// fan-out, can be made once per turn. Valid only on the event loop. A
+// substrate that delivers each event on its own (the simulator) does not
+// implement it, and every event is its own turn.
+type Turns interface {
+	Turn() uint64
+}
+
 // Handler consumes messages delivered to a replica.
 type Handler interface {
 	OnMessage(from ids.ID, m wire.Msg)

@@ -6,10 +6,16 @@
 // to the rest of its group, collects the group's votes, and returns them to
 // the leader as a single aggregated message. Random relay rotation spreads
 // the extra relay load across rounds (§3.2), relay timeouts bound the damage
-// of slow or crashed followers (§3.4, Figure 5a). Figure 5b — the leader times
-// out and retries the slot with different relays — is the decision core's own
-// retransmit (paxos.Config.RetryTimeout) sent through this plane: every
-// fan-out draws fresh relays, so a retransmit is a retry with different ones.
+// of slow or crashed followers (§3.4, Figure 5a).
+//
+// The leader draws relays once per event-loop turn (node.Turns): on the live
+// transport every proposal, P1a and P3 of one turn rides the same relay tree,
+// so each relay's frames of the turn share one socket write, and the next
+// turn draws afresh. A substrate without turns (the simulator) makes every
+// fan-out its own turn. Figure 5b — the leader times out and retries the slot
+// with different relays — is the decision core's own retransmit
+// (paxos.Config.RetryTimeout) sent through this plane: the retry fires from a
+// timer, in a later turn than the round it repeats, so it draws afresh.
 //
 // The decision core is an unmodified paxos.Replica: this package only
 // substitutes the communication plane, exactly as the paper describes its
@@ -64,8 +70,10 @@ type Config struct {
 	// (default 3).
 	SubGroupSize int
 	// FixedRelays pins each group's relay to its first member instead of
-	// rotating randomly — an ablation of §3.2's hotspot-avoidance
-	// argument (expect the fixed relays to become bottlenecks).
+	// rotating randomly — an ablation of §3.2's hotspot-avoidance argument.
+	// On the simulator, which charges each node's CPU, the fixed relays
+	// become bottlenecks. On one loopback host pinning reads faster: every
+	// round to a group shares one connection, so its frames share writes.
 	FixedRelays bool
 }
 
@@ -150,11 +158,16 @@ type Replica struct {
 	// regions, and region-aware chaos uses the correspondence to aim
 	// "crash the relay of region z" at the right group.
 	groupZones []int
-	// lastRelays[g] is the relay most recently drawn for group g by any
-	// fan-out (zero before the first round). Chaos schedules use it to aim
-	// "kill the current relay of group g" faults at the node actually
-	// carrying the round.
-	lastRelays []ids.ID
+	// relays[g] is the index in group g of the relay most recently drawn
+	// (-1 before the first round). Chaos schedules use it to aim "kill the
+	// current relay of group g" faults at the node actually carrying the
+	// round.
+	relays []int
+	// turns is the context's node.Turns, nil if it has none; relays were
+	// drawn in turn drawTurn once drawn is set.
+	turns    node.Turns
+	drawTurn uint64
+	drawn    bool
 
 	// Relay side: phase-2 aggregations by slot with their relay timeouts,
 	// phase-1 aggregations by ballot.
@@ -172,6 +185,7 @@ type Replica struct {
 func New(ctx node.Context, cfg Config) *Replica {
 	cfg.applyDefaults()
 	r := &Replica{ctx: ctx, cfg: cfg, p1aggs: make(map[ids.Ballot]*p1agg)}
+	r.turns, _ = ctx.(node.Turns)
 	r.relayDue = slots.NewTimers(ctx, r.relayTimeout)
 	r.ackDurable, r.promiseDurable = r.ownAck, r.ownPromise
 	r.core = paxos.New(ctx, cfg.Paxos, &pigPlane{r})
@@ -221,7 +235,10 @@ func (r *Replica) computeLayout() {
 		}
 		r.layout = g
 	}
-	r.lastRelays = make([]ids.ID, r.layout.NumGroups())
+	r.relays = make([]int, r.layout.NumGroups())
+	for g := range r.relays {
+		r.relays[g] = -1
+	}
 	r.rest = make([][][]ids.ID, len(r.layout.Groups))
 	for g, group := range r.layout.Groups {
 		r.rest[g] = make([][]ids.ID, len(group))
@@ -280,9 +297,10 @@ func (r *Replica) OnMessage(from ids.ID, m wire.Msg) {
 // groups.
 type pigPlane struct{ r *Replica }
 
-// FanOut implements paxos.Disseminator. Every call draws its relays afresh,
-// so the core's retransmit of a stalled slot is Figure 5b's retry with
-// different relays.
+// FanOut implements paxos.Disseminator. The first call of an event-loop turn
+// draws the relays and the turn's later calls reuse them (see eachRelay);
+// the core's retransmit of a stalled slot fires in a later turn, so it is
+// Figure 5b's retry with freshly drawn relays.
 func (p *pigPlane) FanOut(m wire.Msg) {
 	r := p.r
 	switch v := m.(type) {
@@ -328,18 +346,30 @@ func (r *Replica) pickRelay(group []ids.ID) int {
 // LastRelay returns the relay most recently drawn for group g, or the zero
 // ID before any fan-out touched the group (or for an out-of-range g).
 func (r *Replica) LastRelay(g int) ids.ID {
-	if g < 0 || g >= len(r.lastRelays) {
+	if g < 0 || g >= len(r.relays) || r.relays[g] < 0 {
 		return 0
 	}
-	return r.lastRelays[g]
+	return r.layout.Groups[g][r.relays[g]]
 }
 
-// eachRelay draws this round's relay for every group and hands send the
-// relay and the rest of its group.
+// eachRelay hands send this round's relay for every group and the rest of
+// its group. The first fan-out of a turn draws the relays and the turn's
+// later fan-outs reuse them, so their frames to each relay leave in one
+// write; without node.Turns every fan-out draws. Each group's draw comes just
+// before its send: on the simulator a send may draw from the same random
+// source, and fixed-seed outputs depend on the order.
 func (r *Replica) eachRelay(send func(gi int, relay ids.ID, peers []ids.ID)) {
+	draw := true
+	if r.turns != nil {
+		t := r.turns.Turn()
+		draw = !r.drawn || t != r.drawTurn
+		r.drawTurn, r.drawn = t, true
+	}
 	for gi, group := range r.layout.Groups {
-		ri := r.pickRelay(group)
-		r.lastRelays[gi] = group[ri]
+		if draw {
+			r.relays[gi] = r.pickRelay(group)
+		}
+		ri := r.relays[gi]
 		send(gi, group[ri], r.rest[gi][ri])
 	}
 }

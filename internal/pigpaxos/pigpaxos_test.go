@@ -1,6 +1,7 @@
 package pigpaxos
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -10,6 +11,8 @@ import (
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
 	"pigpaxos/internal/netsim"
+	"pigpaxos/internal/node"
+	"pigpaxos/internal/node/nodetest"
 	"pigpaxos/internal/paxos"
 	"pigpaxos/internal/wire"
 )
@@ -384,6 +387,96 @@ func TestRelayRotation(t *testing.T) {
 	}
 	if nodesWhoRelayed < 20 {
 		t.Errorf("only %d of 24 followers ever relayed; rotation is broken", nodesWhoRelayed)
+	}
+}
+
+// turnLoop is a test loop on a substrate with event-loop turns the test
+// moves by hand.
+type turnLoop struct {
+	*nodetest.Loop
+	turn uint64
+}
+
+func (l *turnLoop) Turn() uint64 { return l.turn }
+
+// fanOuts sends k fan-outs through r's plane, cycling through the three
+// kinds that go by relay, and returns the relay each group got per fan-out.
+func fanOuts(r *Replica, l *nodetest.Loop, k int) [][]ids.ID {
+	ms := []wire.Msg{wire.P2a{Slot: 1}, wire.P1a{}, wire.P3{Slot: 1}}
+	out := make([][]ids.ID, k)
+	for i := range out {
+		l.Events = l.Events[:0]
+		(&pigPlane{r}).FanOut(ms[i%len(ms)])
+		for _, e := range l.Events {
+			out[i] = append(out[i], e.To)
+		}
+	}
+	return out
+}
+
+// TestFanOutsInOneTurnShareRelays: on a substrate with turns the fan-outs of
+// one turn share one draw per group, so their frames to each relay can share
+// a write; successive turns still rotate relay duty evenly (§3.2); and on a
+// substrate without turns every fan-out draws, as it always has.
+func TestFanOutsInOneTurnShareRelays(t *testing.T) {
+	cc := config.NewLAN(9) // two groups of four
+	leader := cc.Nodes[0]
+	build := func(ctx node.Context) *Replica {
+		return New(ctx, Config{Paxos: paxos.Config{Cluster: cc, ID: leader, InitialLeader: leader}, NumGroups: 2})
+	}
+	// ref replays the draws a fan-out makes from nodetest's fixed seed.
+	var ref *rand.Rand
+	draw := func(r *Replica) []ids.ID {
+		var relays []ids.ID
+		for _, g := range r.Layout().Groups {
+			relays = append(relays, g[ref.Intn(len(g))])
+		}
+		return relays
+	}
+
+	ref = rand.New(rand.NewSource(1))
+	tl := &turnLoop{Loop: nodetest.NewLoop(leader), turn: 1}
+	r := build(tl)
+	want := draw(r)
+	for i, got := range fanOuts(r, tl.Loop, 7) {
+		if !slices.Equal(got, want) {
+			t.Fatalf("fan-out %d of one turn went to %v, the turn drew %v", i, got, want)
+		}
+	}
+	if tl.Rand().Int63() != ref.Int63() {
+		t.Fatal("one turn's fan-outs took more than one draw per group")
+	}
+
+	const turns = 4000
+	duty := map[ids.ID]int{}
+	for i := 0; i < turns; i++ {
+		tl.turn++
+		want := draw(r)
+		for j, got := range fanOuts(r, tl.Loop, 3) {
+			if !slices.Equal(got, want) {
+				t.Fatalf("turn %d fan-out %d went to %v, want the turn's draw %v", i, j, got, want)
+			}
+		}
+		for _, id := range want {
+			duty[id]++
+		}
+	}
+	for g, group := range r.Layout().Groups {
+		fair := float64(turns) / float64(len(group))
+		for _, id := range group {
+			if d := float64(duty[id]); d < 0.85*fair || d > 1.15*fair {
+				t.Errorf("group %d: %v relayed %v of %d turns, want %.0f±15%%", g, id, d, turns, fair)
+			}
+		}
+	}
+
+	ref = rand.New(rand.NewSource(1))
+	plain := nodetest.NewLoop(leader)
+	r = build(plain)
+	for i, got := range fanOuts(r, plain, 300) {
+		if want := draw(r); !slices.Equal(got, want) {
+			t.Fatalf("without turns, fan-out %d went to %v, want its own draw %v", i, got, want)
+		}
 	}
 }
 

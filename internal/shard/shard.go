@@ -286,14 +286,25 @@ func LeaderPlacementFlip(cc config.Cluster, d Descriptor, z int) (Descriptor, bo
 // message with shard k, so S per-shard replicas can share one endpoint.
 // All other Context methods pass through: the replicas share the node's
 // virtual CPU and clock, which is the point — sharding must pay for
-// multiplexing honestly in the simulator's cost model.
+// multiplexing honestly in the simulator's cost model. A ctx that implements
+// node.Turns yields a context that does too, so the shard's replicas see the
+// node's event-loop turns.
 func Wrap(ctx node.Context, k int) node.Context {
-	return &wrapped{Context: ctx, shard: uint16(k)}
+	w := &wrapped{Context: ctx, shard: uint16(k)}
+	if t, ok := ctx.(node.Turns); ok {
+		return &wrappedTurns{wrapped: w, Turns: t}
+	}
+	return w
 }
 
 type wrapped struct {
 	node.Context
 	shard uint16
+}
+
+type wrappedTurns struct {
+	*wrapped
+	node.Turns
 }
 
 func (w *wrapped) Send(to ids.ID, m wire.Msg) {

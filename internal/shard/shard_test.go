@@ -6,8 +6,10 @@ import (
 	"time"
 
 	"pigpaxos/internal/config"
+	"pigpaxos/internal/des"
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
+	"pigpaxos/internal/netsim"
 	"pigpaxos/internal/node"
 	"pigpaxos/internal/wire"
 )
@@ -301,5 +303,41 @@ func TestWrapTagsSends(t *testing.T) {
 	}
 	if ctx.ID() != rec.ID() {
 		t.Fatal("Wrap must pass through identity")
+	}
+}
+
+// turnRecorder is a sendRecorder on a substrate with event-loop turns.
+type turnRecorder struct {
+	sendRecorder
+	turn uint64
+}
+
+func (t *turnRecorder) Turn() uint64 { return t.turn }
+
+// A shard's replicas must see the node's turns (PigPaxos draws its relays
+// once per turn), and a substrate without turns must not grow one.
+func TestWrapForwardsTurns(t *testing.T) {
+	rec := &turnRecorder{turn: 7}
+	ctx := Wrap(rec, 2)
+	turns, ok := ctx.(node.Turns)
+	if !ok {
+		t.Fatal("Wrap hid the inner context's node.Turns")
+	}
+	if turns.Turn() != 7 {
+		t.Fatalf("Turn() = %d, want 7", turns.Turn())
+	}
+	rec.turn++
+	if turns.Turn() != 8 {
+		t.Fatalf("Turn() = %d after the inner turn moved to 8", turns.Turn())
+	}
+	ctx.Send(ids.NewID(1, 2), wire.Heartbeat{Ballot: 1})
+	if sm, ok := rec.msgs[0].(wire.Sharded); !ok || sm.Shard != 2 {
+		t.Fatalf("a turn-aware wrapper must still tag sends: %#v", rec.msgs[0])
+	}
+
+	cc := config.NewLAN(3)
+	ep := netsim.New(des.New(1), cc, netsim.DefaultOptions()).Register(cc.Nodes[0], &recorder{}, false)
+	if _, ok := Wrap(ep, 1).(node.Turns); ok {
+		t.Fatal("wrapping a simulator endpoint must not implement node.Turns")
 	}
 }

@@ -26,7 +26,7 @@ type envelope struct {
 // mailbox is the event loop a TCPNode embeds: the node.Context methods
 // that do not touch a network, and a queue the loop swaps out whole — a
 // burst of pushes costs the loop one lock and one wake-up, not a channel
-// operation per message.
+// operation per message. Each swap starts a turn (node.Turns).
 type mailbox struct {
 	id      ids.ID
 	handler node.Handler
@@ -39,6 +39,8 @@ type mailbox struct {
 	queue  []envelope
 	timers map[*timer]struct{} // armed, so close can stop them
 	closed atomic.Bool         // written under mu
+
+	turn uint64 // the batch the loop is handling; the loop's alone
 }
 
 func (mb *mailbox) init(id ids.ID, h node.Handler) {
@@ -61,6 +63,7 @@ func (mb *mailbox) run() {
 			return
 		}
 		batch, mb.queue = mb.queue, batch[:0]
+		mb.turn++
 		mb.mu.Unlock()
 		mb.space.Broadcast()
 		for i := range batch {
@@ -185,3 +188,6 @@ func (mb *mailbox) Rand() *rand.Rand { return mb.rng }
 // Work implements node.Context: live substrates spend real time, so this is
 // a no-op.
 func (mb *mailbox) Work(time.Duration) {}
+
+// Turn implements node.Turns: one turn per batch swapped out of the queue.
+func (mb *mailbox) Turn() uint64 { return mb.turn }

@@ -110,3 +110,77 @@ func TestSelfSendAtMailboxBound(t *testing.T) {
 		t.Fatal("event loop wedged: a self-send waited for room in its own full mailbox")
 	}
 }
+
+// TestTurnAdvancesOncePerBatch: every message and timer the loop takes in
+// one swap of the queue sees one Turn, and the next swap a larger one. A
+// blocked callback holds the loop while the test queues a batch behind it.
+func TestTurnAdvancesOncePerBatch(t *testing.T) {
+	const k = 16
+	self := ids.NewID(1, 1)
+	var n *TCPNode
+	var turns []uint64 // event loop only until a batch is over
+	n = DialTCP(self, nil, handlerFunc(func(ids.ID, wire.Msg) { turns = append(turns, n.Turn()) }))
+	defer n.Close()
+	var _ node.Turns = n
+
+	var prev uint64
+	for b := 0; b < 3; b++ {
+		hold, held := make(chan struct{}), make(chan struct{})
+		n.After(0, func() { close(held); <-hold })
+		<-held
+		for i := 0; i < k; i++ {
+			n.push(false, envelope{from: self, msg: wire.Heartbeat{}})
+			n.After(0, func() { turns = append(turns, n.Turn()) })
+		}
+		done := make(chan []uint64)
+		n.After(0, func() { done <- append(turns, n.Turn()); turns = nil })
+		close(hold)
+		got := <-done
+		if len(got) != 2*k+1 {
+			t.Fatalf("batch %d: %d callbacks ran, want %d", b, len(got), 2*k+1)
+		}
+		for i, turn := range got {
+			if turn != got[0] {
+				t.Fatalf("batch %d: callback %d saw turn %d, the first saw %d", b, i, turn, got[0])
+			}
+		}
+		if got[0] <= prev {
+			t.Fatalf("batch %d: turn %d does not follow the previous batch's %d", b, got[0], prev)
+		}
+		prev = got[0]
+	}
+}
+
+// TestStatsCountCalls: the counters move once per socket call and once per
+// decoded frame, whatever the frames' size. Frames sent in one turn to one
+// peer leave in at most as many writes as frames.
+func TestStatsCountCalls(t *testing.T) {
+	const k = 32
+	got := make(chan struct{}, k)
+	srv, err := ListenTCP(ids.NewID(1, 1), "127.0.0.1:0", nil, handlerFunc(func(ids.ID, wire.Msg) { got <- struct{}{} }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl := DialTCP(ids.NewID(9, 1), map[ids.ID]string{srv.ID(): srv.Addr()}, nil)
+	defer cl.Close()
+	big := make([]byte, 4<<10)
+	cl.After(0, func() {
+		for i := 0; i < k; i++ {
+			cl.Send(srv.ID(), wire.Request{Cmd: kvstore.Command{Op: kvstore.Put, Key: uint64(i), Value: big}})
+		}
+	})
+	for i := 0; i < k; i++ {
+		select {
+		case <-got:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d frames arrived", i, k)
+		}
+	}
+	if s := srv.Stats(); s.Frames != k || s.Reads == 0 || s.Reads > 2*k {
+		t.Errorf("server %+v: want %d frames in 1..%d reads", s, k, 2*k)
+	}
+	if s := cl.Stats(); s.Writes == 0 || s.Writes > k {
+		t.Errorf("client %+v: want 1..%d writes for %d frames", s, k, k)
+	}
+}

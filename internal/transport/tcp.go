@@ -4,6 +4,11 @@
 // hears its peers over the connections it made, which is what a client is.
 // A failed connection is not reported: an unreachable peer is a silent one.
 //
+// Turns. The loop takes its mailbox a batch at a time, and each batch is one
+// turn (node.Turns): what a replica sends to a peer in one turn is written
+// to its socket with one call, so the fewer peers a turn's messages go to,
+// the fewer writes they cost. Stats counts those calls.
+//
 // Ownership of message contents. A message to a peer is encoded at Send, so
 // the sender may reuse what it references once Send returns; a self-send is
 // handed over by reference. A message from a peer owns everything it
@@ -179,8 +184,9 @@ func (in *inbound) read(src io.Reader, out []envelope) ([]envelope, error) {
 // 2 seconds, not the replica.
 //
 // Messages move in batches at every hand-off: a reader pushes all the frames
-// of one read into the mailbox at once, the loop takes the whole mailbox,
-// and a writer takes its peer's whole outbox and issues one Write.
+// of one read into the mailbox at once, the loop takes the whole mailbox (one
+// turn, see node.Turns), and a writer takes its peer's whole outbox and
+// issues one Write.
 type TCPNode struct {
 	mailbox
 	addrs map[ids.ID]string
@@ -195,6 +201,22 @@ type TCPNode struct {
 	connMu sync.Mutex
 	peers  map[ids.ID]*peer
 	conns  map[net.Conn]struct{} // every live conn (accepted or dialed)
+
+	writes, reads, frames atomic.Uint64 // see Stats
+}
+
+// Stats counts what a node's connections cost in system calls: the unit of
+// the transport's per-message overhead, whatever the frames carry.
+type Stats struct {
+	Writes uint64 // Write calls, each carrying a peer's whole outbox
+	Reads  uint64 // Read calls
+	Frames uint64 // frames those reads decoded
+}
+
+// Stats returns the node's socket counters since it started. Safe from any
+// goroutine.
+func (n *TCPNode) Stats() Stats {
+	return Stats{Writes: n.writes.Load(), Reads: n.reads.Load(), Frames: n.frames.Load()}
 }
 
 // peer is the outbound side of one neighbor: an outbox of encoded frames,
@@ -368,7 +390,9 @@ func (n *TCPNode) readLoop(c net.Conn) {
 	for {
 		var err error
 		batch, err = in.read(c, batch[:0])
+		n.reads.Add(1)
 		if len(batch) > 0 {
+			n.frames.Add(uint64(len(batch)))
 			if !registered {
 				// Remember the inbound connection as a reverse route so
 				// replies reach peers we cannot dial (e.g. clients behind
@@ -569,8 +593,11 @@ func (p *peer) writeLoop() {
 			p.mu.Lock()
 			p.out = recycle(p.out)
 			p.mu.Unlock()
-		} else if _, err := c.Write(buf); err != nil {
-			p.dropConn(c)
+		} else {
+			p.n.writes.Add(1)
+			if _, err := c.Write(buf); err != nil {
+				p.dropConn(c)
+			}
 		}
 	}
 }

@@ -5,8 +5,9 @@
 // baselines.
 //
 // PigPaxos removes the Paxos leader's communication bottleneck by routing
-// fan-out/fan-in through randomly rotating relay nodes, one per statically
-// configured relay group: the leader exchanges 2r+2 messages per command
+// fan-out/fan-in through relay nodes, one per statically configured relay
+// group, drawn at random on each turn of the leader's event loop so that
+// relay duty rotates: the leader exchanges 2r+2 messages per command
 // (r = relay groups) instead of 2(N−1)+2, which lets consensus scale
 // vertically to tens of nodes within one conflict domain.
 //

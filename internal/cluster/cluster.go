@@ -1,14 +1,14 @@
 // Package cluster runs real TCP clusters of the repo's replicas — the
-// sim-to-metal bridge. It offers two substrates behind one addressing
+// sim-to-metal bridge. Member (member.go) is the one assembly of a running
+// process's worth of replicas; two substrates run it behind one addressing
 // scheme:
 //
-//   - InProc starts N members inside the current process, each on its own
-//     transport.TCPNode bound to an ephemeral 127.0.0.1 port and hosting
-//     its replica of every shard it belongs to. The public pigpaxos.Cluster
-//     and its clients and the integration tests run on it: the real socket
-//     path (framing, shard envelopes, reverse routes, writer goroutines)
-//     without process management.
-//   - Procs forks N pigserver processes, one per replica, in the style of
+//   - InProc starts N Members inside the current process on ephemeral
+//     127.0.0.1 ports. The public pigpaxos.Cluster and its clients and the
+//     integration tests run on it: the real socket path (framing, shard
+//     envelopes, reverse routes, writer goroutines) without process
+//     management.
+//   - Procs forks N pigserver processes, one Member each, in the style of
 //     the go-paxos deploy/tester scripts — the substrate cmd/pigload's
 //     -spawn mode benchmarks.
 //
@@ -33,17 +33,12 @@ import (
 	"time"
 
 	"pigpaxos/internal/config"
-	"pigpaxos/internal/epaxos"
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
-	"pigpaxos/internal/node"
 	"pigpaxos/internal/paxos"
 	"pigpaxos/internal/pigpaxos"
-	"pigpaxos/internal/pqr"
 	"pigpaxos/internal/protocol"
 	"pigpaxos/internal/shard"
-	"pigpaxos/internal/transport"
-	"pigpaxos/internal/wire"
 )
 
 // ParseID parses Paxi's "zone.node" notation.
@@ -107,26 +102,21 @@ func Members(n int) []ids.ID {
 	return out
 }
 
-// FreePorts reserves n distinct ephemeral TCP ports and releases them.
-// The caller binds them shortly after; the window in which another process
-// could steal one is accepted for a local test runner.
-func FreePorts(n int) ([]int, error) {
-	ports := make([]int, 0, n)
-	lns := make([]net.Listener, 0, n)
-	defer func() {
-		for _, ln := range lns {
-			ln.Close()
-		}
-	}()
-	for i := 0; i < n; i++ {
+// FreePorts reserves a distinct ephemeral loopback port for each of
+// members, releases them, and returns their addresses. The caller binds them
+// shortly after; the window in which another process could steal one is
+// accepted for a local test runner.
+func FreePorts(members []ids.ID) (map[ids.ID]string, error) {
+	addrs := make(map[ids.ID]string, len(members))
+	for _, id := range members {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
-		lns = append(lns, ln)
-		ports = append(ports, ln.Addr().(*net.TCPAddr).Port)
+		defer ln.Close()
+		addrs[id] = ln.Addr().String()
 	}
-	return ports, nil
+	return addrs, nil
 }
 
 // ---------------------------------------------------------------- in-proc --
@@ -137,9 +127,9 @@ type InProcSpec struct {
 	N int
 	// Protocol is paxos | pigpaxos | epaxos.
 	Protocol string
-	// Groups is the PigPaxos relay group count (default 2).
+	// Groups is the PigPaxos relay group count (0: pigpaxos's default).
 	Groups int
-	// RelayTimeout is the PigPaxos aggregation timeout (default 50ms).
+	// RelayTimeout is the PigPaxos aggregation timeout (0: pigpaxos's).
 	RelayTimeout time.Duration
 	// ElectionTimeout enables leader failover when positive.
 	ElectionTimeout time.Duration
@@ -151,20 +141,18 @@ type InProcSpec struct {
 	ReadMode paxos.ReadMode
 }
 
-// InProc is a running in-process TCP cluster: one listening TCPNode per
-// member, whose handler is a shard.Dispatcher over the member's replicas.
+// InProc is a running in-process TCP cluster: one Member per member ID.
 type InProc struct {
 	Members []ids.ID
 	Addrs   map[ids.ID]string
 	// Plan is the shard layout: which members replicate which shard.
 	Plan shard.Map
 
-	kind     protocol.Kind
-	replicas []map[ids.ID]protocol.Member // per shard, by member
+	kind    protocol.Kind
+	members map[ids.ID]*Member // stopped ones too: their stores stay readable
 
 	mu      sync.Mutex
-	nodes   map[ids.ID]*transport.TCPNode // live members
-	clients []*SyncClient                 // opened by Client; Close closes them
+	clients []*SyncClient // opened by Client; Close closes them
 	closed  bool
 }
 
@@ -176,106 +164,55 @@ func StartInProc(spec InProcSpec) (*InProc, error) {
 	if spec.N < 1 {
 		return nil, fmt.Errorf("cluster: need at least one node, got %d", spec.N)
 	}
-	if spec.Groups == 0 {
-		spec.Groups = 2
-	}
-	if spec.RelayTimeout == 0 {
-		spec.RelayTimeout = 50 * time.Millisecond
-	}
 	kind, err := protocol.Parse(orDefault(spec.Protocol, "paxos"))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	members := Members(spec.N)
-	cc := config.Cluster{Nodes: members}
-	plan := shard.Plan(cc, spec.Shards, 0)
-	c := &InProc{
-		Members:  members,
-		Addrs:    make(map[ids.ID]string),
-		Plan:     plan,
-		kind:     kind,
-		replicas: make([]map[ids.ID]protocol.Member, plan.NumShards()),
-		nodes:    make(map[ids.ID]*transport.TCPNode),
+	core := paxos.Config{ElectionTimeout: spec.ElectionTimeout, ReadMode: spec.ReadMode}
+	tmpl := protocol.Spec{
+		Kind:  kind,
+		Paxos: core,
+		Pig:   pigpaxos.Config{Paxos: core, NumGroups: spec.Groups, RelayTimeout: spec.RelayTimeout},
 	}
-	for k := range plan.Shards {
-		c.replicas[k] = make(map[ids.ID]protocol.Member)
+	c := &InProc{
+		Members: members,
+		Addrs:   make(map[ids.ID]string),
+		Plan:    shard.Plan(config.Cluster{Nodes: members}, spec.Shards, 0),
+		kind:    kind,
+		members: make(map[ids.ID]*Member),
 	}
 	for _, id := range members {
-		d := shard.NewDispatcher(plan.NumShards())
-		// Each node gets its OWN address map (TCPNode guards it with the
-		// node's mutex; sharing one map across nodes would race).
-		tn, err := transport.ListenTCP(id, "127.0.0.1:0", make(map[ids.ID]string), d)
+		m, err := NewMember(id, "127.0.0.1:0", nil, c.Plan, tmpl, "")
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
-		c.nodes[id] = tn
-		c.Addrs[id] = tn.Addr()
-		for _, k := range plan.ShardsOn(id) {
-			var ctx node.Context = tn
-			if plan.NumShards() > 1 {
-				ctx = shard.Wrap(tn, k)
-			}
-			sub := plan.Sub(cc, k)
-			core := paxos.Config{
-				Cluster: sub, ID: id, InitialLeader: plan.Shards[k].Leader,
-				ElectionTimeout: spec.ElectionTimeout,
-				ReadMode:        spec.ReadMode,
-				CompactEvery:    4096,
-			}
-			m := protocol.Build(ctx, protocol.Spec{
-				Kind:   kind,
-				Paxos:  core,
-				Pig:    pigpaxos.Config{Paxos: core, NumGroups: spec.Groups, RelayTimeout: spec.RelayTimeout},
-				EPaxos: epaxos.Config{Cluster: sub, ID: id},
-			})
-			c.replicas[k][id] = m
-			d.Register(k, &quorumReads{resp: pqr.NewResponder(ctx, m.Store), inner: m.Handler})
-		}
+		c.members[id] = m
+		c.Addrs[id] = m.Node.Addr()
 	}
-	for _, tn := range c.nodes {
+	for _, m := range c.members {
 		for id, a := range c.Addrs {
-			tn.RegisterAddr(id, a)
+			m.Node.RegisterAddr(id, a)
 		}
 	}
-	var wg sync.WaitGroup
-	for _, shardReplicas := range c.replicas {
-		for id, m := range shardReplicas {
-			wg.Add(1)
-			c.nodes[id].After(0, func() { m.Start(); wg.Done() })
-		}
+	for _, m := range c.members {
+		m.Start()
 	}
-	wg.Wait()
 	return c, nil
 }
 
-// quorumReads interposes a pqr.Responder on a replica's dispatch so every
-// member answers Paxos-Quorum-Read version probes (§4.3).
-type quorumReads struct {
-	resp  *pqr.Responder
-	inner node.Handler
-}
-
-// OnMessage implements node.Handler.
-func (q *quorumReads) OnMessage(from ids.ID, m wire.Msg) {
-	if req, ok := m.(wire.QReadReq); ok {
-		q.resp.OnRequest(from, req)
-		return
+// Member returns a live member, nil once it is stopped or shut down.
+func (c *InProc) Member(id ids.ID) *Member {
+	if m := c.members[id]; m != nil && !m.closed.Load() {
+		return m
 	}
-	q.inner.OnMessage(from, m)
-}
-
-// Node exposes a live member's transport (tests drain it directly); nil
-// once the member is stopped.
-func (c *InProc) Node(id ids.ID) *transport.TCPNode {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.nodes[id]
+	return nil
 }
 
 // Store returns member id's state machine for shard k, or nil when id does
 // not replicate k. A Store is safe to read from any goroutine.
-func (c *InProc) Store(k int, id ids.ID) *kvstore.Store { return c.replicas[k][id].Store }
+func (c *InProc) Store(k int, id ids.ID) *kvstore.Store { return c.members[id].Replica(k).Store }
 
 // onLoops runs fn(id) on the event loop of each live member among members
 // and returns the answers that arrive within a second: a member stopped
@@ -288,9 +225,9 @@ func onLoops[T any](c *InProc, members []ids.ID, fn func(id ids.ID) T) map[ids.I
 	ch := make(chan answer, len(members))
 	pending := 0
 	for _, id := range members {
-		if tn := c.Node(id); tn != nil {
+		if m := c.Member(id); m != nil {
 			pending++
-			tn.After(0, func() { ch <- answer{id, fn(id)} })
+			m.Node.After(0, func() { ch <- answer{id, fn(id)} })
 		}
 	}
 	out := make(map[ids.ID]T, pending)
@@ -318,14 +255,14 @@ func (c *InProc) Leader(k int) ids.ID {
 	members := c.Plan.Shards[k].Members
 	if c.kind == protocol.EPaxos {
 		for _, id := range members {
-			if c.Node(id) != nil {
+			if c.Member(id) != nil {
 				return id
 			}
 		}
 		return 0
 	}
 	ballots := onLoops(c, members, func(id ids.ID) ids.Ballot {
-		if core := c.replicas[k][id].Core; core.IsLeader() {
+		if core := c.members[id].Replica(k).Core; core.IsLeader() {
 			return core.Ballot()
 		}
 		return 0
@@ -343,7 +280,7 @@ func (c *InProc) Leader(k int) ids.ID {
 // on the member's own event loop (the counters are the loop's). It reports
 // false for a stopped or EPaxos member and for one outside shard 0.
 func (c *InProc) Stats(id ids.ID) (paxos.Stats, bool) {
-	core := c.replicas[0][id].Core
+	core := c.members[id].Replica(0).Core
 	if core == nil {
 		return paxos.Stats{}, false
 	}
@@ -355,12 +292,8 @@ func (c *InProc) Stats(id ids.ID) (paxos.Stats, bool) {
 // loop halts, exactly what the rest of the cluster observes when a process
 // dies. The member cannot be restarted.
 func (c *InProc) Stop(id ids.ID) {
-	c.mu.Lock()
-	tn := c.nodes[id]
-	delete(c.nodes, id)
-	c.mu.Unlock()
-	if tn != nil {
-		tn.Close()
+	if m := c.members[id]; m != nil {
+		m.Close()
 	}
 }
 
@@ -448,16 +381,10 @@ type ProcSpec struct {
 	Groups int
 	// ServerBin is the pigserver binary to fork.
 	ServerBin string
-	// BasePort, when positive, assigns ports BasePort…BasePort+N-1;
-	// otherwise free ephemeral ports are reserved.
-	BasePort int
 	// WALDir, when set, gives node i a durable journal in WALDir/node-i.
 	WALDir string
 	// ExtraArgs are appended to every pigserver command line.
 	ExtraArgs []string
-	// Output receives child stdout/stderr (default: inherit this
-	// process's stderr).
-	Output *os.File
 }
 
 // Procs is a running set of pigserver processes.
@@ -478,19 +405,9 @@ func Launch(spec ProcSpec) (*Procs, error) {
 		return nil, fmt.Errorf("cluster: ProcSpec.ServerBin is required")
 	}
 	members := Members(spec.N)
-	addrs := make(map[ids.ID]string, spec.N)
-	if spec.BasePort > 0 {
-		for i, id := range members {
-			addrs[id] = fmt.Sprintf("127.0.0.1:%d", spec.BasePort+i)
-		}
-	} else {
-		ports, err := FreePorts(spec.N)
-		if err != nil {
-			return nil, err
-		}
-		for i, id := range members {
-			addrs[id] = fmt.Sprintf("127.0.0.1:%d", ports[i])
-		}
+	addrs, err := FreePorts(members)
+	if err != nil {
+		return nil, err
 	}
 	p := &Procs{Members: members, Addrs: addrs, cmds: make(map[ids.ID]*exec.Cmd)}
 	clusterArg := FormatAddrs(addrs)
@@ -508,12 +425,7 @@ func Launch(spec ProcSpec) (*Procs, error) {
 		}
 		args = append(args, spec.ExtraArgs...)
 		cmd := exec.Command(spec.ServerBin, args...)
-		out := spec.Output
-		if out == nil {
-			out = os.Stderr
-		}
-		cmd.Stdout = out
-		cmd.Stderr = out
+		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
 		if err := cmd.Start(); err != nil {
 			p.StopAll(0)
 			return nil, fmt.Errorf("cluster: spawn %v: %w", id, err)

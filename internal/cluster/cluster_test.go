@@ -4,7 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"pigpaxos/internal/config"
 	"pigpaxos/internal/ids"
+	"pigpaxos/internal/pigpaxos"
+	"pigpaxos/internal/protocol"
+	"pigpaxos/internal/shard"
 )
 
 func TestParseAddrsRoundTrip(t *testing.T) {
@@ -30,58 +34,16 @@ func TestParseAddrsRejectsGarbage(t *testing.T) {
 }
 
 func TestFreePortsDistinct(t *testing.T) {
-	ports, err := FreePorts(5)
+	addrs, err := FreePorts(Members(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[int]bool{}
-	for _, p := range ports {
-		if p <= 0 || seen[p] {
-			t.Fatalf("bad port set %v", ports)
+	seen := map[string]bool{}
+	for _, a := range addrs {
+		if seen[a] {
+			t.Fatalf("bad address set %v", addrs)
 		}
-		seen[p] = true
-	}
-}
-
-// TestInProcPutGetRedirect boots a real 3-node TCP paxos cluster in-process,
-// waits for readiness, and runs the client path against a follower first so
-// the redirect machinery is exercised.
-func TestInProcPutGetRedirect(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real TCP cluster")
-	}
-	c, err := StartInProc(InProcSpec{N: 3, Protocol: "paxos"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := WaitReady(c.Addrs, c.Members, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// Aim at the highest ID: a follower, so the first op must redirect.
-	cl := NewSyncClient(c.Addrs, c.Members[2], 1, 5*time.Second)
-	defer cl.Close()
-	rep, err := cl.Put(7, []byte("metal"))
-	if err != nil || !rep.OK {
-		t.Fatalf("put: %v %+v", err, rep)
-	}
-	if cl.Redirects == 0 {
-		t.Error("follower-targeted put did not traverse a redirect")
-	}
-	if cl.Target() != c.Members[0] {
-		t.Errorf("client should now stick to the leader, targets %v", cl.Target())
-	}
-	rep, err = cl.Get(7)
-	if err != nil || !rep.OK || !rep.Exists || string(rep.Value) != "metal" {
-		t.Fatalf("get: %v %+v", err, rep)
-	}
-	rep, err = cl.Delete(7)
-	if err != nil || !rep.OK {
-		t.Fatalf("delete: %v %+v", err, rep)
-	}
-	rep, err = cl.Get(7)
-	if err != nil || !rep.OK || rep.Exists {
-		t.Fatalf("get after delete: %v %+v", err, rep)
+		seen[a] = true
 	}
 }
 
@@ -108,6 +70,62 @@ func TestInProcFirstElectionWins(t *testing.T) {
 		}
 		if st.Elections != 1 {
 			t.Fatalf("cluster %d: the initial leader ran %d elections, want 1", i, st.Elections)
+		}
+	}
+}
+
+// TestMemberPigserverBootAnswersQuorumReads boots members the way pigserver
+// processes come up: every address is known before any member exists, and
+// each starts as soon as it is built. The cluster must then serve writes,
+// reads through the log, and Paxos Quorum Reads (§4.3), which need every
+// member's responder.
+func TestMemberPigserverBootAnswersQuorumReads(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real TCP cluster")
+	}
+	members := Members(3)
+	addrs, err := FreePorts(members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := shard.Plan(config.Cluster{Nodes: members}, 1, 0)
+	tmpl := protocol.Spec{Kind: protocol.PigPaxos, Pig: pigpaxos.Config{NumGroups: 2}}
+	for _, id := range members {
+		m, err := NewMember(id, addrs[id], addrs, plan, tmpl, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Shutdown(time.Second)
+		m.Start()
+	}
+	if err := WaitReady(addrs, members, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	cl := NewSyncClient(addrs, members[0], 1, 5*time.Second)
+	defer cl.Close()
+	if rep, err := cl.Put(7, []byte("metal")); err != nil || !rep.OK {
+		t.Fatalf("put: %v %+v", err, rep)
+	}
+	if rep, err := cl.Get(7); err != nil || !rep.OK || string(rep.Value) != "metal" {
+		t.Fatalf("get: %v %+v", err, rep)
+	}
+	if r, err := cl.QuorumRead(7); err != nil || !r.Exists || string(r.Value) != "metal" {
+		t.Fatalf("quorum read: %v %+v", err, r)
+	}
+}
+
+// TestMemberRejectsWALItCannotKeep: a member refuses a WAL directory it
+// would leave unwritten (EPaxos has no journal) or could not lay out the way
+// pigserver -wal-dir always has (one shard's journal per directory).
+func TestMemberRejectsWALItCannotKeep(t *testing.T) {
+	cc := config.Cluster{Nodes: Members(3)}
+	for _, c := range []struct {
+		kind   protocol.Kind
+		shards int
+	}{{protocol.EPaxos, 1}, {protocol.Paxos, 2}} {
+		plan := shard.Plan(cc, c.shards, 0)
+		if _, err := NewMember(cc.Nodes[0], "127.0.0.1:0", nil, plan, protocol.Spec{Kind: c.kind}, t.TempDir()); err == nil {
+			t.Errorf("%v over %d shards accepted a WAL directory", c.kind, c.shards)
 		}
 	}
 }

@@ -175,9 +175,10 @@ func TestTCPLeaderKillFailover(t *testing.T) {
 	}
 }
 
-// TestTCPGracefulLeaderDrain covers the SIGTERM path pigserver takes:
-// Drain flushes what the dying leader already queued, the remaining nodes
-// elect, and a fresh client commits against the new leader.
+// TestTCPGracefulLeaderDrain covers the SIGTERM path pigserver takes,
+// Member.Shutdown: the dying leader flushes and drains what it already
+// queued, the remaining nodes elect, and a fresh client commits against the
+// new leader.
 func TestTCPGracefulLeaderDrain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real TCP cluster")
@@ -201,11 +202,9 @@ func TestTCPGracefulLeaderDrain(t *testing.T) {
 	}
 
 	leader := c.Members[0]
-	ln := c.Node(leader)
-	if !ln.Drain(2 * time.Second) {
-		t.Error("leader transport did not drain while idle")
+	if err := c.Member(leader).Shutdown(2 * time.Second); err != nil {
+		t.Errorf("leader shutdown while idle: %v", err)
 	}
-	c.Stop(leader)
 
 	// A new client (fresh session, no stale conn) must find the new
 	// leader and commit; readiness on the survivors proves the election.

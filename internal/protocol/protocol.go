@@ -1,25 +1,23 @@
 // Package protocol is the one place a replica of any of the three protocols
 // is constructed. The paper's implementation note (§5.1) is that PigPaxos is
 // Paxos with the communication plane swapped; every deployment in this
-// repository — simulated harness, the in-process TCP cluster the public
-// Cluster runs on, pigserver — fills in the per-protocol Config where it
-// genuinely differs and hands it to Build, which returns the uniform surface
-// (handler, start, decision core, state machine) the callers used to
-// re-derive with a type switch each.
+// repository fills in the per-protocol Config where it genuinely differs and
+// hands it to Build, which returns the uniform surface (handler, start,
+// decision core, state machine) the callers used to re-derive with a type
+// switch each. Two callers build: the simulated harness, and
+// cluster.NewMember, which assembles every live member — pigserver's and the
+// in-process cluster's alike.
 package protocol
 
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"pigpaxos/internal/epaxos"
-	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
 	"pigpaxos/internal/node"
 	"pigpaxos/internal/paxos"
 	"pigpaxos/internal/pigpaxos"
-	"pigpaxos/internal/wire"
 )
 
 // Kind selects the consensus protocol.
@@ -107,25 +105,5 @@ func Build(ctx node.Context, s Spec) Member {
 		return Member{Handler: r, Start: r.Start, Store: r.Store(), EPaxos: r}
 	default:
 		panic(fmt.Sprintf("protocol: cannot build %v", s.Kind))
-	}
-}
-
-// Late is a node.Handler whose target is bound after the transport that
-// delivers to it has started: a replica needs its node's Context to be
-// built, and a listening node needs a handler to be created. The binding is
-// atomic because a real transport's event loop may already be reading the
-// handler when Bind runs; messages that arrive before it are dropped, as
-// they would be were the process not up yet.
-type Late struct {
-	h atomic.Pointer[node.Handler]
-}
-
-// Bind points the shim at h.
-func (l *Late) Bind(h node.Handler) { l.h.Store(&h) }
-
-// OnMessage implements node.Handler.
-func (l *Late) OnMessage(from ids.ID, m wire.Msg) {
-	if h := l.h.Load(); h != nil {
-		(*h).OnMessage(from, m)
 	}
 }

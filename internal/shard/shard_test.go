@@ -262,6 +262,40 @@ func TestDispatcherZeroAllocs(t *testing.T) {
 	}
 }
 
+// counter counts the messages dispatched to it.
+type counter int
+
+func (c *counter) OnMessage(ids.ID, wire.Msg) { *c++ }
+
+// BenchmarkDispatcher times the demultiplexing every inbound message of a
+// live member pays, tagged (a sharded member) and untagged (a single-shard
+// member, pigserver's), and pins it at zero allocations.
+func BenchmarkDispatcher(b *testing.B) {
+	d := NewDispatcher(4)
+	var n counter
+	for k := 0; k < 4; k++ {
+		d.Register(k, &n)
+	}
+	src := ids.NewID(1, 1)
+	for _, c := range []struct {
+		name string
+		msg  wire.Msg // boxed once, as the decoder hands it over
+	}{
+		{"tagged", wire.Sharded{Shard: 2, Inner: wire.Heartbeat{Ballot: 7}}},
+		{"untagged", wire.Heartbeat{Ballot: 7}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			if allocs := testing.AllocsPerRun(100, func() { d.OnMessage(src, c.msg) }); allocs != 0 {
+				b.Fatalf("Dispatcher.OnMessage allocates %.1f/op, want 0", allocs)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				d.OnMessage(src, c.msg)
+			}
+		})
+	}
+}
+
 // sendRecorder records what a wrapped context sends.
 type sendRecorder struct {
 	node.Context

@@ -6,11 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"pigpaxos/internal/config"
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
-	"pigpaxos/internal/paxos"
-	"pigpaxos/internal/pigpaxos"
 	"pigpaxos/internal/wire"
 )
 
@@ -171,60 +168,6 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 		n1.Send(id2, wire.P1a{Ballot: 2})
 		return c2b.count() > 0
 	}, "no delivery after peer restart")
-}
-
-// End-to-end: a 3-node PigPaxos cluster over real TCP commits a command.
-func TestPigPaxosOverTCP(t *testing.T) {
-	cc := config.NewLAN(3)
-	addrs := make(map[ids.ID]string)
-	nodes := make(map[ids.ID]*TCPNode)
-	replicas := make(map[ids.ID]*pigpaxos.Replica)
-	for _, id := range cc.Nodes {
-		tr := &trampolineT{}
-		n, err := ListenTCP(id, "127.0.0.1:0", addrs, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer n.Close()
-		nodes[id] = n
-		addrs[id] = n.Addr()
-		r := pigpaxos.New(n, pigpaxos.Config{
-			Paxos:        paxos.Config{Cluster: cc, ID: id, InitialLeader: cc.Nodes[0]},
-			NumGroups:    2,
-			RelayTimeout: 50 * time.Millisecond,
-		})
-		tr.h = r.OnMessage
-		replicas[id] = r
-	}
-	// Share the full address book (all maps alias `addrs`).
-	for _, n := range nodes {
-		for id, a := range addrs {
-			n.RegisterAddr(id, a)
-		}
-	}
-	cl := &collector{}
-	clID := ids.NewID(999, 1)
-	clNode, err := ListenTCP(clID, "127.0.0.1:0", addrs, cl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer clNode.Close()
-	for _, id := range cc.Nodes {
-		nodes[id].RegisterAddr(clID, clNode.Addr())
-	}
-	for _, id := range cc.Nodes {
-		r := replicas[id]
-		nodes[id].After(0, r.Start)
-	}
-	time.Sleep(100 * time.Millisecond)
-	clNode.Send(cc.Nodes[0], wire.Request{Cmd: kvstore.Command{Op: kvstore.Put, Key: 9, Value: []byte("tcp"), ClientID: 1, Seq: 1}})
-	waitFor(t, func() bool { return cl.count() >= 1 }, "no reply over TCP")
-	cl.mu.Lock()
-	rep := cl.got[0].(wire.Reply)
-	cl.mu.Unlock()
-	if !rep.OK {
-		t.Errorf("reply: %+v", rep)
-	}
 }
 
 type trampolineT struct {

@@ -477,7 +477,7 @@ func runScenarios(name string, suite harness.Suite, benchfmt bool, runs, jobs in
 			return fmt.Errorf("shard: no shard-leader crash in the fault log: %v", r.FaultLog)
 		}
 		touched := map[int]bool{}
-		plan := shard.Plan(config.NewLAN(o.N), o.Shards, 0)
+		plan := shard.Plan(config.NewLAN(o.N), o.Shards)
 		for _, k := range plan.ShardsOn(r.FaultLog[0].Target) {
 			touched[k] = true
 		}

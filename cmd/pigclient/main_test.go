@@ -8,6 +8,7 @@ import (
 	"pigpaxos/internal/cluster"
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
+	"pigpaxos/internal/protocol"
 )
 
 // TestDoFollowsRedirectFromFollower aims the client's first request at a
@@ -17,7 +18,7 @@ func TestDoFollowsRedirectFromFollower(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real TCP cluster")
 	}
-	c, err := cluster.StartInProc(cluster.InProcSpec{N: 3, Protocol: "paxos"})
+	c, err := cluster.StartInProc(3, 1, protocol.Spec{Kind: protocol.Paxos})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestDoErrorsOnUnknownLeaderAddr(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real TCP cluster")
 	}
-	c, err := cluster.StartInProc(cluster.InProcSpec{N: 3, Protocol: "paxos"})
+	c, err := cluster.StartInProc(3, 1, protocol.Spec{Kind: protocol.Paxos})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,7 +95,7 @@ func main() {
 		log.Fatalf("unknown read mode %q (log|lease)", *readMode)
 	}
 	pig.Paxos = base
-	plan := shard.Plan(cc, 1, 0)
+	plan := shard.Plan(cc, 1)
 	m, err := cluster.NewMember(self, selfAddr, addrs, plan, protocol.Spec{Kind: kind, Paxos: base, Pig: pig}, *walDir)
 	if err != nil {
 		log.Fatal(err)

@@ -28,23 +28,17 @@ type ShrinkOptions struct {
 	// (default 256). Validation rejections are free; only candidates that
 	// reach the predicate spend budget.
 	MaxRuns int
-	// Grid is the coarse time grid fault times and durations snap to in
-	// the canonicalization pass (default 50ms).
-	Grid time.Duration
-	// MinDuration floors shortened fault windows (default Grid). It stays
-	// positive so Restart kinds keep the Duration their reboot fires on.
-	MinDuration time.Duration
 }
+
+// shrinkGrid is the coarse time grid fault times and durations snap to in
+// the canonicalization pass. It also floors shortened fault windows, and
+// being positive it lets Restart kinds keep the Duration their reboot fires
+// on.
+const shrinkGrid = 50 * time.Millisecond
 
 func (o *ShrinkOptions) applyDefaults() {
 	if o.MaxRuns == 0 {
 		o.MaxRuns = 256
-	}
-	if o.Grid == 0 {
-		o.Grid = 50 * time.Millisecond
-	}
-	if o.MinDuration == 0 {
-		o.MinDuration = o.Grid
 	}
 }
 
@@ -126,16 +120,16 @@ func Shrink(s Schedule, failing func(Schedule) bool, opts ShrinkOptions) ShrinkR
 	// grid) while the failure survives. Events healing via a separate
 	// scheduled action (Duration == 0) are left alone.
 	snapDur := func(d time.Duration) time.Duration {
-		d -= d % opts.Grid
-		if d < opts.MinDuration {
-			d = opts.MinDuration
+		d -= d % shrinkGrid
+		if d < shrinkGrid {
+			d = shrinkGrid
 		}
 		return d
 	}
 	durPass := func() bool {
 		improved := false
 		for i := range cur {
-			for cur[i].Action.Duration > opts.MinDuration {
+			for cur[i].Action.Duration > shrinkGrid {
 				nd := snapDur(cur[i].Action.Duration / 2)
 				if nd >= cur[i].Action.Duration {
 					break
@@ -154,12 +148,12 @@ func Shrink(s Schedule, failing func(Schedule) bool, opts ShrinkOptions) ShrinkR
 	}
 	// snapPass canonicalizes surviving events onto the coarse grid: fire
 	// times round down, leftover off-grid durations round down (floored at
-	// MinDuration) — so equivalent failures shrink to identical schedules
+	// the grid) — so equivalent failures shrink to identical schedules
 	// regardless of the exact times the explorer drew.
 	snapPass := func() bool {
 		improved := false
 		for i := range cur {
-			at := cur[i].At - cur[i].At%opts.Grid
+			at := cur[i].At - cur[i].At%shrinkGrid
 			d := cur[i].Action.Duration
 			if d > 0 {
 				d = snapDur(d)

@@ -100,7 +100,7 @@ func dial(addrs map[ids.ID]string, plan shard.Map, clientID uint64, timeout time
 				c.end(s, op, outcome{err: fmt.Errorf("cluster: no reply within %v (last tried %v)", s.Timeout, s.Target)})
 			},
 		}
-		c.readers[k] = pqr.New(ctx, pqr.Config{Members: d.Members}, nil)
+		c.readers[k] = pqr.New(ctx, d.Members)
 	}
 	c.target = c.sessions[0].Target
 	return c

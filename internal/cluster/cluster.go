@@ -26,6 +26,7 @@ import (
 	"os"
 	"os/exec"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -36,22 +37,25 @@ import (
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
 	"pigpaxos/internal/paxos"
-	"pigpaxos/internal/pigpaxos"
 	"pigpaxos/internal/protocol"
 	"pigpaxos/internal/shard"
 )
 
-// ParseID parses Paxi's "zone.node" notation.
+// ParseID parses Paxi's "zone.node" notation: two decimal numbers in
+// 0..65535 and nothing else, not both zero (0.0 is the reserved "no node").
 func ParseID(s string) (ids.ID, error) {
-	var zone, n int
-	if _, err := fmt.Sscanf(s, "%d.%d", &zone, &n); err != nil {
+	zone, node, ok := strings.Cut(s, ".")
+	z, zerr := strconv.ParseUint(zone, 10, 16)
+	n, nerr := strconv.ParseUint(node, 10, 16)
+	if !ok || zerr != nil || nerr != nil || z == 0 && n == 0 {
 		return 0, fmt.Errorf("cluster: bad node ID %q (want zone.node, e.g. 1.2)", s)
 	}
-	return ids.NewID(zone, n), nil
+	return ids.NewID(int(z), int(n)), nil
 }
 
 // ParseAddrs parses a comma-separated "id=host:port" membership list into
-// an address map and the sorted member list.
+// an address map and the sorted member list. The host may be empty (all
+// interfaces, dialled as the local host); the port may not.
 func ParseAddrs(s string) (map[ids.ID]string, []ids.ID, error) {
 	addrs := make(map[ids.ID]string)
 	var members []ids.ID
@@ -66,6 +70,9 @@ func ParseAddrs(s string) (map[ids.ID]string, []ids.ID, error) {
 		}
 		if _, dup := addrs[id]; dup {
 			return nil, nil, fmt.Errorf("cluster: duplicate node %v", id)
+		}
+		if _, port, err := net.SplitHostPort(kv[1]); err != nil || port == "" {
+			return nil, nil, fmt.Errorf("cluster: bad address %q for node %v (want host:port)", kv[1], id)
 		}
 		addrs[id] = kv[1]
 		members = append(members, id)
@@ -121,26 +128,6 @@ func FreePorts(members []ids.ID) (map[ids.ID]string, error) {
 
 // ---------------------------------------------------------------- in-proc --
 
-// InProcSpec configures an in-process cluster.
-type InProcSpec struct {
-	// N is the member count.
-	N int
-	// Protocol is paxos | pigpaxos | epaxos.
-	Protocol string
-	// Groups is the PigPaxos relay group count (0: pigpaxos's default).
-	Groups int
-	// RelayTimeout is the PigPaxos aggregation timeout (0: pigpaxos's).
-	RelayTimeout time.Duration
-	// ElectionTimeout enables leader failover when positive.
-	ElectionTimeout time.Duration
-	// Shards partitions the key space across this many consensus groups
-	// laid out by shard.Plan. One or less is a single group over every
-	// member, led by the lowest ID.
-	Shards int
-	// ReadMode selects the Paxos/PigPaxos read path.
-	ReadMode paxos.ReadMode
-}
-
 // InProc is a running in-process TCP cluster: one Member per member ID.
 type InProc struct {
 	Members []ids.ID
@@ -156,30 +143,22 @@ type InProc struct {
 	closed  bool
 }
 
-// StartInProc boots an n-node cluster on ephemeral localhost ports and
-// returns once every replica has started on its event loop. Replicas start
-// only after every member knows every address, so each shard's initial
-// leader wins its first election.
-func StartInProc(spec InProcSpec) (*InProc, error) {
-	if spec.N < 1 {
-		return nil, fmt.Errorf("cluster: need at least one node, got %d", spec.N)
+// StartInProc boots an n-node cluster on ephemeral localhost ports, the key
+// space split into shards groups laid out by shard.Plan (one or less is a
+// single group over every member, led by the lowest ID), every replica
+// built from tmpl as NewMember builds it. It returns once every replica has
+// started on its event loop. Replicas start only after every member knows
+// every address, so each shard's initial leader wins its first election.
+func StartInProc(n, shards int, tmpl protocol.Spec) (*InProc, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("cluster: need at least one node, got %d", n)
 	}
-	kind, err := protocol.Parse(orDefault(spec.Protocol, "paxos"))
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	members := Members(spec.N)
-	core := paxos.Config{ElectionTimeout: spec.ElectionTimeout, ReadMode: spec.ReadMode}
-	tmpl := protocol.Spec{
-		Kind:  kind,
-		Paxos: core,
-		Pig:   pigpaxos.Config{Paxos: core, NumGroups: spec.Groups, RelayTimeout: spec.RelayTimeout},
-	}
+	members := Members(n)
 	c := &InProc{
 		Members: members,
 		Addrs:   make(map[ids.ID]string),
-		Plan:    shard.Plan(config.Cluster{Nodes: members}, spec.Shards, 0),
-		kind:    kind,
+		Plan:    shard.Plan(config.Cluster{Nodes: members}, shards),
+		kind:    tmpl.Kind,
 		members: make(map[ids.ID]*Member),
 	}
 	for _, id := range members {

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"maps"
+	"slices"
 	"testing"
 	"time"
 
@@ -33,6 +35,49 @@ func TestParseAddrsRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestParseFlagsRejectBadInput: the -id and -cluster flags reject IDs out of
+// range, the reserved zero ID, trailing junk and addresses without a port.
+func TestParseFlagsRejectBadInput(t *testing.T) {
+	for _, id := range []string{"-1.70000", "0.0", "1.2x"} {
+		if _, err := ParseID(id); err == nil {
+			t.Errorf("ParseID(%q) accepted bad input", id)
+		}
+		if _, _, err := ParseAddrs(id + "=127.0.0.1:7001"); err == nil {
+			t.Errorf("ParseAddrs(%q) accepted bad input", id+"=127.0.0.1:7001")
+		}
+	}
+	for _, addr := range []string{"", "127.0.0.1"} {
+		if _, _, err := ParseAddrs("1.1=" + addr); err == nil {
+			t.Errorf("ParseAddrs(%q) accepted bad input", "1.1="+addr)
+		}
+	}
+}
+
+// FuzzParseAddrs: no -cluster argument panics the parser, and a list it
+// accepts comes back unchanged through FormatAddrs and a second parse.
+func FuzzParseAddrs(f *testing.F) {
+	for _, s := range []string{
+		"1.1=127.0.0.1:7001,1.2=127.0.0.1:7002", "1.1=:7001", "-1.70000=x",
+		"0.0=127.0.0.1:7001", "1.2x=127.0.0.1:7001", "1.1=", " 1.1=[::1]:7001 ",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		addrs, members, err := ParseAddrs(s)
+		if err != nil {
+			return
+		}
+		out := FormatAddrs(addrs)
+		addrs2, members2, err := ParseAddrs(out)
+		if err != nil {
+			t.Fatalf("ParseAddrs(%q) accepted, its FormatAddrs %q rejected: %v", s, out, err)
+		}
+		if !maps.Equal(addrs, addrs2) || !slices.Equal(members, members2) {
+			t.Fatalf("round trip of %q through %q: %v %v, want %v %v", s, out, addrs2, members2, addrs, members)
+		}
+	})
+}
+
 func TestFreePortsDistinct(t *testing.T) {
 	addrs, err := FreePorts(Members(5))
 	if err != nil {
@@ -55,7 +100,7 @@ func TestInProcFirstElectionWins(t *testing.T) {
 		t.Skip("real TCP cluster")
 	}
 	for i := 0; i < 5; i++ {
-		c, err := StartInProc(InProcSpec{N: 5, Protocol: "paxos"})
+		c, err := StartInProc(5, 1, protocol.Spec{Kind: protocol.Paxos})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +133,7 @@ func TestMemberPigserverBootAnswersQuorumReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := shard.Plan(config.Cluster{Nodes: members}, 1, 0)
+	plan := shard.Plan(config.Cluster{Nodes: members}, 1)
 	tmpl := protocol.Spec{Kind: protocol.PigPaxos, Pig: pigpaxos.Config{NumGroups: 2}}
 	for _, id := range members {
 		m, err := NewMember(id, addrs[id], addrs, plan, tmpl, "")
@@ -123,7 +168,7 @@ func TestMemberRejectsWALItCannotKeep(t *testing.T) {
 		kind   protocol.Kind
 		shards int
 	}{{protocol.EPaxos, 1}, {protocol.Paxos, 2}} {
-		plan := shard.Plan(cc, c.shards, 0)
+		plan := shard.Plan(cc, c.shards)
 		if _, err := NewMember(cc.Nodes[0], "127.0.0.1:0", nil, plan, protocol.Spec{Kind: c.kind}, t.TempDir()); err == nil {
 			t.Errorf("%v over %d shards accepted a WAL directory", c.kind, c.shards)
 		}

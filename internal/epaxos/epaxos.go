@@ -83,15 +83,14 @@ type Config struct {
 	// RetryTimeout re-broadcasts a driven instance's current phase message
 	// when it stalls (lost pre-accepts or accepts), and downgrades a
 	// stalled fast-path attempt to the slow path once a majority has
-	// replied (default 80ms; negative disables retransmits).
+	// replied (default 80ms).
 	RetryTimeout time.Duration
 	// RecoverTimeout is how long execution may stay blocked on an
 	// uncommitted instance before this replica takes it over with Explicit
-	// Prepare (default 250ms; negative disables recovery).
+	// Prepare (default 250ms).
 	RecoverTimeout time.Duration
 	// SweepInterval paces the retransmit/recovery sweep timer (default
-	// 40ms; negative disables the sweep — and with it retransmits and
-	// recovery).
+	// 40ms).
 	SweepInterval time.Duration
 
 	// gcEvery triggers instance-space garbage collection after this many
@@ -132,13 +131,13 @@ func (c *Config) applyDefaults() {
 	if c.gcEvery <= 0 {
 		c.gcEvery = 4096
 	}
-	if c.RetryTimeout == 0 {
+	if c.RetryTimeout <= 0 {
 		c.RetryTimeout = 80 * time.Millisecond
 	}
-	if c.RecoverTimeout == 0 {
+	if c.RecoverTimeout <= 0 {
 		c.RecoverTimeout = 250 * time.Millisecond
 	}
-	if c.SweepInterval == 0 {
+	if c.SweepInterval <= 0 {
 		c.SweepInterval = 40 * time.Millisecond
 	}
 }
@@ -501,7 +500,7 @@ func (r *Replica) OnMessage(from ids.ID, m wire.Msg) {
 	// A crashed replica's timers are skipped, killing the sweep chain; the
 	// first delivered message after recovery resurrects it (a live chain
 	// never falls this far behind).
-	if iv := r.cfg.SweepInterval; iv > 0 && r.ctx.Now()-r.lastSweep > 2*iv {
+	if r.ctx.Now()-r.lastSweep > 2*r.cfg.SweepInterval {
 		r.sweepTick()
 	}
 	if rw := r.row(from); rw != nil {
@@ -1180,9 +1179,6 @@ func (r *Replica) restartPreAccept(ref wire.InstRef, in *instance, cmd kvstore.C
 // -------------------------------------------------------------- sweep --
 
 func (r *Replica) armSweep() {
-	if r.cfg.SweepInterval <= 0 {
-		return
-	}
 	d := r.cfg.SweepInterval
 	if r.lastSweep == 0 {
 		// Phase-stagger the first tick by node number: replicas started at
@@ -1211,66 +1207,62 @@ func (r *Replica) sweepTick() {
 // move the ring.
 func (r *Replica) sweep() {
 	now := r.ctx.Now()
-	if r.cfg.RetryTimeout > 0 {
-		// Adaptive stall threshold: at least RetryTimeout, but well above
-		// the commit latency the cluster is currently delivering, so a
-		// loaded-but-healthy quorum is never mistaken for loss.
-		retryAfter := r.cfg.RetryTimeout
-		if adaptive := 3 * r.commitEwma; adaptive > retryAfter {
-			retryAfter = adaptive
-		}
-		for i := range r.rows {
-			rw := &r.rows[i]
-			for slot := rw.cursor(); slot < rw.win.End(); slot++ {
-				in := rw.win.At(slot)
-				if in == nil || in.drive.IsZero() || in.status >= statusCommitted {
-					continue
-				}
-				r.retransmit(wire.InstRef{Replica: rw.id, Slot: slot}, in, now, retryAfter)
+	// Adaptive stall threshold: at least RetryTimeout, but well above
+	// the commit latency the cluster is currently delivering, so a
+	// loaded-but-healthy quorum is never mistaken for loss.
+	retryAfter := r.cfg.RetryTimeout
+	if adaptive := 3 * r.commitEwma; adaptive > retryAfter {
+		retryAfter = adaptive
+	}
+	for i := range r.rows {
+		rw := &r.rows[i]
+		for slot := rw.cursor(); slot < rw.win.End(); slot++ {
+			in := rw.win.At(slot)
+			if in == nil || in.drive.IsZero() || in.status >= statusCommitted {
+				continue
 			}
+			r.retransmit(wire.InstRef{Replica: rw.id, Slot: slot}, in, now, retryAfter)
 		}
 	}
-	if r.cfg.RecoverTimeout > 0 {
-		for i := range r.rows {
-			rw := &r.rows[i]
-			for slot := rw.cursor(); slot < rw.win.End(); slot++ {
-				in := rw.win.At(slot)
-				if in == nil || !in.block.on {
-					continue
-				}
-				if in.status >= statusCommitted {
-					in.block = blockState{}
-					continue
-				}
-				// Recovery deadlines are tiered so a cluster that is blocked on
-				// one instance does not recover it nine times over (every
-				// concurrent Prepare supersedes every other — a ballot war
-				// that commits nothing):
-				//   - the owner itself, and anyone a row watermark proved the
-				//     instance committed at its owner for (a plain fetch,
-				//     nothing to steal), fire after one timeout;
-				//   - otherwise, a chatty owner is alive and will finish the
-				//     instance itself — everyone defers four timeouts;
-				//   - for a silent owner, the lowest-ID replica this replica
-				//     has recently heard from (itself included) is the
-				//     designated recoverer at one timeout; the rest hang back
-				//     four as its fallback.
-				wait := r.cfg.RecoverTimeout
-				switch {
-				case in.block.committedElsewhere || rw.id == r.cfg.ID:
-				case now-rw.heard < r.cfg.RecoverTimeout:
-					wait = 4 * r.cfg.RecoverTimeout
-				case r.recoveryDelegate(rw.id, now) != r.cfg.ID:
-					wait = 4 * r.cfg.RecoverTimeout
-				}
-				if now-in.block.since < wait {
-					continue
-				}
-				// Re-stamp so a superseded or stalled recovery retries with a
-				// fresh (higher) ballot after another full timeout.
-				in.block.since = now
-				r.startRecovery(wire.InstRef{Replica: rw.id, Slot: slot})
+	for i := range r.rows {
+		rw := &r.rows[i]
+		for slot := rw.cursor(); slot < rw.win.End(); slot++ {
+			in := rw.win.At(slot)
+			if in == nil || !in.block.on {
+				continue
 			}
+			if in.status >= statusCommitted {
+				in.block = blockState{}
+				continue
+			}
+			// Recovery deadlines are tiered so a cluster that is blocked on
+			// one instance does not recover it nine times over (every
+			// concurrent Prepare supersedes every other — a ballot war
+			// that commits nothing):
+			//   - the owner itself, and anyone a row watermark proved the
+			//     instance committed at its owner for (a plain fetch,
+			//     nothing to steal), fire after one timeout;
+			//   - otherwise, a chatty owner is alive and will finish the
+			//     instance itself — everyone defers four timeouts;
+			//   - for a silent owner, the lowest-ID replica this replica
+			//     has recently heard from (itself included) is the
+			//     designated recoverer at one timeout; the rest hang back
+			//     four as its fallback.
+			wait := r.cfg.RecoverTimeout
+			switch {
+			case in.block.committedElsewhere || rw.id == r.cfg.ID:
+			case now-rw.heard < r.cfg.RecoverTimeout:
+				wait = 4 * r.cfg.RecoverTimeout
+			case r.recoveryDelegate(rw.id, now) != r.cfg.ID:
+				wait = 4 * r.cfg.RecoverTimeout
+			}
+			if now-in.block.since < wait {
+				continue
+			}
+			// Re-stamp so a superseded or stalled recovery retries with a
+			// fresh (higher) ballot after another full timeout.
+			in.block.since = now
+			r.startRecovery(wire.InstRef{Replica: rw.id, Slot: slot})
 		}
 	}
 	// Row-watermark gossip: periodically advertise the own-row commit
@@ -1279,7 +1271,7 @@ func (r *Replica) sweep() {
 	// the first one it receives after healing — and the marks double as
 	// liveness heartbeats: the first one delivered to a freshly recovered
 	// replica resurrects its sweep chain (see OnMessage).
-	if r.cfg.RecoverTimeout > 0 && now-r.lastAdvertise >= r.cfg.RecoverTimeout {
+	if now-r.lastAdvertise >= r.cfg.RecoverTimeout {
 		own := r.row(r.cfg.ID)
 		r.ownFloor = max(r.ownFloor, own.floor())
 		for {

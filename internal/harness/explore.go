@@ -5,7 +5,6 @@
 package harness
 
 import (
-	"fmt"
 	"time"
 
 	"pigpaxos/internal/chaos"
@@ -65,19 +64,10 @@ func ShrinkScenario(opts ScenarioOptions, sched chaos.Schedule, failing func(Sce
 	}, shrinkOptionsFor(opts, budget))
 }
 
-// ParseProtocol inverts Protocol.String for corpus entries.
-func ParseProtocol(s string) (Protocol, error) {
-	p, err := protocol.Parse(s)
-	if err != nil {
-		return 0, fmt.Errorf("harness: %w", err)
-	}
-	return p, nil
-}
-
 // CorpusOptions rebuilds the ScenarioOptions a corpus entry was recorded
 // under, so replaying entry.Schedule reproduces the original run exactly.
 func CorpusOptions(e chaos.CorpusEntry) (ScenarioOptions, error) {
-	proto, err := ParseProtocol(e.Protocol)
+	proto, err := protocol.Parse(e.Protocol)
 	if err != nil {
 		return ScenarioOptions{}, err
 	}

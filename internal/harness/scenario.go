@@ -30,6 +30,10 @@ import (
 // ops and hard-capped at 24.
 const maxOpsPerKey = 12
 
+// scenarioDrain is the virtual time after the measurement window for scripts
+// to finish and replicas to converge.
+const scenarioDrain = 5 * time.Second
+
 // ScenarioOptions parameterize one chaos scenario run. The embedded Options
 // configure the cluster exactly as Run does; scenario clients replace the
 // open-ended closed-loop clients with fixed-length recorded scripts so every
@@ -44,10 +48,6 @@ type ScenarioOptions struct {
 	// live traffic. Defaults to Measure/OpsPerClient (script ≈ window);
 	// negative disables pacing.
 	ThinkTime time.Duration
-	// ProbeKeys is the scenario keyspace size. Defaulted so no key sees
-	// more than maxOpsPerKey operations; explicit values are raised back
-	// to that floor.
-	ProbeKeys int
 	// ClientRetry is the clients' sweep period (client.Session.Retry): a
 	// command unanswered that long is sent again, to the next node in
 	// target order if its target said nothing at all in that time (masking
@@ -59,9 +59,6 @@ type ScenarioOptions struct {
 	// ElectionTimeout arms follower elections so leader crashes actually
 	// fail over (default 150ms; ignored by EPaxos).
 	ElectionTimeout time.Duration
-	// Drain is extra virtual time after the measurement window for scripts
-	// to finish and replicas to converge (default 5s).
-	Drain time.Duration
 	// RegionClients homes clients round-robin across the cluster's zones
 	// instead of packing them into the leader's (the paper's WAN runs place
 	// client VMs in every region). Each region's latency and availability
@@ -99,21 +96,11 @@ func (o *ScenarioOptions) applyDefaults() {
 	} else if o.ThinkTime < 0 {
 		o.ThinkTime = 0
 	}
-	total := o.Clients * o.OpsPerClient
-	if floor := (total + maxOpsPerKey - 1) / maxOpsPerKey; o.ProbeKeys < floor {
-		o.ProbeKeys = floor
-	}
-	if o.ProbeKeys < 8 {
-		o.ProbeKeys = 8
-	}
 	if o.ClientRetry == 0 {
 		o.ClientRetry = 120 * time.Millisecond
 	}
 	if o.ElectionTimeout == 0 {
 		o.ElectionTimeout = 150 * time.Millisecond
-	}
-	if o.Drain == 0 {
-		o.Drain = 5 * time.Second
 	}
 	if o.Durable {
 		if o.SnapshotEvery == 0 {
@@ -352,6 +339,10 @@ func runScenario(opts *ScenarioOptions, plan *shard.Map, sched chaos.Schedule) s
 		ids.Sort(g.targets)
 	}
 
+	// The scenario keyspace: large enough that no key sees more than
+	// maxOpsPerKey operations, and never below 8 keys.
+	total := opts.Clients * opts.OpsPerClient
+	keyspace := max((total+maxOpsPerKey-1)/maxOpsPerKey, 8)
 	sr.clients = make([]*closedLoop, opts.Clients)
 	for i := range sr.clients {
 		home := d.cc.ZoneOf(d.cc.Nodes[0])
@@ -363,7 +354,7 @@ func runScenario(opts *ScenarioOptions, plan *shard.Map, sched chaos.Schedule) s
 		}
 		cl := d.closedLoop(uint64(i+1), home, 1000+i, opts.ClientRetry)
 		cl.think = opts.ThinkTime
-		cl.source = scriptSource(scenScript(i, opts.OpsPerClient, opts.ProbeKeys))
+		cl.source = scriptSource(scenScript(i, opts.OpsPerClient, keyspace))
 		cl.record = func(tag int, cmd kvstore.Command, rep wire.Reply, started, now time.Duration) {
 			sr.hist.Add(historyOp(cmd, rep, started, now))
 			sr.gaps.Record(now)
@@ -401,7 +392,7 @@ func runScenario(opts *ScenarioOptions, plan *shard.Map, sched chaos.Schedule) s
 	// latency histogram, throughput counters and linearizability history —
 	// they are measurement, not workload.
 	for k := range sr.groupGaps {
-		keys, ki := probeKeys(d.router, k, 8, uint64(opts.ProbeKeys)), 0
+		keys, ki := probeKeys(d.router, k, 8, uint64(keyspace)), 0
 		pr := d.closedLoop(uint64(opts.Clients+1+k), d.cc.ZoneOf(d.cc.Nodes[0]), 2000+k, opts.ClientRetry)
 		pr.think = 25 * time.Millisecond
 		pr.source = func(bool) (kvstore.Command, bool) {
@@ -427,7 +418,7 @@ func runScenario(opts *ScenarioOptions, plan *shard.Map, sched chaos.Schedule) s
 	d.sim.Run(windowEnd)
 	// Drain: give scripts and convergence (watermarks, catch-up) time to
 	// finish, in slices so a finished run stops early.
-	for drainEnd := windowEnd + opts.Drain; d.sim.Now() < drainEnd && !sr.allDone(); {
+	for drainEnd := windowEnd + scenarioDrain; d.sim.Now() < drainEnd && !sr.allDone(); {
 		d.sim.Run(min(d.sim.Now()+100*time.Millisecond, drainEnd))
 	}
 	// Converge tail: heartbeat watermarks, catch-up replies and EPaxos

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"pigpaxos/internal/chaos"
-	"pigpaxos/internal/config"
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/metrics"
 	"pigpaxos/internal/shard"
@@ -27,17 +26,11 @@ type ShardedOptions struct {
 	ScenarioOptions
 
 	// Shards is the number of independent consensus groups (default 1).
+	// Each group has max(3, N/Shards) members (shard.Plan): disjoint groups
+	// when the cluster divides evenly — the layout where each leader pays
+	// no follower duty for other shards and scaling is near-linear —
+	// graceful overlap otherwise.
 	Shards int
-	// ShardSize fixes each group's member count; 0 picks max(3, N/Shards):
-	// disjoint groups when the cluster divides evenly — the layout where
-	// each leader pays no follower duty for other shards and scaling is
-	// near-linear — graceful overlap otherwise.
-	ShardSize int
-	// ZoneLatency optionally seeds leader placement from a per-region
-	// latency signal (the WAN harness's per-region client RTTs): shard
-	// leaders prefer the lowest-latency zone among their members
-	// (shard.PlanPlaced). Nil keeps duty-spreading placement.
-	ZoneLatency map[int]time.Duration
 }
 
 func (o *ShardedOptions) applyDefaults() {
@@ -51,14 +44,6 @@ func (o *ShardedOptions) applyDefaults() {
 		o.Shards = 1
 	}
 	o.ScenarioOptions.applyDefaults()
-}
-
-// plan computes the sharding layout the options select.
-func (o *ShardedOptions) plan(cc config.Cluster) shard.Map {
-	if len(o.ZoneLatency) > 0 {
-		return shard.PlanPlaced(cc, o.Shards, o.ShardSize, o.ZoneLatency)
-	}
-	return shard.Plan(cc, o.Shards, o.ShardSize)
 }
 
 // ShardLoad is one shard's slice of a sharded throughput run.
@@ -94,7 +79,7 @@ type ShardedResult struct {
 // fixed offered load).
 func RunSharded(opts ShardedOptions) ShardedResult {
 	opts.applyDefaults()
-	plan := opts.plan(opts.cluster())
+	plan := shard.Plan(opts.cluster(), opts.Shards)
 	lr := runLoad(&opts.Options, &plan)
 	res := ShardedResult{
 		Protocol: opts.Protocol,
@@ -194,7 +179,7 @@ type ShardedScenarioResult struct {
 // fault blast radius is measurable per shard.
 func RunShardedScenario(opts ShardedOptions, sched chaos.Schedule) ShardedScenarioResult {
 	opts.applyDefaults()
-	plan := opts.plan(opts.cluster())
+	plan := shard.Plan(opts.cluster(), opts.Shards)
 	sr := runScenario(&opts.ScenarioOptions, &plan, sched)
 	res := ShardedScenarioResult{
 		Protocol:    opts.Protocol,

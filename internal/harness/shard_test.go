@@ -127,7 +127,7 @@ func TestShardedScenarioLeaderCrashIsolated(t *testing.T) {
 		t.Fatalf("fault log = %v, want a crash-shard-leader entry", r.FaultLog)
 	}
 	victim := r.FaultLog[0].Target
-	plan := shard.Plan(config.NewLAN(opts.N), opts.Shards, 0)
+	plan := shard.Plan(config.NewLAN(opts.N), opts.Shards)
 	touched := map[int]bool{}
 	for _, k := range plan.ShardsOn(victim) {
 		touched[k] = true
@@ -251,7 +251,7 @@ func busyShardedOpts() ShardedOptions {
 func TestShardedClientsHonorBusy(t *testing.T) {
 	opts := busyShardedOpts()
 	opts.applyDefaults()
-	plan := opts.plan(opts.cluster())
+	plan := shard.Plan(opts.cluster(), opts.Shards)
 	lr := runLoad(&opts.Options, &plan)
 	var shed uint64
 	lr.d.coreStats(func(_ ids.ID, core *paxos.Replica) { shed += core.Stats().Busy })
@@ -275,7 +275,7 @@ func TestShardedScenarioClientsHonorBusy(t *testing.T) {
 	opts.ThinkTime = -1 // closed loop, so the leaders actually shed
 	opts.OpsPerClient = 40
 	opts.applyDefaults()
-	plan := opts.plan(opts.cluster())
+	plan := shard.Plan(opts.cluster(), opts.Shards)
 	sr := runScenario(&opts.ScenarioOptions, &plan, nil)
 	honored := 0
 	for _, cl := range sr.clients {

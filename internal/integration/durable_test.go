@@ -25,7 +25,7 @@ func startDurable(t *testing.T, kind protocol.Kind, dir string) (map[ids.ID]stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := shard.Plan(config.Cluster{Nodes: members}, 1, 0)
+	plan := shard.Plan(config.Cluster{Nodes: members}, 1)
 	base := paxos.Config{SnapshotEvery: 64, MaxBatchSize: 4, MaxInFlight: 2}
 	tmpl := protocol.Spec{Kind: kind, Paxos: base, Pig: pigpaxos.Config{Paxos: base, NumGroups: 1}}
 	var ms []*cluster.Member

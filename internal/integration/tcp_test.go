@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,6 +16,8 @@ import (
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
 	"pigpaxos/internal/loadgen"
+	"pigpaxos/internal/paxos"
+	"pigpaxos/internal/protocol"
 	"pigpaxos/internal/transport"
 	"pigpaxos/internal/wire"
 	"pigpaxos/internal/workload"
@@ -27,9 +30,9 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real TCP cluster")
 	}
-	for _, proto := range []string{"paxos", "pigpaxos"} {
-		t.Run(proto, func(t *testing.T) {
-			c, err := cluster.StartInProc(cluster.InProcSpec{N: 3, Protocol: proto})
+	for _, kind := range []protocol.Kind{protocol.Paxos, protocol.PigPaxos} {
+		t.Run(strings.ToLower(kind.String()), func(t *testing.T) {
+			c, err := cluster.StartInProc(3, 1, protocol.Spec{Kind: kind})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,10 +117,9 @@ func TestTCPLeaderKillFailover(t *testing.T) {
 		t.Skip("real TCP cluster")
 	}
 	const electTO = 400 * time.Millisecond
-	c, err := cluster.StartInProc(cluster.InProcSpec{
-		N:               3,
-		Protocol:        "paxos",
-		ElectionTimeout: electTO,
+	c, err := cluster.StartInProc(3, 1, protocol.Spec{
+		Kind:  protocol.Paxos,
+		Paxos: paxos.Config{ElectionTimeout: electTO},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,10 +185,9 @@ func TestTCPGracefulLeaderDrain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real TCP cluster")
 	}
-	c, err := cluster.StartInProc(cluster.InProcSpec{
-		N:               3,
-		Protocol:        "paxos",
-		ElectionTimeout: 400 * time.Millisecond,
+	c, err := cluster.StartInProc(3, 1, protocol.Spec{
+		Kind:  protocol.Paxos,
+		Paxos: paxos.Config{ElectionTimeout: 400 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +234,7 @@ func TestTCPCompactedLogReleasesInboundMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP integration test skipped under -short")
 	}
-	c, err := cluster.StartInProc(cluster.InProcSpec{N: 3, Protocol: "paxos"})
+	c, err := cluster.StartInProc(3, 1, protocol.Spec{Kind: protocol.Paxos})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@
 // leaves a member that has gone silent and retransmits stragglers, so a
 // leader crash mid-run costs a bounded completion gap rather than the run.
 // The node hides connection errors, so a dead leader is noticed after one
-// RetryInterval of silence, and the gap includes it. Past the in-flight cap
+// retryInterval of silence, and the gap includes it. Past the in-flight cap
 // — sessions.Window, what the leader's session table remembers, or the
 // smaller window the leader's Busy leaves the session — a worker sheds new
 // arrivals, the open loop's stand-in for an overloaded client machine, and
@@ -35,6 +35,11 @@ import (
 	"pigpaxos/internal/wire"
 	"pigpaxos/internal/workload"
 )
+
+// retryInterval is each worker's straggler sweep period: ops unanswered
+// that long are sent again, and a member that answered nothing for a whole
+// interval is left for the next.
+const retryInterval = 250 * time.Millisecond
 
 // Options configures a load run.
 type Options struct {
@@ -59,10 +64,6 @@ type Options struct {
 	// that fell Window behind its worker's newest executed one, which the
 	// leader drops as stale.
 	Timeout time.Duration
-	// RetryInterval is the straggler sweep period (default 250ms): ops
-	// unanswered that long are sent again, and a member that answered
-	// nothing for a whole interval is left for the next.
-	RetryInterval time.Duration
 	// Seed makes arrival times and key draws reproducible.
 	Seed int64
 	// ClientIDBase offsets worker client IDs (worker i uses base+1+i) so
@@ -91,9 +92,6 @@ func (o *Options) defaults() error {
 	}
 	if o.Timeout == 0 {
 		o.Timeout = 2 * time.Second
-	}
-	if o.RetryInterval == 0 {
-		o.RetryInterval = 250 * time.Millisecond
 	}
 	if err := o.Workload.Validate(); err != nil {
 		return err
@@ -168,7 +166,7 @@ func Run(opts Options) (*Result, error) {
 			Target:    opts.Members[0],
 			Window:    sessions.Window,
 			Timeout:   opts.Timeout,
-			Retry:     opts.RetryInterval,
+			Retry:     retryInterval,
 			Done:      func(op client.Op, _ wire.Reply) { e.ended(op, true) },
 			Abandoned: func(op client.Op) { e.ended(op, false) },
 		}

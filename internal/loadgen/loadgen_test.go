@@ -10,6 +10,7 @@ import (
 	"pigpaxos/internal/cluster"
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/loadgen"
+	"pigpaxos/internal/protocol"
 	"pigpaxos/internal/transport"
 	"pigpaxos/internal/wire"
 	"pigpaxos/internal/workload"
@@ -31,7 +32,7 @@ func TestOpenLoopAgainstRealCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real TCP cluster")
 	}
-	c, err := cluster.StartInProc(cluster.InProcSpec{N: 3, Protocol: "paxos"})
+	c, err := cluster.StartInProc(3, 1, protocol.Spec{Kind: protocol.Paxos})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,16 +35,6 @@ type Options struct {
 	// ByteCostPerKB is additional CPU per KiB of payload, charged on both
 	// sides (scaled linearly for partial KiBs).
 	ByteCostPerKB time.Duration
-	// Jitter adds uniform random [0, Jitter) to each link delay.
-	Jitter time.Duration
-	// LossRate drops each non-loopback message with this probability
-	// (0..1). Protocol retries and catch-up must mask the losses.
-	LossRate float64
-	// BandwidthBps, when positive, models link capacity: each message
-	// adds size/bandwidth of transmission delay on top of propagation
-	// latency (§5.6: "large messages require ... more network capacity
-	// for transmission").
-	BandwidthBps int64
 }
 
 // DefaultOptions returns the calibration used for the paper reproduction:
@@ -497,10 +487,6 @@ func (e *Endpoint) Send(to ids.ID, m wire.Msg) {
 		n.dropped++
 		return
 	}
-	if n.opts.LossRate > 0 && to != e.id && n.sim.Rand().Float64() < n.opts.LossRate {
-		n.dropped++
-		return
-	}
 	// Per-link probabilistic faults (chaos schedules). RNG draws happen only
 	// when faults are configured, so fault-free runs are bit-identical to
 	// runs before this feature existed.
@@ -529,12 +515,6 @@ func (e *Endpoint) Send(to ids.ID, m wire.Msg) {
 		}
 		if lp.Jitter > 0 {
 			lat += time.Duration(n.sim.Rand().Int63n(int64(lp.Jitter)))
-		}
-		if n.opts.Jitter > 0 {
-			lat += time.Duration(n.sim.Rand().Int63n(int64(n.opts.Jitter)))
-		}
-		if n.opts.BandwidthBps > 0 {
-			lat += time.Duration(int64(size) * int64(time.Second) / n.opts.BandwidthBps)
 		}
 	}
 	copies := 1

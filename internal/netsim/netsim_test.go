@@ -305,55 +305,3 @@ func TestLeaderBottleneckShape(t *testing.T) {
 		t.Errorf("CPU ratio 24-fanout/3-fanout = %.2f, want ≈ 8", ratio)
 	}
 }
-
-func TestLossRateDropsRoughlyProportionally(t *testing.T) {
-	opts := Options{LossRate: 0.3}
-	sim, net, recs, eps := setup(2, opts)
-	const n = 2000
-	sim.Schedule(0, func() {
-		for i := 0; i < n; i++ {
-			eps[0].Send(eps[1].ID(), wire.P1a{Ballot: 1})
-		}
-	})
-	sim.RunUntilIdle()
-	got := len(recs[1].got)
-	if got < n*60/100 || got > n*80/100 {
-		t.Errorf("delivered %d of %d with 30%% loss, want ≈ %d", got, n, n*70/100)
-	}
-	if net.MessagesDropped() != uint64(n-got) {
-		t.Errorf("dropped counter = %d, want %d", net.MessagesDropped(), n-got)
-	}
-}
-
-func TestLossRateSparesLoopback(t *testing.T) {
-	opts := Options{LossRate: 1.0}
-	sim, _, recs, eps := setup(2, opts)
-	sim.Schedule(0, func() { eps[0].Send(eps[0].ID(), wire.P1a{Ballot: 1}) })
-	sim.RunUntilIdle()
-	if len(recs[0].got) != 1 {
-		t.Error("loopback must never be lost")
-	}
-}
-
-func TestBandwidthAddsTransmissionDelay(t *testing.T) {
-	// 1 KB/s link: a ~34-byte request takes ~34ms of transmission.
-	opts := Options{BandwidthBps: 1024}
-	sim, _, recs, eps := setup(2, opts)
-	m := wire.Request{}
-	sim.Schedule(0, func() { eps[0].Send(eps[1].ID(), m) })
-	sim.RunUntilIdle()
-	want := 125*time.Microsecond + time.Duration(int64(m.Size())*int64(time.Second)/1024)
-	if recs[1].got[0].at != want {
-		t.Errorf("delivery at %v, want %v (size %d)", recs[1].got[0].at, want, m.Size())
-	}
-}
-
-func TestBandwidthSparesLoopback(t *testing.T) {
-	opts := Options{BandwidthBps: 1} // absurdly slow link
-	sim, _, recs, eps := setup(2, opts)
-	sim.Schedule(0, func() { eps[0].Send(eps[0].ID(), wire.P1a{Ballot: 1}) })
-	sim.Run(time.Second)
-	if len(recs[0].got) != 1 {
-		t.Error("loopback must bypass the link model")
-	}
-}

@@ -225,9 +225,7 @@ func TestLossyNetworkEndToEnd(t *testing.T) {
 	// on leader retransmit only, with a patient client.
 	sim := des.New(99)
 	cc := config.NewLAN(5)
-	opts := netsim.DefaultOptions()
-	opts.LossRate = 0.10
-	net := netsim.New(sim, cc, opts)
+	net := netsim.New(sim, cc, netsim.DefaultOptions())
 	replicas := make(map[ids.ID]*Replica)
 	for _, id := range cc.Nodes {
 		tr := &trampoline{}
@@ -241,6 +239,7 @@ func TestLossyNetworkEndToEnd(t *testing.T) {
 	}
 	cl := &testClient{sim: sim, id: ids.NewID(999, 1), sent: make(map[[2]uint64]sentCmd)}
 	cl.ep = net.Register(cl.id, cl, true)
+	net.SetAllLinkFaults(netsim.LinkFaults{Loss: 0.10})
 	sim.Schedule(0, func() {
 		for _, r := range replicas {
 			r.Start()

@@ -7,10 +7,9 @@
 // retrying until the newest observed version appears committed at a
 // majority.
 //
-// As the paper suggests, any replica can act as the read proxy on behalf of
-// a client that does not know the membership; the proxy's fan-out can
-// itself be relayed through PigPaxos groups, which this implementation
-// supports by routing through a pluggable fan-out function.
+// The package has two halves: a Reader, which lives on the client and sends
+// its version queries straight to every member, and a Responder on each
+// replica, which answers them from the replica's store.
 package pqr
 
 import (
@@ -23,30 +22,12 @@ import (
 	"pigpaxos/internal/wire"
 )
 
-// Config parameterizes a quorum reader.
-type Config struct {
-	// Cluster members queried for versions.
-	Members []ids.ID
-	// Quorum is how many replies decide a read (default: majority of
-	// Members, counting the reader itself if it is a member).
-	Quorum int
-	// RinseInterval is the retry delay while a read is unstable.
-	RinseInterval time.Duration
-	// MaxRinses bounds retries before failing the read.
-	MaxRinses int
-}
-
-func (c *Config) applyDefaults() {
-	if c.Quorum == 0 {
-		c.Quorum = quorum.MajoritySize(len(c.Members))
-	}
-	if c.RinseInterval == 0 {
-		c.RinseInterval = 2 * time.Millisecond
-	}
-	if c.MaxRinses == 0 {
-		c.MaxRinses = 20
-	}
-}
+// A read that sees disagreement re-reads after rinseInterval, and fails
+// after maxRinses re-reads.
+const (
+	rinseInterval = 2 * time.Millisecond
+	maxRinses     = 20
+)
 
 // Result is the outcome of a quorum read.
 type Result struct {
@@ -61,21 +42,18 @@ type Result struct {
 type read struct {
 	key      uint64
 	replies  map[ids.ID]wire.QReadReply
-	want     int
 	rinses   int
 	deadline node.Timer
 	done     func(Result)
 }
 
-// Reader performs quorum reads. It can live on a client (that knows the
-// membership) or on any replica acting as a proxy. Store, when non-nil,
-// contributes the local replica's version without a network hop.
+// Reader performs quorum reads on a client that knows the membership.
 type Reader struct {
-	ctx   node.Context
-	cfg   Config
-	store *kvstore.Store
-	next  uint64
-	reads map[uint64]*read
+	ctx     node.Context
+	members []ids.ID
+	quorum  int
+	next    uint64
+	reads   map[uint64]*read
 
 	stats Stats
 }
@@ -87,14 +65,14 @@ type Stats struct {
 	Fails  uint64
 }
 
-// New creates a Reader. store may be nil (client-side reader).
-func New(ctx node.Context, cfg Config, store *kvstore.Store) *Reader {
-	cfg.applyDefaults()
+// New creates a Reader that queries members and decides each read on a
+// majority of them.
+func New(ctx node.Context, members []ids.ID) *Reader {
 	return &Reader{
-		ctx:   ctx,
-		cfg:   cfg,
-		store: store,
-		reads: make(map[uint64]*read),
+		ctx:     ctx,
+		members: members,
+		quorum:  quorum.MajoritySize(len(members)),
+		reads:   make(map[uint64]*read),
 	}
 }
 
@@ -111,23 +89,12 @@ func (r *Reader) Read(key uint64, done func(Result)) {
 func (r *Reader) start(key uint64, rinses int, done func(Result)) {
 	r.next++
 	rid := r.next
-	rd := &read{key: key, replies: make(map[ids.ID]wire.QReadReply), want: r.cfg.Quorum, rinses: rinses, done: done}
+	rd := &read{key: key, replies: make(map[ids.ID]wire.QReadReply), rinses: rinses, done: done}
 	r.reads[rid] = rd
-	for _, m := range r.cfg.Members {
-		if m == r.ctx.ID() && r.store != nil {
-			v, ok := r.store.Get(key)
-			rd.replies[m] = wire.QReadReply{
-				Key: key, RID: rid, From: m,
-				Version: r.store.Version(key), Exists: ok, Value: v,
-			}
-			continue
-		}
+	for _, m := range r.members {
 		r.ctx.Send(m, wire.QReadReq{Key: key, RID: rid})
 	}
-	if r.tryFinish(rid, rd) {
-		return
-	}
-	rd.deadline = r.ctx.After(r.cfg.RinseInterval*time.Duration(r.cfg.MaxRinses+1), func() {
+	rd.deadline = r.ctx.After(rinseInterval*(maxRinses+1), func() {
 		if _, live := r.reads[rid]; live {
 			delete(r.reads, rid)
 			r.stats.Fails++
@@ -151,9 +118,9 @@ func (r *Reader) OnReply(m wire.QReadReply) {
 // highest version is stable (held by a majority). Otherwise, once enough
 // replies arrived, it rinses: re-reads after a delay, because the newest
 // version may still be propagating.
-func (r *Reader) tryFinish(rid uint64, rd *read) bool {
-	if len(rd.replies) < rd.want {
-		return false
+func (r *Reader) tryFinish(rid uint64, rd *read) {
+	if len(rd.replies) < r.quorum {
+		return
 	}
 	var maxV uint64
 	for _, rep := range rd.replies {
@@ -169,28 +136,27 @@ func (r *Reader) tryFinish(rid uint64, rd *read) bool {
 			winner = rep
 		}
 	}
-	if holders >= rd.want || maxV == 0 {
+	if holders >= r.quorum || maxV == 0 {
 		r.finish(rid, rd, Result{
 			Exists: winner.Exists, Value: winner.Value,
 			Version: maxV, Rinses: rd.rinses,
 		})
-		return true
+		return
 	}
 	// Unstable: the newest version is not yet at a quorum. Rinse.
-	if rd.rinses >= r.cfg.MaxRinses {
+	if rd.rinses >= maxRinses {
 		r.stats.Fails++
 		r.finish(rid, rd, Result{Failed: true, Rinses: rd.rinses})
-		return true
+		return
 	}
 	r.stats.Rinses++
 	done := rd.done
 	key := rd.key
 	rinses := rd.rinses + 1
 	r.drop(rid, rd)
-	r.ctx.After(r.cfg.RinseInterval, func() {
+	r.ctx.After(rinseInterval, func() {
 		r.start(key, rinses, done)
 	})
-	return true
 }
 
 func (r *Reader) finish(rid uint64, rd *read, res Result) {

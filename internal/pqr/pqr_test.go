@@ -40,7 +40,7 @@ func (h *readerHandler) OnMessage(from ids.ID, m wire.Msg) {
 	}
 }
 
-func newFixture(t *testing.T, n int, mut func(*Config)) *fixture {
+func newFixture(t *testing.T, n int) *fixture {
 	t.Helper()
 	sim := des.New(5)
 	cc := config.NewLAN(n)
@@ -55,11 +55,7 @@ func newFixture(t *testing.T, n int, mut func(*Config)) *fixture {
 	}
 	rh := &readerHandler{}
 	ep := net.Register(ids.NewID(999, 1), rh, true)
-	cfg := Config{Members: cc.Nodes}
-	if mut != nil {
-		mut(&cfg)
-	}
-	f.reader = New(ep, cfg, nil)
+	f.reader = New(ep, cc.Nodes)
 	rh.r = f.reader
 	return f
 }
@@ -75,7 +71,7 @@ func (f *fixture) read(key uint64) {
 }
 
 func TestStableReadReturnsValue(t *testing.T) {
-	f := newFixture(t, 5, nil)
+	f := newFixture(t, 5)
 	for _, id := range f.cc.Nodes {
 		f.put(id, 1, "stable")
 	}
@@ -91,7 +87,7 @@ func TestStableReadReturnsValue(t *testing.T) {
 }
 
 func TestMissingKeyReads(t *testing.T) {
-	f := newFixture(t, 5, nil)
+	f := newFixture(t, 5)
 	f.read(42)
 	f.sim.Run(50 * time.Millisecond)
 	if len(f.results) != 1 || f.results[0].Exists || f.results[0].Failed {
@@ -102,7 +98,7 @@ func TestMissingKeyReads(t *testing.T) {
 func TestUnstableReadRinses(t *testing.T) {
 	// Only one replica has the newest version: the read must rinse until
 	// the write propagates, then return the new value.
-	f := newFixture(t, 5, nil)
+	f := newFixture(t, 5)
 	for _, id := range f.cc.Nodes {
 		f.put(id, 1, "old")
 	}
@@ -132,10 +128,7 @@ func TestUnstableReadRinses(t *testing.T) {
 }
 
 func TestNeverStableFails(t *testing.T) {
-	f := newFixture(t, 5, func(c *Config) {
-		c.MaxRinses = 3
-		c.RinseInterval = time.Millisecond
-	})
+	f := newFixture(t, 5)
 	for _, id := range f.cc.Nodes {
 		f.put(id, 1, "old")
 	}
@@ -161,7 +154,7 @@ func TestNeverStableFails(t *testing.T) {
 }
 
 func TestQuorumReachedWithMinorityCrashed(t *testing.T) {
-	f := newFixture(t, 5, nil)
+	f := newFixture(t, 5)
 	for _, id := range f.cc.Nodes {
 		f.put(id, 1, "v")
 	}
@@ -175,7 +168,7 @@ func TestQuorumReachedWithMinorityCrashed(t *testing.T) {
 }
 
 func TestReadFailsWithMajorityCrashed(t *testing.T) {
-	f := newFixture(t, 5, func(c *Config) { c.MaxRinses = 2; c.RinseInterval = time.Millisecond })
+	f := newFixture(t, 5)
 	for _, id := range f.cc.Nodes {
 		f.put(id, 1, "v")
 	}
@@ -189,48 +182,8 @@ func TestReadFailsWithMajorityCrashed(t *testing.T) {
 	}
 }
 
-func TestProxyReaderUsesLocalStore(t *testing.T) {
-	// A replica acting as proxy answers its own share locally: with a
-	// 3-node cluster and quorum 2, one network reply suffices.
-	sim := des.New(5)
-	cc := config.NewLAN(3)
-	net := netsim.New(sim, cc, netsim.DefaultOptions())
-	stores := make(map[ids.ID]*kvstore.Store)
-	type proxyH struct {
-		reader *Reader
-		resp   *Responder
-	}
-	handlers := make(map[ids.ID]*proxyH)
-	for _, id := range cc.Nodes {
-		st := kvstore.New()
-		st.Apply(kvstore.Command{Op: kvstore.Put, Key: 7, Value: []byte("local")})
-		stores[id] = st
-		h := &proxyH{}
-		tr := netsim.HandlerFunc(func(from ids.ID, m wire.Msg) {
-			switch v := m.(type) {
-			case wire.QReadReq:
-				h.resp.OnRequest(from, v)
-			case wire.QReadReply:
-				h.reader.OnReply(v)
-			}
-		})
-		ep := net.Register(id, tr, false)
-		h.resp = NewResponder(ep, st)
-		h.reader = New(ep, Config{Members: cc.Nodes}, st)
-		handlers[id] = h
-	}
-	var got *Result
-	sim.Schedule(0, func() {
-		handlers[cc.Nodes[0]].reader.Read(7, func(r Result) { got = &r })
-	})
-	sim.Run(50 * time.Millisecond)
-	if got == nil || got.Failed || string(got.Value) != "local" {
-		t.Fatalf("proxy read: %+v", got)
-	}
-}
-
 func TestConcurrentReadsIndependent(t *testing.T) {
-	f := newFixture(t, 5, nil)
+	f := newFixture(t, 5)
 	for _, id := range f.cc.Nodes {
 		f.put(id, 1, "a")
 		f.put(id, 2, "b")

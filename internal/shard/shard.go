@@ -23,8 +23,6 @@ package shard
 
 import (
 	"fmt"
-	"sort"
-	"time"
 
 	"pigpaxos/internal/config"
 	"pigpaxos/internal/ids"
@@ -169,31 +167,22 @@ func (m Map) Validate(cc config.Cluster) error {
 	return nil
 }
 
-// Plan computes the sharding layout for cc with s shards. size fixes each
-// shard's member count; size <= 0 picks max(3, N/s) — disjoint groups when
-// the cluster is large enough (each leader then pays no follower duty for
-// other shards, the condition for near-linear scaling), graceful overlap
-// when it is not.
+// Plan computes the sharding layout for cc with s shards. Each shard has
+// max(3, N/s) members, capped at N — disjoint groups when the cluster is
+// large enough (each leader then pays no follower duty for other shards,
+// the condition for near-linear scaling), graceful overlap when it is not.
 //
 // Shard k's members are the contiguous block of cc.Nodes starting at
 // (k*size) mod N, so blocks tile the membership; its leader is chosen
 // greedily to spread leader duty: the member currently leading the fewest
 // shards, ties broken by membership order. The whole computation is a pure
-// function of (cc.Nodes, s, size).
-func Plan(cc config.Cluster, s, size int) Map {
+// function of (cc.Nodes, s).
+func Plan(cc config.Cluster, s int) Map {
 	n := len(cc.Nodes)
 	if s < 1 {
 		s = 1
 	}
-	if size <= 0 {
-		size = n / s
-		if size < 3 {
-			size = 3
-		}
-	}
-	if size > n {
-		size = n
-	}
+	size := min(max(n/s, 3), n)
 	m := Map{Router: NewRouter(s), Shards: make([]Descriptor, s)}
 	duty := make(map[ids.ID]int, n)
 	for k := 0; k < s; k++ {
@@ -209,56 +198,6 @@ func Plan(cc config.Cluster, s, size int) Map {
 		}
 		duty[leader]++
 		m.Shards[k] = Descriptor{Index: k, Members: members, Leader: leader}
-	}
-	return m
-}
-
-// PlanPlaced is Plan with latency-aware leader placement: zoneLatency
-// scores each zone (e.g. the WAN harness's measured per-region client RTT
-// or commit latency), and within each shard the leader is drawn from the
-// lowest-scoring zone present among its members. Leader-duty spreading
-// still applies as the tiebreak within the preferred zone, so placement
-// flips stay deterministic. A nil or empty signal degrades to Plan.
-func PlanPlaced(cc config.Cluster, s, size int, zoneLatency map[int]time.Duration) Map {
-	m := Plan(cc, s, size)
-	if len(zoneLatency) == 0 {
-		return m
-	}
-	// Rank zones by ascending latency; unknown zones rank last, after
-	// every measured one, in zone order for determinism.
-	rank := make(map[int]int)
-	var zones []int
-	for z := range zoneLatency {
-		zones = append(zones, z)
-	}
-	sort.Slice(zones, func(i, j int) bool {
-		if zoneLatency[zones[i]] != zoneLatency[zones[j]] {
-			return zoneLatency[zones[i]] < zoneLatency[zones[j]]
-		}
-		return zones[i] < zones[j]
-	})
-	for i, z := range zones {
-		rank[z] = i
-	}
-	unknown := len(zones)
-	zoneRank := func(id ids.ID) int {
-		if r, ok := rank[cc.ZoneOf(id)]; ok {
-			return r
-		}
-		return unknown
-	}
-	duty := make(map[ids.ID]int, len(cc.Nodes))
-	for k := range m.Shards {
-		d := &m.Shards[k]
-		leader := d.Members[0]
-		for _, mem := range d.Members {
-			lr, mr := zoneRank(leader), zoneRank(mem)
-			if mr < lr || (mr == lr && duty[mem] < duty[leader]) {
-				leader = mem
-			}
-		}
-		duty[leader]++
-		d.Leader = leader
 	}
 	return m
 }

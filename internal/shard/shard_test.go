@@ -3,7 +3,6 @@ package shard
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"pigpaxos/internal/config"
 	"pigpaxos/internal/des"
@@ -82,7 +81,7 @@ func TestRouterZeroAllocs(t *testing.T) {
 
 func TestPlanDisjointWhenDivisible(t *testing.T) {
 	cc := config.NewLAN(12)
-	m := Plan(cc, 4, 0)
+	m := Plan(cc, 4)
 	if err := m.Validate(cc); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +103,7 @@ func TestPlanDisjointWhenDivisible(t *testing.T) {
 
 func TestPlanLeaderSpreading(t *testing.T) {
 	cc := config.NewLAN(6)
-	m := Plan(cc, 4, 3) // overlapping blocks of 3 over 6 nodes
+	m := Plan(cc, 4) // overlapping blocks of 3 over 6 nodes
 	if err := m.Validate(cc); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +120,7 @@ func TestPlanLeaderSpreading(t *testing.T) {
 
 func TestPlanSmallCluster(t *testing.T) {
 	cc := config.NewLAN(3)
-	m := Plan(cc, 4, 0)
+	m := Plan(cc, 4)
 	if err := m.Validate(cc); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +133,7 @@ func TestPlanSmallCluster(t *testing.T) {
 
 func TestPlanDeterministic(t *testing.T) {
 	cc := config.NewWAN3(9)
-	a, b := Plan(cc, 4, 0), Plan(cc, 4, 0)
+	a, b := Plan(cc, 4), Plan(cc, 4)
 	for k := range a.Shards {
 		if a.Shards[k].Leader != b.Shards[k].Leader {
 			t.Fatalf("shard %d leaders differ across identical plans", k)
@@ -147,29 +146,9 @@ func TestPlanDeterministic(t *testing.T) {
 	}
 }
 
-func TestPlanPlacedPrefersLowLatencyZone(t *testing.T) {
-	cc := config.NewWAN3(9) // zones 1,2,3 round-robin
-	sig := map[int]time.Duration{
-		config.ZoneVirginia:   30 * time.Millisecond,
-		config.ZoneCalifornia: 5 * time.Millisecond,
-		config.ZoneOregon:     12 * time.Millisecond,
-	}
-	m := PlanPlaced(cc, 1, 9, sig)
-	if err := m.Validate(cc); err != nil {
-		t.Fatal(err)
-	}
-	if z := cc.ZoneOf(m.Shards[0].Leader); z != config.ZoneCalifornia {
-		t.Fatalf("leader in zone %d, want California (lowest latency signal)", z)
-	}
-	// Empty signal degrades to Plan.
-	if got, want := PlanPlaced(cc, 2, 0, nil), Plan(cc, 2, 0); got.Shards[0].Leader != want.Shards[0].Leader {
-		t.Fatalf("nil signal must reduce PlanPlaced to Plan")
-	}
-}
-
 func TestLeaderPlacementFlip(t *testing.T) {
 	cc := config.NewWAN3(9)
-	d := Plan(cc, 1, 9).Shards[0]
+	d := Plan(cc, 1).Shards[0]
 	flipped, ok := LeaderPlacementFlip(cc, d, config.ZoneOregon)
 	if !ok {
 		t.Fatal("flip to a populated zone must succeed")
@@ -184,7 +163,7 @@ func TestLeaderPlacementFlip(t *testing.T) {
 
 func TestMapOfAndShardsOn(t *testing.T) {
 	cc := config.NewLAN(12)
-	m := Plan(cc, 4, 0)
+	m := Plan(cc, 4)
 	for key := uint64(0); key < 100; key++ {
 		if got, want := m.Of(key).Index, m.Router.Shard(key); got != want {
 			t.Fatalf("Of(%d).Index=%d, router says %d", key, got, want)

@@ -38,6 +38,7 @@ import (
 	"pigpaxos/internal/cluster"
 	"pigpaxos/internal/kvstore"
 	"pigpaxos/internal/paxos"
+	ipig "pigpaxos/internal/pigpaxos"
 	"pigpaxos/internal/protocol"
 	"pigpaxos/internal/wire"
 )
@@ -159,14 +160,11 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if opts.Protocol == ProtocolPigPaxos && opts.Shards <= 1 && opts.RelayGroups >= opts.N {
 		return nil, fmt.Errorf("pigpaxos: %d relay groups need a cluster larger than %d", opts.RelayGroups, opts.N)
 	}
-	in, err := cluster.StartInProc(cluster.InProcSpec{
-		N:               opts.N,
-		Protocol:        opts.Protocol.kind().String(),
-		Groups:          opts.RelayGroups,
-		RelayTimeout:    opts.RelayTimeout,
-		ElectionTimeout: opts.ElectionTimeout,
-		Shards:          opts.Shards,
-		ReadMode:        paxos.ReadMode(opts.ReadMode),
+	core := paxos.Config{ElectionTimeout: opts.ElectionTimeout, ReadMode: paxos.ReadMode(opts.ReadMode)}
+	in, err := cluster.StartInProc(opts.N, opts.Shards, protocol.Spec{
+		Kind:  opts.Protocol.kind(),
+		Paxos: core,
+		Pig:   ipig.Config{Paxos: core, NumGroups: opts.RelayGroups, RelayTimeout: opts.RelayTimeout},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("pigpaxos: %w", err)

@@ -389,7 +389,8 @@ func runScenarios(name string, suite harness.Suite, benchfmt bool, runs, jobs in
 		// links — Explicit Prepare recovery, the retransmit sweep and the
 		// session tables must deliver a clean bill (linearizable,
 		// converged, zero unrecovered instances), bit-identically at equal
-		// seeds. The explorer then runs the full EPaxos palette.
+		// seeds. The explorer then runs the full EPaxos palette (what
+		// ExploreSchedules picks for LAN EPaxos).
 		o := scenarioBase(harness.EPaxos, suite)
 		at := o.Warmup + 300*time.Millisecond
 		sched := chaos.Merge(
@@ -408,7 +409,7 @@ func runScenarios(name string, suite harness.Suite, benchfmt bool, runs, jobs in
 			return fmt.Errorf("epaxoschaos: two runs at seed %d are not bit-identical", o.Seed)
 		}
 		o.Jobs = jobs
-		ex := chaos.ExplorerOpts{Scenarios: 3, Allow: chaos.EPaxosPalette()}
+		ex := chaos.ExplorerOpts{Scenarios: 3}
 		results := harness.ExploreScenarios(o, ex)
 		rerun := harness.ExploreScenarios(o, ex)
 		for i, er := range results {

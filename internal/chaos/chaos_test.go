@@ -220,7 +220,7 @@ func TestExplorerDeterministic(t *testing.T) {
 func TestExplorerHonorsPalette(t *testing.T) {
 	cc := config.NewLAN(5)
 	scheds := Explore(ExplorerOpts{
-		Seed: 11, Scenarios: 10, Nodes: cc.Nodes, Allow: GentlePalette(),
+		Seed: 11, Scenarios: 10, Nodes: cc.Nodes, Allow: Palette{LinkReorder: true, Sluggish: true},
 	})
 	for i, s := range scheds {
 		for _, ev := range s {

@@ -88,13 +88,6 @@ func EPaxosPalette() Palette {
 	return p
 }
 
-// GentlePalette allows only faults a protocol with no retransmission or
-// recovery machinery would tolerate: message reordering and sluggish nodes.
-// Kept for ablations (e.g. running EPaxos with its sweep disabled).
-func GentlePalette() Palette {
-	return Palette{LinkReorder: true, Sluggish: true}
-}
-
 // ExplorerOpts bound the schedule generator.
 type ExplorerOpts struct {
 	// Seed drives all generation randomness; schedule i is a pure function

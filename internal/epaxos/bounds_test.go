@@ -56,6 +56,31 @@ func TestCollectedInstanceStaysCollected(t *testing.T) {
 	}
 }
 
+// GC may run in the middle of an execution pass and slide a row's window past
+// the slot the pass visits next: the pass must skip the collected cells. Here
+// one pass executes a two-instance cycle, collecting after each execution.
+func TestGCInsideExecutionPass(t *testing.T) {
+	cc := config.NewLAN(3)
+	r := New(nodetest.NewLoop(cc.Nodes[0]), Config{Cluster: cc, ID: cc.Nodes[0], gcEvery: 1})
+	owner := cc.Nodes[1]
+	commit := func(slot, dep uint64) wire.Commit {
+		return wire.Commit{
+			Inst: wire.InstRef{Replica: owner, Slot: slot}, Seq: slot,
+			Cmd:  kvstore.Command{Op: kvstore.Put, Key: 1, Value: []byte{byte(slot)}, ClientID: 7, Seq: slot},
+			Deps: []wire.InstRef{{Replica: owner, Slot: dep}},
+		}
+	}
+	r.OnMessage(owner, commit(2, 1)) // blocked on slot 1
+	r.OnMessage(owner, commit(1, 2)) // closes the cycle: one pass executes both
+	if st := r.Stats(); st.Executions != 2 || st.GCs != 2 {
+		t.Fatalf("executions %d, GCs %d; want 2 each", st.Executions, st.GCs)
+	}
+	if v, _ := r.Store().Get(1); string(v) != "\x02" {
+		t.Errorf("key = %q, want the higher-seq write", v)
+	}
+	checkInstanceSpace(t, r)
+}
+
 // Messages naming a non-member row, a slot slots.MaxAhead or more above a
 // row's floor, or a slot of this replica's own row it has not opened yet, are
 // dropped before anything is sized by them: no reply, no instance, no
@@ -96,9 +121,10 @@ func TestOutOfBoundsMessagesDropped(t *testing.T) {
 // sender, member rows and strangers, slots near the floor and far past the
 // bound, every phase and reply — interleaved with clock advances that fire
 // its sweep and execution retries. Nothing may panic, no row may cover more
-// than slots.MaxAhead slots, and the live count must match the instance
-// space: present unexecuted cells, of which Unexecuted reports those past
-// statusNone.
+// than slots.MaxAhead slots, the live count must match the instance space
+// (present unexecuted cells, of which Unexecuted reports those past
+// statusNone), and every cell must keep the invariants the driver relies on
+// (see checkInstanceSpace).
 func FuzzEPaxosOnMessage(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1, 1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{1, 1, 1, 0, 2, 1, 3, 1, 5, 2, 1, 2, 6, 0, 1, 1, 9, 200, 8, 2, 3})
@@ -121,6 +147,12 @@ func FuzzEPaxosOnMessage(f *testing.F) {
 	})
 }
 
+// checkInstanceSpace checks the live count and, per cell, the invariants the
+// driver's code relies on: a driven instance is uncommitted, in a phase, and
+// promised to no ballot above its own round (so a refusal that tops the round
+// tops every ballot seen, and promote alone handles it); a preparing one is
+// driven; and the recovery clock runs only while the instance is uncommitted
+// (commit stops it, and nothing restarts it).
 func checkInstanceSpace(t *testing.T, r *Replica) {
 	t.Helper()
 	live, none := 0, 0
@@ -130,7 +162,16 @@ func checkInstanceSpace(t *testing.T, r *Replica) {
 			t.Fatalf("row %v covers %d slots", rw.id, rw.win.Len())
 		}
 		for s := rw.win.Base(); s < rw.win.End(); s++ {
-			if in := rw.win.At(s); in.present && in.status < statusExecuted {
+			in := rw.win.At(s)
+			switch {
+			case !in.drive.IsZero() && (in.bal != in.drive || in.phase() == phaseNone):
+				t.Fatalf("driven %v.%d: ballot %v, drive %v, status %d", rw.id, s, in.bal, in.drive, in.status)
+			case in.preparing && in.drive.IsZero():
+				t.Fatalf("%v.%d prepares with no ballot to drive", rw.id, s)
+			case in.block.on && in.status >= statusCommitted:
+				t.Fatalf("%v.%d: recovery clock running on a committed instance", rw.id, s)
+			}
+			if in.present && in.status < statusExecuted {
 				live++
 				if in.status == statusNone {
 					none++

@@ -82,6 +82,33 @@ func TestSingleCommandFastPath(t *testing.T) {
 	}
 }
 
+// A one-member cluster is its own quorum: each command commits and executes
+// on arrival, with no phase reply to wait for.
+func TestSingleNodeCommitsAlone(t *testing.T) {
+	tc := newCluster(t, 1, nil)
+	id := tc.cfg.Nodes[0]
+	tc.send(0, id, kvstore.Command{Op: kvstore.Put, Key: 1, Value: []byte("a"), ClientID: 1, Seq: 1})
+	tc.send(time.Millisecond, id, kvstore.Command{Op: kvstore.Get, Key: 1, ClientID: 1, Seq: 2})
+	tc.sim.Run(50 * time.Millisecond)
+	if len(tc.client.replies) != 2 {
+		t.Fatalf("replies: %+v", tc.client.replies)
+	}
+	put, get := tc.client.replies[0], tc.client.replies[1]
+	if !put.OK || put.Seq != 1 {
+		t.Errorf("put reply: %+v", put)
+	}
+	if !get.OK || get.Seq != 2 || !get.Exists || string(get.Value) != "a" {
+		t.Errorf("get reply: %+v", get)
+	}
+	r := tc.replicas[id]
+	if st := r.Stats(); st.Commits != 2 || st.Executions != 2 || st.Retransmits != 0 || st.Recoveries != 0 {
+		t.Errorf("stats: %+v", st)
+	}
+	if n := r.Unexecuted(); n != 0 {
+		t.Errorf("%d unexecuted instances", n)
+	}
+}
+
 func TestAnyReplicaServes(t *testing.T) {
 	tc := newCluster(t, 5, nil)
 	for i, id := range tc.cfg.Nodes {

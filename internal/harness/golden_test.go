@@ -122,6 +122,16 @@ func goldenRuns() []struct {
 			f := netsim.LinkFaults{Loss: 0.05, Duplicate: 0.05, Reorder: 0.1}
 			return RunScenario(o, chaos.FlakyLinks(f, o.Warmup+100*time.Millisecond, 500*time.Millisecond))
 		}},
+		// pigbench -scenario epaxoschaos's schedule: Explicit Prepare
+		// recovery, the retransmit sweep and commit teach-back under loss.
+		entry{"RunScenario/crash+loss/EPaxos", func() any {
+			o := scen(EPaxos)
+			at := o.Warmup + 300*time.Millisecond
+			return RunScenario(o, chaos.Merge(
+				chaos.LeaderCrash(at, 500*time.Millisecond),
+				chaos.FlakyLinks(netsim.LinkFaults{Loss: 0.05, Duplicate: 0.02}, at+100*time.Millisecond, 600*time.Millisecond),
+			))
+		}},
 		entry{"RunScenario/durable-leader-restart/PigPaxos", func() any {
 			o := scen(PigPaxos)
 			o.Durable = true

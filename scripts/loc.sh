@@ -12,10 +12,11 @@ echo "test Go (outside bench/):     $(count -name '*_test.go' -not -path './benc
 echo "bench/ (its own module):      $(count -path './bench/*')"
 
 # A settable value is an exported field of a struct whose name ends in Config,
-# Options or Spec (a field list like `A, B int` counts each name; an embedded
-# struct is not a value of its own), or a flag.* definition under cmd/.
+# Options, Opts or Spec (a field list like `A, B int` counts each name; an
+# embedded struct is not a value of its own), or a flag.* definition under
+# cmd/.
 fields=$(product -not -name '*_test.go' -not -path './bench/*' | xargs -0 awk '
-	/^type [A-Za-z0-9_]*(Config|Options|Spec) struct \{/ { inside = 1; next }
+	/^type [A-Za-z0-9_]*(Config|Options|Opts|Spec) struct \{/ { inside = 1; next }
 	/^\}/ { inside = 0 }
 	inside && match($0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Z][A-Za-z0-9_]*)*[ \t]+[^ \t\/]/) {
 		names = substr($0, RSTART, RLENGTH)
@@ -24,4 +25,4 @@ fields=$(product -not -name '*_test.go' -not -path './bench/*' | xargs -0 awk '
 	END { print n + 0 }')
 flags=$(find cmd -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat |
 	grep -oE 'flag\.(Bool|Duration|Float64|Func|Int|Int64|String|TextVar|Uint|Uint64|Var|[A-Z][A-Za-z0-9]*Var)\(' | wc -l)
-echo "settable values (Config/Options/Spec fields + cmd/ flags): $((fields + flags)) ($fields + $flags)"
+echo "settable values (Config/Options/Opts/Spec fields + cmd/ flags): $((fields + flags)) ($fields + $flags)"

@@ -260,8 +260,8 @@ func printOverload(p harness.Protocol, r harness.OverloadResult, bound int, dete
 // shardBase configures the shared sharded cluster: 12 nodes (so four
 // 3-member groups tile the membership disjointly) under 48 closed-loop
 // clients — the aggregate client count every shard-count point shares.
-func shardBase(p harness.Protocol, suite harness.Suite) harness.ShardedOptions {
-	o := harness.ShardedOptions{}
+func shardBase(p harness.Protocol, suite harness.Suite) harness.ScenarioOptions {
+	o := harness.ScenarioOptions{}
 	o.Protocol = p
 	o.N = 12
 	o.Clients = 48
@@ -288,7 +288,7 @@ func printShardSweep(p harness.Protocol, dist workload.Distribution, pts []harne
 
 // printShardScenario renders one sharded chaos result with its per-shard
 // availability slices and the blast-radius verdict.
-func printShardScenario(name string, r harness.ShardedScenarioResult, untouchedStalls int, deterministic, benchfmt bool) {
+func printShardScenario(name string, r harness.ScenarioResult, untouchedStalls int, deterministic, benchfmt bool) {
 	if benchfmt {
 		fmt.Printf("BenchmarkShardScenario/%s/%s 1 %.0f req/s %.3f p99-ms %d acked %d linearizable %d recovered %d untouched-stalls %d deterministic\n",
 			r.Protocol, name, r.Throughput,
@@ -447,7 +447,7 @@ func runScenarios(name string, suite harness.Suite, benchfmt bool, runs, jobs in
 			for _, dist := range []workload.Distribution{workload.Uniform, workload.Zipfian} {
 				o := shardBase(p, suite)
 				o.Workload = workload.Config{Dist: dist}
-				pts := harness.ShardSweep(o, harness.DefaultShardSweep)
+				pts := harness.ShardSweep(o.Options, harness.DefaultShardSweep)
 				printShardSweep(p, dist, pts, benchfmt)
 				if dist != workload.Uniform {
 					continue
@@ -471,8 +471,8 @@ func runScenarios(name string, suite harness.Suite, benchfmt bool, runs, jobs in
 			o.Measure = 2 * time.Second
 		}
 		sched := chaos.ShardLeaderCrash(0, o.Warmup+o.Measure/4, o.Measure/2)
-		r := harness.RunShardedScenario(o, sched)
-		again := harness.RunShardedScenario(o, sched)
+		r := harness.RunScenario(o, sched)
+		again := harness.RunScenario(o, sched)
 		det := reflect.DeepEqual(r, again)
 		if len(r.FaultLog) == 0 || r.FaultLog[0].Kind != chaos.CrashShardLeader {
 			return fmt.Errorf("shard: no shard-leader crash in the fault log: %v", r.FaultLog)

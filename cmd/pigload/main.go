@@ -52,7 +52,7 @@ func main() {
 		walDir     = flag.String("wal-dir", "", "give each spawned server a durable WAL under this directory")
 		readyTO    = flag.Duration("ready-timeout", 20*time.Second, "cluster readiness budget")
 
-		clients  = flag.Int("clients", 8, "open-loop worker count")
+		clients  = flag.Int("clients", 8, "open-loop client count (at least 1)")
 		rate     = flag.Float64("rate", 1000, "aggregate offered load, ops/sec")
 		sweepStr = flag.String("sweep", "", "comma-separated rate ladder overriding -rate (e.g. 1000,4000,16000)")
 		warmup   = flag.Duration("warmup", time.Second, "unrecorded warmup per step")
@@ -68,13 +68,16 @@ func main() {
 
 		killAfter = flag.Duration("kill-leader-after", 0, "with -spawn: SIGKILL the leader this long into the measurement window")
 
-		clientBaseF = flag.Uint64("client-base", 0, "first worker client ID (0 = derive a per-invocation base so warm-cluster reruns get fresh at-most-once sessions)")
+		clientBaseF = flag.Uint64("client-base", 0, "first client ID (0 = derive a per-invocation base so warm-cluster reruns get fresh at-most-once sessions)")
 
 		gateFrac = flag.Float64("gate-goodput-frac", 0, "with -sweep: exit 1 unless the final rung's goodput is at least this fraction of the peak rung's (0 disables)")
 	)
 	flag.Parse()
 	serverArgs := flag.Args() // after --: each spawned pigserver's own flags
 
+	// Reject impossible flags and flag combinations up front, before any
+	// cluster is spawned or load is offered — failing mid-sweep wastes the
+	// whole run, and a spawned cluster would outlive log.Fatal.
 	dist, err := workload.ParseDistribution(*distStr)
 	if err != nil {
 		log.Fatal(err)
@@ -83,9 +86,23 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Reject impossible flag combinations up front, before any cluster is
-	// spawned or load is offered — failing mid-sweep wastes the whole run.
+	step := loadgen.Options{
+		Clients:  *clients,
+		Rate:     rates[0],
+		Warmup:   *warmup,
+		Duration: *duration,
+		Timeout:  *timeout,
+		Workload: workload.Config{
+			Keys:        *keys,
+			ReadRatio:   *readRatio,
+			PayloadSize: *payload,
+			Dist:        dist,
+			Theta:       *theta,
+		},
+	}
+	if err := step.Validate(); err != nil {
+		log.Fatal(err)
+	}
 	if *killAfter > 0 {
 		if *spawn == 0 {
 			log.Fatal("-kill-leader-after needs -spawn")
@@ -155,7 +172,8 @@ func main() {
 
 	exitCode := 0
 	goodputs := make([]float64, 0, len(rates))
-	for step, r := range rates {
+	step.Addrs, step.Members = addrs, members
+	for i, r := range rates {
 		if *killAfter > 0 {
 			leader := members[0]
 			go func() {
@@ -166,24 +184,8 @@ func main() {
 				}
 			}()
 		}
-		res, err := loadgen.Run(loadgen.Options{
-			Addrs:        addrs,
-			Members:      members,
-			Clients:      *clients,
-			Rate:         r,
-			Warmup:       *warmup,
-			Duration:     *duration,
-			Timeout:      *timeout,
-			Seed:         *seed + int64(step),
-			ClientIDBase: clientBase,
-			Workload: workload.Config{
-				Keys:        *keys,
-				ReadRatio:   *readRatio,
-				PayloadSize: *payload,
-				Dist:        dist,
-				Theta:       *theta,
-			},
-		})
+		step.Rate, step.Seed, step.ClientIDBase = r, *seed+int64(i), clientBase
+		res, err := loadgen.Run(step)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -226,6 +228,9 @@ func main() {
 
 func parseSweep(s string, fallback float64) ([]float64, error) {
 	if s == "" {
+		if fallback <= 0 {
+			return nil, fmt.Errorf("non-positive -rate %v", fallback)
+		}
 		return []float64{fallback}, nil
 	}
 	var out []float64

@@ -379,17 +379,9 @@ func EvenGroups(followers []ids.ID, r int) (GroupLayout, error) {
 
 // ZoneGroups partitions followers into one relay group per zone (§6.4: in
 // geo-distributed setups a natural grouping assigns all nodes of a region to
-// one relay group, so only one message crosses the WAN per region).
+// one relay group, so only one message crosses the WAN per region). Groups
+// come out in ascending zone order, each in follower order.
 func ZoneGroups(c Cluster, followers []ids.ID) GroupLayout {
-	g, _ := ZoneGroupsWithZones(c, followers)
-	return g
-}
-
-// ZoneGroupsWithZones is ZoneGroups plus the group↔region correspondence:
-// groups come out ordered by ascending zone number and zones[i] names the
-// region group i covers, so region-aware callers (chaos schedules targeting
-// "the relay of region z") can map zones to group indices 1:1.
-func ZoneGroupsWithZones(c Cluster, followers []ids.ID) (GroupLayout, []int) {
 	byZone := make(map[int][]ids.ID)
 	var order []int
 	for _, f := range followers {
@@ -404,5 +396,5 @@ func ZoneGroupsWithZones(c Cluster, followers []ids.ID) (GroupLayout, []int) {
 	for _, z := range order {
 		groups = append(groups, byZone[z])
 	}
-	return GroupLayout{Groups: groups}, order
+	return GroupLayout{Groups: groups}
 }

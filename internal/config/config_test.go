@@ -343,22 +343,22 @@ func TestZoneListAndRegionSides(t *testing.T) {
 	}
 }
 
-// Zone groups come out ordered by ascending zone with the 1:1 group↔region
-// correspondence exposed.
+// Zone groups come out ordered by ascending zone: group i covers zone i+1,
+// so region-aware callers can map zones to group indices 1:1.
 func TestZoneGroupsWithZonesSorted(t *testing.T) {
 	c := NewWAN3(9)
 	leader := c.Nodes[0] // zone 1
-	g, zones := ZoneGroupsWithZones(c, c.Peers(leader))
-	if len(zones) != 3 || zones[0] != 1 || zones[1] != 2 || zones[2] != 3 {
-		t.Fatalf("group zones = %v, want [1 2 3]", zones)
+	g := ZoneGroups(c, c.Peers(leader))
+	if g.NumGroups() != 3 {
+		t.Fatalf("zone groups = %d, want 3", g.NumGroups())
 	}
 	if err := g.Validate(c.Peers(leader)); err != nil {
 		t.Fatal(err)
 	}
 	for i, grp := range g.Groups {
 		for _, m := range grp {
-			if c.ZoneOf(m) != zones[i] {
-				t.Errorf("group %d (zone %d) contains %v from zone %d", i, zones[i], m, c.ZoneOf(m))
+			if z := c.ZoneOf(m); z != i+1 {
+				t.Errorf("group %d contains %v from zone %d, want zone %d", i, m, z, i+1)
 			}
 		}
 	}

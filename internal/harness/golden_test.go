@@ -20,7 +20,8 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_quick.txt from this tree's output")
 
-// goldenRuns is a fixed set of small runs through all five entry points.
+// goldenRuns is a fixed set of small runs through all three entry points,
+// unsharded and sharded.
 // Every field of every result is compared byte-for-byte against the
 // checked-in file, so a refactor of the harness (clients, builders,
 // runners, resolvers) that changes a send, a timer, an RNG draw or an
@@ -48,8 +49,9 @@ func goldenRuns() []struct {
 		o.Seed = 11
 		return o
 	}
-	sharded := func(p Protocol, shards int) ShardedOptions {
-		o := ShardedOptions{Shards: shards}
+	sharded := func(p Protocol, shards int) ScenarioOptions {
+		o := ScenarioOptions{}
+		o.Shards = shards
 		o.Protocol = p
 		o.N = 12
 		o.Clients = 24
@@ -151,20 +153,20 @@ func goldenRuns() []struct {
 			o := WANScenario(PigPaxos, 9, 2, 8, 17)
 			return RunScenario(o, chaos.RegionCut(config.ZoneOregon, o.Warmup+300*time.Millisecond, 600*time.Millisecond))
 		}},
-		entry{"RunSharded/S=1/Paxos", func() any { return RunSharded(sharded(Paxos, 1)) }},
-		entry{"RunSharded/S=4/PigPaxos", func() any { return RunSharded(sharded(PigPaxos, 4)) }},
-		entry{"RunSharded/S=4/Paxos/zipfian", func() any {
-			o := sharded(Paxos, 4)
+		entry{"Run/sharded/S=1/Paxos", func() any { return Run(sharded(Paxos, 1).Options) }},
+		entry{"Run/sharded/S=4/PigPaxos", func() any { return Run(sharded(PigPaxos, 4).Options) }},
+		entry{"Run/sharded/S=4/Paxos/zipfian", func() any {
+			o := sharded(Paxos, 4).Options
 			o.Workload = workload.Config{Keys: 1000, Dist: workload.Zipfian, Theta: 0.99, ReadRatio: 0.5}
-			return RunSharded(o)
+			return Run(o)
 		}},
-		entry{"RunShardedScenario/S=4/shard-leader-crash/PigPaxos", func() any {
+		entry{"RunScenario/sharded/S=4/shard-leader-crash/PigPaxos", func() any {
 			o := sharded(PigPaxos, 4)
-			return RunShardedScenario(o, chaos.ShardLeaderCrash(1, o.Warmup+100*time.Millisecond, 200*time.Millisecond))
+			return RunScenario(o, chaos.ShardLeaderCrash(1, o.Warmup+100*time.Millisecond, 200*time.Millisecond))
 		}},
-		entry{"RunShardedScenario/S=1/Paxos", func() any {
+		entry{"RunScenario/sharded/S=1/Paxos", func() any {
 			o := sharded(Paxos, 1)
-			return RunShardedScenario(o, chaos.LeaderCrash(o.Warmup+100*time.Millisecond, 200*time.Millisecond))
+			return RunScenario(o, chaos.LeaderCrash(o.Warmup+100*time.Millisecond, 200*time.Millisecond))
 		}},
 	)
 	return runs

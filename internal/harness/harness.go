@@ -39,6 +39,14 @@ type Options struct {
 	Protocol Protocol
 	// N is the cluster size.
 	N int
+	// Shards partitions the key space over that many independent consensus
+	// groups of max(3, N/Shards) members each (shard.Plan), their traffic
+	// tagged with the group: disjoint groups when the cluster divides
+	// evenly — the layout where each leader pays no follower duty for other
+	// shards and scaling is near-linear — graceful overlap otherwise. 1 is
+	// the tagged one-group baseline sharded sweeps compare against; 0 runs
+	// one untagged group over the whole membership. EPaxos runs unsharded.
+	Shards int
 	// WAN spreads nodes over three regions (Figure 9); otherwise LAN.
 	WAN bool
 	// WANLossy additionally gives every WAN path its representative jitter
@@ -114,6 +122,15 @@ func (o *Options) applyDefaults() {
 	}
 }
 
+// plan is the shard plan the options select: nil for one untagged group.
+func (o *Options) plan() *shard.Map {
+	if o.Shards < 1 {
+		return nil
+	}
+	p := shard.Plan(o.cluster(), o.Shards)
+	return &p
+}
+
 // cluster builds the topology the options select.
 func (o *Options) cluster() config.Cluster {
 	switch {
@@ -146,8 +163,9 @@ func (o *Options) paxosBatching(cfg *paxos.Config) {
 type Result struct {
 	Protocol   Protocol
 	N          int
+	Shards     int `json:",omitempty"` // groups of a sharded run
 	Clients    int
-	Throughput float64 // completed requests/second within the window
+	Throughput float64 // completed requests/second within the window, all groups
 	Latency    metrics.Summary
 	Series     []metrics.Point // per-SampleWidth throughput, if enabled
 	Messages   uint64          // network messages sent during the run
@@ -163,6 +181,8 @@ type Result struct {
 	// MsgsPerCmd is network messages sent cluster-wide per command
 	// executed at the leader — the amortization batching buys.
 	MsgsPerCmd float64
+	// PerShard breaks a sharded run down by group.
+	PerShard []ShardLoad `json:",omitempty"`
 }
 
 // String implements fmt.Stringer.
@@ -171,8 +191,8 @@ func (r Result) String() string {
 		r.Protocol, r.N, r.Clients, r.Throughput, r.Latency.Mean, r.Latency.P99)
 }
 
-// loadRun is what a closed-loop throughput run leaves behind for Run and
-// RunSharded to report from.
+// loadRun is what a closed-loop throughput run leaves behind for Run to
+// report from.
 type loadRun struct {
 	d       *deployment
 	clients []*closedLoop
@@ -181,9 +201,9 @@ type loadRun struct {
 	series  *metrics.TimeSeries
 }
 
-// runLoad is the throughput runner behind Run and RunSharded: closed-loop
-// generator-driven clients against the deployment the plan selects, measured
-// over [Warmup, Warmup+Measure).
+// runLoad is the throughput runner behind Run: closed-loop generator-driven
+// clients against the deployment the plan selects, measured over
+// [Warmup, Warmup+Measure).
 func runLoad(opts *Options, plan *shard.Map) loadRun {
 	d := deploy(opts, plan, nil)
 	lr := loadRun{d: d, hist: metrics.NewHistogram(), acked: make([]int, len(d.groups))}
@@ -228,21 +248,41 @@ func runLoad(opts *Options, plan *shard.Map) loadRun {
 	return lr
 }
 
-// Run executes one experiment and returns its measurements.
+// Run executes one experiment and returns its measurements. With Shards
+// set, closed-loop clients route by key across the groups at equal
+// aggregate client count regardless of Shards, so sweeps compare shard
+// counts at fixed offered load.
 func Run(opts Options) Result {
 	opts.applyDefaults()
-	lr := runLoad(&opts, nil)
-	d, leader := lr.d, lr.d.cc.Nodes[0]
+	plan := opts.plan()
+	lr := runLoad(&opts, plan)
+	d := lr.d
+	leader := d.groups[0].Leader
 	res := Result{
-		Protocol:   opts.Protocol,
-		N:          opts.N,
-		Clients:    opts.Clients,
-		Throughput: float64(lr.acked[0]) / opts.Measure.Seconds(),
-		Latency:    lr.hist.Snapshot(),
-		Messages:   d.net.MessagesSent(),
+		Protocol: opts.Protocol,
+		N:        opts.N,
+		Clients:  opts.Clients,
+		Latency:  lr.hist.Snapshot(),
+		Messages: d.net.MessagesSent(),
 	}
-	// Batching metrics come from the leader's decision core; EPaxos has no
-	// leader and reports zeroes.
+	wall := (opts.Warmup + opts.Measure).Seconds()
+	total := 0
+	for k, g := range d.groups {
+		total += lr.acked[k]
+		if plan != nil {
+			res.PerShard = append(res.PerShard, ShardLoad{
+				Shard:      k,
+				Leader:     g.Leader,
+				Acked:      lr.acked[k],
+				Throughput: float64(lr.acked[k]) / opts.Measure.Seconds(),
+				LeaderUtil: d.net.Endpoint(g.Leader).BusyTotal().Seconds() / wall,
+			})
+		}
+	}
+	res.Shards = len(res.PerShard)
+	res.Throughput = float64(total) / opts.Measure.Seconds()
+	// Batching metrics come from the (first group's) leader's decision
+	// core; EPaxos has no leader and reports zeroes.
 	if core := d.groups[0].members[leader].Core; core != nil {
 		pstats := core.Stats()
 		res.MeanBatchSize = pstats.MeanBatchSize()
@@ -250,11 +290,12 @@ func Run(opts Options) Result {
 			res.MsgsPerCmd = float64(res.Messages) / float64(pstats.Executions)
 		}
 	}
-	wall := (opts.Warmup + opts.Measure).Seconds()
 	res.LeaderUtil = d.net.Endpoint(leader).BusyTotal().Seconds() / wall
 	var fsum float64
-	for _, id := range d.cc.Nodes[1:] {
-		fsum += d.net.Endpoint(id).BusyTotal().Seconds() / wall
+	for _, id := range d.cc.Nodes {
+		if id != leader {
+			fsum += d.net.Endpoint(id).BusyTotal().Seconds() / wall
+		}
 	}
 	if len(d.cc.Nodes) > 1 {
 		res.MeanFollowerUtil = fsum / float64(len(d.cc.Nodes)-1)
@@ -305,6 +346,3 @@ func MaxThroughput(opts Options, clientCounts []int) float64 {
 	}
 	return best
 }
-
-// DefaultClientSweep is the client-count ladder used by the sweeps.
-var DefaultClientSweep = []int{10, 25, 50, 100, 200, 400}

@@ -12,11 +12,10 @@ import (
 	"fmt"
 	"time"
 
-	"pigpaxos/internal/client"
 	"pigpaxos/internal/ids"
+	"pigpaxos/internal/loadgen"
 	"pigpaxos/internal/metrics"
 	"pigpaxos/internal/paxos"
-	"pigpaxos/internal/wire"
 	"pigpaxos/internal/workload"
 )
 
@@ -52,26 +51,15 @@ func (o *OverloadOptions) applyDefaults() {
 // clientWindow caps one open-loop client's outstanding ops; arrivals beyond
 // it (or beyond the smaller window a Busy leaves the session) are shed
 // client-side — the open loop's stand-in for an overloaded client machine,
-// as loadgen's workers shed beyond sessions.Window.
+// as pigload's clients shed beyond sessions.Window.
 const clientWindow = 64
 
-// OverloadResult is one rung's measurement. Offered/Completed/Shed/Busy/
-// Timeouts count ops whose scheduled arrival fell inside the measurement
-// window; goodput is their completions per second of window.
+// OverloadResult is one rung's measurement. The counters count ops whose
+// scheduled arrival fell inside the measurement window; goodput is their
+// completions per second of window.
 type OverloadResult struct {
-	Rate    float64
-	Offered uint64
-	// Completed counts in-window arrivals acknowledged OK before the
-	// drain grace expired.
-	Completed uint64
-	// Shed counts arrivals dropped client-side at the in-flight cap.
-	Shed uint64
-	// Busy counts wire.Busy rejections received for in-window ops; each
-	// is retried after the leader's hint, so Busy is backpressure volume,
-	// not loss.
-	Busy uint64
-	// Timeouts counts in-window arrivals abandoned after OpTimeout.
-	Timeouts uint64
+	Rate float64
+	loadgen.Counts
 	// LeaderBusy/DroppedExpired/MaxQueueDepth aggregate the replicas'
 	// overload counters: rejections issued, queued commands dropped after
 	// QueueTTL, and the deepest ingress queue any leader saw — bounded by
@@ -94,70 +82,15 @@ func (r OverloadResult) String() string {
 		r.DroppedExpired, r.MaxQueueDepth, r.Latency)
 }
 
-// olRun is what one rung's open-loop clients share: the window, and the
-// result they count into — only operations that arrived inside the window.
-type olRun struct {
-	warmupEnd, windowEnd time.Duration
-	stopped              bool // arrivals end with the window
-	hist                 *metrics.Histogram
-	res                  OverloadResult
-}
-
-func (r *olRun) inWindow(at time.Duration) bool {
-	return at >= r.warmupEnd && at < r.windowEnd
-}
-
-// olClient is an open-loop simulated client: a Poisson arrival clock in
-// virtual time over a client.Session — the session loadgen's workers run on
-// real sockets, so the sim sweep and the metal sweep measure one client
-// model.
-type olClient struct {
-	*olRun
-	simClient                 // one group: the run is unsharded
-	s         *client.Session // sessions[0]
-	gen       *workload.Generator
-	arr       *workload.Arrivals
-}
-
-// tick fires one scheduled arrival and arms the next. An arrival that
-// finds the session's window full is shed.
-func (c *olClient) tick() {
-	if c.stopped {
-		return
-	}
-	now := c.s.Ctx.Now()
-	inWin := c.inWindow(now)
-	if inWin {
-		c.res.Offered++
-	}
-	if !c.s.Full() {
-		c.s.Issue(c.gen.Next(0, 0), now)
-	} else if inWin {
-		c.res.Shed++
-	}
-	c.s.Ctx.After(c.arr.Next(), c.tick)
-}
-
-func (c *olClient) done(op client.Op, _ wire.Reply) {
-	if c.inWindow(op.At) {
-		c.res.Busy += uint64(op.Busy)
-		c.res.Completed++
-		c.hist.Observe(c.s.Ctx.Now() - op.At)
-	}
-}
-
-func (c *olClient) abandoned(op client.Op) {
-	if c.inWindow(op.At) {
-		c.res.Busy += uint64(op.Busy)
-		c.res.Timeouts++
-	}
-}
-
-// RunOverload executes one open-loop rung and returns its measurement.
+// RunOverload executes one open-loop rung and returns its measurement. The
+// rung runs one unsharded group: it panics on Shards > 0.
 func RunOverload(opts OverloadOptions) OverloadResult {
 	opts.applyDefaults()
 	if opts.Rate <= 0 {
 		panic(fmt.Sprintf("harness: non-positive overload rate %v", opts.Rate))
+	}
+	if opts.Shards > 0 {
+		panic("harness: overload runs are unsharded")
 	}
 	// EPaxos has no leader ingress queue to bound; the rung runs Paxos, as
 	// it always has.
@@ -174,38 +107,28 @@ func RunOverload(opts OverloadOptions) OverloadResult {
 	sim, cc := d.sim, d.cc
 	leader := cc.Nodes[0]
 
-	run := &olRun{
-		warmupEnd: opts.Warmup,
-		windowEnd: opts.Warmup + opts.Measure,
-		hist:      metrics.NewHistogram(),
-		res:       OverloadResult{Rate: opts.Rate},
-	}
+	// Each client is pigload's open-loop client on a simulator endpoint of
+	// its own, its first arrival staggered like the closed-loop launch.
+	tally := loadgen.NewTally(opts.Warmup, opts.Warmup+opts.Measure)
 	perRate := opts.Rate / float64(opts.Clients)
-
 	d.start()
 	for i := 0; i < opts.Clients; i++ {
-		cl := &olClient{
-			olRun: run,
-			gen:   workload.New(opts.Workload, sim.Rand()),
-			arr:   workload.NewArrivals(perRate, sim.Rand()),
-		}
-		d.client(&cl.simClient, uint64(i+1), cc.ZoneOf(leader), 1000+i)
-		cl.s = &cl.sessions[0]
-		cl.s.Window, cl.s.Timeout = clientWindow, opts.OpTimeout
-		cl.s.Done, cl.s.Abandoned = cl.done, cl.abandoned
-		sim.Schedule(time.Duration(i)*50*time.Microsecond+time.Millisecond, cl.tick)
+		gen := workload.New(opts.Workload, sim.Rand())
+		arrivals := workload.NewArrivals(perRate, sim.Rand())
+		c := &simClient{}
+		d.client(c, uint64(i+1), cc.ZoneOf(leader), 1000+i)
+		s := &c.sessions[0]
+		s.Window, s.Timeout = clientWindow, opts.OpTimeout
+		first := time.Duration(i)*50*time.Microsecond + time.Millisecond
+		loadgen.NewOpenLoop(s, gen, arrivals, tally, first).Start()
 	}
 
 	// Arrivals stop at the window's end; the drain grace lets in-window
 	// stragglers complete or time out before counters are read.
-	sim.Schedule(run.windowEnd, func() { run.stopped = true })
-	sim.Run(run.windowEnd + opts.OpTimeout + 50*time.Millisecond)
+	sim.Run(tally.End + opts.OpTimeout + 50*time.Millisecond)
 
-	res := run.res
-	res.Latency = run.hist.Snapshot()
-	sec := opts.Measure.Seconds()
-	res.Goodput = float64(res.Completed) / sec
-	res.OfferedRate = float64(res.Offered) / sec
+	res := OverloadResult{Rate: opts.Rate, Counts: tally.Counts, Latency: tally.Latency()}
+	res.Goodput, res.OfferedRate = tally.Rates()
 	d.coreStats(func(_ ids.ID, core *paxos.Replica) {
 		st := core.Stats()
 		res.LeaderBusy += st.Busy

@@ -118,6 +118,7 @@ func (o *ScenarioOptions) applyDefaults() {
 type ScenarioResult struct {
 	Protocol Protocol
 	N        int
+	Shards   int `json:",omitempty"` // groups of a sharded run
 	Clients  int
 
 	// Acked counts operations acknowledged OK over the whole run.
@@ -137,9 +138,11 @@ type ScenarioResult struct {
 	FirstFaultAt    time.Duration
 	RecoveryLatency time.Duration
 
-	// Linearizable is the checker's verdict over every client's history;
-	// LinBadKey names the failing key when false, and LinChecked and
-	// LinExplored are the check's size and cost.
+	// Linearizable is the checker's verdict over every client's history —
+	// one history across shards: per-key linearizability must hold
+	// regardless of which shard served which key. LinBadKey names the
+	// failing key when false, and LinChecked and LinExplored are the
+	// check's size and cost.
 	Linearizable bool
 	LinBadKey    uint64
 	LinChecked   int
@@ -148,10 +151,10 @@ type ScenarioResult struct {
 	// Converged, the "full recovery: all acked commands committed
 	// everywhere" criterion.
 	AllComplete bool
-	// Converged reports that every replica's state machine ended
-	// bit-identical (same checksum, same applied count) and that none
-	// applied more commands than the clients issued distinct operations: a
-	// retry executed twice on every replica is convergent, and still wrong.
+	// Converged reports that every group's replicas ended bit-identical
+	// (same checksum, same applied count) and that none applied more
+	// commands than the clients issued distinct operations: a retry
+	// executed twice on every replica is convergent, and still wrong.
 	Converged bool
 	// Unrecovered counts EPaxos instances left unexecuted across all
 	// replicas after the drain — zero when Explicit Prepare recovery
@@ -187,6 +190,8 @@ type ScenarioResult struct {
 	// Regions breaks the measurement down by client region (ascending
 	// zone), populated when RegionClients is set on a multi-zone cluster.
 	Regions []RegionResult
+	// PerShard breaks a sharded run down by group.
+	PerShard []ShardSlice `json:",omitempty"`
 
 	// FaultLog lists the executed fault actions with resolved targets.
 	FaultLog []chaos.Applied
@@ -249,8 +254,8 @@ func scenScript(ci, ops, keys int) []kvstore.Command {
 	return out
 }
 
-// scenarioRun is what a scenario leaves behind for RunScenario and
-// RunShardedScenario to report from.
+// scenarioRun is what a scenario leaves behind for RunScenario to report
+// from.
 type scenarioRun struct {
 	d        *deployment
 	clients  []*closedLoop
@@ -277,10 +282,10 @@ type regionTrack struct {
 	clients int
 }
 
-// runScenario is the scenario runner behind RunScenario and
-// RunShardedScenario: paced fixed-script clients recording one shared
-// linearizability history against the deployment the plan selects, under
-// the fault schedule, followed by a drain and a convergence tail.
+// runScenario is the scenario runner behind RunScenario: paced fixed-script
+// clients recording one shared linearizability history against the
+// deployment the plan selects, under the fault schedule, followed by a
+// drain and a convergence tail.
 func runScenario(opts *ScenarioOptions, plan *shard.Map, sched chaos.Schedule) scenarioRun {
 	sr := scenarioRun{
 		hist: &linearizability.History{}, gaps: &metrics.GapTracker{}, lat: metrics.NewHistogram(),
@@ -473,11 +478,14 @@ func (sr *scenarioRun) atMostOnce(k int) bool {
 
 // RunScenario executes one protocol run under the fault schedule and returns
 // measurements plus the correctness verdicts. Schedule times are absolute
-// virtual times (the measurement window starts at opts.Warmup).
+// virtual times (the measurement window starts at opts.Warmup). With Shards
+// set, scripted clients route by key across the groups and each group's
+// availability is also tracked on its own (its keys' acknowledgements plus
+// a dedicated probe), so a fault's blast radius is measurable per shard.
 func RunScenario(opts ScenarioOptions, sched chaos.Schedule) ScenarioResult {
 	opts.applyDefaults()
-	sr := runScenario(&opts, nil, sched)
-	d, g := sr.d, sr.d.groups[0]
+	sr := runScenario(&opts, opts.plan(), sched)
+	d := sr.d
 	res := ScenarioResult{
 		Protocol:    opts.Protocol,
 		N:           opts.N,
@@ -490,9 +498,27 @@ func RunScenario(opts ScenarioOptions, sched chaos.Schedule) ScenarioResult {
 		Dropped:     d.net.MessagesDropped(),
 		FaultLog:    sr.faultLog,
 		AllComplete: sr.allDone(),
-		Converged:   g.converged() && sr.atMostOnce(0),
-		Unrecovered: g.unexecuted(),
+		Converged:   true,
 	}
+	for k, g := range d.groups {
+		converged := g.converged() && sr.atMostOnce(k)
+		res.Converged = res.Converged && converged
+		res.Unrecovered += g.unexecuted()
+		if sr.groupGaps == nil {
+			continue
+		}
+		sl := ShardSlice{
+			Shard:     k,
+			Members:   g.Members,
+			Leader:    g.Leader,
+			Acked:     sr.groupGaps[k].Count(),
+			Stalls:    sr.groupGaps[k].GapsOver(regionStallThreshold),
+			Converged: converged,
+		}
+		sl.GapStart, sl.AvailabilityGap = sr.groupGaps[k].MaxGap()
+		res.PerShard = append(res.PerShard, sl)
+	}
+	res.Shards = len(res.PerShard)
 	for _, cl := range sr.clients {
 		res.Busy += cl.busy
 	}

@@ -15,17 +15,15 @@ import (
 
 // shardTestOpts is a short sharded run: 12 nodes so 4 shards tile the
 // membership disjointly.
-func shardTestOpts(p Protocol) ShardedOptions {
-	return ShardedOptions{
-		ScenarioOptions: ScenarioOptions{
-			Options: Options{
-				Protocol: p,
-				N:        12,
-				Clients:  48,
-				Warmup:   200 * time.Millisecond,
-				Measure:  time.Second,
-				Seed:     42,
-			},
+func shardTestOpts(p Protocol) ScenarioOptions {
+	return ScenarioOptions{
+		Options: Options{
+			Protocol: p,
+			N:        12,
+			Clients:  48,
+			Warmup:   200 * time.Millisecond,
+			Measure:  time.Second,
+			Seed:     42,
 		},
 	}
 }
@@ -34,7 +32,7 @@ func shardTestOpts(p Protocol) ShardedOptions {
 // equal aggregate client count.
 func TestShardSweepScalesNearLinearly(t *testing.T) {
 	for _, p := range []Protocol{Paxos, PigPaxos} {
-		pts := ShardSweep(shardTestOpts(p), []int{1, 4})
+		pts := ShardSweep(shardTestOpts(p).Options, []int{1, 4})
 		if len(pts) != 2 {
 			t.Fatalf("%v: sweep returned %d points", p, len(pts))
 		}
@@ -53,7 +51,7 @@ func TestShardSweepScalesNearLinearly(t *testing.T) {
 // captured at s == 1). The curve must now anchor on the smallest swept S,
 // wherever it appears in the list.
 func TestShardSweepBaselinesOnSmallestSweptS(t *testing.T) {
-	pts := ShardSweep(shardTestOpts(Paxos), []int{4, 2})
+	pts := ShardSweep(shardTestOpts(Paxos).Options, []int{4, 2})
 	if len(pts) != 2 {
 		t.Fatalf("sweep returned %d points", len(pts))
 	}
@@ -79,14 +77,14 @@ func TestShardSweepBaselinesOnSmallestSweptS(t *testing.T) {
 // Uniform keys spread acks evenly; the zipfian option concentrates them on
 // a hot shard — the skew the sweep exists to expose.
 func TestShardedZipfianShowsHotShard(t *testing.T) {
-	uni := shardTestOpts(Paxos)
+	uni := shardTestOpts(Paxos).Options
 	uni.Shards = 4
 	zipf := uni
 	zipf.Workload = workload.Config{Dist: workload.Zipfian, Theta: 0.99}
 
-	ru := RunSharded(uni)
-	rz := RunSharded(zipf)
-	share := func(r ShardedResult) float64 {
+	ru := Run(uni)
+	rz := Run(zipf)
+	share := func(r Result) float64 {
 		total, hot := 0, 0
 		for _, sl := range r.PerShard {
 			total += sl.Acked
@@ -116,7 +114,7 @@ func TestShardedScenarioLeaderCrashIsolated(t *testing.T) {
 	crashAt := opts.Warmup + opts.Measure/4
 	sched := chaos.ShardLeaderCrash(0, crashAt, opts.Measure/2)
 
-	r := RunShardedScenario(opts, sched)
+	r := RunScenario(opts, sched)
 	if !r.Linearizable {
 		t.Fatalf("cross-shard history not linearizable (bad key %d)", r.LinBadKey)
 	}
@@ -154,8 +152,8 @@ func TestShardedScenarioDeterministic(t *testing.T) {
 	opts.Clients = 12
 	opts.OpsPerClient = 18
 	sched := chaos.ShardLeaderCrash(1, opts.Warmup+250*time.Millisecond, 500*time.Millisecond)
-	a := RunShardedScenario(opts, sched)
-	b := RunShardedScenario(opts, sched)
+	a := RunScenario(opts, sched)
+	b := RunScenario(opts, sched)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different results:\n%+v\n%+v", a, b)
 	}
@@ -171,7 +169,7 @@ func TestShardedScenarioHealthy(t *testing.T) {
 	opts.Shards = 2
 	opts.Clients = 10
 	opts.OpsPerClient = 15
-	r := RunShardedScenario(opts, nil)
+	r := RunScenario(opts, nil)
 	if !r.Linearizable || !r.AllComplete || !r.Converged {
 		t.Fatalf("healthy run: lin=%v complete=%v converged=%v", r.Linearizable, r.AllComplete, r.Converged)
 	}
@@ -194,7 +192,7 @@ func TestShardedScenarioPlacementFlip(t *testing.T) {
 	opts.OpsPerClient = 15
 	opts.Measure = 2 * time.Second
 	sched := chaos.ShardFlip(1, 0, opts.Warmup+300*time.Millisecond)
-	r := RunShardedScenario(opts, sched)
+	r := RunScenario(opts, sched)
 	if !r.Linearizable || !r.AllComplete || !r.Converged {
 		t.Fatalf("flip run: lin=%v complete=%v converged=%v", r.Linearizable, r.AllComplete, r.Converged)
 	}
@@ -215,7 +213,7 @@ func TestShardedSingleShardDegenerate(t *testing.T) {
 	opts.Shards = 1
 	opts.Clients = 8
 	opts.OpsPerClient = 12
-	r := RunShardedScenario(opts, nil)
+	r := RunScenario(opts, nil)
 	if r.Shards != 1 || len(r.PerShard) != 1 {
 		t.Fatalf("S=1 produced %d shards", r.Shards)
 	}
@@ -230,8 +228,9 @@ func TestShardedSingleShardDegenerate(t *testing.T) {
 // busyShardedOpts is the configuration that exposed sharded clients dropping
 // backpressure: a one-slot window of two-command batches and an ingress
 // bound of two at each of two shard leaders, under 24 closed-loop clients.
-func busyShardedOpts() ShardedOptions {
-	opts := ShardedOptions{Shards: 2}
+func busyShardedOpts() ScenarioOptions {
+	opts := ScenarioOptions{}
+	opts.Shards = 2
 	opts.Protocol = Paxos
 	opts.N = 6
 	opts.Clients = 24
@@ -249,10 +248,9 @@ func busyShardedOpts() ShardedOptions {
 // throughput client (no sweep) never sent again and throughput fell by
 // more than half. Every client must still be issuing at the window's end.
 func TestShardedClientsHonorBusy(t *testing.T) {
-	opts := busyShardedOpts()
+	opts := busyShardedOpts().Options
 	opts.applyDefaults()
-	plan := shard.Plan(opts.cluster(), opts.Shards)
-	lr := runLoad(&opts.Options, &plan)
+	lr := runLoad(&opts, opts.plan())
 	var shed uint64
 	lr.d.coreStats(func(_ ids.ID, core *paxos.Replica) { shed += core.Stats().Busy })
 	if shed == 0 {
@@ -275,8 +273,7 @@ func TestShardedScenarioClientsHonorBusy(t *testing.T) {
 	opts.ThinkTime = -1 // closed loop, so the leaders actually shed
 	opts.OpsPerClient = 40
 	opts.applyDefaults()
-	plan := shard.Plan(opts.cluster(), opts.Shards)
-	sr := runScenario(&opts.ScenarioOptions, &plan, nil)
+	sr := runScenario(&opts, opts.plan(), nil)
 	honored := 0
 	for _, cl := range sr.clients {
 		honored += cl.busy

@@ -16,12 +16,39 @@ import (
 	"pigpaxos/internal/workload"
 )
 
+// TestRunRejectsBadOptions: Run uses the values it is given, so a zero it
+// cannot run with is an error, not a default — and it is reported before
+// anything is dialled.
 func TestRunRejectsBadOptions(t *testing.T) {
-	if _, err := loadgen.Run(loadgen.Options{}); err == nil {
-		t.Fatal("zero rate must be rejected")
+	good := func() loadgen.Options {
+		return loadgen.Options{
+			Addrs:    map[ids.ID]string{member: "127.0.0.1:1"},
+			Members:  []ids.ID{member},
+			Clients:  1,
+			Rate:     100,
+			Duration: time.Second,
+			Timeout:  time.Second,
+		}
 	}
-	if _, err := loadgen.Run(loadgen.Options{Rate: 100}); err == nil {
-		t.Fatal("empty cluster must be rejected")
+	for name, mut := range map[string]func(*loadgen.Options){
+		"zero rate":        func(o *loadgen.Options) { o.Rate = 0 },
+		"empty cluster":    func(o *loadgen.Options) { o.Addrs, o.Members = nil, nil },
+		"zero clients":     func(o *loadgen.Options) { o.Clients = 0 },
+		"negative clients": func(o *loadgen.Options) { o.Clients = -1 },
+		"negative warmup":  func(o *loadgen.Options) { o.Warmup = -time.Millisecond },
+		"zero duration":    func(o *loadgen.Options) { o.Duration = 0 },
+		"zero timeout":     func(o *loadgen.Options) { o.Timeout = 0 },
+		"bad workload":     func(o *loadgen.Options) { o.Workload.ReadRatio = 2 },
+	} {
+		o := good()
+		mut(&o)
+		if _, err := loadgen.Run(o); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	o := good()
+	if err := o.Validate(); err != nil {
+		t.Errorf("valid options rejected: %v", err)
 	}
 }
 
@@ -47,6 +74,7 @@ func TestOpenLoopAgainstRealCluster(t *testing.T) {
 		Rate:     400,
 		Warmup:   300 * time.Millisecond,
 		Duration: 1500 * time.Millisecond,
+		Timeout:  2 * time.Second,
 		Workload: workload.Config{Keys: 64},
 		Seed:     1,
 	})
@@ -118,7 +146,7 @@ func fakeMember(t *testing.T, answer func(wire.Request) (wire.Msg, time.Duration
 	return map[ids.ID]string{member: ln.Addr().String()}
 }
 
-// TestOpenLoopShedsAtInFlightCap offers one worker more than its in-flight
+// TestOpenLoopShedsAtInFlightCap offers one client more than its in-flight
 // cap, sessions.Window, can carry against a member that answers every
 // request 100ms late — at most Window per 100ms, 2,560 ops/s — and checks
 // the engine sheds instead of blocking the arrival clock (the open-loop

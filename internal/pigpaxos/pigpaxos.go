@@ -153,11 +153,6 @@ type Replica struct {
 	// (read-only downstream).
 	rest       [][][]ids.ID
 	thresholds []int
-	// groupZones[g] is the region relay group g covers under GroupByZone
-	// (nil otherwise): the paper's WAN deployment maps groups 1:1 onto
-	// regions, and region-aware chaos uses the correspondence to aim
-	// "crash the relay of region z" at the right group.
-	groupZones []int
 	// relays[g] is the index in group g of the relay most recently drawn
 	// (-1 before the first round). Chaos schedules use it to aim "kill the
 	// current relay of group g" faults at the node actually carrying the
@@ -205,28 +200,13 @@ func (r *Replica) Stats() Stats { return r.stats }
 // Layout returns the current relay-group layout (leader's view).
 func (r *Replica) Layout() config.GroupLayout { return r.layout }
 
-// GroupZones returns the zone each relay group covers under GroupByZone,
-// ordered by group index, or nil for zone-oblivious layouts.
-func (r *Replica) GroupZones() []int { return append([]int(nil), r.groupZones...) }
-
-// GroupForZone returns the relay group covering zone z, or -1 when the
-// layout is not zone-aligned or z holds no followers.
-func (r *Replica) GroupForZone(z int) int {
-	for g, zone := range r.groupZones {
-		if zone == z {
-			return g
-		}
-	}
-	return -1
-}
-
 // computeLayout partitions the followers into relay groups and builds what
 // is derived from the partition.
 func (r *Replica) computeLayout() {
 	peers := r.cfg.Paxos.Cluster.Peers(r.cfg.Paxos.ID)
 	switch r.cfg.Strategy {
 	case GroupByZone:
-		r.layout, r.groupZones = config.ZoneGroupsWithZones(r.cfg.Paxos.Cluster, peers)
+		r.layout = config.ZoneGroups(r.cfg.Paxos.Cluster, peers)
 	default:
 		g, err := config.EvenGroups(peers, r.cfg.NumGroups)
 		if err != nil {

@@ -602,46 +602,26 @@ func TestLeaderFailoverPig(t *testing.T) {
 	}
 }
 
-// Zone-aligned layout: under GroupByZone the groups map 1:1 onto regions in
-// ascending zone order, and GroupZones/GroupForZone expose the correspondence.
+// Zone-aligned layout: under GroupByZone the leader's groups map 1:1 onto
+// regions in ascending zone order.
 func TestZoneAlignedLayoutAccessors(t *testing.T) {
 	tc := newCluster(t, 9, true, func(c *Config) {
 		c.Strategy = GroupByZone
 	})
-	lead := tc.leader() // node 1.1, zone 1
-	zones := lead.GroupZones()
-	if len(zones) != 3 || zones[0] != 1 || zones[1] != 2 || zones[2] != 3 {
-		t.Fatalf("GroupZones = %v, want [1 2 3]", zones)
+	layout := tc.leader().Layout() // node 1.1, zone 1
+	if layout.NumGroups() != 3 {
+		t.Fatalf("zone layout has %d groups, want 3", layout.NumGroups())
 	}
-	layout := lead.Layout()
-	for z := 1; z <= 3; z++ {
-		g := lead.GroupForZone(z)
-		if g < 0 {
-			t.Fatalf("GroupForZone(%d) = %d", z, g)
-		}
-		for _, m := range layout.Groups[g] {
-			if m.Zone() != z {
-				t.Errorf("group %d for zone %d contains %v", g, z, m)
+	for g, members := range layout.Groups {
+		for _, m := range members {
+			if m.Zone() != g+1 {
+				t.Errorf("group %d contains %v, want zone %d only", g, m, g+1)
 			}
 		}
 	}
-	if g := lead.GroupForZone(9); g != -1 {
-		t.Errorf("GroupForZone(9) = %d, want -1", g)
-	}
 	// The leader's own zone group holds only its two co-residents.
-	if own := layout.Groups[lead.GroupForZone(1)]; len(own) != 2 {
+	if own := layout.Groups[0]; len(own) != 2 {
 		t.Errorf("leader-zone group = %v, want 2 members", own)
-	}
-}
-
-// An even-grouped (non-zone) replica never claims zone alignment.
-func TestEvenLayoutHasNoZoneAlignment(t *testing.T) {
-	tc := newCluster(t, 9, true, nil) // GroupEven
-	if zs := tc.leader().GroupZones(); zs != nil {
-		t.Errorf("GroupZones = %v, want nil", zs)
-	}
-	if g := tc.leader().GroupForZone(1); g != -1 {
-		t.Errorf("GroupForZone = %d, want -1", g)
 	}
 }
 

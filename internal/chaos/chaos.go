@@ -6,6 +6,9 @@
 // Resolver. Everything — action times, probabilistic link faults, explorer
 // randomness — derives from seeded RNGs, so a scenario is a pure function of
 // (protocol, cluster, seed, schedule): equal inputs give bit-identical runs.
+// One Validate(s, cluster, healBy) checks every schedule — node-level and
+// region-level alike — against the bounds the explorer draws within and the
+// shrinker keeps its candidates inside.
 //
 // The package exercises the paper's fault-tolerance machinery end-to-end:
 // relay rotation after relay failure, leader re-fan-out with fresh relays
@@ -36,8 +39,8 @@ const (
 	// Recover brings Node back (pre-crash state retained, as in the paper's
 	// crash-recovery model).
 	Recover
-	// CrashLeader crashes whichever node the Resolver reports as leader at
-	// fire time; Duration > 0 schedules the victim's recovery.
+	// CrashLeader crashes whichever node the Resolver reports as shard 0's
+	// leader at fire time; Duration > 0 schedules the victim's recovery.
 	CrashLeader
 	// CrashRelay crashes the node currently carrying relay group Group
 	// (Resolver-resolved); Duration > 0 schedules its recovery.
@@ -72,8 +75,8 @@ const (
 	// locality. Not a fault: nothing needs healing.
 	LeaderPlacementFlip
 	// CrashShardLeader crashes whichever node currently leads consensus
-	// group Shard (resolved at fire time via the ShardResolver extension);
-	// Duration > 0 schedules the victim's recovery. The sharded scenario
+	// group Shard (Resolver-resolved at fire time); Duration > 0 schedules
+	// the victim's recovery. The sharded scenario
 	// harness asserts the blast radius stays inside the shards the victim
 	// replicates.
 	CrashShardLeader
@@ -106,54 +109,37 @@ const (
 	DiskRestore
 )
 
+// kindNames is every Kind's name, the one table String and parseKind read.
+var kindNames = [...]string{
+	Crash:               "crash",
+	Recover:             "recover",
+	CrashLeader:         "crash-leader",
+	CrashRelay:          "crash-relay",
+	PartitionCut:        "partition",
+	Heal:                "heal",
+	LinkFault:           "link-fault",
+	ClearLinks:          "clear-links",
+	Sluggish:            "sluggish",
+	RegionPartition:     "region-partition",
+	WANDegrade:          "wan-degrade",
+	CrashRegion:         "crash-region",
+	LeaderPlacementFlip: "placement-flip",
+	CrashShardLeader:    "crash-shard-leader",
+	ShardPlacementFlip:  "shard-placement-flip",
+	Restart:             "restart",
+	RestartLeader:       "restart-leader",
+	TornTail:            "torn-tail",
+	Reboot:              "reboot",
+	DiskSlow:            "disk-slow",
+	DiskRestore:         "disk-restore",
+}
+
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	switch k {
-	case Crash:
-		return "crash"
-	case Recover:
-		return "recover"
-	case CrashLeader:
-		return "crash-leader"
-	case CrashRelay:
-		return "crash-relay"
-	case PartitionCut:
-		return "partition"
-	case Heal:
-		return "heal"
-	case LinkFault:
-		return "link-fault"
-	case ClearLinks:
-		return "clear-links"
-	case Sluggish:
-		return "sluggish"
-	case RegionPartition:
-		return "region-partition"
-	case WANDegrade:
-		return "wan-degrade"
-	case CrashRegion:
-		return "crash-region"
-	case LeaderPlacementFlip:
-		return "placement-flip"
-	case CrashShardLeader:
-		return "crash-shard-leader"
-	case ShardPlacementFlip:
-		return "shard-placement-flip"
-	case Restart:
-		return "restart"
-	case RestartLeader:
-		return "restart-leader"
-	case TornTail:
-		return "torn-tail"
-	case Reboot:
-		return "reboot"
-	case DiskSlow:
-		return "disk-slow"
-	case DiskRestore:
-		return "disk-restore"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // Action is one fault to inject. Only the fields relevant to Kind are used.
@@ -231,9 +217,11 @@ func Merge(ss ...Schedule) Schedule {
 // Resolver resolves dynamic fault targets at fire time. The scenario harness
 // implements it by inspecting live protocol state.
 type Resolver interface {
-	// Leader returns the current leader (zero if unknown; the injector
-	// then skips the action).
-	Leader() ids.ID
+	// ShardLeader returns the current leader of consensus group shard; shard
+	// 0 is the whole cluster when it is unsharded, and the target of
+	// CrashLeader and RestartLeader. Zero means unknown: the injector then
+	// skips the action, deterministically.
+	ShardLeader(shard int) ids.ID
 	// Relay returns the node currently carrying relay group g (zero if
 	// unknown or not applicable to the protocol under test).
 	Relay(g int) ids.ID
@@ -245,13 +233,6 @@ type Resolver interface {
 // the injector then skips the action, deterministically).
 type Placer interface {
 	CampaignFrom(zone int) ids.ID
-}
-
-// ShardResolver is an optional Resolver extension for sharded deployments:
-// it reports the current leader of one consensus group (zero if unknown —
-// the injector then skips the action, deterministically).
-type ShardResolver interface {
-	ShardLeader(shard int) ids.ID
 }
 
 // ShardPlacer is an optional Resolver extension for per-shard placement:
@@ -280,21 +261,24 @@ type DiskFaulter interface {
 }
 
 // StaticResolver is a Resolver with fixed answers (tests, leaderless
-// protocols).
+// protocols): Leaders[k] leads shard k, Relays[g] carries relay group g.
 type StaticResolver struct {
-	LeaderID ids.ID
-	Relays   []ids.ID
+	Leaders []ids.ID
+	Relays  []ids.ID
 }
 
-// Leader implements Resolver.
-func (s StaticResolver) Leader() ids.ID { return s.LeaderID }
+// ShardLeader implements Resolver.
+func (s StaticResolver) ShardLeader(shard int) ids.ID { return at(s.Leaders, shard) }
 
 // Relay implements Resolver.
-func (s StaticResolver) Relay(g int) ids.ID {
-	if g < 0 || g >= len(s.Relays) {
+func (s StaticResolver) Relay(g int) ids.ID { return at(s.Relays, g) }
+
+// at returns l[i], or zero when i is out of range.
+func at(l []ids.ID, i int) ids.ID {
+	if i < 0 || i >= len(l) {
 		return 0
 	}
-	return s.Relays[g]
+	return l[i]
 }
 
 // Applied records one action the injector actually executed, with its
@@ -353,41 +337,69 @@ func Apply(sim *des.Sim, net *netsim.Network, sched Schedule, res Resolver) *Inj
 // Log returns the actions executed so far, in execution order.
 func (in *Injector) Log() []Applied { return in.log }
 
-// note records an executed action.
-func (in *Injector) note(k Kind, target ids.ID) {
-	in.log = append(in.log, Applied{At: in.sim.Now(), Kind: k, Target: target, Shard: -1})
+// note records that k happened now on behalf of action a — a.Kind itself or
+// the step that heals it — against target. The entry carries a's zone when
+// a is region-level and a's shard when a is shard-level (-1 otherwise).
+func (in *Injector) note(k Kind, a Action, target ids.ID) {
+	e := Applied{At: in.sim.Now(), Kind: k, Target: target, Shard: -1}
+	switch a.Kind {
+	case RegionPartition, WANDegrade, CrashRegion, LeaderPlacementFlip:
+		e.Zone = a.Zone
+	case CrashShardLeader, ShardPlacementFlip:
+		e.Shard = a.Shard
+	}
+	in.log = append(in.log, e)
 }
 
-// noteZone records an executed region-level action.
-func (in *Injector) noteZone(k Kind, zone int, target ids.ID) {
-	in.log = append(in.log, Applied{At: in.sim.Now(), Kind: k, Target: target, Zone: zone, Shard: -1})
+// after runs heal a.Duration from now when the action is self-healing.
+func (in *Injector) after(a Action, heal func()) {
+	if a.Duration > 0 {
+		in.sim.Schedule(a.Duration, heal)
+	}
 }
 
-// noteShard records an executed shard-level action.
-func (in *Injector) noteShard(k Kind, shard int, target ids.ID) {
-	in.log = append(in.log, Applied{At: in.sim.Now(), Kind: k, Target: target, Shard: shard})
+// victim resolves the node a node outage targets: its Node for static
+// kinds, the Resolver's answer for dynamic ones (zero when unresolvable).
+func (in *Injector) victim(a Action) ids.ID {
+	switch a.Kind {
+	case Crash, Restart, TornTail:
+		return a.Node
+	}
+	if in.res == nil {
+		return 0
+	}
+	switch a.Kind {
+	case CrashLeader, RestartLeader:
+		return in.res.ShardLeader(0)
+	case CrashShardLeader:
+		return in.res.ShardLeader(a.Shard)
+	case CrashRelay:
+		return in.res.Relay(a.Group)
+	}
+	return 0
 }
 
-// crashFor crashes victim now and, when d > 0, schedules its recovery.
-func (in *Injector) crashFor(k Kind, victim ids.ID, d time.Duration) {
+// crashFor crashes a's victim now and, when a self-heals, recovers it
+// a.Duration later. An unresolvable victim skips the action.
+func (in *Injector) crashFor(a Action) {
+	victim := in.victim(a)
 	if victim.IsZero() {
-		return // unresolvable target: skip, deterministically
+		return
 	}
 	in.net.Crash(victim)
-	in.note(k, victim)
-	if d > 0 {
-		in.sim.Schedule(d, func() {
-			in.net.Recover(victim)
-			in.note(Recover, victim)
-		})
-	}
+	in.note(a.Kind, a, victim)
+	in.after(a, func() {
+		in.net.Recover(victim)
+		in.note(Recover, a, victim)
+	})
 }
 
-// restartFor crashes victim now and schedules an honest reboot-from-disk d
-// later. The whole action is skipped when the resolver cannot reboot —
-// running only the crash half would silently degrade Restart to a permanent
-// crash on volatile deployments.
-func (in *Injector) restartFor(k Kind, victim ids.ID, d time.Duration, torn bool) {
+// restartFor crashes a's victim now and schedules an honest reboot-from-disk
+// a.Duration later. The whole action is skipped when the resolver cannot
+// reboot — running only the crash half would silently degrade Restart to a
+// permanent crash on volatile deployments.
+func (in *Injector) restartFor(a Action) {
+	victim := in.victim(a)
 	if victim.IsZero() {
 		return
 	}
@@ -395,11 +407,12 @@ func (in *Injector) restartFor(k Kind, victim ids.ID, d time.Duration, torn bool
 	if !ok {
 		return
 	}
+	torn := a.Torn || a.Kind == TornTail
 	in.net.Crash(victim)
-	in.note(k, victim)
-	in.sim.Schedule(d, func() {
+	in.note(a.Kind, a, victim)
+	in.sim.Schedule(a.Duration, func() {
 		if rb.Reboot(victim, torn) {
-			in.note(Reboot, victim)
+			in.note(Reboot, a, victim)
 		}
 	})
 }
@@ -407,82 +420,49 @@ func (in *Injector) restartFor(k Kind, victim ids.ID, d time.Duration, torn bool
 func (in *Injector) fire(ev Event) {
 	a := ev.Action
 	switch a.Kind {
-	case Crash:
-		in.crashFor(Crash, a.Node, a.Duration)
+	case Crash, CrashLeader, CrashRelay, CrashShardLeader:
+		in.crashFor(a)
+	case Restart, RestartLeader, TornTail:
+		in.restartFor(a)
 	case Recover:
 		in.net.Recover(a.Node)
-		in.note(Recover, a.Node)
-	case CrashLeader:
-		var victim ids.ID
-		if in.res != nil {
-			victim = in.res.Leader()
-		}
-		in.crashFor(CrashLeader, victim, a.Duration)
-	case CrashRelay:
-		var victim ids.ID
-		if in.res != nil {
-			victim = in.res.Relay(a.Group)
-		}
-		in.crashFor(CrashRelay, victim, a.Duration)
+		in.note(Recover, a, a.Node)
 	case PartitionCut:
 		in.net.Partition(a.SideA, a.SideB)
-		in.note(PartitionCut, 0)
-		if a.Duration > 0 {
-			in.sim.Schedule(a.Duration, func() {
-				in.net.HealPartition()
-				in.note(Heal, 0)
-			})
-		}
+		in.note(PartitionCut, a, 0)
+		in.after(a, func() { in.heal(a) })
 	case Heal:
-		in.net.HealPartition()
-		in.note(Heal, 0)
+		in.heal(a)
 	case LinkFault:
 		if a.From.IsZero() && a.To.IsZero() {
 			in.net.SetAllLinkFaults(a.Faults)
 		} else {
 			in.net.SetLinkFaults(a.From, a.To, a.Faults)
 		}
-		in.note(LinkFault, a.From)
-		if a.Duration > 0 {
-			in.sim.Schedule(a.Duration, func() {
-				in.net.ClearLinkFaults()
-				in.note(ClearLinks, 0)
-			})
-		}
+		in.note(LinkFault, a, a.From)
+		in.after(a, func() { in.clearLinks(a) })
 	case ClearLinks:
-		in.net.ClearLinkFaults()
-		in.note(ClearLinks, 0)
+		in.clearLinks(a)
 	case Sluggish:
 		in.net.SetSluggish(a.Node, a.Factor)
-		in.note(Sluggish, a.Node)
-		if a.Duration > 0 {
-			in.sim.Schedule(a.Duration, func() {
-				in.net.SetSluggish(a.Node, 1)
-				in.note(Recover, a.Node)
-			})
-		}
+		in.note(Sluggish, a, a.Node)
+		in.after(a, func() {
+			in.net.SetSluggish(a.Node, 1)
+			in.note(Recover, a, a.Node)
+		})
 	case RegionPartition:
 		in.net.PartitionZone(a.Zone)
-		in.noteZone(RegionPartition, a.Zone, 0)
-		if a.Duration > 0 {
-			in.sim.Schedule(a.Duration, func() {
-				in.net.HealPartition()
-				in.noteZone(Heal, a.Zone, 0)
-			})
-		}
+		in.note(RegionPartition, a, 0)
+		in.after(a, func() { in.heal(a) })
 	case WANDegrade:
 		in.net.SetZoneLinkFaults(a.Zone, a.ZoneB, a.Faults)
-		in.noteZone(WANDegrade, a.Zone, 0)
-		if a.Duration > 0 {
-			// Heal only this pair (zero faults clear the links), so
-			// overlapping degrades on other WAN paths run their full
-			// scripted windows.
-			zone, zoneB := a.Zone, a.ZoneB
-			in.sim.Schedule(a.Duration, func() {
-				in.net.SetZoneLinkFaults(zone, zoneB, netsim.LinkFaults{})
-				in.noteZone(ClearLinks, zone, 0)
-			})
-		}
+		in.note(WANDegrade, a, 0)
+		// Heal only this pair (zero faults clear the links), so overlapping
+		// degrades on other WAN paths run their full scripted windows.
+		in.after(a, func() {
+			in.net.SetZoneLinkFaults(a.Zone, a.ZoneB, netsim.LinkFaults{})
+			in.note(ClearLinks, a, 0)
+		})
 	case CrashRegion:
 		// Crash only members that are still up, and recover exactly those:
 		// a node felled earlier by an overlapping crash fault keeps its own
@@ -494,72 +474,58 @@ func (in *Injector) fire(ev Event) {
 				in.net.Crash(v)
 			}
 		}
-		in.noteZone(CrashRegion, a.Zone, 0)
-		if a.Duration > 0 && len(victims) > 0 {
-			in.sim.Schedule(a.Duration, func() {
+		in.note(CrashRegion, a, 0)
+		if len(victims) > 0 {
+			in.after(a, func() {
 				for _, v := range victims {
 					in.net.Recover(v)
 				}
-				in.noteZone(Recover, a.Zone, 0)
+				in.note(Recover, a, 0)
 			})
 		}
 	case LeaderPlacementFlip:
 		if p, ok := in.res.(Placer); ok {
 			if id := p.CampaignFrom(a.Zone); !id.IsZero() {
-				in.noteZone(LeaderPlacementFlip, a.Zone, id)
+				in.note(LeaderPlacementFlip, a, id)
 			}
-		}
-	case CrashShardLeader:
-		var victim ids.ID
-		if sr, ok := in.res.(ShardResolver); ok {
-			victim = sr.ShardLeader(a.Shard)
-		}
-		if victim.IsZero() {
-			return // unresolvable target: skip, deterministically
-		}
-		in.net.Crash(victim)
-		in.noteShard(CrashShardLeader, a.Shard, victim)
-		if a.Duration > 0 {
-			shard := a.Shard
-			in.sim.Schedule(a.Duration, func() {
-				in.net.Recover(victim)
-				in.noteShard(Recover, shard, victim)
-			})
 		}
 	case ShardPlacementFlip:
 		if p, ok := in.res.(ShardPlacer); ok {
 			if id := p.CampaignShardFrom(a.Shard, a.Zone); !id.IsZero() {
-				in.noteShard(ShardPlacementFlip, a.Shard, id)
+				in.note(ShardPlacementFlip, a, id)
 			}
 		}
-	case Restart, TornTail:
-		in.restartFor(a.Kind, a.Node, a.Duration, a.Torn || a.Kind == TornTail)
-	case RestartLeader:
-		var victim ids.ID
-		if in.res != nil {
-			victim = in.res.Leader()
-		}
-		in.restartFor(RestartLeader, victim, a.Duration, a.Torn)
 	case DiskSlow:
 		df, ok := in.res.(DiskFaulter)
 		if !ok {
 			return
 		}
 		df.SetDiskSync(a.Node, a.SyncLatency)
-		in.note(DiskSlow, a.Node)
-		if a.Duration > 0 {
-			node := a.Node
-			in.sim.Schedule(a.Duration, func() {
-				df.SetDiskSync(node, 0)
-				in.note(DiskRestore, node)
-			})
-		}
+		in.note(DiskSlow, a, a.Node)
+		in.after(a, func() {
+			df.SetDiskSync(a.Node, 0)
+			in.note(DiskRestore, a, a.Node)
+		})
 	case DiskRestore:
 		if df, ok := in.res.(DiskFaulter); ok {
 			df.SetDiskSync(a.Node, 0)
-			in.note(DiskRestore, a.Node)
+			in.note(DiskRestore, a, a.Node)
 		}
 	}
+}
+
+// heal removes every partition cut; a is the cut or region partition it
+// ends (or the Heal action itself).
+func (in *Injector) heal(a Action) {
+	in.net.HealPartition()
+	in.note(Heal, a, 0)
+}
+
+// clearLinks removes every per-link fault; a is the fault it ends (or the
+// ClearLinks action itself).
+func (in *Injector) clearLinks(a Action) {
+	in.net.ClearLinkFaults()
+	in.note(ClearLinks, a, 0)
 }
 
 // ------------------------------------------------------------- builders --
@@ -689,186 +655,118 @@ func RollingReboot(nodes []ids.ID, start, downFor, gap time.Duration) Schedule {
 
 // ------------------------------------------------------------- validation --
 
+// window is a fault's span [start, end).
+type window struct{ start, end time.Duration }
+
+// covers reports whether t falls inside w.
+func (w window) covers(t time.Duration) bool { return w.start <= t && t < w.end }
+
 // MaxSafeCrashes is the classical f: how many of n nodes may be down
 // simultaneously while a majority of n stays formable from the survivors.
 func MaxSafeCrashes(n int) int { return n - quorum.MajoritySize(n) }
 
 // Validate checks a schedule against the safety bounds the explorer promises
-// and tests rely on: at no instant are more than MaxSafeCrashes(n) nodes
-// crashed simultaneously (a majority must stay formable from the survivors),
-// every crash recovers, and every fault heals by healBy. Dynamic-target
-// crashes must be self-healing (Duration > 0) since their victims cannot be
-// matched to later Recover events statically.
-func Validate(s Schedule, n int, healBy time.Duration) error {
-	maxDown := MaxSafeCrashes(n)
-	type window struct{ start, end time.Duration }
-	var crashes []window
-	recovers := map[ids.ID][]time.Duration{}
-	for _, ev := range s {
-		if ev.Action.Kind == Recover {
-			recovers[ev.Action.Node] = append(recovers[ev.Action.Node], ev.At)
-		}
-	}
-	for _, ev := range s {
-		a := ev.Action
-		switch a.Kind {
-		case Restart, RestartLeader, TornTail:
-			// Restart kinds count against the crash budget like any outage,
-			// and always need a Duration — the reboot has no other trigger.
-			if a.Duration <= 0 {
-				return fmt.Errorf("chaos: %v at %v has no Duration (the reboot needs a fire time)", a.Kind, ev.At)
-			}
-			if ev.At+a.Duration > healBy {
-				return fmt.Errorf("chaos: %v at %v reboots at %v, after the %v deadline", a.Kind, ev.At, ev.At+a.Duration, healBy)
-			}
-			crashes = append(crashes, window{ev.At, ev.At + a.Duration})
-		case Crash, CrashLeader, CrashRelay, CrashShardLeader:
-			end := ev.At + a.Duration
-			if a.Duration <= 0 {
-				if a.Kind != Crash {
-					return fmt.Errorf("chaos: %v at %v has no Duration (dynamic targets must self-heal)", a.Kind, ev.At)
-				}
-				found := false
-				for _, rt := range recovers[a.Node] {
-					if rt > ev.At {
-						end = rt
-						found = true
-						break
-					}
-				}
-				if !found {
-					return fmt.Errorf("chaos: crash of %v at %v never recovers", a.Node, ev.At)
-				}
-			}
-			if end > healBy {
-				return fmt.Errorf("chaos: crash at %v heals at %v, after the %v deadline", ev.At, end, healBy)
-			}
-			crashes = append(crashes, window{ev.At, end})
-		case PartitionCut, LinkFault, Sluggish:
-			if a.Duration <= 0 {
-				healed := false
-				for _, other := range s {
-					k := other.Action.Kind
-					if other.At > ev.At && other.At <= healBy &&
-						((a.Kind == PartitionCut && k == Heal) ||
-							(a.Kind == LinkFault && k == ClearLinks)) {
-						healed = true
-						break
-					}
-				}
-				if !healed {
-					return fmt.Errorf("chaos: %v at %v never heals", a.Kind, ev.At)
-				}
-			} else if ev.At+a.Duration > healBy {
-				return fmt.Errorf("chaos: %v at %v heals after the %v deadline", a.Kind, ev.At, healBy)
-			}
-		}
-	}
-	// Concurrency bound: count overlapping crash windows at every window
-	// start (overlap counts are maximal at interval starts).
-	for i, w := range crashes {
-		down := 1
-		for j, o := range crashes {
-			if j != i && o.start <= w.start && w.start < o.end {
-				down++
-			}
-		}
-		if down > maxDown {
-			return fmt.Errorf("chaos: %d nodes down at %v; a majority of %d cannot survive", down, w.start, n)
-		}
-	}
-	return nil
-}
-
-// ValidateRegions checks a schedule that may contain region-level faults
-// against cluster cc. Region actions are lowered to their node-level
-// equivalents — CrashRegion to one Crash per member (so a crashed region
-// counts every node against the crash-concurrency bound), RegionPartition to
-// the (zone, rest) PartitionCut, WANDegrade to a LinkFault — and the result
-// must pass Validate: in particular, a partition that cuts away a majority
-// of regions (or any region at all) without healing by healBy is rejected.
-// On top, region-quorum checks apply: region actions must name a populated
-// zone, and a LeaderPlacementFlip may not target a region whose every member
-// is statically crashed at fire time (there would be nobody to campaign).
-func ValidateRegions(s Schedule, cc config.Cluster, healBy time.Duration) error {
-	type window struct{ start, end time.Duration }
-	nodeDown := map[ids.ID][]window{}
-	recoverAfter := func(node ids.ID, t time.Duration) (time.Duration, bool) {
-		for _, ev := range s {
-			if ev.Action.Kind == Recover && ev.Action.Node == node && ev.At > t {
-				return ev.At, true
-			}
-		}
-		return 0, false
-	}
-	crashWindow := func(node ids.ID, at, dur time.Duration) {
-		end := at + dur
-		if dur <= 0 {
-			// Never-healing or Recover-matched; base Validate rejects the
-			// former, so an unmatched recover can conservatively mean
-			// "down forever" for the flip check.
-			if rt, ok := recoverAfter(node, at); ok {
-				end = rt
-			} else {
-				end = healBy + 1
-			}
-		}
-		nodeDown[node] = append(nodeDown[node], window{at, end})
-	}
-	expanded := make(Schedule, 0, len(s))
+// and tests rely on, for cluster cc:
+//   - every fault heals by healBy, and every crash recovers; dynamic-target
+//     crashes must self-heal (Duration > 0), since their victims cannot be
+//     matched to later Recover events statically, and restarts always need a
+//     Duration, since the reboot has no other trigger;
+//   - at no instant are more than MaxSafeCrashes(cc.N()) nodes down at once
+//     (a majority must stay formable from the survivors);
+//   - region actions name populated zones, and a LeaderPlacementFlip does not
+//     target a region whose every member is statically crashed at fire time
+//     (there would be nobody to campaign).
+//
+// Region actions are first lowered to their node-level equivalents:
+// CrashRegion to one Crash per member (so a crashed region counts every node
+// against the crash bound), RegionPartition to the (zone, rest) PartitionCut,
+// WANDegrade to a LinkFault.
+func Validate(s Schedule, cc config.Cluster, healBy time.Duration) error {
+	lowered := make(Schedule, 0, len(s))
 	var flips []Event
 	for _, ev := range s {
 		a := ev.Action
 		switch a.Kind {
-		case RegionPartition, CrashRegion, LeaderPlacementFlip:
-			members := cc.ZoneNodes(a.Zone)
-			if len(members) == 0 {
-				return fmt.Errorf("chaos: %v at %v targets empty zone %d", a.Kind, ev.At, a.Zone)
+		case RegionPartition, CrashRegion, LeaderPlacementFlip, WANDegrade:
+			if len(cc.ZoneNodes(a.Zone)) == 0 || (a.Kind == WANDegrade && len(cc.ZoneNodes(a.ZoneB)) == 0) {
+				return fmt.Errorf("chaos: %v at %v targets an empty zone (%d, %d)", a.Kind, ev.At, a.Zone, a.ZoneB)
 			}
-			switch a.Kind {
-			case RegionPartition:
-				in, out := cc.RegionSides(a.Zone)
-				expanded = append(expanded, Event{At: ev.At, Action: Action{
-					Kind: PartitionCut, SideA: in, SideB: out, Duration: a.Duration,
-				}})
-			case CrashRegion:
-				for _, v := range members {
-					expanded = append(expanded, Event{At: ev.At, Action: Action{
-						Kind: Crash, Node: v, Duration: a.Duration,
-					}})
-					crashWindow(v, ev.At, a.Duration)
-				}
-			case LeaderPlacementFlip:
-				flips = append(flips, ev)
+		}
+		switch a.Kind {
+		case RegionPartition:
+			in, out := cc.RegionSides(a.Zone)
+			lowered = append(lowered, Event{At: ev.At, Action: Action{
+				Kind: PartitionCut, SideA: in, SideB: out, Duration: a.Duration,
+			}})
+		case CrashRegion:
+			for _, v := range cc.ZoneNodes(a.Zone) {
+				lowered = append(lowered, Event{At: ev.At, Action: Action{Kind: Crash, Node: v, Duration: a.Duration}})
 			}
 		case WANDegrade:
-			if len(cc.ZoneNodes(a.Zone)) == 0 || len(cc.ZoneNodes(a.ZoneB)) == 0 {
-				return fmt.Errorf("chaos: wan-degrade at %v targets empty zone pair (%d, %d)", ev.At, a.Zone, a.ZoneB)
-			}
-			expanded = append(expanded, Event{At: ev.At, Action: Action{
-				Kind: LinkFault, Faults: a.Faults, Duration: a.Duration,
-			}})
+			lowered = append(lowered, Event{At: ev.At, Action: Action{Kind: LinkFault, Faults: a.Faults, Duration: a.Duration}})
+		case LeaderPlacementFlip:
+			flips = append(flips, ev)
 		default:
-			if a.Kind == Crash || a.Kind == Restart || a.Kind == TornTail {
-				crashWindow(a.Node, ev.At, a.Duration)
-			}
-			expanded = append(expanded, ev)
+			lowered = append(lowered, ev)
 		}
 	}
-	if err := Validate(expanded, cc.N(), healBy); err != nil {
-		return err
+
+	var outages []window          // every node outage, for the crash bound
+	down := map[ids.ID][]window{} // static victims' outages, for the flip check
+	for _, ev := range lowered {
+		a := ev.Action
+		switch a.Kind {
+		case Crash, CrashLeader, CrashRelay, CrashShardLeader, Restart, RestartLeader, TornTail:
+			end, err := outageEnd(lowered, ev, healBy)
+			if err != nil {
+				return err
+			}
+			outages = append(outages, window{ev.At, end})
+			if a.Kind == Crash || a.Kind == Restart || a.Kind == TornTail {
+				down[a.Node] = append(down[a.Node], window{ev.At, end})
+			}
+		case PartitionCut, LinkFault, Sluggish:
+			if a.Duration > 0 {
+				if ev.At+a.Duration > healBy {
+					return fmt.Errorf("chaos: %v at %v heals after the %v deadline", a.Kind, ev.At, healBy)
+				}
+				continue
+			}
+			healed := false
+			for _, other := range lowered {
+				k := other.Action.Kind
+				if other.At > ev.At && other.At <= healBy &&
+					((a.Kind == PartitionCut && k == Heal) || (a.Kind == LinkFault && k == ClearLinks)) {
+					healed = true
+					break
+				}
+			}
+			if !healed {
+				return fmt.Errorf("chaos: %v at %v never heals", a.Kind, ev.At)
+			}
+		}
+	}
+	// Crash bound: count overlapping outages at every outage start (overlap
+	// counts are maximal at interval starts).
+	for i, w := range outages {
+		n := 1
+		for j, o := range outages {
+			if j != i && o.covers(w.start) {
+				n++
+			}
+		}
+		if n > MaxSafeCrashes(cc.N()) {
+			return fmt.Errorf("chaos: %d nodes down at %v; a majority of %d cannot survive", n, w.start, cc.N())
+		}
 	}
 	for _, ev := range flips {
 		alive := 0
 		for _, v := range cc.ZoneNodes(ev.Action.Zone) {
-			down := false
-			for _, w := range nodeDown[v] {
-				if w.start <= ev.At && ev.At < w.end {
-					down = true
-					break
-				}
+			up := true
+			for _, w := range down[v] {
+				up = up && !w.covers(ev.At)
 			}
-			if !down {
+			if up {
 				alive++
 			}
 		}
@@ -877,4 +775,34 @@ func ValidateRegions(s Schedule, cc config.Cluster, healBy time.Duration) error 
 		}
 	}
 	return nil
+}
+
+// outageEnd returns when ev's node outage ends — ev.At + Duration, or for a
+// Crash without one the first later Recover of its node in s — and rejects
+// an outage that never ends or ends after healBy.
+func outageEnd(s Schedule, ev Event, healBy time.Duration) (time.Duration, error) {
+	a := ev.Action
+	end := ev.At + a.Duration
+	switch {
+	case a.Duration > 0:
+	case a.Kind == Restart || a.Kind == RestartLeader || a.Kind == TornTail:
+		return 0, fmt.Errorf("chaos: %v at %v has no Duration (the reboot needs a fire time)", a.Kind, ev.At)
+	case a.Kind != Crash:
+		return 0, fmt.Errorf("chaos: %v at %v has no Duration (dynamic targets must self-heal)", a.Kind, ev.At)
+	default:
+		found := false
+		for _, r := range s {
+			if r.Action.Kind == Recover && r.Action.Node == a.Node && r.At > ev.At {
+				end, found = r.At, true
+				break
+			}
+		}
+		if !found {
+			return 0, fmt.Errorf("chaos: crash of %v at %v never recovers", a.Node, ev.At)
+		}
+	}
+	if end > healBy {
+		return 0, fmt.Errorf("chaos: %v at %v heals at %v, after the %v deadline", a.Kind, ev.At, end, healBy)
+	}
+	return end, nil
 }

@@ -49,7 +49,7 @@ func TestInjectorCrashAndSelfHeal(t *testing.T) {
 
 func TestInjectorResolvesDynamicTargets(t *testing.T) {
 	sim, net, cc := testNet(5, 1)
-	res := StaticResolver{LeaderID: cc.Nodes[1], Relays: []ids.ID{cc.Nodes[3]}}
+	res := StaticResolver{Leaders: []ids.ID{cc.Nodes[1]}, Relays: []ids.ID{cc.Nodes[3]}}
 	sched := Merge(
 		LeaderCrash(5*time.Millisecond, 10*time.Millisecond),
 		RelayCrash(0, 6*time.Millisecond, 10*time.Millisecond),
@@ -101,7 +101,7 @@ func TestValidateAcceptsBoundedSchedules(t *testing.T) {
 		NodeCrash(cc.Nodes[3], 20*time.Millisecond, 50*time.Millisecond),
 		LeaderCrash(200*time.Millisecond, 100*time.Millisecond),
 	)
-	if err := Validate(s, 5, time.Second); err != nil {
+	if err := Validate(s, cc, time.Second); err != nil {
 		t.Fatalf("valid schedule rejected: %v", err)
 	}
 }
@@ -113,7 +113,7 @@ func TestValidateRejectsQuorumLoss(t *testing.T) {
 		NodeCrash(cc.Nodes[3], 20*time.Millisecond, 100*time.Millisecond),
 		NodeCrash(cc.Nodes[2], 30*time.Millisecond, 100*time.Millisecond), // 3 down of 5
 	)
-	if err := Validate(s, 5, time.Second); err == nil {
+	if err := Validate(s, cc, time.Second); err == nil {
 		t.Fatal("3 concurrent crashes in a 5-node cluster must be rejected")
 	}
 }
@@ -133,7 +133,7 @@ func TestValidateEvenClusterBound(t *testing.T) {
 		NodeCrash(cc.Nodes[3], 10*time.Millisecond, 100*time.Millisecond),
 		NodeCrash(cc.Nodes[2], 20*time.Millisecond, 100*time.Millisecond), // 2 down of 4
 	)
-	if err := Validate(s, 4, time.Second); err == nil {
+	if err := Validate(s, cc, time.Second); err == nil {
 		t.Fatal("2 concurrent crashes in a 4-node cluster must be rejected")
 	}
 }
@@ -148,7 +148,7 @@ func TestExplorerTightHorizon(t *testing.T) {
 		Horizon: 250 * time.Millisecond, // span 50ms < every generator's minDur
 	})
 	for i, s := range scheds {
-		if err := Validate(s, 5, 250*time.Millisecond); err != nil {
+		if err := Validate(s, cc, 250*time.Millisecond); err != nil {
 			t.Errorf("schedule %d violates the tight horizon: %v", i, err)
 		}
 	}
@@ -156,17 +156,17 @@ func TestExplorerTightHorizon(t *testing.T) {
 
 func TestValidateRejectsUnhealedFaults(t *testing.T) {
 	cc := config.NewLAN(5)
-	if err := Validate(Schedule{{At: time.Millisecond, Action: Action{Kind: Crash, Node: cc.Nodes[4]}}}, 5, time.Second); err == nil {
+	if err := Validate(Schedule{{At: time.Millisecond, Action: Action{Kind: Crash, Node: cc.Nodes[4]}}}, cc, time.Second); err == nil {
 		t.Fatal("never-recovered crash must be rejected")
 	}
 	late := NodeCrash(cc.Nodes[4], 900*time.Millisecond, 300*time.Millisecond)
-	if err := Validate(late, 5, time.Second); err == nil {
+	if err := Validate(late, cc, time.Second); err == nil {
 		t.Fatal("crash healing after the deadline must be rejected")
 	}
 	part := Schedule{{At: time.Millisecond, Action: Action{
 		Kind: PartitionCut, SideA: cc.Nodes[:1], SideB: cc.Nodes[1:],
 	}}}
-	if err := Validate(part, 5, time.Second); err == nil {
+	if err := Validate(part, cc, time.Second); err == nil {
 		t.Fatal("never-healed partition must be rejected")
 	}
 }
@@ -189,7 +189,7 @@ func TestExplorerSchedulesRespectBounds(t *testing.T) {
 		if len(s) > 0 {
 			nonEmpty++
 		}
-		if err := Validate(s, 9, opts.Horizon); err != nil {
+		if err := Validate(s, cc, opts.Horizon); err != nil {
 			t.Errorf("schedule %d violates bounds: %v", i, err)
 		}
 		for _, ev := range s {
@@ -274,7 +274,7 @@ func TestRollingRestartSequences(t *testing.T) {
 	if len(s) != 4 {
 		t.Fatalf("events = %d, want 4", len(s))
 	}
-	if err := Validate(s, 4, time.Second); err != nil {
+	if err := Validate(s, cc, time.Second); err != nil {
 		t.Fatalf("rolling restart invalid: %v", err)
 	}
 	for i, ev := range s {

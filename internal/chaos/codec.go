@@ -44,22 +44,13 @@ func (d *Dur) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// kindNames maps every Kind to its String() form once; parseKind inverts
-// it, so the codec can never drift from the Stringer.
-var kindNames = func() map[string]Kind {
-	m := make(map[string]Kind)
-	for k := Crash; k <= DiskRestore; k++ {
-		m[k.String()] = k
-	}
-	return m
-}()
-
 func parseKind(s string) (Kind, error) {
-	k, ok := kindNames[s]
-	if !ok {
-		return 0, fmt.Errorf("chaos: unknown action kind %q", s)
+	for k, name := range kindNames {
+		if name == s {
+			return Kind(k), nil
+		}
 	}
-	return k, nil
+	return 0, fmt.Errorf("chaos: unknown action kind %q", s)
 }
 
 // eventJSON is Event's wire form. Node identities serialize as their raw

@@ -143,7 +143,7 @@ func TestWriteAndLoadCorpusDir(t *testing.T) {
 
 // TestCorpusEntriesValid replays the checked-in corpus at the chaos level:
 // every entry must decode under the current codec version and carry a
-// schedule that Validate/ValidateRegions accepts for its recorded cluster.
+// schedule that Validate accepts for its recorded cluster.
 // The harness's corpus test replays the entries through full protocol sims.
 func TestCorpusEntriesValid(t *testing.T) {
 	entries, err := LoadCorpusDir("corpus")
@@ -158,11 +158,11 @@ func TestCorpusEntriesValid(t *testing.T) {
 			t.Errorf("%s: underspecified entry: %+v", e.Name, e)
 			continue
 		}
+		cc := config.NewLAN(e.N)
 		if e.WAN {
-			if err := ValidateRegions(e.Schedule, config.NewWAN3(e.N), e.HealBy()); err != nil {
-				t.Errorf("%s: %v", e.Name, err)
-			}
-		} else if err := Validate(e.Schedule, e.N, e.HealBy()); err != nil {
+			cc = config.NewWAN3(e.N)
+		}
+		if err := Validate(e.Schedule, cc, e.HealBy()); err != nil {
 			t.Errorf("%s: %v", e.Name, err)
 		}
 	}

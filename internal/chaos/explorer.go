@@ -156,7 +156,8 @@ func childSeed(seed int64, i int) int64 {
 }
 
 // Explore generates opts.Scenarios random schedules within the bounds.
-// Every returned schedule passes Validate(s, len(Nodes), Horizon).
+// Every returned schedule passes Validate(s, Cluster, Horizon), where
+// Cluster holds Nodes.
 // Schedule i is a pure function of (Seed, i, bounds): generation draws
 // from a per-schedule child RNG, so schedules can be generated — and the
 // runs under them fanned out — in any order without changing the corpus.
@@ -172,7 +173,6 @@ func Explore(opts ExplorerOpts) []Schedule {
 // explore1 draws one schedule. Crash concurrency is enforced by tracking
 // committed crash windows and rejecting draws that would exceed the bound.
 func explore1(opts ExplorerOpts, rng *rand.Rand) Schedule {
-	type window struct{ start, end time.Duration }
 	var crashes []window
 	span := opts.Horizon - opts.Start
 	// randWindow draws a fault window that heals before the horizon. Both
@@ -197,21 +197,26 @@ func explore1(opts ExplorerOpts, rng *rand.Rand) Schedule {
 		at = opts.Start + time.Duration(rng.Int63n(int64(latest-opts.Start)+1))
 		return at, dur
 	}
-	// unavailable counts a candidate window's k victims against the shared
-	// crash budget: a partitioned-away node is as gone as a crashed one for
-	// quorum purposes, so crash windows, partition cuts and region outages
-	// must never jointly exceed MaxConcurrentCrashes — the connected
-	// survivors stay a formable majority at every instant.
-	unavailable := func(at, dur time.Duration, k int) bool {
+	// charge counts a candidate window's k victims against the shared crash
+	// budget and, when they fit, commits them: a partitioned-away node is as
+	// gone as a crashed one for quorum purposes, so crash windows, partition
+	// cuts and region outages must never jointly exceed MaxConcurrentCrashes
+	// — the connected survivors stay a formable majority at every instant.
+	charge := func(at, dur time.Duration, k int) bool {
 		down := k
 		for _, w := range crashes {
 			if w.start < at+dur && at < w.end {
 				down++
 			}
 		}
-		return down > opts.MaxConcurrentCrashes
+		if down > opts.MaxConcurrentCrashes {
+			return false
+		}
+		for i := 0; i < k; i++ {
+			crashes = append(crashes, window{at, at + dur})
+		}
+		return true
 	}
-	crashOK := func(at, dur time.Duration) bool { return !unavailable(at, dur, 1) }
 
 	// Candidate action kinds under the palette, in a fixed order so the
 	// draw sequence is stable.
@@ -222,38 +227,32 @@ func explore1(opts ExplorerOpts, rng *rand.Rand) Schedule {
 	if len(followers) > 1 {
 		followers = followers[1:]
 	}
-	if al.Crashes && len(followers) > 0 {
-		gens = append(gens, func() (Event, bool) {
-			at, dur := randWindow(50*time.Millisecond, 500*time.Millisecond)
-			if !crashOK(at, dur) {
+	// outage is the generator of a one-node outage of kind k: it draws a
+	// window in [minDur, maxDur], charges one node to the crash budget, and
+	// only then lets fill draw the target (victim or group).
+	outage := func(k Kind, minDur, maxDur time.Duration, fill func(*Action)) gen {
+		return func() (Event, bool) {
+			at, dur := randWindow(minDur, maxDur)
+			if !charge(at, dur, 1) {
 				return Event{}, false
 			}
-			crashes = append(crashes, window{at, at + dur})
-			victim := followers[rng.Intn(len(followers))]
-			return Event{At: at, Action: Action{Kind: Crash, Node: victim, Duration: dur}}, true
-		})
+			a := Action{Kind: k, Duration: dur}
+			fill(&a)
+			return Event{At: at, Action: a}, true
+		}
+	}
+	follower := func(a *Action) { a.Node = followers[rng.Intn(len(followers))] }
+	leader := func(*Action) {}
+	if al.Crashes && len(followers) > 0 {
+		gens = append(gens, outage(Crash, 50*time.Millisecond, 500*time.Millisecond, follower))
 	}
 	if al.LeaderCrash {
-		gens = append(gens, func() (Event, bool) {
-			at, dur := randWindow(100*time.Millisecond, 600*time.Millisecond)
-			if !crashOK(at, dur) {
-				return Event{}, false
-			}
-			crashes = append(crashes, window{at, at + dur})
-			return Event{At: at, Action: Action{Kind: CrashLeader, Duration: dur}}, true
-		})
+		gens = append(gens, outage(CrashLeader, 100*time.Millisecond, 600*time.Millisecond, leader))
 	}
 	if al.RelayCrash && opts.Groups > 0 {
-		gens = append(gens, func() (Event, bool) {
-			at, dur := randWindow(50*time.Millisecond, 400*time.Millisecond)
-			if !crashOK(at, dur) {
-				return Event{}, false
-			}
-			crashes = append(crashes, window{at, at + dur})
-			return Event{At: at, Action: Action{
-				Kind: CrashRelay, Group: rng.Intn(opts.Groups), Duration: dur,
-			}}, true
-		})
+		gens = append(gens, outage(CrashRelay, 50*time.Millisecond, 400*time.Millisecond, func(a *Action) {
+			a.Group = rng.Intn(opts.Groups)
+		}))
 	}
 	if al.Partitions && len(opts.Nodes) >= 3 {
 		gens = append(gens, func() (Event, bool) {
@@ -263,11 +262,8 @@ func explore1(opts ExplorerOpts, rng *rand.Rand) Schedule {
 			// like RegionPartition below: without it, a drawn partition plus
 			// a concurrent crash window on the majority side could leave the
 			// connected survivors unable to form a majority.
-			if unavailable(at, dur, k) {
+			if !charge(at, dur, k) {
 				return Event{}, false
-			}
-			for i := 0; i < k; i++ {
-				crashes = append(crashes, window{at, at + dur})
 			}
 			cut := append([]ids.ID(nil), opts.Nodes[len(opts.Nodes)-k:]...)
 			rest := append([]ids.ID(nil), opts.Nodes[:len(opts.Nodes)-k]...)
@@ -316,24 +312,14 @@ func explore1(opts ExplorerOpts, rng *rand.Rand) Schedule {
 				minority = append(minority, z)
 			}
 		}
-		var regionDown []struct {
-			zone       int
-			start, end time.Duration
-		}
-		var flips []struct {
-			zone int
-			at   time.Duration
-		}
+		regionDown := map[int][]window{}   // drawn CrashRegion windows, by zone
+		flips := map[int][]time.Duration{} // drawn LeaderPlacementFlip times, by zone
 		if al.RegionPartition && len(minority) > 0 {
 			gens = append(gens, func() (Event, bool) {
 				at, dur := randWindow(100*time.Millisecond, 600*time.Millisecond)
 				z := minority[rng.Intn(len(minority))]
-				k := len(opts.Cluster.ZoneNodes(z))
-				if unavailable(at, dur, k) {
+				if !charge(at, dur, len(opts.Cluster.ZoneNodes(z))) {
 					return Event{}, false
-				}
-				for i := 0; i < k; i++ {
-					crashes = append(crashes, window{at, at + dur})
 				}
 				return Event{At: at, Action: Action{
 					Kind: RegionPartition, Zone: z, Duration: dur,
@@ -361,22 +347,15 @@ func explore1(opts ExplorerOpts, rng *rand.Rand) Schedule {
 			gens = append(gens, func() (Event, bool) {
 				at, dur := randWindow(100*time.Millisecond, 500*time.Millisecond)
 				z := minority[rng.Intn(len(minority))]
-				k := len(opts.Cluster.ZoneNodes(z))
-				if unavailable(at, dur, k) {
-					return Event{}, false
-				}
-				for _, fl := range flips {
-					if fl.zone == z && at <= fl.at && fl.at < at+dur {
+				for _, t := range flips[z] {
+					if (window{at, at + dur}).covers(t) {
 						return Event{}, false // would strand an already-drawn flip
 					}
 				}
-				for i := 0; i < k; i++ {
-					crashes = append(crashes, window{at, at + dur})
+				if !charge(at, dur, len(opts.Cluster.ZoneNodes(z))) {
+					return Event{}, false
 				}
-				regionDown = append(regionDown, struct {
-					zone       int
-					start, end time.Duration
-				}{z, at, at + dur})
+				regionDown[z] = append(regionDown[z], window{at, at + dur})
 				return Event{At: at, Action: Action{Kind: CrashRegion, Zone: z, Duration: dur}}, true
 			})
 		}
@@ -384,15 +363,12 @@ func explore1(opts ExplorerOpts, rng *rand.Rand) Schedule {
 			gens = append(gens, func() (Event, bool) {
 				at := opts.Start + time.Duration(rng.Int63n(int64(span)+1))
 				z := zones[rng.Intn(len(zones))]
-				for _, w := range regionDown {
-					if w.zone == z && w.start <= at && at < w.end {
+				for _, w := range regionDown[z] {
+					if w.covers(at) {
 						return Event{}, false // nobody there to campaign
 					}
 				}
-				flips = append(flips, struct {
-					zone int
-					at   time.Duration
-				}{z, at})
+				flips[z] = append(flips[z], at)
 				return Event{At: at, Action: Action{Kind: LeaderPlacementFlip, Zone: z}}, true
 			})
 		}
@@ -400,36 +376,13 @@ func explore1(opts ExplorerOpts, rng *rand.Rand) Schedule {
 	// Disk families come after every older generator so palettes that do not
 	// enable them keep their exact historical draw sequences.
 	if al.Restart && len(followers) > 0 {
-		gens = append(gens, func() (Event, bool) {
-			at, dur := randWindow(100*time.Millisecond, 500*time.Millisecond)
-			if !crashOK(at, dur) {
-				return Event{}, false
-			}
-			crashes = append(crashes, window{at, at + dur})
-			victim := followers[rng.Intn(len(followers))]
-			return Event{At: at, Action: Action{Kind: Restart, Node: victim, Duration: dur}}, true
-		})
+		gens = append(gens, outage(Restart, 100*time.Millisecond, 500*time.Millisecond, follower))
 	}
 	if al.LeaderRestart {
-		gens = append(gens, func() (Event, bool) {
-			at, dur := randWindow(150*time.Millisecond, 600*time.Millisecond)
-			if !crashOK(at, dur) {
-				return Event{}, false
-			}
-			crashes = append(crashes, window{at, at + dur})
-			return Event{At: at, Action: Action{Kind: RestartLeader, Duration: dur}}, true
-		})
+		gens = append(gens, outage(RestartLeader, 150*time.Millisecond, 600*time.Millisecond, leader))
 	}
 	if al.TornTail && len(followers) > 0 {
-		gens = append(gens, func() (Event, bool) {
-			at, dur := randWindow(100*time.Millisecond, 500*time.Millisecond)
-			if !crashOK(at, dur) {
-				return Event{}, false
-			}
-			crashes = append(crashes, window{at, at + dur})
-			victim := followers[rng.Intn(len(followers))]
-			return Event{At: at, Action: Action{Kind: TornTail, Node: victim, Duration: dur}}, true
-		})
+		gens = append(gens, outage(TornTail, 100*time.Millisecond, 500*time.Millisecond, follower))
 	}
 	if al.DiskSlow && len(opts.Nodes) > 0 {
 		gens = append(gens, func() (Event, bool) {

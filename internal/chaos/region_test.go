@@ -142,10 +142,9 @@ func TestInjectorPlacementFlip(t *testing.T) {
 	}
 }
 
-// ValidateRegions accepts a bounded region schedule: minority-region cut
-// that heals, a minority-region crash, a degrade, and a flip into a live
-// region.
-func TestValidateRegionsAcceptsBounded(t *testing.T) {
+// Validate accepts a bounded region schedule: minority-region cut that
+// heals, a minority-region crash, a degrade, and a flip into a live region.
+func TestValidateAcceptsBoundedRegionFaults(t *testing.T) {
 	cc := config.NewWAN3(9)
 	s := Merge(
 		RegionCut(config.ZoneOregon, 100*time.Millisecond, 200*time.Millisecond),
@@ -153,14 +152,14 @@ func TestValidateRegionsAcceptsBounded(t *testing.T) {
 		DegradeWANPair(config.ZoneVirginia, config.ZoneOregon, netsim.LinkFaults{Loss: 0.05}, 600*time.Millisecond, 100*time.Millisecond),
 		PlacementFlip(config.ZoneCalifornia, 800*time.Millisecond),
 	)
-	if err := ValidateRegions(s, cc, time.Second); err != nil {
+	if err := Validate(s, cc, time.Second); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // A region partition that never heals by the deadline is rejected — cutting
 // away a majority of the regions without heal-by most of all.
-func TestValidateRegionsRejectsUnhealedMajorityPartition(t *testing.T) {
+func TestValidateRejectsUnhealedMajorityRegionPartition(t *testing.T) {
 	cc := config.NewWAN3(9)
 	// Two of the three regions partitioned away, neither healing: no side
 	// retains a majority and the schedule must not validate.
@@ -168,7 +167,7 @@ func TestValidateRegionsRejectsUnhealedMajorityPartition(t *testing.T) {
 		Schedule{{At: 100 * time.Millisecond, Action: Action{Kind: RegionPartition, Zone: config.ZoneCalifornia}}},
 		Schedule{{At: 120 * time.Millisecond, Action: Action{Kind: RegionPartition, Zone: config.ZoneOregon}}},
 	)
-	if err := ValidateRegions(s, cc, time.Second); err == nil {
+	if err := Validate(s, cc, time.Second); err == nil {
 		t.Fatal("unhealed majority-of-regions partition must be rejected")
 	} else if !strings.Contains(err.Error(), "never heals") {
 		t.Errorf("unexpected error: %v", err)
@@ -178,14 +177,14 @@ func TestValidateRegionsRejectsUnhealedMajorityPartition(t *testing.T) {
 		RegionCut(config.ZoneCalifornia, 100*time.Millisecond, 150*time.Millisecond),
 		RegionCut(config.ZoneOregon, 120*time.Millisecond, 150*time.Millisecond),
 	)
-	if err := ValidateRegions(s, cc, time.Second); err != nil {
+	if err := Validate(s, cc, time.Second); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // Crashing a region whose loss leaves no majority is rejected through the
 // node-level crash-concurrency bound.
-func TestValidateRegionsRejectsMajorityRegionCrash(t *testing.T) {
+func TestValidateRejectsMajorityRegionCrash(t *testing.T) {
 	// 5 nodes over 3 zones: zone 1 holds 2 of 5 — fine. But crash zones 1
 	// and 2 together (2+2 = 4 down of 5) and no majority survives.
 	cc := config.NewWAN3(5)
@@ -193,20 +192,20 @@ func TestValidateRegionsRejectsMajorityRegionCrash(t *testing.T) {
 		RegionCrash(1, 100*time.Millisecond, 200*time.Millisecond),
 		RegionCrash(2, 150*time.Millisecond, 200*time.Millisecond),
 	)
-	if err := ValidateRegions(s, cc, time.Second); err == nil {
+	if err := Validate(s, cc, time.Second); err == nil {
 		t.Fatal("overlapping region crashes exceeding f must be rejected")
 	}
 }
 
 // A placement flip aimed at a region that is entirely crashed at fire time
 // is rejected: there is nobody there to campaign.
-func TestValidateRegionsRejectsFlipIntoCrashedRegion(t *testing.T) {
+func TestValidateRejectsFlipIntoCrashedRegion(t *testing.T) {
 	cc := config.NewWAN3(9)
 	s := Merge(
 		RegionCrash(config.ZoneOregon, 100*time.Millisecond, 300*time.Millisecond),
 		PlacementFlip(config.ZoneOregon, 200*time.Millisecond),
 	)
-	if err := ValidateRegions(s, cc, time.Second); err == nil {
+	if err := Validate(s, cc, time.Second); err == nil {
 		t.Fatal("flip into a fully-crashed region must be rejected")
 	} else if !strings.Contains(err.Error(), "placement-flip") {
 		t.Errorf("unexpected error: %v", err)
@@ -216,13 +215,13 @@ func TestValidateRegionsRejectsFlipIntoCrashedRegion(t *testing.T) {
 		RegionCrash(config.ZoneOregon, 100*time.Millisecond, 300*time.Millisecond),
 		PlacementFlip(config.ZoneOregon, 500*time.Millisecond),
 	)
-	if err := ValidateRegions(s, cc, time.Second); err != nil {
+	if err := Validate(s, cc, time.Second); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // Region actions naming empty zones are rejected.
-func TestValidateRegionsRejectsEmptyZones(t *testing.T) {
+func TestValidateRejectsEmptyZones(t *testing.T) {
 	cc := config.NewWAN3(9)
 	for _, s := range []Schedule{
 		RegionCut(7, 100*time.Millisecond, 100*time.Millisecond),
@@ -230,27 +229,26 @@ func TestValidateRegionsRejectsEmptyZones(t *testing.T) {
 		PlacementFlip(7, 100*time.Millisecond),
 		DegradeWANPair(1, 7, netsim.LinkFaults{Loss: 0.1}, 100*time.Millisecond, 100*time.Millisecond),
 	} {
-		if err := ValidateRegions(s, cc, time.Second); err == nil {
+		if err := Validate(s, cc, time.Second); err == nil {
 			t.Errorf("schedule %v should be rejected", s)
 		}
 	}
 }
 
-// Non-region schedules validate identically through ValidateRegions and
-// Validate.
-func TestValidateRegionsDelegatesNodeLevel(t *testing.T) {
+// Node-level faults on a WAN cluster are checked like on a LAN one.
+func TestValidateNodeFaultsOnWANCluster(t *testing.T) {
 	cc := config.NewWAN3(9)
 	good := NodeCrash(cc.Nodes[1], 100*time.Millisecond, 100*time.Millisecond)
-	if err := ValidateRegions(good, cc, time.Second); err != nil {
+	if err := Validate(good, cc, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	bad := Schedule{{At: 100 * time.Millisecond, Action: Action{Kind: Crash, Node: cc.Nodes[1]}}}
-	if ValidateRegions(bad, cc, time.Second) == nil || Validate(bad, cc.N(), time.Second) == nil {
-		t.Fatal("never-recovering crash must be rejected by both validators")
+	if Validate(bad, cc, time.Second) == nil {
+		t.Fatal("never-recovering crash must be rejected")
 	}
 }
 
-// The WAN palette explorer only emits schedules that pass ValidateRegions,
+// The WAN palette explorer only emits schedules that pass Validate,
 // across many seeds, and is deterministic per seed.
 func TestExplorerWANPaletteRespectsRegionBounds(t *testing.T) {
 	cc := config.NewWAN3(9)
@@ -270,7 +268,7 @@ func TestExplorerWANPaletteRespectsRegionBounds(t *testing.T) {
 			t.Fatalf("seed %d: %d schedules", seed, len(scheds))
 		}
 		for i, s := range scheds {
-			if err := ValidateRegions(s, cc, 2*time.Second); err != nil {
+			if err := Validate(s, cc, 2*time.Second); err != nil {
 				t.Errorf("seed %d schedule %d: %v\n%v", seed, i, err, s)
 			}
 			for _, ev := range s {

@@ -4,22 +4,15 @@ import (
 	"testing"
 	"time"
 
+	"pigpaxos/internal/config"
 	"pigpaxos/internal/ids"
 )
 
-// shardRes is a StaticResolver with fixed per-shard answers.
+// shardRes is a StaticResolver that also answers shard placements.
 type shardRes struct {
 	StaticResolver
-	leaders    []ids.ID
 	campaigned []int // shards asked to flip
 	standby    ids.ID
-}
-
-func (s *shardRes) ShardLeader(shard int) ids.ID {
-	if shard < 0 || shard >= len(s.leaders) {
-		return 0
-	}
-	return s.leaders[shard]
 }
 
 func (s *shardRes) CampaignShardFrom(shard, zone int) ids.ID {
@@ -29,7 +22,7 @@ func (s *shardRes) CampaignShardFrom(shard, zone int) ids.ID {
 
 func TestInjectorCrashShardLeader(t *testing.T) {
 	sim, net, cc := testNet(6, 1)
-	res := &shardRes{leaders: []ids.ID{cc.Nodes[0], cc.Nodes[3]}}
+	res := &shardRes{StaticResolver: StaticResolver{Leaders: []ids.ID{cc.Nodes[0], cc.Nodes[3]}}}
 	in := Apply(sim, net, ShardLeaderCrash(1, 5*time.Millisecond, 10*time.Millisecond), res)
 	sim.Run(8 * time.Millisecond)
 	if !net.Crashed(cc.Nodes[3]) {
@@ -56,7 +49,7 @@ func TestInjectorCrashShardLeader(t *testing.T) {
 
 func TestInjectorSkipsShardCrashWithoutResolver(t *testing.T) {
 	sim, net, _ := testNet(3, 1)
-	// A plain Resolver without the ShardResolver extension cannot answer.
+	// A resolver that knows no shard leader cannot answer.
 	in := Apply(sim, net, ShardLeaderCrash(0, time.Millisecond, time.Millisecond), StaticResolver{})
 	sim.RunUntilIdle()
 	if len(in.Log()) != 0 {
@@ -91,11 +84,11 @@ func TestNonShardActionsLogShardMinusOne(t *testing.T) {
 
 func TestValidateShardLeaderCrash(t *testing.T) {
 	// Self-healing shard crashes are bounded crashes.
-	if err := Validate(ShardLeaderCrash(1, 10*time.Millisecond, 20*time.Millisecond), 5, time.Second); err != nil {
+	if err := Validate(ShardLeaderCrash(1, 10*time.Millisecond, 20*time.Millisecond), config.NewLAN(5), time.Second); err != nil {
 		t.Fatalf("bounded shard crash rejected: %v", err)
 	}
 	// Dynamic targets must self-heal.
-	if err := Validate(Schedule{{At: 0, Action: Action{Kind: CrashShardLeader, Shard: 1}}}, 5, time.Second); err == nil {
+	if err := Validate(Schedule{{At: 0, Action: Action{Kind: CrashShardLeader, Shard: 1}}}, config.NewLAN(5), time.Second); err == nil {
 		t.Fatal("non-healing shard crash accepted")
 	}
 }

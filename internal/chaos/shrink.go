@@ -14,13 +14,9 @@ import (
 
 // ShrinkOptions bound the minimizer.
 type ShrinkOptions struct {
-	// N is the cluster size candidates are checked against with Validate
-	// before each re-run; 0 skips validation (the predicate is then the
-	// only gate). Keeping candidates valid keeps the shrunk schedule
+	// Cluster is the cluster candidates are checked against with Validate
+	// before each re-run. Keeping candidates valid keeps the shrunk schedule
 	// inside the bounds the scenario harness assumes.
-	N int
-	// Cluster, when non-empty, switches candidate validation to
-	// ValidateRegions — required for schedules with region-level kinds.
 	Cluster config.Cluster
 	// HealBy is the validation deadline (every fault healed by then).
 	HealBy time.Duration
@@ -61,7 +57,7 @@ func cloneSchedule(s Schedule) Schedule {
 
 // Shrink greedily minimizes a failing schedule: it drops actions (largest
 // chunks first), halves fault durations, and snaps fault times to the
-// coarse grid, re-validating every candidate with Validate/ValidateRegions
+// coarse grid, re-validating every candidate with Validate
 // and re-running the failure predicate after each step, within a bounded
 // run budget. The input must already fail the predicate; Shrink never
 // re-checks it, so a non-failing input just comes back unchanged.
@@ -73,19 +69,10 @@ func cloneSchedule(s Schedule) Schedule {
 func Shrink(s Schedule, failing func(Schedule) bool, opts ShrinkOptions) ShrinkResult {
 	opts.applyDefaults()
 	res := ShrinkResult{}
-	valid := func(c Schedule) bool {
-		switch {
-		case opts.Cluster.N() > 0:
-			return ValidateRegions(c, opts.Cluster, opts.HealBy) == nil
-		case opts.N > 0:
-			return Validate(c, opts.N, opts.HealBy) == nil
-		}
-		return true
-	}
 	// check is the gate every candidate passes through: still-valid, then
 	// still-failing, charged against the run budget.
 	check := func(c Schedule) bool {
-		if res.Runs >= opts.MaxRuns || !valid(c) {
+		if res.Runs >= opts.MaxRuns || Validate(c, opts.Cluster, opts.HealBy) != nil {
 			return false
 		}
 		res.Runs++

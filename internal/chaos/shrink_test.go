@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"pigpaxos/internal/config"
 	"pigpaxos/internal/ids"
 )
 
@@ -37,7 +38,7 @@ func crashesNode3(s Schedule) bool {
 }
 
 func TestShrinkMinimizesToSingleEvent(t *testing.T) {
-	res := Shrink(shrinkInput(), crashesNode3, ShrinkOptions{N: 5, HealBy: 2 * time.Second})
+	res := Shrink(shrinkInput(), crashesNode3, ShrinkOptions{Cluster: config.NewLAN(5), HealBy: 2 * time.Second})
 	if len(res.Schedule) != 1 {
 		t.Fatalf("shrunk to %d events, want 1: %+v", len(res.Schedule), res.Schedule)
 	}
@@ -53,7 +54,7 @@ func TestShrinkMinimizesToSingleEvent(t *testing.T) {
 	if ev.At%(50*time.Millisecond) != 0 {
 		t.Fatalf("At = %v not grid-aligned", ev.At)
 	}
-	if err := Validate(res.Schedule, 5, 2*time.Second); err != nil {
+	if err := Validate(res.Schedule, config.NewLAN(5), 2*time.Second); err != nil {
 		t.Fatalf("shrunk schedule invalid: %v", err)
 	}
 	if res.Reductions == 0 {
@@ -62,8 +63,8 @@ func TestShrinkMinimizesToSingleEvent(t *testing.T) {
 }
 
 func TestShrinkDeterministic(t *testing.T) {
-	a := Shrink(shrinkInput(), crashesNode3, ShrinkOptions{N: 5, HealBy: 2 * time.Second})
-	b := Shrink(shrinkInput(), crashesNode3, ShrinkOptions{N: 5, HealBy: 2 * time.Second})
+	a := Shrink(shrinkInput(), crashesNode3, ShrinkOptions{Cluster: config.NewLAN(5), HealBy: 2 * time.Second})
+	b := Shrink(shrinkInput(), crashesNode3, ShrinkOptions{Cluster: config.NewLAN(5), HealBy: 2 * time.Second})
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same input shrank differently:\n%+v\nvs\n%+v", a, b)
 	}
@@ -74,7 +75,7 @@ func TestShrinkRespectsRunBudget(t *testing.T) {
 	res := Shrink(shrinkInput(), func(s Schedule) bool {
 		runs++
 		return crashesNode3(s)
-	}, ShrinkOptions{N: 5, HealBy: 2 * time.Second, MaxRuns: 3})
+	}, ShrinkOptions{Cluster: config.NewLAN(5), HealBy: 2 * time.Second, MaxRuns: 3})
 	if runs > 3 || res.Runs > 3 {
 		t.Fatalf("predicate ran %d times (res.Runs=%d), budget was 3", runs, res.Runs)
 	}
@@ -95,8 +96,8 @@ func TestShrinkKeepsCandidatesValid(t *testing.T) {
 		{At: 200 * time.Millisecond, Action: Action{Kind: Crash, Node: n1, Duration: 300 * time.Millisecond}},
 		{At: 600 * time.Millisecond, Action: Action{Kind: Crash, Node: n2, Duration: 300 * time.Millisecond}},
 	}
-	res := Shrink(in, func(Schedule) bool { return true }, ShrinkOptions{N: 3, HealBy: 2 * time.Second})
-	if err := Validate(res.Schedule, 3, 2*time.Second); err != nil {
+	res := Shrink(in, func(Schedule) bool { return true }, ShrinkOptions{Cluster: config.NewLAN(3), HealBy: 2 * time.Second})
+	if err := Validate(res.Schedule, config.NewLAN(3), 2*time.Second); err != nil {
 		t.Fatalf("shrunk schedule invalid: %v", err)
 	}
 	if len(res.Schedule) != 1 {

@@ -217,11 +217,11 @@ func (d *deployment) coreStats(visit func(id ids.ID, core *paxos.Replica)) {
 }
 
 // resolver resolves dynamic chaos targets from live protocol state. It
-// implements chaos.Resolver and chaos.Placer against group 0 (the whole
-// cluster when unsharded) plus the ShardResolver/ShardPlacer extensions.
+// implements chaos.Resolver, chaos.Placer against group 0 (the whole
+// cluster when unsharded) and chaos.ShardPlacer.
 type resolver struct{ d *deployment }
 
-// ShardLeader implements chaos.ShardResolver: the first member (membership
+// ShardLeader implements chaos.Resolver: the first member (membership
 // order) whose group-k replica believes it leads. EPaxos is leaderless —
 // every replica is command leader for its own clients — so a leader-targeted
 // fault resolves to the first live replica: a deterministic "crash a command
@@ -244,14 +244,11 @@ func (r resolver) ShardLeader(k int) ids.ID {
 	return 0
 }
 
-// Leader implements chaos.Resolver.
-func (r resolver) Leader() ids.ID { return r.ShardLeader(0) }
-
 // Relay implements chaos.Resolver: the relay the current PigPaxos leader
 // last drew for relay group g, falling back to the group's first member
 // before any fan-out has happened.
 func (r resolver) Relay(g int) ids.ID {
-	leader := r.Leader()
+	leader := r.ShardLeader(0)
 	if leader.IsZero() {
 		return 0
 	}

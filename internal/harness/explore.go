@@ -42,15 +42,11 @@ func (r ScenarioResult) Failure() string {
 // end of its measurement window.
 func shrinkOptionsFor(opts ScenarioOptions, budget int) chaos.ShrinkOptions {
 	opts.applyDefaults()
-	so := chaos.ShrinkOptions{
-		N:       opts.N,
+	return chaos.ShrinkOptions{
+		Cluster: opts.cluster(),
 		HealBy:  opts.Warmup + opts.Measure,
 		MaxRuns: budget,
 	}
-	if opts.WAN || opts.WANLossy {
-		so.Cluster = opts.cluster()
-	}
-	return so
 }
 
 // ShrinkScenario minimizes a failing schedule against live scenario

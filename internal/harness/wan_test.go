@@ -228,7 +228,7 @@ func TestWANScenarioSeedDeterminismAllProtocols(t *testing.T) {
 					chaos.PlacementFlip(config.ZoneCalifornia, o.Warmup+1200*time.Millisecond),
 				)
 			}
-			if err := chaos.ValidateRegions(sched, config.NewWAN3(9), o.Warmup+o.Measure+5*time.Second); err != nil {
+			if err := chaos.Validate(sched, config.NewWAN3(9), o.Warmup+o.Measure+5*time.Second); err != nil {
 				t.Fatal(err)
 			}
 			r := RunScenario(o, sched)

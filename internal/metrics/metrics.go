@@ -1,42 +1,33 @@
 // Package metrics provides the measurement primitives the benchmark harness
-// uses: log-bucketed latency histograms, monotonic counters, and fixed-width
-// throughput time series (the paper's Figure 13 samples throughput over
-// one-second intervals).
+// uses: latency histograms with exact percentiles, fixed-width throughput
+// time series (the paper's Figure 13 samples throughput over one-second
+// intervals), availability-gap trackers and aligned tables.
 package metrics
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 )
 
-// Histogram records duration samples into exponentially sized buckets and
-// answers percentile queries. It keeps raw samples up to a cap so small
-// experiments get exact percentiles; beyond the cap it falls back to bucket
-// interpolation. Histogram is safe for concurrent use.
+// Histogram records duration samples and answers percentile queries. It
+// keeps every sample, so percentiles are exact nearest-rank at any count.
+// Histogram is safe for concurrent use.
 type Histogram struct {
-	mu      sync.Mutex
-	buckets []uint64 // bucket i covers [2^i, 2^(i+1)) microseconds
-	raw     []time.Duration
-	rawCap  int
-	count   uint64
-	sum     time.Duration
-	min     time.Duration
-	max     time.Duration
+	mu  sync.Mutex
+	raw []time.Duration
+	sum time.Duration
+	min time.Duration
+	max time.Duration
 }
-
-const defaultRawCap = 1 << 16
 
 // NewHistogram creates an empty histogram.
 func NewHistogram() *Histogram {
-	return &Histogram{
-		buckets: make([]uint64, 64),
-		rawCap:  defaultRawCap,
-		min:     math.MaxInt64,
-	}
+	return &Histogram{min: math.MaxInt64}
 }
 
 // Observe records one latency sample.
@@ -46,16 +37,7 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	us := d.Microseconds()
-	b := 0
-	for v := us; v > 1; v >>= 1 {
-		b++
-	}
-	if b >= len(h.buckets) {
-		b = len(h.buckets) - 1
-	}
-	h.buckets[b]++
-	h.count++
+	h.raw = append(h.raw, d)
 	h.sum += d
 	if d < h.min {
 		h.min = d
@@ -63,33 +45,30 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d > h.max {
 		h.max = d
 	}
-	if len(h.raw) < h.rawCap {
-		h.raw = append(h.raw, d)
-	}
 }
 
 // Count returns the number of samples recorded.
 func (h *Histogram) Count() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.count
+	return uint64(len(h.raw))
 }
 
 // Mean returns the arithmetic mean of all samples (0 if empty).
 func (h *Histogram) Mean() time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.count == 0 {
+	if len(h.raw) == 0 {
 		return 0
 	}
-	return h.sum / time.Duration(h.count)
+	return h.sum / time.Duration(len(h.raw))
 }
 
 // Min returns the smallest sample (0 if empty).
 func (h *Histogram) Min() time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.count == 0 {
+	if len(h.raw) == 0 {
 		return 0
 	}
 	return h.min
@@ -102,38 +81,27 @@ func (h *Histogram) Max() time.Duration {
 	return h.max
 }
 
-// Percentile returns the p-th percentile (0 < p ≤ 100). Exact while raw
-// samples are retained, bucket upper-bound approximation afterwards.
+// Percentile returns the p-th percentile (0 < p ≤ 100): the nearest-rank
+// sample.
 func (h *Histogram) Percentile(p float64) time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.count == 0 {
+	if len(h.raw) == 0 {
 		return 0
 	}
-	if uint64(len(h.raw)) == h.count {
-		s := make([]time.Duration, len(h.raw))
-		copy(s, h.raw)
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		// The epsilon absorbs float error in p/100 (99.9/100*10000 computes
-		// to 9990.0000000000018; the nearest rank is 9990, not 9991).
-		idx := int(math.Ceil(p/100*float64(len(s))-1e-9)) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(s) {
-			idx = len(s) - 1
-		}
-		return s[idx]
+	// Sorting in place costs nothing later: the order of the kept samples
+	// means nothing, and a sorted prefix sorts fast on the next query.
+	slices.Sort(h.raw)
+	// The epsilon absorbs float error in p/100 (99.9/100*10000 computes to
+	// 9990.0000000000018; the nearest rank is 9990, not 9991).
+	idx := int(math.Ceil(p/100*float64(len(h.raw))-1e-9)) - 1
+	if idx < 0 {
+		idx = 0
 	}
-	target := uint64(math.Ceil(p/100*float64(h.count) - 1e-9))
-	var cum uint64
-	for i, c := range h.buckets {
-		cum += c
-		if cum >= target {
-			return time.Duration(uint64(1)<<(uint(i)+1)) * time.Microsecond
-		}
+	if idx >= len(h.raw) {
+		idx = len(h.raw) - 1
 	}
-	return h.max
+	return h.raw[idx]
 }
 
 // Snapshot summarizes the histogram for reporting.
@@ -164,29 +132,6 @@ type Summary struct {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v p99.9=%v min=%v max=%v",
 		s.Count, s.Mean, s.P50, s.P99, s.P999, s.Min, s.Max)
-}
-
-// Counter is a monotonically increasing counter safe for concurrent use.
-type Counter struct {
-	mu sync.Mutex
-	v  uint64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) {
-	c.mu.Lock()
-	c.v += n
-	c.mu.Unlock()
-}
-
-// Inc increments the counter by 1.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v
 }
 
 // TimeSeries buckets event counts into fixed-width windows of virtual or

@@ -58,16 +58,24 @@ func TestHistogramNegativeClamped(t *testing.T) {
 	}
 }
 
-func TestHistogramBucketFallback(t *testing.T) {
+// Percentiles stay exact past 65,536 samples: a histogram that stopped
+// keeping samples there answered with power-of-two bucket bounds (p50 of
+// 1..100,000 µs came back as 65.536 ms).
+func TestHistogramExactPastManySamples(t *testing.T) {
 	h := NewHistogram()
-	h.rawCap = 10
-	for i := 0; i < 1000; i++ {
-		h.Observe(time.Duration(100+i%3) * time.Microsecond)
+	for i := 100000; i >= 1; i-- {
+		h.Observe(time.Duration(i) * time.Microsecond)
 	}
-	// Bucket approximation: all samples fall in [64µs,128µs) → upper bound 128µs.
-	p := h.Percentile(50)
-	if p < 100*time.Microsecond || p > 256*time.Microsecond {
-		t.Errorf("approximate p50 = %v, want within [100µs, 256µs]", p)
+	for _, c := range []struct {
+		p    float64
+		want time.Duration
+	}{{50, 50 * time.Millisecond}, {99, 99 * time.Millisecond}, {99.9, 99900 * time.Microsecond}, {100, 100 * time.Millisecond}} {
+		if got := h.Percentile(c.p); got != c.want {
+			t.Errorf("p%v = %v, want %v", c.p, got, c.want)
+		}
+	}
+	if h.Count() != 100000 {
+		t.Errorf("count = %d, want 100000", h.Count())
 	}
 }
 
@@ -95,25 +103,6 @@ func TestSummaryString(t *testing.T) {
 	s := h.Snapshot()
 	if s.Count != 1 || !strings.Contains(s.String(), "n=1") {
 		t.Errorf("summary: %v", s)
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				c.Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	c.Add(5)
-	if c.Value() != 4005 {
-		t.Errorf("counter = %d, want 4005", c.Value())
 	}
 }
 

@@ -19,6 +19,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -45,13 +46,15 @@ const (
 	// CrashRelay crashes the node currently carrying relay group Group
 	// (Resolver-resolved); Duration > 0 schedules its recovery.
 	CrashRelay
-	// PartitionCut cuts SideA from SideB; Duration > 0 schedules a full
-	// heal (HealPartition removes all cuts).
+	// PartitionCut cuts SideA from SideB; Duration > 0 heals the cut
+	// afterwards, leaving overlapping cuts that run on in place.
 	PartitionCut
 	// Heal removes every partition cut.
 	Heal
 	// LinkFault installs Faults on the directed link From→To, or on every
-	// link when both are zero; Duration > 0 schedules ClearLinks.
+	// link when both are zero; Duration > 0 clears them afterwards, leaving
+	// overlapping link faults that run on in place (where two overlap on a
+	// link, the later-started one holds it).
 	LinkFault
 	// ClearLinks removes every per-link fault.
 	ClearLinks
@@ -60,11 +63,11 @@ const (
 	Sluggish
 	// RegionPartition cuts zone Zone — every endpoint homed there, clients
 	// included — off the rest of the world (netsim.PartitionZone); Duration
-	// > 0 schedules a full heal.
+	// > 0 heals it afterwards, as PartitionCut does.
 	RegionPartition
 	// WANDegrade installs Faults on every link between zones Zone and
 	// ZoneB, both directions (loss/duplication/reorder on one WAN path);
-	// Duration > 0 clears that pair — and only that pair — afterwards.
+	// Duration > 0 clears them afterwards, as LinkFault does.
 	WANDegrade
 	// CrashRegion crashes every cluster member in zone Zone; Duration > 0
 	// schedules all their recoveries.
@@ -313,10 +316,11 @@ func (a Applied) String() string {
 // times and keeps the log of what actually happened (with dynamic targets
 // resolved).
 type Injector struct {
-	sim *des.Sim
-	net *netsim.Network
-	res Resolver
-	log []Applied
+	sim     *des.Sim
+	net     *netsim.Network
+	res     Resolver
+	log     []Applied
+	windows []*Action // partition cuts and link faults in force, in start order
 }
 
 // Apply arms every event of sched on sim against net. Dynamic targets are
@@ -427,41 +431,20 @@ func (in *Injector) fire(ev Event) {
 	case Recover:
 		in.net.Recover(a.Node)
 		in.note(Recover, a, a.Node)
-	case PartitionCut:
-		in.net.Partition(a.SideA, a.SideB)
-		in.note(PartitionCut, a, 0)
-		in.after(a, func() { in.heal(a) })
-	case Heal:
-		in.heal(a)
-	case LinkFault:
-		if a.From.IsZero() && a.To.IsZero() {
-			in.net.SetAllLinkFaults(a.Faults)
-		} else {
-			in.net.SetLinkFaults(a.From, a.To, a.Faults)
-		}
-		in.note(LinkFault, a, a.From)
-		in.after(a, func() { in.clearLinks(a) })
-	case ClearLinks:
-		in.clearLinks(a)
+	case PartitionCut, RegionPartition, LinkFault, WANDegrade:
+		w := &a
+		in.windows = append(in.windows, w)
+		in.set(a)
+		in.note(a.Kind, a, a.From)
+		in.after(a, func() { in.heal(healKind(a.Kind), a, func(x *Action) bool { return x == w }) })
+	case Heal, ClearLinks:
+		in.heal(a.Kind, a, func(x *Action) bool { return healKind(x.Kind) == a.Kind })
 	case Sluggish:
 		in.net.SetSluggish(a.Node, a.Factor)
 		in.note(Sluggish, a, a.Node)
 		in.after(a, func() {
 			in.net.SetSluggish(a.Node, 1)
 			in.note(Recover, a, a.Node)
-		})
-	case RegionPartition:
-		in.net.PartitionZone(a.Zone)
-		in.note(RegionPartition, a, 0)
-		in.after(a, func() { in.heal(a) })
-	case WANDegrade:
-		in.net.SetZoneLinkFaults(a.Zone, a.ZoneB, a.Faults)
-		in.note(WANDegrade, a, 0)
-		// Heal only this pair (zero faults clear the links), so overlapping
-		// degrades on other WAN paths run their full scripted windows.
-		in.after(a, func() {
-			in.net.SetZoneLinkFaults(a.Zone, a.ZoneB, netsim.LinkFaults{})
-			in.note(ClearLinks, a, 0)
 		})
 	case CrashRegion:
 		// Crash only members that are still up, and recover exactly those:
@@ -514,18 +497,50 @@ func (in *Injector) fire(ev Event) {
 	}
 }
 
-// heal removes every partition cut; a is the cut or region partition it
-// ends (or the Heal action itself).
-func (in *Injector) heal(a Action) {
-	in.net.HealPartition()
-	in.note(Heal, a, 0)
+// healKind is the kind that ends a window of kind k and names its family:
+// Heal for partition cuts, ClearLinks for link faults.
+func healKind(k Kind) Kind {
+	if k == PartitionCut || k == RegionPartition {
+		return Heal
+	}
+	return ClearLinks
 }
 
-// clearLinks removes every per-link fault; a is the fault it ends (or the
-// ClearLinks action itself).
-func (in *Injector) clearLinks(a Action) {
-	in.net.ClearLinkFaults()
-	in.note(ClearLinks, a, 0)
+// set installs one partition-cut or link-fault window on the network.
+func (in *Injector) set(a Action) {
+	switch {
+	case a.Kind == PartitionCut:
+		in.net.Partition(a.SideA, a.SideB)
+	case a.Kind == RegionPartition:
+		in.net.PartitionZone(a.Zone)
+	case a.Kind == WANDegrade:
+		in.net.SetZoneLinkFaults(a.Zone, a.ZoneB, a.Faults)
+	case a.From.IsZero() && a.To.IsZero():
+		in.net.SetAllLinkFaults(a.Faults)
+	default:
+		in.net.SetLinkFaults(a.From, a.To, a.Faults)
+	}
+}
+
+// heal closes the windows gone selects, all of the family k ends (Heal:
+// partition cuts, ClearLinks: link faults), and logs k on behalf of a.
+// netsim removes a family only as a whole, so heal resets it and re-applies
+// the family's windows still open, in start order: overlapping windows
+// compose (the later-started one holds a link both fault), and a window
+// that ends early no longer heals one that runs on.
+func (in *Injector) heal(k Kind, a Action, gone func(*Action) bool) {
+	in.windows = slices.DeleteFunc(in.windows, gone)
+	if k == Heal {
+		in.net.HealPartition()
+	} else {
+		in.net.ClearLinkFaults()
+	}
+	for _, w := range in.windows {
+		if healKind(w.Kind) == k {
+			in.set(*w)
+		}
+	}
+	in.note(k, a, 0)
 }
 
 // ------------------------------------------------------------- builders --

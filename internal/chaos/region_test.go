@@ -101,6 +101,56 @@ func TestInjectorWANDegrade(t *testing.T) {
 	}
 }
 
+// Overlapping windows compose: a link fault that ends early leaves a WAN
+// degrade that is scheduled to run on in place (the later-started window
+// wins while both run), and a partition that heals early leaves an
+// overlapping cut standing.
+func TestInjectorOverlappingWindowsCompose(t *testing.T) {
+	sim, net, cc := testWANNet(6, 1)
+	degrade, flaky := netsim.LinkFaults{Loss: 0.5}, netsim.LinkFaults{Duplicate: 0.5}
+	va1 := cc.ZoneNodes(config.ZoneVirginia)[0]
+	ca1 := cc.ZoneNodes(config.ZoneCalifornia)[0]
+	or1 := cc.ZoneNodes(config.ZoneOregon)[0]
+	long, short := cc.Nodes[5:], cc.Nodes[4:]
+	Apply(sim, net, Merge(
+		DegradeWANPair(config.ZoneVirginia, config.ZoneOregon, degrade, time.Millisecond, 20*time.Millisecond),
+		FlakyLinks(flaky, 2*time.Millisecond, 3*time.Millisecond),
+		MinorityPartition(long, cc.Nodes[:5], time.Millisecond, 20*time.Millisecond),
+		MinorityPartition(short, cc.Nodes[:4], 2*time.Millisecond, 3*time.Millisecond),
+	), nil)
+	links := func(from, to ids.ID, want netsim.LinkFaults, ok bool) {
+		t.Helper()
+		if got, gotOK := net.LinkFaultsBetween(from, to); got != want || gotOK != ok {
+			t.Errorf("at %v: %v→%v faults = %+v (%v), want %+v (%v)", sim.Now(), from, to, got, gotOK, want, ok)
+		}
+	}
+	// ca1 sits on the majority side of both cuts, on links that never lose
+	// messages, so a drop from it can only be a cut.
+	reachable := func(to ids.ID, want bool) {
+		t.Helper()
+		before := net.MessagesDropped()
+		net.Endpoint(ca1).Send(to, wire.P1a{Ballot: 1})
+		if got := net.MessagesDropped() == before; got != want {
+			t.Errorf("at %v: %v→%v reachable = %v, want %v", sim.Now(), ca1, to, got, want)
+		}
+	}
+
+	sim.Run(3 * time.Millisecond)
+	links(va1, or1, flaky, true)
+	links(va1, ca1, flaky, true)
+	reachable(short[0], false)
+
+	sim.Run(10 * time.Millisecond)
+	links(va1, or1, degrade, true)
+	links(va1, ca1, netsim.LinkFaults{}, false)
+	reachable(long[0], false)
+	reachable(short[0], true)
+
+	sim.Run(30 * time.Millisecond)
+	links(va1, or1, netsim.LinkFaults{}, false)
+	reachable(long[0], true)
+}
+
 // placer is a test Placer with scripted answers.
 type placer struct {
 	StaticResolver

@@ -242,7 +242,7 @@ func explore1(opts ExplorerOpts, rng *rand.Rand) Schedule {
 		}
 	}
 	follower := func(a *Action) { a.Node = followers[rng.Intn(len(followers))] }
-	leader := func(*Action) {}
+	leader := func(*Action) {} // the injector resolves the leader at fire time
 	if al.Crashes && len(followers) > 0 {
 		gens = append(gens, outage(Crash, 50*time.Millisecond, 500*time.Millisecond, follower))
 	}

@@ -29,6 +29,9 @@ func FuzzDecode(f *testing.F) {
 	// Huge declared counts against a tiny buffer must be rejected by the
 	// min-size bounds checks, not attempted.
 	f.Add([]byte{byte(TP1b), 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 0xff, 0xff})
+	for _, enc := range goldenEncodings(f) {
+		f.Add(enc)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, n, err := Decode(data)
 		m2, n2, err2 := DecodeInto(new(Scratch), data)

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -285,5 +287,104 @@ func BenchmarkRoundTripPooled(b *testing.B) {
 		if _, _, err := DecodeInto(&s, *buf); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSizeHot times Size over hotMsgs: netsim charges every simulated
+// send by it, so it runs once per message on the simulator's hot path.
+func BenchmarkSizeHot(b *testing.B) {
+	msgs := hotMsgs()
+	b.ReportAllocs()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		for _, m := range msgs {
+			n += m.Size()
+		}
+	}
+	if n == 0 {
+		b.Fatal("no bytes sized")
+	}
+}
+
+// TestHotBodiesMatchCoder pins the bodies the hot path keeps by hand (the
+// six hot types' Size, P2a's append) to the code walk, the one reference
+// layout: on random messages each must give the walk's size and bytes.
+func TestHotBodiesMatchCoder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	value := func() []byte {
+		switch rng.Intn(3) {
+		case 0:
+			return nil
+		case 1:
+			return []byte{}
+		}
+		v := make([]byte, rng.Intn(300))
+		rng.Read(v)
+		return v
+	}
+	cmd := func() kvstore.Command {
+		return kvstore.Command{Op: kvstore.Op(rng.Intn(3)), Key: rng.Uint64(), Value: value(), ClientID: rng.Uint64(), Seq: rng.Uint64()}
+	}
+	batch := func() []kvstore.Command {
+		if rng.Intn(4) == 0 {
+			return nil
+		}
+		v := make([]kvstore.Command, rng.Intn(20))
+		for i := range v {
+			v[i] = cmd()
+		}
+		return v
+	}
+	idList := func() []ids.ID {
+		if rng.Intn(4) == 0 {
+			return nil
+		}
+		v := make([]ids.ID, rng.Intn(10))
+		for i := range v {
+			v[i] = ids.ID(rng.Uint32())
+		}
+		return v
+	}
+	for i := 0; i < 2000; i++ {
+		p2a := P2a{Ballot: ids.Ballot(rng.Uint64()), Slot: rng.Uint64(), Cmds: batch(), Commit: rng.Uint64()}
+		for _, m := range []Msg{
+			Request{Cmd: cmd()},
+			Reply{ClientID: rng.Uint64(), Seq: rng.Uint64(), OK: rng.Intn(2) == 0, Exists: rng.Intn(2) == 0,
+				Value: value(), Leader: ids.ID(rng.Uint32()), Slot: rng.Uint64()},
+			p2a,
+			P2b{Ballot: ids.Ballot(rng.Uint64()), From: ids.ID(rng.Uint32()), Slot: rng.Uint64()},
+			RelayP2a{P2a: p2a, Peers: idList(), Threshold: uint16(rng.Uint32()), Timeout: time.Duration(rng.Int63())},
+			AggP2b{Ballot: ids.Ballot(rng.Uint64()), Relay: ids.ID(rng.Uint32()), Slot: rng.Uint64(), Acks: idList(), Partial: rng.Intn(2) == 0},
+		} {
+			sz, enc := sizer(), encoder(nil)
+			walk(m, &sz)
+			walk(m, &enc)
+			if m.Size() != sz.n {
+				t.Fatalf("%v: Size()=%d, code walk sizes %d: %+v", m.Type(), m.Size(), sz.n, m)
+			}
+			if got := Encode(nil, m)[1:]; !bytes.Equal(got, enc.b) {
+				t.Fatalf("%v: append gives\n %x\nthe code walk\n %x", m.Type(), got, enc.b)
+			}
+		}
+	}
+}
+
+// walk runs the code method of a hot type on a copy of m.
+func walk(m Msg, c *coder) {
+	switch m := m.(type) {
+	case Request:
+		m.code(c)
+	case Reply:
+		m.code(c)
+	case P2a:
+		m.code(c)
+	case P2b:
+		m.code(c)
+	case RelayP2a:
+		m.code(c)
+	case AggP2b:
+		m.code(c)
+	default:
+		panic(fmt.Sprintf("walk: %v is not a hot type", m.Type()))
 	}
 }

@@ -8,6 +8,10 @@ import (
 	"pigpaxos/internal/kvstore"
 )
 
+// Each type's code method is its wire layout: the fields in order, each
+// through the coder primitive that fixes its encoding. Size, append and the
+// decoder of every type run that walk (see the end of the file).
+
 // ---------------------------------------------------------------- client --
 
 // Request carries one client command to a replica.
@@ -15,13 +19,9 @@ type Request struct {
 	Cmd kvstore.Command
 }
 
-// Type implements Msg.
-func (Request) Type() Type { return TRequest }
-
-// Size implements Msg.
-func (m Request) Size() int { return szCmd(m.Cmd) }
-
-func (m Request) append(b []byte) []byte { return putCmd(b, m.Cmd) }
+func (m *Request) code(c *coder) {
+	c.cmd(&m.Cmd)
+}
 
 // Reply answers a client Request. When OK is false the request was not
 // served (e.g. the receiver is not the leader) and Leader hints where to
@@ -36,23 +36,14 @@ type Reply struct {
 	Slot     uint64 // log slot the command committed in (diagnostics)
 }
 
-// Type implements Msg.
-func (Reply) Type() Type { return TReply }
-
-// Size implements Msg.
-func (m Reply) Size() int {
-	return szU64 + szU64 + szBool + szBool + szBytes(m.Value) + szID + szU64
-}
-
-func (m Reply) append(b []byte) []byte {
-	b = putU64(b, m.ClientID)
-	b = putU64(b, m.Seq)
-	b = putBool(b, m.OK)
-	b = putBool(b, m.Exists)
-	b = putBytes(b, m.Value)
-	b = putU32(b, uint32(m.Leader))
-	b = putU64(b, m.Slot)
-	return b
+func (m *Reply) code(c *coder) {
+	c.u64(&m.ClientID)
+	c.u64(&m.Seq)
+	c.boolean(&m.OK)
+	c.boolean(&m.Exists)
+	c.bytes(&m.Value)
+	c.id(&m.Leader)
+	c.u64(&m.Slot)
 }
 
 // Busy rejects a client Request without queueing it: the leader's ingress
@@ -68,26 +59,11 @@ type Busy struct {
 	RetryAfter time.Duration
 }
 
-// Type implements Msg.
-func (Busy) Type() Type { return TBusy }
-
-// Size implements Msg.
-func (Busy) Size() int { return szU64 + szU64 + szID + szU64 }
-
-func (m Busy) append(b []byte) []byte {
-	b = putU64(b, m.ClientID)
-	b = putU64(b, m.Seq)
-	b = putU32(b, uint32(m.Leader))
-	return putU64(b, uint64(m.RetryAfter))
-}
-
-func init() {
-	decoders[TBusy] = func(r *reader) Msg {
-		return Busy{
-			ClientID: r.u64(), Seq: r.u64(), Leader: r.id(),
-			RetryAfter: time.Duration(r.u64()),
-		}
-	}
+func (m *Busy) code(c *coder) {
+	c.u64(&m.ClientID)
+	c.u64(&m.Seq)
+	c.id(&m.Leader)
+	c.duration(&m.RetryAfter)
 }
 
 // ----------------------------------------------------------------- paxos --
@@ -101,15 +77,9 @@ type P1a struct {
 	From   uint64
 }
 
-// Type implements Msg.
-func (P1a) Type() Type { return TP1a }
-
-// Size implements Msg.
-func (P1a) Size() int { return szBallot + szU64 }
-
-func (m P1a) append(b []byte) []byte {
-	b = putU64(b, uint64(m.Ballot))
-	return putU64(b, m.From)
+func (m *P1a) code(c *coder) {
+	c.ballot(&m.Ballot)
+	c.u64(&m.From)
 }
 
 // SlotEntry reports one known slot in a P1b or CatchupReply. Cmds is the
@@ -122,17 +92,11 @@ type SlotEntry struct {
 	Cmds      []kvstore.Command
 }
 
-func szSlotEntry(e SlotEntry) int { return szU64 + szBallot + szBool + szCmds(e.Cmds) }
-
-func putSlotEntry(b []byte, e SlotEntry) []byte {
-	b = putU64(b, e.Slot)
-	b = putU64(b, uint64(e.Ballot))
-	b = putBool(b, e.Committed)
-	return putCmds(b, e.Cmds)
-}
-
-func (r *reader) slotEntry() SlotEntry {
-	return SlotEntry{Slot: r.u64(), Ballot: r.ballot(), Committed: r.boolean(), Cmds: r.cmds()}
+func (m *SlotEntry) code(c *coder) {
+	c.u64(&m.Slot)
+	c.ballot(&m.Ballot)
+	c.boolean(&m.Committed)
+	c.cmds(&m.Cmds)
 }
 
 // P1b is a follower's phase-1 promise, carrying its uncommitted log suffix.
@@ -147,28 +111,11 @@ type P1b struct {
 	Entries []SlotEntry
 }
 
-// Type implements Msg.
-func (P1b) Type() Type { return TP1b }
-
-// Size implements Msg.
-func (m P1b) Size() int {
-	n := szBallot + szID + szU64 + szU16
-	for _, e := range m.Entries {
-		n += szSlotEntry(e)
-	}
-	return n
-}
-
-func (m P1b) append(b []byte) []byte {
-	b = putU64(b, uint64(m.Ballot))
-	b = putU32(b, uint32(m.From))
-	b = putU64(b, m.Floor)
-	checkCount(len(m.Entries), "P1b entry list")
-	b = putU16(b, uint16(len(m.Entries)))
-	for _, e := range m.Entries {
-		b = putSlotEntry(b, e)
-	}
-	return b
+func (m *P1b) code(c *coder) {
+	c.ballot(&m.Ballot)
+	c.id(&m.From)
+	c.u64(&m.Floor)
+	c.entries(&m.Entries)
 }
 
 // P2a is the phase-2 accept request for one log slot. Cmds is the slot's
@@ -184,18 +131,11 @@ type P2a struct {
 	Commit uint64
 }
 
-// Type implements Msg.
-func (P2a) Type() Type { return TP2a }
-
-// Size implements Msg.
-func (m P2a) Size() int { return szBallot + szU64 + szCmds(m.Cmds) + szU64 }
-
-func (m P2a) append(b []byte) []byte {
-	b = putU64(b, uint64(m.Ballot))
-	b = putU64(b, m.Slot)
-	b = putCmds(b, m.Cmds)
-	b = putU64(b, m.Commit)
-	return b
+func (m *P2a) code(c *coder) {
+	c.ballot(&m.Ballot)
+	c.u64(&m.Slot)
+	c.cmds(&m.Cmds)
+	c.u64(&m.Commit)
 }
 
 // P2b acknowledges (or, with a higher Ballot than sent, rejects) a P2a.
@@ -205,17 +145,10 @@ type P2b struct {
 	Slot   uint64
 }
 
-// Type implements Msg.
-func (P2b) Type() Type { return TP2b }
-
-// Size implements Msg.
-func (P2b) Size() int { return szBallot + szID + szU64 }
-
-func (m P2b) append(b []byte) []byte {
-	b = putU64(b, uint64(m.Ballot))
-	b = putU32(b, uint32(m.From))
-	b = putU64(b, m.Slot)
-	return b
+func (m *P2b) code(c *coder) {
+	c.ballot(&m.Ballot)
+	c.id(&m.From)
+	c.u64(&m.Slot)
 }
 
 // P3 is an explicit phase-3 commit announcement, used when there is no
@@ -226,16 +159,10 @@ type P3 struct {
 	Cmds   []kvstore.Command
 }
 
-// Type implements Msg.
-func (P3) Type() Type { return TP3 }
-
-// Size implements Msg.
-func (m P3) Size() int { return szBallot + szU64 + szCmds(m.Cmds) }
-
-func (m P3) append(b []byte) []byte {
-	b = putU64(b, uint64(m.Ballot))
-	b = putU64(b, m.Slot)
-	return putCmds(b, m.Cmds)
+func (m *P3) code(c *coder) {
+	c.ballot(&m.Ballot)
+	c.u64(&m.Slot)
+	c.cmds(&m.Cmds)
 }
 
 // -------------------------------------------------------------- pigpaxos --
@@ -247,15 +174,9 @@ type RelayP1a struct {
 	Peers []ids.ID
 }
 
-// Type implements Msg.
-func (RelayP1a) Type() Type { return TRelayP1a }
-
-// Size implements Msg.
-func (m RelayP1a) Size() int { return m.P1a.Size() + szIDs(m.Peers) }
-
-func (m RelayP1a) append(b []byte) []byte {
-	b = m.P1a.append(b)
-	return putIDs(b, m.Peers)
+func (m *RelayP1a) code(c *coder) {
+	m.P1a.code(c)
+	c.ids(&m.Peers)
 }
 
 // AggP1b aggregates a relay group's phase-1 promises into one message.
@@ -265,27 +186,10 @@ type AggP1b struct {
 	Replies []P1b
 }
 
-// Type implements Msg.
-func (AggP1b) Type() Type { return TAggP1b }
-
-// Size implements Msg.
-func (m AggP1b) Size() int {
-	n := szBallot + szID + szU16
-	for _, p := range m.Replies {
-		n += p.Size()
-	}
-	return n
-}
-
-func (m AggP1b) append(b []byte) []byte {
-	b = putU64(b, uint64(m.Ballot))
-	b = putU32(b, uint32(m.Relay))
-	checkCount(len(m.Replies), "AggP1b reply list")
-	b = putU16(b, uint16(len(m.Replies)))
-	for _, p := range m.Replies {
-		b = p.append(b)
-	}
-	return b
+func (m *AggP1b) code(c *coder) {
+	c.ballot(&m.Ballot)
+	c.id(&m.Relay)
+	c.p1bs(&m.Replies)
 }
 
 // RelayP2a asks a relay to propagate a P2a inside its group and aggregate
@@ -299,18 +203,11 @@ type RelayP2a struct {
 	Timeout   time.Duration
 }
 
-// Type implements Msg.
-func (RelayP2a) Type() Type { return TRelayP2a }
-
-// Size implements Msg.
-func (m RelayP2a) Size() int { return m.P2a.Size() + szIDs(m.Peers) + szU16 + szU64 }
-
-func (m RelayP2a) append(b []byte) []byte {
-	b = m.P2a.append(b)
-	b = putIDs(b, m.Peers)
-	b = putU16(b, m.Threshold)
-	b = putU64(b, uint64(m.Timeout))
-	return b
+func (m *RelayP2a) code(c *coder) {
+	m.P2a.code(c)
+	c.ids(&m.Peers)
+	c.u16(&m.Threshold)
+	c.duration(&m.Timeout)
 }
 
 // AggP2b aggregates a relay group's P2b votes for one slot. Acks lists the
@@ -324,19 +221,12 @@ type AggP2b struct {
 	Partial bool
 }
 
-// Type implements Msg.
-func (AggP2b) Type() Type { return TAggP2b }
-
-// Size implements Msg.
-func (m AggP2b) Size() int { return szBallot + szID + szU64 + szIDs(m.Acks) + szBool }
-
-func (m AggP2b) append(b []byte) []byte {
-	b = putU64(b, uint64(m.Ballot))
-	b = putU32(b, uint32(m.Relay))
-	b = putU64(b, m.Slot)
-	b = putIDs(b, m.Acks)
-	b = putBool(b, m.Partial)
-	return b
+func (m *AggP2b) code(c *coder) {
+	c.ballot(&m.Ballot)
+	c.id(&m.Relay)
+	c.u64(&m.Slot)
+	c.ids(&m.Acks)
+	c.boolean(&m.Partial)
 }
 
 // RelayP3 propagates an explicit commit through a relay; no response flows
@@ -346,15 +236,9 @@ type RelayP3 struct {
 	Peers []ids.ID
 }
 
-// Type implements Msg.
-func (RelayP3) Type() Type { return TRelayP3 }
-
-// Size implements Msg.
-func (m RelayP3) Size() int { return m.P3.Size() + szIDs(m.Peers) }
-
-func (m RelayP3) append(b []byte) []byte {
-	b = m.P3.append(b)
-	return putIDs(b, m.Peers)
+func (m *RelayP3) code(c *coder) {
+	m.P3.code(c)
+	c.ids(&m.Peers)
 }
 
 // ---------------------------------------------------------------- epaxos --
@@ -366,40 +250,9 @@ type InstRef struct {
 	Slot    uint64
 }
 
-const szInstRef = szID + szU64
-
-func putInstRef(b []byte, i InstRef) []byte {
-	b = putU32(b, uint32(i.Replica))
-	return putU64(b, i.Slot)
-}
-
-func (r *reader) instRef() InstRef { return InstRef{Replica: r.id(), Slot: r.u64()} }
-
-func putInstRefs(b []byte, v []InstRef) []byte {
-	checkCount(len(v), "instance-ref list")
-	b = putU16(b, uint16(len(v)))
-	for _, i := range v {
-		b = putInstRef(b, i)
-	}
-	return b
-}
-
-func szInstRefs(v []InstRef) int { return szU16 + szInstRef*len(v) }
-
-func (r *reader) instRefs() []InstRef {
-	n := int(r.u16())
-	if r.err != nil || r.off+szInstRef*n > len(r.b) {
-		r.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	v := carve(r, &r.s.refs, n)
-	for i := range v {
-		v[i] = r.instRef()
-	}
-	return v
+func (m *InstRef) code(c *coder) {
+	c.id(&m.Replica)
+	c.u64(&m.Slot)
 }
 
 // PreAccept opens an EPaxos instance with the command leader's initial
@@ -412,20 +265,12 @@ type PreAccept struct {
 	Deps   []InstRef
 }
 
-// Type implements Msg.
-func (PreAccept) Type() Type { return TPreAccept }
-
-// Size implements Msg.
-func (m PreAccept) Size() int {
-	return szBallot + szInstRef + szCmd(m.Cmd) + szU64 + szInstRefs(m.Deps)
-}
-
-func (m PreAccept) append(b []byte) []byte {
-	b = putU64(b, uint64(m.Ballot))
-	b = putInstRef(b, m.Inst)
-	b = putCmd(b, m.Cmd)
-	b = putU64(b, m.Seq)
-	return putInstRefs(b, m.Deps)
+func (m *PreAccept) code(c *coder) {
+	c.ballot(&m.Ballot)
+	m.Inst.code(c)
+	c.cmd(&m.Cmd)
+	c.u64(&m.Seq)
+	c.refs(&m.Deps)
 }
 
 // PreAcceptReply returns a replica's (possibly updated) attributes for an
@@ -441,22 +286,14 @@ type PreAcceptReply struct {
 	Changed bool
 }
 
-// Type implements Msg.
-func (PreAcceptReply) Type() Type { return TPreAcceptReply }
-
-// Size implements Msg.
-func (m PreAcceptReply) Size() int {
-	return szInstRef + szID + szBool + szBallot + szU64 + szInstRefs(m.Deps) + szBool
-}
-
-func (m PreAcceptReply) append(b []byte) []byte {
-	b = putInstRef(b, m.Inst)
-	b = putU32(b, uint32(m.From))
-	b = putBool(b, m.OK)
-	b = putU64(b, uint64(m.Ballot))
-	b = putU64(b, m.Seq)
-	b = putInstRefs(b, m.Deps)
-	return putBool(b, m.Changed)
+func (m *PreAcceptReply) code(c *coder) {
+	m.Inst.code(c)
+	c.id(&m.From)
+	c.boolean(&m.OK)
+	c.ballot(&m.Ballot)
+	c.u64(&m.Seq)
+	c.refs(&m.Deps)
+	c.boolean(&m.Changed)
 }
 
 // Accept runs the EPaxos slow path, fixing the final attributes.
@@ -468,20 +305,12 @@ type Accept struct {
 	Deps   []InstRef
 }
 
-// Type implements Msg.
-func (Accept) Type() Type { return TAccept }
-
-// Size implements Msg.
-func (m Accept) Size() int {
-	return szBallot + szInstRef + szCmd(m.Cmd) + szU64 + szInstRefs(m.Deps)
-}
-
-func (m Accept) append(b []byte) []byte {
-	b = putU64(b, uint64(m.Ballot))
-	b = putInstRef(b, m.Inst)
-	b = putCmd(b, m.Cmd)
-	b = putU64(b, m.Seq)
-	return putInstRefs(b, m.Deps)
+func (m *Accept) code(c *coder) {
+	c.ballot(&m.Ballot)
+	m.Inst.code(c)
+	c.cmd(&m.Cmd)
+	c.u64(&m.Seq)
+	c.refs(&m.Deps)
 }
 
 // AcceptReply acknowledges an Accept.
@@ -492,17 +321,11 @@ type AcceptReply struct {
 	Ballot ids.Ballot
 }
 
-// Type implements Msg.
-func (AcceptReply) Type() Type { return TAcceptReply }
-
-// Size implements Msg.
-func (AcceptReply) Size() int { return szInstRef + szID + szBool + szBallot }
-
-func (m AcceptReply) append(b []byte) []byte {
-	b = putInstRef(b, m.Inst)
-	b = putU32(b, uint32(m.From))
-	b = putBool(b, m.OK)
-	return putU64(b, uint64(m.Ballot))
+func (m *AcceptReply) code(c *coder) {
+	m.Inst.code(c)
+	c.id(&m.From)
+	c.boolean(&m.OK)
+	c.ballot(&m.Ballot)
 }
 
 // Commit finalizes an EPaxos instance with its committed attributes.
@@ -513,17 +336,11 @@ type Commit struct {
 	Deps []InstRef
 }
 
-// Type implements Msg.
-func (Commit) Type() Type { return TCommit }
-
-// Size implements Msg.
-func (m Commit) Size() int { return szInstRef + szCmd(m.Cmd) + szU64 + szInstRefs(m.Deps) }
-
-func (m Commit) append(b []byte) []byte {
-	b = putInstRef(b, m.Inst)
-	b = putCmd(b, m.Cmd)
-	b = putU64(b, m.Seq)
-	return putInstRefs(b, m.Deps)
+func (m *Commit) code(c *coder) {
+	m.Inst.code(c)
+	c.cmd(&m.Cmd)
+	c.u64(&m.Seq)
+	c.refs(&m.Deps)
 }
 
 // Instance status values carried in PrepareReply: how far the replying
@@ -545,15 +362,9 @@ type Prepare struct {
 	Inst   InstRef
 }
 
-// Type implements Msg.
-func (Prepare) Type() Type { return TPrepare }
-
-// Size implements Msg.
-func (Prepare) Size() int { return szBallot + szInstRef }
-
-func (m Prepare) append(b []byte) []byte {
-	b = putU64(b, uint64(m.Ballot))
-	return putInstRef(b, m.Inst)
+func (m *Prepare) code(c *coder) {
+	c.ballot(&m.Ballot)
+	m.Inst.code(c)
 }
 
 // PrepareReply reports a replica's knowledge of an instance to a recovery
@@ -573,25 +384,16 @@ type PrepareReply struct {
 	Deps    []InstRef
 }
 
-// Type implements Msg.
-func (PrepareReply) Type() Type { return TPrepareReply }
-
-// Size implements Msg.
-func (m PrepareReply) Size() int {
-	return szInstRef + szID + szBool + szBallot + 1 + szBallot +
-		szCmd(m.Cmd) + szU64 + szInstRefs(m.Deps)
-}
-
-func (m PrepareReply) append(b []byte) []byte {
-	b = putInstRef(b, m.Inst)
-	b = putU32(b, uint32(m.From))
-	b = putBool(b, m.OK)
-	b = putU64(b, uint64(m.Ballot))
-	b = append(b, m.Status)
-	b = putU64(b, uint64(m.VBallot))
-	b = putCmd(b, m.Cmd)
-	b = putU64(b, m.Seq)
-	return putInstRefs(b, m.Deps)
+func (m *PrepareReply) code(c *coder) {
+	m.Inst.code(c)
+	c.id(&m.From)
+	c.boolean(&m.OK)
+	c.ballot(&m.Ballot)
+	c.u8(&m.Status)
+	c.ballot(&m.VBallot)
+	c.cmd(&m.Cmd)
+	c.u64(&m.Seq)
+	c.refs(&m.Deps)
 }
 
 // ------------------------------------------------------------------- pqr --
@@ -603,15 +405,9 @@ type QReadReq struct {
 	RID uint64
 }
 
-// Type implements Msg.
-func (QReadReq) Type() Type { return TQReadReq }
-
-// Size implements Msg.
-func (QReadReq) Size() int { return szU64 + szU64 }
-
-func (m QReadReq) append(b []byte) []byte {
-	b = putU64(b, m.Key)
-	return putU64(b, m.RID)
+func (m *QReadReq) code(c *coder) {
+	c.u64(&m.Key)
+	c.u64(&m.RID)
 }
 
 // QReadReply reports a replica's local value and write-version for a key.
@@ -624,21 +420,13 @@ type QReadReply struct {
 	Value   []byte
 }
 
-// Type implements Msg.
-func (QReadReply) Type() Type { return TQReadReply }
-
-// Size implements Msg.
-func (m QReadReply) Size() int {
-	return szU64 + szU64 + szID + szU64 + szBool + szBytes(m.Value)
-}
-
-func (m QReadReply) append(b []byte) []byte {
-	b = putU64(b, m.Key)
-	b = putU64(b, m.RID)
-	b = putU32(b, uint32(m.From))
-	b = putU64(b, m.Version)
-	b = putBool(b, m.Exists)
-	return putBytes(b, m.Value)
+func (m *QReadReply) code(c *coder) {
+	c.u64(&m.Key)
+	c.u64(&m.RID)
+	c.id(&m.From)
+	c.u64(&m.Version)
+	c.boolean(&m.Exists)
+	c.bytes(&m.Value)
 }
 
 // -------------------------------------------------------------------- fd --
@@ -651,117 +439,22 @@ type Heartbeat struct {
 	Commit uint64
 }
 
-// Type implements Msg.
-func (Heartbeat) Type() Type { return THeartbeat }
-
-// Size implements Msg.
-func (Heartbeat) Size() int { return szBallot + szID + szU64 }
-
-func (m Heartbeat) append(b []byte) []byte {
-	b = putU64(b, uint64(m.Ballot))
-	b = putU32(b, uint32(m.From))
-	return putU64(b, m.Commit)
+func (m *Heartbeat) code(c *coder) {
+	c.ballot(&m.Ballot)
+	c.id(&m.From)
+	c.u64(&m.Commit)
 }
 
-// ---------------------------------------------------------------- decode --
+// HeartbeatAck confirms a heartbeat back to the leader; a majority of
+// recent acks lets the leader hold a read lease (§4.3 leader reads).
+type HeartbeatAck struct {
+	Ballot ids.Ballot
+	From   ids.ID
+}
 
-func init() {
-	decoders[TRequest] = func(r *reader) Msg {
-		return Request{Cmd: r.cmd()}
-	}
-	decoders[TReply] = func(r *reader) Msg {
-		return Reply{
-			ClientID: r.u64(), Seq: r.u64(), OK: r.boolean(), Exists: r.boolean(),
-			Value: r.bytes(), Leader: r.id(), Slot: r.u64(),
-		}
-	}
-	decoders[TP1a] = func(r *reader) Msg {
-		return P1a{Ballot: r.ballot(), From: r.u64()}
-	}
-	decoders[TP1b] = func(r *reader) Msg { return r.p1b() }
-	decoders[TP2a] = func(r *reader) Msg {
-		return P2a{Ballot: r.ballot(), Slot: r.u64(), Cmds: r.cmds(), Commit: r.u64()}
-	}
-	decoders[TP2b] = func(r *reader) Msg {
-		return P2b{Ballot: r.ballot(), From: r.id(), Slot: r.u64()}
-	}
-	decoders[TP3] = func(r *reader) Msg {
-		return P3{Ballot: r.ballot(), Slot: r.u64(), Cmds: r.cmds()}
-	}
-	decoders[TRelayP1a] = func(r *reader) Msg {
-		return RelayP1a{P1a: P1a{Ballot: r.ballot(), From: r.u64()}, Peers: r.idSlice()}
-	}
-	decoders[TAggP1b] = func(r *reader) Msg {
-		return AggP1b{Ballot: r.ballot(), Relay: r.id(), Replies: r.p1bs()}
-	}
-	decoders[TRelayP2a] = func(r *reader) Msg {
-		return RelayP2a{
-			P2a:       P2a{Ballot: r.ballot(), Slot: r.u64(), Cmds: r.cmds(), Commit: r.u64()},
-			Peers:     r.idSlice(),
-			Threshold: r.u16(),
-			Timeout:   time.Duration(r.u64()),
-		}
-	}
-	decoders[TAggP2b] = func(r *reader) Msg {
-		return AggP2b{
-			Ballot: r.ballot(), Relay: r.id(), Slot: r.u64(),
-			Acks: r.idSlice(), Partial: r.boolean(),
-		}
-	}
-	decoders[TRelayP3] = func(r *reader) Msg {
-		return RelayP3{
-			P3:    P3{Ballot: r.ballot(), Slot: r.u64(), Cmds: r.cmds()},
-			Peers: r.idSlice(),
-		}
-	}
-	decoders[TPreAccept] = func(r *reader) Msg {
-		return PreAccept{
-			Ballot: r.ballot(), Inst: r.instRef(), Cmd: r.cmd(),
-			Seq: r.u64(), Deps: r.instRefs(),
-		}
-	}
-	decoders[TPreAcceptReply] = func(r *reader) Msg {
-		return PreAcceptReply{
-			Inst: r.instRef(), From: r.id(), OK: r.boolean(), Ballot: r.ballot(),
-			Seq: r.u64(), Deps: r.instRefs(), Changed: r.boolean(),
-		}
-	}
-	decoders[TAccept] = func(r *reader) Msg {
-		return Accept{
-			Ballot: r.ballot(), Inst: r.instRef(), Cmd: r.cmd(),
-			Seq: r.u64(), Deps: r.instRefs(),
-		}
-	}
-	decoders[TAcceptReply] = func(r *reader) Msg {
-		return AcceptReply{
-			Inst: r.instRef(), From: r.id(), OK: r.boolean(), Ballot: r.ballot(),
-		}
-	}
-	decoders[TCommit] = func(r *reader) Msg {
-		return Commit{Inst: r.instRef(), Cmd: r.cmd(), Seq: r.u64(), Deps: r.instRefs()}
-	}
-	decoders[TPrepare] = func(r *reader) Msg {
-		return Prepare{Ballot: r.ballot(), Inst: r.instRef()}
-	}
-	decoders[TPrepareReply] = func(r *reader) Msg {
-		return PrepareReply{
-			Inst: r.instRef(), From: r.id(), OK: r.boolean(), Ballot: r.ballot(),
-			Status: r.u8(), VBallot: r.ballot(), Cmd: r.cmd(), Seq: r.u64(),
-			Deps: r.instRefs(),
-		}
-	}
-	decoders[TQReadReq] = func(r *reader) Msg {
-		return QReadReq{Key: r.u64(), RID: r.u64()}
-	}
-	decoders[TQReadReply] = func(r *reader) Msg {
-		return QReadReply{
-			Key: r.u64(), RID: r.u64(), From: r.id(), Version: r.u64(),
-			Exists: r.boolean(), Value: r.bytes(),
-		}
-	}
-	decoders[THeartbeat] = func(r *reader) Msg {
-		return Heartbeat{Ballot: r.ballot(), From: r.id(), Commit: r.u64()}
-	}
+func (m *HeartbeatAck) code(c *coder) {
+	c.ballot(&m.Ballot)
+	c.id(&m.From)
 }
 
 // --------------------------------------------------------------- catchup --
@@ -774,15 +467,9 @@ type CatchupReq struct {
 	To   uint64
 }
 
-// Type implements Msg.
-func (CatchupReq) Type() Type { return TCatchupReq }
-
-// Size implements Msg.
-func (CatchupReq) Size() int { return szU64 + szU64 }
-
-func (m CatchupReq) append(b []byte) []byte {
-	b = putU64(b, m.From)
-	return putU64(b, m.To)
+func (m *CatchupReq) code(c *coder) {
+	c.u64(&m.From)
+	c.u64(&m.To)
 }
 
 // CatchupReply carries the committed entries a follower asked for.
@@ -791,59 +478,9 @@ type CatchupReply struct {
 	Entries []SlotEntry
 }
 
-// Type implements Msg.
-func (CatchupReply) Type() Type { return TCatchupReply }
-
-// Size implements Msg.
-func (m CatchupReply) Size() int {
-	n := szBallot + szU16
-	for _, e := range m.Entries {
-		n += szSlotEntry(e)
-	}
-	return n
-}
-
-func (m CatchupReply) append(b []byte) []byte {
-	b = putU64(b, uint64(m.Ballot))
-	checkCount(len(m.Entries), "CatchupReply entry list")
-	b = putU16(b, uint16(len(m.Entries)))
-	for _, e := range m.Entries {
-		b = putSlotEntry(b, e)
-	}
-	return b
-}
-
-func init() {
-	decoders[TCatchupReq] = func(r *reader) Msg {
-		return CatchupReq{From: r.u64(), To: r.u64()}
-	}
-	decoders[TCatchupReply] = func(r *reader) Msg {
-		return CatchupReply{Ballot: r.ballot(), Entries: r.slotEntries()}
-	}
-}
-
-// HeartbeatAck confirms a heartbeat back to the leader; a majority of
-// recent acks lets the leader hold a read lease (§4.3 leader reads).
-type HeartbeatAck struct {
-	Ballot ids.Ballot
-	From   ids.ID
-}
-
-// Type implements Msg.
-func (HeartbeatAck) Type() Type { return THeartbeatAck }
-
-// Size implements Msg.
-func (HeartbeatAck) Size() int { return szBallot + szID }
-
-func (m HeartbeatAck) append(b []byte) []byte {
-	b = putU64(b, uint64(m.Ballot))
-	return putU32(b, uint32(m.From))
-}
-
-func init() {
-	decoders[THeartbeatAck] = func(r *reader) Msg {
-		return HeartbeatAck{Ballot: r.ballot(), From: r.id()}
-	}
+func (m *CatchupReply) code(c *coder) {
+	c.ballot(&m.Ballot)
+	c.entries(&m.Entries)
 }
 
 // -------------------------------------------------------------- snapshot --
@@ -860,22 +497,10 @@ type SnapInstall struct {
 	Data   []byte
 }
 
-// Type implements Msg.
-func (SnapInstall) Type() Type { return TSnapInstall }
-
-// Size implements Msg.
-func (m SnapInstall) Size() int { return szBallot + szU64 + szBytes(m.Data) }
-
-func (m SnapInstall) append(b []byte) []byte {
-	b = putU64(b, uint64(m.Ballot))
-	b = putU64(b, m.Floor)
-	return putBytes(b, m.Data)
-}
-
-func init() {
-	decoders[TSnapInstall] = func(r *reader) Msg {
-		return SnapInstall{Ballot: r.ballot(), Floor: r.u64(), Data: r.bytes()}
-	}
+func (m *SnapInstall) code(c *coder) {
+	c.ballot(&m.Ballot)
+	c.u64(&m.Floor)
+	c.bytes(&m.Data)
 }
 
 // -------------------------------------------------------------- sharding --
@@ -884,38 +509,245 @@ func init() {
 // with the consensus group (shard) it belongs to, so S independent replica
 // instances can multiplex over one node's endpoint and event loop. The
 // inner message is encoded exactly as it would be on its own — tag byte
-// included — so every registered decoder works unchanged beneath the
-// envelope. Envelopes do not nest.
+// included — so every decoder works unchanged beneath the envelope.
+// Envelopes do not nest.
 type Sharded struct {
 	Shard uint16
 	Inner Msg
 }
 
-// Type implements Msg.
-func (Sharded) Type() Type { return TSharded }
-
-// Size implements Msg.
-func (m Sharded) Size() int { return szU16 + 1 + m.Inner.Size() }
-
-func (m Sharded) append(b []byte) []byte {
-	if m.Inner.Type() == TSharded {
-		panic("wire: nested Sharded envelope")
-	}
-	b = putU16(b, m.Shard)
-	return Encode(b, m.Inner)
+func (m *Sharded) code(c *coder) {
+	c.u16(&m.Shard)
+	c.inner(&m.Inner)
 }
 
+// inner is a whole message, tag byte included, exactly as Encode writes it,
+// so every decoder works unchanged beneath the envelope.
+func (c *coder) inner(v *Msg) {
+	switch c.mode {
+	case decoding:
+		var t uint8
+		c.u8(&t)
+		if c.err != nil {
+			return
+		}
+		if t == 0 || Type(t) >= maxType || Type(t) == TSharded {
+			c.err = fmt.Errorf("bad inner type %d in Sharded envelope", t)
+			return
+		}
+		// c is &c.s.c: named through its Scratch, it does not leak to the
+		// decoder table's indirect call, which keeps sizing and encoding
+		// coders (which never get here) on the stack.
+		*v = decoders[t](&c.s.c)
+	case encoding:
+		if (*v).Type() == TSharded {
+			panic("wire: nested Sharded envelope")
+		}
+		c.b = Encode(c.b, *v)
+	default:
+		c.n += 1 + (*v).Size()
+	}
+}
+
+// --------------------------------------------------------------- methods --
+
+// Each message type's Type, and its Size and append, which run its code walk
+// on a copy of the message, except for the bodies the hot path keeps (below).
+func (Request) Type() Type                      { return TRequest }
+func (Reply) Type() Type                        { return TReply }
+func (Busy) Type() Type                         { return TBusy }
+func (m Busy) Size() int                        { c := sizer(); m.code(&c); return c.n }
+func (m Busy) append(b []byte) []byte           { c := encoder(b); m.code(&c); return c.b }
+func (P1a) Type() Type                          { return TP1a }
+func (m P1a) Size() int                         { c := sizer(); m.code(&c); return c.n }
+func (m P1a) append(b []byte) []byte            { c := encoder(b); m.code(&c); return c.b }
+func (P1b) Type() Type                          { return TP1b }
+func (m P1b) Size() int                         { c := sizer(); m.code(&c); return c.n }
+func (m P1b) append(b []byte) []byte            { c := encoder(b); m.code(&c); return c.b }
+func (P2a) Type() Type                          { return TP2a }
+func (P2b) Type() Type                          { return TP2b }
+func (P3) Type() Type                           { return TP3 }
+func (m P3) Size() int                          { c := sizer(); m.code(&c); return c.n }
+func (m P3) append(b []byte) []byte             { c := encoder(b); m.code(&c); return c.b }
+func (RelayP1a) Type() Type                     { return TRelayP1a }
+func (m RelayP1a) Size() int                    { c := sizer(); m.code(&c); return c.n }
+func (m RelayP1a) append(b []byte) []byte       { c := encoder(b); m.code(&c); return c.b }
+func (AggP1b) Type() Type                       { return TAggP1b }
+func (m AggP1b) Size() int                      { c := sizer(); m.code(&c); return c.n }
+func (m AggP1b) append(b []byte) []byte         { c := encoder(b); m.code(&c); return c.b }
+func (RelayP2a) Type() Type                     { return TRelayP2a }
+func (AggP2b) Type() Type                       { return TAggP2b }
+func (RelayP3) Type() Type                      { return TRelayP3 }
+func (m RelayP3) Size() int                     { c := sizer(); m.code(&c); return c.n }
+func (m RelayP3) append(b []byte) []byte        { c := encoder(b); m.code(&c); return c.b }
+func (PreAccept) Type() Type                    { return TPreAccept }
+func (m PreAccept) Size() int                   { c := sizer(); m.code(&c); return c.n }
+func (m PreAccept) append(b []byte) []byte      { c := encoder(b); m.code(&c); return c.b }
+func (PreAcceptReply) Type() Type               { return TPreAcceptReply }
+func (m PreAcceptReply) Size() int              { c := sizer(); m.code(&c); return c.n }
+func (m PreAcceptReply) append(b []byte) []byte { c := encoder(b); m.code(&c); return c.b }
+func (Accept) Type() Type                       { return TAccept }
+func (m Accept) Size() int                      { c := sizer(); m.code(&c); return c.n }
+func (m Accept) append(b []byte) []byte         { c := encoder(b); m.code(&c); return c.b }
+func (AcceptReply) Type() Type                  { return TAcceptReply }
+func (m AcceptReply) Size() int                 { c := sizer(); m.code(&c); return c.n }
+func (m AcceptReply) append(b []byte) []byte    { c := encoder(b); m.code(&c); return c.b }
+func (Commit) Type() Type                       { return TCommit }
+func (m Commit) Size() int                      { c := sizer(); m.code(&c); return c.n }
+func (m Commit) append(b []byte) []byte         { c := encoder(b); m.code(&c); return c.b }
+func (Prepare) Type() Type                      { return TPrepare }
+func (m Prepare) Size() int                     { c := sizer(); m.code(&c); return c.n }
+func (m Prepare) append(b []byte) []byte        { c := encoder(b); m.code(&c); return c.b }
+func (PrepareReply) Type() Type                 { return TPrepareReply }
+func (m PrepareReply) Size() int                { c := sizer(); m.code(&c); return c.n }
+func (m PrepareReply) append(b []byte) []byte   { c := encoder(b); m.code(&c); return c.b }
+func (QReadReq) Type() Type                     { return TQReadReq }
+func (m QReadReq) Size() int                    { c := sizer(); m.code(&c); return c.n }
+func (m QReadReq) append(b []byte) []byte       { c := encoder(b); m.code(&c); return c.b }
+func (QReadReply) Type() Type                   { return TQReadReply }
+func (m QReadReply) Size() int                  { c := sizer(); m.code(&c); return c.n }
+func (m QReadReply) append(b []byte) []byte     { c := encoder(b); m.code(&c); return c.b }
+func (Heartbeat) Type() Type                    { return THeartbeat }
+func (m Heartbeat) Size() int                   { c := sizer(); m.code(&c); return c.n }
+func (m Heartbeat) append(b []byte) []byte      { c := encoder(b); m.code(&c); return c.b }
+func (HeartbeatAck) Type() Type                 { return THeartbeatAck }
+func (m HeartbeatAck) Size() int                { c := sizer(); m.code(&c); return c.n }
+func (m HeartbeatAck) append(b []byte) []byte   { c := encoder(b); m.code(&c); return c.b }
+func (CatchupReq) Type() Type                   { return TCatchupReq }
+func (m CatchupReq) Size() int                  { c := sizer(); m.code(&c); return c.n }
+func (m CatchupReq) append(b []byte) []byte     { c := encoder(b); m.code(&c); return c.b }
+func (CatchupReply) Type() Type                 { return TCatchupReply }
+func (m CatchupReply) Size() int                { c := sizer(); m.code(&c); return c.n }
+func (m CatchupReply) append(b []byte) []byte   { c := encoder(b); m.code(&c); return c.b }
+func (SnapInstall) Type() Type                  { return TSnapInstall }
+func (m SnapInstall) Size() int                 { c := sizer(); m.code(&c); return c.n }
+func (m SnapInstall) append(b []byte) []byte    { c := encoder(b); m.code(&c); return c.b }
+func (Sharded) Type() Type                      { return TSharded }
+func (m Sharded) Size() int                     { c := sizer(); m.code(&c); return c.n }
+func (m Sharded) append(b []byte) []byte        { c := encoder(b); m.code(&c); return c.b }
+
+// -------------------------------------------------------------- hot path --
+
+// The coder costs several times a hand-written body per field, and netsim
+// sizes every simulated send, the live transport encodes every frame. So the
+// six types of a replication round size themselves as their smallest
+// encoding (the walk of the zero message) plus what varies, and append by
+// hand; they decode through the coder. TestHotBodiesMatchCoder pins each
+// body to the code walk, so they optimise its layout rather than repeat it.
+var (
+	minRequest  = sizeOf(func(c *coder) { var m Request; m.code(c) })
+	minReply    = sizeOf(func(c *coder) { var m Reply; m.code(c) })
+	minP2a      = sizeOf(func(c *coder) { var m P2a; m.code(c) })
+	minP2b      = sizeOf(func(c *coder) { var m P2b; m.code(c) })
+	minRelayP2a = sizeOf(func(c *coder) { var m RelayP2a; m.code(c) })
+	minAggP2b   = sizeOf(func(c *coder) { var m AggP2b; m.code(c) })
+)
+
+func (m Request) Size() int  { return minRequest + len(m.Cmd.Value) }
+func (m Reply) Size() int    { return minReply + len(m.Value) }
+func (m P2a) Size() int      { return minP2a + szCmds(m.Cmds) }
+func (m P2b) Size() int      { return minP2b }
+func (m RelayP2a) Size() int { return minRelayP2a + szCmds(m.P2a.Cmds) + minID*len(m.Peers) }
+func (m AggP2b) Size() int   { return minAggP2b + minID*len(m.Acks) }
+
+func (m Request) append(b []byte) []byte { return appendCmd(b, &m.Cmd) }
+
+func (m Reply) append(b []byte) []byte {
+	b = le.AppendUint64(b, m.ClientID)
+	b = le.AppendUint64(b, m.Seq)
+	b = appendBool(b, m.OK)
+	b = appendBool(b, m.Exists)
+	b = le.AppendUint32(b, uint32(len(m.Value)))
+	b = append(b, m.Value...)
+	b = le.AppendUint32(b, uint32(m.Leader))
+	return le.AppendUint64(b, m.Slot)
+}
+
+func (m P2a) append(b []byte) []byte {
+	b = le.AppendUint64(b, uint64(m.Ballot))
+	b = le.AppendUint64(b, m.Slot)
+	checkCount(len(m.Cmds), "command batch")
+	b = le.AppendUint16(b, uint16(len(m.Cmds)))
+	for i := range m.Cmds {
+		b = appendCmd(b, &m.Cmds[i])
+	}
+	return le.AppendUint64(b, m.Commit)
+}
+
+func (m P2b) append(b []byte) []byte {
+	b = le.AppendUint64(b, uint64(m.Ballot))
+	b = le.AppendUint32(b, uint32(m.From))
+	return le.AppendUint64(b, m.Slot)
+}
+
+func (m RelayP2a) append(b []byte) []byte {
+	b = appendIDs(m.P2a.append(b), m.Peers)
+	b = le.AppendUint16(b, m.Threshold)
+	return le.AppendUint64(b, uint64(m.Timeout))
+}
+
+func (m AggP2b) append(b []byte) []byte {
+	b = le.AppendUint64(b, uint64(m.Ballot))
+	b = le.AppendUint32(b, uint32(m.Relay))
+	b = le.AppendUint64(b, m.Slot)
+	return appendBool(appendIDs(b, m.Acks), m.Partial)
+}
+
+func appendCmd(b []byte, c *kvstore.Command) []byte {
+	b = append(b, byte(c.Op))
+	b = le.AppendUint64(b, c.Key)
+	b = le.AppendUint32(b, uint32(len(c.Value)))
+	b = append(b, c.Value...)
+	b = le.AppendUint64(b, c.ClientID)
+	return le.AppendUint64(b, c.Seq)
+}
+
+func appendIDs(b []byte, v []ids.ID) []byte {
+	checkCount(len(v), "ID list")
+	b = le.AppendUint16(b, uint16(len(v)))
+	for _, id := range v {
+		b = le.AppendUint32(b, uint32(id))
+	}
+	return b
+}
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+// Each decoder walks a zero message's code with the decoding coder.
 func init() {
-	decoders[TSharded] = func(r *reader) Msg {
-		shard := r.u16()
-		t := Type(r.u8())
-		if r.err != nil {
-			return Sharded{}
-		}
-		if t == 0 || t >= maxType || t == TSharded {
-			r.err = fmt.Errorf("bad inner type %d in Sharded envelope", uint8(t))
-			return Sharded{}
-		}
-		return Sharded{Shard: shard, Inner: decoders[t](r)}
+	decoders = [maxType]func(*coder) Msg{
+		TRequest:        func(c *coder) Msg { var m Request; m.code(c); return m },
+		TReply:          func(c *coder) Msg { var m Reply; m.code(c); return m },
+		TBusy:           func(c *coder) Msg { var m Busy; m.code(c); return m },
+		TP1a:            func(c *coder) Msg { var m P1a; m.code(c); return m },
+		TP1b:            func(c *coder) Msg { var m P1b; m.code(c); return m },
+		TP2a:            func(c *coder) Msg { var m P2a; m.code(c); return m },
+		TP2b:            func(c *coder) Msg { var m P2b; m.code(c); return m },
+		TP3:             func(c *coder) Msg { var m P3; m.code(c); return m },
+		TRelayP1a:       func(c *coder) Msg { var m RelayP1a; m.code(c); return m },
+		TAggP1b:         func(c *coder) Msg { var m AggP1b; m.code(c); return m },
+		TRelayP2a:       func(c *coder) Msg { var m RelayP2a; m.code(c); return m },
+		TAggP2b:         func(c *coder) Msg { var m AggP2b; m.code(c); return m },
+		TRelayP3:        func(c *coder) Msg { var m RelayP3; m.code(c); return m },
+		TPreAccept:      func(c *coder) Msg { var m PreAccept; m.code(c); return m },
+		TPreAcceptReply: func(c *coder) Msg { var m PreAcceptReply; m.code(c); return m },
+		TAccept:         func(c *coder) Msg { var m Accept; m.code(c); return m },
+		TAcceptReply:    func(c *coder) Msg { var m AcceptReply; m.code(c); return m },
+		TCommit:         func(c *coder) Msg { var m Commit; m.code(c); return m },
+		TPrepare:        func(c *coder) Msg { var m Prepare; m.code(c); return m },
+		TPrepareReply:   func(c *coder) Msg { var m PrepareReply; m.code(c); return m },
+		TQReadReq:       func(c *coder) Msg { var m QReadReq; m.code(c); return m },
+		TQReadReply:     func(c *coder) Msg { var m QReadReply; m.code(c); return m },
+		THeartbeat:      func(c *coder) Msg { var m Heartbeat; m.code(c); return m },
+		THeartbeatAck:   func(c *coder) Msg { var m HeartbeatAck; m.code(c); return m },
+		TCatchupReq:     func(c *coder) Msg { var m CatchupReq; m.code(c); return m },
+		TCatchupReply:   func(c *coder) Msg { var m CatchupReply; m.code(c); return m },
+		TSnapInstall:    func(c *coder) Msg { var m SnapInstall; m.code(c); return m },
+		TSharded:        func(c *coder) Msg { var m Sharded; m.code(c); return m },
 	}
 }

@@ -3,15 +3,19 @@
 // serve both substrates: the live TCP transport frames and ships encoded
 // bytes, while the discrete-event simulator passes messages by value and
 // uses Size (the exact encoded length) to drive its per-byte CPU/network
-// cost model.
+// cost model. The WAL journals the same encodings.
 //
-// Encoding is little-endian with fixed-width integers and length-prefixed
-// byte strings. Every message type registers a decoder in init; Decode
-// dispatches on the one-byte type tag.
+// Encoding is little-endian with fixed-width integers, length-prefixed byte
+// strings and uint16-counted lists. Each message type writes its layout
+// once, in a code method that walks its fields, in order, through a coder
+// (the READWRITE idiom of Bitcoin Core's serializers). The coder runs in one
+// of three modes — sizing, encoding, decoding — so Size, the encoder and the
+// decoder of a type all derive from that one walk and cannot drift apart.
+// Decode dispatches on the one-byte type tag.
 //
 // The codec is built to be allocation-free on the steady-state hot path:
 // Encode appends into a caller-owned buffer (GetBuf/PutBuf pool reusable
-// scratch) and Decode draws its reader from a sync.Pool.
+// scratch) and Decode draws its coder from a sync.Pool.
 //
 // Who owns decoded bytes depends on the entry point. Decode copies: every
 // byte string and slice in the returned message is freshly allocated and
@@ -19,6 +23,7 @@
 // on that). DecodeInto aliases: byte strings point into the input and
 // slices are carved from the stream's Scratch, and both belong to the
 // message from then on — the caller gives up the right to rewrite them.
+// Either way an empty list or byte string decodes as nil.
 package wire
 
 import (
@@ -26,6 +31,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
@@ -140,18 +146,19 @@ func PutBuf(b *[]byte) {
 	bufPool.Put(b)
 }
 
-// readerPool recycles decode readers so Decode performs no bookkeeping
-// allocation per message.
-var readerPool = sync.Pool{New: func() any { return new(reader) }}
+// scratchPool recycles the decoding state of Decode, whose slices are never
+// carved from the arenas, so Decode performs no bookkeeping allocation per
+// message.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // Decode parses one message from data (as produced by Encode). It returns
 // the message and the number of bytes consumed. All variable-length
 // contents (command batches, values, ID lists) are freshly allocated and
 // safe to retain; data may be rewritten as soon as Decode returns.
 func Decode(data []byte) (Msg, int, error) {
-	r := readerPool.Get().(*reader)
-	m, n, err := r.decode(data, &noScratch)
-	readerPool.Put(r)
+	s := scratchPool.Get().(*Scratch)
+	m, n, err := s.decode(data, false)
+	scratchPool.Put(s)
 	return m, n, err
 }
 
@@ -169,10 +176,10 @@ func DecodeInto(s *Scratch, data []byte) (Msg, int, error) {
 	if s == nil {
 		return Decode(data)
 	}
-	return s.rd.decode(data, s)
+	return s.decode(data, true)
 }
 
-func (r *reader) decode(data []byte, s *Scratch) (Msg, int, error) {
+func (s *Scratch) decode(data []byte, alias bool) (Msg, int, error) {
 	if len(data) == 0 {
 		return nil, 0, errEmpty
 	}
@@ -180,10 +187,11 @@ func (r *reader) decode(data []byte, s *Scratch) (Msg, int, error) {
 	if t == 0 || t >= maxType {
 		return nil, 0, fmt.Errorf("wire: unknown message type %d", data[0])
 	}
-	*r = reader{b: data, off: 1, s: s, alias: s != &noScratch}
-	m := decoders[t](r)
-	off, err := r.off, r.err
-	*r = reader{}
+	c := &s.c
+	*c = coder{mode: decoding, b: data, n: 1, s: s, alias: alias}
+	m := decoders[t](c)
+	off, err := c.n, c.err
+	*c = coder{}
 	if err != nil {
 		return nil, 0, fmt.Errorf("wire: decoding %v: %w", t, err)
 	}
@@ -192,7 +200,9 @@ func (r *reader) decode(data []byte, s *Scratch) (Msg, int, error) {
 
 var errEmpty = fmt.Errorf("wire: empty buffer")
 
-var decoders [maxType]func(*reader) Msg
+// decoders[t] decodes the body of a type-t message by walking a zero
+// message's code with a decoding coder.
+var decoders [maxType]func(*coder) Msg
 
 // Scratch is the slice arena of one inbound stream decoded with DecodeInto.
 // Each kind of slice is carved from an append-only chunk that is replaced,
@@ -200,7 +210,7 @@ var decoders [maxType]func(*reader) Msg
 // message it went into. The zero value is ready to use; a Scratch must not
 // be shared between goroutines.
 type Scratch struct {
-	rd      reader // spares DecodeInto the pool round trip
+	c       coder // the decoding coder; c.s points back here
 	cmds    []kvstore.Command
 	ids     []ids.ID
 	refs    []InstRef
@@ -213,14 +223,14 @@ type Scratch struct {
 // messages.
 const arenaChunk = 512
 
-// noScratch stands in for the arena while Decode runs, so that &r.s.cmds is
-// always addressable; carve returns before touching it.
+// noScratch is the Scratch of every sizing and encoding coder, so that
+// &c.s.cmds is always addressable; only decoding carves.
 var noScratch Scratch
 
 // carve returns n zeroed elements for a decoded slice: the next n of the
 // arena chunk *a when aliasing, a fresh slice when copying.
-func carve[T any](r *reader, a *[]T, n int) []T {
-	if !r.alias {
+func carve[T any](c *coder, a *[]T, n int) []T {
+	if !c.alias {
 		return make([]T, n)
 	}
 	if cap(*a)-len(*a) < n {
@@ -231,264 +241,273 @@ func carve[T any](r *reader, a *[]T, n int) []T {
 	return (*a)[end-n : end : end]
 }
 
-// ---- low-level encode/decode helpers ----
+// ---------------------------------------------------------------- coder --
 
-func putU16(b []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(b, v) }
-func putU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-func putU64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
-func putBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
+var le = binary.LittleEndian
+
+// mode is what a coder does with each field a message walks.
+type mode uint8
+
+// Primitives test for decoding first: the hot types size and encode by hand.
+const (
+	sizing   mode = iota // add the field's encoded length to n
+	encoding             // append the field to b
+	decoding             // read the field from b at offset n into the message
+)
+
+// coder is the one serializer. A message's code method hands it a pointer
+// to each field in wire order; the mode decides whether the field is
+// counted, written or read. Decoding reads into a zero message, so a field
+// the coder never reaches (after a short buffer) stays zero.
+type coder struct {
+	b     []byte   // encoding: the output; decoding: the input
+	n     int      // sizing: bytes counted; decoding: read offset into b
+	err   error    // decoding: the first failure
+	s     *Scratch // decoding: the Scratch holding this coder, c == &c.s.c
+	mode  mode
+	alias bool // decoding: byte strings alias b, slices come from s
+}
+
+// sizer and encoder start a coder in sizing mode and in encoding mode onto b.
+func sizer() coder           { return coder{s: &noScratch} }
+func encoder(b []byte) coder { return coder{mode: encoding, b: b, s: &noScratch} }
+
+// fail records a short buffer at the read offset, unless an earlier failure
+// is on record. Decoding goes on reading where it can, but the message is
+// discarded. It stays out of line, so the primitives' frames stay small.
+//
+//go:noinline
+func (c *coder) fail() {
+	if c.err == nil {
+		c.err = fmt.Errorf("short buffer at offset %d", c.n)
 	}
-	return append(b, 0)
-}
-func putBytes(b []byte, v []byte) []byte {
-	b = putU32(b, uint32(len(v)))
-	return append(b, v...)
 }
 
-// checkCount guards every uint16 entry count on the wire: overflowing
-// counts are a bug upstream, and truncating silently would corrupt the
-// frame (the decoder would misparse everything after the undercounted
-// list).
+func (c *coder) u8(v *uint8) {
+	if c.mode == decoding {
+		if c.n+1 > len(c.b) {
+			c.fail()
+			return
+		}
+		*v = c.b[c.n]
+		c.n++
+		return
+	}
+	if c.mode == encoding {
+		c.b = append(c.b, *v)
+		return
+	}
+	c.n++
+}
+
+func (c *coder) u16(v *uint16) {
+	if c.mode == decoding {
+		if c.n+2 > len(c.b) {
+			c.fail()
+			return
+		}
+		*v = le.Uint16(c.b[c.n:])
+		c.n += 2
+		return
+	}
+	if c.mode == encoding {
+		c.b = le.AppendUint16(c.b, *v)
+		return
+	}
+	c.n += 2
+}
+
+func (c *coder) u32(v *uint32) {
+	if c.mode == decoding {
+		if c.n+4 > len(c.b) {
+			c.fail()
+			return
+		}
+		*v = le.Uint32(c.b[c.n:])
+		c.n += 4
+		return
+	}
+	if c.mode == encoding {
+		c.b = le.AppendUint32(c.b, *v)
+		return
+	}
+	c.n += 4
+}
+
+func (c *coder) u64(v *uint64) {
+	if c.mode == decoding {
+		if c.n+8 > len(c.b) {
+			c.fail()
+			return
+		}
+		*v = le.Uint64(c.b[c.n:])
+		c.n += 8
+		return
+	}
+	if c.mode == encoding {
+		c.b = le.AppendUint64(c.b, *v)
+		return
+	}
+	c.n += 8
+}
+
+func (c *coder) id(v *ids.ID)         { c.u32((*uint32)(v)) }
+func (c *coder) ballot(v *ids.Ballot) { c.u64((*uint64)(v)) }
+
+// boolean is one byte, 1 for true; any non-zero byte decodes as true.
+func (c *coder) boolean(v *bool) {
+	var u uint8
+	if *v {
+		u = 1
+	}
+	c.u8(&u)
+	*v = u != 0
+}
+
+// duration is a uint64 count of nanoseconds.
+func (c *coder) duration(v *time.Duration) {
+	u := uint64(*v)
+	c.u64(&u)
+	*v = time.Duration(u)
+}
+
+// bytes is a uint32 length and that many bytes.
+func (c *coder) bytes(v *[]byte) {
+	if c.mode == decoding {
+		if c.n+4 > len(c.b) {
+			c.fail()
+			return
+		}
+		k := int(le.Uint32(c.b[c.n:]))
+		c.n += 4
+		end := c.n + k
+		if end > len(c.b) {
+			c.fail()
+			return
+		}
+		if k > 0 { // an empty string stays nil
+			*v = c.b[c.n:end:end]
+			if !c.alias {
+				*v = append(make([]byte, 0, k), *v...)
+			}
+		}
+		c.n = end
+		return
+	}
+	if c.mode == encoding {
+		c.b = le.AppendUint32(c.b, uint32(len(*v)))
+		c.b = append(c.b, *v...)
+		return
+	}
+	c.n += 4 + len(*v)
+}
+
+// list walks the uint16 count of the list *v and returns the elements to
+// walk next: *v, which decoding first carves from the arena a. A count beyond
+// uint16 is a bug upstream (paxos clamps MaxBatchSize) and panics rather than
+// corrupt the frame. Decoding checks the count against the bytes left, at
+// `least` bytes an element, before it carves: a corrupt count cannot make it
+// allocate more than the input could hold.
+func list[T any](c *coder, v *[]T, a *[]T, least int, what string) []T {
+	if c.mode == decoding {
+		if c.n+2 > len(c.b) {
+			c.fail()
+			return nil
+		}
+		k := int(le.Uint16(c.b[c.n:]))
+		c.n += 2
+		if k == 0 || c.err != nil {
+			return nil
+		}
+		if c.n+least*k > len(c.b) {
+			c.fail()
+			return nil
+		}
+		*v = carve(c, a, k)
+		return *v
+	}
+	if c.mode == encoding {
+		checkCount(len(*v), what)
+		c.b = le.AppendUint16(c.b, uint16(len(*v)))
+		return *v
+	}
+	c.n += 2
+	return *v
+}
+
+// checkCount panics on a list too long for its uint16 count (see list).
 func checkCount(n int, what string) {
 	if n > math.MaxUint16 {
 		panic(fmt.Sprintf("wire: %s of %d exceeds uint16 count", what, n))
 	}
 }
 
-func putIDs(b []byte, v []ids.ID) []byte {
-	checkCount(len(v), "ID list")
-	b = putU16(b, uint16(len(v)))
-	for _, id := range v {
-		b = putU32(b, uint32(id))
-	}
-	return b
-}
-
-const (
-	szBool   = 1
-	szU16    = 2
-	szU32    = 4
-	szU64    = 8
-	szID     = 4
-	szBallot = 8
-)
-
-func szBytes(v []byte) int { return szU32 + len(v) }
-func szIDs(v []ids.ID) int { return szU16 + szID*len(v) }
-
-type reader struct {
-	b     []byte
-	off   int
-	err   error
-	s     *Scratch // slice arena; &noScratch while copying
-	alias bool     // DecodeInto: byte strings alias b, slices come from s
-}
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("short buffer at offset %d", r.off)
+func (c *coder) ids(v *[]ids.ID) {
+	for i := range list(c, v, &c.s.ids, minID, "ID list") {
+		c.id(&(*v)[i])
 	}
 }
 
-func (r *reader) u16() uint16 {
-	if r.err != nil || r.off+2 > len(r.b) {
-		r.fail()
-		return 0
+func (c *coder) cmds(v *[]kvstore.Command) {
+	batch := list(c, v, &c.s.cmds, minCmd, "command batch")
+	if c.mode == sizing {
+		c.n += szCmds(batch)
+		return
 	}
-	v := binary.LittleEndian.Uint16(r.b[r.off:])
-	r.off += 2
-	return v
+	for i := range batch {
+		c.cmd(&batch[i])
+	}
 }
 
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *reader) u8() uint8 {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) boolean() bool {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.fail()
-		return false
-	}
-	v := r.b[r.off] != 0
-	r.off++
-	return v
-}
-
-func (r *reader) bytes() []byte {
-	n := int(r.u32())
-	if r.err != nil || r.off+n > len(r.b) {
-		r.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	src := r.b[r.off : r.off+n : r.off+n]
-	r.off += n
-	if r.alias {
-		return src
-	}
-	return append(make([]byte, 0, n), src...)
-}
-
-func (r *reader) id() ids.ID         { return ids.ID(r.u32()) }
-func (r *reader) ballot() ids.Ballot { return ids.Ballot(r.u64()) }
-
-func (r *reader) idSlice() []ids.ID {
-	n := int(r.u16())
-	if r.err != nil || r.off+szID*n > len(r.b) {
-		r.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	v := carve(r, &r.s.ids, n)
-	for i := range v {
-		v[i] = r.id()
-	}
-	return v
-}
-
-// szSlotEntryMin is the smallest possible encoded slot entry (empty
-// batch), used to bound entry counts against the remaining buffer.
-const szSlotEntryMin = szU64 + szBallot + szBool + szU16
-
-// slotEntries decodes a count-prefixed slot-entry list (P1b, CatchupReply).
-func (r *reader) slotEntries() []SlotEntry {
-	n := int(r.u16())
-	if r.err != nil || r.off+szSlotEntryMin*n > len(r.b) {
-		r.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	v := carve(r, &r.s.entries, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		v[i] = r.slotEntry()
-	}
-	return v
-}
-
-// szP1bMin is the smallest possible encoded P1b (no entries).
-const szP1bMin = szBallot + szID + szU64 + szU16
-
-// p1bs decodes a count-prefixed P1b list (AggP1b).
-func (r *reader) p1bs() []P1b {
-	n := int(r.u16())
-	if r.err != nil || r.off+szP1bMin*n > len(r.b) {
-		r.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	v := carve(r, &r.s.p1bs, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		v[i] = r.p1b()
-	}
-	return v
-}
-
-func (r *reader) p1b() P1b {
-	return P1b{Ballot: r.ballot(), From: r.id(), Floor: r.u64(), Entries: r.slotEntries()}
-}
-
-// ---- command encoding (shared by several messages) ----
-
-func putCmd(b []byte, c kvstore.Command) []byte {
-	b = append(b, byte(c.Op))
-	b = putU64(b, c.Key)
-	b = putBytes(b, c.Value)
-	b = putU64(b, c.ClientID)
-	b = putU64(b, c.Seq)
-	return b
-}
-
-func szCmd(c kvstore.Command) int { return 1 + szU64 + szBytes(c.Value) + szU64 + szU64 }
-
-// szCmdMin is the smallest possible encoded command (empty value), used to
-// bound batch counts against the remaining buffer before allocating.
-const szCmdMin = 1 + szU64 + szU32 + szU64 + szU64
-
-// putCmds encodes a count-prefixed command batch. A one-element batch is the
-// degenerate single-command case; protocols that never batch pay only the
-// two-byte count. Batches beyond the uint16 count are a bug upstream
-// (paxos clamps MaxBatchSize); truncating silently would corrupt the frame.
-func putCmds(b []byte, v []kvstore.Command) []byte {
-	checkCount(len(v), "command batch")
-	b = putU16(b, uint16(len(v)))
-	for _, c := range v {
-		b = putCmd(b, c)
-	}
-	return b
-}
-
+// szCmds is what the commands of a batch add to an empty batch: a command's
+// value is its only part of varying length.
 func szCmds(v []kvstore.Command) int {
-	n := szU16
-	for _, c := range v {
-		n += szCmd(c)
+	n := minCmd * len(v)
+	for i := range v {
+		n += len(v[i].Value)
 	}
 	return n
 }
 
-func (r *reader) cmds() []kvstore.Command {
-	n := int(r.u16())
-	if r.err != nil || r.off+szCmdMin*n > len(r.b) {
-		r.fail()
-		return nil
+func (c *coder) refs(v *[]InstRef) {
+	for i := range list(c, v, &c.s.refs, minRef, "instance-ref list") {
+		(*v)[i].code(c)
 	}
-	if n == 0 {
-		return nil
-	}
-	v := carve(r, &r.s.cmds, n)
-	for i := range v {
-		v[i] = r.cmd()
-	}
-	return v
 }
 
-func (r *reader) cmd() kvstore.Command {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.fail()
-		return kvstore.Command{}
+func (c *coder) entries(v *[]SlotEntry) {
+	for i := range list(c, v, &c.s.entries, minEntry, "slot-entry list") {
+		(*v)[i].code(c)
 	}
-	op := kvstore.Op(r.b[r.off])
-	r.off++
-	return kvstore.Command{
-		Op:       op,
-		Key:      r.u64(),
-		Value:    r.bytes(),
-		ClientID: r.u64(),
-		Seq:      r.u64(),
+}
+
+func (c *coder) p1bs(v *[]P1b) {
+	for i := range list(c, v, &c.s.p1bs, minP1b, "P1b list") {
+		(*v)[i].code(c)
 	}
+}
+
+// cmd is a client command, the unit of every batch.
+func (c *coder) cmd(v *kvstore.Command) {
+	c.u8((*uint8)(&v.Op))
+	c.u64(&v.Key)
+	c.bytes(&v.Value)
+	c.u64(&v.ClientID)
+	c.u64(&v.Seq)
+}
+
+// The smallest encoding of each list element (every list and byte string in
+// it empty), which bounds a decoded count: the sizing walk of a zero value.
+var (
+	minID    = sizeOf(func(c *coder) { var v ids.ID; c.id(&v) })
+	minCmd   = sizeOf(func(c *coder) { var v kvstore.Command; c.cmd(&v) })
+	minRef   = sizeOf(func(c *coder) { var v InstRef; v.code(c) })
+	minEntry = sizeOf(func(c *coder) { var v SlotEntry; v.code(c) })
+	minP1b   = sizeOf(func(c *coder) { var v P1b; v.code(c) })
+)
+
+func sizeOf(walk func(*coder)) int {
+	c := sizer()
+	walk(&c)
+	return c.n
 }

@@ -28,6 +28,7 @@ import (
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/netsim"
 	"pigpaxos/internal/quorum"
+	"pigpaxos/internal/shard"
 )
 
 // Kind enumerates fault action types.
@@ -686,15 +687,16 @@ func MaxSafeCrashes(n int) int { return n - quorum.MajoritySize(n) }
 //     crashes must self-heal (Duration > 0), since their victims cannot be
 //     matched to later Recover events statically, and restarts always need a
 //     Duration, since the reboot has no other trigger;
-//   - at no instant are more than MaxSafeCrashes(cc.N()) nodes down at once
-//     (a majority must stay formable from the survivors);
+//   - the schedule keeps the cluster available (see available): crashed and
+//     cut-away nodes are charged together, so a partition plus crashes on
+//     its majority side cannot leave the survivors without a quorum;
 //   - region actions name populated zones, and a LeaderPlacementFlip does not
 //     target a region whose every member is statically crashed at fire time
 //     (there would be nobody to campaign).
 //
 // Region actions are first lowered to their node-level equivalents:
 // CrashRegion to one Crash per member (so a crashed region counts every node
-// against the crash bound), RegionPartition to the (zone, rest) PartitionCut,
+// against the bound), RegionPartition to the (zone, rest) PartitionCut,
 // WANDegrade to a LinkFault.
 func Validate(s Schedule, cc config.Cluster, healBy time.Duration) error {
 	lowered := make(Schedule, 0, len(s))
@@ -726,53 +728,34 @@ func Validate(s Schedule, cc config.Cluster, healBy time.Duration) error {
 		}
 	}
 
-	var outages []window          // every node outage, for the crash bound
+	var losses []loss
 	down := map[ids.ID][]window{} // static victims' outages, for the flip check
 	for _, ev := range lowered {
 		a := ev.Action
+		var l loss
 		switch a.Kind {
-		case Crash, CrashLeader, CrashRelay, CrashShardLeader, Restart, RestartLeader, TornTail:
-			end, err := outageEnd(lowered, ev, healBy)
-			if err != nil {
-				return err
-			}
-			outages = append(outages, window{ev.At, end})
-			if a.Kind == Crash || a.Kind == Restart || a.Kind == TornTail {
-				down[a.Node] = append(down[a.Node], window{ev.At, end})
-			}
-		case PartitionCut, LinkFault, Sluggish:
-			if a.Duration > 0 {
-				if ev.At+a.Duration > healBy {
-					return fmt.Errorf("chaos: %v at %v heals after the %v deadline", a.Kind, ev.At, healBy)
-				}
-				continue
-			}
-			healed := false
-			for _, other := range lowered {
-				k := other.Action.Kind
-				if other.At > ev.At && other.At <= healBy &&
-					((a.Kind == PartitionCut && k == Heal) || (a.Kind == LinkFault && k == ClearLinks)) {
-					healed = true
-					break
-				}
-			}
-			if !healed {
-				return fmt.Errorf("chaos: %v at %v never heals", a.Kind, ev.At)
-			}
+		case Crash, Restart, TornTail:
+			l.down = []ids.ID{a.Node}
+		case CrashLeader, CrashRelay, CrashShardLeader, RestartLeader:
+			l.unknown = 1
+		case PartitionCut:
+			l.sideA, l.sideB = a.SideA, a.SideB
+		case LinkFault, Sluggish:
+		default:
+			continue
+		}
+		end, err := faultEnd(lowered, ev, healBy)
+		if err != nil {
+			return err
+		}
+		l.window = window{ev.At, end}
+		losses = append(losses, l)
+		if l.down != nil {
+			down[a.Node] = append(down[a.Node], l.window)
 		}
 	}
-	// Crash bound: count overlapping outages at every outage start (overlap
-	// counts are maximal at interval starts).
-	for i, w := range outages {
-		n := 1
-		for j, o := range outages {
-			if j != i && o.covers(w.start) {
-				n++
-			}
-		}
-		if n > MaxSafeCrashes(cc.N()) {
-			return fmt.Errorf("chaos: %d nodes down at %v; a majority of %d cannot survive", n, w.start, cc.N())
-		}
+	if err := available(losses, cc, cc.N()); err != nil {
+		return err
 	}
 	for _, ev := range flips {
 		alive := 0
@@ -792,32 +775,130 @@ func Validate(s Schedule, cc config.Cluster, healBy time.Duration) error {
 	return nil
 }
 
-// outageEnd returns when ev's node outage ends — ev.At + Duration, or for a
-// Crash without one the first later Recover of its node in s — and rejects
-// an outage that never ends or ends after healBy.
-func outageEnd(s Schedule, ev Event, healBy time.Duration) (time.Duration, error) {
+// faultEnd returns when ev's fault ends: ev.At + Duration, or without one the
+// earliest later event in s that ends it (a Recover of the crashed node, a
+// Heal of a partition cut, a ClearLinks of link faults). It rejects a fault
+// that never ends or ends after healBy.
+func faultEnd(s Schedule, ev Event, healBy time.Duration) (time.Duration, error) {
 	a := ev.Action
 	end := ev.At + a.Duration
-	switch {
-	case a.Duration > 0:
-	case a.Kind == Restart || a.Kind == RestartLeader || a.Kind == TornTail:
-		return 0, fmt.Errorf("chaos: %v at %v has no Duration (the reboot needs a fire time)", a.Kind, ev.At)
-	case a.Kind != Crash:
-		return 0, fmt.Errorf("chaos: %v at %v has no Duration (dynamic targets must self-heal)", a.Kind, ev.At)
-	default:
-		found := false
+	if a.Duration <= 0 {
+		var ends func(Action) bool
+		switch a.Kind {
+		case Restart, RestartLeader, TornTail:
+			return 0, fmt.Errorf("chaos: %v at %v has no Duration (the reboot needs a fire time)", a.Kind, ev.At)
+		case Crash:
+			ends = func(r Action) bool { return r.Kind == Recover && r.Node == a.Node }
+		case PartitionCut:
+			ends = func(r Action) bool { return r.Kind == Heal }
+		case LinkFault:
+			ends = func(r Action) bool { return r.Kind == ClearLinks }
+		case Sluggish:
+			return 0, fmt.Errorf("chaos: %v at %v never heals", a.Kind, ev.At)
+		default:
+			return 0, fmt.Errorf("chaos: %v at %v has no Duration (dynamic targets must self-heal)", a.Kind, ev.At)
+		}
+		end = -1
 		for _, r := range s {
-			if r.Action.Kind == Recover && r.Action.Node == a.Node && r.At > ev.At {
-				end, found = r.At, true
-				break
+			if r.At > ev.At && ends(r.Action) && (end < 0 || r.At < end) {
+				end = r.At
 			}
 		}
-		if !found {
-			return 0, fmt.Errorf("chaos: crash of %v at %v never recovers", a.Node, ev.At)
+		if end < 0 {
+			return 0, fmt.Errorf("chaos: %v at %v never heals", a.Kind, ev.At)
 		}
 	}
 	if end > healBy {
 		return 0, fmt.Errorf("chaos: %v at %v heals at %v, after the %v deadline", a.Kind, ev.At, end, healBy)
 	}
 	return end, nil
+}
+
+// loss is one fault window as the availability rule sees it: the nodes it
+// takes down, or how many victims it takes that are not named in advance (a
+// leader or relay resolved at fire time), or a cut between two sides. A link
+// fault or a slow node takes nothing.
+type loss struct {
+	window
+	down         []ids.ID
+	unknown      int
+	sideA, sideB []ids.ID
+}
+
+// available is the one availability rule, which Validate and the explorer
+// both apply: at every instant a fault starts, in every consensus group (each
+// shard of cc's shard plan when cc is sharded, else the whole membership),
+// the largest set of live members that can all reach one another loses at
+// most min(maxDown, MaxSafeCrashes) of the group — so it still holds a
+// majority. Every victim not named in advance is assumed to fall in that
+// set, and in every group.
+func available(losses []loss, cc config.Cluster, maxDown int) error {
+	groups := [][]ids.ID{cc.Nodes}
+	if cc.Shards > 1 {
+		groups = groups[:0]
+		for _, d := range shard.Plan(cc, cc.Shards).Shards {
+			groups = append(groups, d.Members)
+		}
+	}
+	for _, l := range losses {
+		for k, g := range groups {
+			need := len(g) - min(maxDown, MaxSafeCrashes(len(g)))
+			if got := connected(g, losses, l.start); got < need {
+				return fmt.Errorf("chaos: at %v only %d of group %d's %d nodes are live and connected; it needs %d",
+					l.start, max(got, 0), k, len(g), need)
+			}
+		}
+	}
+	return nil
+}
+
+// connected returns the size of the largest set of members live and mutually
+// reachable at t, less the victims not named in advance.
+func connected(members []ids.ID, losses []loss, t time.Duration) int {
+	dead := map[ids.ID]bool{}
+	var cuts []loss
+	unknown := 0
+	for _, l := range losses {
+		if !l.covers(t) {
+			continue
+		}
+		for _, v := range l.down {
+			dead[v] = true
+		}
+		unknown += l.unknown
+		if l.sideA != nil {
+			cuts = append(cuts, l)
+		}
+	}
+	cut := func(a, b ids.ID) bool {
+		for _, c := range cuts {
+			if (slices.Contains(c.sideA, a) && slices.Contains(c.sideB, b)) ||
+				(slices.Contains(c.sideA, b) && slices.Contains(c.sideB, a)) {
+				return true
+			}
+		}
+		return false
+	}
+	seen := make([]bool, len(members))
+	largest := 0
+	for i, m := range members {
+		if seen[i] || dead[m] {
+			continue
+		}
+		seen[i] = true
+		size, stack := 0, []int{i}
+		for len(stack) > 0 {
+			j := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			size++
+			for k, o := range members {
+				if !seen[k] && !dead[o] && !cut(members[j], o) {
+					seen[k] = true
+					stack = append(stack, k)
+				}
+			}
+		}
+		largest = max(largest, size)
+	}
+	return largest - unknown
 }

@@ -118,6 +118,27 @@ func TestValidateRejectsQuorumLoss(t *testing.T) {
 	}
 }
 
+// Partition cuts and crashes are charged together: cutting nodes 4–5 away
+// while nodes 2 and 3 are down leaves node 1 alone, below any majority. A
+// crash on the cut side takes nothing more from the connected majority.
+func TestValidateChargesPartitionCuts(t *testing.T) {
+	cc := config.NewLAN(5)
+	cut := MinorityPartition(cc.Nodes[3:], cc.Nodes[:3], 10*time.Millisecond, 100*time.Millisecond)
+	s := Merge(cut,
+		NodeCrash(cc.Nodes[1], 20*time.Millisecond, 50*time.Millisecond),
+		NodeCrash(cc.Nodes[2], 30*time.Millisecond, 50*time.Millisecond),
+	)
+	if err := Validate(s, cc, time.Second); err == nil {
+		t.Fatal("a cut of nodes 4-5 plus crashes of nodes 2 and 3 must be rejected")
+	}
+	if err := Validate(Merge(cut, NodeCrash(cc.Nodes[2], 30*time.Millisecond, 50*time.Millisecond)), cc, time.Second); err == nil {
+		t.Fatal("a cut of nodes 4-5 plus a crash of node 3 leaves two of five connected and must be rejected")
+	}
+	if err := Validate(Merge(cut, NodeCrash(cc.Nodes[4], 30*time.Millisecond, 50*time.Millisecond)), cc, time.Second); err != nil {
+		t.Fatalf("a crash on the cut side leaves nodes 1-3 connected: %v", err)
+	}
+}
+
 // Even cluster sizes need a majority of the FULL membership from the
 // survivors: in a 4-node cluster 2 concurrent crashes leave only 2 alive —
 // below the majority of 3 — so f is 1, not majority−1.

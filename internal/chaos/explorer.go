@@ -170,10 +170,14 @@ func Explore(opts ExplorerOpts) []Schedule {
 	return out
 }
 
-// explore1 draws one schedule. Crash concurrency is enforced by tracking
-// committed crash windows and rejecting draws that would exceed the bound.
+// explore1 draws one schedule, rejecting every draw that would leave the
+// cluster unavailable.
 func explore1(opts ExplorerOpts, rng *rand.Rand) Schedule {
-	var crashes []window
+	var losses []loss // the fault windows drawn so far
+	cc := opts.Cluster
+	if cc.N() == 0 {
+		cc = config.Cluster{Nodes: opts.Nodes}
+	}
 	span := opts.Horizon - opts.Start
 	// randWindow draws a fault window that heals before the horizon. Both
 	// bounds are clamped into the [Start, Horizon] budget so the draw
@@ -197,24 +201,18 @@ func explore1(opts ExplorerOpts, rng *rand.Rand) Schedule {
 		at = opts.Start + time.Duration(rng.Int63n(int64(latest-opts.Start)+1))
 		return at, dur
 	}
-	// charge counts a candidate window's k victims against the shared crash
-	// budget and, when they fit, commits them: a partitioned-away node is as
-	// gone as a crashed one for quorum purposes, so crash windows, partition
-	// cuts and region outages must never jointly exceed MaxConcurrentCrashes
-	// — the connected survivors stay a formable majority at every instant.
+	// charge commits a candidate window that takes k nodes if the windows
+	// drawn so far plus it keep the cluster available — the rule Validate
+	// applies, bounded by MaxConcurrentCrashes. The explorer charges every
+	// window as k victims not named in advance, which is the rule's worst
+	// case (no two windows ever share a victim): crashed and partitioned-away
+	// nodes add up, and a target drawn after the charge cannot break it.
 	charge := func(at, dur time.Duration, k int) bool {
-		down := k
-		for _, w := range crashes {
-			if w.start < at+dur && at < w.end {
-				down++
-			}
-		}
-		if down > opts.MaxConcurrentCrashes {
+		l := loss{window: window{at, at + dur}, unknown: k}
+		if available(append(losses, l), cc, opts.MaxConcurrentCrashes) != nil {
 			return false
 		}
-		for i := 0; i < k; i++ {
-			crashes = append(crashes, window{at, at + dur})
-		}
+		losses = append(losses, l)
 		return true
 	}
 
@@ -228,8 +226,8 @@ func explore1(opts ExplorerOpts, rng *rand.Rand) Schedule {
 		followers = followers[1:]
 	}
 	// outage is the generator of a one-node outage of kind k: it draws a
-	// window in [minDur, maxDur], charges one node to the crash budget, and
-	// only then lets fill draw the target (victim or group).
+	// window in [minDur, maxDur], charges one node to the cluster, and only
+	// then lets fill draw the target (victim or group).
 	outage := func(k Kind, minDur, maxDur time.Duration, fill func(*Action)) gen {
 		return func() (Event, bool) {
 			at, dur := randWindow(minDur, maxDur)
@@ -258,10 +256,6 @@ func explore1(opts ExplorerOpts, rng *rand.Rand) Schedule {
 		gens = append(gens, func() (Event, bool) {
 			at, dur := randWindow(50*time.Millisecond, 400*time.Millisecond)
 			k := 1 + rng.Intn((len(opts.Nodes)-1)/2) // strict minority
-			// Charge the cut minority to the shared crash budget, exactly
-			// like RegionPartition below: without it, a drawn partition plus
-			// a concurrent crash window on the majority side could leave the
-			// connected survivors unable to form a majority.
 			if !charge(at, dur, k) {
 				return Event{}, false
 			}

@@ -1,10 +1,12 @@
 package chaos
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"pigpaxos/internal/config"
+	"pigpaxos/internal/ids"
 	"pigpaxos/internal/quorum"
 )
 
@@ -142,6 +144,122 @@ func TestExplorerStillDeterministicAfterReseed(t *testing.T) {
 		for j := range b[i] {
 			if a[i][j].At != b[i][j].At || a[i][j].Action.Kind != b[i][j].Action.Kind {
 				t.Fatalf("schedule %d differs at event %d", i, j)
+			}
+		}
+	}
+}
+
+// liveConnected is the availability rule worked out the long way from the
+// raw schedule, for the property test below: how many of cc's nodes are up
+// at t and pairwise uncut, in the largest such set, less one for every
+// victim resolved only at fire time. Every fault must carry a Duration.
+func liveConnected(t *testing.T, s Schedule, cc config.Cluster, at time.Duration) int {
+	t.Helper()
+	down := map[ids.ID]bool{}
+	var cuts [][2][]ids.ID
+	unknown := 0
+	for _, ev := range s {
+		a := ev.Action
+		if a.Kind == LeaderPlacementFlip {
+			continue
+		}
+		if a.Duration <= 0 {
+			t.Fatalf("%v at %v has no Duration", a.Kind, ev.At)
+		}
+		if at < ev.At || at >= ev.At+a.Duration {
+			continue
+		}
+		switch a.Kind {
+		case Crash, Restart, TornTail:
+			down[a.Node] = true
+		case CrashLeader, CrashRelay, CrashShardLeader, RestartLeader:
+			unknown++
+		case CrashRegion:
+			for _, v := range cc.ZoneNodes(a.Zone) {
+				down[v] = true
+			}
+		case PartitionCut:
+			cuts = append(cuts, [2][]ids.ID{a.SideA, a.SideB})
+		case RegionPartition:
+			in, out := cc.RegionSides(a.Zone)
+			cuts = append(cuts, [2][]ids.ID{in, out})
+		}
+	}
+	reach := func(a, b ids.ID) bool {
+		for _, c := range cuts {
+			if slices.Contains(c[0], a) && slices.Contains(c[1], b) || slices.Contains(c[0], b) && slices.Contains(c[1], a) {
+				return false
+			}
+		}
+		return true
+	}
+	// Union-find over the live nodes.
+	root := map[ids.ID]ids.ID{}
+	var find func(ids.ID) ids.ID
+	find = func(v ids.ID) ids.ID {
+		if root[v] == v {
+			return v
+		}
+		root[v] = find(root[v])
+		return root[v]
+	}
+	for _, v := range cc.Nodes {
+		if !down[v] {
+			root[v] = v
+		}
+	}
+	for a := range root {
+		for b := range root {
+			if a != b && reach(a, b) {
+				root[find(a)] = find(b)
+			}
+		}
+	}
+	size := map[ids.ID]int{}
+	largest := 0
+	for v := range root {
+		size[find(v)]++
+		largest = max(largest, size[find(v)])
+	}
+	return largest - unknown
+}
+
+// assertAvailable checks liveConnected against a majority at every fault
+// start, where the live connected set is smallest.
+func assertAvailable(t *testing.T, s Schedule, cc config.Cluster) {
+	t.Helper()
+	for _, ev := range s {
+		if got, need := liveConnected(t, s, cc, ev.At), quorum.MajoritySize(cc.N()); got < need {
+			t.Fatalf("at %v only %d of %d nodes live and connected, need %d\nschedule: %+v", ev.At, got, cc.N(), need, s)
+		}
+	}
+}
+
+// TestExploreAndShrinkKeepAvailability is the property both producers of
+// schedules owe the scenario runner: every Explore output, and every
+// candidate Shrink runs on the way down from one, keeps a connected live
+// majority at all times.
+func TestExploreAndShrinkKeepAvailability(t *testing.T) {
+	lan, wan := config.NewLAN(5), config.NewWAN3(9)
+	for _, c := range []struct {
+		cc    config.Cluster
+		allow Palette
+	}{
+		{lan, FullPalette()},
+		{lan, DurablePalette()},
+		{wan, WANPalette()},
+	} {
+		for seed := int64(0); seed < 40; seed++ {
+			opts := ExplorerOpts{Seed: seed, Scenarios: 3, Nodes: c.cc.Nodes, Cluster: c.cc, MaxActions: 5, Allow: c.allow}
+			for _, s := range Explore(opts) {
+				assertAvailable(t, s, c.cc)
+				if seed%8 != 0 || len(s) == 0 {
+					continue
+				}
+				Shrink(s, func(cand Schedule) bool {
+					assertAvailable(t, cand, c.cc)
+					return true // keep shrinking: every candidate "fails"
+				}, ShrinkOptions{Cluster: c.cc, HealBy: 2200 * time.Millisecond, MaxRuns: 60})
 			}
 		}
 	}

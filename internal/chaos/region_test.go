@@ -222,13 +222,21 @@ func TestValidateRejectsUnhealedMajorityRegionPartition(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "never heals") {
 		t.Errorf("unexpected error: %v", err)
 	}
-	// The same cuts with heal-by windows validate.
+	// The same cuts with heal-by windows validate one after the other; while
+	// they overlap, each region is on its own and none holds a majority.
+	s = Merge(
+		RegionCut(config.ZoneCalifornia, 100*time.Millisecond, 150*time.Millisecond),
+		RegionCut(config.ZoneOregon, 300*time.Millisecond, 150*time.Millisecond),
+	)
+	if err := Validate(s, cc, time.Second); err != nil {
+		t.Fatal(err)
+	}
 	s = Merge(
 		RegionCut(config.ZoneCalifornia, 100*time.Millisecond, 150*time.Millisecond),
 		RegionCut(config.ZoneOregon, 120*time.Millisecond, 150*time.Millisecond),
 	)
-	if err := Validate(s, cc, time.Second); err != nil {
-		t.Fatal(err)
+	if err := Validate(s, cc, time.Second); err == nil {
+		t.Fatal("overlapping cuts of two of three regions must be rejected")
 	}
 }
 

@@ -1,16 +1,16 @@
 package pigpaxos
 
 // Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation, plus ablations of the design choices DESIGN.md calls
-// out. Each benchmark runs the corresponding experiment on the
-// deterministic simulator and reports the headline quantity through
-// b.ReportMetric, so
+// paper's evaluation, plus ablations of its design choices. Each benchmark
+// runs the corresponding experiment on the deterministic simulator and
+// reports the headline quantity through b.ReportMetric, so
 //
 //	go test -bench=. -benchmem
 //
-// regenerates the entire evaluation. EXPERIMENTS.md records the resulting
-// numbers next to the paper's. Full-resolution sweeps are available via
-// cmd/pigbench.
+// regenerates the entire evaluation at reduced resolution. cmd/pigbench
+// runs the full-resolution sweeps (`pigbench -all`, or one `-fig`/`-table`
+// at a time); the README's Quick start lists the commands, and its
+// Performance section what the measurements found.
 
 import (
 	"testing"

@@ -307,7 +307,7 @@ func BenchmarkSizeHot(b *testing.B) {
 }
 
 // TestHotBodiesMatchCoder pins the bodies the hot path keeps by hand (the
-// six hot types' Size, P2a's append) to the code walk, the one reference
+// six hot types' Size and append) to the code walk, the one reference
 // layout: on random messages each must give the walk's size and bytes.
 func TestHotBodiesMatchCoder(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))

@@ -10,8 +10,9 @@
 // once, in a code method that walks its fields, in order, through a coder
 // (the READWRITE idiom of Bitcoin Core's serializers). The coder runs in one
 // of three modes — sizing, encoding, decoding — so Size, the encoder and the
-// decoder of a type all derive from that one walk and cannot drift apart.
-// Decode dispatches on the one-byte type tag.
+// decoder of a type all derive from that one walk. The six types of a
+// replication round also keep hand-written Size and encode bodies for speed,
+// which a test holds to the walk. Decode dispatches on the one-byte type tag.
 //
 // The codec is built to be allocation-free on the steady-state hot path:
 // Encode appends into a caller-owned buffer (GetBuf/PutBuf pool reusable
@@ -274,9 +275,7 @@ func encoder(b []byte) coder { return coder{mode: encoding, b: b, s: &noScratch}
 
 // fail records a short buffer at the read offset, unless an earlier failure
 // is on record. Decoding goes on reading where it can, but the message is
-// discarded. It stays out of line, so the primitives' frames stay small.
-//
-//go:noinline
+// discarded.
 func (c *coder) fail() {
 	if c.err == nil {
 		c.err = fmt.Errorf("short buffer at offset %d", c.n)

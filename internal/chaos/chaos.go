@@ -754,7 +754,7 @@ func Validate(s Schedule, cc config.Cluster, healBy time.Duration) error {
 			down[a.Node] = append(down[a.Node], l.window)
 		}
 	}
-	if err := available(losses, cc, cc.N()); err != nil {
+	if err := available(losses, cc, cc.N()); err != nil { // no cap below a majority
 		return err
 	}
 	for _, ev := range flips {

@@ -139,6 +139,23 @@ func TestValidateChargesPartitionCuts(t *testing.T) {
 	}
 }
 
+// A sharded cluster is available only while every shard is: two crashes
+// leave six nodes a majority, but not shard 0 of two three-node shards.
+func TestValidateChargesEachShard(t *testing.T) {
+	cc := config.NewLAN(6)
+	s := Merge(
+		NodeCrash(cc.Nodes[0], 10*time.Millisecond, 50*time.Millisecond),
+		NodeCrash(cc.Nodes[1], 20*time.Millisecond, 50*time.Millisecond),
+	)
+	if err := Validate(s, cc, time.Second); err != nil {
+		t.Fatalf("two of six down is within the unsharded bound: %v", err)
+	}
+	cc.Shards = 2
+	if err := Validate(s, cc, time.Second); err == nil {
+		t.Fatal("two of shard 0's three members down must be rejected")
+	}
+}
+
 // Even cluster sizes need a majority of the FULL membership from the
 // survivors: in a 4-node cluster 2 concurrent crashes leave only 2 alive —
 // below the majority of 3 — so f is 1, not majority−1.

@@ -552,9 +552,13 @@ func (c *coder) inner(v *Msg) {
 // --------------------------------------------------------------- methods --
 
 // Each message type's Type, and its Size and append, which run its code walk
-// on a copy of the message, except for the bodies the hot path keeps (below).
+// on a copy of the message, except for P2a's append (below).
 func (Request) Type() Type                      { return TRequest }
+func (m Request) Size() int                     { c := sizer(); m.code(&c); return c.n }
+func (m Request) append(b []byte) []byte        { c := encoder(b); m.code(&c); return c.b }
 func (Reply) Type() Type                        { return TReply }
+func (m Reply) Size() int                       { c := sizer(); m.code(&c); return c.n }
+func (m Reply) append(b []byte) []byte          { c := encoder(b); m.code(&c); return c.b }
 func (Busy) Type() Type                         { return TBusy }
 func (m Busy) Size() int                        { c := sizer(); m.code(&c); return c.n }
 func (m Busy) append(b []byte) []byte           { c := encoder(b); m.code(&c); return c.b }
@@ -565,7 +569,10 @@ func (P1b) Type() Type                          { return TP1b }
 func (m P1b) Size() int                         { c := sizer(); m.code(&c); return c.n }
 func (m P1b) append(b []byte) []byte            { c := encoder(b); m.code(&c); return c.b }
 func (P2a) Type() Type                          { return TP2a }
+func (m P2a) Size() int                         { c := sizer(); m.code(&c); return c.n }
 func (P2b) Type() Type                          { return TP2b }
+func (m P2b) Size() int                         { c := sizer(); m.code(&c); return c.n }
+func (m P2b) append(b []byte) []byte            { c := encoder(b); m.code(&c); return c.b }
 func (P3) Type() Type                           { return TP3 }
 func (m P3) Size() int                          { c := sizer(); m.code(&c); return c.n }
 func (m P3) append(b []byte) []byte             { c := encoder(b); m.code(&c); return c.b }
@@ -576,7 +583,11 @@ func (AggP1b) Type() Type                       { return TAggP1b }
 func (m AggP1b) Size() int                      { c := sizer(); m.code(&c); return c.n }
 func (m AggP1b) append(b []byte) []byte         { c := encoder(b); m.code(&c); return c.b }
 func (RelayP2a) Type() Type                     { return TRelayP2a }
+func (m RelayP2a) Size() int                    { c := sizer(); m.code(&c); return c.n }
+func (m RelayP2a) append(b []byte) []byte       { c := encoder(b); m.code(&c); return c.b }
 func (AggP2b) Type() Type                       { return TAggP2b }
+func (m AggP2b) Size() int                      { c := sizer(); m.code(&c); return c.n }
+func (m AggP2b) append(b []byte) []byte         { c := encoder(b); m.code(&c); return c.b }
 func (RelayP3) Type() Type                      { return TRelayP3 }
 func (m RelayP3) Size() int                     { c := sizer(); m.code(&c); return c.n }
 func (m RelayP3) append(b []byte) []byte        { c := encoder(b); m.code(&c); return c.b }
@@ -628,94 +639,25 @@ func (m Sharded) append(b []byte) []byte        { c := encoder(b); m.code(&c); r
 
 // -------------------------------------------------------------- hot path --
 
-// The coder costs several times a hand-written body per field, and netsim
-// sizes every simulated send, the live transport encodes every frame. So the
-// six types of a replication round size themselves as their smallest
-// encoding (the walk of the zero message) plus what varies, and append by
-// hand; they decode through the coder. TestHotBodiesMatchCoder pins each
-// body to the code walk, so they optimise its layout rather than repeat it.
-var (
-	minRequest  = sizeOf(func(c *coder) { var m Request; m.code(c) })
-	minReply    = sizeOf(func(c *coder) { var m Reply; m.code(c) })
-	minP2a      = sizeOf(func(c *coder) { var m P2a; m.code(c) })
-	minP2b      = sizeOf(func(c *coder) { var m P2b; m.code(c) })
-	minRelayP2a = sizeOf(func(c *coder) { var m RelayP2a; m.code(c) })
-	minAggP2b   = sizeOf(func(c *coder) { var m AggP2b; m.code(c) })
-)
-
-func (m Request) Size() int  { return minRequest + len(m.Cmd.Value) }
-func (m Reply) Size() int    { return minReply + len(m.Value) }
-func (m P2a) Size() int      { return minP2a + szCmds(m.Cmds) }
-func (m P2b) Size() int      { return minP2b }
-func (m RelayP2a) Size() int { return minRelayP2a + szCmds(m.P2a.Cmds) + minID*len(m.Peers) }
-func (m AggP2b) Size() int   { return minAggP2b + minID*len(m.Acks) }
-
-func (m Request) append(b []byte) []byte { return appendCmd(b, &m.Cmd) }
-
-func (m Reply) append(b []byte) []byte {
-	b = le.AppendUint64(b, m.ClientID)
-	b = le.AppendUint64(b, m.Seq)
-	b = appendBool(b, m.OK)
-	b = appendBool(b, m.Exists)
-	b = le.AppendUint32(b, uint32(len(m.Value)))
-	b = append(b, m.Value...)
-	b = le.AppendUint32(b, uint32(m.Leader))
-	return le.AppendUint64(b, m.Slot)
-}
-
+// P2a, the message a leader sends for every slot, encodes by hand: the
+// coder costs several times a hand-written body per field, and the live
+// transport encodes every frame. TestP2aAppendMatchesCoder pins it to the
+// code walk, so it optimises that layout rather than repeat it.
 func (m P2a) append(b []byte) []byte {
 	b = le.AppendUint64(b, uint64(m.Ballot))
 	b = le.AppendUint64(b, m.Slot)
 	checkCount(len(m.Cmds), "command batch")
 	b = le.AppendUint16(b, uint16(len(m.Cmds)))
 	for i := range m.Cmds {
-		b = appendCmd(b, &m.Cmds[i])
+		c := &m.Cmds[i]
+		b = append(b, byte(c.Op))
+		b = le.AppendUint64(b, c.Key)
+		b = le.AppendUint32(b, uint32(len(c.Value)))
+		b = append(b, c.Value...)
+		b = le.AppendUint64(b, c.ClientID)
+		b = le.AppendUint64(b, c.Seq)
 	}
 	return le.AppendUint64(b, m.Commit)
-}
-
-func (m P2b) append(b []byte) []byte {
-	b = le.AppendUint64(b, uint64(m.Ballot))
-	b = le.AppendUint32(b, uint32(m.From))
-	return le.AppendUint64(b, m.Slot)
-}
-
-func (m RelayP2a) append(b []byte) []byte {
-	b = appendIDs(m.P2a.append(b), m.Peers)
-	b = le.AppendUint16(b, m.Threshold)
-	return le.AppendUint64(b, uint64(m.Timeout))
-}
-
-func (m AggP2b) append(b []byte) []byte {
-	b = le.AppendUint64(b, uint64(m.Ballot))
-	b = le.AppendUint32(b, uint32(m.Relay))
-	b = le.AppendUint64(b, m.Slot)
-	return appendBool(appendIDs(b, m.Acks), m.Partial)
-}
-
-func appendCmd(b []byte, c *kvstore.Command) []byte {
-	b = append(b, byte(c.Op))
-	b = le.AppendUint64(b, c.Key)
-	b = le.AppendUint32(b, uint32(len(c.Value)))
-	b = append(b, c.Value...)
-	b = le.AppendUint64(b, c.ClientID)
-	return le.AppendUint64(b, c.Seq)
-}
-
-func appendIDs(b []byte, v []ids.ID) []byte {
-	checkCount(len(v), "ID list")
-	b = le.AppendUint16(b, uint16(len(v)))
-	for _, id := range v {
-		b = le.AppendUint32(b, uint32(id))
-	}
-	return b
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
 }
 
 // Each decoder walks a zero message's code with the decoding coder.

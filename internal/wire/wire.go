@@ -10,9 +10,9 @@
 // once, in a code method that walks its fields, in order, through a coder
 // (the READWRITE idiom of Bitcoin Core's serializers). The coder runs in one
 // of three modes — sizing, encoding, decoding — so Size, the encoder and the
-// decoder of a type all derive from that one walk. The six types of a
-// replication round also keep hand-written Size and encode bodies for speed,
-// which a test holds to the walk. Decode dispatches on the one-byte type tag.
+// decoder of a type all derive from that one walk. P2a, which a leader sends
+// for every slot, also keeps a hand-written encoder for speed, which a test
+// holds to the walk. Decode dispatches on the one-byte type tag.
 //
 // The codec is built to be allocation-free on the steady-state hot path:
 // Encode appends into a caller-owned buffer (GetBuf/PutBuf pool reusable
@@ -249,7 +249,8 @@ var le = binary.LittleEndian
 // mode is what a coder does with each field a message walks.
 type mode uint8
 
-// Primitives test for decoding first: the hot types size and encode by hand.
+// Primitives test for decoding first: the live transport decodes every frame
+// through the coder, while P2a, the one hot encoder, is written by hand.
 const (
 	sizing   mode = iota // add the field's encoded length to n
 	encoding             // append the field to b

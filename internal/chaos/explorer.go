@@ -117,7 +117,8 @@ type ExplorerOpts struct {
 	// Allow is the fault palette (zero value → FullPalette).
 	Allow Palette
 	// Cluster supplies the zone topology the region fault families draw
-	// from. Region generators are skipped when it is empty or single-zone.
+	// from, and the shard count the availability rule checks each shard
+	// under. Region generators are skipped when it is empty or single-zone.
 	Cluster config.Cluster
 }
 

@@ -25,7 +25,8 @@ type Cluster struct {
 	Addrs map[ids.ID]string
 	// Shards is the number of independent consensus groups the key space
 	// is partitioned across. Zero and one both mean a single unsharded
-	// group; values above one enable shard-tagged wire routing.
+	// group; above one, chaos.Validate holds each shard of
+	// shard.Plan(c, Shards) to its own majority.
 	Shards int
 }
 

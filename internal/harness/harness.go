@@ -131,16 +131,20 @@ func (o *Options) plan() *shard.Map {
 	return &p
 }
 
-// cluster builds the topology the options select.
+// cluster builds the topology the options select. It carries the shard
+// count, so the chaos availability rule holds each shard to its own majority.
 func (o *Options) cluster() config.Cluster {
+	var cc config.Cluster
 	switch {
 	case o.WANLossy:
-		return config.NewWAN3Lossy(o.N)
+		cc = config.NewWAN3Lossy(o.N)
 	case o.WAN:
-		return config.NewWAN3(o.N)
+		cc = config.NewWAN3(o.N)
 	default:
-		return config.NewLAN(o.N)
+		cc = config.NewLAN(o.N)
 	}
+	cc.Shards = o.Shards
+	return cc
 }
 
 // paxosBatching applies the batching/pipelining knobs to a decision-core

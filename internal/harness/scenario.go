@@ -609,8 +609,8 @@ func FaultCurve(opts ScenarioOptions, maxCrashes int) []FaultPoint {
 }
 
 // ExploreSchedules generates ex.Scenarios random schedules (see
-// chaos.Explore) with the harness defaults filled in: ex.Nodes from the
-// cluster when nil, and the palette per protocol — the WAN region
+// chaos.Explore) with the harness defaults filled in: ex.Nodes and
+// ex.Cluster from the cluster when nil, and the palette per protocol — the WAN region
 // families on WAN clusters, chaos.EPaxosPalette (everything but relay
 // crashes) for EPaxos, and everything-but-relay-crashes for Paxos.
 // Exposed separately from ExploreScenarios so sweeps can keep the
@@ -621,9 +621,9 @@ func ExploreSchedules(opts ScenarioOptions, ex chaos.ExplorerOpts) []chaos.Sched
 	if ex.Nodes == nil {
 		cc := opts.cluster()
 		ex.Nodes = cc.Nodes
-		if wan && ex.Cluster.N() == 0 {
-			// Hand the explorer the zone topology so region fault
-			// families can draw from it.
+		if ex.Cluster.N() == 0 {
+			// Hand the explorer the cluster: its zones for the region
+			// fault families, its shards for the availability rule.
 			ex.Cluster = cc
 		}
 	}

@@ -288,3 +288,76 @@ func TestShardedScenarioClientsHonorBusy(t *testing.T) {
 		t.Errorf("%d ack gaps over 100ms on a fault-free run: rejected clients sat out a sweep period", over)
 	}
 }
+
+// Shrinking a sharded scenario's schedule keeps each shard available, not
+// just the whole cluster. Snapping the second crash down to the grid would
+// overlap it with the first, taking two of shard 0's three members at once:
+// twelve nodes have a majority left, shard 0 does not. Under Shards=4 the
+// shrinker must reject that candidate before any run.
+func TestShardedShrinkRejectsShardMinority(t *testing.T) {
+	opts := shardTestOpts(PigPaxos)
+	opts.Shards = 4
+	nodes := opts.cluster().Nodes
+	a, b := nodes[1], nodes[2] // both in shard 0, nodes[0..2]
+	sched := chaos.Merge(
+		chaos.NodeCrash(a, 300*time.Millisecond, 70*time.Millisecond),
+		chaos.NodeCrash(b, 380*time.Millisecond, 50*time.Millisecond),
+	)
+	// Still failing while both crashes are present and a's lasts 70ms, so
+	// the only step left to the shrinker is snapping b's fire time.
+	failing := func(s chaos.Schedule) bool {
+		var hasA, hasB bool
+		for _, ev := range s {
+			hasA = hasA || (ev.Action.Node == a && ev.Action.Duration >= 70*time.Millisecond)
+			hasB = hasB || ev.Action.Node == b
+		}
+		return hasA && hasB
+	}
+	bAt := func(s chaos.Schedule) time.Duration {
+		for _, ev := range s {
+			if ev.Action.Node == b {
+				return ev.At
+			}
+		}
+		return -1
+	}
+
+	sharded := shrinkOptionsFor(opts, 0)
+	if err := chaos.Validate(sched, sharded.Cluster, sharded.HealBy); err != nil {
+		t.Fatalf("input schedule must be valid: %v", err)
+	}
+	var seen []chaos.Schedule
+	res := chaos.Shrink(sched, func(s chaos.Schedule) bool {
+		seen = append(seen, s)
+		return failing(s)
+	}, sharded)
+	if got := bAt(res.Schedule); got != 380*time.Millisecond {
+		t.Fatalf("sharded shrink moved b to %v: it overlaps a in shard 0", got)
+	}
+	for _, s := range seen {
+		if err := chaos.Validate(s, sharded.Cluster, sharded.HealBy); err != nil {
+			t.Fatalf("sharded shrink ran a candidate that leaves a shard below quorum: %v", err)
+		}
+	}
+
+	opts.Shards = 0
+	if got := bAt(chaos.Shrink(sched, failing, shrinkOptionsFor(opts, 0)).Schedule); got != 350*time.Millisecond {
+		t.Fatalf("unsharded shrink left b at %v, want it snapped to 350ms", got)
+	}
+}
+
+// Every schedule explored for a sharded scenario keeps each shard available.
+func TestShardedExploreKeepsEachShard(t *testing.T) {
+	opts := shardTestOpts(PigPaxos)
+	opts.Shards = 4
+	cc := config.NewLAN(opts.N)
+	cc.Shards = opts.Shards
+	for seed := int64(1); seed <= 20; seed++ {
+		opts.Seed = seed
+		for i, s := range ExploreSchedules(opts, chaos.ExplorerOpts{Scenarios: 8}) {
+			if err := chaos.Validate(s, cc, opts.Warmup+opts.Measure); err != nil {
+				t.Fatalf("seed %d schedule %d: %v\n%v", seed, i, err, s)
+			}
+		}
+	}
+}

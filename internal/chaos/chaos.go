@@ -754,7 +754,7 @@ func Validate(s Schedule, cc config.Cluster, healBy time.Duration) error {
 			down[a.Node] = append(down[a.Node], l.window)
 		}
 	}
-	if err := available(losses, cc, cc.N()); err != nil { // no cap below a majority
+	if err := available(losses, cc); err != nil {
 		return err
 	}
 	for _, ev := range flips {
@@ -829,10 +829,10 @@ type loss struct {
 // both apply: at every instant a fault starts, in every consensus group (each
 // shard of cc's shard plan when cc is sharded, else the whole membership),
 // the largest set of live members that can all reach one another loses at
-// most min(maxDown, MaxSafeCrashes) of the group — so it still holds a
-// majority. Every victim not named in advance is assumed to fall in that
-// set, and in every group.
-func available(losses []loss, cc config.Cluster, maxDown int) error {
+// most MaxSafeCrashes of the group — so it still holds a majority. Every
+// victim not named in advance is assumed to fall in that set, and in every
+// group.
+func available(losses []loss, cc config.Cluster) error {
 	groups := [][]ids.ID{cc.Nodes}
 	if cc.Shards > 1 {
 		groups = groups[:0]
@@ -842,7 +842,7 @@ func available(losses []loss, cc config.Cluster, maxDown int) error {
 	}
 	for _, l := range losses {
 		for k, g := range groups {
-			need := len(g) - min(maxDown, MaxSafeCrashes(len(g)))
+			need := len(g) - MaxSafeCrashes(len(g))
 			if got := connected(g, losses, l.start); got < need {
 				return fmt.Errorf("chaos: at %v only %d of group %d's %d nodes are live and connected; it needs %d",
 					l.start, max(got, 0), k, len(g), need)

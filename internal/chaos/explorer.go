@@ -110,10 +110,6 @@ type ExplorerOpts struct {
 	Horizon time.Duration
 	// MaxActions caps faults per schedule (default 3).
 	MaxActions int
-	// MaxConcurrentCrashes caps simultaneously-crashed nodes; it is
-	// clamped to MaxSafeCrashes so a majority always remains formable
-	// from the survivors (default: that bound).
-	MaxConcurrentCrashes int
 	// Allow is the fault palette (zero value → FullPalette).
 	Allow Palette
 	// Cluster supplies the zone topology the region fault families draw
@@ -137,10 +133,6 @@ func (o *ExplorerOpts) applyDefaults() {
 	}
 	if o.MaxActions == 0 {
 		o.MaxActions = 3
-	}
-	maxSafe := MaxSafeCrashes(len(o.Nodes))
-	if o.MaxConcurrentCrashes == 0 || o.MaxConcurrentCrashes > maxSafe {
-		o.MaxConcurrentCrashes = maxSafe
 	}
 	if o.Allow == (Palette{}) {
 		o.Allow = FullPalette()
@@ -204,13 +196,13 @@ func explore1(opts ExplorerOpts, rng *rand.Rand) Schedule {
 	}
 	// charge commits a candidate window that takes k nodes if the windows
 	// drawn so far plus it keep the cluster available — the rule Validate
-	// applies, bounded by MaxConcurrentCrashes. The explorer charges every
+	// applies. The explorer charges every
 	// window as k victims not named in advance, which is the rule's worst
 	// case (no two windows ever share a victim): crashed and partitioned-away
 	// nodes add up, and a target drawn after the charge cannot break it.
 	charge := func(at, dur time.Duration, k int) bool {
 		l := loss{window: window{at, at + dur}, unknown: k}
-		if available(append(losses, l), cc, opts.MaxConcurrentCrashes) != nil {
+		if available(append(losses, l), cc) != nil {
 			return false
 		}
 		losses = append(losses, l)

@@ -9,14 +9,10 @@ import (
 
 	"pigpaxos/internal/config"
 	"pigpaxos/internal/ids"
-	"pigpaxos/internal/node"
-	"pigpaxos/internal/paxos"
-	"pigpaxos/internal/pqr"
 	"pigpaxos/internal/protocol"
 	"pigpaxos/internal/shard"
 	"pigpaxos/internal/transport"
 	"pigpaxos/internal/wal"
-	"pigpaxos/internal/wire"
 )
 
 // Member is one process's worth of replicas: a listening TCPNode whose
@@ -31,9 +27,9 @@ type Member struct {
 	closed   atomic.Bool
 }
 
-// NewMember listens on addr as member id and builds, from tmpl, its replica
-// of every shard of plan it hosts, filling in each replica's membership,
-// identity, initial leader and journal. The member keeps a copy of addrs;
+// NewMember listens on addr as member id and hosts (protocol.Host), from
+// tmpl, its replica of every shard of plan it hosts, each compacting every
+// 4096 slots to bound its memory. The member keeps a copy of addrs;
 // Node.RegisterAddr adds to it. With walDir set the member journals directly
 // in that directory, as pigserver -wal-dir always has, so it needs a
 // single-shard plan and a protocol that journals.
@@ -54,52 +50,26 @@ func NewMember(id ids.ID, addr string, addrs map[ids.ID]string, plan shard.Map, 
 		return nil, err
 	}
 	m := &Member{Node: tn, replicas: make([]protocol.Member, plan.NumShards())}
-	if walDir != "" {
-		st, err := wal.OpenFile(walDir)
-		if err != nil {
-			tn.Close()
-			return nil, fmt.Errorf("cluster: open wal: %w", err)
+	if c := tmpl.Core(); c != nil {
+		c.CompactEvery = 4096
+		if walDir != "" {
+			st, err := wal.OpenFile(walDir)
+			if err != nil {
+				tn.Close()
+				return nil, fmt.Errorf("cluster: open wal: %w", err)
+			}
+			m.storage, c.Storage = st, st
 		}
-		m.storage = st
 	}
 	built := make(chan struct{})
 	tn.After(0, func() {
 		for _, k := range plan.ShardsOn(id) {
-			var ctx node.Context = tn
-			if plan.NumShards() > 1 {
-				ctx = shard.Wrap(tn, k)
-			}
-			sub := plan.Sub(config.Cluster{}, k)
-			s := tmpl
-			for _, c := range []*paxos.Config{&s.Paxos, &s.Pig.Paxos} {
-				c.Cluster, c.ID, c.InitialLeader, c.Storage = sub, id, plan.Shards[k].Leader, m.storage
-				c.CompactEvery = 4096 // bound memory on long-running members
-			}
-			s.EPaxos.Cluster, s.EPaxos.ID = sub, id
-			r := protocol.Build(ctx, s)
-			m.replicas[k] = r
-			d.Register(k, &quorumReads{resp: pqr.NewResponder(ctx, r.Store), inner: r.Handler})
+			m.replicas[k] = protocol.Host(tn, d, plan.Shards[k], plan.Sub(config.Cluster{}, k), plan.NumShards() > 1, tmpl)
 		}
 		close(built)
 	})
 	<-built
 	return m, nil
-}
-
-// quorumReads interposes a pqr.Responder on a replica's dispatch so every
-// member answers Paxos-Quorum-Read version probes (§4.3).
-type quorumReads struct {
-	resp  *pqr.Responder
-	inner node.Handler
-}
-
-// OnMessage implements node.Handler.
-func (q *quorumReads) OnMessage(from ids.ID, m wire.Msg) {
-	if req, ok := m.(wire.QReadReq); ok {
-		q.resp.OnRequest(from, req)
-		return
-	}
-	q.inner.OnMessage(from, m)
 }
 
 // Replica returns the member's replica of shard k, zero when it hosts none.

@@ -3,6 +3,8 @@ package harness
 import (
 	"testing"
 	"time"
+
+	"pigpaxos/internal/paxos"
 )
 
 func batchOpts(p Protocol, batch int) Options {
@@ -97,13 +99,13 @@ func TestPurePipeliningWindowIsHonored(t *testing.T) {
 	}
 }
 
-// BatchDelay must bound how long an under-full batch waits: at trivial load
+// paxos.Config.BatchDelay must bound how long an under-full batch waits: at trivial load
 // a lone command still commits promptly.
 func TestBatchDelayFlushesUnderfullBatch(t *testing.T) {
 	o := batchOpts(Paxos, 64)
 	o.N = 5
 	o.Clients = 1
-	o.BatchDelay = 2 * time.Millisecond
+	o.MutPaxos = func(c *paxos.Config) { c.BatchDelay = 2 * time.Millisecond }
 	r := Run(o)
 	if r.Latency.Count == 0 {
 		t.Fatal("no requests completed with BatchDelay set")

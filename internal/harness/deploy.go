@@ -6,10 +6,8 @@ import (
 	"pigpaxos/internal/client"
 	"pigpaxos/internal/config"
 	"pigpaxos/internal/des"
-	"pigpaxos/internal/epaxos"
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/netsim"
-	"pigpaxos/internal/node"
 	"pigpaxos/internal/paxos"
 	"pigpaxos/internal/pigpaxos"
 	"pigpaxos/internal/protocol"
@@ -68,7 +66,7 @@ type deployment struct {
 	tagged      bool
 	groups      []*group
 	dispatchers map[ids.ID]*shard.Dispatcher
-	// build constructs one member's protocol stack and installs it. It runs
+	// build hosts one member's replica of a group (protocol.Host). It runs
 	// once per member at boot and again on every chaos Restart — a rebuilt
 	// replica gets the node's surviving storage and nothing else, so
 	// recovery is honest.
@@ -78,9 +76,9 @@ type deployment struct {
 // deploy builds the simulator, the network and every replica the options
 // select. A nil plan is one untagged group spanning the whole membership,
 // led by its first node; a plan gives one tagged group per shard. tune, when
-// set, adjusts each decision core's config after the batching knobs and
+// set, adjusts node id's decision-core config after the batching knobs and
 // before the per-experiment Mut hooks.
-func deploy(opts *Options, plan *shard.Map, tune func(*paxos.Config)) *deployment {
+func deploy(opts *Options, plan *shard.Map, tune func(id ids.ID, cfg *paxos.Config)) *deployment {
 	sim := des.New(opts.Seed)
 	cc := opts.cluster()
 	d := &deployment{
@@ -109,39 +107,25 @@ func deploy(opts *Options, plan *shard.Map, tune func(*paxos.Config)) *deploymen
 		endpoints[id] = d.net.Register(id, d.dispatchers[id], false)
 	}
 	d.build = func(g *group, id ids.ID) {
-		var ctx node.Context = endpoints[id]
-		if d.tagged {
-			ctx = shard.Wrap(ctx, g.Index)
+		spec := protocol.Spec{Kind: opts.Protocol, Pig: pigpaxos.Config{NumGroups: opts.NumGroups}}
+		if opts.ZoneGroups {
+			spec.Pig.Strategy = pigpaxos.GroupByZone
 		}
-		core := paxos.Config{Cluster: g.cluster, ID: id, InitialLeader: g.Leader}
-		opts.paxosBatching(&core)
-		if tune != nil {
-			tune(&core)
-		}
-		spec := protocol.Spec{Kind: opts.Protocol}
-		switch opts.Protocol {
-		case Paxos:
-			if opts.MutPaxos != nil {
-				opts.MutPaxos(&core)
-			}
-			spec.Paxos = core
-		case PigPaxos:
-			spec.Pig = pigpaxos.Config{Paxos: core, NumGroups: opts.NumGroups}
-			if opts.ZoneGroups {
-				spec.Pig.Strategy = pigpaxos.GroupByZone
-			}
-			if opts.MutPig != nil {
-				opts.MutPig(&spec.Pig)
-			}
-		case EPaxos:
-			spec.EPaxos = epaxos.Config{Cluster: g.cluster, ID: id}
-			if opts.MutEPaxos != nil {
-				opts.MutEPaxos(&spec.EPaxos)
+		if core := spec.Core(); core != nil {
+			opts.paxosBatching(core)
+			if tune != nil {
+				tune(id, core)
 			}
 		}
-		m := protocol.Build(ctx, spec)
-		d.dispatchers[id].Register(g.Index, m.Handler)
-		g.members[id] = m
+		switch {
+		case opts.Protocol == Paxos && opts.MutPaxos != nil:
+			opts.MutPaxos(&spec.Paxos)
+		case opts.Protocol == PigPaxos && opts.MutPig != nil:
+			opts.MutPig(&spec.Pig)
+		case opts.Protocol == EPaxos && opts.MutEPaxos != nil:
+			opts.MutEPaxos(&spec.EPaxos)
+		}
+		g.members[id] = protocol.Host(endpoints[id], d.dispatchers[id], g.Descriptor, g.cluster, d.tagged, spec)
 	}
 	for _, g := range d.groups {
 		g.targets = leaderFirst(g.Members, g.Leader)

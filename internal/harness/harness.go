@@ -69,9 +69,6 @@ type Options struct {
 	// the paper's behaviour). Applies to Paxos and PigPaxos alike — the
 	// relay plane forwards batched P2as transparently.
 	BatchSize int
-	// BatchDelay holds under-full batches open at the leader (0 = group
-	// commit: batches form only while the pipeline window is full).
-	BatchDelay time.Duration
 	// MaxInFlight bounds uncommitted slots in flight at the leader
 	// (pipelining window). Defaults to 4 when BatchSize > 1 — without a
 	// window, closed-loop clients never let batches accumulate.
@@ -154,7 +151,6 @@ func (o *Options) paxosBatching(cfg *paxos.Config) {
 	if o.BatchSize > 1 {
 		cfg.MaxBatchSize = o.BatchSize
 	}
-	cfg.BatchDelay = o.BatchDelay
 	cfg.MaxInFlight = o.MaxInFlight
 	// Closed-loop benchmark clients self-limit (one op in flight each), so
 	// ingress admission control would only add Busy/retry latency noise to

@@ -97,7 +97,7 @@ func RunOverload(opts OverloadOptions) OverloadResult {
 	if opts.Protocol == EPaxos {
 		opts.Protocol = Paxos
 	}
-	d := deploy(&opts.Options, nil, func(cfg *paxos.Config) {
+	d := deploy(&opts.Options, nil, func(_ ids.ID, cfg *paxos.Config) {
 		// paxosBatching lifts the ingress bound for closed-loop capacity
 		// runs; this experiment is the open-loop consumer that wants it.
 		cfg.MaxPending = opts.MaxPending

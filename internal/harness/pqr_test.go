@@ -1,0 +1,75 @@
+package harness
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"pigpaxos/internal/client"
+	"pigpaxos/internal/ids"
+	"pigpaxos/internal/kvstore"
+	"pigpaxos/internal/pqr"
+	"pigpaxos/internal/wire"
+)
+
+// readingClient writes through a client.Session and reads through a
+// pqr.Reader, both on one simulated endpoint.
+type readingClient struct {
+	client.Session
+	reader *pqr.Reader
+}
+
+// OnMessage implements node.Handler.
+func (c *readingClient) OnMessage(from ids.ID, m wire.Msg) {
+	if rep, ok := m.(wire.QReadReply); ok {
+		c.reader.OnReply(rep)
+		return
+	}
+	c.Session.OnMessage(from, m)
+}
+
+// Paxos Quorum Reads (§4.3) on the simulator: every simulated replica
+// answers version probes, so a quorum read issued after each acknowledged
+// write returns that write, with every replica up and with a follower
+// crashed halfway through.
+func TestQuorumReadsOnSimulator(t *testing.T) {
+	const writes, key = 40, 7
+	for _, crash := range []bool{false, true} {
+		o := short(t)
+		o.Protocol = PigPaxos
+		o.N = 5
+		o.applyDefaults()
+		d := deploy(&o, nil, nil)
+		g := d.groups[0]
+		c := &readingClient{}
+		ep := d.net.Register(ids.NewID(d.cc.ZoneOf(g.Leader), 1000), c, true)
+		c.Session = client.Session{Ctx: ep, ClientID: 1, Targets: g.targets, Target: g.targets[0], Window: 1}
+		c.reader = pqr.New(ep, g.Members)
+
+		acked, read := 0, 0
+		write := func() {
+			c.Issue(kvstore.Command{Op: kvstore.Put, Key: key, Value: []byte(fmt.Sprint(acked))}, ep.Now())
+		}
+		c.Done = func(client.Op, wire.Reply) {
+			acked++
+			if crash && acked == writes/2 {
+				d.net.Crash(g.Members[len(g.Members)-1])
+			}
+			c.reader.Read(key, func(r pqr.Result) {
+				read++
+				if want := fmt.Sprint(acked - 1); r.Failed || !r.Exists || string(r.Value) != want {
+					t.Errorf("crash=%v: read after write %d returned %+v, want value %q", crash, acked, r, want)
+				}
+				if acked < writes {
+					write()
+				}
+			})
+		}
+		d.start()
+		d.sim.Schedule(10*time.Millisecond, write)
+		d.sim.Run(5 * time.Second)
+		if read != writes {
+			t.Errorf("crash=%v: %d of %d writes acknowledged and read back", crash, read, writes)
+		}
+	}
+}

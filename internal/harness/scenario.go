@@ -301,7 +301,7 @@ func runScenario(opts *ScenarioOptions, plan *shard.Map, sched chaos.Schedule) s
 			sr.storages[id] = st
 		}
 	}
-	d := deploy(&opts.Options, plan, func(cfg *paxos.Config) {
+	d := deploy(&opts.Options, plan, func(id ids.ID, cfg *paxos.Config) {
 		cfg.ElectionTimeout = opts.ElectionTimeout
 		// The core's retransmit timer masks schedule-injected loss. The
 		// unsharded PigPaxos scenario leaves the timeout to pigpaxos.New,
@@ -310,7 +310,7 @@ func runScenario(opts *ScenarioOptions, plan *shard.Map, sched chaos.Schedule) s
 			cfg.RetryTimeout = 100 * time.Millisecond
 		}
 		if durable {
-			cfg.Storage = sr.storages[cfg.ID]
+			cfg.Storage = sr.storages[id]
 			cfg.SnapshotEvery = opts.SnapshotEvery
 		}
 	})

@@ -9,7 +9,8 @@
 //
 // The package has two halves: a Reader, which lives on the client and sends
 // its version queries straight to every member, and a Responder on each
-// replica, which answers them from the replica's store.
+// replica, which answers them from the replica's store once it has executed
+// the writes to the key it had accepted.
 package pqr
 
 import (
@@ -19,14 +20,19 @@ import (
 	"pigpaxos/internal/kvstore"
 	"pigpaxos/internal/node"
 	"pigpaxos/internal/quorum"
+	"pigpaxos/internal/rlog"
 	"pigpaxos/internal/wire"
 )
 
 // A read that sees disagreement re-reads after rinseInterval, and fails
-// after maxRinses re-reads.
+// after maxRinses re-reads; each round fails after roundTimeout. A replica
+// holding a probe back looks at its log every settlePoll, for as long as a
+// round lasts.
 const (
 	rinseInterval = 2 * time.Millisecond
 	maxRinses     = 20
+	roundTimeout  = rinseInterval * (maxRinses + 1)
+	settlePoll    = time.Millisecond
 )
 
 // Result is the outcome of a quorum read.
@@ -94,7 +100,7 @@ func (r *Reader) start(key uint64, rinses int, done func(Result)) {
 	for _, m := range r.members {
 		r.ctx.Send(m, wire.QReadReq{Key: key, RID: rid})
 	}
-	rd.deadline = r.ctx.After(rinseInterval*(maxRinses+1), func() {
+	rd.deadline = r.ctx.After(roundTimeout, func() {
 		if _, live := r.reads[rid]; live {
 			delete(r.reads, rid)
 			r.stats.Fails++
@@ -171,24 +177,52 @@ func (r *Reader) drop(rid uint64, rd *read) {
 	delete(r.reads, rid)
 }
 
-// Responder serves QReadReq messages at a replica: it answers with the
-// local version and value of the key. Wire it into the replica's message
-// dispatch.
+// Responder stands in front of a replica's handler and answers QReadReq
+// with the key's local version and value once the replica has executed
+// every write to the key it had accepted when the probe arrived. A write
+// acknowledged before a read began is accepted at a majority, so a member of
+// any read quorum waits for it; without the wait, followers that have not
+// heard it commit outvote the leader with the version before it.
 type Responder struct {
 	ctx   node.Context
 	store *kvstore.Store
+	log   *rlog.Log // nil: nothing to wait for (EPaxos keeps no slot log)
+	inner node.Handler
 }
 
-// NewResponder creates a Responder over a replica's store.
-func NewResponder(ctx node.Context, store *kvstore.Store) *Responder {
-	return &Responder{ctx: ctx, store: store}
+// NewResponder puts a Responder over a replica's store and log in front of
+// its handler.
+func NewResponder(ctx node.Context, store *kvstore.Store, log *rlog.Log, inner node.Handler) *Responder {
+	return &Responder{ctx: ctx, store: store, log: log, inner: inner}
 }
 
-// OnRequest answers one QReadReq.
-func (s *Responder) OnRequest(from ids.ID, m wire.QReadReq) {
-	v, ok := s.store.Get(m.Key)
-	s.ctx.Send(from, wire.QReadReply{
-		Key: m.Key, RID: m.RID, From: s.ctx.ID(),
-		Version: s.store.Version(m.Key), Exists: ok, Value: v,
-	})
+// OnMessage implements node.Handler. A QReadReq still waiting when the
+// reader's round would have ended goes unanswered; every other message goes
+// to the replica.
+func (s *Responder) OnMessage(from ids.ID, msg wire.Msg) {
+	m, ok := msg.(wire.QReadReq)
+	if !ok {
+		s.inner.OnMessage(from, msg)
+		return
+	}
+	var slot uint64 // 0: no write pending
+	if s.log != nil {
+		slot = s.log.PendingWrite(m.Key)
+	}
+	giveUp := s.ctx.Now() + roundTimeout
+	var answer func()
+	answer = func() {
+		if slot > 0 && slot >= s.log.ExecuteCursor() {
+			if s.ctx.Now() < giveUp {
+				s.ctx.After(settlePoll, answer)
+			}
+			return
+		}
+		v, ok := s.store.Get(m.Key)
+		s.ctx.Send(from, wire.QReadReply{
+			Key: m.Key, RID: m.RID, From: s.ctx.ID(),
+			Version: s.store.Version(m.Key), Exists: ok, Value: v,
+		})
+	}
+	answer()
 }

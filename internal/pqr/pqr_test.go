@@ -9,6 +9,7 @@ import (
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
 	"pigpaxos/internal/netsim"
+	"pigpaxos/internal/rlog"
 	"pigpaxos/internal/wire"
 )
 
@@ -27,9 +28,7 @@ type replicaHandler struct {
 }
 
 func (h *replicaHandler) OnMessage(from ids.ID, m wire.Msg) {
-	if req, ok := m.(wire.QReadReq); ok {
-		h.resp.OnRequest(from, req)
-	}
+	h.resp.OnMessage(from, m)
 }
 
 type readerHandler struct{ r *Reader }
@@ -51,7 +50,7 @@ func newFixture(t *testing.T, n int) *fixture {
 		f.stores[id] = st
 		h := &replicaHandler{}
 		ep := net.Register(id, h, false)
-		h.resp = NewResponder(ep, st)
+		h.resp = NewResponder(ep, st, nil, nil)
 	}
 	rh := &readerHandler{}
 	ep := net.Register(ids.NewID(999, 1), rh, true)
@@ -200,5 +199,60 @@ func TestConcurrentReadsIndependent(t *testing.T) {
 	}
 	if !vals["a"] || !vals["b"] {
 		t.Errorf("reads mixed up: %+v", f.results)
+	}
+}
+
+// arrivals records each QReadReply a client endpoint receives, by RID, with
+// its arrival time.
+type arrivals struct {
+	sim *des.Sim
+	got map[uint64]wire.QReadReply
+	at  map[uint64]time.Duration
+}
+
+func (a *arrivals) OnMessage(_ ids.ID, m wire.Msg) {
+	if rep, ok := m.(wire.QReadReply); ok {
+		a.got[rep.RID], a.at[rep.RID] = rep, a.sim.Now()
+	}
+}
+
+// A replica holds a probe back while its log has accepted, but not executed,
+// a write to the key; answers with that write once it executes it; answers a
+// probe for a key with no write pending at once; and gives a probe up,
+// unanswered, once the reader's round is over.
+func TestResponderWaitsForAcceptedWrites(t *testing.T) {
+	sim := des.New(5)
+	cc := config.NewLAN(3)
+	net := netsim.New(sim, cc, netsim.DefaultOptions())
+	st, log := kvstore.New(), rlog.New()
+	h := &replicaHandler{}
+	h.resp = NewResponder(net.Register(cc.Nodes[0], h, false), st, log, nil)
+	a := &arrivals{sim: sim, got: map[uint64]wire.QReadReply{}, at: map[uint64]time.Duration{}}
+	client := net.Register(ids.NewID(999, 1), a, true)
+
+	b := ids.NewBallot(1, cc.Nodes[0])
+	committed := []kvstore.Command{{Op: kvstore.Put, Key: 1, Value: []byte("new")}}
+	log.Accept(1, b, committed)
+	log.Accept(2, b, []kvstore.Command{{Op: kvstore.Put, Key: 2, Value: []byte("never")}})
+	sim.Schedule(0, func() {
+		client.Send(cc.Nodes[0], wire.QReadReq{Key: 1, RID: 1})
+		client.Send(cc.Nodes[0], wire.QReadReq{Key: 3, RID: 2})
+		client.Send(cc.Nodes[0], wire.QReadReq{Key: 2, RID: 3})
+	})
+	const executeAt = 5 * time.Millisecond
+	sim.Schedule(executeAt, func() {
+		log.Commit(1, b, committed)
+		log.ExecuteReady(st, nil)
+	})
+	sim.RunUntilIdle()
+
+	if r, ok := a.got[1]; !ok || a.at[1] < executeAt || r.Version != 1 || string(r.Value) != "new" {
+		t.Errorf("probe of the accepted write: %+v at %v, want version 1 after %v", r, a.at[1], executeAt)
+	}
+	if _, ok := a.got[2]; !ok || a.at[2] >= executeAt {
+		t.Errorf("probe of an untouched key answered at %v (ok=%v), want at once", a.at[2], ok)
+	}
+	if r, ok := a.got[3]; ok {
+		t.Errorf("probe of a write that never executes answered %+v", r)
 	}
 }

@@ -1,23 +1,28 @@
-// Package protocol is the one place a replica of any of the three protocols
-// is constructed. The paper's implementation note (§5.1) is that PigPaxos is
-// Paxos with the communication plane swapped; every deployment in this
-// repository fills in the per-protocol Config where it genuinely differs and
-// hands it to Build, which returns the uniform surface (handler, start,
-// decision core, state machine) the callers used to re-derive with a type
-// switch each. Two callers build: the simulated harness, and
-// cluster.NewMember, which assembles every live member — pigserver's and the
-// in-process cluster's alike.
+// Package protocol is the one place a node hosts a replica of any of the
+// three protocols. The paper's implementation note (§5.1) is that PigPaxos is
+// Paxos with the communication plane swapped, so a node builds a group's
+// replica the same way whatever carries its messages: Host, called by the
+// simulated harness (at boot and on every chaos restart) and by
+// cluster.NewMember (pigserver's members and the in-process cluster's
+// alike), tags the group's traffic, fills in the replica's membership and
+// identity, builds it, puts the §4.3 quorum-read responder in front of it and
+// registers it on the node's dispatcher. Callers differ only in the template
+// Spec they hand it: batching, timeouts, journal, compaction.
 package protocol
 
 import (
 	"fmt"
 	"strings"
 
+	"pigpaxos/internal/config"
 	"pigpaxos/internal/epaxos"
 	"pigpaxos/internal/kvstore"
 	"pigpaxos/internal/node"
 	"pigpaxos/internal/paxos"
 	"pigpaxos/internal/pigpaxos"
+	"pigpaxos/internal/pqr"
+	"pigpaxos/internal/rlog"
+	"pigpaxos/internal/shard"
 )
 
 // Kind selects the consensus protocol.
@@ -68,6 +73,19 @@ type Spec struct {
 	EPaxos epaxos.Config
 }
 
+// Core returns the decision-core config build reads for s.Kind: the Paxos
+// config itself, the one PigPaxos wraps, nil for EPaxos.
+func (s *Spec) Core() *paxos.Config {
+	switch s.Kind {
+	case Paxos:
+		return &s.Paxos
+	case PigPaxos:
+		return &s.Pig.Paxos
+	default:
+		return nil
+	}
+}
+
 // Member is one built replica behind the surface every deployment needs.
 type Member struct {
 	// Handler consumes the replica's inbound messages.
@@ -86,8 +104,33 @@ type Member struct {
 	EPaxos *epaxos.Replica
 }
 
-// Build constructs one replica on ctx.
-func Build(ctx node.Context, s Spec) Member {
+// Host builds ctx's node's replica of the consensus group desc describes,
+// whose members run under cluster config sub, and registers it on d as
+// group desc.Index. With tagged set the replica's traffic rides wire.Sharded
+// envelopes carrying the group. Host fills in the membership, the node's ID
+// and the initial leader; every other field of s, a journal included, is
+// the caller's. A pqr.Responder in front of every replica answers
+// Paxos-Quorum-Read version probes (§4.3).
+func Host(ctx node.Context, d *shard.Dispatcher, desc shard.Descriptor, sub config.Cluster, tagged bool, s Spec) Member {
+	if tagged {
+		ctx = shard.Wrap(ctx, desc.Index)
+	}
+	if c := s.Core(); c != nil {
+		c.Cluster, c.ID, c.InitialLeader = sub, ctx.ID(), desc.Leader
+	} else {
+		s.EPaxos.Cluster, s.EPaxos.ID = sub, ctx.ID()
+	}
+	m := build(ctx, s)
+	var log *rlog.Log
+	if m.Core != nil {
+		log = m.Core.Log()
+	}
+	d.Register(desc.Index, pqr.NewResponder(ctx, m.Store, log, m.Handler))
+	return m
+}
+
+// build constructs one replica on ctx.
+func build(ctx node.Context, s Spec) Member {
 	switch s.Kind {
 	case Paxos:
 		r := paxos.New(ctx, s.Paxos, nil)

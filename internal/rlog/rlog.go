@@ -249,6 +249,21 @@ func (l *Log) ExecuteReady(sm *kvstore.Store, fn func(slot uint64, idx int, cmd 
 	}
 }
 
+// PendingWrite returns the newest slot at or above the execution cursor whose
+// accepted batch writes key, or 0 when none does.
+func (l *Log) PendingWrite(key uint64) uint64 {
+	for end := l.win.End(); end > l.execCur; end-- {
+		if e := l.Get(end - 1); e != nil {
+			for _, c := range e.Commands {
+				if c.Key == key && !c.Op.IsRead() {
+					return end - 1
+				}
+			}
+		}
+	}
+	return 0
+}
+
 // ExecuteCursor returns the next slot awaiting execution.
 func (l *Log) ExecuteCursor() uint64 { return l.execCur }
 

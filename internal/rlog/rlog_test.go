@@ -47,6 +47,32 @@ func TestAcceptBasic(t *testing.T) {
 	}
 }
 
+// PendingWrite names the newest accepted, unexecuted slot that writes the
+// key: not a read of it, not an executed write.
+func TestPendingWrite(t *testing.T) {
+	l := New()
+	l.Accept(1, bal(1), one(7))
+	l.Accept(2, bal(1), []kvstore.Command{{Op: kvstore.Get, Key: 7}})
+	l.Accept(4, bal(1), one(8))
+	if got := l.PendingWrite(7); got != 1 {
+		t.Errorf("PendingWrite(7) = %d, want 1", got)
+	}
+	l.Accept(3, bal(1), []kvstore.Command{cmd(9), cmd(7)})
+	if got := l.PendingWrite(7); got != 3 {
+		t.Errorf("PendingWrite(7) = %d, want 3", got)
+	}
+	for s := uint64(1); s <= 3; s++ {
+		l.Commit(s, bal(1), l.Get(s).Commands)
+	}
+	l.ExecuteReady(kvstore.New(), nil)
+	if got := l.PendingWrite(7); got != 0 {
+		t.Errorf("PendingWrite(7) = %d after executing it, want 0", got)
+	}
+	if got := l.PendingWrite(8); got != 4 {
+		t.Errorf("PendingWrite(8) = %d, want 4", got)
+	}
+}
+
 func TestAcceptStaleBallotRejected(t *testing.T) {
 	l := New()
 	l.Accept(1, bal(5), one(1))

@@ -11,6 +11,26 @@
 // ordering the heap never leaves the heap's own array. Canceled timers are
 // compacted out of the heap once they outnumber live events, so retransmit
 // and heartbeat churn cannot grow the queue without bound.
+//
+// A Stream keeps a FIFO of runner events out of the heap. Only its head
+// sits in the heap; the rest wait in the stream's ring, each under the
+// (time, sequence) key it got when it was scheduled. An event joins a
+// stream's ring only when it is no earlier than the stream's newest event,
+// so every stream is sorted; an earlier one goes straight into the heap on
+// its own. When a head is popped, the stream's next event takes its place
+// in the heap. Because (time, sequence) is a total order and each stream is
+// sorted, the heap's minimum is still the earliest pending event, and
+// events run in exactly the order a single heap would run them: a stream
+// changes what ordering costs, never the order. A busy endpoint that has
+// thousands of deliveries queued behind its CPU (netsim) costs the heap one
+// entry.
+//
+// Events due at the same instant run in sequence order. That tie-break is
+// the one place a run could take another path without moving any event's
+// time, and with streams it is the choice of which equal-time head in the
+// heap runs next; events within one stream keep their order, as a FIFO
+// link keeps its messages'. A chooser that explores delivery orders would
+// choose there, with sequence order as its default.
 package des
 
 import (
@@ -27,9 +47,11 @@ type Runner interface {
 
 // event is one scheduled callback, stored in the simulator's slab. Exactly
 // one of fn and runner is set. gen guards Timer handles against slot reuse.
+// stream is set while the event is its stream's head in the heap.
 type event struct {
 	fn       func()
 	runner   Runner
+	stream   *Stream
 	gen      uint32
 	canceled bool
 }
@@ -46,6 +68,38 @@ func (a entry) before(b entry) bool {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
+}
+
+// Stream is a FIFO lane of runner events whose times never decrease, such
+// as the deliveries queued behind one endpoint's CPU. Its zero value is an
+// empty stream. A stream belongs to one Sim and must not be copied once
+// used.
+type Stream struct {
+	ring  []entry // backlog behind the head, oldest at ring[first]
+	first int
+	n     int
+	tail  time.Duration // time of the stream's newest event
+	live  bool          // the stream's head sits in the heap
+}
+
+// push appends x to the backlog, doubling the ring when it is full.
+func (st *Stream) push(x entry) {
+	if st.n == len(st.ring) {
+		ring := make([]entry, max(8, 2*len(st.ring)))
+		k := copy(ring, st.ring[st.first:])
+		copy(ring[k:], st.ring[:st.first])
+		st.ring, st.first = ring, 0
+	}
+	st.ring[(st.first+st.n)&(len(st.ring)-1)] = x
+	st.n++
+}
+
+// pop removes and returns the oldest backlog entry.
+func (st *Stream) pop() entry {
+	x := st.ring[st.first]
+	st.first = (st.first + 1) & (len(st.ring) - 1)
+	st.n--
+	return x
 }
 
 // Timer is a handle to a scheduled event that can be stopped.
@@ -84,6 +138,7 @@ type Sim struct {
 	rng      *rand.Rand
 	events   uint64
 	canceled int // canceled events still sitting in the queue
+	backlog  int // events waiting in stream rings behind their heads
 }
 
 // New creates a simulator with a deterministic RNG seeded by seed.
@@ -113,13 +168,17 @@ func (s *Sim) alloc() int32 {
 // Timer handles cannot cancel the slot's next tenant.
 func (s *Sim) release(idx int32) {
 	e := &s.slab[idx]
-	e.fn, e.runner = nil, nil
+	e.fn, e.runner, e.stream = nil, nil, nil
 	e.canceled = false
 	e.gen++
 	s.free = append(s.free, idx)
 }
 
-func (s *Sim) scheduleEvent(delay time.Duration, fn func(), r Runner) (int32, uint32) {
+// scheduleEvent queues fn or r after delay. With a stream, the event joins
+// the stream's backlog when it is no earlier than the stream's newest event,
+// becomes the stream's head when the stream is empty, and otherwise enters
+// the heap on its own.
+func (s *Sim) scheduleEvent(delay time.Duration, fn func(), r Runner, st *Stream) (int32, uint32) {
 	if delay < 0 {
 		delay = 0 // run at the current instant, after queued same-time events
 	}
@@ -127,8 +186,20 @@ func (s *Sim) scheduleEvent(delay time.Duration, fn func(), r Runner) (int32, ui
 	e := &s.slab[idx]
 	e.fn, e.runner = fn, r
 	gen := e.gen
-	s.queue = append(s.queue, entry{at: s.now + delay, seq: s.seq, idx: idx})
+	x := entry{at: s.now + delay, seq: s.seq, idx: idx}
 	s.seq++
+	if st != nil {
+		if !st.live {
+			st.live, st.tail = true, x.at
+			e.stream = st
+		} else if x.at >= st.tail {
+			st.tail = x.at
+			st.push(x)
+			s.backlog++
+			return idx, gen
+		}
+	}
+	s.queue = append(s.queue, x)
 	s.up(len(s.queue) - 1)
 	return idx, gen
 }
@@ -137,15 +208,18 @@ func (s *Sim) scheduleEvent(delay time.Duration, fn func(), r Runner) (int32, ui
 // handle. A negative delay is treated as zero (run at the current instant,
 // after already-queued same-time events).
 func (s *Sim) Schedule(delay time.Duration, fn func()) *Timer {
-	idx, gen := s.scheduleEvent(delay, fn, nil)
+	idx, gen := s.scheduleEvent(delay, fn, nil, nil)
 	return &Timer{s: s, idx: idx, gen: gen}
 }
 
 // ScheduleRunner schedules r.Run after delay of virtual time without
 // allocating: no closure, no Timer handle. Hot paths that reschedule a
 // pooled object (netsim message delivery) use this instead of Schedule.
-func (s *Sim) ScheduleRunner(delay time.Duration, r Runner) {
-	s.scheduleEvent(delay, nil, r)
+// A non-nil st queues the event on that stream, which keeps it out of the
+// heap while an earlier event of the stream is pending; the event runs at
+// the same point in the order either way.
+func (s *Sim) ScheduleRunner(delay time.Duration, r Runner, st *Stream) {
+	s.scheduleEvent(delay, nil, r, st)
 }
 
 // ---- binary heap, ordered by (at, seq) ----
@@ -199,6 +273,25 @@ func (s *Sim) popMin() entry {
 	return top
 }
 
+// popHead removes the heap's root, the live event e. When e heads a stream
+// with a backlog, the stream's next event takes the root's place.
+func (s *Sim) popHead(e *event) entry {
+	st := e.stream
+	if st == nil || st.n == 0 {
+		if st != nil {
+			st.live = false
+		}
+		return s.popMin()
+	}
+	top := s.queue[0]
+	next := st.pop()
+	s.backlog--
+	s.slab[next.idx].stream = st
+	s.queue[0] = next
+	s.down(0)
+	return top
+}
+
 // compactMinCanceled bounds how small a queue bothers compacting; below
 // this, canceled events drain cheaply through normal pops.
 const compactMinCanceled = 64
@@ -230,13 +323,14 @@ func (s *Sim) maybeCompact() {
 // is empty.
 func (s *Sim) step() bool {
 	for len(s.queue) > 0 {
-		top := s.popMin()
-		e := &s.slab[top.idx]
+		e := &s.slab[s.queue[0].idx]
 		if e.canceled {
+			top := s.popMin()
 			s.canceled--
 			s.release(top.idx)
 			continue
 		}
+		top := s.popHead(e)
 		s.now = top.at
 		s.events++
 		fn, r := e.fn, e.runner
@@ -282,9 +376,9 @@ func (s *Sim) RunUntilIdle() {
 	}
 }
 
-// Pending returns the number of queued events, including canceled ones not
-// yet compacted away.
-func (s *Sim) Pending() int { return len(s.queue) }
+// Pending returns the number of queued events, stream backlogs included,
+// counting canceled ones not yet compacted away.
+func (s *Sim) Pending() int { return len(s.queue) + s.backlog }
 
 // Executed returns the total number of events executed so far.
 func (s *Sim) Executed() uint64 { return s.events }

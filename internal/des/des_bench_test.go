@@ -18,9 +18,11 @@ func BenchmarkScheduleStep(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleDepth measures heap behaviour with many pending events —
-// the steady state of a saturated 25-node cluster (timers, in-flight
-// messages, retransmit guards all queued at once).
+// BenchmarkScheduleDepth1k measures scheduling and firing a near event
+// over a heap of 1,000 timers parked an hour out, as retransmit guards and
+// election timers sit in the heap. Deliveries queued behind a busy CPU are
+// a different shape — they ride streams, not the heap — and netsim's
+// BenchmarkSaturatedEndpoint measures them.
 func BenchmarkScheduleDepth1k(b *testing.B) {
 	s := New(1)
 	for i := 0; i < 1000; i++ {

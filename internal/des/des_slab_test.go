@@ -126,7 +126,7 @@ type countRunner struct {
 func (r *countRunner) Run() {
 	r.n++
 	if r.n < r.hops {
-		r.s.ScheduleRunner(r.delay, r)
+		r.s.ScheduleRunner(r.delay, r, nil)
 	}
 }
 
@@ -135,7 +135,7 @@ func (r *countRunner) Run() {
 func TestScheduleRunner(t *testing.T) {
 	s := New(1)
 	r := &countRunner{s: s, hops: 5, delay: time.Millisecond}
-	s.ScheduleRunner(time.Millisecond, r)
+	s.ScheduleRunner(time.Millisecond, r, nil)
 	closures := 0
 	s.Schedule(2*time.Millisecond+time.Microsecond, func() { closures++ })
 	s.RunUntilIdle()
@@ -156,7 +156,7 @@ func TestScheduleRunner(t *testing.T) {
 func TestScheduleSteadyStateAllocs(t *testing.T) {
 	s := New(1)
 	r := &countRunner{s: s, hops: 1 << 30, delay: 0}
-	s.ScheduleRunner(0, r)
+	s.ScheduleRunner(0, r, nil)
 	s.step()
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.step() // each step re-schedules the runner into the freed slot
@@ -169,7 +169,7 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 func BenchmarkScheduleRunnerStep(b *testing.B) {
 	s := New(1)
 	r := &countRunner{s: s, hops: b.N + 2, delay: time.Microsecond}
-	s.ScheduleRunner(time.Microsecond, r)
+	s.ScheduleRunner(time.Microsecond, r, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.step()

@@ -11,6 +11,23 @@
 // therefore saturates its virtual CPU at a proportionally lower request
 // rate than a PigPaxos leader (2r+2) — exactly the bottleneck mechanism the
 // paper measures on EC2.
+//
+// Each message is two simulator events: its arrival at the receiver, and
+// its handling once the receiver's CPU is free. Both ride des streams, so a
+// saturated endpoint costs the event heap a handful of entries however long
+// its queue. Handling times at one endpoint never decrease (its CPU horizon
+// only moves forward), so each endpoint has one handling stream. A sender's
+// send-completion times never decrease either, and the latency from its
+// zone to a destination zone is fixed, so its messages to one zone arrive
+// in send order: each sender has one arrival stream per destination zone,
+// next to that link's latency and profile. Self-addressed messages, and
+// messages on a link whose delay is drawn (profile jitter) or that has
+// chaos reorder or duplication set, go straight into the heap. Streams
+// never change the order events run in (see package des), so every
+// fixed-seed run is the same with or without them. Deliveries due at the
+// same instant run in the order they were scheduled; which stream's head
+// runs first among them is the choice an explorer of delivery orders would
+// vary.
 package netsim
 
 import (
@@ -113,7 +130,7 @@ func (n *Network) Register(id ids.ID, h Handler, free bool) *Endpoint {
 	if _, dup := n.endpoints[id]; dup {
 		panic(fmt.Sprintf("netsim: duplicate endpoint %v", id))
 	}
-	e := &Endpoint{net: n, id: id, handler: h, free: free}
+	e := &Endpoint{net: n, id: id, zone: n.cfg.ZoneOf(id), handler: h, free: free}
 	n.endpoints[id] = e
 	return e
 }
@@ -334,6 +351,38 @@ func byteCost(perKB time.Duration, size int) time.Duration {
 	return time.Duration(int64(perKB) * int64(size) / 1024)
 }
 
+// route is what one sender's messages to one destination zone share: the
+// link's fixed latency and profile, looked up once, and the stream their
+// arrivals queue on.
+type route struct {
+	lat      time.Duration
+	prof     config.LinkProfile
+	arrivals des.Stream
+}
+
+// route returns e's route to zone, building it on first use.
+func (e *Endpoint) route(zone int) *route {
+	if zone < len(e.routes) && e.routes[zone] != nil {
+		return e.routes[zone]
+	}
+	n := e.net
+	r := &route{}
+	if n.cfg.Latency != nil {
+		r.lat = n.cfg.Latency.OneWay(e.zone, zone)
+	}
+	if n.prof != nil {
+		r.prof = n.prof.Profile(e.zone, zone)
+		if r.prof.OneWay > 0 {
+			r.lat = r.prof.OneWay
+		}
+	}
+	if zone >= len(e.routes) {
+		e.routes = append(e.routes, make([]*route, zone+1-len(e.routes))...)
+	}
+	e.routes[zone] = r
+	return r
+}
+
 // delivery is one in-flight message, pooled on the Network and scheduled
 // as a des.Runner — replacing the two closures (arrival + handle) the
 // delivery path used to allocate per message. The same object runs twice:
@@ -377,7 +426,7 @@ func (d *delivery) Run() {
 		}
 		handleAt := e.cpu(n.sim.Now(), n.opts.RecvCost+byteCost(n.opts.ByteCostPerKB, d.size))
 		d.arrived = true
-		n.sim.ScheduleRunner(handleAt-n.sim.Now(), d)
+		n.sim.ScheduleRunner(handleAt-n.sim.Now(), d, &e.handling)
 		return
 	}
 	// Handling time.
@@ -402,8 +451,12 @@ func (d *delivery) Run() {
 type Endpoint struct {
 	net     *Network
 	id      ids.ID
+	zone    int
 	handler Handler
 	free    bool // unmetered CPU (clients)
+
+	handling des.Stream // deliveries waiting for this endpoint's CPU
+	routes   []*route   // by destination zone, built on first send
 
 	busyUntil time.Duration
 	busyTotal time.Duration // accumulated CPU time consumed
@@ -471,6 +524,24 @@ func (e *Endpoint) Work(d time.Duration) {
 // Send transmits m to the node registered as to. Messages to self are
 // delivered through the same cost path (loopback latency zero).
 func (e *Endpoint) Send(to ids.ID, m wire.Msg) {
+	e.send(to, m, m.Size())
+}
+
+// Broadcast sends m to every node in to, charging the sender the full
+// per-recipient CPU cost (SendCost + ByteCost·size each) exactly as N
+// unicasts would: the paper's leader bottleneck is that per-recipient
+// serialization tax, so the simulator keeps paying it even though live
+// transports encode once. Only the sizing is done once. Results are
+// bit-identical to a Send loop at equal seeds.
+func (e *Endpoint) Broadcast(to []ids.ID, m wire.Msg) {
+	size := m.Size()
+	for _, id := range to {
+		e.send(id, m, size)
+	}
+}
+
+// send is Send with m's encoded size already known.
+func (e *Endpoint) send(to ids.ID, m wire.Msg, size int) {
 	n := e.net
 	n.sent++
 	e.sent++
@@ -497,24 +568,23 @@ func (e *Endpoint) Send(to ids.ID, m wire.Msg) {
 	}
 	// Topology-level link profile (WAN jitter/loss per zone pair). Same
 	// determinism contract as chaos faults: zero profiles draw nothing.
-	var lp config.LinkProfile
-	if n.prof != nil && to != e.id {
-		lp = n.prof.Profile(n.cfg.ZoneOf(e.id), n.cfg.ZoneOf(to))
-		if lp.Loss > 0 && n.sim.Rand().Float64() < lp.Loss {
+	var r *route
+	if dst != e {
+		r = e.route(dst.zone)
+		if r.prof.Loss > 0 && n.sim.Rand().Float64() < r.prof.Loss {
 			n.dropped++
 			return
 		}
 	}
-	size := m.Size()
 	sendDone := e.cpu(n.sim.Now(), n.opts.SendCost+byteCost(n.opts.ByteCostPerKB, size))
 	var lat time.Duration
-	if to != e.id {
-		lat = n.cfg.OneWay(e.id, to)
-		if lp.OneWay > 0 {
-			lat = lp.OneWay
-		}
-		if lp.Jitter > 0 {
-			lat += time.Duration(n.sim.Rand().Int63n(int64(lp.Jitter)))
+	var st *des.Stream
+	if r != nil {
+		lat = r.lat
+		if r.prof.Jitter > 0 {
+			lat += time.Duration(n.sim.Rand().Int63n(int64(r.prof.Jitter)))
+		} else if lf.Reorder == 0 && lf.Duplicate == 0 {
+			st = &r.arrivals
 		}
 	}
 	copies := 1
@@ -526,19 +596,7 @@ func (e *Endpoint) Send(to ids.ID, m wire.Msg) {
 		if chaotic && lf.Reorder > 0 && n.sim.Rand().Float64() < lf.Reorder {
 			d += time.Duration(n.sim.Rand().Int63n(int64(lf.ReorderWindow)))
 		}
-		n.sim.ScheduleRunner(sendDone+d-n.sim.Now(), n.newDelivery(dst, e.id, m, size))
-	}
-}
-
-// Broadcast sends m to every node in to, charging the sender the full
-// per-recipient CPU cost (SendCost + ByteCost·size each) exactly as N
-// unicasts would: the paper's leader bottleneck is that per-recipient
-// serialization tax, so the simulator keeps paying it even though live
-// transports encode once. Results are bit-identical to a Send loop at
-// equal seeds.
-func (e *Endpoint) Broadcast(to []ids.ID, m wire.Msg) {
-	for _, id := range to {
-		e.Send(id, m)
+		n.sim.ScheduleRunner(sendDone+d-n.sim.Now(), n.newDelivery(dst, e.id, m, size), st)
 	}
 }
 

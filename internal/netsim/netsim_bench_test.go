@@ -94,3 +94,33 @@ func BenchmarkBroadcast25(b *testing.B) {
 		sim.RunUntilIdle()
 	}
 }
+
+// BenchmarkSaturatedEndpoint is a leader's CPU under the paper's load: 24
+// senders each put 84 messages on the wire at once, so about 2,000
+// deliveries queue behind one endpoint's CPU before the simulator drains
+// them. Senders have unmetered CPUs so that the whole backlog forms at the
+// receiver. One op is one message sent, arrived and handled.
+func BenchmarkSaturatedEndpoint(b *testing.B) {
+	const senders, perSender = 24, 84
+	sim := des.New(1)
+	cc := config.NewLAN(senders + 1)
+	net := New(sim, cc, DefaultOptions())
+	recv := &sink{}
+	dst := net.Register(cc.Nodes[0], recv, false)
+	from := make([]*Endpoint, senders)
+	for i, id := range cc.Nodes[1:] {
+		from[i] = net.Register(id, &sink{}, true)
+	}
+	var m wire.Msg = wire.P2b{Ballot: 7, From: from[0].ID(), Slot: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		from[i%senders].Send(dst.ID(), m)
+		if (i+1)%(senders*perSender) == 0 {
+			sim.RunUntilIdle()
+		}
+	}
+	sim.RunUntilIdle()
+	if recv.n != b.N {
+		b.Fatalf("%d of %d messages handled", recv.n, b.N)
+	}
+}

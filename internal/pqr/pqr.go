@@ -60,15 +60,6 @@ type Reader struct {
 	quorum  int
 	next    uint64
 	reads   map[uint64]*read
-
-	stats Stats
-}
-
-// Stats counts reader events.
-type Stats struct {
-	Reads  uint64
-	Rinses uint64
-	Fails  uint64
 }
 
 // New creates a Reader that queries members and decides each read on a
@@ -82,13 +73,9 @@ func New(ctx node.Context, members []ids.ID) *Reader {
 	}
 }
 
-// Stats returns a copy of the counters.
-func (r *Reader) Stats() Stats { return r.stats }
-
 // Read starts a quorum read of key; done is invoked exactly once with the
 // result. Must be called from the owning node's event loop.
 func (r *Reader) Read(key uint64, done func(Result)) {
-	r.stats.Reads++
 	r.start(key, 0, done)
 }
 
@@ -103,7 +90,6 @@ func (r *Reader) start(key uint64, rinses int, done func(Result)) {
 	rd.deadline = r.ctx.After(roundTimeout, func() {
 		if _, live := r.reads[rid]; live {
 			delete(r.reads, rid)
-			r.stats.Fails++
 			done(Result{Failed: true, Rinses: rd.rinses})
 		}
 	})
@@ -151,11 +137,9 @@ func (r *Reader) tryFinish(rid uint64, rd *read) {
 	}
 	// Unstable: the newest version is not yet at a quorum. Rinse.
 	if rd.rinses >= maxRinses {
-		r.stats.Fails++
 		r.finish(rid, rd, Result{Failed: true, Rinses: rd.rinses})
 		return
 	}
-	r.stats.Rinses++
 	done := rd.done
 	key := rd.key
 	rinses := rd.rinses + 1

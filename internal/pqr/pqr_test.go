@@ -147,8 +147,8 @@ func TestNeverStableFails(t *testing.T) {
 	if !f.results[0].Failed {
 		t.Errorf("read of a never-stabilizing key must fail: %+v", f.results[0])
 	}
-	if f.reader.Stats().Fails != 1 {
-		t.Error("failure not counted")
+	if f.results[0].Rinses != maxRinses {
+		t.Errorf("read gave up after %d rinses, want every one of the %d allowed", f.results[0].Rinses, maxRinses)
 	}
 }
 

@@ -1,14 +1,14 @@
-// Command pigbench regenerates the paper's evaluation: every figure (7-13)
-// and both analytical tables (1-2), printed as aligned text tables, plus the
-// chaos scenario suite (leader-crash, relay-crash, seeded explorer,
-// fault-intensity curve).
+// Command pigbench regenerates the paper's evaluation and checks it: every
+// row of harness.Claims — Tables 1-2, Figures 7-13, the §6.1 utilization
+// study, the batching sweep and the ablations of the paper's design
+// arguments — printed as an aligned text table followed by one verdict line,
+// "holds" or "FAILS: <reason>". It also runs the chaos scenario suite
+// (leader-crash, relay-crash, seeded explorer, fault-intensity curve).
 //
 // Usage:
 //
-//	pigbench -all                 # run the full suite (several minutes)
-//	pigbench -fig 8               # one figure
-//	pigbench -table 1             # one table
-//	pigbench -batch               # leader-batching sweep (batch size × protocol)
+//	pigbench -all                 # every claim (about a minute); exit 1 if any fails
+//	pigbench -claim fig8          # one claim (an unknown ID lists them all)
 //	pigbench -scenario leader     # leader-crash scenario (also: relay, explore, faultcurve)
 //	pigbench -scenario explore -benchfmt   # results as go-bench lines
 //	pigbench -quick               # reduced sweeps, faster and less precise
@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"time"
 
@@ -44,13 +45,10 @@ var scenarioNames = []string{
 
 func main() {
 	var (
-		fig      = flag.Int("fig", 0, "figure number to regenerate (7-13)")
-		table    = flag.Int("table", 0, "table number to regenerate (1-2)")
-		util     = flag.Bool("util", false, "regenerate the §6.1 CPU utilization study")
-		batch    = flag.Bool("batch", false, "run the leader-batching sweep (batch size × protocol)")
+		claim    = flag.String("claim", "", "claim to regenerate and check: "+strings.Join(harness.ClaimIDs(), " | "))
 		scenario = flag.String("scenario", "", "chaos scenario: "+strings.Join(scenarioNames, " | "))
 		benchfmt = flag.Bool("benchfmt", false, "emit scenario results as go-bench lines (CI keeps them as bench_*.txt artifacts)")
-		all      = flag.Bool("all", false, "run every figure and table")
+		all      = flag.Bool("all", false, "run and check every claim")
 		quick    = flag.Bool("quick", false, "reduced sweeps (faster, coarser)")
 		seed     = flag.Int64("seed", 42, "simulation seed")
 		nRuns    = flag.Int("runs", 0, "sweep: explored schedules per protocol (default 12, 6 with -quick)")
@@ -72,43 +70,37 @@ func main() {
 		return
 	}
 
-	runs := map[string]func() harness.Report{
-		"fig7":   suite.Fig7RelayGroups,
-		"fig8":   suite.Fig8Scalability25,
-		"fig9":   suite.Fig9WAN,
-		"fig10":  suite.Fig10Small5,
-		"fig11":  suite.Fig11Small9,
-		"fig12":  suite.Fig12PayloadSize,
-		"fig13":  suite.Fig13FaultTolerance,
-		"table1": suite.Table1MessageLoad,
-		"table2": suite.Table2MessageLoad,
-		"util":   suite.UtilizationReport,
-		"batch":  suite.BatchSweep,
-	}
-	order := []string{"table1", "table2", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "util", "batch"}
-
-	var selected []string
+	var selected []harness.Claim
 	switch {
 	case *all:
-		selected = order
-	case *fig >= 7 && *fig <= 13:
-		selected = []string{fmt.Sprintf("fig%d", *fig)}
-	case *table == 1 || *table == 2:
-		selected = []string{fmt.Sprintf("table%d", *table)}
-	case *util:
-		selected = []string{"util"}
-	case *batch:
-		selected = []string{"batch"}
+		selected = harness.Claims
+	case *claim != "":
+		i := slices.IndexFunc(harness.Claims, func(c harness.Claim) bool { return c.ID == *claim })
+		if i < 0 {
+			fmt.Fprintf(os.Stderr, "pigbench: unknown -claim %q (want %s)\n", *claim, strings.Join(harness.ClaimIDs(), ", "))
+			os.Exit(2)
+		}
+		selected = harness.Claims[i : i+1]
 	default:
-		fmt.Fprintln(os.Stderr, "usage: pigbench -all | -fig 7..13 | -table 1..2 | -util | -batch [-quick] [-seed N]")
+		fmt.Fprintln(os.Stderr, "usage: pigbench -all | -claim ID | -scenario NAME [-quick] [-seed N]")
 		os.Exit(2)
 	}
 
-	for _, name := range selected {
+	failed := false
+	for _, c := range selected {
 		start := time.Now()
-		rep := runs[name]()
+		rep := c.Run(suite)
 		fmt.Println(rep.String())
+		if err := c.Check(rep); err != nil {
+			failed = true
+			fmt.Printf("claim %s (%s): FAILS: %v\n", c.ID, c.Section, err)
+		} else {
+			fmt.Printf("claim %s (%s): holds\n", c.ID, c.Section)
+		}
 		fmt.Printf("(generated in %v)\n\n", time.Since(start).Round(time.Millisecond))
+	}
+	if failed {
+		os.Exit(1)
 	}
 }
 

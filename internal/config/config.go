@@ -309,15 +309,6 @@ type GroupLayout struct {
 // NumGroups returns the number of relay groups.
 func (g GroupLayout) NumGroups() int { return len(g.Groups) }
 
-// Sizes returns each group's size.
-func (g GroupLayout) Sizes() []int {
-	out := make([]int, len(g.Groups))
-	for i, grp := range g.Groups {
-		out[i] = len(grp)
-	}
-	return out
-}
-
 // GroupOf returns the index of the group containing id, or -1.
 func (g GroupLayout) GroupOf(id ids.ID) int {
 	for i, grp := range g.Groups {

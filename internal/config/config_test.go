@@ -114,9 +114,9 @@ func TestEvenGroups(t *testing.T) {
 	if g.NumGroups() != 3 {
 		t.Fatalf("groups = %d", g.NumGroups())
 	}
-	for _, sz := range g.Sizes() {
-		if sz != 8 {
-			t.Errorf("group sizes = %v, want all 8", g.Sizes())
+	for i, grp := range g.Groups {
+		if len(grp) != 8 {
+			t.Errorf("group %d has %d members, want 8", i, len(grp))
 		}
 	}
 	if err := g.Validate(followers); err != nil {
@@ -131,12 +131,11 @@ func TestEvenGroupsUneven(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizes := g.Sizes()
 	total := 0
-	for _, s := range sizes {
-		total += s
-		if s < 2 || s > 3 {
-			t.Errorf("sizes %v not near-even", sizes)
+	for i, grp := range g.Groups {
+		total += len(grp)
+		if len(grp) < 2 || len(grp) > 3 {
+			t.Errorf("group %d has %d members, not near-even", i, len(grp))
 		}
 	}
 	if total != 9 {
@@ -219,9 +218,9 @@ func TestEvenGroupsProperty(t *testing.T) {
 		if g.Validate(followers) != nil {
 			return false
 		}
-		sizes := g.Sizes()
-		minS, maxS := sizes[0], sizes[0]
-		for _, s := range sizes {
+		minS, maxS := len(g.Groups[0]), len(g.Groups[0])
+		for _, grp := range g.Groups {
+			s := len(grp)
 			if s < minS {
 				minS = s
 			}

@@ -5,75 +5,35 @@ import (
 	"testing"
 )
 
-func TestFig7ShapeFewestGroupsWins(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep")
-	}
-	rep := QuickSuite().Fig7RelayGroups()
-	if len(rep.Rows) != 5 {
-		t.Fatalf("rows = %d, want r=2..6", len(rep.Rows))
-	}
-	// Paper §5.3: best throughput at the smallest number of groups, and
-	// monotone decline as groups increase (Ml = 2r+2 grows).
-	if rep.Raw["r2"] <= rep.Raw["r6"] {
-		t.Errorf("r=2 (%.0f) must beat r=6 (%.0f)", rep.Raw["r2"], rep.Raw["r6"])
-	}
-	if rep.Raw["r2"] < rep.Raw["r3"] {
-		t.Errorf("r=2 (%.0f) should be ≥ r=3 (%.0f)", rep.Raw["r2"], rep.Raw["r3"])
-	}
-	// √N strategy (r=5 for N=25) must underperform r=2 — the paper's
-	// anti-intuitive finding.
-	if rep.Raw["r5"] >= rep.Raw["r2"] {
-		t.Errorf("sqrt(N) grouping r=5 (%.0f) should lose to r=2 (%.0f)", rep.Raw["r5"], rep.Raw["r2"])
-	}
-}
-
-func TestFig10SmallClusterShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep")
-	}
-	rep := QuickSuite().Fig10Small5()
-	// §5.5: even at 5 nodes PigPaxos out-scales Paxos; EPaxos trails.
-	if rep.Raw["PigPaxos"] <= rep.Raw["Paxos"] {
-		t.Errorf("5-node PigPaxos %.0f should exceed Paxos %.0f", rep.Raw["PigPaxos"], rep.Raw["Paxos"])
-	}
-	if rep.Raw["EPaxos"] >= rep.Raw["Paxos"] {
-		t.Errorf("5-node EPaxos %.0f should trail Paxos %.0f", rep.Raw["EPaxos"], rep.Raw["Paxos"])
+// TestClaimsHold runs every ledger row at the quick suite's resolution and
+// seed and asserts its check: each claim the evaluation makes is backed by
+// the number it measures. A check that passes on a report with no numbers
+// checks nothing, so that fails too.
+func TestClaimsHold(t *testing.T) {
+	suite := QuickSuite()
+	for _, c := range Claims {
+		t.Run(c.ID, func(t *testing.T) {
+			if c.Check == nil || c.Run == nil || c.Says == "" {
+				t.Fatalf("claim %q needs a Says, a Run and a Check", c.ID)
+			}
+			if c.Check(Report{}) == nil {
+				t.Fatalf("claim %q holds on an empty report", c.ID)
+			}
+			if testing.Short() {
+				t.Skip("sweep")
+			}
+			t.Parallel()
+			rep := c.Run(suite)
+			if err := c.Check(rep); err != nil {
+				t.Errorf("%s (%s) — %s\n%s\nFAILS: %v", c.ID, c.Section, c.Says, rep, err)
+			}
+		})
 	}
 }
 
-func TestFig11NineNodeShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep")
-	}
-	rep := QuickSuite().Fig11Small9()
-	// §6.2: 9-node PigPaxos beats Paxos by a healthy margin (paper: 57%)
-	// in both group configurations.
-	for _, cfg := range []string{"PigPaxos-r2", "PigPaxos-r3"} {
-		if rep.Raw[cfg] < 1.3*rep.Raw["Paxos"] {
-			t.Errorf("%s %.0f should beat Paxos %.0f by ≥ 30%%", cfg, rep.Raw[cfg], rep.Raw["Paxos"])
-		}
-	}
-	if rep.Raw["PigPaxos-r2"] < rep.Raw["PigPaxos-r3"] {
-		t.Errorf("r=2 (%.0f) should be ≥ r=3 (%.0f) at 9 nodes", rep.Raw["PigPaxos-r2"], rep.Raw["PigPaxos-r3"])
-	}
-}
-
-func TestTable1CrossCheck(t *testing.T) {
-	rep := QuickSuite().Table1MessageLoad()
-	if rep.Raw["Ml_r2"] != 6 || rep.Raw["Ml_r24"] != 50 {
-		t.Errorf("Table 1 leader loads wrong: %+v", rep.Raw)
-	}
-	if rep.Raw["Mf_r24"] != 2 {
-		t.Errorf("Paxos follower load = %v", rep.Raw["Mf_r24"])
-	}
-	if !strings.Contains(rep.String(), "(Paxos)") {
-		t.Error("report should mark the Paxos row")
-	}
-}
-
+// Table 2's analytical rows, without the claim row's simulated count.
 func TestTable2CrossCheck(t *testing.T) {
-	rep := QuickSuite().Table2MessageLoad()
+	rep := messageLoadTable("Table 2", 9, []int{2, 3, 4})
 	if rep.Raw["Ml_r8"] != 18 {
 		t.Errorf("9-node Paxos Ml = %v, want 18", rep.Raw["Ml_r8"])
 	}
@@ -82,18 +42,11 @@ func TestTable2CrossCheck(t *testing.T) {
 	}
 }
 
-// Empirical leader message load must match the analytical model (the §6.1
-// cross-validation): count the leader's endpoint traffic per request and
-// compare against Ml = 2r+2.
+// The model's degenerate Paxos case against the direct plane (the §6.1
+// cross-validation), counted from total messages over served requests
+// rather than the executions the table2 row divides by.
 func TestAnalyticalModelMatchesSimulation(t *testing.T) {
-	// Covered in detail by pigpaxos.TestLeaderMessageEconomy; here verify
-	// the model's degenerate Paxos case against the direct plane: the
-	// Paxos run's total messages per request ≈ 2(N−1) round trip.
-	o := QuickSuite().base()
-	o.Protocol = Paxos
-	o.N = 9
-	o.Clients = 20
-	o.MutPaxos = nil
+	o := QuickSuite().on(Paxos, 9, 0, 20)
 	r := Run(o)
 	// Per request: 16 P2a/P2b cluster messages + client request/reply.
 	perReq := float64(r.Messages) / (r.Throughput * o.Measure.Seconds())
@@ -107,33 +60,5 @@ func TestReportString(t *testing.T) {
 	s := rep.String()
 	if !strings.Contains(s, "== X: T ==") || !strings.Contains(s, "1") {
 		t.Errorf("report format: %q", s)
-	}
-}
-
-// §6.1: "a growing difference in CPU utilization between leader and
-// follower nodes as the number of relay groups increases" — measured
-// directly on the simulated cores.
-func TestLeaderFollowerUtilizationGap(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep")
-	}
-	gap := func(groups int) float64 {
-		o := QuickSuite().base()
-		o.Protocol = PigPaxos
-		o.N = 25
-		o.NumGroups = groups
-		o.Clients = 200
-		r := Run(o)
-		if r.LeaderUtil <= 0 || r.MeanFollowerUtil <= 0 {
-			t.Fatalf("utilization not measured: %+v", r)
-		}
-		return r.LeaderUtil / r.MeanFollowerUtil
-	}
-	g2, g6 := gap(2), gap(6)
-	if g2 <= 1 {
-		t.Errorf("leader should out-utilize followers even at r=2 (gap %.2f)", g2)
-	}
-	if g6 <= g2 {
-		t.Errorf("utilization gap must grow with relay groups: r=2 %.2f vs r=6 %.2f", g2, g6)
 	}
 }

@@ -73,8 +73,8 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// The paper's headline (Figure 8): at 25 nodes PigPaxos ≫ Paxos > EPaxos,
-// with PigPaxos at least 3× Paxos.
+// The paper's headline (Figure 8) on single runs at one client count: at
+// 25 nodes PigPaxos ≫ Paxos > EPaxos, with PigPaxos at least 3× Paxos.
 func TestHeadlineShape25Nodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-protocol sweep")

@@ -29,7 +29,6 @@ import (
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/node"
 	"pigpaxos/internal/paxos"
-	"pigpaxos/internal/quorum"
 	"pigpaxos/internal/slots"
 	"pigpaxos/internal/wire"
 )
@@ -59,16 +58,6 @@ type Config struct {
 	// RelayTimeout bounds how long a relay waits for its group before
 	// flushing a partial aggregate (default 50ms, the Figure 13 setting).
 	RelayTimeout time.Duration
-	// UseThresholds enables partial response collection (§4.2): relays
-	// reply after g_i votes, chosen so Σg_i still covers a majority.
-	UseThresholds bool
-	// MultiLayer enables nested relay trees (§6.3): a relay whose peer
-	// list exceeds 2×SubGroupSize splits it into sub-groups served by
-	// sub-relays.
-	MultiLayer bool
-	// SubGroupSize is the target sub-group size under MultiLayer
-	// (default 3).
-	SubGroupSize int
 	// FixedRelays pins each group's relay to its first member instead of
 	// rotating randomly — an ablation of §3.2's hotspot-avoidance argument.
 	// On the simulator, which charges each node's CPU, the fixed relays
@@ -87,9 +76,6 @@ func (c *Config) applyDefaults() {
 	if c.Paxos.RetryTimeout == 0 {
 		c.Paxos.RetryTimeout = 2*c.RelayTimeout + 10*time.Millisecond
 	}
-	if c.SubGroupSize == 0 {
-		c.SubGroupSize = 3
-	}
 }
 
 // relayWork is the CPU charged at a relay per aggregation flush (combining
@@ -100,21 +86,19 @@ const relayWork = 5 * time.Microsecond
 type Stats struct {
 	RelayRounds    uint64 // RelayP2a/RelayP1a handled as relay
 	FullFlushes    uint64 // aggregates sent with the whole group's votes
-	PartialFlushes uint64 // aggregates flushed by timeout or threshold
-	LateVotes      uint64 // votes forwarded individually after a flush
-	Splits         uint64 // multi-layer sub-group splits performed
+	PartialFlushes uint64 // aggregates flushed by timeout
+	LateVotes      uint64 // votes and aggregates arriving outside an open aggregation
 }
 
 // agg is a relay's phase-2 aggregation for one slot: the cell of the aggs
 // ring. One slot holds one aggregation — the latest ballot's; an older
 // ballot's leader has been deposed and has no use for its aggregate.
 type agg struct {
-	ballot    ids.Ballot
-	state     aggState
-	leader    ids.ID // where the aggregate goes
-	acks      []ids.ID
-	expected  int // votes to collect including our own
-	threshold int // early-flush threshold (0 = wait for expected)
+	ballot   ids.Ballot
+	state    aggState
+	leader   ids.ID // where the aggregate goes
+	acks     []ids.ID
+	expected int // votes to collect including our own
 }
 
 type aggState uint8
@@ -123,9 +107,10 @@ const (
 	aggNone       aggState = iota // the relay never aggregated this slot
 	aggCollecting                 // votes still arriving, timeout armed
 	// aggFlushed: the aggregate went out. Remembered so votes arriving after
-	// a threshold flush are dropped (the leader's quorum math is already
-	// satisfied by Σg_i ≥ majority) instead of forwarded — which would
-	// silently rebuild the leader bottleneck §4.2 removes.
+	// a timeout flush are dropped instead of forwarded one by one, which
+	// would push the leader's load past its 2r+2 messages per round. A round
+	// the partial aggregate left short of a majority is the core's
+	// retransmit's to finish, through freshly drawn relays.
 	aggFlushed
 )
 
@@ -151,8 +136,7 @@ type Replica struct {
 	// rest[g][i] is group g without its i-th member: the peer list a round
 	// hands the relay it drew, shared by every message of every round
 	// (read-only downstream).
-	rest       [][][]ids.ID
-	thresholds []int
+	rest [][][]ids.ID
 	// relays[g] is the index in group g of the relay most recently drawn
 	// (-1 before the first round). Chaos schedules use it to aim "kill the
 	// current relay of group g" faults at the node actually carrying the
@@ -227,19 +211,6 @@ func (r *Replica) computeLayout() {
 			r.rest[g][i] = append(append(rest, group[:i]...), group[i+1:]...)
 		}
 	}
-	r.computeThresholds()
-}
-
-func (r *Replica) computeThresholds() {
-	r.thresholds = nil
-	if !r.cfg.UseThresholds {
-		return
-	}
-	needed := quorum.MajoritySize(r.cfg.Paxos.Cluster.N()) - 1 // leader self-votes
-	th, err := quorum.GroupThresholds(r.layout.Sizes(), needed)
-	if err == nil {
-		r.thresholds = th
-	}
 }
 
 // OnMessage dispatches a delivered message. Relay-plane messages are
@@ -255,8 +226,9 @@ func (r *Replica) OnMessage(from ids.ID, m wire.Msg) {
 	case wire.AggP2b:
 		if r.core.Ballot().ID() == r.ctx.ID() {
 			r.onAggP2b(v)
-		} else if !r.mergeSubAggP2b(v) {
-			// A sub-aggregate for a flushed aggregation: pass it up.
+		} else {
+			// An aggregate that reached a deposed leader: pass it to the
+			// owner of the ballot it carries.
 			r.stats.LateVotes++
 			r.ctx.Send(v.Ballot.ID(), v)
 		}
@@ -285,24 +257,15 @@ func (p *pigPlane) FanOut(m wire.Msg) {
 	r := p.r
 	switch v := m.(type) {
 	case wire.P2a:
-		r.eachRelay(func(gi int, relay ids.ID, peers []ids.ID) {
-			var th uint16
-			if r.thresholds != nil {
-				th = uint16(r.thresholds[gi])
-			}
-			r.ctx.Send(relay, wire.RelayP2a{
-				P2a:       v,
-				Peers:     peers,
-				Threshold: th,
-				Timeout:   r.cfg.RelayTimeout,
-			})
+		r.eachRelay(func(relay ids.ID, peers []ids.ID) {
+			r.ctx.Send(relay, wire.RelayP2a{P2a: v, Peers: peers, Timeout: r.cfg.RelayTimeout})
 		})
 	case wire.P1a:
-		r.eachRelay(func(_ int, relay ids.ID, peers []ids.ID) {
+		r.eachRelay(func(relay ids.ID, peers []ids.ID) {
 			r.ctx.Send(relay, wire.RelayP1a{P1a: v, Peers: peers})
 		})
 	case wire.P3:
-		r.eachRelay(func(_ int, relay ids.ID, peers []ids.ID) {
+		r.eachRelay(func(relay ids.ID, peers []ids.ID) {
 			r.ctx.Send(relay, wire.RelayP3{P3: v, Peers: peers})
 		})
 	default:
@@ -338,7 +301,7 @@ func (r *Replica) LastRelay(g int) ids.ID {
 // write; without node.Turns every fan-out draws. Each group's draw comes just
 // before its send: on the simulator a send may draw from the same random
 // source, and fixed-seed outputs depend on the order.
-func (r *Replica) eachRelay(send func(gi int, relay ids.ID, peers []ids.ID)) {
+func (r *Replica) eachRelay(send func(relay ids.ID, peers []ids.ID)) {
 	draw := true
 	if r.turns != nil {
 		t := r.turns.Turn()
@@ -350,7 +313,7 @@ func (r *Replica) eachRelay(send func(gi int, relay ids.ID, peers []ids.ID)) {
 			r.relays[gi] = r.pickRelay(group)
 		}
 		ri := r.relays[gi]
-		send(gi, group[ri], r.rest[gi][ri])
+		send(group[ri], r.rest[gi][ri])
 	}
 }
 
@@ -395,7 +358,7 @@ func (r *Replica) onRelayP2a(from ids.ID, m wire.RelayP2a) {
 		// Outside what this relay tracks (see aggCell): no aggregation. The
 		// group still gets the message; its votes come back one by one and
 		// onP2b passes each on to the leader, as ours goes once durable.
-		r.relay(m)
+		r.ctx.Broadcast(m.Peers, m.P2a)
 		if ok {
 			r.core.WhenDurable(r.ackDurable, slot, m.P2a.Ballot, from)
 		}
@@ -404,12 +367,11 @@ func (r *Replica) onRelayP2a(from ids.ID, m wire.RelayP2a) {
 	// An aggregation already open here is a duplicate assignment (a leader
 	// retry chose us again) or an older ballot's; either way restart cleanly.
 	*a = agg{
-		ballot:    m.P2a.Ballot,
-		state:     aggCollecting,
-		leader:    from,
-		acks:      make([]ids.ID, 0, len(m.Peers)+1),
-		expected:  len(m.Peers) + 1,
-		threshold: int(m.Threshold),
+		ballot:   m.P2a.Ballot,
+		state:    aggCollecting,
+		leader:   from,
+		acks:     make([]ids.ID, 0, len(m.Peers)+1),
+		expected: len(m.Peers) + 1,
 	}
 	if !ok {
 		// Our own accept was refused (committed slot, different batch —
@@ -417,8 +379,9 @@ func (r *Replica) onRelayP2a(from ids.ID, m wire.RelayP2a) {
 		a.expected = len(m.Peers)
 	}
 	// The forward reveals nothing of ours, so the group starts on its accepts
-	// while our own waits for its flush.
-	r.relay(m)
+	// while our own waits for its flush. One encode serves the whole group on
+	// live transports (the relay's own CPU tax is what §3 spreads around).
+	r.ctx.Broadcast(m.Peers, m.P2a)
 	if ok {
 		r.core.WhenDurable(r.ackDurable, slot, m.P2a.Ballot, from)
 	} else {
@@ -447,17 +410,6 @@ func (r *Replica) ownAck(slot uint64, b ids.Ballot, leader ids.ID) {
 		Ballot: b, Relay: r.ctx.ID(), Slot: slot,
 		Acks: []ids.ID{r.ctx.ID()}, Partial: true,
 	})
-}
-
-// relay passes a round's P2a on to the rest of the group.
-func (r *Replica) relay(m wire.RelayP2a) {
-	if r.cfg.MultiLayer && len(m.Peers) > 2*r.cfg.SubGroupSize {
-		r.splitToSubRelays(m)
-		return
-	}
-	// Relay fan-out: one encode for the whole group on live transports (the
-	// relay's own CPU tax is what §3 spreads around).
-	r.ctx.Broadcast(m.Peers, m.P2a)
 }
 
 // aggCell returns the ring cell for slot, sliding the ring up when slot is
@@ -498,30 +450,6 @@ func (r *Replica) relayTimeout(slot uint64, b ids.Ballot) {
 	}
 }
 
-// splitToSubRelays implements the multi-layer tree (§6.3): partition our
-// peer list into sub-groups and delegate each to a random sub-relay, with a
-// halved timeout so sub-aggregates return before our own deadline (the
-// paper's per-level timeout schedule, footnote 1).
-func (r *Replica) splitToSubRelays(m wire.RelayP2a) {
-	r.stats.Splits++
-	sub, err := config.EvenGroups(m.Peers, (len(m.Peers)+r.cfg.SubGroupSize-1)/r.cfg.SubGroupSize)
-	if err != nil {
-		r.ctx.Broadcast(m.Peers, m.P2a)
-		return
-	}
-	for _, g := range sub.Groups {
-		ri := r.pickRelay(g)
-		peers := make([]ids.ID, 0, len(g)-1)
-		peers = append(peers, g[:ri]...)
-		peers = append(peers, g[ri+1:]...)
-		r.ctx.Send(g[ri], wire.RelayP2a{
-			P2a:     m.P2a,
-			Peers:   peers,
-			Timeout: m.Timeout / 2,
-		})
-	}
-}
-
 // collecting returns the open aggregation a (ballot, slot) vote belongs to.
 func (r *Replica) collecting(b ids.Ballot, slot uint64) *agg {
 	if a := r.aggs.At(slot); a != nil && a.ballot == b && a.state == aggCollecting {
@@ -540,9 +468,10 @@ func (r *Replica) onP2b(from ids.ID, m wire.P2b) {
 	if a == nil {
 		r.stats.LateVotes++
 		if c := r.aggs.At(m.Slot); c != nil && c.ballot == m.Ballot && c.state == aggFlushed {
-			// The aggregate already went out; the thresholds guarantee
-			// the leader's quorum without this vote. Dropping it keeps
-			// the leader's message load at 2r+2.
+			// The aggregate already went out, timed out. Dropping this
+			// vote keeps the leader's load at 2r+2 messages per round; if
+			// the round fell short of a majority, the core's retransmit
+			// runs it again through freshly drawn relays.
 			return
 		}
 		// A vote we have no record of (e.g. we restarted): pass it to
@@ -564,14 +493,10 @@ func (r *Replica) addAck(a *agg, from ids.ID) {
 	a.acks = append(a.acks, from)
 }
 
-func (r *Replica) maybeFlushP2(slot uint64, a *agg, timedOut bool) bool {
-	full := len(a.acks) >= a.expected
-	thresholdMet := a.threshold > 0 && len(a.acks) >= a.threshold
-	if full || thresholdMet || timedOut {
+func (r *Replica) maybeFlushP2(slot uint64, a *agg, timedOut bool) {
+	if full := len(a.acks) >= a.expected; full || timedOut {
 		r.flushP2(slot, a, !full)
-		return true
 	}
-	return false
 }
 
 func (r *Replica) flushP2(slot uint64, a *agg, partial bool) {
@@ -591,20 +516,6 @@ func (r *Replica) flushP2(slot uint64, a *agg, partial bool) {
 		Partial: partial,
 	})
 	a.acks = nil // the message owns them now
-}
-
-// AggP2b arriving at a relay happens under multi-layer trees: merge the
-// sub-relay's votes into our own aggregation.
-func (r *Replica) mergeSubAggP2b(m wire.AggP2b) bool {
-	a := r.collecting(m.Ballot, m.Slot)
-	if a == nil {
-		return false
-	}
-	for _, ack := range m.Acks {
-		r.addAck(a, ack)
-	}
-	r.maybeFlushP2(m.Slot, a, false)
-	return true
 }
 
 func (r *Replica) onRelayP1a(from ids.ID, m wire.RelayP1a) {

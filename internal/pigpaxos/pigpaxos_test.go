@@ -480,27 +480,6 @@ func TestFanOutsInOneTurnShareRelays(t *testing.T) {
 	}
 }
 
-func TestPartialThresholds(t *testing.T) {
-	// §4.2: with thresholds on, relays flush early after g_i votes and the
-	// leader still reaches majority across groups.
-	tc := newCluster(t, 9, false, func(c *Config) {
-		c.NumGroups = 2
-		c.UseThresholds = true
-	})
-	tc.send(5*time.Millisecond, tc.cfg.Nodes[0], kvstore.Command{Op: kvstore.Put, Key: 1, Value: []byte("x"), ClientID: 1, Seq: 1})
-	tc.sim.Run(200 * time.Millisecond)
-	if len(tc.client.replies) != 1 || !tc.client.replies[0].OK {
-		t.Fatal("threshold mode must still commit")
-	}
-	flushes := uint64(0)
-	for _, r := range tc.replicas {
-		flushes += r.Stats().PartialFlushes
-	}
-	if flushes == 0 {
-		t.Error("threshold mode should produce threshold (partial) flushes")
-	}
-}
-
 func TestZoneGroupingWAN(t *testing.T) {
 	// §6.4: one relay group per region; per round only r−1(+leader's own
 	// zone relay) messages cross the WAN from the leader.
@@ -519,26 +498,6 @@ func TestZoneGroupingWAN(t *testing.T) {
 	tc.sim.Run(tc.sim.Now() + 500*time.Millisecond)
 	if len(tc.client.replies) != 1 || !tc.client.replies[0].OK {
 		t.Fatal("WAN commit failed")
-	}
-}
-
-func TestMultiLayerRelay(t *testing.T) {
-	tc := newCluster(t, 25, false, func(c *Config) {
-		c.NumGroups = 2
-		c.MultiLayer = true
-		c.SubGroupSize = 3
-	})
-	tc.send(5*time.Millisecond, tc.cfg.Nodes[0], kvstore.Command{Op: kvstore.Put, Key: 1, Value: []byte("deep"), ClientID: 1, Seq: 1})
-	tc.sim.Run(300 * time.Millisecond)
-	if len(tc.client.replies) != 1 || !tc.client.replies[0].OK {
-		t.Fatal("multi-layer tree must still commit")
-	}
-	splits := uint64(0)
-	for _, r := range tc.replicas {
-		splits += r.Stats().Splits
-	}
-	if splits == 0 {
-		t.Error("12-member groups with SubGroupSize=3 must split")
 	}
 }
 

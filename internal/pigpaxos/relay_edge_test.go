@@ -10,9 +10,9 @@ import (
 )
 
 // Relay-plane edge cases the batching change must not regress: late votes
-// after a threshold flush, duplicate relay assignment on leader retry, and
-// multi-layer sub-aggregate merging. All three drive a follower replica
-// directly with relay messages under the leader's established ballot.
+// after a timeout flush and duplicate relay assignment on leader retry. Both
+// drive a follower replica directly with relay messages under the leader's
+// established ballot.
 
 func establish(t *testing.T, n int, mut func(*Config)) (*cluster, *Replica) {
 	t.Helper()
@@ -35,29 +35,38 @@ func openAggs(r *Replica) int {
 	return n
 }
 
-func TestLateVoteAfterThresholdFlushDropped(t *testing.T) {
+func TestLateVoteAfterTimeoutFlushDropped(t *testing.T) {
 	tc, relay := establish(t, 9, nil)
 	ballot := tc.leader().Core().Ballot()
 	leaderID := tc.cfg.Nodes[0]
 	peers := []ids.ID{tc.cfg.Nodes[4], tc.cfg.Nodes[5]}
 
-	// Threshold 1: the relay's own vote satisfies g_i, so it flushes the
-	// aggregate immediately and remembers the key as completed.
-	relay.OnMessage(leaderID, wire.RelayP2a{
-		P2a:       wire.P2a{Ballot: ballot, Slot: 1000, Cmds: []kvstore.Command{{Op: kvstore.Put, Key: 1}}},
-		Peers:     peers,
-		Threshold: 1,
-		Timeout:   50 * time.Millisecond,
-	})
-	if openAggs(relay) != 0 {
-		t.Fatal("threshold-1 aggregation must flush instantly")
+	// The group is down, so it stays silent past the relay timeout: the
+	// relay flushes its own vote alone as a partial aggregate and remembers
+	// the slot as flushed.
+	for _, p := range peers {
+		tc.net.Crash(p)
 	}
-	if relay.Stats().PartialFlushes == 0 {
-		t.Error("threshold flush must be counted as partial")
+	timeout := 5 * time.Millisecond
+	relay.OnMessage(leaderID, wire.RelayP2a{
+		P2a:     wire.P2a{Ballot: ballot, Slot: 1000, Cmds: []kvstore.Command{{Op: kvstore.Put, Key: 1}}},
+		Peers:   peers,
+		Timeout: timeout,
+	})
+	if openAggs(relay) != 1 {
+		t.Fatal("the aggregation must wait for its group")
+	}
+	partial := relay.Stats().PartialFlushes
+	tc.sim.Run(tc.sim.Now() + 2*timeout)
+	if openAggs(relay) != 0 {
+		t.Fatal("the relay timeout must flush the aggregation")
+	}
+	if relay.Stats().PartialFlushes != partial+1 {
+		t.Error("timeout flush must be counted as partial")
 	}
 
 	// A group member's vote arrives after the flush: it must be dropped
-	// (forwarding it would rebuild the leader bottleneck §4.2 removes).
+	// (forwarding it would push the leader past 2r+2 messages per round).
 	sentBefore := tc.net.MessagesSent()
 	late := relay.Stats().LateVotes
 	relay.OnMessage(peers[0], wire.P2b{Ballot: ballot, From: peers[0], Slot: 1000})
@@ -65,7 +74,7 @@ func TestLateVoteAfterThresholdFlushDropped(t *testing.T) {
 		t.Error("late vote not counted")
 	}
 	if tc.net.MessagesSent() != sentBefore {
-		t.Error("late vote after a threshold flush must not be forwarded")
+		t.Error("late vote after a timeout flush must not be forwarded")
 	}
 
 	// A vote for a slot this relay never aggregated is NOT dropped — it is
@@ -112,55 +121,6 @@ func TestDuplicateRelayAssignmentRestartsCleanly(t *testing.T) {
 	if tc.net.MessagesSent() != sentBefore+1 {
 		t.Errorf("restarted round must flush exactly one aggregate, sent %d",
 			tc.net.MessagesSent()-sentBefore)
-	}
-}
-
-func TestMultiLayerSubAggregateMerge(t *testing.T) {
-	tc, relay := establish(t, 9, func(c *Config) {
-		c.MultiLayer = true
-		c.SubGroupSize = 2
-	})
-	ballot := tc.leader().Core().Ballot()
-	leaderID := tc.cfg.Nodes[0]
-	peers := []ids.ID{tc.cfg.Nodes[4], tc.cfg.Nodes[5], tc.cfg.Nodes[6], tc.cfg.Nodes[7]}
-	relay.OnMessage(leaderID, wire.RelayP2a{
-		P2a:     wire.P2a{Ballot: ballot, Slot: 1000, Cmds: []kvstore.Command{{Op: kvstore.Put, Key: 1}}},
-		Peers:   peers,
-		Timeout: time.Hour,
-	})
-	if relay.collecting(ballot, 1000) == nil {
-		t.Fatal("aggregation not opened")
-	}
-
-	// A sub-relay's aggregate merges into the open aggregation, with
-	// duplicates (our own ack, repeated members) deduplicated.
-	sub := wire.AggP2b{Ballot: ballot, Relay: peers[0], Slot: 1000,
-		Acks: []ids.ID{peers[0], peers[1], relay.ctx.ID()}}
-	relay.OnMessage(peers[0], sub)
-	a := relay.collecting(ballot, 1000)
-	if a == nil || len(a.acks) != 3 {
-		t.Fatalf("merged acks = %v, want self + 2 sub-relay members", a.acks)
-	}
-	relay.OnMessage(peers[0], sub) // replayed sub-aggregate: no double count
-	if len(relay.collecting(ballot, 1000).acks) != 3 {
-		t.Error("replayed sub-aggregate must not double-count acks")
-	}
-
-	// The second sub-group's aggregate completes the expected count and
-	// flushes upward.
-	relay.OnMessage(peers[2], wire.AggP2b{Ballot: ballot, Relay: peers[2], Slot: 1000,
-		Acks: []ids.ID{peers[2], peers[3]}})
-	if relay.collecting(ballot, 1000) != nil {
-		t.Error("complete sub-aggregates must flush the parent aggregation")
-	}
-
-	// A sub-aggregate for an already-flushed key is passed to the ballot
-	// owner (late), not merged or lost.
-	sentBefore := tc.net.MessagesSent()
-	relay.OnMessage(peers[2], wire.AggP2b{Ballot: ballot, Relay: peers[2], Slot: 1000,
-		Acks: []ids.ID{peers[3]}})
-	if tc.net.MessagesSent() != sentBefore+1 {
-		t.Error("post-flush sub-aggregate must be passed up to the leader")
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package quorum holds the vote counting the protocols share: Threshold, a
 // k-of-n accumulator with rejections (the Paxos campaign's phase-1 quorum);
-// Tally, a by-value vote set a replica embeds in each log slot; the majority
-// size; and the per-group thresholds of PigPaxos' partial response
-// collection (§4.2 of the paper).
+// Tally, a by-value vote set a replica embeds in each log slot; and the
+// majority size.
 package quorum
 
 import (
@@ -97,42 +96,3 @@ func (t *Tally) Count() int { return t.count }
 
 // MajoritySize returns the classical majority size for an n-node cluster.
 func MajoritySize(n int) int { return n/2 + 1 }
-
-// GroupThresholds computes per-group ACK thresholds g_i for PigPaxos partial
-// response collection (§4.2): given relay group sizes, choose the smallest
-// g_i (distributed as evenly as possible) such that Σ g_i ≥ ⌊N/2⌋+1 where N
-// counts the leader plus all followers. The leader's self-vote is accounted
-// by the caller passing needed = MajoritySize(N) - 1.
-func GroupThresholds(groupSizes []int, needed int) ([]int, error) {
-	total := 0
-	for _, s := range groupSizes {
-		if s <= 0 {
-			return nil, fmt.Errorf("quorum: empty relay group")
-		}
-		total += s
-	}
-	if needed > total {
-		return nil, fmt.Errorf("quorum: need %d votes from %d followers", needed, total)
-	}
-	if needed < 0 {
-		needed = 0
-	}
-	th := make([]int, len(groupSizes))
-	// Distribute the requirement proportionally, then fix rounding by
-	// raising thresholds round-robin until the sum covers `needed`.
-	sum := 0
-	for i, s := range groupSizes {
-		th[i] = needed * s / total
-		if th[i] > s {
-			th[i] = s
-		}
-		sum += th[i]
-	}
-	for i := 0; sum < needed; i = (i + 1) % len(th) {
-		if th[i] < groupSizes[i] {
-			th[i]++
-			sum++
-		}
-	}
-	return th, nil
-}

@@ -50,84 +50,6 @@ func TestMajoritySize(t *testing.T) {
 	}
 }
 
-func TestGroupThresholds(t *testing.T) {
-	// 25 nodes: leader + 24 followers in 3 groups of 8; majority 13 needs
-	// 12 follower votes.
-	th, err := GroupThresholds([]int{8, 8, 8}, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0
-	for i, g := range th {
-		if g > 8 || g < 0 {
-			t.Errorf("threshold %d out of range: %d", i, g)
-		}
-		sum += g
-	}
-	if sum < 12 {
-		t.Errorf("thresholds sum to %d, need ≥ 12", sum)
-	}
-}
-
-func TestGroupThresholdsUneven(t *testing.T) {
-	th, err := GroupThresholds([]int{1, 5, 2}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := 0
-	for i, g := range th {
-		if g > []int{1, 5, 2}[i] {
-			t.Errorf("threshold exceeds group size at %d", i)
-		}
-		sum += g
-	}
-	if sum < 5 {
-		t.Errorf("sum %d < needed 5", sum)
-	}
-}
-
-func TestGroupThresholdsErrors(t *testing.T) {
-	if _, err := GroupThresholds([]int{2, 0}, 1); err == nil {
-		t.Error("empty group should error")
-	}
-	if _, err := GroupThresholds([]int{2, 2}, 5); err == nil {
-		t.Error("impossible requirement should error")
-	}
-}
-
-// Property: for any group layout and any achievable requirement the
-// thresholds are within group bounds and cover the requirement.
-func TestGroupThresholdsProperty(t *testing.T) {
-	f := func(sizes []uint8, needRaw uint8) bool {
-		if len(sizes) == 0 {
-			return true
-		}
-		gs := make([]int, 0, len(sizes))
-		total := 0
-		for _, s := range sizes {
-			v := int(s%9) + 1 // 1..9
-			gs = append(gs, v)
-			total += v
-		}
-		need := int(needRaw) % (total + 1)
-		th, err := GroupThresholds(gs, need)
-		if err != nil {
-			return false
-		}
-		sum := 0
-		for i, g := range th {
-			if g < 0 || g > gs[i] {
-				return false
-			}
-			sum += g
-		}
-		return sum >= need
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: a threshold quorum is satisfied iff at least k distinct voters
 // ACKed, regardless of ACK order and duplicates.
 func TestThresholdProperty(t *testing.T) {

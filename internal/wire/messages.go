@@ -193,9 +193,10 @@ func (m *AggP1b) code(c *coder) {
 }
 
 // RelayP2a asks a relay to propagate a P2a inside its group and aggregate
-// the P2bs. Threshold is the partial-response count g_i after which the
-// relay may reply early (§4.2); 0 means wait for the whole group (or the
-// relay timeout). Timeout is the relay's collection deadline.
+// the P2bs until the whole group answered or Timeout, the relay's collection
+// deadline, passed. Threshold (§4.2's partial-response count) is written as
+// 0 and ignored; it stays so the frame's layout, and every size the
+// simulator charges for it, is unchanged.
 type RelayP2a struct {
 	P2a       P2a
 	Peers     []ids.ID
@@ -211,8 +212,9 @@ func (m *RelayP2a) code(c *coder) {
 }
 
 // AggP2b aggregates a relay group's P2b votes for one slot. Acks lists the
-// group members (including the relay itself) that accepted; Partial marks a
-// timeout- or threshold-truncated aggregation.
+// group members (including the relay itself) that accepted; Partial marks
+// one that does not speak for the whole group: cut short by the relay
+// timeout, a rejection, or the relay's own vote sent alone.
 type AggP2b struct {
 	Ballot  ids.Ballot
 	Relay   ids.ID

@@ -110,7 +110,7 @@ func framingMsgs() []wire.Msg {
 		wire.Request{Cmd: cmds[0]},
 		wire.P2b{Ballot: b, From: ids.NewID(1, 3), Slot: 9},
 		wire.P2a{Ballot: b, Slot: 9, Cmds: cmds, Commit: 8},
-		wire.Sharded{Shard: 4, Inner: wire.RelayP2a{P2a: wire.P2a{Ballot: b, Slot: 10, Cmds: cmds[:1]}, Peers: []ids.ID{ids.NewID(1, 4), ids.NewID(1, 5)}, Threshold: 1, Timeout: time.Second}},
+		wire.Sharded{Shard: 4, Inner: wire.RelayP2a{P2a: wire.P2a{Ballot: b, Slot: 10, Cmds: cmds[:1]}, Peers: []ids.ID{ids.NewID(1, 4), ids.NewID(1, 5)}, Timeout: time.Second}},
 		wire.Sharded{Shard: 65535, Inner: wire.AggP2b{Ballot: b, Relay: ids.NewID(1, 2), Slot: 10, Acks: []ids.ID{ids.NewID(1, 2), ids.NewID(1, 4)}}},
 		wire.SnapInstall{Ballot: b, Floor: 128, Data: bytes.Repeat([]byte("snap"), 8)},
 		wire.Sharded{Shard: 1, Inner: wire.SnapInstall{Ballot: b, Floor: 64, Data: []byte("s")}},

@@ -61,7 +61,7 @@ func goldenMsgs() []goldenEntry {
 		{"RelayP1a/empty-peers", RelayP1a{P1a: P1a{Ballot: b}, Peers: []ids.ID{}}},
 		{"AggP1b", AggP1b{Ballot: b, Relay: id1, Replies: []P1b{p1b, {Ballot: b, From: id2}}}},
 		{"AggP1b/empty-replies", AggP1b{Ballot: b, Relay: id1, Replies: []P1b{}}},
-		{"RelayP2a", RelayP2a{P2a: P2a{Ballot: b, Slot: 1, Cmds: cmds, Commit: 1}, Peers: []ids.ID{id2}, Threshold: 2, Timeout: 50 * time.Millisecond}},
+		{"RelayP2a", RelayP2a{P2a: P2a{Ballot: b, Slot: 1, Cmds: cmds, Commit: 1}, Peers: []ids.ID{id2}, Timeout: 50 * time.Millisecond}},
 		{"RelayP2a/empty-lists", RelayP2a{P2a: P2a{Ballot: b, Cmds: []kvstore.Command{}}, Peers: []ids.ID{}}},
 		{"AggP2b", AggP2b{Ballot: b, Relay: id1, Slot: 1, Acks: []ids.ID{id1, id2}, Partial: true}},
 		{"AggP2b/empty-acks", AggP2b{Ballot: b, Relay: id1, Slot: 1, Acks: []ids.ID{}}},

@@ -31,7 +31,7 @@ func sampleMsgs() []Msg {
 			{Ballot: b, From: id2},
 			{Ballot: b, From: id1, Entries: []SlotEntry{{Slot: 3, Ballot: b, Cmds: sampleBatch(1)}}},
 		}},
-		RelayP2a{P2a: P2a{Ballot: b, Slot: 1, Cmds: sampleBatch(4)}, Peers: []ids.ID{id2}, Threshold: 2, Timeout: 50 * time.Millisecond},
+		RelayP2a{P2a: P2a{Ballot: b, Slot: 1, Cmds: sampleBatch(4)}, Peers: []ids.ID{id2}, Timeout: 50 * time.Millisecond},
 		AggP2b{Ballot: b, Relay: id1, Slot: 1, Acks: []ids.ID{id1, id2}, Partial: true},
 		RelayP3{P3: P3{Ballot: b, Slot: 2, Cmds: []kvstore.Command{sampleCmd()}}, Peers: []ids.ID{id1}},
 		PreAccept{Ballot: b, Inst: InstRef{Replica: id1, Slot: 3}, Cmd: sampleCmd(), Seq: 4, Deps: []InstRef{{Replica: id2, Slot: 1}}},

@@ -194,20 +194,16 @@ func (m *AggP1b) code(c *coder) {
 
 // RelayP2a asks a relay to propagate a P2a inside its group and aggregate
 // the P2bs until the whole group answered or Timeout, the relay's collection
-// deadline, passed. Threshold (§4.2's partial-response count) is written as
-// 0 and ignored; it stays so the frame's layout, and every size the
-// simulator charges for it, is unchanged.
+// deadline, passed.
 type RelayP2a struct {
-	P2a       P2a
-	Peers     []ids.ID
-	Threshold uint16
-	Timeout   time.Duration
+	P2a     P2a
+	Peers   []ids.ID
+	Timeout time.Duration
 }
 
 func (m *RelayP2a) code(c *coder) {
 	m.P2a.code(c)
 	c.ids(&m.Peers)
-	c.u16(&m.Threshold)
 	c.duration(&m.Timeout)
 }
 

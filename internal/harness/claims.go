@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -29,7 +30,7 @@ type Claim struct {
 var Claims = []Claim{
 	{
 		ID: "table1", Section: "§6.1, Table 1",
-		Says: "On 25 nodes the PigPaxos leader handles Ml = 2r+2 messages per request against Paxos' 2(N−1)+2 = 50, where a Paxos follower handles 2.",
+		Says: "On 25 nodes the PigPaxos leader handles Ml = 2r+2 messages per request against Paxos' 2(N−1)+2 = 50, where a Paxos follower handles 2; a simulated PigPaxos leader at r = 2 and r = 3 counts 2r+2 within 1 %.",
 		Run:  Suite.table1MessageLoad,
 		Check: check(func(v *verdict) {
 			ml2, ml24, mf24 := v.at("Ml_r2"), v.at("Ml_r24"), v.at("Mf_r24")
@@ -37,6 +38,10 @@ var Claims = []Claim{
 			v.want(ml24 == 50, "Paxos Ml = %v, want 50", ml24)
 			v.want(mf24 == 2, "Paxos Mf = %v, want 2", mf24)
 			v.want(strings.Contains(v.String(), "(Paxos)"), "the Paxos row is not marked")
+			for _, r := range []int{2, 3} {
+				sim, ml := v.at(fmt.Sprintf("Ml_sim_r%d", r)), float64(2*r+2)
+				v.want(math.Abs(sim-ml) <= 0.01*ml, "the r=%d leader counts %.3f messages per request, want %v within 1 %%", r, sim, ml)
+			}
 		}),
 	},
 	{
@@ -64,11 +69,13 @@ var Claims = []Claim{
 	},
 	{
 		ID: "fig8", Section: "§5.4, Figure 8",
-		Says: "At 25 nodes and 200 clients PigPaxos serves at least 3× Paxos and EPaxos falls below Paxos; at one client PigPaxos pays for its extra hop with higher latency (the paper reports ≈ 30 %).",
+		Says: "At 25 nodes and 200 clients PigPaxos serves at least 3× Paxos (the paper's ≈ 2k against 7-9k req/s) and EPaxos falls below Paxos; at one client PigPaxos pays for its extra hop with higher latency (the paper reports ≈ 30 %).",
 		Run:  Suite.fig8Scalability25,
 		Check: check(func(v *verdict) {
 			paxos, pig, epaxos := v.at("Paxos_c200"), v.at("PigPaxos_c200"), v.at("EPaxos_c200")
 			v.want(pig >= 3*paxos, "at 200 clients PigPaxos %.0f must be ≥ 3× Paxos %.0f", pig, paxos)
+			v.want(paxos >= 1000 && paxos <= 4000, "at 200 clients Paxos serves %.0f req/s, want ≈ 2k (1k-4k)", paxos)
+			v.want(pig >= 5000 && pig <= 14000, "at 200 clients PigPaxos serves %.0f req/s, want ≈ 7-9k (5k-14k)", pig)
 			v.want(epaxos < paxos, "at 200 clients EPaxos %.0f must fall below Paxos %.0f", epaxos, paxos)
 			paxosMs, pigMs := v.at("Paxos_c1_ms"), v.at("PigPaxos_c1_ms")
 			v.want(pigMs > paxosMs, "1-client PigPaxos latency %.2f ms must exceed Paxos %.2f ms", pigMs, paxosMs)
@@ -141,7 +148,7 @@ var Claims = []Claim{
 	},
 	{
 		ID: "batch", Section: "not in the paper",
-		Says: "Leader batching amortizes the per-slot fan-out: at a cap of 16 both Paxos and PigPaxos serve ≥ 3× their unbatched throughput with under half the messages per command.",
+		Says: "Leader batching amortizes the per-slot fan-out: at a cap of 16 both Paxos and PigPaxos form batches of at least 4 commands and serve ≥ 3× their unbatched throughput with under half the messages per command.",
 		Run:  Suite.batchSweep,
 		Check: check(func(v *verdict) {
 			for _, p := range []Protocol{Paxos, PigPaxos} {
@@ -150,6 +157,8 @@ var Claims = []Claim{
 				v.want(b16 >= 3*b1, "%s batch-16 throughput %.0f must be ≥ 3× unbatched %.0f", p, b16, b1)
 				v.want(m16 < m1/2, "%s batch-16 msgs/cmd %.1f must be under half of unbatched %.1f", p, m16, m1)
 				v.want(v.at(fmt.Sprintf("%s_b1_batch", p)) == 1, "%s unbatched mean batch must be exactly 1", p)
+				mean := v.at(fmt.Sprintf("%s_b16_batch", p))
+				v.want(mean >= 4, "%s batch-16 mean batch %.1f — batches are not forming", p, mean)
 			}
 		}),
 	},

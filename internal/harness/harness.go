@@ -181,6 +181,9 @@ type Result struct {
 	// MsgsPerCmd is network messages sent cluster-wide per command
 	// executed at the leader — the amortization batching buys.
 	MsgsPerCmd float64
+	// LeaderMsgsPerCmd is the messages the (first group's) leader sent and
+	// received per command it executed: §6.1's Ml, counted.
+	LeaderMsgsPerCmd float64
 	// PerShard breaks a sharded run down by group.
 	PerShard []ShardLoad `json:",omitempty"`
 }
@@ -287,7 +290,9 @@ func Run(opts Options) Result {
 		pstats := core.Stats()
 		res.MeanBatchSize = pstats.MeanBatchSize()
 		if pstats.Executions > 0 {
+			lep := d.net.Endpoint(leader)
 			res.MsgsPerCmd = float64(res.Messages) / float64(pstats.Executions)
+			res.LeaderMsgsPerCmd = float64(lep.Sent()+lep.Received()) / float64(pstats.Executions)
 		}
 	}
 	res.LeaderUtil = d.net.Endpoint(leader).BusyTotal().Seconds() / wall

@@ -208,6 +208,9 @@ func (r *Replica) recoverEntries(entries []wire.SlotEntry) {
 func (r *Replica) becomeLeader() {
 	r.active = true
 	r.p1q = nil
+	for i := range r.votedAt {
+		r.votedAt[i] = math.MinInt64 // no vote under this leadership yet
+	}
 	// Apply commits learned during phase-1 before proposing, so the
 	// re-propose loop below starts past everything already anchored.
 	r.execute()
@@ -246,16 +249,45 @@ func (r *Replica) becomeLeader() {
 	r.scheduleHeartbeat()
 }
 
+// scheduleHeartbeat runs the leader's heartbeat chain: every
+// HeartbeatInterval, for as long as it leads, it announces its ballot and
+// commit watermark to heartbeatTargets, direct — the failure detector must
+// not depend on relay liveness.
 func (r *Replica) scheduleHeartbeat() {
 	if r.cfg.HeartbeatInterval <= 0 {
 		return
 	}
 	r.ctx.After(r.cfg.HeartbeatInterval, func() {
 		if r.active {
-			r.diss.FanOut(wire.Heartbeat{Ballot: r.ballot, From: r.cfg.ID, Commit: r.log.ExecuteCursor()})
+			if to := r.heartbeatTargets(); len(to) > 0 {
+				r.ctx.Broadcast(to, wire.Heartbeat{Ballot: r.ballot, From: r.cfg.ID, Commit: r.log.ExecuteCursor()})
+			}
 			r.scheduleHeartbeat()
 		}
 	})
+}
+
+// heartbeatTargets lists the followers a heartbeat tick goes to. While a
+// tally is open, replication is the heartbeat: a follower that voted for a
+// round sent within the last quarter interval heard this leader then, so it
+// is skipped, and hears from the leader at least every 1.25 intervals plus
+// the one-way delay. The round's send time, not its vote's arrival, is what
+// counts: arrival would overstate the follower's contact by the leader's
+// queue and the path back. An idle leader tells everyone, so the last
+// commits' watermark goes out at most one interval after the pipeline
+// drains; so does a ReadLease leader, whose lease rides on the acks.
+func (r *Replica) heartbeatTargets() []ids.ID {
+	if r.voting == 0 || r.cfg.ReadMode == ReadLease {
+		return r.peers
+	}
+	heard := r.ctx.Now() - r.cfg.HeartbeatInterval/4
+	var to []ids.ID
+	for i, id := range r.cfg.Cluster.Nodes {
+		if i != r.self && r.votedAt[i] < heard {
+			to = append(to, id)
+		}
+	}
+	return to
 }
 
 // OnHeartbeat refreshes the failure detector and applies the leader's

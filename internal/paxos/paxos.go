@@ -48,9 +48,10 @@ import (
 // Disseminator abstracts leader fan-out: how a message reaches every
 // follower. The direct implementation sends N−1 unicasts; PigPaxos routes
 // through relay groups. Fan-in (votes back to the leader) arrives as
-// ordinary messages and needs no abstraction here.
+// ordinary messages and needs no abstraction here, and heartbeats do not
+// use it: the core picks their recipients and sends them direct.
 type Disseminator interface {
-	// FanOut delivers m to every follower.
+	// FanOut delivers m — a P1a, P2a or P3 — to every follower.
 	FanOut(m wire.Msg)
 }
 
@@ -89,8 +90,13 @@ type Config struct {
 	// Thrifty enables the thrifty phase-2 optimization on the direct
 	// plane (ablation).
 	Thrifty bool
-	// HeartbeatInterval is how often an idle leader announces liveness
-	// and its commit watermark. Zero disables heartbeats.
+	// HeartbeatInterval is how often the leader announces liveness and its
+	// commit watermark. An idle leader (no tally open) and a ReadLease
+	// leader, whose lease rides on the acks, tell every follower. While
+	// rounds are in flight, replication is the heartbeat: a follower whose
+	// vote shows it heard a round sent within the last quarter interval is
+	// skipped. A follower the leader reaches so hears from it at least every
+	// 1.25 intervals plus the one-way delay. Zero disables heartbeats.
 	HeartbeatInterval time.Duration
 	// ElectionTimeout is the base follower patience before bidding for
 	// leadership (randomized ×[1,2)). Zero disables elections, leaving
@@ -289,6 +295,12 @@ type Replica struct {
 	self     int // this replica's index in cfg.Cluster.Nodes, what a Tally counts by
 	retx     *slots.Timers[struct{}]
 
+	// Heartbeat state: every follower in cluster order, and per member
+	// index the send time of the newest round it voted for under this
+	// leadership (heartbeatTargets).
+	peers   []ids.ID
+	votedAt []time.Duration
+
 	// Commands admitted (or held through a campaign) but not yet proposed,
 	// and the batch being held open for more.
 	ingress    admission.Queue
@@ -335,12 +347,14 @@ func New(ctx node.Context, cfg Config, diss Disseminator) *Replica {
 		ingress:  admission.New(cfg.MaxPending, cfg.QueueTTL, cfg.OverloadLatency),
 		st:       cfg.Storage,
 		ackTimes: make(map[ids.ID]time.Duration),
+		peers:    cfg.Cluster.Peers(cfg.ID),
+		votedAt:  make([]time.Duration, len(cfg.Cluster.Nodes)),
 	}
 	r.self = slices.Index(cfg.Cluster.Nodes, cfg.ID)
 	r.retx = slots.NewTimers(ctx, r.retransmit)
 	r.initFlusher()
 	if r.diss == nil {
-		r.diss = &Direct{Ctx: ctx, Peers: cfg.Cluster.Peers(cfg.ID), Thrifty: cfg.Thrifty}
+		r.diss = &Direct{Ctx: ctx, Peers: r.peers, Thrifty: cfg.Thrifty}
 	}
 	if r.st != nil {
 		r.recoverFromStorage()

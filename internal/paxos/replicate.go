@@ -123,13 +123,20 @@ func (r *Replica) sendP2b(slot uint64, b ids.Ballot, to ids.ID) {
 	r.ctx.Send(to, wire.P2b{Ballot: b, From: r.cfg.ID, Slot: slot})
 }
 
-// OnP2b tallies phase-2 votes at the leader.
+// OnP2b tallies phase-2 votes at the leader. A vote also credits its voter
+// with contact at the round's send time (see heartbeatTargets) — first, as
+// the vote may commit and execute the slot, and a slot no longer in flight
+// credits nothing.
 func (r *Replica) OnP2b(m wire.P2b) {
 	switch {
 	case m.Ballot > r.ballot: // rejection: a higher ballot exists, stop leading
 		r.stepDown(m.Ballot)
 	case m.Ballot == r.ballot: // a lower one is a stale vote
-		r.vote(m.Slot, slices.Index(r.cfg.Cluster.Nodes, m.From))
+		i := slices.Index(r.cfg.Cluster.Nodes, m.From)
+		if p := r.inflight.At(m.Slot); p != nil && i >= 0 {
+			r.votedAt[i] = max(r.votedAt[i], p.proposedAt)
+		}
+		r.vote(m.Slot, i)
 	}
 }
 

@@ -17,6 +17,12 @@
 // (paxos.Config.RetryTimeout) sent through this plane: the retry fires from a
 // timer, in a later turn than the round it repeats, so it draws afresh.
 //
+// Heartbeats stay off the tree: the decision core sends them straight to the
+// followers it picks — all of them when idle, and while rounds are in flight
+// only those whose votes do not show they heard a recent round — so relays
+// carry the liveness signal of a busy leader, and the leader's load per
+// request is 2r+2 messages, as §6.1 counts it.
+//
 // The decision core is an unmodified paxos.Replica: this package only
 // substitutes the communication plane, exactly as the paper describes its
 // own implementation (§5.1).
@@ -249,10 +255,12 @@ func (r *Replica) OnMessage(from ids.ID, m wire.Msg) {
 // groups.
 type pigPlane struct{ r *Replica }
 
-// FanOut implements paxos.Disseminator. The first call of an event-loop turn
-// draws the relays and the turn's later calls reuse them (see eachRelay);
-// the core's retransmit of a stalled slot fires in a later turn, so it is
-// Figure 5b's retry with freshly drawn relays.
+// FanOut implements paxos.Disseminator: each P1a, P2a and P3 rides the
+// relay tree. The first call of an event-loop turn draws the relays and the
+// turn's later calls reuse them (see eachRelay); the core's retransmit of a
+// stalled slot fires in a later turn, so it is Figure 5b's retry with
+// freshly drawn relays. Heartbeats never come here: the core sends them
+// direct, so the failure detector does not depend on relay liveness.
 func (p *pigPlane) FanOut(m wire.Msg) {
 	r := p.r
 	switch v := m.(type) {
@@ -268,11 +276,6 @@ func (p *pigPlane) FanOut(m wire.Msg) {
 		r.eachRelay(func(relay ids.ID, peers []ids.ID) {
 			r.ctx.Send(relay, wire.RelayP3{P3: v, Peers: peers})
 		})
-	default:
-		// Heartbeats (and anything else) are rare control traffic; send
-		// direct so the failure detector does not depend on relay liveness.
-		// Broadcast encodes the message once for all N−1 followers.
-		r.ctx.Broadcast(r.cfg.Paxos.Cluster.Peers(r.cfg.Paxos.ID), v)
 	}
 }
 

@@ -51,6 +51,7 @@ type cluster struct {
 	net      *netsim.Network
 	cfg      config.Cluster
 	replicas map[ids.ID]*Replica
+	handlers map[ids.ID]*trampoline
 	client   *testClient
 }
 
@@ -64,7 +65,7 @@ func newCluster(t *testing.T, n int, wan bool, mut func(*Config)) *cluster {
 		cc = config.NewLAN(n)
 	}
 	net := netsim.New(sim, cc, netsim.DefaultOptions())
-	tc := &cluster{sim: sim, net: net, cfg: cc, replicas: make(map[ids.ID]*Replica)}
+	tc := &cluster{sim: sim, net: net, cfg: cc, replicas: make(map[ids.ID]*Replica), handlers: make(map[ids.ID]*trampoline)}
 	for _, id := range cc.Nodes {
 		tr := &trampoline{}
 		ep := net.Register(id, tr, false)
@@ -78,6 +79,7 @@ func newCluster(t *testing.T, n int, wan bool, mut func(*Config)) *cluster {
 		r := New(ep, cfg)
 		tr.h = r.OnMessage
 		tc.replicas[id] = r
+		tc.handlers[id] = tr
 	}
 	cl := &testClient{sim: sim, sent: make(map[[2]uint64]sentCmd)}
 	cl.ep = net.Register(ids.NewID(999, 1), cl, true)
@@ -613,5 +615,56 @@ func TestCampaignRetryExecutesOnce(t *testing.T) {
 	}
 	if !slices.ContainsFunc(tc.client.replies, func(r wire.Reply) bool { return r.OK && r.ClientID == 3 && r.Seq == 1 }) {
 		t.Error("the retried command was never acknowledged")
+	}
+}
+
+// A follower cut off from the rest of its relay group, but not from the
+// leader, hears nothing of the rounds its group-mates relay, and its own
+// votes reach the leader only after a relay timeout, too late to count as
+// recent contact. So the leader keeps heartbeating it: over 2 s of steady
+// load it never campaigns, even with the tightest election timeout in the
+// tests, and its longest silence from the leader stays within 1.25
+// heartbeat intervals plus the one-way delay.
+func TestFollowerCutFromItsGroupKeepsHearingTheLeader(t *testing.T) {
+	const hb = 20 * time.Millisecond
+	const reqs = 2000
+	tc := newCluster(t, 9, false, func(c *Config) {
+		c.Paxos.HeartbeatInterval = hb
+		c.Paxos.ElectionTimeout = 3 * hb / 2
+	})
+	leader := tc.cfg.Nodes[0]
+	group := tc.leader().Layout().Groups[0]
+	cut := group[0]
+	tc.net.Partition([]ids.ID{cut}, group[1:])
+
+	start := 10 * time.Millisecond
+	last, longest := start, time.Duration(0)
+	tr := tc.handlers[cut]
+	h := tr.h
+	tr.h = func(from ids.ID, m wire.Msg) {
+		if now := tc.sim.Now(); from == leader && now > start {
+			longest, last = max(longest, now-last), now
+		}
+		h(from, m)
+	}
+	for i := range reqs {
+		tc.send(start+time.Duration(i)*time.Millisecond, leader,
+			kvstore.Command{Op: kvstore.Put, Key: uint64(i), ClientID: 1, Seq: uint64(i + 1)})
+	}
+	end := start + reqs*time.Millisecond
+	tc.sim.Run(end)
+	longest = max(longest, end-last)
+
+	if got := tc.replicas[cut].Core().Stats().Elections; got != 0 {
+		t.Errorf("the cut-off follower campaigned %d times", got)
+	}
+	if !tc.leader().Core().IsLeader() {
+		t.Error("the leader was deposed")
+	}
+	if bound := 5*hb/4 + tc.cfg.OneWay(leader, cut); longest > bound {
+		t.Errorf("the cut-off follower went %v without a message from the leader, want ≤ %v", longest, bound)
+	}
+	if got := len(tc.client.replies); got != reqs {
+		t.Errorf("%d of %d writes answered", got, reqs)
 	}
 }
